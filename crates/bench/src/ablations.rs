@@ -8,11 +8,11 @@
 use mmr_core::arbiter::ArbiterKind;
 use mmr_core::router::RouterConfig;
 use mmr_core::vcm::BankTimingModel;
+use mmr_sim::sweep::SweepOptions;
 use mmr_sim::{Bandwidth, FlitTiming, SweepTable};
 use mmr_traffic::driver::Experiment;
 use mmr_traffic::rates::scaled_rate_ladder;
 
-use crate::sweep::SweepOptions;
 use crate::{run_point, Quality, FIGURE_SEED};
 
 /// A1 — link speed: 155 / 622 / 1240 Mbps behave "qualitatively the same"

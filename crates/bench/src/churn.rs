@@ -17,27 +17,21 @@
 //! keep every slot — the `missed_cbr_slots` column reads 0. That
 //! asymmetry is the robustness claim of DESIGN.md §10.
 //!
-//! Points fan across the deterministic sweep harness ([`SweepOptions`]),
-//! so `BENCH_churn.json` and `results/churn.txt` are byte-identical at any
-//! `--jobs` value: every number is a pure function of
-//! `(topology, churn intensity, controls, trial seed)` — no wall-clock
-//! content.
+//! Every number is a pure function of `(topology, churn intensity,
+//! controls, trial seed)`, so `BENCH_churn.json` and `results/churn.txt`
+//! are byte-identical at any `--jobs` value (see [`crate::campaign`]).
 
 use std::collections::BTreeMap;
 
 use mmr_core::conn::QosClass;
 use mmr_core::AuditConfig;
-use mmr_net::{AdmissionController, AdmitPolicy, AdmitVerdict, NodeId, NetworkSim, SessionId};
+use mmr_net::{AdmissionController, AdmitPolicy, AdmitVerdict, NetworkSim, NodeId, SessionId};
 use mmr_sim::{Cycles, DelayJitterRecorder, SeededRng};
 use mmr_traffic::{ChurnConfig, ChurnEventKind, ChurnSchedule, DiurnalCurve, SessionClass};
 
-use crate::faults::CampaignTopology;
-use crate::sweep::{point_seed, SweepOptions};
+use crate::campaign::{add_fields, Campaign, Column, Value};
+use crate::faults::{CampaignTopology, Pacer};
 use crate::FIGURE_SEED;
-
-/// Base seed of the churn campaigns (decorrelated from the figure, fault
-/// and chaos campaigns).
-pub const CHURN_SEED: u64 = FIGURE_SEED ^ 0x0C48_A4E5;
 
 /// One cell of the churn grid.
 #[derive(Debug, Clone)]
@@ -113,31 +107,6 @@ pub struct ChurnResult {
     pub jitter_p99: f64,
 }
 
-impl ChurnResult {
-    fn absorb(&mut self, other: &ChurnResult) {
-        self.arrivals += other.arrivals;
-        self.accepted += other.accepted;
-        self.degraded += other.degraded;
-        self.rejected += other.rejected;
-        self.departures += other.departures;
-        self.preempted_best_effort += other.preempted_best_effort;
-        self.preempted_cbr += other.preempted_cbr;
-        self.upgrades += other.upgrades;
-        self.cbr_slots_due += other.cbr_slots_due;
-        self.missed_cbr_slots += other.missed_cbr_slots;
-        self.flits_delivered += other.flits_delivered;
-        self.flits_lost += other.flits_lost;
-        self.out_of_order += other.out_of_order;
-        self.violations += other.violations;
-        self.audit_checks += other.audit_checks;
-        self.peak_link_load_milli = self.peak_link_load_milli.max(other.peak_link_load_milli);
-        self.delay_p50 = self.delay_p50.max(other.delay_p50);
-        self.delay_p95 = self.delay_p95.max(other.delay_p95);
-        self.delay_p99 = self.delay_p99.max(other.delay_p99);
-        self.jitter_p99 = self.jitter_p99.max(other.jitter_p99);
-    }
-}
-
 /// Runs one seeded trial of a churn cell: the tape's arrivals go through
 /// the admission controller, live CBR sessions pace isochronous flits,
 /// departures tear down, the auditor watches every cycle.
@@ -172,11 +141,6 @@ pub fn run_trial(spec: &ChurnSpec, seed: u64) -> ChurnResult {
     cfg.diurnal = DiurnalCurve::day_night(0.25, spec.horizon() as f64);
     let tape = ChurnSchedule::generate(&cfg, seed);
 
-    struct Pacer {
-        session: SessionId,
-        next: f64,
-        interarrival: f64,
-    }
     let mut pacers: Vec<Pacer> = Vec::new();
     let mut live: BTreeMap<u32, SessionId> = BTreeMap::new();
     let mut phase_rng = SeededRng::new(seed ^ 0x9A5E);
@@ -219,11 +183,8 @@ pub fn run_trial(spec: &ChurnSpec, seed: u64) -> ChurnResult {
                         live.insert(plan.id, session);
                         if let Some(QosClass::Cbr { rate }) = ctl.sessions().class(session) {
                             let interarrival = timing.interarrival_cycles(rate);
-                            pacers.push(Pacer {
-                                session,
-                                next: now.as_f64() + phase_rng.uniform(0.0, interarrival),
-                                interarrival,
-                            });
+                            let first = now.as_f64() + phase_rng.uniform(0.0, interarrival);
+                            pacers.push(Pacer::new(session, first, interarrival));
                         }
                     }
                 }
@@ -241,19 +202,13 @@ pub fn run_trial(spec: &ChurnSpec, seed: u64) -> ChurnResult {
         // Live CBR sessions pace their isochronous slots; a refused slot
         // is a missed deadline, not a backlog.
         for p in &mut pacers {
-            let Some(conn) = ctl.sessions().conn(p.session) else {
-                p.next = p.next.max(now.as_f64());
-                continue;
-            };
-            while p.next <= now.as_f64() {
-                p.next += p.interarrival;
+            p.pump(ctl.sessions().conn(p.session), now, |conn| {
+                let missed = net.inject(conn, now).is_err();
                 if measuring {
                     r.cbr_slots_due += 1;
+                    r.missed_cbr_slots += u64::from(missed);
                 }
-                if net.inject(conn, now).is_err() && measuring {
-                    r.missed_cbr_slots += 1;
-                }
-            }
+            });
         }
 
         let report = net.step(now);
@@ -303,155 +258,109 @@ pub fn run_trial(spec: &ChurnSpec, seed: u64) -> ChurnResult {
     r
 }
 
-/// The churn grid: overloadable fabrics × {nominal, overload} churn
-/// intensity × controls off/on, the same tape per (fabric, intensity)
-/// pair.
-///
-/// Torus3x3 is deliberately absent: its symmetric 4-regular wiring
-/// spreads per-node egress so evenly that uniform churn saturates the VC
-/// pools long before any NI injection ceiling — the naive baseline never
-/// collapses there, so the off/on contrast carries no signal. Mesh (edge
-/// and corner nodes) and the irregular fabric both concentrate demand
-/// enough for naive admission to oversubscribe source NIs.
-pub fn churn_grid(quick: bool) -> Vec<ChurnSpec> {
-    let (trials, warmup, measure) = if quick { (2, 400, 2_400) } else { (3, 1_000, 8_000) };
-    let mut grid = Vec::new();
-    for topology in [CampaignTopology::Mesh3x3, CampaignTopology::Irregular12] {
-        for arrivals_per_kcycle in [100.0, 800.0] {
-            for controls in [false, true] {
-                grid.push(ChurnSpec {
-                    topology,
-                    arrivals_per_kcycle,
-                    controls,
-                    trials,
-                    warmup,
-                    measure,
-                });
+/// Diurnal session churn, overload controls off vs on over the same tape
+/// (`BENCH_churn.json`, `results/churn.txt`).
+pub struct Churn;
+
+impl Campaign for Churn {
+    const NAME: &'static str = "churn";
+    const SEED: u64 = FIGURE_SEED ^ 0x0C48_A4E5;
+    const TITLE: &'static str =
+        "churn campaigns: diurnal arrivals + heavy-tailed holding, overload controls off vs on";
+    type Spec = ChurnSpec;
+    type Cell = ChurnResult;
+
+    /// Overloadable fabrics × {nominal, overload} churn intensity × controls
+    /// off/on.
+    ///
+    /// Torus3x3 is deliberately absent: its symmetric 4-regular wiring
+    /// spreads per-node egress so evenly that uniform churn saturates the VC
+    /// pools long before any NI injection ceiling — the naive baseline never
+    /// collapses there, so the off/on contrast carries no signal. Mesh (edge
+    /// and corner nodes) and the irregular fabric both concentrate demand
+    /// enough for naive admission to oversubscribe source NIs.
+    fn grid(quick: bool) -> Vec<ChurnSpec> {
+        let (trials, warmup, measure) = if quick { (2, 400, 2_400) } else { (3, 1_000, 8_000) };
+        let mut grid = Vec::new();
+        for topology in [CampaignTopology::Mesh3x3, CampaignTopology::Irregular12] {
+            for arrivals_per_kcycle in [100.0, 800.0] {
+                for controls in [false, true] {
+                    grid.push(ChurnSpec {
+                        topology,
+                        arrivals_per_kcycle,
+                        controls,
+                        trials,
+                        warmup,
+                        measure,
+                    });
+                }
             }
         }
+        grid
     }
-    grid
-}
 
-/// Runs the whole grid through the deterministic sweep harness: one sweep
-/// point per `(cell, trial)`, seeded by position. The trial seed depends
-/// only on the `(fabric, intensity, trial ordinal)` — not the controls
-/// switch — so the off/on rows of one cell replay the same churn tape.
-pub fn run_churn(grid: &[ChurnSpec], opts: &SweepOptions) -> Vec<(ChurnSpec, ChurnResult)> {
-    let points: Vec<(usize, &ChurnSpec)> = grid
-        .iter()
-        .enumerate()
-        .flat_map(|(c, spec)| std::iter::repeat_n((c, spec), spec.trials))
-        .collect();
-    let results = opts.run_indexed(points.len(), |i| {
-        let (cell, spec) = points[i];
-        // Pair off/on rows on the same tape: derive the seed from the
-        // controls-free identity of the point.
-        let ordinal = points[..i].iter().filter(|(c, _)| *c == cell).count();
+    fn trials(spec: &ChurnSpec) -> usize {
+        spec.trials
+    }
+
+    /// The seed derives from the controls-free identity of the trial —
+    /// `(fabric, intensity, trial ordinal)` — so the off/on rows of one cell
+    /// replay the same churn tape.
+    fn seed_index(spec: &ChurnSpec, ordinal: usize, _flat: usize) -> usize {
         let tape_key = (spec.topology.nodes() as u64) << 32
             ^ (spec.arrivals_per_kcycle * 16.0) as u64
             ^ (ordinal as u64) << 20;
-        (cell, run_trial(spec, point_seed(CHURN_SEED, tape_key as usize)))
-    });
-    let mut cells: Vec<(ChurnSpec, ChurnResult)> =
-        grid.iter().map(|s| (s.clone(), ChurnResult::default())).collect();
-    for (cell, trial) in &results {
-        cells[*cell].1.absorb(trial);
+        tape_key as usize
     }
-    cells
-}
 
-/// Renders the human-readable churn table (`results/churn.txt`).
-pub fn render_table(cells: &[(ChurnSpec, ChurnResult)]) -> String {
-    let mut out = String::new();
-    out.push_str(
-        "churn campaigns: diurnal arrivals + heavy-tailed holding, overload controls off vs on\n",
-    );
-    out.push_str(&format!(
-        "{:<12} {:>8} {:>9} {:>7} {:>8} {:>8} {:>6} {:>6} {:>10} {:>8} {:>7} {:>7} {:>7}\n",
-        "topology",
-        "arr/kcyc",
-        "controls",
-        "admit",
-        "degrade",
-        "reject",
-        "shed",
-        "upgr",
-        "slots-due",
-        "missed",
-        "peak\u{2030}",
-        "p50",
-        "p99",
-    ));
-    for (spec, r) in cells {
-        out.push_str(&format!(
-            "{:<12} {:>8} {:>9} {:>7} {:>8} {:>8} {:>6} {:>6} {:>10} {:>8} {:>7} {:>7.1} {:>7.1}\n",
-            spec.topology.name(),
-            spec.arrivals_per_kcycle,
-            if spec.controls { "on" } else { "off" },
-            r.accepted,
-            r.degraded,
-            r.rejected,
-            r.preempted_best_effort + r.preempted_cbr,
-            r.upgrades,
-            r.cbr_slots_due,
-            r.missed_cbr_slots,
-            r.peak_link_load_milli,
-            r.delay_p50,
-            r.delay_p99,
-        ));
+    fn run_trial(spec: &ChurnSpec, seed: u64) -> ChurnResult {
+        run_trial(spec, seed)
     }
-    out
-}
 
-/// Renders the machine-readable churn series (`BENCH_churn.json`).
-/// Deliberately contains **no wall-clock content**, so the file is
-/// byte-identical across job counts and machines.
-pub fn render_json(cells: &[(ChurnSpec, ChurnResult)]) -> String {
-    let mut rows = Vec::new();
-    for (spec, r) in cells {
-        rows.push(format!(
-            concat!(
-                "    {{\"topology\": \"{}\", \"arrivals_per_kcycle\": {}, \"controls\": {}, ",
-                "\"trials\": {}, \"arrivals\": {}, \"accepted\": {}, \"degraded\": {}, ",
-                "\"rejected\": {}, \"departures\": {}, \"preempted_best_effort\": {}, ",
-                "\"preempted_cbr\": {}, \"upgrades\": {}, \"cbr_slots_due\": {}, ",
-                "\"missed_cbr_slots\": {}, \"flits_delivered\": {}, \"flits_lost\": {}, ",
-                "\"out_of_order\": {}, \"audit_violations\": {}, \"audit_checks\": {}, ",
-                "\"peak_link_load_milli\": {}, \"delay_p50\": {:.1}, \"delay_p95\": {:.1}, ",
-                "\"delay_p99\": {:.1}, \"jitter_p99\": {:.1}}}"
-            ),
-            spec.topology.name(),
-            spec.arrivals_per_kcycle,
-            spec.controls,
-            spec.trials,
-            r.arrivals,
-            r.accepted,
-            r.degraded,
-            r.rejected,
-            r.departures,
-            r.preempted_best_effort,
-            r.preempted_cbr,
-            r.upgrades,
-            r.cbr_slots_due,
-            r.missed_cbr_slots,
-            r.flits_delivered,
-            r.flits_lost,
-            r.out_of_order,
-            r.violations,
-            r.audit_checks,
-            r.peak_link_load_milli,
-            r.delay_p50,
-            r.delay_p95,
-            r.delay_p99,
-            r.jitter_p99,
-        ));
+    fn absorb(cell: &mut ChurnResult, trial: ChurnResult) {
+        add_fields!(cell, trial;
+            arrivals, accepted, degraded, rejected, departures, preempted_best_effort,
+            preempted_cbr, upgrades, cbr_slots_due, missed_cbr_slots, flits_delivered,
+            flits_lost, out_of_order, violations, audit_checks,
+        );
+        cell.peak_link_load_milli = cell.peak_link_load_milli.max(trial.peak_link_load_milli);
+        cell.delay_p50 = cell.delay_p50.max(trial.delay_p50);
+        cell.delay_p95 = cell.delay_p95.max(trial.delay_p95);
+        cell.delay_p99 = cell.delay_p99.max(trial.delay_p99);
+        cell.jitter_p99 = cell.jitter_p99.max(trial.jitter_p99);
     }
-    format!(
-        "{{\n  \"seed\": {},\n  \"campaigns\": [\n{}\n  ]\n}}\n",
-        CHURN_SEED,
-        rows.join(",\n")
-    )
+
+    fn columns() -> Vec<Column<Self>> {
+        use Value::{Fixed, Int, Real, Switch, Text};
+        let (show, json) = (Column::<Self>::show, Column::<Self>::json);
+        vec![
+            show("topology", "topology", 12, |s, _| Text(s.topology.name().into())),
+            show("arrivals_per_kcycle", "arr/kcyc", 8, |s, _| Real(s.arrivals_per_kcycle)),
+            show("controls", "controls", 9, |s, _| Switch(s.controls)),
+            json("trials", |s, _| Int(s.trials as u64)),
+            json("arrivals", |_, r| Int(r.arrivals)),
+            show("accepted", "admit", 7, |_, r| Int(r.accepted)),
+            show("degraded", "degrade", 8, |_, r| Int(r.degraded)),
+            show("rejected", "reject", 8, |_, r| Int(r.rejected)),
+            json("departures", |_, r| Int(r.departures)),
+            json("preempted_best_effort", |_, r| Int(r.preempted_best_effort)),
+            json("preempted_cbr", |_, r| Int(r.preempted_cbr)),
+            show("", "shed", 6, |_, r| Int(r.preempted_best_effort + r.preempted_cbr)),
+            show("upgrades", "upgr", 6, |_, r| Int(r.upgrades)),
+            show("cbr_slots_due", "slots-due", 10, |_, r| Int(r.cbr_slots_due)),
+            show("missed_cbr_slots", "missed", 8, |_, r| Int(r.missed_cbr_slots)),
+            json("flits_delivered", |_, r| Int(r.flits_delivered)),
+            json("flits_lost", |_, r| Int(r.flits_lost)),
+            json("out_of_order", |_, r| Int(r.out_of_order)),
+            json("audit_violations", |_, r| Int(r.violations)),
+            json("audit_checks", |_, r| Int(r.audit_checks)),
+            show("peak_link_load_milli", "peak\u{2030}", 7, |_, r| Int(r.peak_link_load_milli)),
+            show("delay_p50", "p50", 7, |_, r| Fixed(r.delay_p50, 1)),
+            json("delay_p95", |_, r| Fixed(r.delay_p95, 1)),
+            show("delay_p99", "p99", 7, |_, r| Fixed(r.delay_p99, 1)),
+            json("jitter_p99", |_, r| Fixed(r.jitter_p99, 1)),
+        ]
+    }
 }
 
 #[cfg(test)]
@@ -471,9 +380,7 @@ mod tests {
 
     #[test]
     fn trials_are_pure_functions_of_their_seed() {
-        let a = run_trial(&spec(true), 7);
-        let b = run_trial(&spec(true), 7);
-        assert_eq!(a, b);
+        assert_eq!(run_trial(&spec(true), 7), run_trial(&spec(true), 7));
     }
 
     #[test]
@@ -499,14 +406,5 @@ mod tests {
             off.peak_link_load_milli,
             on.peak_link_load_milli
         );
-    }
-
-    #[test]
-    fn grid_renderings_are_reproducible_across_job_counts() {
-        let grid = vec![spec(false), spec(true)];
-        let serial = run_churn(&grid, &SweepOptions::serial());
-        let parallel = run_churn(&grid, &SweepOptions { jobs: 4, ..SweepOptions::serial() });
-        assert_eq!(render_json(&serial), render_json(&parallel));
-        assert_eq!(render_table(&serial), render_table(&parallel));
     }
 }

@@ -1,0 +1,408 @@
+//! The `mmr-bench` command line: one registry of campaigns, one strict
+//! argument parser, one runner, and `check` — every campaign's quick grid
+//! at `--jobs 1` vs `--jobs 4`, bytes compared, verdicts enforced.
+//!
+//! ```text
+//! mmr-bench <campaign> [part ...] [--quick] [--jobs N] [--table PATH] [flags]
+//! mmr-bench check [campaign ...]
+//! ```
+//!
+//! A run prints its text rendering; `--table` also writes it to a file and
+//! `--out` writes the JSON record. Nothing is written unless asked for, so
+//! no invocation can clobber a committed artefact by accident. Anything the
+//! parser does not recognise — a flag, a flag for another campaign, a
+//! missing or malformed value, a campaign or part name — is a usage error
+//! (exit 2), never a guess.
+
+use std::process::ExitCode;
+
+use mmr_sim::sweep::SweepOptions;
+use mmr_sim::SweepTable;
+
+use crate::campaign::{self, Campaign, Output};
+use crate::churn::Churn;
+use crate::faults::{Chaos, Faults};
+use crate::scale::Scale;
+use crate::{
+    ablations, claims_table, extensions, fig3_jitter, fig4_delay, fig5, render_claims, Fig5Metric,
+    Quality,
+};
+
+/// What one campaign run was asked to do.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Request {
+    /// `--quick`: the CI-sized grid / windows instead of the paper's.
+    pub quick: bool,
+    /// Worker count (`--jobs`, default all cores) and engine (`--dense`).
+    pub opts: SweepOptions,
+    /// Sub-experiments selected by name; empty selects all.
+    pub parts: Vec<&'static str>,
+    /// Candidate counts of the `--panel` (default: both panels in one grid).
+    pub panel: &'static [usize],
+    /// Figure 5 panels selected by `--metric` (default: both).
+    pub metrics: &'static [Fig5Metric],
+    /// `--plot`: an ASCII rendering under each table.
+    pub plot: bool,
+    /// `--table PATH`: also write the text rendering there.
+    pub table: Option<String>,
+    /// `--out PATH`: write the JSON record there.
+    pub out: Option<String>,
+}
+
+impl Request {
+    /// A request for everything the campaign offers.
+    pub fn new(quick: bool, opts: SweepOptions) -> Self {
+        Request {
+            quick,
+            opts,
+            parts: Vec::new(),
+            panel: &[1, 2, 4, 8],
+            metrics: &[Fig5Metric::Delay, Fig5Metric::Jitter],
+            plot: false,
+            table: None,
+            out: None,
+        }
+    }
+
+    fn quality(&self) -> Quality {
+        if self.quick {
+            Quality::quick()
+        } else {
+            Quality::paper()
+        }
+    }
+
+    /// Trial count of a seed-replicated extension: a quarter of the paper
+    /// figure under `--quick`.
+    fn trials(&self, paper: u64) -> u64 {
+        if self.quick {
+            paper / 4
+        } else {
+            paper
+        }
+    }
+
+    /// Runs the selected parts (all when none is named), in table order.
+    fn run_parts(&self, parts: &[Part]) -> Output {
+        let selected =
+            parts.iter().filter(|(name, _)| self.parts.is_empty() || self.parts.contains(name));
+        self.tables(selected.map(|(_, sweep)| sweep(self)))
+    }
+
+    fn tables(&self, tables: impl IntoIterator<Item = SweepTable>) -> Output {
+        let mut text = String::new();
+        for table in tables {
+            text.push_str(&format!("{table}\n"));
+            if self.plot {
+                text.push_str(&format!("{}\n", mmr_sim::plot::ascii_plot(&table, 64, 20)));
+            }
+        }
+        Output { text, json: None, verdict: Ok(()) }
+    }
+}
+
+/// A named sub-experiment of a campaign.
+pub type Part = (&'static str, fn(&Request) -> SweepTable);
+
+/// One runnable campaign.
+pub struct Entry {
+    /// `mmr-bench <name>`.
+    pub name: &'static str,
+    /// Sub-experiments selectable by positional name.
+    pub parts: &'static [Part],
+    /// Flags accepted besides the common `--quick`, `--jobs` and `--table`,
+    /// spelt as in the usage text (`--panel a|b`).
+    pub flags: &'static [&'static str],
+    /// Runs the campaign.
+    pub run: fn(&Request) -> Output,
+}
+
+impl Entry {
+    fn accepts(&self, flag: &str) -> bool {
+        self.flags.iter().any(|spelling| spelling.split(' ').next() == Some(flag))
+    }
+}
+
+const ABLATIONS: &[Part] = &[
+    ("link-speed", |r| ablations::link_speed(&r.quality(), &r.opts)),
+    ("candidates", |r| ablations::candidates(&r.quality(), &r.opts)),
+    ("round-k", |r| ablations::round_k(&r.quality(), &r.opts)),
+    ("vc-count", |r| ablations::vc_count(&r.quality(), &r.opts)),
+    ("vcm-banks", |r| ablations::vcm_banks(&r.quality(), &r.opts)),
+    ("candidate-policy", |r| ablations::candidate_policy(&r.quality(), &r.opts)),
+    ("hardware-cost", |r| ablations::hardware_cost(&r.quality())),
+];
+
+const EXTENSIONS: &[Part] = &[
+    ("vbr", |r| extensions::vbr_concurrency(&r.quality(), &r.opts)),
+    ("hybrid", |r| extensions::hybrid(&r.quality(), &r.opts)),
+    ("epb", |r| extensions::epb_vs_greedy(r.trials(24), &r.opts)),
+    ("setup-latency", |r| extensions::setup_latency(r.trials(16), &r.opts)),
+    ("calls", |r| extensions::call_blocking(&r.quality(), &r.opts)),
+    ("faults", |r| extensions::fault_recovery(r.trials(24), &r.opts)),
+    ("network-load", |r| extensions::network_load(&r.quality(), &r.opts)),
+];
+
+/// The §5.2 claims table; fails the run when a claim stops holding.
+fn claims(request: &Request) -> Output {
+    let rows = claims_table(&request.quality(), &request.opts);
+    let failures = rows.iter().filter(|row| !row.holds).count();
+    let verdict = (failures == 0).then_some(()).ok_or(format!("{failures} claim(s) did not hold"));
+    Output { text: render_claims(&rows) + "\n", json: None, verdict }
+}
+
+/// The conformance fuzz gate CI runs: 200 seeded scenarios against the
+/// reference-model oracle, divergent ones shrunk.
+fn conform(request: &Request) -> Output {
+    let report = mmr_conform::run(&mmr_conform::RunConfig {
+        base_seed: mmr_conform::parse_seed("0xMMR5"),
+        cases: 200,
+        shrink: true,
+        hooks: mmr_conform::Hooks::default(),
+        opts: request.opts,
+    });
+    let diverged = format!("{} case(s) diverged from the reference model", report.divergent);
+    let verdict = report.is_clean().then_some(()).ok_or(diverged);
+    Output { text: report.to_text(), json: Some(report.to_json()), verdict }
+}
+
+const fn grid_campaign<C: Campaign>() -> Entry {
+    Entry {
+        name: C::NAME,
+        parts: &[],
+        flags: &["--out PATH"],
+        run: |r| campaign::run_cells::<C>(&C::grid(r.quick), &r.opts),
+    }
+}
+
+/// Every campaign `mmr-bench` can run, in `check` order.
+pub const REGISTRY: &[Entry] = &[
+    Entry {
+        name: "fig3",
+        parts: &[],
+        flags: &["--panel a|b", "--plot", "--dense"],
+        run: |r| r.tables([fig3_jitter(r.panel, &r.quality(), &r.opts)]),
+    },
+    Entry {
+        name: "fig4",
+        parts: &[],
+        flags: &["--panel a|b", "--plot", "--dense"],
+        run: |r| r.tables([fig4_delay(r.panel, &r.quality(), &r.opts)]),
+    },
+    Entry {
+        name: "fig5",
+        parts: &[],
+        flags: &["--metric delay|jitter", "--plot", "--dense"],
+        run: |r| r.tables(r.metrics.iter().map(|&metric| fig5(metric, &r.quality(), &r.opts))),
+    },
+    Entry { name: "claims", parts: &[], flags: &["--dense"], run: claims },
+    Entry { name: "ablations", parts: ABLATIONS, flags: &[], run: |r| r.run_parts(ABLATIONS) },
+    Entry { name: "extensions", parts: EXTENSIONS, flags: &[], run: |r| r.run_parts(EXTENSIONS) },
+    grid_campaign::<Faults>(),
+    grid_campaign::<Chaos>(),
+    grid_campaign::<Churn>(),
+    grid_campaign::<Scale>(),
+    Entry { name: "conform", parts: &[], flags: &["--out PATH"], run: conform },
+];
+
+/// A parsed command line.
+pub enum Command {
+    /// Run one campaign.
+    Run(&'static Entry, Request),
+    /// The determinism gate over the named campaigns (all when none named).
+    Check(Vec<&'static Entry>),
+}
+
+fn find(name: &str) -> Result<&'static Entry, String> {
+    let entry = REGISTRY.iter().find(|entry| entry.name == name);
+    entry.ok_or_else(|| format!("unknown campaign '{name}'"))
+}
+
+/// Parses the arguments after the program name. `Err` is the complaint to
+/// print above [`usage`] before exiting 2.
+pub fn parse(args: &[String]) -> Result<Command, String> {
+    let mut args = args.iter().map(String::as_str);
+    let name = args.next().ok_or("no campaign named")?;
+    if name == "check" {
+        let named = args.map(find).collect::<Result<Vec<_>, _>>()?;
+        return Ok(Command::Check(if named.is_empty() {
+            REGISTRY.iter().collect()
+        } else {
+            named
+        }));
+    }
+    let entry = find(name)?;
+    let mut request = Request::new(false, SweepOptions::all_cores());
+    while let Some(arg) = args.next() {
+        let mut value = || {
+            args.next()
+                .filter(|v| !v.starts_with("--"))
+                .ok_or_else(|| format!("{arg} expects a value"))
+        };
+        match arg {
+            "--quick" => request.quick = true,
+            "--jobs" => {
+                request.opts.jobs = value()?
+                    .parse()
+                    .ok()
+                    .filter(|&jobs| jobs >= 1)
+                    .ok_or("--jobs expects a positive integer")?;
+            }
+            "--table" => request.table = Some(value()?.to_string()),
+            flag if flag.starts_with("--") && !entry.accepts(flag) => {
+                return Err(format!("unknown flag '{flag}' for {}", entry.name));
+            }
+            "--out" => request.out = Some(value()?.to_string()),
+            "--dense" => request.opts.dense = true,
+            "--plot" => request.plot = true,
+            "--panel" => {
+                request.panel = match value()? {
+                    "a" => &[1, 2],
+                    "b" => &[4, 8],
+                    other => return Err(format!("--panel expects a or b, not '{other}'")),
+                };
+            }
+            "--metric" => {
+                request.metrics = match value()? {
+                    "delay" => &[Fig5Metric::Delay],
+                    "jitter" => &[Fig5Metric::Jitter],
+                    other => {
+                        return Err(format!("--metric expects delay or jitter, not '{other}'"))
+                    }
+                };
+            }
+            part => match entry.parts.iter().find(|(name, _)| *name == part) {
+                Some((name, _)) => request.parts.push(*name),
+                None => return Err(format!("unknown {} name '{part}'", entry.name)),
+            },
+        }
+    }
+    Ok(Command::Run(entry, request))
+}
+
+/// The usage text, generated from the registry.
+pub fn usage() -> String {
+    let mut text = String::from(
+        "usage: mmr-bench <campaign> [part ...] [--quick] [--jobs N] [--table PATH] [flags]\n\
+         \x20      mmr-bench check [campaign ...]\ncampaigns:\n",
+    );
+    for entry in REGISTRY {
+        text.push_str(&format!("  {}", entry.name));
+        if !entry.parts.is_empty() {
+            let names: Vec<&str> = entry.parts.iter().map(|(name, _)| *name).collect();
+            text.push_str(&format!(" [{} ...]", names.join("|")));
+        }
+        for flag in entry.flags {
+            text.push_str(&format!(" [{flag}]"));
+        }
+        text.push('\n');
+    }
+    text
+}
+
+fn write(path: Option<&str>, content: &str) -> Result<(), String> {
+    let Some(path) = path else { return Ok(()) };
+    std::fs::write(path, content).map_err(|e| format!("cannot write {path}: {e}"))?;
+    eprintln!("wrote {path}");
+    Ok(())
+}
+
+/// Runs a parsed command: exit 0 on success, 1 when a verdict or the
+/// determinism gate fails or a file cannot be written.
+pub fn execute(command: Command) -> ExitCode {
+    let result = match command {
+        Command::Check(entries) => check(&entries),
+        Command::Run(entry, request) => {
+            let output = (entry.run)(&request);
+            print!("{}", output.text);
+            write(request.table.as_deref(), &output.text)
+                .and_then(|()| write(request.out.as_deref(), &output.json.unwrap_or_default()))
+                .and(output.verdict)
+        }
+    };
+    result.map_or_else(
+        |why| {
+            eprintln!("FAIL: {why}");
+            ExitCode::FAILURE
+        },
+        |()| ExitCode::SUCCESS,
+    )
+}
+
+/// Runs each entry's quick grid with one worker and with four; the bytes
+/// must match and the verdict must pass.
+fn check(entries: &[&'static Entry]) -> Result<(), String> {
+    let mut failed = Vec::new();
+    for entry in entries {
+        let gate = campaign::jobs_identity(|opts| (entry.run)(&Request::new(true, *opts)))
+            .and_then(|output| output.verdict);
+        match gate {
+            Ok(()) => println!("ok    {}", entry.name),
+            Err(why) => {
+                println!("FAIL  {}: {why}", entry.name);
+                failed.push(entry.name);
+            }
+        }
+    }
+    if failed.is_empty() {
+        Ok(())
+    } else {
+        Err(format!("check failed for: {}", failed.join(", ")))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse_words(words: &[&str]) -> Result<Command, String> {
+        parse(&words.iter().map(ToString::to_string).collect::<Vec<_>>())
+    }
+
+    fn request(words: &[&str]) -> Request {
+        match parse_words(words) {
+            Ok(Command::Run(entry, request)) if entry.name == words[0] => request,
+            _ => panic!("{words:?} should run {}", words[0]),
+        }
+    }
+
+    #[test]
+    fn well_formed_command_lines_parse() {
+        let faults =
+            request(&["faults", "--quick", "--jobs", "3", "--out", "f.json", "--table", "f.txt"]);
+        assert!(faults.quick);
+        assert_eq!(faults.opts, SweepOptions { jobs: 3, dense: false });
+        assert_eq!(
+            (faults.table.as_deref(), faults.out.as_deref()),
+            (Some("f.txt"), Some("f.json"))
+        );
+
+        let fig3 = request(&["fig3", "--panel", "b", "--plot", "--dense"]);
+        assert_eq!(fig3.panel, &[4, 8]);
+        assert!(fig3.plot && fig3.opts.dense && !fig3.quick);
+        assert_eq!(request(&["fig5", "--metric", "jitter"]).metrics, &[Fig5Metric::Jitter]);
+        assert_eq!(request(&["ablations", "round-k", "vc-count"]).parts, ["round-k", "vc-count"]);
+
+        let checked = |words: &[&str]| match parse_words(words) {
+            Ok(Command::Check(entries)) => entries.len(),
+            _ => panic!("{words:?} should be a check"),
+        };
+        assert_eq!(checked(&["check"]), REGISTRY.len());
+        assert_eq!(checked(&["check", "scale", "conform"]), 2);
+    }
+
+    /// `Entry::flags` says which flags a campaign takes, `parse`'s arms what
+    /// they do; a spelling without an arm would fall through to the
+    /// part-name arm and be reported as an unknown name.
+    #[test]
+    fn every_advertised_flag_has_a_parse_arm() {
+        for entry in REGISTRY {
+            for spelling in entry.flags {
+                let mut words = vec![entry.name];
+                words.extend(spelling.split(' '));
+                let unknown = matches!(parse_words(&words), Err(why) if why.starts_with("unknown"));
+                assert!(!unknown, "{} advertises {spelling}; parse has no arm for it", entry.name);
+            }
+        }
+    }
+}

@@ -2,8 +2,9 @@
 //! defers to future work — VBR traffic, hybrid traffic, and network-level
 //! connection establishment.
 //!
-//! Independent simulation points (factors, trials, loads) fan out through
-//! [`SweepOptions::run_indexed`]; per-point seeds are fixed up front and all
+//! Independent simulation points (factors, loads) fan out through
+//! [`SweepOptions::run_indexed`], seed-replicated cells through the campaign
+//! harness's [`fan_out`]; per-point seeds are fixed up front and all
 //! floating-point aggregation happens serially over the collected results in
 //! point order, so every table is identical at any `--jobs` setting.
 
@@ -13,13 +14,18 @@ use mmr_core::ids::PortId;
 use mmr_core::router::RouterConfig;
 use mmr_net::setup::cbr_mbps;
 use mmr_net::{NetworkSim, NodeId, SetupStrategy, Topology};
+use mmr_sim::sweep::SweepOptions;
 use mmr_sim::{Cycles, SeededRng, SweepTable};
 use mmr_traffic::cbr::CbrWorkload;
 use mmr_traffic::rates::paper_rate_ladder;
 use mmr_traffic::vbr::{MpegGopModel, VbrSource};
 
-use crate::sweep::SweepOptions;
+use crate::campaign::fan_out;
 use crate::Quality;
+
+/// The two probe strategies E3 and E4 compare, with their series labels.
+const STRATEGIES: [(SetupStrategy, &str); 2] =
+    [(SetupStrategy::Epb, "EPB"), (SetupStrategy::Greedy, "greedy")];
 
 /// E1 — VBR MPEG-2 streams under the §4.3 three-phase schedule, sweeping
 /// the concurrency factor: higher factors admit more streams but degrade
@@ -138,19 +144,14 @@ pub fn hybrid(quality: &Quality, opts: &SweepOptions) -> SweepTable {
 /// E3 — connection-setup success probability: EPB vs greedy probes over
 /// mesh / torus / irregular topologies with scarce virtual channels.
 pub fn epb_vs_greedy(trials: u64, opts: &SweepOptions) -> SweepTable {
-    let strategies = [(SetupStrategy::Epb, "EPB"), (SetupStrategy::Greedy, "greedy")];
-    // One point per (topology, strategy, seed) trial; aggregation over
-    // seeds happens after the sweep, in point order.
-    let mut points = Vec::new();
-    for t_idx in 0..3usize {
-        for (strategy, _) in strategies {
-            for seed in 0..trials {
-                points.push((t_idx, strategy, seed));
-            }
-        }
-    }
-    let results = opts.run_indexed(points.len(), |i| {
-        let (t_idx, strategy, seed) = points[i];
+    // One cell per (topology, strategy), one trial per seed; aggregation
+    // over seeds happens after the sweep, in trial order.
+    let cells: Vec<(usize, SetupStrategy, &str)> = (0..3)
+        .flat_map(|t_idx| STRATEGIES.map(|(strategy, label)| (t_idx, strategy, label)))
+        .collect();
+    let seeds = |_: &_| trials as usize;
+    let results = fan_out(&cells, seeds, opts, |&(t_idx, strategy, _), seed, _| {
+        let seed = seed as u64;
         let topology = match t_idx {
             0 => Topology::mesh2d(3, 3, 8).expect("topology wires within the port budget"),
             1 => Topology::torus2d(3, 3, 8).expect("topology wires within the port budget"),
@@ -179,20 +180,12 @@ pub fn epb_vs_greedy(trials: u64, opts: &SweepOptions) -> SweepTable {
         (attempts, ok, probe_hops)
     });
     let mut table = SweepTable::new("E3 — setup success rate and probe cost, EPB vs greedy");
-    for t_idx in 0..3usize {
-        for (strategy, label) in strategies {
-            let (mut attempts, mut ok, mut probe_hops) = (0u64, 0u64, 0u64);
-            for ((pt, ps, _), &(a, o, h)) in points.iter().zip(&results) {
-                if *pt == t_idx && *ps == strategy {
-                    attempts += a;
-                    ok += o;
-                    probe_hops += h;
-                }
-            }
-            let x = t_idx as f64;
-            table.push(&format!("{label} success"), x, ok as f64 / attempts as f64);
-            table.push(&format!("{label} hops/setup"), x, probe_hops as f64 / ok.max(1) as f64);
-        }
+    for (&(t_idx, _, label), runs) in cells.iter().zip(&results) {
+        let (attempts, ok, probe_hops) =
+            runs.iter().fold((0, 0, 0), |sum, t| (sum.0 + t.0, sum.1 + t.1, sum.2 + t.2));
+        let x = t_idx as f64;
+        table.push(&format!("{label} success"), x, ok as f64 / attempts as f64);
+        table.push(&format!("{label} hops/setup"), x, probe_hops as f64 / ok.max(1) as f64);
     }
     table
 }
@@ -202,18 +195,13 @@ pub fn epb_vs_greedy(trials: u64, opts: &SweepOptions) -> SweepTable {
 /// mappings) launched into a mesh carrying increasing background
 /// connection load.
 pub fn setup_latency(trials: u64, opts: &SweepOptions) -> SweepTable {
-    let strategies = [(SetupStrategy::Epb, "EPB"), (SetupStrategy::Greedy, "greedy")];
-    let bg_levels = [0usize, 20, 40, 80];
-    let mut points = Vec::new();
-    for &bg_connections in &bg_levels {
-        for (strategy, _) in strategies {
-            for seed in 0..trials {
-                points.push((bg_connections, strategy, seed));
-            }
-        }
-    }
-    let results = opts.run_indexed(points.len(), |i| {
-        let (bg_connections, strategy, seed) = points[i];
+    let cells: Vec<(usize, SetupStrategy, &str)> = [0usize, 20, 40, 80]
+        .into_iter()
+        .flat_map(|bg| STRATEGIES.map(|(strategy, label)| (bg, strategy, label)))
+        .collect();
+    let seeds = |_: &_| trials as usize;
+    let results = fan_out(&cells, seeds, opts, |&(bg_connections, strategy, _), seed, _| {
+        let seed = seed as u64;
         // Scarce VCs so background connections crowd the minimal paths and
         // force the probe to search.
         let mut net = NetworkSim::new(
@@ -244,24 +232,15 @@ pub fn setup_latency(trials: u64, opts: &SweepOptions) -> SweepTable {
         (None, 0)
     });
     let mut table = SweepTable::new("E4 — setup round-trip latency (cycles) vs background load");
-    for &bg_connections in &bg_levels {
-        for (strategy, label) in strategies {
-            let (mut latency_sum, mut ok, mut failed) = (0.0f64, 0u64, 0u64);
-            for ((pb, ps, _), (latency, fail)) in points.iter().zip(&results) {
-                if *pb == bg_connections && *ps == strategy {
-                    if let Some(l) = latency {
-                        ok += 1;
-                        latency_sum += l;
-                    }
-                    failed += fail;
-                }
-            }
-            let x = bg_connections as f64;
-            if ok > 0 {
-                table.push(&format!("{label} latency"), x, latency_sum / ok as f64);
-            }
-            table.push(&format!("{label} failures"), x, failed as f64);
+    for (&(bg_connections, _, label), runs) in cells.iter().zip(&results) {
+        let latencies: Vec<f64> = runs.iter().filter_map(|(latency, _)| *latency).collect();
+        let failed: u64 = runs.iter().map(|(_, fail)| fail).sum();
+        let x = bg_connections as f64;
+        if !latencies.is_empty() {
+            let mean = latencies.iter().sum::<f64>() / latencies.len() as f64;
+            table.push(&format!("{label} latency"), x, mean);
         }
+        table.push(&format!("{label} failures"), x, failed as f64);
     }
     table
 }
@@ -298,14 +277,9 @@ pub fn call_blocking(quality: &Quality, opts: &SweepOptions) -> SweepTable {
 /// probe cost of recovery.
 pub fn fault_recovery(trials: u64, opts: &SweepOptions) -> SweepTable {
     let failure_levels = [1usize, 2, 3, 4];
-    let mut points = Vec::new();
-    for &failures in &failure_levels {
-        for seed in 0..trials {
-            points.push((failures, seed));
-        }
-    }
-    let results = opts.run_indexed(points.len(), |i| {
-        let (failures, seed) = points[i];
+    let seeds = |_: &_| trials as usize;
+    let results = fan_out(&failure_levels, seeds, opts, |&failures, seed, _| {
+        let seed = seed as u64;
         let mut net = NetworkSim::new(
             Topology::mesh2d(3, 3, 8).expect("topology wires within the port budget"),
             RouterConfig::paper_default().vcs_per_port(16).candidates(4).seed(seed),
@@ -353,15 +327,9 @@ pub fn fault_recovery(trials: u64, opts: &SweepOptions) -> SweepTable {
         (broken_total, recovered_total, recovery_hops)
     });
     let mut table = SweepTable::new("E6 — streams broken/recovered vs failed links (3x3 mesh)");
-    for &failures in &failure_levels {
-        let (mut broken_total, mut recovered_total, mut recovery_hops) = (0u64, 0u64, 0u64);
-        for ((pf, _), &(b, r, h)) in points.iter().zip(&results) {
-            if *pf == failures {
-                broken_total += b;
-                recovered_total += r;
-                recovery_hops += h;
-            }
-        }
+    for (&failures, runs) in failure_levels.iter().zip(&results) {
+        let (broken_total, recovered_total, recovery_hops) =
+            runs.iter().fold((0, 0, 0), |sum, t| (sum.0 + t.0, sum.1 + t.1, sum.2 + t.2));
         let x = failures as f64;
         table.push("broken / trial", x, broken_total as f64 / trials as f64);
         table.push(

@@ -1,26 +1,35 @@
-//! Seeded fault campaigns: network resilience under link failure + repair.
+//! Seeded fault and chaos campaigns: network resilience under link and
+//! router failure + repair, optionally with transient wire faults (flit
+//! corruption and drops), the link-level retry layer (LLR) and the
+//! invariant auditor.
 //!
-//! Each campaign point builds a multi-router fabric, opens a population of
-//! CBR sessions under a [`RecoveryManager`], and drives a seeded
-//! [`FaultPlan`] of link failures and repairs through the run while the
-//! manager re-establishes broken sessions via EPB (retry/backoff, graceful
-//! rate degradation). Points fan across the deterministic sweep harness
-//! ([`SweepOptions`]), so the emitted table and JSON are byte-identical at
-//! any `--jobs` value: every number is a pure function of
-//! `(topology, fault count, trial seed)` — no wall-clock content.
+//! Both campaigns are one trial loop ([`run_trial`]): build a multi-router
+//! fabric, open a population of CBR sessions under a [`RecoveryManager`],
+//! and drive a seeded [`FaultPlan`] through the run while the manager
+//! re-establishes broken sessions via EPB (retry/backoff, graceful rate
+//! degradation). [`Faults`] is the storm with zero transients, LLR and
+//! auditor off; [`Chaos`] runs each fabric's mixed schedule twice — LLR off
+//! and on, auditor watching every cycle — so its series doubles as the
+//! robustness claim of DESIGN.md: with LLR on, every corrupted flit is
+//! caught at a link CRC check and replayed (`undetected_corruptions == 0`,
+//! auditor clean); with LLR off, damaged flits reach their destination NIs
+//! silently and dropped flits leak credits that the auditor's conservation
+//! equation flags.
+//!
+//! Every number is a pure function of `(spec, trial seed)`, so
+//! `BENCH_{faults,chaos}.json` and `results/{faults,chaos}.txt` are
+//! byte-identical at any `--jobs` value (see [`crate::campaign`]).
 
 use mmr_core::conn::QosClass;
+use mmr_core::{AuditConfig, LlrConfig};
 use mmr_net::{
-    FaultInjector, FaultPlan, NetworkSim, NodeId, RecoveryManager, RecoveryPolicy, SessionId,
-    Topology,
+    FaultInjector, FaultPlan, NetConnectionId, NetworkSim, NodeId, RecoveryManager, RecoveryPolicy,
+    SessionId, Topology,
 };
 use mmr_sim::{Cycles, SeededRng};
 
-use crate::sweep::{point_seed, SweepOptions};
+use crate::campaign::{add_fields, Campaign, Column, Value};
 use crate::FIGURE_SEED;
-
-/// Base seed of the fault campaigns (decorrelated from the figure sweeps).
-pub const FAULT_SEED: u64 = FIGURE_SEED ^ 0xFA17_0CA4;
 
 /// Fabrics the campaign sweeps over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,15 +77,19 @@ impl CampaignTopology {
     }
 }
 
-/// One cell of the campaign grid.
+/// One cell of a fault or chaos grid.
 #[derive(Debug, Clone)]
-pub struct CampaignSpec {
+pub struct StormSpec {
     /// Fabric under test.
     pub topology: CampaignTopology,
-    /// Link faults injected per trial.
+    /// Permanent link faults (fail + repair) per trial.
     pub faults: usize,
-    /// Whole-router fail/repair cycles injected per trial.
-    pub node_faults: usize,
+    /// Transient wire faults (corrupt/drop, 50/50 seeded) per trial.
+    pub transients: usize,
+    /// Whether the link-level retry layer protects the wires.
+    pub llr: bool,
+    /// Whether the invariant auditor (record mode) watches every cycle.
+    pub audit: bool,
     /// Independent seeded trials aggregated into the cell.
     pub trials: usize,
     /// Cycles before the fault window opens.
@@ -85,11 +98,11 @@ pub struct CampaignSpec {
     pub measure: u64,
 }
 
-/// Aggregated outcome of one campaign cell (sums over its trials).
+/// Outcome of one trial, and the sum over a cell's trials.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct CampaignResult {
-    /// Connection-breaking incidents observed.
-    pub faults: u64,
+pub struct StormResult {
+    /// Connection-breaking incidents observed by the recovery manager.
+    pub broken: u64,
     /// Incidents recovered.
     pub recovered: u64,
     /// Sessions that died permanently.
@@ -104,11 +117,11 @@ pub struct CampaignResult {
     pub backoff_cycles: u64,
     /// Sum of per-incident time-to-recover (cycles); divide by `recovered`.
     pub ttr_total: f64,
-    /// Flits lost in transit to link failures.
+    /// Flits lost for good (failures, unprotected drops, stale replays).
     pub flits_lost: u64,
     /// Stream flits delivered end to end.
     pub flits_delivered: u64,
-    /// Links failed / repaired by the injector.
+    /// Links failed by the injector.
     pub links_failed: u64,
     /// Links spliced back by the injector.
     pub links_repaired: u64,
@@ -121,9 +134,23 @@ pub struct CampaignResult {
     pub partitioned: u64,
     /// Re-establishment attempts deferred by the concurrent-probe cap.
     pub probe_throttled: u64,
+    /// Flits damaged on a wire by a transient fault.
+    pub corrupted: u64,
+    /// Flits dropped on a wire by a transient fault.
+    pub dropped: u64,
+    /// Flits replayed by the retry layer (0 with LLR off).
+    pub retransmitted: u64,
+    /// Damaged flits that reached an NI undetected (0 with LLR on).
+    pub undetected: u64,
+    /// Out-of-order stream deliveries (must stay 0).
+    pub out_of_order: u64,
+    /// Invariant violations recorded by the auditor (0 with it off).
+    pub violations: u64,
+    /// Auditor passes executed (proof the auditor ran).
+    pub audit_checks: u64,
 }
 
-impl CampaignResult {
+impl StormResult {
     /// Mean time-to-recover in cycles (0 when nothing recovered).
     pub fn mean_ttr(&self) -> f64 {
         if self.recovered == 0 {
@@ -135,38 +162,72 @@ impl CampaignResult {
 
     /// Fraction of incidents recovered (1 when nothing broke).
     pub fn recovery_rate(&self) -> f64 {
-        if self.faults == 0 {
+        if self.broken == 0 {
             1.0
         } else {
-            self.recovered as f64 / self.faults as f64
+            self.recovered as f64 / self.broken as f64
         }
     }
 
-    fn absorb(&mut self, other: &CampaignResult) {
-        self.faults += other.faults;
-        self.recovered += other.recovered;
-        self.permanently_failed += other.permanently_failed;
-        self.degraded += other.degraded;
-        self.retries += other.retries;
-        self.timeouts += other.timeouts;
-        self.backoff_cycles += other.backoff_cycles;
-        self.ttr_total += other.ttr_total;
-        self.flits_lost += other.flits_lost;
-        self.flits_delivered += other.flits_delivered;
-        self.links_failed += other.links_failed;
-        self.links_repaired += other.links_repaired;
-        self.nodes_failed += other.nodes_failed;
-        self.nodes_repaired += other.nodes_repaired;
-        self.partitioned += other.partitioned;
-        self.probe_throttled += other.probe_throttled;
+    fn absorb(&mut self, trial: StormResult) {
+        add_fields!(self, trial;
+            broken, recovered, permanently_failed, degraded, retries, timeouts,
+            backoff_cycles, ttr_total, flits_lost, flits_delivered, links_failed,
+            links_repaired, nodes_failed, nodes_repaired, partitioned, probe_throttled,
+            corrupted, dropped, retransmitted, undetected, out_of_order, violations,
+            audit_checks,
+        );
+    }
+}
+
+/// A CBR stream's isochronous slot schedule: the one pacer every campaign
+/// trial loop drives its sessions with. The trial loop owns whose stream it
+/// is and how fast; when the next slot falls due is [`Pacer::pump`]'s alone.
+pub(crate) struct Pacer {
+    pub(crate) session: SessionId,
+    /// Slot spacing in cycles, from the session's current rate.
+    pub(crate) interarrival: f64,
+    /// Cycle (fractional) at which the next slot falls due.
+    next: f64,
+}
+
+impl Pacer {
+    /// Paces `session` from its first slot at cycle `first`.
+    pub(crate) fn new(session: SessionId, first: f64, interarrival: f64) -> Self {
+        Pacer { session, interarrival, next: first }
+    }
+
+    /// Hands `slot` the session's connection once per slot due by `now`. A
+    /// session without one (recovering, failed) pauses at `now`, so its
+    /// stream resumes cleanly once it is back.
+    pub(crate) fn pump(
+        &mut self,
+        conn: Option<NetConnectionId>,
+        now: Cycles,
+        mut slot: impl FnMut(NetConnectionId),
+    ) {
+        let Some(conn) = conn else {
+            self.next = self.next.max(now.as_f64());
+            return;
+        };
+        while self.next <= now.as_f64() {
+            self.next += self.interarrival;
+            slot(conn);
+        }
     }
 }
 
 /// CBR sessions opened per trial.
 const SESSIONS: usize = 10;
 
-/// Runs one seeded trial of a campaign cell.
-pub fn run_trial(spec: &CampaignSpec, seed: u64) -> CampaignResult {
+/// Whole-router fail/repair cycles per trial: every cell also loses and
+/// regains one router, so both campaigns exercise quarantine, root
+/// migration and session evacuation on every fabric.
+const NODE_FAULTS: usize = 1;
+
+/// Runs one seeded trial: permanent (and, for chaos, transient) faults
+/// under automatic recovery.
+pub fn run_trial(spec: &StormSpec, seed: u64) -> StormResult {
     let router = mmr_core::router::RouterConfig::paper_default()
         .vcs_per_port(16)
         .candidates(4)
@@ -174,8 +235,14 @@ pub fn run_trial(spec: &CampaignSpec, seed: u64) -> CampaignResult {
     let timing = router.clone().build().config().timing();
     let topo = spec.topology.build(seed);
     let mut net = NetworkSim::new(topo, router);
+    if spec.audit {
+        net.enable_audit(AuditConfig::default());
+    }
+    if spec.llr {
+        net.enable_llr(LlrConfig::default());
+    }
     let mut rng = SeededRng::new(seed);
-    let nodes = spec.topology.nodes() as u16;
+    let nodes = spec.topology.nodes();
     let ladder = mmr_traffic::rates::paper_rate_ladder();
     let policy = RecoveryPolicy::default()
         .max_retries(6)
@@ -183,19 +250,14 @@ pub fn run_trial(spec: &CampaignSpec, seed: u64) -> CampaignResult {
         .setup_timeout(Cycles(200));
     let mut mgr = RecoveryManager::new(policy);
 
-    // Stream population: CBR pairs at mid-ladder rates, paced by their own
-    // interarrival schedules.
-    struct Pacer {
-        session: SessionId,
-        next: f64,
-        interarrival: f64,
-    }
+    // Stream population: CBR pairs paced by their own interarrival
+    // schedules.
     let mut pacers: Vec<Pacer> = Vec::new();
     let mut attempts = 0;
     while pacers.len() < SESSIONS && attempts < 200 {
         attempts += 1;
-        let src = NodeId(rng.index(nodes as usize) as u16);
-        let dst = NodeId(rng.index(nodes as usize) as u16);
+        let src = NodeId(rng.index(nodes) as u16);
+        let dst = NodeId(rng.index(nodes) as u16);
         if src == dst {
             continue;
         }
@@ -203,22 +265,24 @@ pub fn run_trial(spec: &CampaignSpec, seed: u64) -> CampaignResult {
         let rate = ladder[3 + rng.index(ladder.len() - 3)];
         if let Ok(session) = mgr.open(&mut net, src, dst, QosClass::Cbr { rate }) {
             let interarrival = timing.interarrival_cycles(rate);
-            pacers.push(Pacer { session, next: rng.uniform(0.0, interarrival), interarrival });
+            pacers.push(Pacer::new(session, rng.uniform(0.0, interarrival), interarrival));
         }
     }
 
-    // Faults strike in the first half of the window; outages last an eighth
-    // of it, so repairs land in-run and recoveries have room to finish.
+    // Permanent faults strike in the first half of the window; outages last
+    // an eighth of it, so repairs land in-run and recoveries have room to
+    // finish. Transients share the strike window.
     let window = spec.warmup..spec.warmup + spec.measure / 2;
     let outage = Cycles((spec.measure / 8).max(50));
-    let plan = FaultPlan::seeded_campaign(net.topology(), seed, spec.faults, window.clone(), outage)
-        .merged(FaultPlan::seeded_node_campaign(
-            net.topology(),
-            seed,
-            spec.node_faults,
-            window,
-            outage,
-        ));
+    let plan = FaultPlan::seeded_chaos_campaign(
+        net.topology(),
+        seed,
+        spec.faults,
+        spec.transients,
+        window.clone(),
+        outage,
+    )
+    .merged(FaultPlan::seeded_node_campaign(net.topology(), seed, NODE_FAULTS, window, outage));
     let mut injector = FaultInjector::new(plan).expect("seeded campaigns are consistent");
 
     let total = spec.warmup + spec.measure;
@@ -229,16 +293,9 @@ pub fn run_trial(spec: &CampaignSpec, seed: u64) -> CampaignResult {
             mgr.on_faults(&tick.broken, now);
         }
         for p in &mut pacers {
-            let Some(conn) = mgr.conn(p.session) else {
-                // Recovering or failed: pause the pacer at `now` so the
-                // stream resumes cleanly once the session is back.
-                p.next = p.next.max(now.as_f64());
-                continue;
-            };
-            while p.next <= now.as_f64() {
+            p.pump(mgr.conn(p.session), now, |conn| {
                 let _ = net.inject(conn, now);
-                p.next += p.interarrival;
-            }
+            });
         }
         let report = net.step(now);
         for event in mgr.service(&mut net, &report, now) {
@@ -253,8 +310,9 @@ pub fn run_trial(spec: &CampaignSpec, seed: u64) -> CampaignResult {
 
     let stats = mgr.stats();
     let net_stats = net.stats();
-    CampaignResult {
-        faults: stats.faults,
+    let auditor = net.auditor();
+    StormResult {
+        broken: stats.faults,
         recovered: stats.recovered,
         permanently_failed: stats.permanently_failed,
         degraded: stats.degraded,
@@ -270,195 +328,210 @@ pub fn run_trial(spec: &CampaignSpec, seed: u64) -> CampaignResult {
         nodes_repaired: net_stats.nodes_repaired,
         partitioned: stats.partitioned,
         probe_throttled: stats.probe_throttled,
+        corrupted: net_stats.flits_corrupted,
+        dropped: net_stats.flits_dropped,
+        retransmitted: net_stats.flits_retransmitted,
+        undetected: net_stats.undetected_corruptions,
+        out_of_order: net_stats.out_of_order,
+        violations: auditor.map_or(0, |a| a.violation_count()),
+        audit_checks: auditor.map_or(0, |a| a.checks()),
     }
 }
 
-/// The campaign grid: every fabric × every fault count.
-pub fn campaign_grid(quick: bool) -> Vec<CampaignSpec> {
-    let (fault_counts, trials, warmup, measure): (&[usize], usize, u64, u64) = if quick {
-        (&[1, 3], 2, 400, 2_400)
-    } else {
-        (&[1, 3, 6], 3, 1_000, 8_000)
-    };
+/// Every fabric × every `(faults, transients, llr)` variant, on the windows
+/// the fault, chaos and churn campaigns share.
+fn storm_grid(quick: bool, audit: bool, variants: &[(usize, usize, bool)]) -> Vec<StormSpec> {
+    let (trials, warmup, measure) = if quick { (2, 400, 2_400) } else { (3, 1_000, 8_000) };
     let mut grid = Vec::new();
     for topology in CampaignTopology::ALL {
-        for &faults in fault_counts {
-            // Every cell also fails and repairs one whole router, so the
-            // campaign exercises quarantine, root migration, and session
-            // evacuation on every fabric.
-            grid.push(CampaignSpec { topology, faults, node_faults: 1, trials, warmup, measure });
+        for &(faults, transients, llr) in variants {
+            let spec =
+                StormSpec { topology, faults, transients, llr, audit, trials, warmup, measure };
+            grid.push(spec);
         }
     }
     grid
 }
 
-/// Runs the whole grid through the deterministic sweep harness: one sweep
-/// point per `(cell, trial)`, each seeded by its *position*
-/// ([`point_seed`]`(FAULT_SEED, index)`), then folds trials into their
-/// cells. Byte-identical output at any job count.
-pub fn run_campaigns(
-    grid: &[CampaignSpec],
-    opts: &SweepOptions,
-) -> Vec<(CampaignSpec, CampaignResult)> {
-    let points: Vec<(usize, &CampaignSpec)> = grid
-        .iter()
-        .enumerate()
-        .flat_map(|(c, spec)| std::iter::repeat_n((c, spec), spec.trials))
-        .collect();
-    let results = opts.run_indexed(points.len(), |i| {
-        let (cell, spec) = points[i];
-        (cell, run_trial(spec, point_seed(FAULT_SEED, i)))
-    });
-    let mut cells: Vec<(CampaignSpec, CampaignResult)> =
-        grid.iter().map(|s| (s.clone(), CampaignResult::default())).collect();
-    for (cell, trial) in &results {
-        cells[*cell].1.absorb(trial);
+/// Link + node failure/repair with automatic recovery
+/// (`BENCH_faults.json`, `results/faults.txt`).
+pub struct Faults;
+
+impl Campaign for Faults {
+    const NAME: &'static str = "faults";
+    const SEED: u64 = FIGURE_SEED ^ 0xFA17_0CA4;
+    const TITLE: &'static str =
+        "fault campaigns: seeded link + node failure/repair with automatic recovery";
+    type Spec = StormSpec;
+    type Cell = StormResult;
+
+    /// Every fabric × every fault count.
+    fn grid(quick: bool) -> Vec<StormSpec> {
+        let fault_counts: &[usize] = if quick { &[1, 3] } else { &[1, 3, 6] };
+        let variants: Vec<_> = fault_counts.iter().map(|&faults| (faults, 0, false)).collect();
+        storm_grid(quick, false, &variants)
     }
-    cells
+
+    fn trials(spec: &StormSpec) -> usize {
+        spec.trials
+    }
+
+    fn run_trial(spec: &StormSpec, seed: u64) -> StormResult {
+        run_trial(spec, seed)
+    }
+
+    fn absorb(cell: &mut StormResult, trial: StormResult) {
+        cell.absorb(trial);
+    }
+
+    fn columns() -> Vec<Column<Self>> {
+        use Value::{Fixed, Int, Text};
+        let (show, json) = (Column::<Self>::show, Column::<Self>::json);
+        vec![
+            show("topology", "topology", 12, |s, _| Text(s.topology.name().into())),
+            show("faults_planned", "faults", 6, |s, _| Int(s.faults as u64)),
+            json("node_faults_planned", |_, _| Int(NODE_FAULTS as u64)),
+            json("trials", |s, _| Int(s.trials as u64)),
+            show("", "nodes", 5, |_, r| Int(r.nodes_failed)),
+            show("sessions_broken", "broken", 7, |_, r| Int(r.broken)),
+            show("recovered", "recovered", 9, |_, r| Int(r.recovered)),
+            show("permanently_failed", "perm-fail", 9, |_, r| Int(r.permanently_failed)),
+            show("degraded", "degraded", 8, |_, r| Int(r.degraded)),
+            show("retries", "retries", 8, |_, r| Int(r.retries)),
+            json("timeouts", |_, r| Int(r.timeouts)),
+            json("backoff_cycles", |_, r| Int(r.backoff_cycles)),
+            show("", "parked", 7, |_, r| Int(r.partitioned)),
+            show("", "mean-ttr", 9, |_, r| Fixed(r.mean_ttr(), 2)),
+            json("mean_ttr_cycles", |_, r| Fixed(r.mean_ttr(), 4)),
+            json("recovery_rate", |_, r| Fixed(r.recovery_rate(), 4)),
+            show("flits_lost", "lost", 9, |_, r| Int(r.flits_lost)),
+            show("flits_delivered", "delivered", 10, |_, r| Int(r.flits_delivered)),
+            json("links_failed", |_, r| Int(r.links_failed)),
+            json("links_repaired", |_, r| Int(r.links_repaired)),
+            json("nodes_failed", |_, r| Int(r.nodes_failed)),
+            json("nodes_repaired", |_, r| Int(r.nodes_repaired)),
+            json("partitioned_sessions", |_, r| Int(r.partitioned)),
+            json("probe_throttled", |_, r| Int(r.probe_throttled)),
+        ]
+    }
 }
 
-/// Renders the human-readable campaign table (`results/faults.txt`).
-pub fn render_table(cells: &[(CampaignSpec, CampaignResult)]) -> String {
-    let mut out = String::new();
-    out.push_str("fault campaigns: seeded link + node failure/repair with automatic recovery\n");
-    out.push_str(&format!(
-        "{:<12} {:>6} {:>5} {:>7} {:>9} {:>9} {:>8} {:>8} {:>7} {:>9} {:>9} {:>10}\n",
-        "topology",
-        "faults",
-        "nodes",
-        "broken",
-        "recovered",
-        "perm-fail",
-        "degraded",
-        "retries",
-        "parked",
-        "mean-ttr",
-        "lost",
-        "delivered"
-    ));
-    for (spec, r) in cells {
-        out.push_str(&format!(
-            "{:<12} {:>6} {:>5} {:>7} {:>9} {:>9} {:>8} {:>8} {:>7} {:>9.2} {:>9} {:>10}\n",
-            spec.topology.name(),
-            spec.faults,
-            r.nodes_failed,
-            r.faults,
-            r.recovered,
-            r.permanently_failed,
-            r.degraded,
-            r.retries,
-            r.partitioned,
-            r.mean_ttr(),
-            r.flits_lost,
-            r.flits_delivered,
-        ));
-    }
-    out
-}
+/// Permanent outages plus transient wire faults, LLR off vs on, auditor
+/// always watching (`BENCH_chaos.json`, `results/chaos.txt`).
+pub struct Chaos;
 
-/// Renders the machine-readable campaign series (`BENCH_faults.json`).
-/// Deliberately contains **no wall-clock content**, so the file is
-/// byte-identical across job counts and machines.
-pub fn render_json(cells: &[(CampaignSpec, CampaignResult)]) -> String {
-    let mut rows = Vec::new();
-    for (spec, r) in cells {
-        rows.push(format!(
-            concat!(
-                "    {{\"topology\": \"{}\", \"faults_planned\": {}, ",
-                "\"node_faults_planned\": {}, \"trials\": {}, ",
-                "\"sessions_broken\": {}, \"recovered\": {}, \"permanently_failed\": {}, ",
-                "\"degraded\": {}, \"retries\": {}, \"timeouts\": {}, ",
-                "\"backoff_cycles\": {}, \"mean_ttr_cycles\": {:.4}, ",
-                "\"recovery_rate\": {:.4}, \"flits_lost\": {}, \"flits_delivered\": {}, ",
-                "\"links_failed\": {}, \"links_repaired\": {}, ",
-                "\"nodes_failed\": {}, \"nodes_repaired\": {}, ",
-                "\"partitioned_sessions\": {}, \"probe_throttled\": {}}}"
-            ),
-            spec.topology.name(),
-            spec.faults,
-            spec.node_faults,
-            spec.trials,
-            r.faults,
-            r.recovered,
-            r.permanently_failed,
-            r.degraded,
-            r.retries,
-            r.timeouts,
-            r.backoff_cycles,
-            r.mean_ttr(),
-            r.recovery_rate(),
-            r.flits_lost,
-            r.flits_delivered,
-            r.links_failed,
-            r.links_repaired,
-            r.nodes_failed,
-            r.nodes_repaired,
-            r.partitioned,
-            r.probe_throttled,
-        ));
+impl Campaign for Chaos {
+    const NAME: &'static str = "chaos";
+    const SEED: u64 = FIGURE_SEED ^ 0xC4A0_50FA;
+    const TITLE: &'static str =
+        "chaos campaigns: permanent outages + transient wire faults, auditor on";
+    type Spec = StormSpec;
+    type Cell = StormResult;
+
+    /// Every fabric × LLR off/on, same mixed fault schedule.
+    fn grid(quick: bool) -> Vec<StormSpec> {
+        let (faults, transients) = if quick { (2, 8) } else { (3, 16) };
+        storm_grid(quick, true, &[(faults, transients, false), (faults, transients, true)])
     }
-    format!(
-        "{{\n  \"seed\": {},\n  \"campaigns\": [\n{}\n  ]\n}}\n",
-        FAULT_SEED,
-        rows.join(",\n")
-    )
+
+    fn trials(spec: &StormSpec) -> usize {
+        spec.trials
+    }
+
+    fn run_trial(spec: &StormSpec, seed: u64) -> StormResult {
+        run_trial(spec, seed)
+    }
+
+    fn absorb(cell: &mut StormResult, trial: StormResult) {
+        cell.absorb(trial);
+    }
+
+    fn columns() -> Vec<Column<Self>> {
+        use Value::{Int, Switch, Text};
+        let (show, json) = (Column::<Self>::show, Column::<Self>::json);
+        vec![
+            show("topology", "topology", 12, |s, _| Text(s.topology.name().into())),
+            show("llr", "llr", 4, |s, _| Switch(s.llr)),
+            json("faults_planned", |s, _| Int(s.faults as u64)),
+            json("transients_planned", |s, _| Int(s.transients as u64)),
+            json("trials", |s, _| Int(s.trials as u64)),
+            show("flits_corrupted", "corrupt", 7, |_, r| Int(r.corrupted)),
+            show("flits_dropped", "dropped", 9, |_, r| Int(r.dropped)),
+            show("flits_retransmitted", "retrans", 8, |_, r| Int(r.retransmitted)),
+            show("undetected_corruptions", "silent", 6, |_, r| Int(r.undetected)),
+            show("audit_violations", "violations", 11, |_, r| Int(r.violations)),
+            json("audit_checks", |_, r| Int(r.audit_checks)),
+            show("flits_delivered", "delivered", 11, |_, r| Int(r.flits_delivered)),
+            show("flits_lost", "lost", 6, |_, r| Int(r.flits_lost)),
+            json("out_of_order", |_, r| Int(r.out_of_order)),
+            json("sessions_broken", |_, r| Int(r.broken)),
+            show("recovered", "recovered", 10, |_, r| Int(r.recovered)),
+            json("links_failed", |_, r| Int(r.links_failed)),
+            json("links_repaired", |_, r| Int(r.links_repaired)),
+            json("nodes_failed", |_, r| Int(r.nodes_failed)),
+            json("nodes_repaired", |_, r| Int(r.nodes_repaired)),
+            json("partitioned_sessions", |_, r| Int(r.partitioned)),
+        ]
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn spec(topology: CampaignTopology, transients: usize, llr: bool) -> StormSpec {
+        StormSpec {
+            topology,
+            faults: 1,
+            transients,
+            llr,
+            audit: transients > 0,
+            trials: 1,
+            warmup: 300,
+            measure: 2_000,
+        }
+    }
+
     #[test]
     fn trials_are_pure_functions_of_their_seed() {
-        let spec = CampaignSpec {
-            topology: CampaignTopology::Mesh3x3,
-            faults: 2,
-            node_faults: 1,
-            trials: 1,
-            warmup: 200,
-            measure: 1_200,
-        };
-        let a = run_trial(&spec, 11);
-        let b = run_trial(&spec, 11);
-        assert_eq!(a, b);
-        let c = run_trial(&spec, 12);
-        assert_ne!(a, c, "different seeds give different campaigns");
+        for spec in
+            [spec(CampaignTopology::Mesh3x3, 0, false), spec(CampaignTopology::Mesh3x3, 10, true)]
+        {
+            let a = run_trial(&spec, 11);
+            assert_eq!(a, run_trial(&spec, 11));
+            assert_ne!(a, run_trial(&spec, 12), "different seeds give different campaigns");
+        }
     }
 
     #[test]
     fn campaigns_observe_faults_and_recover() {
-        let spec = CampaignSpec {
-            topology: CampaignTopology::Torus3x3,
-            faults: 3,
-            node_faults: 1,
-            trials: 1,
-            warmup: 300,
-            measure: 2_400,
-        };
+        let spec =
+            StormSpec { faults: 3, measure: 2_400, ..spec(CampaignTopology::Torus3x3, 0, false) };
         let r = run_trial(&spec, 5);
         assert!(r.links_failed > 0, "faults were injected");
         assert_eq!(r.links_failed, r.links_repaired, "every outage ends in repair");
         assert!(r.nodes_failed >= 1, "a whole router died");
         assert_eq!(r.nodes_failed, r.nodes_repaired, "every router outage ends in repair");
         assert!(r.flits_delivered > 100, "traffic flowed: {}", r.flits_delivered);
-        if r.faults > 0 {
+        if r.broken > 0 {
             assert!(r.recovered + r.permanently_failed > 0, "incidents were resolved");
         }
+        assert_eq!(r.corrupted + r.dropped, 0, "a fault campaign plans no transients");
     }
 
     #[test]
-    fn grid_renderings_are_reproducible_across_job_counts() {
-        let grid = vec![CampaignSpec {
-            topology: CampaignTopology::Mesh3x3,
-            faults: 2,
-            node_faults: 1,
-            trials: 2,
-            warmup: 200,
-            measure: 1_200,
-        }];
-        let serial = run_campaigns(&grid, &SweepOptions::serial());
-        let parallel = run_campaigns(&grid, &SweepOptions { jobs: 4, ..SweepOptions::serial() });
-        assert_eq!(render_json(&serial), render_json(&parallel));
-        assert_eq!(render_table(&serial), render_table(&parallel));
+    fn llr_masks_the_storm_and_its_absence_is_visible() {
+        // The acceptance claim: the same seeded storm, protected vs bare.
+        let on = run_trial(&spec(CampaignTopology::Mesh3x3, 10, true), 1);
+        assert!(on.corrupted + on.dropped > 0, "the storm actually struck: {on:?}");
+        assert_eq!(on.undetected, 0, "LLR caught every corruption: {on:?}");
+        assert_eq!(on.violations, 0, "auditor clean under LLR: {on:?}");
+        assert_eq!(on.out_of_order, 0, "go-back-N preserves order");
+        assert!(on.audit_checks > 0, "the auditor ran");
+
+        let off = run_trial(&spec(CampaignTopology::Mesh3x3, 10, false), 1);
+        assert!(off.corrupted > 0, "bare wires take corruption hits: {off:?}");
+        assert!(off.undetected > 0, "silent corruption reaches the NIs: {off:?}");
+        assert!(off.violations > 0, "dropped flits leak credits the auditor flags: {off:?}");
     }
 }

@@ -2,27 +2,28 @@
 //! MMR paper's evaluation (§5), plus the ablations and extensions listed in
 //! DESIGN.md.
 //!
-//! Each experiment is a plain function returning a [`SweepTable`] (or a
-//! rendered report), shared between the command-line binaries (`fig3`,
-//! `fig4`, `fig5`, `claims`, `ablations`, `extensions`) and the Criterion
-//! benches. [`Quality`] selects between the paper's full measurement windows
-//! and a quick smoke preset.
+//! The figure, ablation and extension sweeps are plain functions returning
+//! a [`SweepTable`]; the fault, chaos, churn and scale campaigns implement
+//! [`campaign::Campaign`]. All of them are run, rendered, written and gated
+//! by the one `mmr-bench` binary ([`cli`]). [`Quality`] selects between the
+//! paper's full measurement windows and a quick smoke preset. Wall-clock
+//! measurement is not this crate's business: it lives only in
+//! `examples/perfbench` (see its README).
 
 use mmr_core::arbiter::ArbiterKind;
 use mmr_core::linksched::CandidatePolicy;
 use mmr_core::router::RouterConfig;
-use mmr_sim::SweepTable;
+use mmr_sim::sweep::{point_seed, SweepOptions};
+use mmr_sim::{Accumulator, SweepTable};
 use mmr_traffic::driver::{Experiment, ExperimentResult};
 
-use crate::sweep::{PointSpec, SweepOptions};
-
 pub mod ablations;
-pub mod chaos;
+pub mod campaign;
 pub mod churn;
+pub mod cli;
 pub mod extensions;
 pub mod faults;
 pub mod scale;
-pub mod sweep;
 
 /// Measurement effort for an experiment run.
 #[derive(Debug, Clone)]
@@ -46,7 +47,7 @@ impl Quality {
         }
     }
 
-    /// A fast smoke preset for CI and Criterion.
+    /// A fast smoke preset for CI (`--quick`).
     pub fn quick() -> Self {
         Quality { warmup: 2_000, measure: 8_000, loads: vec![0.3, 0.6, 0.9] }
     }
@@ -59,12 +60,15 @@ fn base_config() -> RouterConfig {
     RouterConfig::paper_default() // 8x8, 256 VCs/port, 1.24 Gbps, 128-bit
 }
 
+/// The paper's procedure for one point: `config` driven at `load` over the
+/// quality's windows, workload drawn from `seed`.
+fn experiment(config: RouterConfig, load: f64, quality: &Quality, seed: u64) -> Experiment {
+    Experiment::new(config, load).windows(quality.warmup, quality.measure).seed(seed)
+}
+
 /// Runs one figure point.
 pub fn run_point(config: RouterConfig, load: f64, quality: &Quality) -> ExperimentResult {
-    Experiment::new(config, load)
-        .windows(quality.warmup, quality.measure)
-        .seed(FIGURE_SEED)
-        .run()
+    experiment(config, load, quality, FIGURE_SEED).run()
 }
 
 /// Mean and standard error of a metric over independent workload seeds —
@@ -94,22 +98,59 @@ pub fn replicate(
     metric: impl Fn(&ExperimentResult) -> f64,
 ) -> (f64, f64) {
     assert!(seeds >= 1, "need at least one replication");
-    let samples: Vec<f64> = (0..seeds)
-        .map(|k| {
-            let r = Experiment::new(config.clone(), load)
-                .windows(quality.warmup, quality.measure)
-                .seed(FIGURE_SEED ^ (k.wrapping_mul(0x9E37_79B9)))
-                .run();
-            metric(&r)
-        })
-        .collect();
-    let n = samples.len() as f64;
-    let mean = samples.iter().sum::<f64>() / n;
-    if samples.len() < 2 {
-        return (mean, 0.0);
+    let mut samples = Accumulator::new();
+    for k in 0..seeds {
+        let seed = FIGURE_SEED ^ k.wrapping_mul(0x9E37_79B9);
+        samples.record(metric(&experiment(config.clone(), load, quality, seed).run()));
     }
-    let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (n - 1.0);
-    (mean, (var / n).sqrt())
+    // The accumulator's variance is the population's (÷ n); the standard
+    // error of the mean wants the sample's (÷ n−1), then ÷ n.
+    let stderr = (samples.variance() / (seeds as f64 - 1.0).max(1.0)).sqrt();
+    (samples.mean(), stderr)
+}
+
+/// One simulation of a figure sweep: a router configuration driven at one
+/// offered load.
+struct PointSpec {
+    /// Which curve of the figure the result belongs to.
+    series: String,
+    /// The router under test.
+    config: RouterConfig,
+    /// Offered load (fraction of link bandwidth).
+    load: f64,
+}
+
+/// Runs every point (in parallel per `opts`) and returns the results in
+/// point order, each simulated with the seed its position derives from
+/// [`FIGURE_SEED`].
+fn run_points(
+    points: &[PointSpec],
+    quality: &Quality,
+    opts: &SweepOptions,
+) -> Vec<ExperimentResult> {
+    opts.run_indexed(points.len(), |i| {
+        let p = &points[i];
+        experiment(p.config.clone(), p.load, quality, point_seed(FIGURE_SEED, i))
+            .dense_stepping(opts.dense)
+            .run()
+    })
+}
+
+/// Runs a figure sweep and folds it into a [`SweepTable`], one curve per
+/// distinct `series` name, points in specification order.
+fn run_table(
+    title: &str,
+    points: &[PointSpec],
+    quality: &Quality,
+    opts: &SweepOptions,
+    metric: impl Fn(&ExperimentResult) -> f64,
+) -> SweepTable {
+    let results = run_points(points, quality, opts);
+    let mut table = SweepTable::new(title);
+    for (p, r) in points.iter().zip(&results) {
+        table.push(&p.series, r.offered_load, metric(r));
+    }
+    table
 }
 
 /// The candidate × scheme × load grid shared by Figures 3 and 4, in the
@@ -140,11 +181,10 @@ pub fn fig3_jitter(
     quality: &Quality,
     opts: &SweepOptions,
 ) -> SweepTable {
-    sweep::run_table(
+    run_table(
         "Figure 3 — jitter (router cycles) vs offered load",
         &fig34_points(panel_candidates, quality),
         quality,
-        FIGURE_SEED,
         opts,
         |r| r.mean_jitter_cycles,
     )
@@ -157,11 +197,10 @@ pub fn fig4_delay(
     quality: &Quality,
     opts: &SweepOptions,
 ) -> SweepTable {
-    sweep::run_table(
+    run_table(
         "Figure 4 — delay (microseconds) vs offered load",
         &fig34_points(panel_candidates, quality),
         quality,
-        FIGURE_SEED,
         opts,
         |r| r.mean_delay_us,
     )
@@ -200,7 +239,7 @@ pub fn fig5(metric: Fig5Metric, quality: &Quality, opts: &SweepOptions) -> Sweep
             points.push(PointSpec { series: name.to_string(), config: config.clone(), load });
         }
     }
-    sweep::run_table(title, &points, quality, FIGURE_SEED, opts, |r| match metric {
+    run_table(title, &points, quality, opts, |r| match metric {
         Fig5Metric::Delay => r.mean_delay_us,
         Fig5Metric::Jitter => r.mean_jitter_cycles,
     })
@@ -244,7 +283,7 @@ pub fn claims_table(quality: &Quality, opts: &SweepOptions) -> Vec<ClaimRow> {
             load,
         })
         .collect();
-    let results = sweep::run_points(&points, quality, FIGURE_SEED, opts);
+    let results = run_points(&points, quality, opts);
     let (biased2_70, fixed2_70) = (&results[0], &results[1]);
     let (biased2_80, fixed2_80) = (&results[2], &results[3]);
     let (biased8_70, fixed8_70) = (&results[4], &results[5]);

@@ -11,10 +11,10 @@
 //! compact scheduler tables keep 1k+ routers affordable.
 //!
 //! Every field of [`ScaleResult`] is a pure function of the point and its
-//! seed — the rendered table is byte-identical at any `--jobs` value.
-//! Wall-clock timings are measured by the `scalebench` example *around*
-//! these functions and live only in the JSON (under `wall_*` keys, which
-//! CI strips before comparing).
+//! seed, so `BENCH_scale.json` and `results/scale.txt` are byte-identical
+//! at any `--jobs` value (see [`crate::campaign`]). How fast the fabric
+//! steps is `perfbench`'s `dragonfly_sparse` workload, not this file's
+//! business.
 
 use mmr_core::router::RouterConfig;
 use mmr_net::setup::cbr_mbps;
@@ -24,11 +24,8 @@ use mmr_net::{
 };
 use mmr_sim::{Cycles, SeededRng};
 
-use crate::sweep::{point_seed, SweepOptions};
+use crate::campaign::{Campaign, Column, Value};
 use crate::FIGURE_SEED;
-
-/// Base seed of the scale campaigns (decorrelated from the other sweeps).
-pub const SCALE_SEED: u64 = FIGURE_SEED ^ 0x5CA1_EAB1;
 
 /// Fabrics the scale wall exercises.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,7 +87,7 @@ impl ScaleFabric {
     }
 
     /// Heap budget per router (bytes): measured steady-state figures plus
-    /// ~40% headroom, asserted by `scalebench` and CI. A regression that
+    /// ~40% headroom, enforced by [`Scale`]'s verdict. A regression that
     /// re-eagers the VC banks or fattens the per-port tables trips this.
     pub fn bytes_per_router_budget(&self) -> usize {
         match self {
@@ -125,7 +122,7 @@ impl ScaleFabric {
 
 /// Deterministic outcome of one scale point (everything the byte-compared
 /// table renders).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScaleResult {
     /// Fabric node count.
     pub nodes: usize,
@@ -160,21 +157,10 @@ pub struct ScaleResult {
 
 /// Runs one seeded scale point: establish → CBR churn → teardown.
 pub fn run_point(fabric: ScaleFabric, seed: u64) -> ScaleResult {
-    run_point_timed(fabric, seed).0
-}
-
-/// [`run_point`] with wall-clock `(build_secs, run_secs)` measured around
-/// the fabric construction and the simulation loop. The timings never
-/// influence the [`ScaleResult`]; they only feed the JSON's `wall_*`
-/// fields.
-pub fn run_point_timed(fabric: ScaleFabric, seed: u64) -> (ScaleResult, f64, f64) {
-    let build_start = std::time::Instant::now();
     let topology = fabric.build();
     let links = topology.wires().len();
     let router = RouterConfig::paper_default().candidates(4).seed(seed ^ 0x5CA1E);
     let mut net = NetworkSim::with_routing(topology, router, fabric.routing());
-    let build_secs = build_start.elapsed().as_secs_f64();
-    let run_start = std::time::Instant::now();
 
     let mut rng = SeededRng::new(seed);
     let nodes = fabric.nodes();
@@ -258,11 +244,10 @@ pub fn run_point_timed(fabric: ScaleFabric, seed: u64) -> (ScaleResult, f64, f64
         t += 1;
     }
 
-    let run_secs = run_start.elapsed().as_secs_f64();
     let stats = net.stats().clone();
     let router_cycles = (0..nodes).map(|n| net.router(NodeId(n as u16)).stats().cycles).sum();
     let auditor_clean = net.auditor().is_none_or(|a| a.is_clean());
-    let result = ScaleResult {
+    ScaleResult {
         nodes,
         links,
         established,
@@ -275,135 +260,99 @@ pub fn run_point_timed(fabric: ScaleFabric, seed: u64) -> (ScaleResult, f64, f64
         bytes_per_router: footprint_bytes / nodes,
         materialized_vc_banks,
         auditor_clean,
-    };
-    (result, build_secs, run_secs)
-}
-
-/// The campaign grid: the CI smoke point under `--quick`, the two
-/// thousand-node fabrics otherwise.
-pub fn scale_grid(quick: bool) -> Vec<ScaleFabric> {
-    if quick {
-        vec![ScaleFabric::DragonflyQuick256]
-    } else {
-        vec![ScaleFabric::Dragonfly1056, ScaleFabric::Butterfly1024]
     }
 }
 
-/// Runs the grid through the deterministic sweep harness; each point is
-/// seeded by its position, so the [`ScaleResult`]s are byte-identical at
-/// any job count. The trailing `(build_secs, run_secs)` pair is wall
-/// clock and never enters the table.
-pub fn run_scale(
-    grid: &[ScaleFabric],
-    opts: &SweepOptions,
-) -> Vec<(ScaleFabric, ScaleResult, (f64, f64))> {
-    opts.run_indexed(grid.len(), |i| {
-        let fabric = grid.get(i).copied().expect("index from grid length");
-        let (result, build_secs, run_secs) = run_point_timed(fabric, point_seed(SCALE_SEED, i));
-        (fabric, result, (build_secs, run_secs))
-    })
-}
+/// The scale wall (`BENCH_scale.json`, `results/scale.txt`).
+pub struct Scale;
 
-/// Renders the human-readable scale table (`results/scale.txt`) —
-/// deterministic content only (the wall-clock element is ignored).
-pub fn render_table(cells: &[(ScaleFabric, ScaleResult, (f64, f64))]) -> String {
-    let mut out = String::new();
-    out.push_str("MMR scale wall: thousand-node fabrics under CBR churn\n");
-    out.push_str(&format!(
-        "{:<20} {:>6} {:>6} {:>5} {:>6} {:>9} {:>9} {:>5} {:>12} {:>8} {:>6}\n",
-        "fabric",
-        "nodes",
-        "links",
-        "sess",
-        "denied",
-        "injected",
-        "delivered",
-        "lost",
-        "bytes/router",
-        "vcbanks",
-        "clean"
-    ));
-    for (fabric, r, _) in cells {
-        out.push_str(&format!(
-            "{:<20} {:>6} {:>6} {:>5} {:>6} {:>9} {:>9} {:>5} {:>12} {:>8} {:>6}\n",
-            fabric.name(),
-            r.nodes,
-            r.links,
-            r.established,
-            r.denied,
-            r.injected,
-            r.delivered,
-            r.lost,
-            r.bytes_per_router,
-            r.materialized_vc_banks,
-            r.auditor_clean
-        ));
-    }
-    out
-}
+impl Campaign for Scale {
+    const NAME: &'static str = "scale";
+    const SEED: u64 = FIGURE_SEED ^ 0x5CA1_EAB1;
+    const TITLE: &'static str = "MMR scale wall: thousand-node fabrics under CBR churn";
+    const WIDE_JSON: bool = true;
+    type Spec = ScaleFabric;
+    type Cell = ScaleResult;
 
-/// Renders `BENCH_scale.json`. The per-point wall-clock seconds are
-/// emitted under `wall_`-prefixed keys so CI can strip them before
-/// byte-comparing serial and parallel runs.
-pub fn render_json(cells: &[(ScaleFabric, ScaleResult, (f64, f64))]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"points\": [\n");
-    for (i, (fabric, r, (build_secs, run_secs))) in cells.iter().enumerate() {
-        let cps = if *run_secs > 0.0 { r.router_cycles as f64 / run_secs } else { 0.0 };
-        out.push_str("    {\n");
-        out.push_str(&format!("      \"fabric\": \"{}\",\n", fabric.name()));
-        out.push_str(&format!("      \"nodes\": {},\n", r.nodes));
-        out.push_str(&format!("      \"links\": {},\n", r.links));
-        out.push_str(&format!("      \"routing\": \"{}\",\n", fabric.routing().label()));
-        out.push_str(&format!("      \"established\": {},\n", r.established));
-        out.push_str(&format!("      \"denied\": {},\n", r.denied));
-        out.push_str(&format!("      \"injected\": {},\n", r.injected));
-        out.push_str(&format!("      \"delivered\": {},\n", r.delivered));
-        out.push_str(&format!("      \"lost\": {},\n", r.lost));
-        out.push_str(&format!("      \"router_cycles\": {},\n", r.router_cycles));
-        out.push_str(&format!("      \"footprint_bytes\": {},\n", r.footprint_bytes));
-        out.push_str(&format!("      \"bytes_per_router\": {},\n", r.bytes_per_router));
-        out.push_str(&format!(
-            "      \"bytes_per_router_budget\": {},\n",
-            fabric.bytes_per_router_budget()
-        ));
-        out.push_str(&format!(
-            "      \"within_budget\": {},\n",
-            r.bytes_per_router <= fabric.bytes_per_router_budget()
-        ));
-        out.push_str(&format!(
-            "      \"materialized_vc_banks\": {},\n",
-            r.materialized_vc_banks
-        ));
-        out.push_str(&format!("      \"auditor_clean\": {},\n", r.auditor_clean));
-        out.push_str(&format!("      \"wall_build_secs\": {build_secs:.3},\n"));
-        out.push_str(&format!("      \"wall_run_secs\": {run_secs:.3},\n"));
-        out.push_str(&format!("      \"wall_router_cycles_per_sec\": {cps:.0}\n"));
-        out.push_str(if i + 1 == cells.len() { "    }\n" } else { "    },\n" });
+    /// The CI smoke point under `--quick`, the two thousand-node fabrics
+    /// otherwise.
+    fn grid(quick: bool) -> Vec<ScaleFabric> {
+        if quick {
+            vec![ScaleFabric::DragonflyQuick256]
+        } else {
+            vec![ScaleFabric::Dragonfly1056, ScaleFabric::Butterfly1024]
+        }
     }
-    out.push_str("  ]\n}\n");
-    out
+
+    fn run_trial(fabric: &ScaleFabric, seed: u64) -> ScaleResult {
+        run_point(*fabric, seed)
+    }
+
+    fn absorb(cell: &mut ScaleResult, trial: ScaleResult) {
+        *cell = trial;
+    }
+
+    fn columns() -> Vec<Column<Self>> {
+        use Value::{Bool, Int, Text};
+        let (show, json) = (Column::<Self>::show, Column::<Self>::json);
+        vec![
+            show("fabric", "fabric", 20, |f, _| Text(f.name().into())),
+            show("nodes", "nodes", 6, |_, r| Int(r.nodes as u64)),
+            show("links", "links", 6, |_, r| Int(r.links as u64)),
+            json("routing", |f, _| Text(f.routing().label())),
+            show("established", "sess", 5, |_, r| Int(r.established)),
+            show("denied", "denied", 6, |_, r| Int(r.denied)),
+            show("injected", "injected", 9, |_, r| Int(r.injected)),
+            show("delivered", "delivered", 9, |_, r| Int(r.delivered)),
+            show("lost", "lost", 5, |_, r| Int(r.lost)),
+            json("router_cycles", |_, r| Int(r.router_cycles)),
+            json("footprint_bytes", |_, r| Int(r.footprint_bytes as u64)),
+            show("bytes_per_router", "bytes/router", 12, |_, r| Int(r.bytes_per_router as u64)),
+            json("bytes_per_router_budget", |f, _| Int(f.bytes_per_router_budget() as u64)),
+            json("within_budget", |f, r| Bool(r.bytes_per_router <= f.bytes_per_router_budget())),
+            show("materialized_vc_banks", "vcbanks", 8, |_, r| Int(r.materialized_vc_banks as u64)),
+            show("auditor_clean", "clean", 6, |_, r| Bool(r.auditor_clean)),
+        ]
+    }
+
+    /// Every point within its bytes-per-router budget, auditor clean, and —
+    /// nothing faults here — not one flit lost.
+    fn verdict(cells: &[(ScaleFabric, ScaleResult)]) -> Result<(), String> {
+        let mut failures = Vec::new();
+        for (fabric, r) in cells {
+            let (name, budget, bytes) =
+                (fabric.name(), fabric.bytes_per_router_budget(), r.bytes_per_router);
+            if bytes > budget {
+                failures.push(format!("{name} bytes/router {bytes} over budget {budget}"));
+            }
+            if !r.auditor_clean {
+                failures.push(format!("{name} finished with a dirty auditor"));
+            }
+            if r.lost != 0 {
+                failures.push(format!("{name} lost {} flits in a fault-free run", r.lost));
+            }
+        }
+        if failures.is_empty() {
+            Ok(())
+        } else {
+            Err(failures.join("; "))
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mmr_sim::sweep::point_seed;
 
     #[test]
     fn quick_point_is_clean_and_within_budget() {
         let fabric = ScaleFabric::DragonflyQuick256;
-        let r = run_point(fabric, point_seed(SCALE_SEED, 0));
+        let r = run_point(fabric, point_seed(Scale::SEED, 0));
         assert_eq!(r.nodes, 256);
         assert!(r.established >= fabric.sessions() as u64);
         assert!(r.delivered > 0, "CBR traffic flowed");
-        assert_eq!(r.lost, 0, "nothing faults in the scale campaign");
-        assert!(r.auditor_clean);
-        assert!(
-            r.bytes_per_router <= fabric.bytes_per_router_budget(),
-            "bytes/router {} over budget {}",
-            r.bytes_per_router,
-            fabric.bytes_per_router_budget()
-        );
+        assert_eq!(Scale::verdict(&[(fabric, r)]), Ok(()), "lossless, clean, within budget");
         // Lazy banks: the fabric materialized only a sliver of the eager
         // worst case (ports × vcs/32 banks per router).
         let eager = 256 * 17 * (256 / 32);
@@ -413,13 +362,5 @@ mod tests {
             r.materialized_vc_banks,
             eager
         );
-    }
-
-    #[test]
-    fn scale_points_are_deterministic() {
-        let fabric = ScaleFabric::DragonflyQuick256;
-        let a = run_point(fabric, 7);
-        let b = run_point(fabric, 7);
-        assert_eq!(a, b);
     }
 }

@@ -2,11 +2,11 @@
 //! produces structurally sound output (tiny windows; shape assertions live
 //! in the workspace integration tests).
 
-use mmr_bench::sweep::SweepOptions;
 use mmr_bench::{
     ablations, claims_table, extensions, fig3_jitter, fig4_delay, fig5, render_claims,
     Fig5Metric, Quality,
 };
+use mmr_sim::sweep::SweepOptions;
 
 fn tiny() -> Quality {
     Quality { warmup: 200, measure: 1_000, loads: vec![0.5] }

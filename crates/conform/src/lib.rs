@@ -19,8 +19,8 @@
 //!             (mutate)  <---  shrink  <---  divergences
 //! ```
 //!
-//! Campaigns fan out over the deterministic sweep harness from
-//! `mmr-bench`, so `mmr-conform --seed N --cases K` produces byte-identical
+//! Campaigns fan out over the deterministic sweep harness
+//! (`mmr_sim::sweep`), so `mmr-conform --seed N --cases K` produces byte-identical
 //! output at any `--jobs` level. Regression seeds live in `tests/corpus/`
 //! at the workspace root and are replayed by the tier-1 test suite.
 
@@ -39,9 +39,9 @@ pub use scenario::{
 };
 pub use shrink::{shrink as shrink_scenario, Shrunk, DEFAULT_BUDGET};
 
-// Re-exported so downstream tests can state sweep-harness properties
-// without depending on mmr-bench directly.
-pub use mmr_bench::sweep::{point_seed, SweepOptions};
+// Re-exported so campaign callers can build a `RunConfig` from this crate
+// alone.
+pub use mmr_sim::sweep::{point_seed, SweepOptions};
 
 /// Salt mixed into every scenario seed so conformance streams are
 /// decorrelated from the figure-regeneration seeds that share the same

@@ -3,15 +3,16 @@
 //! Usage:
 //!
 //! ```text
-//! mmr-conform [--seed S] [--cases K] [--jobs N | --serial] [--dense]
+//! mmr-conform [--seed S] [--cases K] [--jobs N] [--dense]
 //!             [--shrink] [--json] [--out PATH] [--bug phantom-credit]
 //! ```
 //!
 //! * `--seed` accepts decimal, `0x` hex, or any mnemonic string (hashed
 //!   deterministically); default `0xMMR5`.
 //! * `--cases` is the campaign size (default 100).
-//! * `--jobs`/`--serial` come from the shared sweep harness; output is
-//!   byte-identical at every parallelism level.
+//! * `--jobs` sets the sweep harness's worker count (default: all cores);
+//!   output is byte-identical at every parallelism level. `--dense`
+//!   selects the dense reference stepping engine for every case.
 //! * `--shrink` reduces each divergent case to a minimal reproducer.
 //! * `--json` renders machine-readable output; `--out` writes it to a
 //!   file as well as stdout.
@@ -24,19 +25,15 @@
 use mmr_conform::{parse_seed, run, Hooks, RunConfig, SweepOptions};
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = SweepOptions::from_args(&mut args);
-
+    let mut opts = SweepOptions::all_cores();
     let mut seed = "0xMMR5".to_string();
     let mut cases = 100usize;
     let mut shrink = false;
     let mut json = false;
     let mut out_path: Option<String> = None;
-    // `--dense` (consumed by the sweep harness above) selects the dense
-    // reference stepping engine for every case.
-    let mut hooks = Hooks { dense_stepping: opts.dense, ..Hooks::default() };
+    let mut hooks = Hooks::default();
 
-    let mut it = args.into_iter();
+    let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--seed" => seed = expect_value(&mut it, "--seed"),
@@ -46,6 +43,17 @@ fn main() {
                     std::process::exit(2);
                 })
             }
+            "--jobs" => {
+                opts.jobs = expect_value(&mut it, "--jobs")
+                    .parse()
+                    .ok()
+                    .filter(|&j| j >= 1)
+                    .unwrap_or_else(|| {
+                        eprintln!("--jobs expects a positive integer");
+                        std::process::exit(2);
+                    })
+            }
+            "--dense" => (opts.dense, hooks.dense_stepping) = (true, true),
             "--shrink" => shrink = true,
             "--json" => json = true,
             "--out" => out_path = Some(expect_value(&mut it, "--out")),
@@ -58,7 +66,7 @@ fn main() {
             },
             "--help" | "-h" => {
                 println!(
-                    "mmr-conform [--seed S] [--cases K] [--jobs N | --serial] [--dense] \
+                    "mmr-conform [--seed S] [--cases K] [--jobs N] [--dense] \
                      [--shrink] [--json] [--out PATH] [--bug phantom-credit]"
                 );
                 return;

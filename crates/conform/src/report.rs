@@ -1,15 +1,14 @@
-//! Campaign execution and rendering: fans a seed range out over the PR-1
-//! sweep harness and renders the outcome as text or JSON.
+//! Campaign execution and rendering: fans a seed range out over the
+//! `mmr_sim::sweep` harness and renders the outcome as text or JSON.
 //!
 //! Determinism contract: case `i` runs with seed
 //! `point_seed(base_seed, i)` and its entire lifecycle (generate, run,
 //! shrink) happens inside its own sweep slot, so the output is
-//! byte-identical at any `--jobs` level — CI diffs a `--jobs 1` run
-//! against a `--jobs 4` run byte for byte. No wall-clock data appears in
-//! the output (timing entries live in `crates/bench`, the D-TIME-exempt
-//! crate).
+//! byte-identical at any `--jobs` level — `mmr-bench check` diffs a
+//! `--jobs 1` run against a `--jobs 4` run byte for byte. No wall-clock
+//! data appears in the output.
 
-use mmr_bench::sweep::{point_seed, SweepOptions};
+use mmr_sim::sweep::{point_seed, SweepOptions};
 
 use crate::runner::{run_scenario, Hooks};
 use crate::scenario::Scenario;

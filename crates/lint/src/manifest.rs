@@ -276,7 +276,7 @@ modules = ["crates/core/src/router.rs"]
         .expect("parses");
         assert!(m.is_excluded("vendor/proptest/src/lib.rs"));
         assert!(!m.is_excluded("vendors/x.rs"));
-        assert!(m.is_time_exempt("crates/bench/src/bin/sweepbench.rs"));
+        assert!(m.is_time_exempt("crates/bench/examples/perfbench/main.rs"));
         assert!(m.is_iter_strict("crates/sim/src/stats.rs"));
         assert!(!m.is_iter_strict("crates/core/src/router.rs"));
         assert!(m.is_accounting("crates/core/src/llr.rs"));

@@ -15,6 +15,9 @@
 //!   ([`Accumulator`]), [`Histogram`], the paper's delay/jitter metrics
 //!   ([`DelayJitterRecorder`]), warm-up gating ([`Warmup`]) and figure-series
 //!   assembly ([`SweepTable`]).
+//! * [`sweep`] — deterministic fan-out of independent simulation points
+//!   over worker threads ([`SweepOptions`], [`point_seed`]): byte-identical
+//!   output at any job count.
 //!
 //! # Example
 //!
@@ -31,9 +34,11 @@ pub mod events;
 pub mod plot;
 pub mod rng;
 pub mod stats;
+pub mod sweep;
 pub mod units;
 
 pub use events::EventQueue;
 pub use rng::SeededRng;
 pub use stats::{Accumulator, DelayJitterRecorder, Histogram, SweepTable, TailSummary, Warmup};
+pub use sweep::{point_seed, SweepOptions};
 pub use units::{Bandwidth, Cycles, FlitTiming, SimTime};

@@ -12,7 +12,7 @@
 //! # Example
 //!
 //! ```
-//! use mmr_bench::sweep::SweepOptions;
+//! use mmr_sim::sweep::SweepOptions;
 //!
 //! let serial = SweepOptions::serial();
 //! let parallel = SweepOptions { jobs: 4, ..SweepOptions::serial() };
@@ -22,12 +22,6 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-
-use mmr_core::router::RouterConfig;
-use mmr_sim::SweepTable;
-use mmr_traffic::driver::{Experiment, ExperimentResult};
-
-use crate::Quality;
 
 /// How a sweep distributes its points over worker threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,50 +37,16 @@ pub struct SweepOptions {
 }
 
 impl SweepOptions {
-    /// Serial execution (the escape hatch behind `--serial`).
+    /// Serial execution on the caller's thread (`--jobs 1`).
     pub fn serial() -> Self {
         SweepOptions { jobs: 1, dense: false }
     }
 
-    /// Default parallelism: the `MMR_JOBS` environment variable if set,
-    /// otherwise the machine's available cores.
-    pub fn from_env() -> Self {
-        let jobs = std::env::var("MMR_JOBS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&j| j >= 1)
-            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+    /// Default parallelism: one worker per core the process may use
+    /// ([`std::thread::available_parallelism`]).
+    pub fn all_cores() -> Self {
+        let jobs = std::thread::available_parallelism().map_or(1, |n| n.get());
         SweepOptions { jobs, dense: false }
-    }
-
-    /// Consumes the sweep flags (`--jobs N`, `--serial`, `--dense`) from a
-    /// CLI argument list, leaving the remaining arguments for the caller's
-    /// own parser. Unrecognised arguments pass through untouched.
-    pub fn from_args(args: &mut Vec<String>) -> Self {
-        let mut opts = SweepOptions::from_env();
-        let mut keep = Vec::with_capacity(args.len());
-        let mut it = args.drain(..);
-        while let Some(arg) = it.next() {
-            match arg.as_str() {
-                "--serial" => opts.jobs = 1,
-                "--dense" => opts.dense = true,
-                "--jobs" => {
-                    let n = it
-                        .next()
-                        .and_then(|v| v.parse::<usize>().ok())
-                        .filter(|&j| j >= 1)
-                        .unwrap_or_else(|| {
-                            eprintln!("--jobs expects a positive integer");
-                            std::process::exit(2);
-                        });
-                    opts.jobs = n;
-                }
-                _ => keep.push(arg),
-            }
-        }
-        drop(it);
-        *args = keep;
-        opts
     }
 
     /// Runs `point` for every index in `0..n` and returns the results in
@@ -140,54 +100,6 @@ pub fn point_seed(base: u64, index: usize) -> u64 {
     z ^ (z >> 31)
 }
 
-/// One simulation of a figure sweep: a router configuration driven at one
-/// offered load.
-#[derive(Debug, Clone)]
-pub struct PointSpec {
-    /// Which curve of the figure the result belongs to.
-    pub series: String,
-    /// The router under test.
-    pub config: RouterConfig,
-    /// Offered load (fraction of link bandwidth).
-    pub load: f64,
-}
-
-/// Runs every point (in parallel per `opts`) and returns the results in
-/// point order, each simulated with its own derived seed.
-pub fn run_points(
-    points: &[PointSpec],
-    quality: &Quality,
-    base_seed: u64,
-    opts: &SweepOptions,
-) -> Vec<ExperimentResult> {
-    opts.run_indexed(points.len(), |i| {
-        let p = &points[i];
-        Experiment::new(p.config.clone(), p.load)
-            .windows(quality.warmup, quality.measure)
-            .seed(point_seed(base_seed, i))
-            .dense_stepping(opts.dense)
-            .run()
-    })
-}
-
-/// Runs a figure sweep and folds it into a [`SweepTable`], one curve per
-/// distinct `series` name, points in specification order.
-pub fn run_table(
-    title: &str,
-    points: &[PointSpec],
-    quality: &Quality,
-    base_seed: u64,
-    opts: &SweepOptions,
-    metric: impl Fn(&ExperimentResult) -> f64,
-) -> SweepTable {
-    let results = run_points(points, quality, base_seed, opts);
-    let mut table = SweepTable::new(title);
-    for (p, r) in points.iter().zip(&results) {
-        table.push(&p.series, r.offered_load, metric(r));
-    }
-    table
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -227,18 +139,5 @@ mod tests {
         assert_eq!(sorted.len(), seeds.len(), "no seed collisions across points");
         assert_eq!(point_seed(7, 3), point_seed(7, 3), "pure function of (base, index)");
         assert_ne!(point_seed(7, 3), point_seed(8, 3), "base seed matters");
-    }
-
-    #[test]
-    fn from_args_consumes_only_sweep_flags() {
-        let mut args =
-            vec!["--quick".to_string(), "--jobs".into(), "3".into(), "--panel".into(), "a".into()];
-        let opts = SweepOptions::from_args(&mut args);
-        assert_eq!(opts.jobs, 3);
-        assert_eq!(args, vec!["--quick", "--panel", "a"]);
-
-        let mut args = vec!["--serial".to_string()];
-        assert_eq!(SweepOptions::from_args(&mut args).jobs, 1);
-        assert!(args.is_empty());
     }
 }

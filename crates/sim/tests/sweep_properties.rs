@@ -3,7 +3,7 @@
 
 use std::collections::BTreeSet;
 
-use mmr_bench::sweep::{point_seed, SweepOptions};
+use mmr_sim::sweep::{point_seed, SweepOptions};
 use proptest::prelude::*;
 
 /// 2^16 consecutive sweep indices never collide on their derived seeds:

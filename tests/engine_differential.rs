@@ -8,9 +8,9 @@
 
 use std::path::PathBuf;
 
-use mmr_bench::sweep::SweepOptions;
 use mmr_bench::{fig3_jitter, fig4_delay, fig5, Fig5Metric, Quality};
 use mmr_conform::{parse_seed, run_scenario, Hooks, Scenario};
+use mmr_sim::sweep::SweepOptions;
 
 /// Loads `(name, seed, hooks)` for every corpus file, mirroring the
 /// parser in `conformance_corpus.rs` for the keys the differential gate
@@ -71,7 +71,7 @@ fn corpus_scenarios_agree_across_engines() {
 }
 
 fn engines() -> (SweepOptions, SweepOptions) {
-    let event = SweepOptions::from_env();
+    let event = SweepOptions::all_cores();
     (event, SweepOptions { dense: true, ..event })
 }
 
