@@ -62,7 +62,7 @@ struct VcQueue {
 /// bank is allocated the first time one of its VCs buffers a flit. A
 /// paper-default port exposes 256 VCs but a typical connection load
 /// touches a handful, so thousand-router fabrics only pay for the banks
-/// they actually lease (the bytes-per-router number `scalebench` reports).
+/// they actually lease (the bytes-per-router number `mmr-bench scale` reports).
 const QUEUE_BANK_VCS: usize = 32;
 
 /// The virtual channel memory of one input port: `vcs` bounded FIFOs over an
@@ -382,7 +382,7 @@ impl VirtualChannelMemory {
     /// Heap bytes currently held by this VCM: the status vectors, the bank
     /// spine, and every materialized queue (including VecDeque capacity).
     /// This is the per-port term of the bytes-per-router figure reported by
-    /// the `scalebench` example.
+    /// `mmr-bench scale`.
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
         let status = self.flits_available.heap_bytes()

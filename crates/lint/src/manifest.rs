@@ -283,7 +283,7 @@ modules = ["crates/core/src/router.rs"]
         assert!(m.is_panic_free("crates/net/src/setup.rs"));
         assert!(!m.is_panic_free("crates/net/src/driver.rs"));
         assert!(m.is_shard_safe("crates/core/src/router.rs"));
-        assert!(!m.is_shard_safe("crates/net/src/network.rs"));
+        assert!(!m.is_shard_safe("crates/net/src/network/mod.rs"));
     }
 
     #[test]
@@ -309,5 +309,26 @@ modules = ["crates/core/src/router.rs"]
         assert!(m.is_panic_free("crates/net/src/setup.rs"));
         assert!(m.is_panic_free("crates/net/src"));
         assert!(!m.is_panic_free("crates/net/src2/x.rs"));
+    }
+
+    /// The workspace manifest designates `crates/net/src/network` as a
+    /// directory, so a file added to the simulator cannot silently leave
+    /// the panic-free wall.
+    #[test]
+    fn every_network_source_file_is_panic_free_scoped() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let manifest = std::fs::read_to_string(root.join("lint.toml")).expect("workspace lint.toml");
+        let m = Manifest::parse(&manifest).expect("parses");
+        let dir = "crates/net/src/network";
+        let mut seen = 0;
+        for entry in std::fs::read_dir(root.join(dir)).expect("the simulator's directory") {
+            let name = entry.expect("readable entry").file_name();
+            let name = name.to_str().expect("utf-8 file name");
+            if name.ends_with(".rs") {
+                assert!(m.is_panic_free(&format!("{dir}/{name}")), "{name} left P-* scope");
+                seen += 1;
+            }
+        }
+        assert!(seen > 0, "{dir} holds the simulator's sources");
     }
 }

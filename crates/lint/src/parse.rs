@@ -257,8 +257,18 @@ fn parse_vars(tokens: &[Token], fn_start: usize, body: Option<Region>) -> Vec<(S
 }
 
 /// Finds `#[cfg(test)]` / `#[test]` regions: the attribute plus the item it
-/// annotates (brace-matched, or up to `;` for brace-less items).
+/// annotates (brace-matched, or up to `;` for brace-less items). A file that
+/// opens with `#![cfg(test)]` — a test module in a file of its own — is one
+/// region from end to end.
 pub fn find_test_regions(tokens: &[Token]) -> Vec<Region> {
+    if let [hash, bang, open, rest @ ..] = tokens {
+        let attr = rest.iter().take_while(|t| !t.is_punct(']'));
+        if hash.is_punct('#') && bang.is_punct('!') && open.is_punct('[')
+            && attr.into_iter().any(|t| t.is_ident("test"))
+        {
+            return vec![Region { start: 0, end: tokens.len() }];
+        }
+    }
     let mut regions = Vec::new();
     let mut i = 0;
     while i < tokens.len() {
@@ -741,6 +751,14 @@ mod tests {
         assert_eq!(fns[0].calls.len(), 1);
         assert!(fns[1].in_test);
         assert!(fns[1].calls.is_empty());
+    }
+
+    #[test]
+    fn a_file_level_test_module_is_one_test_region() {
+        let fns = parse("#![cfg(test)]\nfn helper() { x.unwrap(); }\n#[test]\nfn t() { helper(); }");
+        assert!(fns.iter().all(|f| f.in_test), "{fns:?}");
+        let fns = parse("#![allow(dead_code)]\nfn live() { helper(); }");
+        assert!(!fns[0].in_test, "other inner attributes designate nothing");
     }
 
     #[test]

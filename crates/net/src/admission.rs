@@ -153,7 +153,7 @@ impl AdmitPolicy {
 
     /// The "naive" baseline: no utilization guard, no degradation, no
     /// shedding — admission is the raw bandwidth book, and overload lands
-    /// on every admitted session. The churnsweep control series.
+    /// on every admitted session. The `mmr-bench churn` control series.
     pub fn naive() -> Self {
         AdmitPolicy::default()
             .headroom(f64::INFINITY)
@@ -632,15 +632,9 @@ impl AdmissionController {
 mod tests {
     use super::*;
     use crate::setup::cbr_mbps;
+    use crate::testkit::mesh_net;
     use crate::topology::Topology;
     use mmr_core::router::RouterConfig;
-
-    fn mesh_net() -> NetworkSim {
-        NetworkSim::new(
-            Topology::mesh2d(3, 3, 8).expect("topology wires within the port budget"),
-            RouterConfig::paper_default().vcs_per_port(16).candidates(4),
-        )
-    }
 
     fn ring_net() -> NetworkSim {
         NetworkSim::new(

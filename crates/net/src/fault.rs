@@ -472,14 +472,8 @@ impl FaultInjector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::mesh_net;
     use mmr_core::router::RouterConfig;
-
-    fn mesh_net() -> NetworkSim {
-        NetworkSim::new(
-            Topology::mesh2d(3, 3, 8).expect("topology wires within the port budget"),
-            RouterConfig::paper_default().vcs_per_port(16).candidates(4),
-        )
-    }
 
     #[test]
     fn injector_applies_fail_then_repair_on_schedule() {

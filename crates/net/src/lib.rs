@@ -92,3 +92,28 @@ pub use routing::{
 pub use setup::{ProbeMachine, ProbeStep, SetupError, SetupReceipt, SetupStrategy};
 pub use topology::{Butterfly, Dragonfly, Hypercube, NodeId, Topology, TopologyError, Wire};
 pub use updown::{LinkDir, UpDownRouting};
+
+/// Shared fixtures for this crate's unit tests.
+#[cfg(test)]
+pub(crate) mod testkit {
+    use mmr_core::ids::PortId;
+    use mmr_core::router::RouterConfig;
+
+    use crate::{NetConnectionId, NetworkSim, NodeId, Topology};
+
+    /// The 3×3 mesh most unit tests run on: 8 ports, 16 VCs per port, depth-4
+    /// buffers, 4 scheduling candidates.
+    pub(crate) fn mesh_net() -> NetworkSim {
+        NetworkSim::new(
+            Topology::mesh2d(3, 3, 8).expect("topology wires within the port budget"),
+            RouterConfig::paper_default().vcs_per_port(16).candidates(4),
+        )
+    }
+
+    /// The wire a live connection leaves its `hop`-th router on, as the
+    /// `(node, port)` to hand to [`NetworkSim::fail_link`].
+    pub(crate) fn output_wire(net: &NetworkSim, conn: NetConnectionId, hop: usize) -> (NodeId, PortId) {
+        let hop = net.connection(conn).expect("live connection").hops[hop];
+        (hop.node, net.router(hop.node).connection(hop.local).expect("hop is mapped").output_vc.port)
+    }
+}

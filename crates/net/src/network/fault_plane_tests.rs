@@ -1,0 +1,214 @@
+//! The wires under fault: transients, the link-level retry layer, the
+//! invariant auditor, and the one sever path link and node faults share.
+#![cfg(test)]
+
+use super::*;
+use crate::setup::{cbr_mbps, SetupStrategy};
+use crate::testkit::mesh_net;
+
+/// The receiving wire endpoint of the connection's `hop`-th router
+/// (hop 0 is the source, so pass 1+ to land on an inter-router wire).
+fn wire_endpoint(net: &NetworkSim, id: NetConnectionId, hop: usize) -> (NodeId, PortId) {
+    let conn = net.connection(id).expect("live connection");
+    let h = &conn.hops[hop];
+    let state = net.router(h.node).connection(h.local).expect("hop is mapped");
+    (h.node, state.input_vc.port)
+}
+
+/// Drives `net` for `cycles`, injecting one flit every 4 cycles on `id`;
+/// returns (injected, delivered, out-of-order observed).
+fn drive(net: &mut NetworkSim, id: NetConnectionId, cycles: u64) -> (u64, u64) {
+    let mut injected = 0;
+    let mut delivered = 0;
+    for t in 0..cycles {
+        if t % 4 == 0 && net.can_inject(id) {
+            net.inject(id, Cycles(t)).expect("room");
+            injected += 1;
+        }
+        delivered += net.step(Cycles(t)).delivered.len() as u64;
+    }
+    (injected, delivered)
+}
+
+#[test]
+fn llr_leaves_fault_free_timing_untouched() {
+    let run = |llr: bool| {
+        let mut net = mesh_net();
+        if llr {
+            net.enable_llr(LlrConfig::default());
+        }
+        let id = net
+            .establish(NodeId(0), NodeId(8), cbr_mbps(620.0), SetupStrategy::Epb)
+            .expect("path exists");
+        let mut log = Vec::new();
+        for t in 0..300u64 {
+            if t % 4 == 0 && net.can_inject(id) {
+                net.inject(id, Cycles(t)).expect("room");
+            }
+            for d in net.step(Cycles(t)).delivered {
+                log.push((d.flit.seq, d.latency));
+            }
+        }
+        log
+    };
+    assert_eq!(run(false), run(true), "LLR is timing-transparent without faults");
+}
+
+#[test]
+fn unprotected_corruption_reaches_the_destination() {
+    let mut net = mesh_net();
+    let id = net
+        .establish(NodeId(0), NodeId(2), cbr_mbps(620.0), SetupStrategy::Epb)
+        .expect("path exists");
+    let (node, port) = wire_endpoint(&net, id, 1);
+    for _ in 0..3 {
+        net.arm_transient(node, port, TransientKind::Corrupt).expect("wire endpoint");
+    }
+    let (injected, delivered) = drive(&mut net, id, 200);
+    assert_eq!(injected, delivered, "corrupt flits still arrive, just damaged");
+    assert_eq!(net.stats().flits_corrupted, 3);
+    assert_eq!(net.stats().undetected_corruptions, 3, "no LLR: silent corruption");
+}
+
+#[test]
+fn llr_catches_and_replays_corrupted_flits() {
+    let mut net = mesh_net();
+    net.enable_llr(LlrConfig::default());
+    let id = net
+        .establish(NodeId(0), NodeId(2), cbr_mbps(620.0), SetupStrategy::Epb)
+        .expect("path exists");
+    let (node, port) = wire_endpoint(&net, id, 1);
+    for _ in 0..3 {
+        net.arm_transient(node, port, TransientKind::Corrupt).expect("wire endpoint");
+    }
+    let (injected, delivered) = drive(&mut net, id, 240);
+    assert_eq!(injected, delivered, "every flit eventually delivered");
+    assert_eq!(net.stats().undetected_corruptions, 0, "link CRC caught every hit");
+    assert_eq!(net.stats().out_of_order, 0, "go-back-N preserves order");
+    assert!(net.stats().flits_retransmitted >= 3, "each hit forced a replay");
+}
+
+#[test]
+fn llr_recovers_dropped_flits() {
+    let mut net = mesh_net();
+    net.enable_llr(LlrConfig::default());
+    let id = net
+        .establish(NodeId(0), NodeId(2), cbr_mbps(620.0), SetupStrategy::Epb)
+        .expect("path exists");
+    let (node, port) = wire_endpoint(&net, id, 1);
+    for _ in 0..4 {
+        net.arm_transient(node, port, TransientKind::Drop).expect("wire endpoint");
+    }
+    let (injected, delivered) = drive(&mut net, id, 300);
+    assert_eq!(injected, delivered, "drops are replayed, nothing lost");
+    assert_eq!(net.stats().flits_dropped, 4);
+    assert_eq!(net.stats().flits_lost, 0);
+    assert_eq!(net.stats().out_of_order, 0);
+}
+
+#[test]
+fn auditor_stays_clean_on_a_healthy_run() {
+    let mut net = mesh_net();
+    net.enable_audit(AuditConfig::default());
+    let id = net
+        .establish(NodeId(0), NodeId(8), cbr_mbps(620.0), SetupStrategy::Epb)
+        .expect("path exists");
+    drive(&mut net, id, 300);
+    let aud = net.auditor().expect("enabled");
+    assert!(aud.checks() > 0, "the auditor actually ran");
+    assert!(aud.is_clean(), "healthy run: {}", aud.summary());
+}
+
+#[test]
+fn auditor_flags_the_credit_leak_of_an_unprotected_drop() {
+    let mut net = mesh_net();
+    net.enable_audit(AuditConfig::default());
+    let id = net
+        .establish(NodeId(0), NodeId(2), cbr_mbps(620.0), SetupStrategy::Epb)
+        .expect("path exists");
+    let (node, port) = wire_endpoint(&net, id, 1);
+    net.arm_transient(node, port, TransientKind::Drop).expect("wire endpoint");
+    drive(&mut net, id, 200);
+    let aud = net.auditor().expect("enabled");
+    assert!(!aud.is_clean(), "a dropped flit without LLR leaks a credit forever");
+    assert!(
+        aud.violations()
+            .iter()
+            .any(|v| matches!(v, AuditViolation::CreditConservation { .. })),
+        "the leak shows up as a conservation break: {}",
+        aud.summary()
+    );
+}
+
+#[test]
+fn llr_keeps_the_conservation_audit_clean_under_faults() {
+    let mut net = mesh_net();
+    net.enable_llr(LlrConfig::default());
+    net.enable_audit(AuditConfig::default());
+    let id = net
+        .establish(NodeId(0), NodeId(2), cbr_mbps(620.0), SetupStrategy::Epb)
+        .expect("path exists");
+    let (node, port) = wire_endpoint(&net, id, 1);
+    net.arm_transient(node, port, TransientKind::Drop).expect("wire endpoint");
+    net.arm_transient(node, port, TransientKind::Corrupt).expect("wire endpoint");
+    drive(&mut net, id, 300);
+    let aud = net.auditor().expect("enabled");
+    assert!(aud.is_clean(), "the retry layer conserves credits: {}", aud.summary());
+    assert_eq!(net.stats().undetected_corruptions, 0);
+}
+
+#[test]
+fn transients_on_a_terminal_port_are_rejected() {
+    let mut net = mesh_net();
+    let terminal = net.topology().terminal_port(NodeId(0)).expect("terminal exists");
+    assert!(net.arm_transient(NodeId(0), terminal, TransientKind::Drop).is_err());
+}
+
+/// One wire, cut three ways while the retry layer still holds frames the
+/// receiver never acknowledged: as a link fault, and as a node fault of
+/// either endpoint. All three go through `Wires::sever`, so all three keep
+/// the books exact.
+#[test]
+fn link_and_node_faults_sever_wires_through_one_path() {
+    type Cut = fn(&mut NetworkSim, (NodeId, PortId)) -> Vec<NetConnectionId>;
+    let cuts: [(&str, Cut); 3] = [
+        ("fail_link", |net, (node, port)| net.fail_link(node, port).expect("wire is up")),
+        ("fail_node(receiver)", |net, (node, _)| net.fail_node(node).expect("node is up")),
+        ("fail_node(sender)", |net, (node, port)| {
+            let (peer, _) = net.topology().peer_of(node, port).expect("wired");
+            net.fail_node(peer).expect("node is up")
+        }),
+    ];
+    for (name, cut) in cuts {
+        let mut net = mesh_net();
+        net.enable_llr(LlrConfig::default());
+        net.enable_audit(AuditConfig::default());
+        let id = net
+            .establish(NodeId(0), NodeId(2), cbr_mbps(620.0), SetupStrategy::Epb)
+            .expect("path exists");
+        let wire = wire_endpoint(&net, id, 1);
+        let (mut injected, mut delivered) = (0u64, 0u64);
+        for t in 0..200u64 {
+            if t == 40 {
+                // Frames struck from here on sit unacknowledged in the
+                // sender's replay buffer when the wire is cut.
+                for _ in 0..3 {
+                    net.arm_transient(wire.0, wire.1, TransientKind::Drop).expect("wire endpoint");
+                }
+            }
+            if t == 46 {
+                assert_eq!(cut(&mut net, wire), vec![id], "{name}: the stream crossed the wire");
+            }
+            if t % 4 == 0 && net.connection(id).is_some() && net.can_inject(id) {
+                net.inject(id, Cycles(t)).expect("room");
+                injected += 1;
+            }
+            delivered += net.step(Cycles(t)).delivered.len() as u64;
+        }
+        let stats = net.stats();
+        assert!(stats.flits_dropped > 0, "{name}: the cut found frames unacknowledged");
+        assert_eq!(injected, delivered + stats.flits_lost, "{name}: injected = delivered + lost");
+        let aud = net.auditor().expect("enabled");
+        assert!(aud.is_clean(), "{name}: {}", aud.summary());
+    }
+}

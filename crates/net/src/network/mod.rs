@@ -1,0 +1,579 @@
+//! The multi-router network simulator.
+//!
+//! [`NetworkSim`] instantiates one [`Router`] per topology node, wires their
+//! ports per the [`Topology`], and moves flits across links with one flit
+//! cycle of wire latency and credit-based link-level flow control (§3.2's
+//! "flits_available / credits_available" machinery operating across real
+//! router boundaries). Established connections span multiple routers via
+//! pinned virtual channels — the direct/reverse channel mappings of §3.5 —
+//! and single-flit VCT packets (control / best-effort) hop through the
+//! network under up*/down* adaptive routing (§3.4–§3.5).
+//!
+//! The simulator is a thin owner of four components, each with private
+//! state and a narrow surface, coupled only inside [`NetworkSim::step`]
+//! (DESIGN.md "NetworkSim anatomy"): the fabric (`fabric.rs`: which wires
+//! are up, the topology epoch, routing), the wires and their link-level
+//! retry layer (`wire.rs`), the VCT packet plane (`packets.rs`) and the
+//! router array with its wake set (`routers.rs`). The asynchronous setup
+//! probes live beside their state machine in [`crate::setup`]; the fault
+//! entry points that orchestrate all of them are in `faults.rs`.
+
+use std::collections::BTreeMap;
+
+use mmr_core::audit::{AuditConfig, AuditViolation, Auditor};
+use mmr_core::flit::{Flit, FlitKind};
+use mmr_core::ids::{ConnectionId, PortId, VcRef};
+use mmr_core::llr::LlrConfig;
+use mmr_core::router::{InjectError, Router, RouterConfig};
+use mmr_sim::{Bandwidth, Cycles, SeededRng};
+
+use crate::routing::{Routing, RoutingSpec};
+use crate::setup::ProbeQueue;
+use crate::topology::{NodeId, Topology};
+
+mod fabric;
+mod faults;
+mod packets;
+mod routers;
+mod types;
+mod wire;
+
+// Unit tests, one file per concern; each file gates itself with
+// `#![cfg(test)]`.
+mod async_setup_tests;
+mod failure_tests;
+mod fault_plane_tests;
+mod node_fault_tests;
+mod tests;
+
+use fabric::Fabric;
+use packets::PacketPlane;
+use routers::RouterArray;
+use wire::Wires;
+
+pub use types::{
+    DeliveredFlit, DeliveredPacket, Hop, NetConnection, NetConnectionId, NetError, NetStats,
+    NetStepReport, PacketId, ProbeToken, SetupEvent, TransientKind,
+};
+
+/// One end of an inter-router wire: a router and the port the wire plugs
+/// into. Per-wire state is keyed by the *receiving* endpoint.
+type Endpoint = (NodeId, PortId);
+
+/// The multi-router simulator.
+#[derive(Debug)]
+pub struct NetworkSim {
+    fabric: Fabric,
+    routers: RouterArray,
+    wires: Wires,
+    packets: PacketPlane,
+    /// Asynchronous setups in flight ([`NetworkSim::request_connection`]).
+    pub(crate) probes: ProbeQueue,
+    conns: BTreeMap<NetConnectionId, NetConnection>,
+    /// (node, local connection) → network connection, for delivery lookup.
+    local_index: BTreeMap<(NodeId, ConnectionId), NetConnectionId>,
+    next_conn: u32,
+    pub(crate) rng: SeededRng,
+    stats: NetStats,
+    /// The invariant auditor, when enabled ([`NetworkSim::enable_audit`] or
+    /// the `MMR_AUDIT=1` environment switch).
+    auditor: Option<Auditor>,
+    /// Escalate any violation to a panic (set by `MMR_AUDIT=1`; cleared by
+    /// an explicit [`NetworkSim::enable_audit`], which records instead).
+    audit_enforce: bool,
+}
+
+impl NetworkSim {
+    /// Builds a network of routers over `topology`. The router configuration
+    /// is applied per node with credit tracking forced on (links are real
+    /// here) and per-node seeds derived from the configuration seed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the topology needs more ports than the configuration has.
+    pub fn new(topology: Topology, router_cfg: RouterConfig) -> Self {
+        Self::with_routing(topology, router_cfg, RoutingSpec::up_down())
+    }
+
+    /// Builds the network with an explicit routing description. Structured
+    /// specs (dimension-order, dragonfly, butterfly) carry no per-network
+    /// tables, which is what lets thousand-router fabrics fit in memory;
+    /// `RoutingSpec::up_down()` reproduces [`NetworkSim::new`] exactly.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the topology needs more ports than the configuration has
+    /// or does not match the declared routing shape.
+    pub fn with_routing(
+        topology: Topology,
+        router_cfg: RouterConfig,
+        spec: RoutingSpec,
+    ) -> Self {
+        // MMR_AUDIT=1 turns every simulation self-checking: the auditor
+        // runs in enforce mode and panics on the first broken invariant
+        // (the CI tier-1 suite runs once this way).
+        let audit_env =
+            std::env::var("MMR_AUDIT").map(|v| !v.is_empty() && v != "0").unwrap_or(false);
+        NetworkSim {
+            routers: RouterArray::new(&topology, &router_cfg),
+            fabric: Fabric::new(topology, spec),
+            wires: Wires::default(),
+            packets: PacketPlane::default(),
+            probes: ProbeQueue::default(),
+            conns: BTreeMap::new(),
+            local_index: BTreeMap::new(),
+            next_conn: 0,
+            rng: SeededRng::new(0x4E45_5457),
+            stats: NetStats::default(),
+            auditor: audit_env.then(Auditor::default),
+            audit_enforce: audit_env,
+        }
+    }
+
+    /// Selects the stepping engine: `true` forces the dense reference
+    /// engine (every router stepped every cycle), `false` — the default —
+    /// uses the event-driven wake set. Both engines produce byte-identical
+    /// results; the dense engine exists as the oracle for differential
+    /// tests (DESIGN.md §9). Switching wakes every router so no pending
+    /// idle bookkeeping is stranded.
+    pub fn set_dense_stepping(&mut self, dense: bool) {
+        self.routers.set_dense(dense);
+    }
+
+    /// Turns on link-level retransmission for every wire: per-flit CRC
+    /// checking at the receiver, per-link sequence numbers, and a bounded
+    /// go-back-N replay buffer per directed link. Fault-free traffic is
+    /// byte-identical with LLR on or off (the wire still carries at most
+    /// one flit per cycle per link, delivered on the same cycle); the layer
+    /// earns its keep under transient faults (see
+    /// [`NetworkSim::arm_transient`]).
+    pub fn enable_llr(&mut self, cfg: LlrConfig) {
+        self.wires.enable_llr(cfg);
+    }
+
+    /// Whether link-level retransmission is on.
+    pub fn llr_enabled(&self) -> bool {
+        self.wires.llr_enabled()
+    }
+
+    /// Turns on the cycle-accurate invariant auditor in *record* mode:
+    /// violations accumulate in [`NetworkSim::auditor`] instead of
+    /// panicking. (The `MMR_AUDIT=1` environment switch enables *enforce*
+    /// mode instead, which panics on the first violation; an explicit call
+    /// here overrides it.)
+    pub fn enable_audit(&mut self, cfg: AuditConfig) {
+        self.auditor = Some(Auditor::new(cfg));
+        self.audit_enforce = false;
+    }
+
+    /// The invariant auditor, when enabled.
+    pub fn auditor(&self) -> Option<&Auditor> {
+        self.auditor.as_ref()
+    }
+
+    /// Test-only fault hook: toggles the [`Router::return_credit`]
+    /// saturation clamp on every router in the network. Disabling the clamp
+    /// resurrects the historical phantom-capacity bug (a late credit return
+    /// onto a re-leased VC minted buffer capacity the downstream router
+    /// does not have) so the conformance harness can prove its oracle
+    /// catches the bug class. Production code never calls this.
+    #[doc(hidden)]
+    pub fn set_credit_clamp(&mut self, clamp: bool) {
+        for n in 0..self.routers.len() {
+            self.routers.get_mut(NodeId(n as u16)).set_credit_clamp(clamp);
+        }
+    }
+
+    /// Test-only fault hook: delivers one *stale* credit return for hop
+    /// `hop` of connection `id`, as if a duplicated credit signal crossed
+    /// the reverse channel. With the production clamp in place the spurious
+    /// credit saturates harmlessly at the buffer depth; with the clamp
+    /// disabled ([`NetworkSim::set_credit_clamp`]) it mints phantom
+    /// capacity, and the upstream router over-runs the downstream buffer.
+    /// Returns `false` when the connection or hop does not exist.
+    #[doc(hidden)]
+    pub fn inject_stale_credit(&mut self, id: NetConnectionId, hop: usize) -> bool {
+        let Some(&Hop { node, local }) = self.conns.get(&id).and_then(|c| c.hops.get(hop)) else {
+            return false;
+        };
+        let Some(output_vc) = self.routers.get(node).connection(local).map(|s| s.output_vc) else {
+            return false;
+        };
+        self.routers.get_mut(node).return_credit(output_vc);
+        true
+    }
+
+    /// The physical topology (as built, including failed wires).
+    pub fn topology(&self) -> &Topology {
+        self.fabric.topology()
+    }
+
+    /// The operational topology (failed wires removed); routing decisions
+    /// use this view.
+    pub fn live_topology(&self) -> &Topology {
+        self.fabric.live_topology()
+    }
+
+    /// The active routing engine (the configured algorithm, or the
+    /// up*/down* fault fallback while parts of the fabric are down).
+    pub fn routing(&self) -> &Routing {
+        self.fabric.routing()
+    }
+
+    /// The routing description the network was built with.
+    pub fn routing_spec(&self) -> RoutingSpec {
+        self.fabric.spec()
+    }
+
+    /// Whether the wire attached to `(node, port)` is operational.
+    pub fn link_ok(&self, node: NodeId, port: PortId) -> bool {
+        self.fabric.link_ok(node, port)
+    }
+
+    /// Whether the router at `node` is operational (not quarantined by
+    /// [`NetworkSim::fail_node`]).
+    pub fn node_ok(&self, node: NodeId) -> bool {
+        self.fabric.node_ok(node)
+    }
+
+    /// Monotonic counter bumped by every topology change — link or node,
+    /// fail or repair. A session parked on
+    /// [`SetupError::Unreachable`](crate::setup::SetupError::Unreachable)
+    /// compares epochs to decide when re-probing could possibly succeed.
+    pub fn topology_epoch(&self) -> u64 {
+        self.fabric.epoch()
+    }
+
+    /// A node's router (read access for assertions and stats).
+    pub fn router(&self, node: NodeId) -> &Router {
+        self.routers.get(node)
+    }
+
+    /// The waking accessor the probe/setup machinery mutates routers
+    /// through (see `RouterArray::get_mut`).
+    pub(crate) fn router_mut(&mut self, node: NodeId) -> &mut Router {
+        self.routers.get_mut(node)
+    }
+
+    /// Number of live end-to-end connections.
+    pub fn connections(&self) -> usize {
+        self.conns.len()
+    }
+
+    /// Estimated heap bytes of the fabric's steady-state structures: every
+    /// router's [`Router::heap_bytes`] plus the routing engine's tables.
+    /// `mmr-bench scale` divides this by the router count for its
+    /// bytes-per-router figure, so the number reflects what actually grows
+    /// with fabric size (lazy VC banks, status vectors, routing state) and
+    /// not transient traffic.
+    pub fn memory_footprint(&self) -> usize {
+        let routers: usize = self.routers.iter().map(Router::heap_bytes).sum();
+        routers + self.fabric.routing().heap_bytes()
+    }
+
+    /// A connection's state.
+    pub fn connection(&self, id: NetConnectionId) -> Option<&NetConnection> {
+        self.conns.get(&id)
+    }
+
+    /// Aggregate statistics so far.
+    pub fn stats(&self) -> &NetStats {
+        &self.stats
+    }
+
+    /// Records a release that named state no longer present (see
+    /// [`NetStats::ghost_releases`]); used by the probe machinery and the
+    /// recovery layer.
+    pub(crate) fn note_ghost_release(&mut self) {
+        self.stats.ghost_releases += 1;
+    }
+
+    /// Records a setup attempt that resolved `Unreachable` (see
+    /// [`NetStats::partitioned_sessions`]); called from `setup.rs`.
+    pub(crate) fn note_partition(&mut self) {
+        self.stats.partitioned_sessions += 1;
+    }
+
+    pub(crate) fn register_connection(&mut self, mut conn: NetConnection) -> NetConnectionId {
+        let id = NetConnectionId(self.next_conn);
+        self.next_conn += 1;
+        conn.id = id;
+        for hop in &conn.hops {
+            // mmr-lint: allow(A-TRANS, reason="per-connection-setup bookkeeping (control plane), not the per-flit data path")
+            self.local_index.insert((hop.node, hop.local), id);
+        }
+        self.conns.insert(id, conn); // mmr-lint: allow(A-TRANS, reason="per-connection-setup bookkeeping (control plane), not the per-flit data path")
+        id
+    }
+
+    /// Tears down an end-to-end connection, releasing every hop. Flits
+    /// still queued on the path are dropped with the connection and counted
+    /// into [`NetStats::flits_lost`], so the conservation identity
+    /// `injected = delivered + lost` survives session churn and preemption.
+    ///
+    /// # Errors
+    ///
+    /// [`NetError::UnknownConnection`] if the id is not live.
+    pub fn teardown(&mut self, id: NetConnectionId) -> Result<(), NetError> {
+        let dropped = self.teardown_counting(id)?;
+        self.stats.flits_lost += dropped;
+        Ok(())
+    }
+
+    /// [`NetworkSim::teardown`] returning the number of flits still queued
+    /// inside routers on the path (dropped with the connection).
+    fn teardown_counting(&mut self, id: NetConnectionId) -> Result<u64, NetError> {
+        let conn = self.conns.remove(&id).ok_or(NetError::UnknownConnection(id))?;
+        let mut dropped = 0u64;
+        for hop in &conn.hops {
+            self.local_index.remove(&(hop.node, hop.local));
+            match self.routers.get_mut(hop.node).teardown(hop.local) {
+                Ok(n) => dropped += n as u64,
+                // A hop released twice (e.g. the router side already torn
+                // down by a fault) is counted, not fatal.
+                Err(_) => self.stats.ghost_releases += 1,
+            }
+        }
+        // The stream ends here by design; the auditor must not flag the cut.
+        if let Some(aud) = self.auditor.as_mut() {
+            aud.stream_closed(u64::from(id.0));
+        }
+        Ok(dropped)
+    }
+
+    /// Injects the next flit of `conn` at its source NI.
+    ///
+    /// # Errors
+    ///
+    /// [`InjectError`] on backpressure (source buffer full) or unknown ids.
+    pub fn inject(&mut self, id: NetConnectionId, now: Cycles) -> Result<(), InjectError> {
+        // A registered connection always holds at least one hop; an empty
+        // path would make the id as unusable as an unknown one.
+        let &Hop { node, local } = self
+            .conns
+            .get(&id)
+            .and_then(|conn| conn.hops.first())
+            .ok_or(InjectError::UnknownConnection(ConnectionId(id.0)))?;
+        self.routers.get_mut(node).inject(local, now)
+    }
+
+    /// Whether the source NI can inject another flit this cycle.
+    pub fn can_inject(&self, id: NetConnectionId) -> bool {
+        self.conns
+            .get(&id)
+            .and_then(|c| c.hops.first())
+            .is_some_and(|first| self.routers.get(first.node).can_inject(first.local))
+    }
+
+    /// Guaranteed-bandwidth load factors over the operational inter-router
+    /// wires, reduced to `(peak, mean)`. Each wire direction contributes
+    /// its output [`LinkBandwidthBook`](mmr_core::bandwidth::LinkBandwidthBook)
+    /// occupancy; `(0.0, 0.0)` when no wire is up. This is the congestion
+    /// signal the admission controller throttles and sheds on.
+    pub fn link_load(&self) -> (f64, f64) {
+        let mut peak = 0.0f64;
+        let mut sum = 0.0f64;
+        let mut n = 0u32;
+        for w in self.fabric.live_topology().wires() {
+            for (node, port) in [w.a, w.b] {
+                let load = self.routers.get(node).bandwidth_book(port).load_factor();
+                peak = peak.max(load);
+                sum += load;
+                n += 1;
+            }
+        }
+        if n == 0 {
+            (0.0, 0.0)
+        } else {
+            (peak, sum / f64::from(n))
+        }
+    }
+
+    /// The flit rate of one physical link. Also the injection ceiling of a
+    /// node's NI input port: the crossbar matches each input port to at
+    /// most one output per flit cycle, so a node whose *own* sessions
+    /// reserve more aggregate egress than this cannot be served — the one
+    /// oversubscription the per-output bandwidth books do not catch, and
+    /// the reason the admission controller tracks per-source egress.
+    pub fn link_rate(&self) -> Bandwidth {
+        self.routers.iter().next().map_or(Bandwidth::ZERO, |r| r.config().timing().link_rate())
+    }
+
+    /// Sends a single-flit VCT packet from `src` toward `dst`.
+    ///
+    /// Control packets may cut through idle routers; blocked packets wait at
+    /// their current node and are retried every cycle, per §3.4.
+    ///
+    /// # Errors
+    ///
+    /// [`NetError::NotAPacketKind`] for stream flit kinds (only control and
+    /// best-effort flits travel as VCT packets), [`NetError::UnknownNode`]
+    /// for out-of-range endpoints.
+    pub fn send_packet(
+        &mut self,
+        src: NodeId,
+        dst: NodeId,
+        kind: FlitKind,
+        now: Cycles,
+    ) -> Result<PacketId, NetError> {
+        self.packets.send_packet((src, dst), kind, now, &self.fabric, &mut self.routers, &mut self.stats)
+    }
+
+    /// Runs one network flit cycle.
+    ///
+    /// Routers are stepped through an event-driven wake set rather than a
+    /// dense `0..nodes` scan: a router examined and found quiescent (no
+    /// buffered flits, no busy outputs, idle crossbar) goes to sleep, and
+    /// stays unexamined until some event — an arriving flit, a probe
+    /// reservation, a packet offer, a returned credit — wakes it. Skipping
+    /// a sleeping router is a provable no-op, so every emitted series is
+    /// byte-identical to dense stepping; see DESIGN.md §9 for the wake
+    /// rules and the identity argument. [`NetworkSim::set_dense_stepping`]
+    /// forces the dense reference engine for differential tests.
+    // mmr-lint: hot
+    pub fn step(&mut self, now: Cycles) -> NetStepReport {
+        let mut report = NetStepReport::default();
+        // Link-level ack/nack feedback from last cycle's wire deliveries.
+        self.wires.deliver_signals(now);
+        // In-flight setup probes and acknowledgments move one hop.
+        self.advance_probes(now, &mut report.setups);
+        // Packets blocked waiting for a free VC retry, oldest first.
+        self.packets.retry_blocked(now, &self.fabric, &mut self.routers, &mut self.stats);
+        // The awake routers step; what they transmit goes onto a wire, to
+        // the packet plane, or out of the destination NI.
+        self.step_routers(now, &mut report);
+        // Stream flits cross their wire into the next router.
+        let conns = &self.conns;
+        self.wires.pump_and_deliver(now, &mut self.routers, &mut self.stats, |id| {
+            conns.contains_key(&id)
+        });
+        // Packets that finished crossing a wire are offered onward.
+        self.packets.deliver_arrivals(now, &self.fabric, &mut self.routers, &mut self.stats);
+        self.packets.drain_delivered(&mut report.packets);
+        // Cycle-accurate invariant pass over the settled end-of-cycle state.
+        if self.auditor.is_some() {
+            self.run_audit(now);
+        }
+        report
+    }
+
+    /// The router phase of [`NetworkSim::step`]: drains the wake set and
+    /// dispatches every transmitted flit.
+    fn step_routers(&mut self, now: Cycles, report: &mut NetStepReport) {
+        let NetworkSim { fabric, routers, wires, packets, conns, local_index, stats, auditor, .. } =
+            self;
+        let topology = fabric.topology();
+        routers.drain_awake(now, |routers, node, transmitted| {
+            report.flits_switched += transmitted.len();
+            for t in transmitted {
+                // Return a credit upstream: this router freed an input slot.
+                // The upstream router is woken for form's sake — a credit
+                // alone cannot make a quiescent router non-quiescent (it
+                // has no flits to spend it on), but the invariant "every
+                // router mutation wakes" is cheaper to keep than to argue
+                // around.
+                if let Some((up, up_port)) = topology.peer_of(node, t.input_vc.port) {
+                    routers.get_mut(up).return_credit(VcRef { port: up_port, vc: t.input_vc.vc });
+                }
+                let output = t.output_vc.port;
+                if packets.forward_transmitted(node, t.conn, output, now, topology, stats) {
+                    continue;
+                }
+                let owner = local_index.get(&(node, t.conn)).copied();
+                match topology.peer_of(node, output) {
+                    Some(peer) => wires.send(peer, t.output_vc.vc, owner, t.flit),
+                    None => {
+                        // Terminal port: the NI consumes the flit at once and
+                        // returns the credit.
+                        routers.get_mut(node).return_credit(t.output_vc);
+                        let Some(id) = owner else { continue };
+                        let Some(conn) = conns.get_mut(&id) else {
+                            // Index and table disagree (stale index entry):
+                            // count and drop the delivery.
+                            stats.ghost_releases += 1;
+                            continue;
+                        };
+                        let delivered = deliver_at_ni(conn, t.flit, now, stats);
+                        if let Some(aud) = auditor.as_mut() {
+                            aud.observe_delivery(u64::from(id.0), t.flit.seq);
+                        }
+                        // mmr-lint: allow(A-TRANS, reason="per-step report handed to the caller by value; growth amortizes over the step's own deliveries")
+                        report.delivered.push(delivered);
+                    }
+                }
+            }
+        });
+    }
+
+    /// The end-of-cycle invariant pass: per-router structural checks plus
+    /// the cross-router credit-conservation equation for every live stream
+    /// hop (credits held upstream + flits buffered downstream + frames owed
+    /// by the retry layer must equal the VC depth; stream wires themselves
+    /// are empty between steps).
+    fn run_audit(&mut self, now: Cycles) {
+        let Some(mut aud) = self.auditor.take() else { return };
+        for (n, r) in self.routers.iter().enumerate() {
+            aud.check_router(n as u16, r, now);
+        }
+        for conn in self.conns.values() {
+            for pair in conn.hops.windows(2) {
+                let (up, down) = (&pair[0], &pair[1]);
+                let (up_router, down_router) =
+                    (self.routers.get(up.node), self.routers.get(down.node));
+                if !up_router.credits_tracked() {
+                    continue;
+                }
+                let (Some(up_state), Some(down_state)) =
+                    (up_router.connection(up.local), down_router.connection(down.local))
+                else {
+                    continue;
+                };
+                let credits = up_router.output_credit(up_state.output_vc);
+                let input = down_state.input_vc;
+                let buffered = down_router.vcm(input.port).occupancy(input.vc);
+                let in_layer = self.wires.owed_to((down.node, input.port), conn.id);
+                let depth = up_router.vc_depth();
+                if credits as usize + buffered + in_layer != depth {
+                    aud.report(AuditViolation::CreditConservation {
+                        router: up.node.0,
+                        conn: up.local,
+                        credits,
+                        buffered,
+                        in_flight: in_layer,
+                        depth,
+                    });
+                }
+            }
+        }
+        if self.audit_enforce && !aud.is_clean() {
+            // mmr-lint: allow(P-PANIC, reason="MMR_AUDIT=1 opt-in enforcement: aborting the campaign on an invariant breach is the auditor's contract")
+            panic!("MMR_AUDIT: invariant violated at cycle {}: {}", now.count(), aud.summary());
+        }
+        self.auditor = Some(aud);
+    }
+}
+
+/// A stream flit exits at its destination NI: sequence check, end-to-end
+/// latency and integrity accounting.
+fn deliver_at_ni(
+    conn: &mut NetConnection,
+    flit: Flit,
+    now: Cycles,
+    stats: &mut NetStats,
+) -> DeliveredFlit {
+    let in_order = flit.seq == conn.next_seq;
+    conn.next_seq = flit.seq + 1;
+    conn.delivered += 1;
+    let latency = now.since(flit.injected_at);
+    stats.latency.record(latency.as_f64());
+    stats.flits_delivered += 1;
+    if !in_order {
+        stats.out_of_order += 1;
+    }
+    // End-to-end integrity: a flit corrupted on some wire and never caught
+    // at a link check exits here with a stale CRC.
+    if !flit.crc_ok() {
+        stats.undetected_corruptions += 1;
+    }
+    DeliveredFlit { conn: conn.id, flit, latency, in_order }
+}

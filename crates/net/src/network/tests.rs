@@ -1,0 +1,151 @@
+//! [`NetworkSim`] end to end: streams, credits, teardown, load and packets.
+#![cfg(test)]
+
+use super::*;
+use crate::setup::{cbr_mbps, SetupStrategy};
+use crate::testkit::mesh_net;
+
+#[test]
+fn stream_flows_end_to_end_in_order() {
+    let mut net = mesh_net();
+    // 620 Mbps reserves half of each link, so one flit per 4 cycles is
+    // comfortably inside the per-round quota.
+    let id = net
+        .establish(NodeId(0), NodeId(8), cbr_mbps(620.0), SetupStrategy::Epb)
+        .expect("path exists");
+    let mut delivered = 0;
+    for t in 0..200u64 {
+        if t % 4 == 0 && net.can_inject(id) {
+            net.inject(id, Cycles(t)).expect("room");
+        }
+        let rep = net.step(Cycles(t));
+        for d in &rep.delivered {
+            assert!(d.in_order, "stream stays in order");
+            assert_eq!(d.conn, id);
+            // 0->8 on a 3x3 mesh crosses 5 routers: latency >= hops.
+            assert!(d.latency >= Cycles(4), "latency {:?}", d.latency);
+            delivered += 1;
+        }
+    }
+    assert!(delivered >= 40, "sustained delivery: {delivered}");
+    assert_eq!(net.stats().out_of_order, 0);
+}
+
+#[test]
+fn credits_bound_inflight_flits() {
+    let mut net = mesh_net();
+    let id = net
+        .establish(NodeId(0), NodeId(2), cbr_mbps(1240.0), SetupStrategy::Epb)
+        .expect("path exists");
+    // Inject as fast as possible; credits must throttle, never overflow.
+    let mut injected = 0u64;
+    let mut delivered = 0u64;
+    for t in 0..300u64 {
+        while net.can_inject(id) && injected < 250 {
+            net.inject(id, Cycles(t)).expect("checked");
+            injected += 1;
+        }
+        delivered += net.step(Cycles(t)).delivered.len() as u64;
+    }
+    // Drain.
+    for t in 300..400u64 {
+        delivered += net.step(Cycles(t)).delivered.len() as u64;
+    }
+    assert_eq!(injected, delivered, "conservation across the network");
+}
+
+#[test]
+fn teardown_releases_every_hop() {
+    let mut net = mesh_net();
+    let before: usize = (0..9).map(|n| net.router(NodeId(n)).connections()).sum();
+    let id = net
+        .establish(NodeId(0), NodeId(8), cbr_mbps(10.0), SetupStrategy::Epb)
+        .expect("path exists");
+    let during: usize = (0..9).map(|n| net.router(NodeId(n)).connections()).sum();
+    assert!(during >= before + 5, "a 0->8 path spans at least 5 routers");
+    net.teardown(id).expect("live");
+    let after: usize = (0..9).map(|n| net.router(NodeId(n)).connections()).sum();
+    assert_eq!(after, before);
+    assert_eq!(net.teardown(id), Err(NetError::UnknownConnection(id)));
+}
+
+#[test]
+fn voluntary_teardown_counts_queued_flits_as_lost() {
+    let mut net = mesh_net();
+    let id = net
+        .establish(NodeId(0), NodeId(8), cbr_mbps(10.0), SetupStrategy::Epb)
+        .expect("path exists");
+    // Inject without stepping: the flits sit queued at the source NI.
+    for _ in 0..3 {
+        net.inject(id, Cycles(0)).expect("source buffer has room");
+    }
+    net.teardown(id).expect("live");
+    let stats = net.stats();
+    assert_eq!(stats.flits_delivered, 0);
+    assert_eq!(stats.flits_lost, 3, "queued flits are accounted, not vanished");
+}
+
+#[test]
+fn link_load_tracks_reservations() {
+    let mut net = mesh_net();
+    assert_eq!(net.link_load(), (0.0, 0.0), "idle fabric has zero load");
+    let id = net
+        .establish(NodeId(0), NodeId(8), cbr_mbps(620.0), SetupStrategy::Epb)
+        .expect("path exists");
+    let (peak, mean) = net.link_load();
+    assert!(peak > 0.3, "a half-link-rate stream shows up in the peak: {peak}");
+    assert!(mean > 0.0 && mean <= peak, "mean {mean} peak {peak}");
+    net.teardown(id).expect("live");
+    assert_eq!(net.link_load(), (0.0, 0.0), "teardown releases the books");
+}
+
+#[test]
+fn packets_reach_their_destination() {
+    let mut net = mesh_net();
+    let mut got = Vec::new();
+    net.send_packet(NodeId(0), NodeId(8), FlitKind::Control, Cycles(0)).expect("valid");
+    net.send_packet(NodeId(3), NodeId(5), FlitKind::BestEffort, Cycles(0)).expect("valid");
+    for t in 0..100u64 {
+        let rep = net.step(Cycles(t));
+        got.extend(rep.packets);
+    }
+    assert_eq!(got.len(), 2, "both packets delivered: {got:?}");
+    assert_eq!(net.stats().packets_delivered, 2);
+    for p in &got {
+        assert!(p.hops >= 1);
+    }
+}
+
+#[test]
+fn control_packets_cut_through_an_idle_network() {
+    let mut net = mesh_net();
+    net.send_packet(NodeId(0), NodeId(2), FlitKind::Control, Cycles(0)).expect("valid");
+    let mut latency = None;
+    for t in 0..50u64 {
+        if let Some(p) = net.step(Cycles(t)).packets.first() {
+            latency = Some(p.latency);
+            break;
+        }
+    }
+    let latency = latency.expect("delivered");
+    // Two wire hops with cut-through at intermediate routers: a handful
+    // of cycles, far below the buffered worst case.
+    assert!(latency <= Cycles(6), "cut-through latency {latency}");
+    let cut_throughs: u64 = (0..9).map(|n| net.router(NodeId(n)).stats().cut_throughs).sum();
+    assert!(cut_throughs >= 1);
+}
+
+#[test]
+fn many_packets_with_small_vc_pool_eventually_deliver() {
+    let topology = Topology::mesh2d(2, 2, 6).expect("topology wires within the port budget");
+    let cfg = RouterConfig::paper_default().vcs_per_port(4).candidates(2).vc_depth(2);
+    let mut net = NetworkSim::new(topology, cfg);
+    for i in 0..20 {
+        net.send_packet(NodeId(i % 4), NodeId((i + 1) % 4), FlitKind::BestEffort, Cycles(0))
+            .expect("valid");
+    }
+    for t in 0..500u64 {
+        net.step(Cycles(t));
+    }
+    assert_eq!(net.stats().packets_delivered, 20, "blocked packets retry until done");
+}

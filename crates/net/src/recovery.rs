@@ -535,9 +535,13 @@ impl RecoveryManager {
         for setup in &report.setups {
             if self.orphaned.remove(&setup.token) {
                 // Timed out before the ack returned; a late success must
-                // release its path.
+                // release its path — unless a fault applied between the
+                // step and this call already tore it down, which is a
+                // double release like any other: counted, not fatal.
                 if let Ok(conn) = setup.result {
-                    net.teardown(conn).expect("late setups reserve live paths");
+                    if net.teardown(conn).is_err() {
+                        net.note_ghost_release();
+                    }
                 }
                 continue;
             }
@@ -705,15 +709,9 @@ impl RecoveryManager {
 mod tests {
     use super::*;
     use crate::setup::cbr_mbps;
+    use crate::testkit::{mesh_net, output_wire};
     use crate::topology::Topology;
     use mmr_core::router::RouterConfig;
-
-    fn mesh_net() -> NetworkSim {
-        NetworkSim::new(
-            Topology::mesh2d(3, 3, 8).expect("topology wires within the port budget"),
-            RouterConfig::paper_default().vcs_per_port(16).candidates(4),
-        )
-    }
 
     fn run_recovery(
         net: &mut NetworkSim,
@@ -736,9 +734,8 @@ mod tests {
         let sid = mgr.open(&mut net, NodeId(0), NodeId(8), cbr_mbps(124.0)).expect("placed");
         let conn = mgr.conn(sid).expect("active");
         // Fail the first wire the stream crosses.
-        let hop = net.connection(conn).expect("live").hops[0];
-        let out = net.router(hop.node).connection(hop.local).expect("live").output_vc.port;
-        let broken = net.fail_link(hop.node, out).expect("inter-router wire");
+        let (node, port) = output_wire(&net, conn, 0);
+        let broken = net.fail_link(node, port).expect("inter-router wire");
         assert_eq!(broken, vec![conn]);
         mgr.on_faults(&broken, Cycles(10));
         assert_eq!(mgr.status(sid), Some(SessionStatus::Recovering));
@@ -761,6 +758,41 @@ mod tests {
             delivered += net.step(Cycles(t)).delivered.len();
         }
         assert_eq!(delivered, 1);
+    }
+
+    #[test]
+    fn a_fault_between_step_and_service_cannot_double_release_a_late_setup() {
+        let mut net = mesh_net();
+        // A 1-cycle deadline orphans the re-establishment probe long before
+        // its acknowledgment returns; the long backoff keeps retries away.
+        let mut mgr = RecoveryManager::new(
+            RecoveryPolicy::default().setup_timeout(Cycles(1)).backoff(Cycles(64), Cycles(64)),
+        );
+        let sid = mgr.open(&mut net, NodeId(0), NodeId(8), cbr_mbps(10.0)).expect("placed");
+        let (node, port) = output_wire(&net, mgr.conn(sid).expect("active"), 0);
+        let broken = net.fail_link(node, port).expect("inter-router wire");
+        mgr.on_faults(&broken, Cycles(0));
+        for t in 0..60u64 {
+            let report = net.step(Cycles(t));
+            let late = report
+                .setups
+                .iter()
+                .find_map(|s| s.result.ok().filter(|_| mgr.orphaned.contains(&s.token)));
+            if let Some(conn) = late {
+                // The orphan's late success is in this step's report; a
+                // second fault tears its path down before the manager
+                // gets to read it.
+                let (node, port) = output_wire(&net, conn, 0);
+                let broken = net.fail_link(node, port).expect("inter-router wire");
+                assert!(broken.contains(&conn));
+                let ghosts = net.stats().ghost_releases;
+                let _ = mgr.service(&mut net, &report, Cycles(t));
+                assert_eq!(net.stats().ghost_releases, ghosts + 1, "counted, not fatal");
+                return;
+            }
+            let _ = mgr.service(&mut net, &report, Cycles(t));
+        }
+        panic!("the orphaned probe never completed");
     }
 
     #[test]
@@ -835,14 +867,13 @@ mod tests {
         );
         let sid = mgr.open(&mut net, NodeId(0), NodeId(2), cbr_mbps(10.0)).expect("placed");
         let conn = mgr.conn(sid).expect("active");
-        let hops = net.connection(conn).expect("live").hops.clone();
         // First bystander shares node 2's delivery port with the session.
         net.establish(NodeId(1), NodeId(2), cbr_mbps(10.0), SetupStrategy::Epb)
             .expect("one delivery VC is still free");
         // Kill the wire the session is on; its teardown frees the second
         // delivery VC, which the second bystander immediately claims.
-        let out = net.router(hops[0].node).connection(hops[0].local).expect("live").output_vc.port;
-        let broken = net.fail_link(hops[0].node, out).expect("inter-router wire");
+        let (node, port) = output_wire(&net, conn, 0);
+        let broken = net.fail_link(node, port).expect("inter-router wire");
         assert_eq!(broken, vec![conn]);
         net.establish(NodeId(3), NodeId(2), cbr_mbps(10.0), SetupStrategy::Epb)
             .expect("the torn session freed a delivery VC");

@@ -33,9 +33,9 @@
 //! Structured algorithms assume the intact regular fabric. When links or
 //! routers fail, the network swaps to up*/down* over the survivor graph
 //! (root migration as before) and swaps back to the configured algorithm
-//! once everything is repaired — see `NetworkSim::rebuild_routing`. The
-//! [`RoutingSpec`] stored on the network is what makes the round trip
-//! possible.
+//! once everything is repaired — see `Fabric::topology_changed` in
+//! `network/fabric.rs`. The [`RoutingSpec`] stored on the network is what
+//! makes the round trip possible.
 
 use mmr_core::ids::PortId;
 

@@ -28,9 +28,9 @@ use std::collections::BTreeMap;
 
 use mmr_core::conn::{ConnectionRequest, QosClass};
 use mmr_core::ids::{ConnectionId, PortId, VcIndex};
-use mmr_sim::Bandwidth;
+use mmr_sim::{Bandwidth, Cycles};
 
-use crate::network::{Hop, NetConnection, NetConnectionId, NetworkSim};
+use crate::network::{Hop, NetConnection, NetConnectionId, NetworkSim, ProbeToken, SetupEvent};
 use crate::routing::RoutingAlgorithm;
 use crate::topology::NodeId;
 
@@ -296,6 +296,12 @@ impl ProbeMachine {
     /// [`ProbeMachine::advance`] returned [`ProbeStep::Reserved`]; every
     /// partial reservation is released before returning.
     pub fn commit(mut self, net: &mut NetworkSim) -> Result<SetupReceipt, SetupError> {
+        self.commit_in_place(net)
+    }
+
+    /// [`ProbeMachine::commit`] for a machine that is about to be dropped
+    /// in place (the probe queue retires its entries without moving them).
+    fn commit_in_place(&mut self, net: &mut NetworkSim) -> Result<SetupReceipt, SetupError> {
         if self.stack.is_empty() || self.stack.iter().any(|f| f.reserved.is_none()) {
             self.unwind(net);
             return Err(SetupError::Incomplete);
@@ -350,7 +356,127 @@ impl ProbeMachine {
     }
 }
 
+/// One asynchronous setup in flight.
+#[derive(Debug)]
+struct ActiveProbe {
+    token: ProbeToken,
+    machine: ProbeMachine,
+    started_at: Cycles,
+    /// `None` while the probe is still searching/reserving, one move per
+    /// cycle. Once the path is fully reserved: the links the acknowledgment
+    /// has yet to cross on its way back to the source along the reverse
+    /// channel mappings, one per cycle.
+    ack_left: Option<usize>,
+}
+
+/// The asynchronous setups a network has in flight
+/// ([`NetworkSim::request_connection`]), advanced one move per flit cycle.
+#[derive(Debug, Default)]
+pub(crate) struct ProbeQueue {
+    active: Vec<ActiveProbe>,
+    /// Probes aborted by a node failure, reported as
+    /// [`SetupError::Aborted`] completions by the next
+    /// [`NetworkSim::step`]: `(token, started_at, probe_hops)`.
+    aborted: Vec<(ProbeToken, Cycles, u32)>,
+    next_token: u64,
+}
+
 impl NetworkSim {
+    /// Starts an *asynchronous* connection setup: the routing probe departs
+    /// from `src`'s NI and moves one router per flit cycle (reserving,
+    /// backtracking, or failing), and on success the acknowledgment returns
+    /// to the source along the reverse channel mappings, one link per cycle
+    /// (§4.2). The completion — with its measured setup latency — appears in
+    /// a later [`NetStepReport::setups`](crate::network::NetStepReport::setups).
+    pub fn request_connection(
+        &mut self,
+        src: NodeId,
+        dst: NodeId,
+        class: QosClass,
+        strategy: SetupStrategy,
+        now: Cycles,
+    ) -> ProbeToken {
+        let token = ProbeToken(self.probes.next_token);
+        self.probes.next_token += 1;
+        let machine = ProbeMachine::new(self, src, dst, class, strategy);
+        self.probes.active.push(ActiveProbe { token, machine, started_at: now, ack_left: None });
+        token
+    }
+
+    /// Number of setups still in flight.
+    pub fn probes_in_flight(&self) -> usize {
+        self.probes.active.len()
+    }
+
+    /// The probe phase of [`NetworkSim::step`]: every in-flight probe (or
+    /// returning acknowledgment) makes one move, and setups that finished
+    /// this cycle are appended to `done` in launch order.
+    pub(crate) fn advance_probes(&mut self, now: Cycles, done: &mut Vec<SetupEvent>) {
+        // The queue steps aside while its machines mutate the network.
+        let mut queue = std::mem::take(&mut self.probes);
+        // Probes torn down by a node failure complete as `Aborted` here,
+        // with latency measured like any other completion.
+        for (token, started_at, probe_hops) in queue.aborted.drain(..) {
+            // mmr-lint: allow(A-TRANS, reason="per-step report handed to the caller by value; setup completions are control-plane rare")
+            done.push(SetupEvent {
+                token,
+                result: Err(SetupError::Aborted),
+                latency: now.since(started_at),
+                probe_hops,
+            });
+        }
+        queue.active.retain_mut(|probe| {
+            let result = match probe.ack_left {
+                None => match probe.machine.advance(self) {
+                    ProbeStep::Advanced | ProbeStep::Backtracked => return true,
+                    ProbeStep::Reserved => {
+                        // The ack crosses every inter-router link on the
+                        // reserved path, one per cycle.
+                        probe.ack_left = Some(probe.machine.path_len().saturating_sub(1));
+                        return true;
+                    }
+                    ProbeStep::Failed(e) => {
+                        if e == SetupError::Unreachable {
+                            self.note_partition();
+                        }
+                        Err(e)
+                    }
+                },
+                Some(0) => probe.machine.commit_in_place(self).map(|receipt| receipt.conn),
+                Some(left) => {
+                    probe.ack_left = Some(left - 1);
+                    return true;
+                }
+            };
+            // mmr-lint: allow(A-TRANS, reason="per-step report handed to the caller by value; setup completions are control-plane rare")
+            done.push(SetupEvent {
+                token: probe.token,
+                result,
+                latency: now.since(probe.started_at),
+                probe_hops: probe.machine.probe_hops(),
+            });
+            false
+        });
+        self.probes = queue;
+    }
+
+    /// Aborts every in-flight probe whose stack touches `node` (it is
+    /// dying), releasing their partial reservations. The completions
+    /// surface as [`SetupError::Aborted`] on the next step.
+    pub(crate) fn abort_probes_visiting(&mut self, node: NodeId) {
+        let mut queue = std::mem::take(&mut self.probes);
+        queue.active.retain_mut(|probe| {
+            let doomed = probe.machine.visits(node);
+            if doomed {
+                let hops = probe.machine.probe_hops();
+                probe.machine.abort(self);
+                queue.aborted.push((probe.token, probe.started_at, hops));
+            }
+            !doomed
+        });
+        self.probes = queue;
+    }
+
     /// Establishes a connection from `src`'s NI to `dst`'s NI with the given
     /// class, searching minimal paths per the chosen strategy and reserving
     /// VCs and bandwidth hop by hop. The search runs to completion

@@ -165,10 +165,10 @@ impl UpDownRouting {
     }
 
     /// The single best legal next hop — minimum remaining legal distance,
-    /// lowest port index as tie-break — without materializing the candidate
-    /// list. This is the allocation-free form the per-packet offer path uses;
-    /// `next_hops` returns the full sorted candidate set for adaptive-choice
-    /// analysis and tests.
+    /// lowest port index as tie-break. Every offered hop strictly reduces
+    /// the remaining legal distance, so following it always reaches the
+    /// destination. Allocation-free: this is what the per-packet offer path
+    /// runs, through [`RoutingAlgorithm::next_hop`].
     pub fn best_hop(
         &self,
         topology: &Topology,
@@ -199,66 +199,6 @@ impl UpDownRouting {
             }
         }
         best.map(|(_, port, peer, dir)| (port, peer, dir))
-    }
-
-    /// Legal adaptive next hops from `current` toward `dest`, given the
-    /// direction of the last traversed link (`None` at the source). Every
-    /// offered hop strictly reduces the remaining legal distance, so
-    /// following any of them always reaches the destination; they are sorted
-    /// best-first.
-    pub fn next_hops(
-        &self,
-        topology: &Topology,
-        current: NodeId,
-        dest: NodeId,
-        last_dir: Option<LinkDir>,
-    ) -> Vec<(PortId, NodeId, LinkDir)> {
-        if current == dest {
-            return Vec::new();
-        }
-        let phase = Phase::from_last(last_dir);
-        let here = self.legal[dest.index()][current.index()][phase as usize];
-        if here == usize::MAX {
-            return Vec::new();
-        }
-        let mut hops: Vec<(usize, PortId, NodeId, LinkDir)> = topology
-            .neighbors(current)
-            .into_iter()
-            .filter_map(|(port, peer, _)| {
-                let dir = self.direction(current, peer);
-                if phase == Phase::DownOnly && dir == LinkDir::Up {
-                    return None;
-                }
-                let landing = usize::from(dir == LinkDir::Down);
-                let there = self.legal[dest.index()][peer.index()][landing];
-                (there < here).then_some((there, port, peer, dir))
-            })
-            .collect();
-        hops.sort_by_key(|&(there, port, _, _)| (there, port.index()));
-        hops.into_iter().map(|(_, port, peer, dir)| (port, peer, dir)).collect()
-    }
-
-    /// One deadlock-free legal path `src → dest` (best next hop each step).
-    /// `None` only if `dest` is unreachable.
-    pub fn route(
-        &self,
-        topology: &Topology,
-        src: NodeId,
-        dest: NodeId,
-    ) -> Option<Vec<(PortId, NodeId)>> {
-        if src != dest && self.legal_distance(src, dest, None) == usize::MAX {
-            return None;
-        }
-        let mut path = Vec::new();
-        let mut current = src;
-        let mut last_dir = None;
-        while current != dest {
-            let (port, peer, dir) = self.best_hop(topology, current, dest, last_dir)?;
-            path.push((port, peer));
-            current = peer;
-            last_dir = Some(dir);
-        }
-        Some(path)
     }
 }
 
@@ -308,7 +248,20 @@ impl RoutingAlgorithm for UpDownRouting {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::routing::RouteHop;
     use mmr_sim::SeededRng;
+
+    /// The up*/down* rule itself: once a walk has descended it never ascends.
+    fn assert_never_up_after_down(r: &UpDownRouting, src: NodeId, path: &[RouteHop]) {
+        let mut current = src;
+        let mut gone_down = false;
+        for hop in path {
+            let dir = r.direction(current, hop.next);
+            assert!(!(gone_down && dir == LinkDir::Up), "walk from {src} went up after down");
+            gone_down |= dir == LinkDir::Down;
+            current = hop.next;
+        }
+    }
 
     #[test]
     fn directions_are_antisymmetric() {
@@ -331,7 +284,7 @@ mod tests {
                 if src == dst {
                     assert!(path.is_empty());
                 } else {
-                    assert_eq!(path.last().expect("non-empty").1, NodeId(dst));
+                    assert_eq!(path.last().expect("non-empty").next, NodeId(dst));
                 }
             }
         }
@@ -344,16 +297,7 @@ mod tests {
         for src in 0..16u16 {
             for dst in 0..16u16 {
                 let path = r.route(&t, NodeId(src), NodeId(dst)).expect("reachable");
-                let mut current = NodeId(src);
-                let mut gone_down = false;
-                for (_, next) in path {
-                    let dir = r.direction(current, next);
-                    if gone_down {
-                        assert_ne!(dir, LinkDir::Up, "{src}->{dst} went up after down");
-                    }
-                    gone_down |= dir == LinkDir::Down;
-                    current = next;
-                }
+                assert_never_up_after_down(&r, NodeId(src), &path);
             }
         }
     }
@@ -400,13 +344,12 @@ mod tests {
                 if src == dst {
                     continue;
                 }
-                let hops = r.next_hops(&t, NodeId(src), NodeId(dst), None);
-                assert!(!hops.is_empty(), "{src}->{dst} must offer a hop");
+                let (_, peer, dir) = r
+                    .best_hop(&t, NodeId(src), NodeId(dst), None)
+                    .unwrap_or_else(|| panic!("{src}->{dst} must offer a hop"));
                 let here = r.legal_distance(NodeId(src), NodeId(dst), None);
-                for (_, peer, dir) in hops {
-                    let there = r.legal_distance(NodeId(peer.0), NodeId(dst), Some(dir));
-                    assert!(there < here, "offered hops strictly progress");
-                }
+                let there = r.legal_distance(peer, NodeId(dst), Some(dir));
+                assert!(there < here, "the offered hop strictly progresses");
             }
         }
     }
@@ -420,18 +363,9 @@ mod tests {
             for dst in 0..9u16 {
                 let path = r.route(&t, NodeId(src), NodeId(dst)).expect("reachable");
                 if src != dst {
-                    assert_eq!(path.last().expect("non-empty").1, NodeId(dst));
+                    assert_eq!(path.last().expect("non-empty").next, NodeId(dst));
                 }
-                let mut current = NodeId(src);
-                let mut gone_down = false;
-                for (_, next) in path {
-                    let dir = r.direction(current, next);
-                    if gone_down {
-                        assert_ne!(dir, LinkDir::Up, "{src}->{dst} went up after down");
-                    }
-                    gone_down |= dir == LinkDir::Down;
-                    current = next;
-                }
+                assert_never_up_after_down(&r, NodeId(src), &path);
             }
         }
     }
@@ -440,10 +374,19 @@ mod tests {
     fn adaptivity_offers_multiple_hops() {
         let t = Topology::torus2d(4, 4, 8).expect("topology wires within the port budget");
         let r = UpDownRouting::new(&t);
+        // Neighbours of `s` that strictly reduce the legal distance to `d`.
+        let progressing = |s: NodeId, d: NodeId| {
+            let here = r.legal_distance(s, d, None);
+            t.neighbors_iter(s)
+                .filter(|&(_, peer, _)| {
+                    r.legal_distance(peer, d, Some(r.direction(s, peer))) < here
+                })
+                .count()
+        };
         let multi = (0..16u16)
             .flat_map(|s| (0..16u16).map(move |d| (s, d)))
             .filter(|&(s, d)| s != d)
-            .filter(|&(s, d)| r.next_hops(&t, NodeId(s), NodeId(d), None).len() > 1)
+            .filter(|&(s, d)| progressing(NodeId(s), NodeId(d)) > 1)
             .count();
         assert!(multi > 20, "adaptive choice exists for many pairs: {multi}");
     }
@@ -457,8 +400,8 @@ mod tests {
                 if src == dst {
                     continue;
                 }
-                let down_hops = r.next_hops(&t, NodeId(src), NodeId(dst), Some(LinkDir::Down));
-                for (_, peer, _) in down_hops {
+                let descending = r.best_hop(&t, NodeId(src), NodeId(dst), Some(LinkDir::Down));
+                if let Some((_, peer, _)) = descending {
                     assert_eq!(
                         r.direction(NodeId(src), peer),
                         LinkDir::Down,
