@@ -274,7 +274,7 @@ pub fn run_scenario(scenario: &Scenario, hooks: Hooks) -> CaseRun {
         handle_broken(&tick.broken, &mut streams, &mut oracle);
         // The controller learns of broken churn connections here; the
         // post-step reconcile in `churn_service` settles the ledger.
-        ctl.sessions_mut().on_faults(&tick.broken, now);
+        ctl.on_faults(&tick.broken, now);
 
         if hooks.phantom_credit && t >= phantom_from && t < phantom_to {
             inject_phantom_credits(&mut net, &streams, vc_depth);
@@ -404,7 +404,7 @@ pub fn run_scenario(scenario: &Scenario, hooks: Hooks) -> CaseRun {
         let now = Cycles(t);
         let tick = injector.poll(&mut net, now);
         handle_broken(&tick.broken, &mut streams, &mut oracle);
-        ctl.sessions_mut().on_faults(&tick.broken, now);
+        ctl.on_faults(&tick.broken, now);
         let report = net.step(now);
         for d in &report.delivered {
             oracle.delivered(d.conn.0, d.flit.seq, d.latency.0, d.in_order);

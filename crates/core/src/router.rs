@@ -790,26 +790,26 @@ impl Router {
             }
             None => free_inputs.pop().ok_or(EstablishError::NoFreeInputVc)?,
         };
-        let Some(out_vc) = self.free_output_vcs[req.output.index()].pop() else {
-            // mmr-lint: allow(A-TRANS, reason="returns a VC to a free list whose capacity was reserved for every VC at construction")
-            self.free_input_vcs[req.input.index()].push(in_vc);
-            return Err(EstablishError::NoFreeOutputVc);
-        };
-        let in_alloc = match self.input_books[req.input.index()].try_admit(req.class) {
-            Ok(a) => a,
-            Err(e) => {
-                self.free_input_vcs[req.input.index()].push(in_vc); // mmr-lint: allow(A-TRANS, reason="returns a VC to a free list whose capacity was reserved for every VC at construction")
-                self.free_output_vcs[req.output.index()].push(out_vc); // mmr-lint: allow(A-TRANS, reason="returns a VC to a free list whose capacity was reserved for every VC at construction")
-                return Err(e.into());
+        let input_vc = VcRef { port: req.input, vc: in_vc };
+        let output_vc = self.free_output_vcs[req.output.index()]
+            .pop()
+            .map(|vc| VcRef { port: req.output, vc });
+        let admitted = output_vc.ok_or(EstablishError::NoFreeOutputVc).and_then(|output_vc| {
+            let in_alloc = self.input_books[req.input.index()].try_admit(req.class)?;
+            match self.books[req.output.index()].try_admit(req.class) {
+                Ok(alloc) => Ok((output_vc, in_alloc, alloc)),
+                Err(e) => {
+                    self.input_books[req.input.index()].release(in_alloc);
+                    Err(e.into())
+                }
             }
-        };
-        let alloc = match self.books[req.output.index()].try_admit(req.class) {
-            Ok(a) => a,
+        });
+        let (output_vc, in_alloc, alloc) = match admitted {
+            Ok(granted) => granted,
             Err(e) => {
-                self.input_books[req.input.index()].release(in_alloc);
-                self.free_input_vcs[req.input.index()].push(in_vc); // mmr-lint: allow(A-TRANS, reason="returns a VC to a free list whose capacity was reserved for every VC at construction")
-                self.free_output_vcs[req.output.index()].push(out_vc); // mmr-lint: allow(A-TRANS, reason="returns a VC to a free list whose capacity was reserved for every VC at construction")
-                return Err(e.into());
+                // The one rollback: whichever VCs were taken go back.
+                self.release_vcs(input_vc, output_vc);
+                return Err(e);
             }
         };
 
@@ -839,8 +839,8 @@ impl Router {
         // mmr-lint: allow(A-TRANS, reason="ConnectionTable::insert is per-connection-setup (control plane); its own growth is audited in conn.rs")
         self.conns.insert(ConnState {
             id,
-            input_vc: VcRef { port: req.input, vc: in_vc },
-            output_vc: VcRef { port: req.output, vc: out_vc },
+            input_vc,
+            output_vc,
             class: req.class,
             interarrival_cycles: interarrival,
             fixed_priority,
@@ -858,7 +858,7 @@ impl Router {
         let status = &mut self.status[req.input.index()];
         status.set(Condition::ConnectionActive, in_vc.index(), true);
         if self.cfg.track_output_credits {
-            self.credits[req.output.index()][out_vc.index()] = self.cfg.vc_depth as u32;
+            self.credits[req.output.index()][output_vc.vc.index()] = self.cfg.vc_depth as u32;
         }
         status.set(Condition::CreditsAvailable, in_vc.index(), true);
         Ok(id)
@@ -889,10 +889,18 @@ impl Router {
         ] {
             status.set(cond, state.input_vc.vc.index(), false);
         }
-        // mmr-lint: allow(A-TRANS, reason="returns a VC to a free list whose capacity was reserved for every VC at construction")
-        self.free_input_vcs[state.input_vc.port.index()].push(state.input_vc.vc);
-        self.free_output_vcs[state.output_vc.port.index()].push(state.output_vc.vc); // mmr-lint: allow(A-TRANS, reason="returns a VC to a free list whose capacity was reserved for every VC at construction")
+        self.release_vcs(state.input_vc, Some(state.output_vc));
         Ok(dropped)
+    }
+
+    /// Returns a connection's VCs to their ports' free lists: teardown, and
+    /// setup rollback (where the output VC may not have been taken yet).
+    fn release_vcs(&mut self, input: VcRef, output: Option<VcRef>) {
+        // mmr-lint: allow(A-TRANS, reason="returns a VC to a free list whose capacity was reserved for every VC at construction")
+        self.free_input_vcs[input.port.index()].push(input.vc);
+        if let Some(output) = output {
+            self.free_output_vcs[output.port.index()].push(output.vc); // mmr-lint: allow(A-TRANS, reason="returns a VC to a free list whose capacity was reserved for every VC at construction")
+        }
     }
 
     /// Quarantines the router after a node failure: tears down every
@@ -945,23 +953,7 @@ impl Router {
         kind: FlitKind,
         now: Cycles,
     ) -> Result<(), InjectError> {
-        let state = self.conns.get_mut(conn).ok_or(InjectError::UnknownConnection(conn))?;
-        let vc_ref = state.input_vc;
-        let flit = Flit::new(conn, kind, state.flits_injected, now);
-        // mmr-lint: allow(A-TRANS, reason="VirtualChannelMemory::push is depth-gated VCM admission, not container growth; its buffer ops are audited in vcm.rs")
-        match self.vcms[vc_ref.port.index()].push(vc_ref.vc, flit, now) {
-            Ok(()) => {
-                state.flits_injected += 1;
-                self.status[vc_ref.port.index()].set(
-                    Condition::FlitsAvailable,
-                    vc_ref.vc.index(),
-                    true,
-                );
-                Ok(())
-            }
-            Err(VcmError::BufferFull { .. }) => Err(InjectError::BufferFull(conn)),
-            Err(VcmError::NoSuchVc { .. }) => Err(InjectError::InvalidVc(conn)),
-        }
+        self.enqueue(conn, now, |seq| Flit::new(conn, kind, seq, now))
     }
 
     /// Accepts a flit arriving from an upstream router for `conn`,
@@ -978,10 +970,23 @@ impl Router {
         flit: Flit,
         now: Cycles,
     ) -> Result<(), InjectError> {
+        self.enqueue(conn, now, |_| Flit { conn, ..flit })
+    }
+
+    /// Pushes one flit into `conn`'s input VC and raises its
+    /// flits-available bit; `flit` builds it from the connection's next
+    /// sequence number.
+    #[inline]
+    fn enqueue(
+        &mut self,
+        conn: ConnectionId,
+        now: Cycles,
+        flit: impl FnOnce(u64) -> Flit,
+    ) -> Result<(), InjectError> {
         let state = self.conns.get_mut(conn).ok_or(InjectError::UnknownConnection(conn))?;
         let vc_ref = state.input_vc;
-        let retagged = Flit { conn, ..flit };
-        match self.vcms[vc_ref.port.index()].push(vc_ref.vc, retagged, now) {
+        // mmr-lint: allow(A-TRANS, reason="VirtualChannelMemory::push is depth-gated VCM admission, not container growth; its buffer ops are audited in vcm.rs")
+        match self.vcms[vc_ref.port.index()].push(vc_ref.vc, flit(state.flits_injected), now) {
             Ok(()) => {
                 state.flits_injected += 1;
                 self.status[vc_ref.port.index()].set(

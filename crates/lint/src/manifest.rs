@@ -313,7 +313,8 @@ modules = ["crates/core/src/router.rs"]
 
     /// The workspace manifest designates `crates/net/src/network` as a
     /// directory, so a file added to the simulator cannot silently leave
-    /// the panic-free wall.
+    /// the panic-free wall; the session layer above it (`recovery.rs`,
+    /// `admission.rs`) is inside the wall too.
     #[test]
     fn every_network_source_file_is_panic_free_scoped() {
         let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
@@ -330,5 +331,9 @@ modules = ["crates/core/src/router.rs"]
             }
         }
         assert!(seen > 0, "{dir} holds the simulator's sources");
+        for file in ["crates/net/src/recovery.rs", "crates/net/src/admission.rs"] {
+            assert!(root.join(file).is_file(), "{file} moved; update lint.toml");
+            assert!(m.is_panic_free(file), "{file} left P-* scope");
+        }
     }
 }

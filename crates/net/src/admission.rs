@@ -12,10 +12,11 @@
 //!   [`AdmitPolicy::headroom`].
 //! * **Degrade on admit**: past the headroom, a CBR request is granted the
 //!   *lowest* rung of the paper's §5 rate ladder instead of its asked rate
-//!   (minimal footprint keeps the fabric serving everyone); the asked rate
-//!   is remembered and won back — one rung per [`AdmissionController::service`]
-//!   call through [`RecoveryManager::upgrade`] — when the load recedes
-//!   below [`AdmitPolicy::low_watermark`].
+//!   (minimal footprint keeps the fabric serving everyone); the session
+//!   table records the asked rate as owed and it is won back — one rung per
+//!   [`AdmissionController::service`] call through
+//!   [`RecoveryManager::upgrade`] — when the load recedes below
+//!   [`AdmitPolicy::low_watermark`].
 //! * **Typed reject** when even that fails, with the cause preserved
 //!   ([`RejectReason`]).
 //! * **Priority-aware shedding**: sustained overload (the peak stays above
@@ -40,7 +41,7 @@ use std::collections::BTreeMap;
 use mmr_core::conn::QosClass;
 use mmr_sim::{Bandwidth, Cycles};
 
-use crate::network::{NetStepReport, NetworkSim};
+use crate::network::{NetConnectionId, NetStepReport, NetworkSim};
 use crate::recovery::{
     RecoveryEvent, RecoveryManager, RecoveryPolicy, SessionId, UpgradeOutcome,
 };
@@ -65,12 +66,10 @@ pub struct AdmitPolicy {
     /// Requests that would push the source past this fraction are degraded
     /// or rejected. `f64::INFINITY` disables the guard (naive baseline).
     pub ni_headroom: f64,
-    /// Degrade-on-admit: grant the lowest ladder rung past the headroom
-    /// instead of rejecting outright.
+    /// Degrade-on-admit: grant the lowest rung of the session layer's
+    /// ladder ([`RecoveryPolicy::ladder`]) past the headroom instead of
+    /// rejecting outright.
     pub degrade_on_admit: bool,
-    /// The rate ladder degradation and upgrades walk (ascending). Defaults
-    /// to the paper's nine rates.
-    pub ladder: Vec<Bandwidth>,
     /// Enables the load shedder.
     pub shed: bool,
     /// Consecutive over-headroom [`AdmissionController::service`] calls
@@ -92,7 +91,6 @@ impl Default for AdmitPolicy {
             low_watermark: 0.5,
             ni_headroom: 0.9,
             degrade_on_admit: true,
-            ladder: mmr_traffic::rates::paper_rate_ladder().to_vec(),
             shed: true,
             shed_patience: 64,
             shed_batch: 2,
@@ -160,11 +158,6 @@ impl AdmitPolicy {
             .ni_headroom(f64::INFINITY)
             .degrade_on_admit(false)
             .shed(false)
-    }
-
-    /// The lowest rung of the ladder, if the ladder is non-empty.
-    fn floor_rung(&self) -> Option<Bandwidth> {
-        self.ladder.first().copied()
     }
 }
 
@@ -283,19 +276,18 @@ fn bucket_of(class: QosClass) -> ShedBucket {
     }
 }
 
-/// The dynamic admission controller (see the module docs).
+/// The dynamic admission controller (see the module docs): pure policy
+/// over the session table it owns — what a session *is* lives in the
+/// [`RecoveryManager`], never here.
 #[derive(Debug, Clone)]
 pub struct AdmissionController {
     policy: AdmitPolicy,
     mgr: RecoveryManager,
-    /// Asked rate of sessions admitted (or later degraded) below it; the
-    /// upgrade pass drains this map as rungs are won back.
-    desired: BTreeMap<SessionId, Bandwidth>,
     /// Consecutive over-headroom service calls.
     pressure: u32,
     /// Consecutive shed rounds that hit each bucket.
     consecutive_hits: BTreeMap<ShedBucket, u32>,
-    /// Round-robin cursor over `desired` for the upgrade pass.
+    /// Round-robin cursor of the upgrade pass: the owed session served last.
     upgrade_cursor: Option<SessionId>,
     stats: AdmitStats,
 }
@@ -312,7 +304,6 @@ impl AdmissionController {
         AdmissionController {
             policy,
             mgr: RecoveryManager::new(recovery),
-            desired: BTreeMap::new(),
             pressure: 0,
             consecutive_hits: BTreeMap::new(),
             upgrade_cursor: None,
@@ -330,16 +321,16 @@ impl AdmissionController {
         &self.stats
     }
 
-    /// The session layer underneath (fault notification, status queries,
-    /// per-session classes all live there).
+    /// The session layer underneath, read-only (status queries, per-session
+    /// classes and connections, recovery statistics all live there).
     pub fn sessions(&self) -> &RecoveryManager {
         &self.mgr
     }
 
-    /// Mutable access to the session layer — the driver forwards
-    /// [`RecoveryManager::on_faults`] through this.
-    pub fn sessions_mut(&mut self) -> &mut RecoveryManager {
-        &mut self.mgr
+    /// Forwards a fault's broken-connection list to the session layer
+    /// ([`RecoveryManager::on_faults`]).
+    pub fn on_faults(&mut self, broken: &[NetConnectionId], now: Cycles) {
+        self.mgr.on_faults(broken, now);
     }
 
     /// Decides one session request. CBR requests are granted their asked
@@ -383,49 +374,32 @@ impl AdmissionController {
                 Err(_) => {}
             }
         }
-        let fallback = self.policy.degrade_on_admit.then(|| self.policy.floor_rung()).flatten();
+        let fallback = self.policy.degrade_on_admit.then(|| self.mgr.policy().floor()).flatten();
         let fallback =
             fallback.filter(|&f| self.ni_fits(net, src, f.bits_per_sec()));
         let Some(floor) = fallback.filter(|&f| f < asked) else {
             self.pressure = self.pressure.saturating_add(1);
-            return if saturated {
-                self.stats.rejected_saturated += 1;
-                AdmitVerdict::Rejected { reason: RejectReason::Saturated }
+            return self.turn_away(if saturated {
+                RejectReason::Saturated
             } else {
-                self.stats.rejected_resources += 1;
-                AdmitVerdict::Rejected { reason: RejectReason::Resources }
-            };
+                RejectReason::Resources
+            });
         };
         match self.mgr.open(net, src, dst, QosClass::Cbr { rate: floor }) {
             Ok(session) => {
-                self.desired.insert(session, asked);
+                self.mgr.owe(session, asked);
                 self.stats.degraded += 1;
                 AdmitVerdict::Degraded { session, requested: asked, granted: floor }
             }
             Err(e) => {
                 self.pressure = self.pressure.saturating_add(1);
                 if saturated && !matches!(e, SetupError::Unreachable | SetupError::Aborted) {
-                    self.stats.rejected_saturated += 1;
-                    AdmitVerdict::Rejected { reason: RejectReason::Saturated }
+                    self.turn_away(RejectReason::Saturated)
                 } else {
                     self.reject(e)
                 }
             }
         }
-    }
-
-    /// Aggregate guaranteed egress reserved by active sessions sourced at
-    /// `node`.
-    fn egress_reserved(&self, node: NodeId) -> Bandwidth {
-        let mut total = Bandwidth::ZERO;
-        for (id, _) in self.mgr.active() {
-            if self.mgr.endpoints(id).is_some_and(|(src, _)| src == node) {
-                if let Some(class) = self.mgr.class(id) {
-                    total += class.guaranteed_rate();
-                }
-            }
-        }
-        total
     }
 
     /// Whether `extra_bps` more guaranteed egress at `src` stays under the
@@ -438,34 +412,31 @@ impl AdmissionController {
         if cap <= 0.0 {
             return true;
         }
-        (self.egress_reserved(src).bits_per_sec() + extra_bps) / cap <= self.policy.ni_headroom
+        (self.mgr.egress_reserved(src).bits_per_sec() + extra_bps) / cap <= self.policy.ni_headroom
     }
 
+    /// The rejection a failed setup maps to.
     fn reject(&mut self, e: SetupError) -> AdmitVerdict {
-        let reason = match e {
-            SetupError::Unreachable => {
-                self.stats.rejected_other += 1;
-                RejectReason::Unreachable
-            }
-            SetupError::Aborted | SetupError::Incomplete => {
-                self.stats.rejected_other += 1;
-                RejectReason::Aborted
-            }
-            SetupError::Exhausted { .. } => {
-                self.stats.rejected_resources += 1;
-                RejectReason::Resources
-            }
-        };
+        self.turn_away(match e {
+            SetupError::Unreachable => RejectReason::Unreachable,
+            SetupError::Aborted | SetupError::Incomplete => RejectReason::Aborted,
+            SetupError::Exhausted { .. } => RejectReason::Resources,
+        })
+    }
+
+    /// Counts and returns a rejection.
+    fn turn_away(&mut self, reason: RejectReason) -> AdmitVerdict {
+        *match reason {
+            RejectReason::Saturated => &mut self.stats.rejected_saturated,
+            RejectReason::Resources => &mut self.stats.rejected_resources,
+            RejectReason::Unreachable | RejectReason::Aborted => &mut self.stats.rejected_other,
+        } += 1;
         AdmitVerdict::Rejected { reason }
     }
 
     /// Closes a session voluntarily (churn departure). Returns `false`
     /// when the id is unknown or already closed.
     pub fn close(&mut self, net: &mut NetworkSim, id: SessionId) -> bool {
-        self.desired.remove(&id);
-        if self.upgrade_cursor == Some(id) {
-            self.upgrade_cursor = None;
-        }
         self.mgr.close(net, id)
     }
 
@@ -506,16 +477,17 @@ impl AdmissionController {
         // Bucket the live sessions (ascending priority by ShedBucket Ord;
         // sessions within a bucket ascend by id, so victims are the oldest
         // first — deterministic, no RNG).
-        let mut buckets: BTreeMap<ShedBucket, Vec<SessionId>> = BTreeMap::new();
-        for (id, _) in self.mgr.active() {
-            if let Some(class) = self.mgr.class(id) {
-                buckets.entry(bucket_of(class)).or_default().push(id);
+        let mut buckets: BTreeMap<ShedBucket, Vec<Preemption>> = BTreeMap::new();
+        for (session, _) in self.mgr.active() {
+            if let Some(class) = self.mgr.class(session) {
+                buckets.entry(bucket_of(class)).or_default().push(Preemption { session, class });
             }
         }
         let mut victims: Vec<Preemption> = Vec::new();
         let mut hit_buckets: Vec<ShedBucket> = Vec::new();
-        for (&bucket, ids) in &buckets {
-            if victims.len() >= self.policy.shed_batch {
+        for (&bucket, members) in &buckets {
+            let room = self.policy.shed_batch.saturating_sub(victims.len());
+            if room == 0 {
                 break;
             }
             if self.consecutive_hits.get(&bucket).copied().unwrap_or(0)
@@ -525,24 +497,13 @@ impl AdmissionController {
                 self.stats.starvation_skips += 1;
                 continue;
             }
-            let spare = ids.len().saturating_sub(self.policy.protected_floor);
-            for &id in ids.iter().take(spare) {
-                if victims.len() >= self.policy.shed_batch {
-                    break;
-                }
-                if let Some(class) = self.mgr.class(id) {
-                    victims.push(Preemption { session: id, class });
-                }
-            }
+            let spare = members.len().saturating_sub(self.policy.protected_floor);
+            victims.extend(members.iter().take(spare.min(room)));
             if !victims.is_empty() {
                 hit_buckets.push(bucket);
             }
         }
         for v in &victims {
-            self.desired.remove(&v.session);
-            if self.upgrade_cursor == Some(v.session) {
-                self.upgrade_cursor = None;
-            }
             self.mgr.close(net, v.session);
             match v.class {
                 QosClass::Cbr { .. } => self.stats.preempted_cbr += 1,
@@ -554,12 +515,11 @@ impl AdmissionController {
         }
         // Rotation bookkeeping: buckets hit this round age; every other
         // bucket's streak resets, re-arming its eligibility.
-        let all: Vec<ShedBucket> = buckets.keys().copied().collect();
-        for b in all {
-            if hit_buckets.contains(&b) {
-                *self.consecutive_hits.entry(b).or_insert(0) += 1;
+        for bucket in buckets.keys() {
+            if hit_buckets.contains(bucket) {
+                *self.consecutive_hits.entry(*bucket).or_insert(0) += 1;
             } else {
-                self.consecutive_hits.remove(&b);
+                self.consecutive_hits.remove(bucket);
             }
         }
         if victims.is_empty() {
@@ -570,60 +530,24 @@ impl AdmissionController {
         victims
     }
 
-    /// One upgrade attempt per call: the round-robin cursor picks the next
-    /// degraded session and asks the recovery layer for one rung.
+    /// One upgrade attempt per call: the table hands over the next owed
+    /// session past the round-robin cursor and the recovery layer is asked
+    /// for one rung (it settles the debt when the asked rate is reached or
+    /// no rung can pay it).
     fn upgrade_pass(&mut self, net: &mut NetworkSim, now: Cycles) {
-        let next = self
-            .desired
-            .range((
-                match self.upgrade_cursor {
-                    Some(c) => std::ops::Bound::Excluded(c),
-                    None => std::ops::Bound::Unbounded,
-                },
-                std::ops::Bound::Unbounded,
-            ))
-            .next()
-            .or_else(|| self.desired.iter().next())
-            .map(|(&id, &want)| (id, want));
-        let Some((id, want)) = next else { return };
+        let Some((id, src, current)) = self.mgr.next_owed(self.upgrade_cursor) else { return };
         self.upgrade_cursor = Some(id);
-        let current = match self.mgr.class(id) {
-            Some(QosClass::Cbr { rate }) => rate,
-            // Session died or changed shape; stop tracking its debt.
-            _ => {
-                self.desired.remove(&id);
-                return;
-            }
-        };
-        if current >= want {
-            self.desired.remove(&id);
-            return;
-        }
         // The next rung must also fit under the source's NI egress
         // ceiling; if not, keep the debt for a later pass (departures may
         // free the node).
-        if let (Some(next), Some((src, _))) =
-            (self.mgr.policy().step_up(current), self.mgr.endpoints(id))
-        {
+        if let Some(next) = self.mgr.policy().step_up(current) {
             if !self.ni_fits(net, src, next.bits_per_sec() - current.bits_per_sec()) {
                 return;
             }
         }
-        match self.mgr.upgrade(net, id, now) {
-            UpgradeOutcome::Upgraded { to, .. } => {
-                self.stats.upgrades += 1;
-                if to >= want {
-                    self.desired.remove(&id);
-                }
-            }
-            // NoHeadroom: keep the debt, try again next low-load window.
-            // AtCeiling: nothing above — debt is unpayable, drop it.
-            UpgradeOutcome::AtCeiling => {
-                self.desired.remove(&id);
-            }
-            UpgradeOutcome::NotActive
-            | UpgradeOutcome::NoHeadroom
-            | UpgradeOutcome::Recovering => {}
+        // NoHeadroom keeps the debt for the next low-load window.
+        if let UpgradeOutcome::Upgraded { .. } = self.mgr.upgrade(net, id, now) {
+            self.stats.upgrades += 1;
         }
     }
 }

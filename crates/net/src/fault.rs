@@ -235,34 +235,9 @@ impl FaultPlan {
         window: std::ops::Range<u64>,
         outage: Cycles,
     ) -> Self {
-        assert!(window.start < window.end, "empty campaign window");
-        let mut rng = SeededRng::new(seed ^ 0xFA17_CA4F);
         let wires = topology.wires();
         let mut plan = FaultPlan::new();
-        if wires.is_empty() {
-            return plan;
-        }
-        // (wire index, fail cycle, repair cycle) intervals already planned.
-        let mut planned: Vec<(usize, u64, u64)> = Vec::with_capacity(faults);
-        let mut strikes: Vec<u64> = (0..faults)
-            .map(|_| window.start + rng.index((window.end - window.start) as usize) as u64)
-            .collect();
-        strikes.sort_unstable();
-        for at in strikes {
-            let down = at + outage.0;
-            // Up to |wires| attempts to find a wire not already down at `at`.
-            let mut choice = None;
-            for _ in 0..wires.len().max(4) {
-                let w = rng.index(wires.len());
-                let overlaps =
-                    planned.iter().any(|&(pw, f, r)| pw == w && at < r && down > f);
-                if !overlaps {
-                    choice = Some(w);
-                    break;
-                }
-            }
-            let Some(w) = choice else { continue };
-            planned.push((w, at, down));
+        for (w, at, down) in seeded_outages(seed ^ 0xFA17_CA4F, wires.len(), faults, window, outage) {
             let (node, port) = wires[w].a;
             plan = plan.fail_at(Cycles(at), node, port).repair_at(Cycles(down), node, port);
         }
@@ -285,33 +260,10 @@ impl FaultPlan {
         window: std::ops::Range<u64>,
         outage: Cycles,
     ) -> Self {
-        assert!(window.start < window.end, "empty campaign window");
-        let mut rng = SeededRng::new(seed ^ 0x0DE0_FA17);
-        let n = topology.nodes();
         let mut plan = FaultPlan::new();
-        if n == 0 {
-            return plan;
-        }
-        // (node index, fail cycle, repair cycle) intervals already planned.
-        let mut planned: Vec<(usize, u64, u64)> = Vec::with_capacity(node_faults);
-        let mut strikes: Vec<u64> = (0..node_faults)
-            .map(|_| window.start + rng.index((window.end - window.start) as usize) as u64)
-            .collect();
-        strikes.sort_unstable();
-        for at in strikes {
-            let down = at + outage.0;
-            // Up to |nodes| attempts to find a router not already down at `at`.
-            let mut choice = None;
-            for _ in 0..n.max(4) {
-                let c = rng.index(n);
-                let overlaps = planned.iter().any(|&(pc, f, r)| pc == c && at < r && down > f);
-                if !overlaps {
-                    choice = Some(c);
-                    break;
-                }
-            }
-            let Some(c) = choice else { continue };
-            planned.push((c, at, down));
+        let outages =
+            seeded_outages(seed ^ 0x0DE0_FA17, topology.nodes(), node_faults, window, outage);
+        for (c, at, down) in outages {
             let node = NodeId(c as u16);
             plan = plan.fail_node_at(Cycles(at), node).repair_node_at(Cycles(down), node);
         }
@@ -352,6 +304,44 @@ impl FaultPlan {
         plan.events.sort_by_key(|e| e.at);
         plan
     }
+}
+
+/// The outage scheduler behind both permanent-fault campaigns: `count`
+/// strike cycles drawn uniformly from `window`, each hitting one of
+/// `targets` failable things (wires or routers, by index) for `outage`
+/// cycles. A target already planned down at the strike is never
+/// double-failed — another is drawn, up to |targets| times, else the strike
+/// is dropped. Returns `(target, fail cycle, repair cycle)` in strike order;
+/// the draw order (all strikes, then targets per sorted strike) is what the
+/// committed seeds pin.
+fn seeded_outages(
+    salted_seed: u64,
+    targets: usize,
+    count: usize,
+    window: std::ops::Range<u64>,
+    outage: Cycles,
+) -> Vec<(usize, u64, u64)> {
+    assert!(window.start < window.end, "empty campaign window");
+    let mut planned: Vec<(usize, u64, u64)> = Vec::with_capacity(count);
+    if targets == 0 {
+        return planned;
+    }
+    let mut rng = SeededRng::new(salted_seed);
+    let mut strikes: Vec<u64> = (0..count)
+        .map(|_| window.start + rng.index((window.end - window.start) as usize) as u64)
+        .collect();
+    strikes.sort_unstable();
+    for at in strikes {
+        let down = at + outage.0;
+        for _ in 0..targets.max(4) {
+            let target = rng.index(targets);
+            if !planned.iter().any(|&(p, f, r)| p == target && at < r && down > f) {
+                planned.push((target, at, down));
+                break;
+            }
+        }
+    }
+    planned
 }
 
 /// What one [`FaultInjector::poll`] call did to the network.

@@ -2,8 +2,11 @@
 //!
 //! The MMR paper's EPB setup protocol exists so multimedia connections can
 //! route *around* trouble (§3.5, §4.2). This module closes the loop: a
-//! [`RecoveryManager`] owns long-lived *sessions* (source, destination,
-//! QoS class) and keeps each one carried by a live network connection.
+//! [`RecoveryManager`] owns long-lived *sessions* — its session table is the
+//! only place that knows a session's endpoints, granted class, owed rate,
+//! state and carrying connection; [`crate::admission::AdmissionController`]
+//! is a second client of the same table — and keeps each one carried by a
+//! live network connection.
 //! When a link failure tears the connection down, the manager re-establishes
 //! it through the cycle-accurate EPB probe
 //! ([`NetworkSim::request_connection`]) under a [`RecoveryPolicy`]:
@@ -29,6 +32,7 @@
 //! permanent failures) and the per-cycle [`RecoveryEvent`] stream.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Bound;
 
 use mmr_core::conn::QosClass;
 use mmr_sim::{Accumulator, Bandwidth, Cycles, SeededRng};
@@ -65,8 +69,9 @@ pub struct RecoveryPolicy {
     /// sessions one rung down the rate ladder and start a fresh budget
     /// instead of failing permanently.
     pub degrade: bool,
-    /// The rate ladder degradation steps down (ascending). Defaults to the
-    /// paper's nine-rate ladder.
+    /// The one rate ladder (ascending): recovery degrades down it, upgrades
+    /// step up it, and the admission controller's degrade-on-admit grants
+    /// its lowest rung. Defaults to the paper's nine-rate ladder.
     pub ladder: Vec<Bandwidth>,
     /// At most this many sessions may hold an in-flight setup probe at
     /// once; further due sessions are deferred with seeded jitter
@@ -141,6 +146,12 @@ impl RecoveryPolicy {
         Cycles(shifted.min(self.max_backoff.0))
     }
 
+    /// The lowest rung of the ladder (what degrade-on-admit grants), if
+    /// the ladder is non-empty.
+    pub(crate) fn floor(&self) -> Option<Bandwidth> {
+        self.ladder.first().copied()
+    }
+
     /// One rung below `rate` on the ladder, if any.
     fn step_down(&self, rate: Bandwidth) -> Option<Bandwidth> {
         self.ladder.iter().copied().rfind(|&r| r < rate)
@@ -182,18 +193,88 @@ enum SessionState {
     Failed,
 }
 
+/// One row of the session table — everything either client (recovery,
+/// admission) knows about a session lives here and nowhere else.
 #[derive(Debug, Clone)]
 struct Session {
     src: NodeId,
     dst: NodeId,
+    /// The class currently granted (reflects degradations and upgrades).
     class: QosClass,
+    /// The asked rate a degrade-on-admit grant still owes. A session owed a
+    /// rate is CBR and runs strictly below it; cleared when the rate is won
+    /// back or no rung can pay it.
+    owed: Option<Bandwidth>,
     state: SessionState,
     /// When the current incident's fault struck (time-to-recover origin).
     fault_at: Cycles,
     /// Attempts launched for the current incident at the current rate.
     attempts: u32,
-    /// Rate-ladder rungs surrendered over the session's lifetime.
-    degraded_steps: u32,
+}
+
+/// Transition: session `id` is carried by `conn` from here on. The state
+/// and its reverse index are only ever written together, here.
+fn active_on(
+    by_conn: &mut BTreeMap<NetConnectionId, SessionId>,
+    id: SessionId,
+    conn: NetConnectionId,
+) -> SessionState {
+    by_conn.insert(conn, id);
+    SessionState::Active { conn }
+}
+
+impl Session {
+    /// Transition: the session lost its connection at `now`. A fresh
+    /// incident starts; the first attempt is due immediately.
+    fn enter_recovery(&mut self, now: Cycles, stats: &mut RecoveryStats) {
+        self.state = SessionState::Waiting { resume_at: now };
+        self.fault_at = now;
+        self.attempts = 0;
+        stats.faults += 1;
+    }
+
+    /// Books the outcome of a failed (or timed-out) attempt: schedule the
+    /// next retry with exponential backoff, degrade one rate rung when the
+    /// budget is spent, or give up.
+    fn attempt_failed(
+        &mut self,
+        id: SessionId,
+        policy: &RecoveryPolicy,
+        stats: &mut RecoveryStats,
+        now: Cycles,
+        events: &mut Vec<RecoveryEvent>,
+    ) {
+        if self.attempts < policy.max_retries {
+            let wait = policy.backoff_for(self.attempts + 1);
+            self.state = SessionState::Waiting { resume_at: now + wait };
+            stats.backoff_cycles += wait.0;
+            return;
+        }
+        // Budget exhausted at this rate: degrade or die.
+        let lower = match self.class {
+            QosClass::Cbr { rate } if policy.degrade => {
+                policy.step_down(rate).map(|to| (rate, to))
+            }
+            _ => None,
+        };
+        match lower {
+            Some((from, to)) => {
+                self.class = QosClass::Cbr { rate: to };
+                self.attempts = 0;
+                self.state = SessionState::Waiting { resume_at: now + Cycles(1) };
+                stats.degraded += 1;
+                events.push(RecoveryEvent::Degraded { session: id, from, to });
+            }
+            None => {
+                self.state = SessionState::Failed;
+                stats.permanently_failed += 1;
+                events.push(RecoveryEvent::Abandoned {
+                    session: id,
+                    after: now.since(self.fault_at),
+                });
+            }
+        }
+    }
 }
 
 /// Aggregate recovery statistics.
@@ -343,14 +424,21 @@ impl RecoveryManager {
                 src,
                 dst,
                 class,
-                state: SessionState::Active { conn },
+                owed: None,
+                state: active_on(&mut self.by_conn, id, conn),
                 fault_at: Cycles::ZERO,
                 attempts: 0,
-                degraded_steps: 0,
             },
         );
-        self.by_conn.insert(conn, id);
         Ok(id)
+    }
+
+    /// Records that `id` was granted less than the `asked` rate
+    /// (degrade-on-admit); [`RecoveryManager::upgrade`] settles the debt.
+    pub(crate) fn owe(&mut self, id: SessionId, asked: Bandwidth) {
+        if let Some(session) = self.sessions.get_mut(&id) {
+            session.owed = Some(asked);
+        }
     }
 
     /// Closes a session: tears down its live connection (flits still
@@ -395,46 +483,35 @@ impl RecoveryManager {
         id: SessionId,
         now: Cycles,
     ) -> UpgradeOutcome {
-        let Some(session) = self.sessions.get(&id) else { return UpgradeOutcome::NotActive };
+        let Some(session) = self.sessions.get_mut(&id) else { return UpgradeOutcome::NotActive };
         let SessionState::Active { conn } = session.state else {
             return UpgradeOutcome::NotActive;
         };
         let QosClass::Cbr { rate } = session.class else { return UpgradeOutcome::AtCeiling };
-        let Some(higher) = self.policy.step_up(rate) else { return UpgradeOutcome::AtCeiling };
-        let (src, dst) = (session.src, session.dst);
+        let Some(higher) = self.policy.step_up(rate) else {
+            // Nothing above: whatever is still owed is unpayable.
+            session.owed = None;
+            return UpgradeOutcome::AtCeiling;
+        };
 
         self.by_conn.remove(&conn);
         let _ = net.teardown(conn);
-        match net.establish(src, dst, QosClass::Cbr { rate: higher }, SetupStrategy::Epb) {
-            Ok(new_conn) => {
-                let session = self.sessions.get_mut(&id).expect("checked above");
-                session.class = QosClass::Cbr { rate: higher };
-                session.degraded_steps = session.degraded_steps.saturating_sub(1);
-                session.state = SessionState::Active { conn: new_conn };
-                self.by_conn.insert(new_conn, id);
-                self.stats.upgraded += 1;
-                UpgradeOutcome::Upgraded { from: rate, to: higher }
-            }
-            Err(_) => match net.establish(src, dst, QosClass::Cbr { rate }, SetupStrategy::Epb)
-            {
-                Ok(restored) => {
-                    let session = self.sessions.get_mut(&id).expect("checked above");
-                    session.state = SessionState::Active { conn: restored };
-                    self.by_conn.insert(restored, id);
-                    UpgradeOutcome::NoHeadroom
-                }
-                Err(_) => {
-                    // Losing the restore race is an incident like any
-                    // other: the retry/backoff/degradation machinery owns
-                    // it from here.
-                    let session = self.sessions.get_mut(&id).expect("checked above");
-                    session.state = SessionState::Waiting { resume_at: now };
-                    session.fault_at = now;
-                    session.attempts = 0;
-                    self.stats.faults += 1;
-                    UpgradeOutcome::Recovering
-                }
-            },
+        let (src, dst) = (session.src, session.dst);
+        let mut place = |rate| net.establish(src, dst, QosClass::Cbr { rate }, SetupStrategy::Epb);
+        if let Ok(conn) = place(higher) {
+            session.class = QosClass::Cbr { rate: higher };
+            session.owed = session.owed.filter(|&asked| higher < asked);
+            session.state = active_on(&mut self.by_conn, id, conn);
+            self.stats.upgraded += 1;
+            UpgradeOutcome::Upgraded { from: rate, to: higher }
+        } else if let Ok(conn) = place(rate) {
+            session.state = active_on(&mut self.by_conn, id, conn);
+            UpgradeOutcome::NoHeadroom
+        } else {
+            // Losing the restore race is an incident like any other: the
+            // retry/backoff/degradation machinery owns it from here.
+            session.enter_recovery(now, &mut self.stats);
+            UpgradeOutcome::Recovering
         }
     }
 
@@ -478,14 +555,14 @@ impl RecoveryManager {
         self.sessions.get(&id).map(|s| s.class)
     }
 
+    /// The asked rate a degrade-on-admit grant still owes the session.
+    pub fn owed(&self, id: SessionId) -> Option<Bandwidth> {
+        self.sessions.get(&id)?.owed
+    }
+
     /// The session's `(source, destination)` endpoints.
     pub fn endpoints(&self, id: SessionId) -> Option<(NodeId, NodeId)> {
         self.sessions.get(&id).map(|s| (s.src, s.dst))
-    }
-
-    /// Rate-ladder rungs a session has surrendered.
-    pub fn degraded_steps(&self, id: SessionId) -> Option<u32> {
-        self.sessions.get(&id).map(|s| s.degraded_steps)
     }
 
     /// Active `(session, connection)` pairs in session order — the
@@ -497,12 +574,36 @@ impl RecoveryManager {
         })
     }
 
-    /// Whether every tracked session is currently carried by a live
-    /// connection (no recovery in progress, nothing failed).
-    pub fn all_active(&self) -> bool {
+    /// Aggregate guaranteed egress reserved by active sessions sourced at
+    /// `node`: one pass, summed in session-id order (the admission
+    /// controller compares the `f64` total against the NI ceiling).
+    pub(crate) fn egress_reserved(&self, node: NodeId) -> Bandwidth {
+        let mut total = Bandwidth::ZERO;
+        for s in self.sessions.values() {
+            if s.src == node && matches!(s.state, SessionState::Active { .. }) {
+                total += s.class.guaranteed_rate();
+            }
+        }
+        total
+    }
+
+    /// The next session still owed a rate, round-robin in id order from
+    /// just past `cursor` (a cursor whose session is gone restarts the
+    /// walk): its id, source node and current rate.
+    pub(crate) fn next_owed(
+        &self,
+        cursor: Option<SessionId>,
+    ) -> Option<(SessionId, NodeId, Bandwidth)> {
+        let cursor = cursor.filter(|c| self.sessions.contains_key(c));
+        let ahead = cursor.map_or(Bound::Unbounded, Bound::Excluded);
+        let behind = cursor.into_iter().flat_map(|c| self.sessions.range(..=c));
         self.sessions
-            .values()
-            .all(|s| matches!(s.state, SessionState::Active { .. }))
+            .range((ahead, Bound::Unbounded))
+            .chain(behind)
+            .find_map(|(&id, s)| match (s.owed, s.class) {
+                (Some(_), QosClass::Cbr { rate }) => Some((id, s.src, rate)),
+                _ => None,
+            })
     }
 
     /// Notifies the manager that a fault tore down connections (the
@@ -512,11 +613,9 @@ impl RecoveryManager {
     pub fn on_faults(&mut self, broken: &[NetConnectionId], now: Cycles) {
         for conn in broken {
             let Some(id) = self.by_conn.remove(conn) else { continue };
-            let session = self.sessions.get_mut(&id).expect("indexed sessions exist");
-            session.state = SessionState::Waiting { resume_at: now };
-            session.fault_at = now;
-            session.attempts = 0;
-            self.stats.faults += 1;
+            if let Some(session) = self.sessions.get_mut(&id) {
+                session.enter_recovery(now, &mut self.stats);
+            }
         }
     }
 
@@ -545,16 +644,14 @@ impl RecoveryManager {
                 }
                 continue;
             }
-            let Some((&id, _)) = self.sessions.iter().find(|(_, s)| {
+            let Some((&id, session)) = self.sessions.iter_mut().find(|(_, s)| {
                 matches!(s.state, SessionState::Probing { token, .. } if token == setup.token)
             }) else {
                 continue; // Not one of ours.
             };
             match setup.result {
                 Ok(conn) => {
-                    let session = self.sessions.get_mut(&id).expect("found above");
-                    session.state = SessionState::Active { conn };
-                    self.by_conn.insert(conn, id);
+                    session.state = active_on(&mut self.by_conn, id, conn);
                     let after = now.since(session.fault_at);
                     self.stats.recovered += 1;
                     self.stats.time_to_recover.record(after.as_f64());
@@ -570,138 +667,70 @@ impl RecoveryManager {
                 // session until the graph changes rather than burn its
                 // budget against the same wall.
                 Err(SetupError::Unreachable) => {
-                    let session = self.sessions.get_mut(&id).expect("found above");
-                    session.state =
-                        SessionState::Partitioned { epoch: net.topology_epoch() };
+                    session.state = SessionState::Partitioned { epoch: net.topology_epoch() };
                     self.stats.partitioned += 1;
                 }
-                Err(_) => self.after_failed_attempt(id, now, &mut events),
+                Err(_) => {
+                    session.attempt_failed(id, &self.policy, &mut self.stats, now, &mut events);
+                }
             }
         }
 
-        // 2. Attempt timeouts.
-        let timed_out: Vec<(SessionId, ProbeToken)> = self
-            .sessions
-            .iter()
-            .filter_map(|(&id, s)| match s.state {
-                SessionState::Probing { token, deadline } if deadline < now => {
-                    Some((id, token))
-                }
-                _ => None,
-            })
-            .collect();
-        for (id, token) in timed_out {
-            self.orphaned.insert(token);
-            self.stats.timeouts += 1;
-            self.after_failed_attempt(id, now, &mut events);
-        }
-
-        // 3. Unpark partitioned sessions once the graph has changed. The
-        //    topology epoch moves on every fail/repair (link or node), so a
-        //    parked session re-probes exactly when reachability could have
-        //    changed — never sooner, never via blind polling.
+        // 2. Attempt timeouts, and 3. unparking partitioned sessions once
+        //    the graph has changed. The topology epoch moves on every
+        //    fail/repair (link or node), so a parked session re-probes
+        //    exactly when reachability could have changed — never sooner,
+        //    never via blind polling. The two phases touch disjoint states
+        //    and each only its own row, so one walk in id order serves both
+        //    and counts the probes still in flight for phase 4.
         let current_epoch = net.topology_epoch();
-        let parked: Vec<SessionId> = self
-            .sessions
-            .iter()
-            .filter_map(|(&id, s)| match s.state {
-                SessionState::Partitioned { epoch } if epoch != current_epoch => Some(id),
-                _ => None,
-            })
-            .collect();
-        for id in parked {
-            let session = self.sessions.get_mut(&id).expect("found above");
-            session.state = SessionState::Waiting { resume_at: now };
+        let mut probing = 0;
+        for (&id, session) in &mut self.sessions {
+            match session.state {
+                SessionState::Probing { token, deadline } if deadline < now => {
+                    self.orphaned.insert(token);
+                    self.stats.timeouts += 1;
+                    session.attempt_failed(id, &self.policy, &mut self.stats, now, &mut events);
+                }
+                SessionState::Probing { .. } => probing += 1,
+                SessionState::Partitioned { epoch } if epoch != current_epoch => {
+                    session.state = SessionState::Waiting { resume_at: now };
+                }
+                _ => {}
+            }
         }
 
-        // 4. Launch due attempts, capped at `max_concurrent_probes` probes
-        //    in flight. Deferred sessions pick up a small seeded jitter so a
-        //    mass-evacuation wavefront does not re-collide on the same cycle.
-        let mut probing = self
-            .sessions
-            .values()
-            .filter(|s| matches!(s.state, SessionState::Probing { .. }))
-            .count();
-        let due: Vec<SessionId> = self
-            .sessions
-            .iter()
-            .filter_map(|(&id, s)| match s.state {
-                SessionState::Waiting { resume_at } if resume_at <= now => Some(id),
-                _ => None,
-            })
-            .collect();
-        for id in due {
+        // 4. Launch due attempts in id order, capped at
+        //    `max_concurrent_probes` probes in flight. Deferred sessions
+        //    pick up a small seeded jitter so a mass-evacuation wavefront
+        //    does not re-collide on the same cycle.
+        for session in self.sessions.values_mut() {
+            let SessionState::Waiting { resume_at } = session.state else { continue };
+            if resume_at > now {
+                continue;
+            }
             if probing >= self.policy.max_concurrent_probes {
                 let jitter =
                     1 + self.rng.index(self.policy.base_backoff.0.max(1) as usize) as u64;
-                let session = self.sessions.get_mut(&id).expect("due sessions exist");
                 session.state = SessionState::Waiting { resume_at: now + Cycles(jitter) };
                 self.stats.probe_throttled += 1;
                 continue;
             }
-            let (src, dst, class) = {
-                let s = &self.sessions[&id];
-                (s.src, s.dst, s.class)
-            };
-            let token = net.request_connection(src, dst, class, SetupStrategy::Epb, now);
-            let session = self.sessions.get_mut(&id).expect("due sessions exist");
+            let token = net.request_connection(
+                session.src,
+                session.dst,
+                session.class,
+                SetupStrategy::Epb,
+                now,
+            );
             session.attempts += 1;
-            session.state = SessionState::Probing {
-                token,
-                deadline: now + self.policy.setup_timeout,
-            };
+            session.state =
+                SessionState::Probing { token, deadline: now + self.policy.setup_timeout };
             self.stats.retries += 1;
             probing += 1;
         }
 
         events
-    }
-
-    /// Books the outcome of a failed (or timed-out) attempt: schedule the
-    /// next retry with exponential backoff, degrade one rate rung when the
-    /// budget is spent, or give up.
-    fn after_failed_attempt(
-        &mut self,
-        id: SessionId,
-        now: Cycles,
-        events: &mut Vec<RecoveryEvent>,
-    ) {
-        let session = self.sessions.get_mut(&id).expect("session exists");
-        if session.attempts < self.policy.max_retries {
-            let wait = self.policy.backoff_for(session.attempts + 1);
-            session.state = SessionState::Waiting { resume_at: now + wait };
-            self.stats.backoff_cycles += wait.0;
-            return;
-        }
-        // Budget exhausted at this rate: degrade or die.
-        let degraded_to = if self.policy.degrade {
-            match session.class {
-                QosClass::Cbr { rate } => {
-                    self.policy.step_down(rate).map(|lower| (rate, lower))
-                }
-                _ => None,
-            }
-        } else {
-            None
-        };
-        match degraded_to {
-            Some((from, to)) => {
-                session.class = QosClass::Cbr { rate: to };
-                session.degraded_steps += 1;
-                session.attempts = 0;
-                session.state = SessionState::Waiting { resume_at: now + Cycles(1) };
-                self.stats.degraded += 1;
-                events.push(RecoveryEvent::Degraded { session: id, from, to });
-            }
-            None => {
-                session.state = SessionState::Failed;
-                self.stats.permanently_failed += 1;
-                events.push(RecoveryEvent::Abandoned {
-                    session: id,
-                    after: now.since(session.fault_at),
-                });
-            }
-        }
     }
 }
 

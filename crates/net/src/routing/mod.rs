@@ -262,8 +262,10 @@ impl MinimalRouting {
     }
 }
 
-macro_rules! minimal_delegate {
-    ($self:ident, $r:ident => $body:expr) => {
+/// Hands a [`RoutingAlgorithm`] call to whichever variant of a routing enum
+/// is live — the one idiom both enum-level impls below are written in.
+macro_rules! delegate {
+    (MinimalRouting, $self:ident, $r:ident => $body:expr) => {
         match $self {
             MinimalRouting::UpDown($r) => $body,
             MinimalRouting::Dimension($r) => $body,
@@ -271,15 +273,21 @@ macro_rules! minimal_delegate {
             MinimalRouting::Butterfly($r) => $body,
         }
     };
+    (Routing, $self:ident, $r:ident => $body:expr) => {
+        match $self {
+            Routing::Minimal($r) => $body,
+            Routing::Valiant($r) => $body,
+        }
+    };
 }
 
 impl RoutingAlgorithm for MinimalRouting {
     fn name(&self) -> &'static str {
-        minimal_delegate!(self, r => r.name())
+        delegate!(MinimalRouting, self, r => r.name())
     }
 
     fn initial_ctx(&self, src: NodeId, dst: NodeId, salt: u64) -> RouteCtx {
-        minimal_delegate!(self, r => r.initial_ctx(src, dst, salt))
+        delegate!(MinimalRouting, self, r => r.initial_ctx(src, dst, salt))
     }
 
     fn next_hop(
@@ -289,23 +297,23 @@ impl RoutingAlgorithm for MinimalRouting {
         dst: NodeId,
         ctx: RouteCtx,
     ) -> Option<RouteHop> {
-        minimal_delegate!(self, r => r.next_hop(topology, current, dst, ctx))
+        delegate!(MinimalRouting, self, r => r.next_hop(topology, current, dst, ctx))
     }
 
     fn distance(&self, from: NodeId, to: NodeId) -> usize {
-        minimal_delegate!(self, r => r.distance(from, to))
+        delegate!(MinimalRouting, self, r => r.distance(from, to))
     }
 
     fn vc_class(&self, current: NodeId, dst: NodeId, ctx: RouteCtx) -> u8 {
-        minimal_delegate!(self, r => r.vc_class(current, dst, ctx))
+        delegate!(MinimalRouting, self, r => r.vc_class(current, dst, ctx))
     }
 
     fn vc_classes(&self) -> u8 {
-        minimal_delegate!(self, r => r.vc_classes())
+        delegate!(MinimalRouting, self, r => r.vc_classes())
     }
 
     fn hop_bound(&self) -> usize {
-        minimal_delegate!(self, r => r.hop_bound())
+        delegate!(MinimalRouting, self, r => r.hop_bound())
     }
 }
 
@@ -371,17 +379,11 @@ impl Routing {
 
 impl RoutingAlgorithm for Routing {
     fn name(&self) -> &'static str {
-        match self {
-            Routing::Minimal(m) => m.name(),
-            Routing::Valiant(v) => v.name(),
-        }
+        delegate!(Routing, self, r => r.name())
     }
 
     fn initial_ctx(&self, src: NodeId, dst: NodeId, salt: u64) -> RouteCtx {
-        match self {
-            Routing::Minimal(m) => m.initial_ctx(src, dst, salt),
-            Routing::Valiant(v) => v.initial_ctx(src, dst, salt),
-        }
+        delegate!(Routing, self, r => r.initial_ctx(src, dst, salt))
     }
 
     fn next_hop(
@@ -391,37 +393,22 @@ impl RoutingAlgorithm for Routing {
         dst: NodeId,
         ctx: RouteCtx,
     ) -> Option<RouteHop> {
-        match self {
-            Routing::Minimal(m) => m.next_hop(topology, current, dst, ctx),
-            Routing::Valiant(v) => v.next_hop(topology, current, dst, ctx),
-        }
+        delegate!(Routing, self, r => r.next_hop(topology, current, dst, ctx))
     }
 
     fn distance(&self, from: NodeId, to: NodeId) -> usize {
-        match self {
-            Routing::Minimal(m) => m.distance(from, to),
-            Routing::Valiant(v) => v.distance(from, to),
-        }
+        delegate!(Routing, self, r => r.distance(from, to))
     }
 
     fn vc_class(&self, current: NodeId, dst: NodeId, ctx: RouteCtx) -> u8 {
-        match self {
-            Routing::Minimal(m) => m.vc_class(current, dst, ctx),
-            Routing::Valiant(v) => v.vc_class(current, dst, ctx),
-        }
+        delegate!(Routing, self, r => r.vc_class(current, dst, ctx))
     }
 
     fn vc_classes(&self) -> u8 {
-        match self {
-            Routing::Minimal(m) => m.vc_classes(),
-            Routing::Valiant(v) => v.vc_classes(),
-        }
+        delegate!(Routing, self, r => r.vc_classes())
     }
 
     fn hop_bound(&self) -> usize {
-        match self {
-            Routing::Minimal(m) => m.hop_bound(),
-            Routing::Valiant(v) => v.hop_bound(),
-        }
+        delegate!(Routing, self, r => r.hop_bound())
     }
 }

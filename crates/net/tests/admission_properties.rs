@@ -1,14 +1,18 @@
 //! Property tests over the admission controller: arbitrary churn
 //! interleavings never oversubscribe a link's bandwidth book or a source
 //! NI's injection ceiling, every request gets a typed verdict (no
-//! panics), and aggressive shedding preempts sessions without leaking a
-//! VC slot, credit, or bandwidth reservation — with the cycle-accurate
-//! auditor armed throughout.
+//! panics), aggressive shedding preempts sessions without leaking a
+//! VC slot, credit, or bandwidth reservation, and the one session table
+//! keeps its ledger invariants through churn, link faults and repairs —
+//! with the cycle-accurate auditor armed throughout.
 
 use mmr_core::ids::PortId;
 use mmr_core::router::RouterConfig;
 use mmr_core::{AuditConfig, QosClass};
-use mmr_net::{AdmissionController, AdmitPolicy, NetworkSim, NodeId, SessionId, Topology};
+use mmr_net::{
+    AdmissionController, AdmitPolicy, AdmitVerdict, NetworkSim, NodeId, RecoveryEvent,
+    RecoveryPolicy, SessionId, Topology,
+};
 use mmr_sim::{Bandwidth, Cycles};
 use proptest::prelude::*;
 
@@ -19,12 +23,24 @@ const PORTS: u8 = 8;
 const RATES_MBPS: [f64; 5] = [0.064, 2.0, 16.0, 55.0, 120.0];
 
 fn mesh_net(seed: u64) -> NetworkSim {
+    audited_net(Topology::mesh2d(3, 3, PORTS), seed)
+}
+
+fn audited_net(topology: Result<Topology, mmr_net::TopologyError>, seed: u64) -> NetworkSim {
     let mut net = NetworkSim::new(
-        Topology::mesh2d(3, 3, PORTS).expect("topology wires within the port budget"),
+        topology.expect("topology wires within the port budget"),
         RouterConfig::paper_default().vcs_per_port(8).candidates(2).seed(seed),
     );
     net.enable_audit(AuditConfig::default());
     net
+}
+
+/// The rate a session currently runs at, when it is CBR.
+fn cbr_rate(ctl: &AdmissionController, id: SessionId) -> Option<Bandwidth> {
+    match ctl.sessions().class(id) {
+        Some(QosClass::Cbr { rate }) => Some(rate),
+        _ => None,
+    }
 }
 
 fn max_book_load(net: &NetworkSim) -> f64 {
@@ -211,6 +227,139 @@ proptest! {
         prop_assert!(max_book_load(&net) <= 1e-9, "no orphaned bandwidth reservations");
         let aud = net.auditor().expect("enabled");
         prop_assert!(aud.checks() > 0);
+        prop_assert!(aud.is_clean(), "{}", aud.summary());
+    }
+
+    /// Ledger invariants of the one session table, on the ring and the 3×3
+    /// mesh, through random request / close / link fault / service / repair
+    /// sequences: every `active()` connection is live in the network and
+    /// maps back to its session; a session owed a rate is CBR and runs
+    /// strictly below it (and nothing else is ever upgraded); a closed or
+    /// preempted session is never upgraded, recovered or reported again;
+    /// per-source reserved egress stays under the default NI ceiling.
+    #[test]
+    fn the_session_ledger_keeps_its_invariants(
+        seed in any::<u64>(),
+        mesh in any::<bool>(),
+        tight in any::<bool>(),
+        ops in prop::collection::vec((0u16..9, 0u16..9, 0usize..5, 0u8..10), 20..120),
+    ) {
+        let (mut net, nodes) = if mesh {
+            (mesh_net(seed), NODES)
+        } else {
+            (audited_net(Topology::ring(4, 4), seed), 4)
+        };
+        // Both policies keep the default NI ceiling; the tight one reaches
+        // degraded admits, shed rounds, upgrades, timeouts and abandonment
+        // within a short sequence.
+        let mut ctl = if tight {
+            AdmissionController::with_recovery(
+                AdmitPolicy::default().headroom(0.15).low_watermark(0.14).shed_patience(4),
+                RecoveryPolicy::default()
+                    .max_retries(2)
+                    .backoff(Cycles(2), Cycles(8))
+                    .setup_timeout(Cycles(6)),
+            )
+        } else {
+            AdmissionController::new(AdmitPolicy::default())
+        };
+        let ni_ceiling = AdmitPolicy::default().ni_headroom * net.link_rate().bits_per_sec();
+        let wires: Vec<(NodeId, PortId)> = net.topology().wires().iter().map(|w| w.a).collect();
+        let mut down: Vec<(NodeId, PortId)> = Vec::new();
+        let mut live: Vec<SessionId> = Vec::new();
+        let mut gone: Vec<SessionId> = Vec::new();
+        let mut t = 0u64;
+        for (a, b, pick, op) in ops {
+            let (a, b) = (a % nodes, b % nodes);
+            match op {
+                0..=4 if a != b => {
+                    // Heavier than `RATES_MBPS` so short sequences saturate.
+                    let class = match [16.0, 55.0, 120.0, 120.0].get(pick) {
+                        Some(&mbps) => QosClass::Cbr { rate: Bandwidth::from_mbps(mbps) },
+                        None => QosClass::BestEffort,
+                    };
+                    let verdict = ctl.request(&mut net, NodeId(a), NodeId(b), class);
+                    if let AdmitVerdict::Degraded { session, requested, granted } = verdict {
+                        prop_assert_eq!(ctl.sessions().owed(session), Some(requested));
+                        prop_assert_eq!(cbr_rate(&ctl, session), Some(granted));
+                    }
+                    live.extend(verdict.session());
+                }
+                5 if !live.is_empty() => {
+                    let id = live.remove(pick % live.len());
+                    prop_assert!(ctl.close(&mut net, id));
+                    gone.push(id);
+                }
+                6 => {
+                    let wire = *wires.get(usize::from(a) % wires.len()).expect("in range");
+                    if let Ok(broken) = net.fail_link(wire.0, wire.1) {
+                        down.push(wire);
+                        ctl.on_faults(&broken, Cycles(t));
+                    }
+                }
+                7 if !down.is_empty() => {
+                    let wire = down.remove(pick % down.len());
+                    net.repair_link(wire.0, wire.1).expect("was failed");
+                }
+                _ => {
+                    for _ in 0..8 {
+                        let before: Vec<_> = live.iter().map(|&id| cbr_rate(&ctl, id)).collect();
+                        let owed: Vec<_> = live.iter().map(|&id| ctl.sessions().owed(id)).collect();
+                        let report = net.step(Cycles(t));
+                        let (events, preempted) = ctl.service(&mut net, &report, Cycles(t));
+                        for event in &events {
+                            let (RecoveryEvent::Recovered { session, .. }
+                            | RecoveryEvent::Degraded { session, .. }
+                            | RecoveryEvent::Abandoned { session, .. }) = event;
+                            prop_assert!(!gone.contains(session), "{event:?} names a closed session");
+                        }
+                        // Only a session still owed a rate is ever upgraded
+                        // (the last rung may overshoot an off-ladder ask).
+                        for ((&id, was), owed) in live.iter().zip(before).zip(owed) {
+                            if let (Some(was), Some(now)) = (was, cbr_rate(&ctl, id)) {
+                                prop_assert!(
+                                    now <= was || owed.is_some_and(|asked| was < asked),
+                                    "{id} went {was:?} -> {now:?} owed {owed:?}"
+                                );
+                            }
+                        }
+                        for p in &preempted {
+                            prop_assert!(!gone.contains(&p.session), "{p:?} preempted twice");
+                            live.retain(|&id| id != p.session);
+                            gone.push(p.session);
+                        }
+                        t += 1;
+                    }
+                }
+            }
+            let mgr = ctl.sessions();
+            prop_assert_eq!(mgr.sessions(), live.len(), "the table holds exactly the live sessions");
+            for (id, conn) in mgr.active() {
+                let carried = net.connection(conn).map(|c| ((c.src, c.dst), c.class));
+                prop_assert_eq!(
+                    carried,
+                    mgr.endpoints(id).zip(mgr.class(id)),
+                    "{} is not carried by a live connection that maps back to it", id
+                );
+                prop_assert_eq!(mgr.conn(id), Some(conn));
+            }
+            for &id in &live {
+                if let Some(asked) = mgr.owed(id) {
+                    let rate = cbr_rate(&ctl, id);
+                    prop_assert!(rate.is_some_and(|r| r < asked), "{id} owed {asked:?} at {rate:?}");
+                }
+            }
+            for &id in &gone {
+                prop_assert_eq!(mgr.status(id), None);
+                prop_assert_eq!(mgr.owed(id), None);
+                prop_assert!(mgr.active().all(|(live_id, _)| live_id != id));
+            }
+            for n in 0..nodes {
+                let egress = source_egress_bps(&ctl, NodeId(n));
+                prop_assert!(egress <= ni_ceiling * (1.0 + 1e-9), "node {n}: {egress} bps of egress");
+            }
+        }
+        let aud = net.auditor().expect("enabled");
         prop_assert!(aud.is_clean(), "{}", aud.summary());
     }
 }
