@@ -93,12 +93,12 @@ impl StatusMatrix {
 
     /// Reads one condition bit of one VC.
     pub fn get(&self, cond: Condition, vc: usize) -> bool {
-        self.banks[cond.index()].get(vc)
+        self.bank(cond).get(vc)
     }
 
     /// Writes one condition bit of one VC.
     pub fn set(&mut self, cond: Condition, vc: usize, value: bool) {
-        self.banks[cond.index()].set(vc, value);
+        self.bank_mut(cond).set(vc, value);
     }
 
     /// Borrows the full vector of a condition.
@@ -106,10 +106,15 @@ impl StatusMatrix {
         &self.banks[cond.index()]
     }
 
+    fn bank_mut(&mut self, cond: Condition) -> &mut StatusBits {
+        // mmr-lint: allow(P-TRANS, reason="`new` builds one bank per Condition, so Condition::index() is always in range")
+        &mut self.banks[cond.index()]
+    }
+
     /// Clears one condition across all VCs (used at round boundaries for the
     /// `*_bandwidth_serviced` vectors).
     pub fn clear_condition(&mut self, cond: Condition) {
-        self.banks[cond.index()].clear();
+        self.bank_mut(cond).clear();
     }
 
     /// VCs satisfying *all* of `conds` (wide AND). With an empty list this

@@ -348,16 +348,14 @@ impl Auditor {
                     });
                 }
             }
-            if r.quota_enforced() {
-                if let Some(quota) = conn.round_quota() {
-                    if conn.serviced_this_round > quota {
-                        self.report(AuditViolation::QuotaExceeded {
-                            router,
-                            conn: conn.id,
-                            serviced: conn.serviced_this_round,
-                            quota,
-                        });
-                    }
+            if let Some(quota) = conn.round_quota() {
+                if conn.serviced_this_round > quota {
+                    self.report(AuditViolation::QuotaExceeded {
+                        router,
+                        conn: conn.id,
+                        serviced: conn.serviced_this_round,
+                        quota,
+                    });
                 }
             }
             // Starvation watchdog: flits queued, none forwarded, for longer

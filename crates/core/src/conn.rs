@@ -6,8 +6,9 @@
 //! required to forward data flits. Reverse mappings are used by backtracking
 //! headers and returned acknowledgments."
 
-use mmr_sim::Bandwidth;
+use mmr_sim::{Bandwidth, FlitTiming};
 
+use crate::bandwidth::Allocation;
 use crate::ids::{ConnectionId, PortId, VcRef};
 
 /// The service class of a connection (§2, §4).
@@ -101,6 +102,59 @@ pub struct ConnState {
 }
 
 impl ConnState {
+    /// Derives a freshly admitted connection's state from its request:
+    /// `granted` is what the bandwidth books booked for `class`, `tiebreak`
+    /// a unit-interval draw that orders same-rate connections.
+    pub fn new(
+        id: ConnectionId,
+        input_vc: VcRef,
+        output_vc: VcRef,
+        class: QosClass,
+        granted: Allocation,
+        timing: FlitTiming,
+        tiebreak: f64,
+    ) -> Self {
+        let paced = class.guaranteed_rate();
+        let (vbr_permanent_cycles, dynamic_priority) = match class {
+            QosClass::Vbr { priority, .. } => (granted.guaranteed_cycles, priority),
+            _ => (0.0, 0),
+        };
+        ConnState {
+            id,
+            input_vc,
+            output_vc,
+            class,
+            interarrival_cycles: if class.reserves_bandwidth() {
+                timing.interarrival_cycles(paced)
+            } else {
+                f64::INFINITY
+            },
+            // Fixed (static) priorities follow the connection's bandwidth
+            // class, as in the priority scheme of Chien & Kim the paper
+            // compares against: a high-speed connection permanently outranks
+            // a slow one. The tiny random component only breaks ties.
+            fixed_priority: paced.fraction_of(timing.link_rate()) + tiebreak * 1e-6,
+            allocated_cycles_per_round: granted.guaranteed_cycles,
+            serviced_this_round: 0,
+            vbr_permanent_cycles,
+            vbr_peak_cycles: granted.peak_cycles,
+            dynamic_priority,
+            flits_forwarded: 0,
+            flits_injected: 0,
+        }
+    }
+
+    /// The bandwidth this connection holds on each of its two links, to be
+    /// surrendered at teardown. An allocation is a function of the class,
+    /// the round and the link timing alone, all router-wide, so the input
+    /// and the output book granted the same one and this record covers both.
+    pub fn allocation(&self) -> Allocation {
+        Allocation {
+            guaranteed_cycles: self.allocated_cycles_per_round,
+            peak_cycles: self.vbr_peak_cycles,
+        }
+    }
+
     /// The per-round flit quota the link scheduler enforces: the smallest
     /// integer number of flit cycles covering the allocation. Connections
     /// without a reservation have no quota.
@@ -115,6 +169,19 @@ impl ConnState {
     /// Whether the quota for the current round is exhausted.
     pub fn quota_exhausted(&self) -> bool {
         self.round_quota().is_some_and(|q| self.serviced_this_round >= q)
+    }
+
+    /// Whether the link scheduler will not offer this connection again this
+    /// round: a CBR connection at its quota, a VBR one at its *peak* —
+    /// past-permanent VBR still competes in the excess phase.
+    pub fn round_spent(&self) -> bool {
+        match self.class {
+            QosClass::Cbr { .. } => self.quota_exhausted(),
+            QosClass::Vbr { .. } => {
+                self.serviced_this_round >= self.vbr_peak_cycles.ceil().max(1.0) as u32
+            }
+            QosClass::BestEffort | QosClass::Control => false,
+        }
     }
 }
 

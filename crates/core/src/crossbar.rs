@@ -10,8 +10,9 @@
 //!
 //! Behaviourally the crossbar just carries the matched flits; this module
 //! keeps the *accounting* the architecture sections reason about — port
-//! constraints, reconfiguration counts, serialization factor, and the
-//! silicon-area comparison across crossbar organisations.
+//! constraints, reconfiguration counts, and the silicon-area comparison
+//! across crossbar organisations. (The serialization factor is
+//! [`crate::phitlink::PhitTimingModel`]'s.)
 
 use crate::ids::PortId;
 use crate::switchsched::MatchedPair;
@@ -44,9 +45,6 @@ impl CrossbarOrganization {
 #[derive(Debug, Clone)]
 pub struct Crossbar {
     ports: usize,
-    /// Phits per flit on the internal datapath (serialization factor when
-    /// the datapath is narrower than a flit).
-    phits_per_flit: u16,
     /// Current input→output configuration; `None` = disconnected.
     config: Vec<Option<PortId>>,
     /// Reusable next-configuration buffer ([`Crossbar::apply`] runs every
@@ -61,15 +59,12 @@ impl Crossbar {
     ///
     /// # Panics
     ///
-    /// Panics if `ports` or `phits_per_flit` is zero.
-    pub fn new(ports: usize, phits_per_flit: u16) -> Self {
+    /// Panics if `ports` is zero.
+    pub fn new(ports: usize) -> Self {
         // mmr-lint: allow(P-PANIC, reason="construction-time config validation (documented # Panics contract), not on the flit-cycle path")
         assert!(ports > 0, "crossbar needs at least one port");
-        // mmr-lint: allow(P-PANIC, reason="construction-time config validation (documented # Panics contract), not on the flit-cycle path")
-        assert!(phits_per_flit > 0, "a flit is at least one phit");
         Crossbar {
             ports,
-            phits_per_flit,
             config: vec![None; ports],
             scratch: vec![None; ports],
             reconfigurations: 0,
@@ -80,11 +75,6 @@ impl Crossbar {
     /// Number of ports (equal to physical links — the multiplexed design).
     pub fn ports(&self) -> usize {
         self.ports
-    }
-
-    /// Serialization factor: internal phit transfers per flit.
-    pub fn phits_per_flit(&self) -> u16 {
-        self.phits_per_flit
     }
 
     /// Applies a matching as the configuration for the next flit cycle and
@@ -167,7 +157,7 @@ mod tests {
 
     #[test]
     fn apply_tracks_routes_and_reconfigurations() {
-        let mut xb = Crossbar::new(4, 1);
+        let mut xb = Crossbar::new(4);
         assert_eq!(xb.apply(&[pair(0, 2), pair(1, 3)]), 2);
         assert_eq!(xb.route_of(PortId(0)), Some(PortId(2)));
         assert_eq!(xb.route_of(PortId(2)), None);
@@ -183,7 +173,7 @@ mod tests {
 
     #[test]
     fn idle_tracks_configuration() {
-        let mut xb = Crossbar::new(4, 1);
+        let mut xb = Crossbar::new(4);
         assert!(xb.is_idle());
         xb.apply(&[pair(0, 2)]);
         assert!(!xb.is_idle());
@@ -197,10 +187,8 @@ mod tests {
     }
 
     #[test]
-    fn serialization_factor_is_recorded() {
-        // 128-bit flits over a 32-bit internal datapath: 4 phits per flit.
-        let xb = Crossbar::new(8, 4);
-        assert_eq!(xb.phits_per_flit(), 4);
-        assert_eq!(xb.ports(), 8);
+    fn port_count_is_recorded() {
+        // The multiplexed design: one switch port per physical link.
+        assert_eq!(Crossbar::new(8).ports(), 8);
     }
 }

@@ -84,8 +84,8 @@ pub use llr::{
 };
 pub use phitlink::{PhitEvent, PhitLink, PhitTimingModel};
 pub use router::{
-    EstablishError, InjectError, PacketError, PacketOutcome, Router, RouterConfig, RouterStats,
-    StepReport, Transmitted,
+    ConfigError, EstablishError, InjectError, PacketError, PacketOutcome, Router, RouterConfig,
+    RouterStats, StepReport, Transmitted,
 };
 pub use switchsched::{is_valid_matching, MatchedPair, SwitchScheduler};
 pub use table::{OutputSet, PhaseMap, PortMap, VcMap};

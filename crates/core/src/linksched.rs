@@ -181,8 +181,6 @@ pub struct LinkSchedView<'a> {
     pub kind: ArbiterKind,
     /// Maximum number of candidates to offer the switch scheduler.
     pub max_candidates: usize,
-    /// Whether per-round quotas are enforced (§4.3 link scheduling).
-    pub enforce_quota: bool,
     /// Candidate selection policy.
     pub policy: CandidatePolicy,
     /// Per-VC class membership masks for this port (see [`ClassMasks`]).
@@ -458,36 +456,25 @@ impl LinkScheduler {
                             }
                             // Stream phases: class members whose head is a
                             // data/command flit (head kind takes precedence).
-                            // Under quota enforcement, VCs whose round quota
-                            // is already exhausted (the latched §4.4
-                            // "completely serviced" banks) would classify to
-                            // `None` anyway — subtract them up front so the
-                            // scan never visits them.
-                            ServicePhase::CbrGuaranteed => {
-                                if view.enforce_quota {
-                                    self.domain.copy_intersection_minus(
-                                        &view.classes.cbr,
-                                        stream_heads,
-                                        view.status.bank(Condition::CbrBandwidthServiced),
-                                    )
-                                } else {
-                                    self.domain.copy_intersection(&view.classes.cbr, stream_heads)
-                                }
-                            }
+                            // VCs whose round quota is already exhausted (the
+                            // latched §4.4 "completely serviced" banks) would
+                            // classify to `None` anyway — subtract them up
+                            // front so the scan never visits them.
+                            ServicePhase::CbrGuaranteed => self.domain.copy_intersection_minus(
+                                &view.classes.cbr,
+                                stream_heads,
+                                view.status.bank(Condition::CbrBandwidthServiced),
+                            ),
                             // Both VBR phases share one domain; the quota
                             // position decides per VC which phase it is in.
                             // The VBR serviced bank latches *peak* exhaustion,
                             // which rules a VC out of both phases.
                             ServicePhase::VbrPermanent | ServicePhase::VbrExcess => {
-                                if view.enforce_quota {
-                                    self.domain.copy_intersection_minus(
-                                        &view.classes.vbr,
-                                        stream_heads,
-                                        view.status.bank(Condition::VbrBandwidthServiced),
-                                    )
-                                } else {
-                                    self.domain.copy_intersection(&view.classes.vbr, stream_heads)
-                                }
+                                self.domain.copy_intersection_minus(
+                                    &view.classes.vbr,
+                                    stream_heads,
+                                    view.status.bank(Condition::VbrBandwidthServiced),
+                                )
                             }
                             // Best-effort heads always classify as best
                             // effort; best-effort-class connections follow
@@ -600,19 +587,14 @@ fn classify(view: &LinkSchedView<'_>, vc_idx: usize, vcs: usize) -> Option<Class
                 // round.
                 None
             }
-            QosClass::Cbr { .. } => {
-                if view.enforce_quota && conn.quota_exhausted() {
-                    None
-                } else {
-                    Some(ServicePhase::CbrGuaranteed)
-                }
-            }
+            QosClass::Cbr { .. } if conn.quota_exhausted() => None,
+            QosClass::Cbr { .. } => Some(ServicePhase::CbrGuaranteed),
             QosClass::Vbr { .. } => {
                 let perm_quota = conn.vbr_permanent_cycles.ceil().max(1.0) as u32;
                 let peak_quota = conn.vbr_peak_cycles.ceil().max(1.0) as u32;
                 if conn.serviced_this_round < perm_quota {
                     Some(ServicePhase::VbrPermanent)
-                } else if !view.enforce_quota || conn.serviced_this_round < peak_quota {
+                } else if conn.serviced_this_round < peak_quota {
                     Some(ServicePhase::VbrExcess)
                 } else {
                     None
@@ -726,7 +708,6 @@ mod tests {
                 conns: &self.conns,
                 kind,
                 max_candidates: max,
-                enforce_quota: true,
                 policy: CandidatePolicy::PrioritySorted,
                 classes: &self.classes,
                 guaranteed_open: &ALL_OPEN,
@@ -847,10 +828,6 @@ mod tests {
         f.add_cbr(0, 100.0, 0.5, 0, 1);
         f.conns.get_mut(ConnectionId(0)).expect("present").serviced_this_round = 10;
         assert!(select_candidates(&f.view(ArbiterKind::BiasedPriority, 4, 5)).candidates.is_empty());
-        // With enforcement off the VC is offered again.
-        let mut view = f.view(ArbiterKind::BiasedPriority, 4, 5);
-        view.enforce_quota = false;
-        assert_eq!(select_candidates(&view).candidates.len(), 1);
     }
 
     #[test]

@@ -1,0 +1,466 @@
+//! [`Router`] on its own: establishment, the flit cycle, VCT packets, credits.
+#![cfg(test)]
+
+use super::*;
+use crate::arbiter::ArbiterKind;
+use mmr_sim::Bandwidth;
+
+fn small_router(arbiter: ArbiterKind) -> Router {
+    RouterConfig::paper_default()
+        .ports(4)
+        .vcs_per_port(8)
+        .candidates(4)
+        .arbiter(arbiter)
+        .seed(42)
+        .build()
+}
+
+fn cbr(rate_mbps: f64, input: u8, output: u8) -> ConnectionRequest {
+    ConnectionRequest {
+        input: PortId(input),
+        output: PortId(output),
+        class: QosClass::Cbr { rate: Bandwidth::from_mbps(rate_mbps) },
+    }
+}
+
+#[test]
+fn establish_reserves_and_teardown_releases() {
+    let mut r = small_router(ArbiterKind::BiasedPriority);
+    let id = r.establish(cbr(124.0, 0, 1)).expect("admits");
+    assert_eq!(r.connections(), 1);
+    let book_load = r.bandwidth_book(PortId(1)).load_factor();
+    assert!(book_load > 0.09 && book_load < 0.11, "10% of the link: {book_load}");
+    r.teardown(id).expect("present");
+    assert_eq!(r.connections(), 0);
+    assert_eq!(r.bandwidth_book(PortId(1)).load_factor(), 0.0);
+    assert_eq!(r.teardown(id), Err(id), "double teardown reports the id");
+}
+
+#[test]
+fn quarantine_drains_connections_and_blocks_admission_until_lifted() {
+    let mut r = small_router(ArbiterKind::BiasedPriority);
+    let a = r.establish(cbr(10.0, 0, 1)).expect("admits");
+    let b = r.establish(cbr(10.0, 2, 3)).expect("admits");
+    r.inject(a, Cycles(0)).expect("buffer empty");
+    r.inject(b, Cycles(0)).expect("buffer empty");
+    let drained = r.quarantine();
+    assert!(r.is_quarantined());
+    assert_eq!(drained, 2, "both buffered flits drained");
+    assert_eq!(r.connections(), 0, "ledger emptied");
+    assert_eq!(r.bandwidth_book(PortId(1)).load_factor(), 0.0, "bandwidth released");
+    let err = r.establish(cbr(10.0, 0, 1)).expect_err("quarantined");
+    assert_eq!(err, EstablishError::Quarantined);
+    r.lift_quarantine();
+    assert!(!r.is_quarantined());
+    // Full VC pools again: repeat the exhaustion pattern cleanly.
+    for _ in 0..8 {
+        r.establish(cbr(1.0, 0, 1)).expect("VC pools intact after quarantine");
+    }
+}
+
+#[test]
+fn establish_rejects_invalid_port() {
+    let mut r = small_router(ArbiterKind::BiasedPriority);
+    let err = r.establish(cbr(1.0, 9, 1)).expect_err("port 9 of 4");
+    assert!(matches!(err, EstablishError::InvalidPort { .. }));
+}
+
+#[test]
+fn vc_exhaustion_is_reported_and_recoverable() {
+    let mut r = small_router(ArbiterKind::BiasedPriority);
+    // 8 VCs per port; the 9th connection on the same ports must fail.
+    let ids: Vec<_> = (0..8).map(|_| r.establish(cbr(1.0, 0, 1)).expect("fits")).collect();
+    let err = r.establish(cbr(1.0, 0, 1)).expect_err("VCs exhausted");
+    assert!(matches!(err, EstablishError::NoFreeInputVc));
+    // Different input port, same output: output VCs are also exhausted.
+    let err = r.establish(cbr(1.0, 2, 1)).expect_err("output VCs exhausted");
+    assert!(matches!(err, EstablishError::NoFreeOutputVc));
+    r.teardown(ids[0]).expect("present");
+    r.establish(cbr(1.0, 0, 1)).expect("VC recycled");
+}
+
+#[test]
+fn admission_failure_releases_vcs() {
+    let mut r = small_router(ArbiterKind::BiasedPriority);
+    r.establish(cbr(1240.0, 0, 1)).expect("full link admits");
+    let err = r.establish(cbr(124.0, 0, 1)).expect_err("link is full");
+    assert!(matches!(err, EstablishError::Admission(_)));
+    // The failed attempt must not leak VCs: more connections on other
+    // ports still fit (input 0 is bandwidth-saturated, so use input 2).
+    for _ in 0..7 {
+        r.establish(cbr(1.0, 2, 2)).expect("VC pools intact");
+    }
+    // Input 0's own bandwidth is genuinely exhausted on both sides.
+    let err = r.establish(cbr(124.0, 0, 2)).expect_err("input link full");
+    assert!(matches!(err, EstablishError::Admission(_)));
+}
+
+#[test]
+fn single_flit_flows_through_in_one_cycle() {
+    let mut r = small_router(ArbiterKind::BiasedPriority);
+    let id = r.establish(cbr(124.0, 0, 1)).expect("admits");
+    r.inject(id, Cycles(5)).expect("buffer empty");
+    let report = r.step(Cycles(5));
+    assert_eq!(report.transmitted.len(), 1);
+    let t = &report.transmitted[0];
+    assert_eq!(t.conn, id);
+    assert_eq!(t.delay, Cycles(0), "uncontended flit leaves immediately");
+    assert_eq!(t.output_vc.port, PortId(1));
+    assert_eq!(report.outputs_used, 1);
+    // The queue is now empty.
+    assert!(r.step(Cycles(6)).transmitted.is_empty());
+}
+
+#[test]
+fn conflicting_inputs_share_an_output() {
+    let mut r = small_router(ArbiterKind::BiasedPriority);
+    let a = r.establish(cbr(124.0, 0, 3)).expect("admits");
+    let b = r.establish(cbr(124.0, 1, 3)).expect("admits");
+    r.inject(a, Cycles(0)).expect("room");
+    r.inject(b, Cycles(0)).expect("room");
+    let first = r.step(Cycles(0));
+    assert_eq!(first.transmitted.len(), 1, "one output carries one flit per cycle");
+    let second = r.step(Cycles(1));
+    assert_eq!(second.transmitted.len(), 1);
+    let served: std::collections::BTreeSet<_> = first
+        .transmitted
+        .iter()
+        .chain(&second.transmitted)
+        .map(|t| t.conn)
+        .collect();
+    assert_eq!(served.len(), 2, "both connections served across two cycles");
+    // The loser waited exactly one cycle.
+    assert_eq!(second.transmitted[0].delay, Cycles(1));
+}
+
+#[test]
+fn buffer_full_backpressure() {
+    let mut r = small_router(ArbiterKind::BiasedPriority);
+    let id = r.establish(cbr(1.0, 0, 1)).expect("admits");
+    for _ in 0..4 {
+        r.inject(id, Cycles(0)).expect("vc_depth = 4");
+    }
+    assert!(!r.can_inject(id));
+    assert_eq!(r.inject(id, Cycles(0)), Err(InjectError::BufferFull(id)));
+    r.step(Cycles(0));
+    assert!(r.can_inject(id), "transmission freed a slot");
+}
+
+#[test]
+fn unknown_connection_errors() {
+    let mut r = small_router(ArbiterKind::BiasedPriority);
+    let ghost = ConnectionId(99);
+    assert_eq!(r.inject(ghost, Cycles(0)), Err(InjectError::UnknownConnection(ghost)));
+    assert!(!r.can_inject(ghost));
+}
+
+#[test]
+fn control_packet_cuts_through_idle_output() {
+    let mut r = small_router(ArbiterKind::BiasedPriority);
+    let out = r
+        .inject_packet(PortId(0), PortId(2), FlitKind::Control, Cycles(0))
+        .expect("output idle");
+    assert_eq!(out, PacketOutcome::CutThrough);
+    assert_eq!(r.stats().cut_throughs, 1);
+    // A second control packet to the same output in the same cycle must
+    // buffer instead.
+    let out2 = r
+        .inject_packet(PortId(1), PortId(2), FlitKind::Control, Cycles(0))
+        .expect("buffers");
+    assert!(matches!(out2, PacketOutcome::Buffered(_)));
+    // The claimed output is busy for this cycle's matching.
+    let report = r.step(Cycles(0));
+    assert!(report.transmitted.is_empty(), "output 2 was claimed by the cut-through");
+    // Next cycle the buffered control packet goes through and its
+    // ephemeral VC is released.
+    let report = r.step(Cycles(1));
+    assert_eq!(report.transmitted.len(), 1);
+    assert_eq!(report.transmitted[0].flit.kind, FlitKind::Control);
+    assert_eq!(r.connections(), 0, "packet connection torn down after transmit");
+}
+
+#[test]
+fn best_effort_packets_always_buffer() {
+    let mut r = small_router(ArbiterKind::BiasedPriority);
+    let out = r
+        .inject_packet(PortId(0), PortId(1), FlitKind::BestEffort, Cycles(0))
+        .expect("free VCs");
+    assert!(matches!(out, PacketOutcome::Buffered(_)));
+    let report = r.step(Cycles(0));
+    assert_eq!(report.transmitted.len(), 1);
+    assert_eq!(report.transmitted[0].flit.kind, FlitKind::BestEffort);
+}
+
+#[test]
+fn best_effort_yields_to_streams() {
+    let mut r = small_router(ArbiterKind::BiasedPriority);
+    let stream = r.establish(cbr(124.0, 0, 1)).expect("admits");
+    // Best-effort from another input to the same output.
+    r.inject_packet(PortId(2), PortId(1), FlitKind::BestEffort, Cycles(0)).expect("buffers");
+    r.inject(stream, Cycles(0)).expect("room");
+    let report = r.step(Cycles(0));
+    assert_eq!(report.transmitted.len(), 1);
+    assert_eq!(report.transmitted[0].conn, stream, "CBR outranks best-effort");
+    let report = r.step(Cycles(1));
+    assert_eq!(report.transmitted[0].flit.kind, FlitKind::BestEffort);
+}
+
+#[test]
+fn command_word_set_priority_applies() {
+    let mut r = small_router(ArbiterKind::BiasedPriority);
+    let id = r.establish(cbr(124.0, 0, 1)).expect("admits");
+    r.inject_kind(id, FlitKind::Command(CommandWord::SetPriority(9)), Cycles(0))
+        .expect("room");
+    r.step(Cycles(0));
+    assert_eq!(r.connection(id).expect("live").dynamic_priority, 9);
+}
+
+#[test]
+fn command_word_scale_rate_changes_interarrival() {
+    let mut r = small_router(ArbiterKind::BiasedPriority);
+    let id = r.establish(cbr(124.0, 0, 1)).expect("admits");
+    let before = r.connection(id).expect("live").interarrival_cycles;
+    // Halve the rate => double the inter-arrival.
+    r.inject_kind(id, FlitKind::Command(CommandWord::ScaleRate { num: 1, den: 2 }), Cycles(0))
+        .expect("room");
+    r.step(Cycles(0));
+    let after = r.connection(id).expect("live").interarrival_cycles;
+    assert!((after / before - 2.0).abs() < 1e-12);
+}
+
+#[test]
+fn command_word_abort_frame_flushes_queue() {
+    let mut r = small_router(ArbiterKind::BiasedPriority);
+    let id = r.establish(cbr(124.0, 0, 1)).expect("admits");
+    r.inject_kind(id, FlitKind::Command(CommandWord::AbortFrame), Cycles(0)).expect("room");
+    r.inject(id, Cycles(0)).expect("room");
+    r.inject(id, Cycles(0)).expect("room");
+    let report = r.step(Cycles(0));
+    assert_eq!(report.transmitted.len(), 1, "the command word itself is forwarded");
+    // The two queued data flits were dropped.
+    assert!(r.step(Cycles(1)).transmitted.is_empty());
+}
+
+#[test]
+fn credits_gate_scheduling_when_tracked() {
+    let mut r = RouterConfig::paper_default()
+        .ports(2)
+        .vcs_per_port(4)
+        .vc_depth(2)
+        .candidates(2)
+        .track_output_credits(true)
+        .seed(1)
+        .build();
+    // Half the link: a quota of 4 flits in the 8-cycle round covers the 3 sent.
+    let id = r.establish(cbr(620.0, 0, 1)).expect("admits");
+    let out_vc = r.connection(id).expect("live").output_vc;
+    // Drain both credits.
+    for cycle in 0..2 {
+        r.inject(id, Cycles(cycle)).expect("room");
+        let rep = r.step(Cycles(cycle));
+        assert_eq!(rep.transmitted.len(), 1);
+    }
+    // No credits left: the flit stays queued.
+    r.inject(id, Cycles(2)).expect("room");
+    assert!(r.step(Cycles(2)).transmitted.is_empty());
+    // A returned credit unblocks it.
+    r.return_credit(out_vc);
+    assert_eq!(r.step(Cycles(3)).transmitted.len(), 1);
+}
+
+#[test]
+fn round_quota_throttles_over_rate_connection() {
+    // 1-VC-per-candidate router with quota enforcement: a connection
+    // allocated ~10% of the link cannot burst past its round quota.
+    let mut r = RouterConfig::paper_default()
+        .ports(2)
+        .vcs_per_port(4)
+        .vc_depth(4)
+        .candidates(1)
+        .round_k(2) // round = 8 cycles
+        .seed(3)
+        .build();
+    let id = r.establish(cbr(155.0, 0, 1)).expect("admits"); // 12.5% => 1 cycle/round
+    let mut sent = 0;
+    for cycle in 0..8u64 {
+        if r.can_inject(id) {
+            r.inject(id, Cycles(cycle)).expect("room");
+        }
+        sent += r.step(Cycles(cycle)).transmitted.len();
+    }
+    assert_eq!(sent, 1, "quota of ceil(1.0) = 1 flit in the 8-cycle round");
+}
+
+#[test]
+fn utilization_counts_flits_per_port_cycle() {
+    let mut r = small_router(ArbiterKind::BiasedPriority);
+    // Full-link-rate connections so one flit per cycle is within quota.
+    let a = r.establish(cbr(1240.0, 0, 1)).expect("admits");
+    let b = r.establish(cbr(1240.0, 1, 2)).expect("admits");
+    for cycle in 0..10u64 {
+        r.inject(a, Cycles(cycle)).expect("room");
+        r.inject(b, Cycles(cycle)).expect("room");
+        r.step(Cycles(cycle));
+    }
+    // 2 flits per cycle on a 4-port router = 50% utilization.
+    assert!((r.utilization() - 0.5).abs() < 1e-9);
+    assert_eq!(r.stats().flits_transmitted, 20);
+    assert_eq!(r.stats().cycles, 10);
+}
+
+#[test]
+fn perfect_switch_has_no_conflicts() {
+    let mut r = small_router(ArbiterKind::Perfect);
+    let a = r.establish(cbr(124.0, 0, 3)).expect("admits");
+    let b = r.establish(cbr(124.0, 1, 3)).expect("admits");
+    r.inject(a, Cycles(0)).expect("room");
+    r.inject(b, Cycles(0)).expect("room");
+    let report = r.step(Cycles(0));
+    assert_eq!(report.transmitted.len(), 2, "perfect switch absorbs the conflict");
+    assert!(report.transmitted.iter().all(|t| t.delay == Cycles(0)));
+}
+
+#[test]
+fn autonet_router_transmits_under_contention() {
+    let mut r = small_router(ArbiterKind::autonet_default());
+    let a = r.establish(cbr(124.0, 0, 3)).expect("admits");
+    let b = r.establish(cbr(124.0, 1, 3)).expect("admits");
+    let mut total = 0;
+    for cycle in 0..4u64 {
+        let _ = r.inject(a, Cycles(cycle));
+        let _ = r.inject(b, Cycles(cycle));
+        total += r.step(Cycles(cycle)).transmitted.len();
+    }
+    assert!(total >= 4, "PIM serves the contended output every cycle: {total}");
+}
+
+#[test]
+fn clone_produces_independent_router() {
+    let mut r = small_router(ArbiterKind::BiasedPriority);
+    let id = r.establish(cbr(124.0, 0, 1)).expect("admits");
+    let mut copy = r.clone();
+    r.inject(id, Cycles(0)).expect("room");
+    r.step(Cycles(0));
+    assert_eq!(copy.stats().flits_transmitted, 0);
+    copy.inject(id, Cycles(0)).expect("room");
+    assert_eq!(copy.step(Cycles(0)).transmitted.len(), 1);
+}
+
+/// The status bits and class masks of every port, held to the facts they
+/// name; `Err` describes the first disagreement.
+fn bits_match_facts(r: &Router) -> Result<(), String> {
+    use mmr_bitvec::Condition;
+    for (p, input) in r.inputs.iter().enumerate() {
+        let (status, classes) = input.bits();
+        for v in 0..usize::from(r.cfg.vcs_per_port) {
+            let vc = VcRef::new(p as u8, v as u16);
+            let conn = r.conns.by_input_vc(vc);
+            let class = conn.map(|c| c.class);
+            let spent = conn.is_some_and(ConnState::round_spent);
+            let facts = [
+                (Condition::FlitsAvailable, input.vcm().occupancy(vc.vc) > 0),
+                (Condition::ConnectionActive, conn.is_some()),
+                (Condition::CreditsAvailable, conn.is_some_and(|c| r.output_credit(c.output_vc) > 0)),
+                (Condition::CbrBandwidthServiced, spent && matches!(class, Some(QosClass::Cbr { .. }))),
+                (Condition::VbrBandwidthServiced, spent && matches!(class, Some(QosClass::Vbr { .. }))),
+                (Condition::InputBufferFull, false),
+                (Condition::CbrServiceRequested, false),
+            ];
+            for (cond, fact) in facts {
+                if status.get(cond, v) != fact {
+                    return Err(format!("{vc}: {cond:?} is {} but the fact is {fact}", !fact));
+                }
+            }
+            // `InputLink::has_flits` reads the VCM's copy of the first fact.
+            if input.vcm().flits_available().get(v) != facts[0].1 {
+                return Err(format!("{vc}: the VCM's flits_available disagrees with its queue"));
+            }
+            let masks = [
+                ("cbr", classes.cbr.get(v), matches!(class, Some(QosClass::Cbr { .. }))),
+                ("vbr", classes.vbr.get(v), matches!(class, Some(QosClass::Vbr { .. }))),
+                ("control", classes.control.get(v), class == Some(QosClass::Control)),
+                ("best-effort", classes.best_effort.get(v), class == Some(QosClass::BestEffort)),
+            ];
+            for (name, bit, fact) in masks {
+                if bit != fact {
+                    return Err(format!("{vc}: {name} mask is {bit} but the class is {class:?}"));
+                }
+            }
+        }
+    }
+    // The one derived latch kept outside the links.
+    for (o, output) in r.outputs.iter().enumerate() {
+        if r.guaranteed_open[o] != (output.guaranteed_serviced < r.guaranteed_cap) {
+            return Err(format!("p{o}: guaranteed_open is {}", r.guaranteed_open[o]));
+        }
+    }
+    Ok(())
+}
+
+proptest::proptest! {
+    /// After every operation of a random establish / inject / accept /
+    /// packet / step / credit / teardown / quarantine sequence over all four
+    /// classes, each status bit and class mask agrees with the fact it names.
+    /// Rounds are 16 cycles, a quarter of them open to guaranteed traffic, so
+    /// quota latches, closed outputs and round boundaries are dense.
+    #[test]
+    fn status_bits_agree_with_the_facts_they_name(
+        (seed, ops) in (
+            proptest::any::<u64>(),
+            proptest::collection::vec((0u8..16, proptest::any::<u8>(), proptest::any::<u8>()), 40..240),
+        )
+    ) {
+        let mut r = RouterConfig::paper_default()
+            .ports(4)
+            .vcs_per_port(8)
+            .candidates(4)
+            .track_output_credits(true)
+            .best_effort_reserve(0.75)
+            .seed(seed)
+            .build();
+        let mut streams: Vec<ConnectionId> = Vec::new();
+        let mut now = Cycles(0);
+        for (i, &(op, a, b)) in ops.iter().enumerate() {
+            let (input, output) = (PortId(a % 4), PortId(b % 4));
+            let stream = streams.get(usize::from(a) % streams.len().max(1)).copied();
+            match (op, stream) {
+                (0, _) => streams.extend(r.establish(cbr([10.0, 155.0, 310.0][usize::from(b) % 3], a % 4, b / 4 % 4))),
+                (1, _) => streams.extend(r.establish(ConnectionRequest {
+                    input,
+                    output,
+                    class: QosClass::Vbr {
+                        permanent: Bandwidth::from_mbps(80.0),
+                        peak: Bandwidth::from_mbps(160.0),
+                        priority: b,
+                    },
+                })),
+                (2, _) => drop(r.inject_packet(input, output, FlitKind::Control, now)),
+                (3, _) => drop(r.inject_packet(input, output, FlitKind::BestEffort, now)),
+                (4 | 5, Some(id)) => drop(r.inject(id, now)),
+                (6, Some(id)) => drop(r.accept(id, Flit::data(ConnectionId(999), u64::from(b), now), now)),
+                (7, Some(id)) => drop(r.inject_kind(id, FlitKind::Command(CommandWord::AbortFrame), now)),
+                (8, Some(id)) => {
+                    let out_vc = r.connection(id).expect("tracked streams are live").output_vc;
+                    r.return_credit(out_vc);
+                }
+                (9, _) => r.return_credit(VcRef::new(a % 4, u16::from(b % 8))),
+                (10, Some(id)) => {
+                    r.teardown(id).expect("tracked streams are live");
+                    streams.retain(|&s| s != id);
+                }
+                (11, _) if b < 16 => {
+                    r.quarantine();
+                    r.lift_quarantine();
+                    streams.clear();
+                }
+                _ => {
+                    r.step(now);
+                    now = Cycles(now.count() + 1);
+                }
+            }
+            if let Err(e) = bits_match_facts(&r) {
+                proptest::prop_assert!(false, "after op {i} {:?} at {now}: {e}", (op, a, b));
+            }
+        }
+    }
+}

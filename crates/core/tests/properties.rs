@@ -183,7 +183,6 @@ proptest! {
             .ports(4)
             .vcs_per_port(8)
             .candidates(4)
-            .enforce_round_quota(false)
             .arbiter(kind)
             .seed(seed)
             .build();

@@ -64,15 +64,21 @@ pub fn check_source(rel_path: &str, src: &str, manifest: &Manifest) -> Vec<Diagn
     engine::check_file(rel_path, src, manifest)
 }
 
-/// Walks `root` for `.rs` files, skipping manifest-excluded prefixes plus
-/// the built-in `target` / `.git` / hidden directories, and analyzes them
-/// all as one workspace (direct rules plus call-graph rules).
-pub fn analyze_workspace(root: &Path, manifest: &Manifest) -> io::Result<Analysis> {
+/// The workspace-relative paths of the `.rs` files under `root`, sorted,
+/// skipping manifest-excluded prefixes plus the built-in `target` / `.git` /
+/// hidden directories — the file set every workspace pass runs over.
+pub fn workspace_sources(root: &Path, manifest: &Manifest) -> io::Result<Vec<String>> {
     let mut files = Vec::new();
     collect_rs_files(root, root, manifest, &mut files)?;
     files.sort();
+    Ok(files)
+}
+
+/// Analyzes [`workspace_sources`] as one workspace (direct rules plus
+/// call-graph rules).
+pub fn analyze_workspace(root: &Path, manifest: &Manifest) -> io::Result<Analysis> {
     let mut sources = Vec::new();
-    for rel in files {
+    for rel in workspace_sources(root, manifest)? {
         let src = fs::read_to_string(root.join(&rel))?;
         sources.push((rel, src));
     }

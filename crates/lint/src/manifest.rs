@@ -311,26 +311,28 @@ modules = ["crates/core/src/router.rs"]
         assert!(!m.is_panic_free("crates/net/src2/x.rs"));
     }
 
-    /// The workspace manifest designates `crates/net/src/network` as a
-    /// directory, so a file added to the simulator cannot silently leave
-    /// the panic-free wall; the session layer above it (`recovery.rs`,
-    /// `admission.rs`) is inside the wall too.
+    /// The workspace manifest designates `crates/net/src/network` and
+    /// `crates/core/src/router` as directories, so a file added to the
+    /// simulator or the router cannot silently leave the panic-free wall;
+    /// the session layer above them (`recovery.rs`, `admission.rs`) is
+    /// inside the wall too.
     #[test]
     fn every_network_source_file_is_panic_free_scoped() {
         let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
         let manifest = std::fs::read_to_string(root.join("lint.toml")).expect("workspace lint.toml");
         let m = Manifest::parse(&manifest).expect("parses");
-        let dir = "crates/net/src/network";
-        let mut seen = 0;
-        for entry in std::fs::read_dir(root.join(dir)).expect("the simulator's directory") {
-            let name = entry.expect("readable entry").file_name();
-            let name = name.to_str().expect("utf-8 file name");
-            if name.ends_with(".rs") {
-                assert!(m.is_panic_free(&format!("{dir}/{name}")), "{name} left P-* scope");
-                seen += 1;
+        for dir in ["crates/net/src/network", "crates/core/src/router"] {
+            let mut seen = 0;
+            for entry in std::fs::read_dir(root.join(dir)).expect("a designated directory") {
+                let name = entry.expect("readable entry").file_name();
+                let name = name.to_str().expect("utf-8 file name");
+                if name.ends_with(".rs") {
+                    assert!(m.is_panic_free(&format!("{dir}/{name}")), "{dir}/{name} left P-* scope");
+                    seen += 1;
+                }
             }
+            assert!(seen > 0, "{dir} holds sources");
         }
-        assert!(seen > 0, "{dir} holds the simulator's sources");
         for file in ["crates/net/src/recovery.rs", "crates/net/src/admission.rs"] {
             assert!(root.join(file).is_file(), "{file} moved; update lint.toml");
             assert!(m.is_panic_free(file), "{file} left P-* scope");

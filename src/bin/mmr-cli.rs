@@ -4,14 +4,20 @@
 //! mmr-cli router  [--load 0.8] [--arbiter biased|fixed|autonet|islip|rr|oldest|perfect]
 //!                 [--candidates 8] [--vcs 256] [--ports 8] [--warmup N] [--measure N]
 //!                 [--seed N] [--json]
-//! mmr-cli network [--topology mesh3x3|torus3x3|ring6|irregular10] [--load 0.4]
-//!                 [--warmup N] [--measure N] [--seed N] [--json]
-//! mmr-cli calls   [--arrival 0.01] [--holding 20000] [--cycles 400000] [--seed N] [--json]
+//! mmr-cli network [--topology mesh3x3|mesh4x4|torus3x3|ring6|irregular10] [--load 0.4]
+//!                 [--warmup N] [--measure N] [--seed N] [--admission-attempts 400] [--json]
+//! mmr-cli calls   [--arrival 0.01] [--holding 20000] [--cycles 400000] [--vcs 128]
+//!                 [--seed N] [--json]
 //! mmr-cli cost    [--candidates 8] [--vcs 256] [--ports 8] [--ns-per-gate 0.8]
 //! ```
 //!
 //! Every subcommand prints a human-readable report by default, or a flat
-//! JSON object with `--json` for scripting.
+//! JSON object with `--json` for scripting. Input that cannot be run — an
+//! unknown flag, a missing or out-of-range value, a router no
+//! [`RouterConfig::validate`] accepts — exits 2 with `error: …` on stderr.
+
+use std::fmt::Display;
+use std::str::FromStr;
 
 use mmr::core::arbiter::ArbiterKind;
 use mmr::core::cost::CostModel;
@@ -21,57 +27,75 @@ use mmr::sim::SeededRng;
 use mmr::traffic::calls::{run_calls, CallWorkload};
 use mmr::traffic::driver::Experiment;
 
+/// One subcommand's flags, checked against the list it declares: an unknown
+/// flag, a flag without its value or a stray word is an error, not ignored.
 struct Args {
-    positional: Vec<String>,
-    flags: Vec<(String, Option<String>)>,
+    values: Vec<(String, String)>,
+    json: bool,
 }
 
 impl Args {
-    fn parse() -> Args {
-        let mut positional = Vec::new();
-        let mut flags = Vec::new();
-        let mut iter = std::env::args().skip(1).peekable();
+    /// Parses `argv` (after the subcommand); every flag in `valued` takes
+    /// one value, `--json` (where `json_ok`) takes none.
+    fn parse(argv: &[String], valued: &[&str], json_ok: bool) -> Result<Args, String> {
+        let mut args = Args { values: Vec::new(), json: false };
+        let mut iter = argv.iter();
         while let Some(arg) = iter.next() {
-            if let Some(name) = arg.strip_prefix("--") {
-                let value = iter
-                    .peek()
-                    .filter(|v| !v.starts_with("--"))
-                    .cloned()
-                    .inspect(|_| {
-                        iter.next();
-                    });
-                flags.push((name.to_owned(), value));
-            } else {
-                positional.push(arg);
+            match arg.strip_prefix("--") {
+                Some("json") if json_ok => args.json = true,
+                Some(name) if valued.contains(&name) => {
+                    let value = iter
+                        .next()
+                        .filter(|v| !v.starts_with("--"))
+                        .ok_or_else(|| format!("--{name} needs a value"))?;
+                    args.values.push((name.to_owned(), value.clone()));
+                }
+                Some(name) => return Err(format!("unknown flag --{name}")),
+                None => return Err(format!("unexpected argument: {arg}")),
             }
         }
-        Args { positional, flags }
+        Ok(args)
     }
 
-    fn flag(&self, name: &str) -> Option<&str> {
-        self.flags.iter().find(|(n, _)| n == name).and_then(|(_, v)| v.as_deref())
+    fn text(&self, name: &str) -> Option<&str> {
+        self.values.iter().find(|(n, _)| n == name).map(|(_, v)| v.as_str())
     }
 
-    fn has(&self, name: &str) -> bool {
-        self.flags.iter().any(|(n, _)| n == name)
+    /// The flag parsed at the width of the field it feeds, so an
+    /// out-of-range number is an error rather than a silent wrap.
+    fn get<T: FromStr>(&self, name: &str, default: T) -> Result<T, String>
+    where
+        T::Err: Display,
+    {
+        match self.text(name) {
+            Some(v) => v.parse().map_err(|e| format!("--{name}: {e}: {v}")),
+            None => Ok(default),
+        }
     }
 
-    fn f64_flag(&self, name: &str, default: f64) -> f64 {
-        self.flag(name).map(|v| v.parse().unwrap_or_else(|_| die(&format!("--{name}: not a number: {v}")))).unwrap_or(default)
+    /// An offered load: a fraction of the switch bandwidth.
+    fn load(&self, default: f64) -> Result<f64, String> {
+        let load = self.get("load", default)?;
+        if (0.0..=1.0).contains(&load) {
+            Ok(load)
+        } else {
+            Err(format!("--load must be between 0 and 1, got {load}"))
+        }
     }
 
-    fn u64_flag(&self, name: &str, default: u64) -> u64 {
-        self.flag(name).map(|v| v.parse().unwrap_or_else(|_| die(&format!("--{name}: not an integer: {v}")))).unwrap_or(default)
+    /// A rate or duration that must be positive and finite.
+    fn positive(&self, name: &str, default: f64) -> Result<f64, String> {
+        let x = self.get(name, default)?;
+        if x > 0.0 && x.is_finite() {
+            Ok(x)
+        } else {
+            Err(format!("--{name} must be positive and finite, got {x}"))
+        }
     }
 }
 
-fn die(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    std::process::exit(2)
-}
-
-fn arbiter_from(name: &str) -> ArbiterKind {
-    match name {
+fn arbiter_from(name: &str) -> Result<ArbiterKind, String> {
+    Ok(match name {
         "biased" => ArbiterKind::BiasedPriority,
         "fixed" => ArbiterKind::FixedPriority,
         "autonet" | "dec" | "pim" => ArbiterKind::autonet_default(),
@@ -79,21 +103,24 @@ fn arbiter_from(name: &str) -> ArbiterKind {
         "rr" | "round-robin" => ArbiterKind::RoundRobin,
         "oldest" | "fcfs" => ArbiterKind::OldestFirst,
         "perfect" => ArbiterKind::Perfect,
-        other => die(&format!("unknown arbiter: {other}")),
-    }
+        other => return Err(format!("unknown arbiter: {other}")),
+    })
 }
 
-fn topology_from(name: &str, seed: u64) -> Topology {
+fn topology_from(name: &str, seed: u64) -> Result<Topology, String> {
     match name {
-        "mesh3x3" => Topology::mesh2d(3, 3, 8).expect("topology wires within the port budget"),
-        "mesh4x4" => Topology::mesh2d(4, 4, 8).expect("topology wires within the port budget"),
-        "torus3x3" => Topology::torus2d(3, 3, 8).expect("topology wires within the port budget"),
-        "ring6" => Topology::ring(6, 4).expect("topology wires within the port budget"),
-        "irregular10" => Topology::irregular(10, 6, 5, &mut SeededRng::new(seed)).expect("topology wires within the port budget"),
-        other => die(&format!(
-            "unknown topology: {other} (use mesh3x3|mesh4x4|torus3x3|ring6|irregular10)"
-        )),
+        "mesh3x3" => Topology::mesh2d(3, 3, 8),
+        "mesh4x4" => Topology::mesh2d(4, 4, 8),
+        "torus3x3" => Topology::torus2d(3, 3, 8),
+        "ring6" => Topology::ring(6, 4),
+        "irregular10" => Topology::irregular(10, 6, 5, &mut SeededRng::new(seed)),
+        other => {
+            return Err(format!(
+                "unknown topology: {other} (use mesh3x3|mesh4x4|torus3x3|ring6|irregular10)"
+            ))
+        }
     }
+    .map_err(|e| format!("topology {name}: {e}"))
 }
 
 fn json_object(fields: &[(&str, String)]) -> String {
@@ -101,18 +128,20 @@ fn json_object(fields: &[(&str, String)]) -> String {
     format!("{{{}}}", body.join(", "))
 }
 
-fn cmd_router(args: &Args) {
-    let load = args.f64_flag("load", 0.8);
+fn cmd_router(argv: &[String]) -> Result<(), String> {
+    let valued = ["load", "arbiter", "candidates", "vcs", "ports", "warmup", "measure", "seed"];
+    let args = Args::parse(argv, &valued, true)?;
     let config = RouterConfig::paper_default()
-        .ports(args.u64_flag("ports", 8) as u8)
-        .vcs_per_port(args.u64_flag("vcs", 256) as u16)
-        .candidates(args.u64_flag("candidates", 8) as usize)
-        .arbiter(arbiter_from(args.flag("arbiter").unwrap_or("biased")));
-    let result = Experiment::new(config, load)
-        .windows(args.u64_flag("warmup", 10_000), args.u64_flag("measure", 50_000))
-        .seed(args.u64_flag("seed", 1999))
+        .ports(args.get("ports", 8)?)
+        .vcs_per_port(args.get("vcs", 256)?)
+        .candidates(args.get("candidates", 8)?)
+        .arbiter(arbiter_from(args.text("arbiter").unwrap_or("biased"))?);
+    config.validate().map_err(|e| e.to_string())?;
+    let result = Experiment::new(config, args.load(0.8)?)
+        .windows(args.get("warmup", 10_000)?, args.get("measure", 50_000)?)
+        .seed(args.get("seed", 1999)?)
         .run();
-    if args.has("json") {
+    if args.json {
         println!(
             "{}",
             json_object(&[
@@ -145,21 +174,24 @@ fn cmd_router(args: &Args) {
             );
         }
     }
+    Ok(())
 }
 
-fn cmd_network(args: &Args) {
-    let seed = args.u64_flag("seed", 2026);
-    let topology = topology_from(args.flag("topology").unwrap_or("mesh3x3"), seed);
+fn cmd_network(argv: &[String]) -> Result<(), String> {
+    let valued = ["topology", "load", "warmup", "measure", "seed", "admission-attempts"];
+    let args = Args::parse(argv, &valued, true)?;
+    let seed = args.get("seed", 2026)?;
+    let topology = topology_from(args.text("topology").unwrap_or("mesh3x3"), seed)?;
     let result = NetExperiment::new(
         topology,
         RouterConfig::paper_default().vcs_per_port(32).candidates(4),
-        args.f64_flag("load", 0.4),
+        args.load(0.4)?,
     )
-    .windows(args.u64_flag("warmup", 3_000), args.u64_flag("measure", 15_000))
+    .windows(args.get("warmup", 3_000)?, args.get("measure", 15_000)?)
     .seed(seed)
-    .admission_attempts(args.u64_flag("admission-attempts", 400) as u32)
+    .admission_attempts(args.get("admission-attempts", 400)?)
     .run();
-    if args.has("json") {
+    if args.json {
         println!(
             "{}",
             json_object(&[
@@ -185,21 +217,22 @@ fn cmd_network(args: &Args) {
         println!("  out of order       {}", result.out_of_order);
         println!("  admission rejected {}", result.admission_rejected);
     }
+    Ok(())
 }
 
-fn cmd_calls(args: &Args) {
+fn cmd_calls(argv: &[String]) -> Result<(), String> {
+    let args = Args::parse(argv, &["arrival", "holding", "cycles", "vcs", "seed"], true)?;
     let workload = CallWorkload {
-        arrival_rate: args.f64_flag("arrival", 0.01),
-        mean_holding: args.f64_flag("holding", 20_000.0),
+        arrival_rate: args.positive("arrival", 0.01)?,
+        mean_holding: args.positive("holding", 20_000.0)?,
         ladder: mmr::traffic::rates::paper_rate_ladder().to_vec(),
-        seed: args.u64_flag("seed", 55),
+        seed: args.get("seed", 55)?,
     };
-    let mut router = RouterConfig::paper_default()
-        .vcs_per_port(args.u64_flag("vcs", 128) as u16)
-        .seed(workload.seed)
-        .build();
-    let stats = run_calls(&mut router, &workload, args.u64_flag("cycles", 400_000));
-    if args.has("json") {
+    let config =
+        RouterConfig::paper_default().vcs_per_port(args.get("vcs", 128)?).seed(workload.seed);
+    config.validate().map_err(|e| e.to_string())?;
+    let stats = run_calls(&mut config.build(), &workload, args.get("cycles", 400_000)?);
+    if args.json {
         println!(
             "{}",
             json_object(&[
@@ -221,15 +254,17 @@ fn cmd_calls(args: &Args) {
         println!("  blocking probability {:.2}%", stats.blocking_probability() * 100.0);
         println!("  carried erlangs      {:.1}", stats.carried_erlangs);
     }
+    Ok(())
 }
 
-fn cmd_cost(args: &Args) {
+fn cmd_cost(argv: &[String]) -> Result<(), String> {
+    let args = Args::parse(argv, &["candidates", "vcs", "ports", "ns-per-gate"], false)?;
     let model = CostModel {
-        ports: args.u64_flag("ports", 8) as usize,
-        vcs_per_port: args.u64_flag("vcs", 256) as usize,
-        candidates: args.u64_flag("candidates", 8) as usize,
+        ports: args.get("ports", 8)?,
+        vcs_per_port: args.get("vcs", 256)?,
+        candidates: args.get("candidates", 8)?,
         datapath_bits: 128,
-        ns_per_gate: args.f64_flag("ns-per-gate", 0.8),
+        ns_per_gate: args.positive("ns-per-gate", 0.8)?,
     };
     println!(
         "hardware model: {} ports, {} VCs/port, {} candidates, {} ns/gate",
@@ -242,19 +277,24 @@ fn cmd_cost(args: &Args) {
         "  max link rate        {:.2} Gbps (128-bit flits)",
         model.max_link_rate(128).bits_per_sec() / 1e9
     );
+    Ok(())
 }
 
 fn main() {
-    let args = Args::parse();
-    match args.positional.first().map(String::as_str) {
-        Some("router") => cmd_router(&args),
-        Some("network") => cmd_network(&args),
-        Some("calls") => cmd_calls(&args),
-        Some("cost") => cmd_cost(&args),
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let outcome = match argv.split_first() {
+        Some((cmd, rest)) if cmd == "router" => cmd_router(rest),
+        Some((cmd, rest)) if cmd == "network" => cmd_network(rest),
+        Some((cmd, rest)) if cmd == "calls" => cmd_calls(rest),
+        Some((cmd, rest)) if cmd == "cost" => cmd_cost(rest),
         _ => {
             eprintln!("usage: mmr-cli <router|network|calls|cost> [flags]");
             eprintln!("       (see the module docs of this binary for the flag list)");
             std::process::exit(2);
         }
+    };
+    if let Err(msg) = outcome {
+        eprintln!("error: {msg}");
+        std::process::exit(2);
     }
 }
