@@ -16,6 +16,7 @@
 
 use crate::ids::PortId;
 use crate::switchsched::MatchedPair;
+use crate::table::set_ports;
 
 /// Crossbar organisations compared in §3.3.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,14 +45,13 @@ impl CrossbarOrganization {
 /// Configuration and cycle-accounting state of the internal switch.
 #[derive(Debug, Clone)]
 pub struct Crossbar {
-    ports: usize,
     /// Current input→output configuration; `None` = disconnected.
     config: Vec<Option<PortId>>,
-    /// Reusable next-configuration buffer ([`Crossbar::apply`] runs every
-    /// flit cycle and must not allocate).
-    scratch: Vec<Option<PortId>>,
+    /// Bit *i* set ⇔ `config[i]` is connected (the router validates
+    /// `ports ≤ 64`), so "is any crosspoint connected" is one word test and
+    /// [`Crossbar::apply`] visits only the inputs that change.
+    connected: u64,
     reconfigurations: u64,
-    flits_switched: u64,
 }
 
 impl Crossbar {
@@ -59,58 +59,50 @@ impl Crossbar {
     ///
     /// # Panics
     ///
-    /// Panics if `ports` is zero.
+    /// Panics if `ports` is zero or above 64.
     pub fn new(ports: usize) -> Self {
         // mmr-lint: allow(P-PANIC, reason="construction-time config validation (documented # Panics contract), not on the flit-cycle path")
-        assert!(ports > 0, "crossbar needs at least one port");
-        Crossbar {
-            ports,
-            config: vec![None; ports],
-            scratch: vec![None; ports],
-            reconfigurations: 0,
-            flits_switched: 0,
-        }
-    }
-
-    /// Number of ports (equal to physical links — the multiplexed design).
-    pub fn ports(&self) -> usize {
-        self.ports
+        assert!((1..=64).contains(&ports), "crossbar needs 1..=64 ports");
+        Crossbar { config: vec![None; ports], connected: 0, reconfigurations: 0 }
     }
 
     /// Applies a matching as the configuration for the next flit cycle and
     /// counts a reconfiguration whenever the setting changed (§3.4: "Once
     /// the current flit transmission has finished, the switch is
-    /// reconfigured. This operation requires one clock cycle.").
-    ///
-    /// Returns the number of flits carried this cycle.
+    /// reconfigured. This operation requires one clock cycle."). Costs the
+    /// matched inputs plus the inputs that disconnect: an empty matching on
+    /// an idle crossbar touches nothing.
     ///
     /// # Panics
     ///
     /// Panics (debug) if the matching violates the one-flit-per-input-port
     /// constraint of a multiplexed crossbar.
     // mmr-lint: hot
-    pub fn apply(&mut self, pairs: &[MatchedPair]) -> usize {
-        self.scratch.iter_mut().for_each(|s| *s = None);
+    pub fn apply(&mut self, pairs: &[MatchedPair]) {
+        let mut next: u64 = 0;
+        let mut changed = false;
         for p in pairs {
-            debug_assert!(
-                self.scratch[p.input.index()].is_none(),
-                "multiplexed crossbar carries one flit per input port"
-            );
-            self.scratch[p.input.index()] = Some(p.output);
+            let bit = 1u64 << p.input.index();
+            debug_assert!(next & bit == 0, "multiplexed crossbar carries one flit per input port");
+            next |= bit;
+            let route = &mut self.config[p.input.index()];
+            changed |= *route != Some(p.output);
+            *route = Some(p.output);
         }
-        if self.scratch != self.config {
-            self.reconfigurations += 1;
-            std::mem::swap(&mut self.config, &mut self.scratch);
+        let dropped = self.connected & !next;
+        changed |= dropped != 0;
+        for input in set_ports(dropped) {
+            self.config[input] = None;
         }
-        self.flits_switched += pairs.len() as u64;
-        pairs.len()
+        self.connected = next;
+        self.reconfigurations += u64::from(changed);
     }
 
     /// Whether every crosspoint is disconnected — applying an empty matching
     /// to an idle crossbar is a no-op, which lets a quiescent router skip
     /// reconfiguration accounting entirely.
     pub fn is_idle(&self) -> bool {
-        self.config.iter().all(Option::is_none)
+        self.connected == 0
     }
 
     /// The output currently connected to `input`, if any.
@@ -121,11 +113,6 @@ impl Crossbar {
     /// Total reconfigurations performed.
     pub fn reconfigurations(&self) -> u64 {
         self.reconfigurations
-    }
-
-    /// Total flits carried.
-    pub fn flits_switched(&self) -> u64 {
-        self.flits_switched
     }
 }
 
@@ -158,7 +145,7 @@ mod tests {
     #[test]
     fn apply_tracks_routes_and_reconfigurations() {
         let mut xb = Crossbar::new(4);
-        assert_eq!(xb.apply(&[pair(0, 2), pair(1, 3)]), 2);
+        xb.apply(&[pair(0, 2), pair(1, 3)]);
         assert_eq!(xb.route_of(PortId(0)), Some(PortId(2)));
         assert_eq!(xb.route_of(PortId(2)), None);
         assert_eq!(xb.reconfigurations(), 1);
@@ -168,7 +155,7 @@ mod tests {
         // Different configuration: reconfigure.
         xb.apply(&[pair(0, 3)]);
         assert_eq!(xb.reconfigurations(), 2);
-        assert_eq!(xb.flits_switched(), 5);
+        assert_eq!(xb.route_of(PortId(1)), None, "the unmatched input disconnects");
     }
 
     #[test]
@@ -184,11 +171,5 @@ mod tests {
         let reconfs = xb.reconfigurations();
         xb.apply(&[]);
         assert_eq!(xb.reconfigurations(), reconfs);
-    }
-
-    #[test]
-    fn port_count_is_recorded() {
-        // The multiplexed design: one switch port per physical link.
-        assert_eq!(Crossbar::new(8).ports(), 8);
     }
 }

@@ -144,14 +144,15 @@ impl InputLink {
         Ok(())
     }
 
-    /// Dequeues `vc`'s head flit with the cycles it waited at the switch.
+    /// Dequeues `vc`'s head flit with the cycles it waited at the switch
+    /// and whether that emptied the VC.
     // mmr-lint: hot
-    pub(super) fn fetch(&mut self, vc: VcIndex, now: Cycles) -> Option<(Flit, Cycles)> {
+    pub(super) fn fetch(&mut self, vc: VcIndex, now: Cycles) -> Option<(Flit, Cycles, bool)> {
         let (flit, delay, emptied) = self.vcm.pop_timed(vc, now)?;
         if emptied {
             self.status.set(Condition::FlitsAvailable, vc.index(), false);
         }
-        Some((flit, delay))
+        Some((flit, delay, emptied))
     }
 
     /// Drops everything queued on `vc` (an in-band `AbortFrame`).
@@ -191,15 +192,18 @@ impl InputLink {
 
     /// Whether any VC holds a flit — one word-parallel test per 64 VCs.
     /// Asks the VCM's own bit vector, not the equal `FlitsAvailable` bank:
-    /// the VCM's is inline in this struct, the bank a heap line away, and
-    /// every awake router scans every port with this each cycle (on the
-    /// 1056-router dragonfly that line per port halved cycles/s).
+    /// the VCM's is inline in this struct, the bank a heap line away. The
+    /// router asks wherever a VC of this port may have been the last to
+    /// empty and keeps the answer in its `occupied` word, so nothing scans
+    /// the ports with this per cycle.
     pub(super) fn has_flits(&self) -> bool {
         self.vcm.flits_available().any()
     }
 
     /// Link scheduling for this port: writes this cycle's candidates into
-    /// `out` and advances the rotating pointer.
+    /// `out` and advances the rotating pointer. The router calls it only for
+    /// a port that holds a flit; an empty one would offer nothing and leave
+    /// the pointer where it was.
     // mmr-lint: hot
     pub(super) fn select(
         &mut self,
@@ -210,13 +214,6 @@ impl InputLink {
         now: Cycles,
         out: &mut Vec<Candidate>,
     ) {
-        // With no buffered flit on the whole port the eligible set is
-        // provably empty: selection would offer nothing and leave the
-        // pointer unchanged, so skip the pass (and the view build).
-        if !self.has_flits() {
-            out.clear();
-            return;
-        }
         let view = LinkSchedView {
             port,
             vcm: &self.vcm,

@@ -20,6 +20,7 @@ use crate::crossbar::Crossbar;
 use crate::flit::{CommandWord, Flit, FlitKind};
 use crate::ids::{ConnectionId, PortId, VcIndex, VcRef};
 use crate::switchsched::{MatchedPair, SwitchScheduler};
+use crate::table::set_ports;
 use crate::vcm::{VcmError, VirtualChannelMemory};
 
 mod config;
@@ -58,16 +59,38 @@ pub struct Router {
     /// division runs only when a boundary is crossed.
     next_round_start: u64,
     /// What the schedulers consume as slices across ports, one entry per
-    /// port: each input's candidates, and per output whether a cut-through
-    /// claimed it this cycle, whether it carried anything last cycle, and
-    /// whether guaranteed traffic may still use it this round (kept current
-    /// where the output's guaranteed-flit count changes: `transmit` and the
-    /// round boundary). Reused every cycle — the per-flit-cycle hot path
-    /// must not allocate (§4.1 motivates single-cycle scheduling decisions).
+    /// port: each input's candidates, and per output whether guaranteed
+    /// traffic may still use it this round (kept current where the output's
+    /// guaranteed-flit count changes: `transmit` and the round boundary).
+    /// Reused every cycle — the per-flit-cycle hot path must not allocate
+    /// (§4.1 motivates single-cycle scheduling decisions).
     candidate_bufs: Vec<Vec<Candidate>>,
-    cut_through_outputs: Vec<bool>,
-    output_busy_last_cycle: Vec<bool>,
     guaranteed_open: Vec<bool>,
+    /// Port summary words, bit *p* = port *p* (`ports ≤ 64` is a
+    /// [`RouterConfig::validate`] rule): §4.4's status-bit trick one level
+    /// up, so a per-cycle question about all ports is one word test and a
+    /// stage visits only the ports that hold work for it.
+    ///
+    /// Input *p* holds a flit (`inputs[p].has_flits()`); written after the
+    /// four `InputLink` operations that can change it — `store`, `fetch`,
+    /// `flush`, `close`.
+    occupied: u64,
+    /// Input *p*'s VCM was pushed or popped since its bank budget was last
+    /// reset, so `begin_cycle` owes it one.
+    touched: u64,
+    /// Input *p* offered a candidate at the last link scheduling:
+    /// `candidate_bufs[p]` is non-empty exactly for these.
+    offered: u64,
+    /// Output *o* was claimed by a cut-through this cycle.
+    cut_through_outputs: u64,
+    /// Output *o* carried a flit or a cut-through last cycle.
+    output_busy_last_cycle: u64,
+    /// The last full step offered no candidate on any port and left the
+    /// crossbar idle and both latch words zero. From there every step is the
+    /// same no-op (DESIGN.md §9 "Settled") until the round turns or a
+    /// mutator clears the memo (`touch`), so until then
+    /// [`Router::step_into`] only counts its cycle.
+    settled: bool,
     pairs_buf: Vec<MatchedPair>,
     completed_buf: Vec<ConnectionId>,
     /// Whether [`Router::return_credit`] saturates at the buffer depth.
@@ -112,9 +135,13 @@ impl Router {
                 .ceil() as u32,
             next_round_start: 0,
             candidate_bufs: vec![Vec::new(); ports],
-            cut_through_outputs: vec![false; ports],
-            output_busy_last_cycle: vec![false; ports],
             guaranteed_open: vec![true; ports],
+            occupied: 0,
+            touched: 0,
+            offered: 0,
+            cut_through_outputs: 0,
+            output_busy_last_cycle: 0,
+            settled: false,
             pairs_buf: Vec::new(),
             completed_buf: Vec::new(),
             credit_clamp: true,
@@ -133,7 +160,16 @@ impl Router {
     /// it.
     #[doc(hidden)]
     pub fn set_credit_clamp(&mut self, clamp: bool) {
+        self.touch();
         self.credit_clamp = clamp;
+    }
+
+    /// Forgets the settled memo. Every `&mut self` entry point outside the
+    /// step family calls this first — a rule, not a judgement per mutator,
+    /// so "did this one forget" is a grep.
+    #[inline]
+    fn touch(&mut self) {
+        self.settled = false;
     }
 
     /// Estimated heap bytes of this router's steady-state structures — the
@@ -149,6 +185,10 @@ impl Router {
         use std::mem::size_of;
         let inputs: usize = self.inputs.iter().map(InputLink::accounted_bytes).sum();
         let outputs: usize = self.outputs.iter().map(OutputLink::accounted_bytes).sum();
+        // The accounted size of the two output latch registers. They are
+        // words now, but this figure is pinned by the benchmark digests
+        // (DESIGN.md §9 "The footprint is pinned"), so it stays a flag per
+        // port per latch and the summary words are not added.
         let latches = usize::from(self.cfg.ports) * 2 * size_of::<bool>();
         let allocs = self.conns.len() * (size_of::<ConnectionId>() + 2 * size_of::<Allocation>());
         inputs + outputs + latches + allocs
@@ -313,6 +353,7 @@ impl Router {
         req: ConnectionRequest,
         pinned_input: Option<VcIndex>,
     ) -> Result<ConnectionId, EstablishError> {
+        self.touch();
         if self.quarantined {
             return Err(EstablishError::Quarantined);
         }
@@ -373,9 +414,11 @@ impl Router {
     ///
     /// Returns the id back if it is unknown.
     pub fn teardown(&mut self, id: ConnectionId) -> Result<usize, ConnectionId> {
+        self.touch();
         let state = self.conns.remove(id).ok_or(id)?;
         let input = &mut self.inputs[state.input_vc.port.index()];
         let dropped = input.close(state.input_vc.vc);
+        clear_if_empty(&mut self.occupied, state.input_vc.port, input);
         input.lease.release(state.input_vc.vc, state.allocation());
         let output = &mut self.outputs[state.output_vc.port.index()];
         output.lease.release(state.output_vc.vc, state.allocation());
@@ -401,6 +444,7 @@ impl Router {
 
     /// Lifts a node-failure quarantine; the router admits connections again.
     pub fn lift_quarantine(&mut self) {
+        self.touch();
         self.quarantined = false;
     }
 
@@ -461,11 +505,14 @@ impl Router {
         now: Cycles,
         flit: impl FnOnce(u64) -> Flit,
     ) -> Result<(), InjectError> {
+        self.touch();
         let state = self.conns.get_mut(conn).ok_or(InjectError::UnknownConnection(conn))?;
         let vc = state.input_vc;
         match self.inputs[vc.port.index()].store(vc.vc, flit(state.flits_injected), now) {
             Ok(()) => {
                 state.flits_injected += 1;
+                self.occupied |= 1 << vc.port.index();
+                self.touched |= 1 << vc.port.index();
                 Ok(())
             }
             Err(VcmError::BufferFull { .. }) => Err(InjectError::BufferFull(conn)),
@@ -506,10 +553,10 @@ impl Router {
         );
 
         if matches!(kind, FlitKind::Control)
-            && !self.output_busy_last_cycle[output.index()]
-            && !self.cut_through_outputs[output.index()]
+            && (self.output_busy_last_cycle | self.cut_through_outputs) & (1 << output.index()) == 0
         {
-            self.cut_through_outputs[output.index()] = true;
+            self.touch();
+            self.cut_through_outputs |= 1 << output.index();
             self.counters.cut_throughs += 1;
             return Ok(PacketOutcome::CutThrough);
         }
@@ -533,6 +580,7 @@ impl Router {
     /// Returns one credit for an output VC (the downstream router freed a
     /// buffer slot). No-op unless credit tracking is enabled.
     pub fn return_credit(&mut self, output_vc: VcRef) {
+        self.touch();
         if !self.cfg.track_output_credits {
             return;
         }
@@ -552,9 +600,9 @@ impl Router {
     }
 
     /// Whether a [`Router::step`] right now would provably do nothing: no
-    /// VC anywhere holds a ready flit (checked with one word-parallel
-    /// operation per 64 VCs), no cut-through is armed, no output was busy
-    /// last cycle, and the crossbar is disconnected. An event-driven engine
+    /// VC anywhere holds a ready flit, no cut-through is armed, no output
+    /// was busy last cycle, and the crossbar is disconnected — four word
+    /// tests that touch no per-port line. An event-driven engine
     /// may skip a quiescent router's cycles entirely — every per-cycle
     /// output and statistic stays byte-identical to dense stepping —
     /// provided it accounts the skipped cycles via
@@ -562,9 +610,9 @@ impl Router {
     /// flit is injected or accepted.
     // mmr-lint: hot
     pub fn is_quiescent(&self) -> bool {
-        !self.inputs.iter().any(InputLink::has_flits)
-            && !self.cut_through_outputs.contains(&true)
-            && !self.output_busy_last_cycle.contains(&true)
+        self.occupied == 0
+            && self.cut_through_outputs == 0
+            && self.output_busy_last_cycle == 0
             && self.crossbar.is_idle()
     }
 
@@ -597,6 +645,13 @@ impl Router {
     pub fn step_into(&mut self, now: Cycles, report: &mut StepReport) {
         report.transmitted.clear();
         report.outputs_used = 0;
+        // A settled router is at a fixed point of the stages below until its
+        // quotas come back at the round boundary (or a mutator clears the
+        // memo): the step would change the cycle counter and nothing else.
+        if self.settled && now.count() < self.next_round_start {
+            self.counters.cycles += 1;
+            return;
+        }
         self.begin_cycle(now);
         // With no ready flit anywhere, no armed cut-through, no output busy
         // last cycle and an idle crossbar, the stages below are a provable
@@ -614,13 +669,14 @@ impl Router {
         report.outputs_used = outputs_used.count_ones() as usize;
     }
 
-    /// Stage 0: count the cycle, reset the VCMs' bank budgets and, at a
-    /// round boundary, make every quota whole again (§4.1).
+    /// Stage 0: count the cycle, reset the bank budget of every VCM that
+    /// was accessed since its last reset and, at a round boundary, make
+    /// every quota whole again (§4.1).
     // mmr-lint: hot
     fn begin_cycle(&mut self, now: Cycles) {
         self.counters.cycles += 1;
-        for input in &mut self.inputs {
-            input.begin_cycle();
+        for p in set_ports(std::mem::take(&mut self.touched)) {
+            self.inputs[p].begin_cycle();
         }
         if now.count() >= self.next_round_start {
             let cpr = self.round.cycles_per_round();
@@ -636,20 +692,29 @@ impl Router {
         }
     }
 
-    /// Stage 1, link scheduling: every input link offers its candidates.
+    /// Stage 1, link scheduling: every input link that holds a flit offers
+    /// its candidates. An empty link offers nothing and leaves its pointer
+    /// alone, so only one that offered last cycle has a list to clear.
     // mmr-lint: hot
     fn link_schedule(&mut self, now: Cycles) {
-        for (p, (input, out)) in self.inputs.iter_mut().zip(&mut self.candidate_bufs).enumerate() {
+        for p in set_ports(self.offered & !self.occupied) {
+            self.candidate_bufs[p].clear();
+        }
+        self.offered = 0;
+        for p in set_ports(self.occupied) {
+            let (input, out) = (&mut self.inputs[p], &mut self.candidate_bufs[p]);
             input.select(PortId(p as u8), &self.cfg, &self.conns, &self.guaranteed_open, now, out);
+            self.offered |= u64::from(!out.is_empty()) << p;
         }
     }
 
     /// Stage 2, switch scheduling: the matching over the offered candidates.
     // mmr-lint: hot
     fn switch_schedule(&mut self) {
-        self.scheduler.schedule_into(
+        self.scheduler.schedule_offered(
             &self.candidate_bufs,
-            &self.cut_through_outputs,
+            self.offered,
+            self.cut_through_outputs,
             &mut self.rng,
             &mut self.pairs_buf,
         );
@@ -679,21 +744,26 @@ impl Router {
         outputs_used
     }
 
-    /// Stage 4, crossbar reconfiguration for the cycle that just ran, and
-    /// the output-busy latches next cycle's cut-through decisions read.
+    /// Stage 4, crossbar reconfiguration for the cycle that just ran, the
+    /// output-busy latches next cycle's cut-through decisions read, and the
+    /// settled memo.
     // mmr-lint: hot
     fn end_cycle(&mut self, outputs_used: u64) {
         self.crossbar.apply(&self.pairs_buf);
-        for (o, busy) in self.output_busy_last_cycle.iter_mut().enumerate() {
-            *busy = outputs_used & (1 << o) != 0 || self.cut_through_outputs[o];
-        }
-        self.cut_through_outputs.fill(false);
+        self.output_busy_last_cycle = outputs_used | self.cut_through_outputs;
+        self.cut_through_outputs = 0;
+        self.settled =
+            self.offered == 0 && self.output_busy_last_cycle == 0 && self.crossbar.is_idle();
     }
 
     // mmr-lint: hot
     fn transmit(&mut self, pair: MatchedPair, now: Cycles) -> Option<Transmitted> {
         let input = &mut self.inputs[pair.input.index()];
-        let (flit, delay) = input.fetch(pair.vc, now)?;
+        let (flit, delay, emptied) = input.fetch(pair.vc, now)?;
+        self.touched |= 1 << pair.input.index();
+        if emptied {
+            clear_if_empty(&mut self.occupied, pair.input, input);
+        }
         let state = match self.conns.by_input_vc_mut(VcRef { port: pair.input, vc: pair.vc }) {
             Some(state) if state.id == pair.conn => state,
             // A matching can name a vanished connection only if a teardown
@@ -726,7 +796,10 @@ impl Router {
                         state.interarrival_cycles *= f64::from(den) / f64::from(num);
                     }
                 }
-                CommandWord::AbortFrame => input.flush(pair.vc),
+                CommandWord::AbortFrame => {
+                    input.flush(pair.vc);
+                    clear_if_empty(&mut self.occupied, pair.input, input);
+                }
             }
         }
 
@@ -754,5 +827,14 @@ impl Router {
             flit,
             delay,
         })
+    }
+}
+
+/// Clears `port`'s bit of the `occupied` word unless `input` still holds a
+/// flit on another VC.
+#[inline]
+fn clear_if_empty(occupied: &mut u64, port: PortId, input: &InputLink) {
+    if !input.has_flits() {
+        *occupied &= !(1 << port.index());
     }
 }

@@ -346,6 +346,40 @@ fn clone_produces_independent_router() {
     assert_eq!(copy.step(Cycles(0)).transmitted.len(), 1);
 }
 
+#[test]
+fn policed_source_settles_until_the_round_turns() {
+    // 12.5% of the link in an 8-cycle round: one flit per round.
+    let mut r = RouterConfig::paper_default()
+        .ports(2)
+        .vcs_per_port(4)
+        .candidates(1)
+        .round_k(2)
+        .seed(3)
+        .build();
+    let id = r.establish(cbr(155.0, 0, 1)).expect("admits");
+    r.inject(id, Cycles(0)).expect("room");
+    r.inject(id, Cycles(0)).expect("room");
+    assert_eq!(r.step(Cycles(0)).transmitted.len(), 1);
+    assert!(!r.settled, "a step that transmitted is not a fixed point");
+    // Cycle 1 offers nothing (the quota is spent) and releases the crossbar
+    // and the busy latch: the first step that leaves nothing behind.
+    r.step(Cycles(1));
+    assert!(r.settled && !r.is_quiescent(), "a flit is held behind a spent quota");
+    let before = r.stats();
+    for cycle in 2..8 {
+        assert!(r.step(Cycles(cycle)).transmitted.is_empty());
+    }
+    assert_eq!(r.stats(), RouterStats { cycles: before.cycles + 6, ..before });
+    // The round boundary gives the quota back however settled the router is.
+    assert_eq!(r.step(Cycles(8)).transmitted.len(), 1);
+    // Any mutator clears the memo, even one that changes nothing a step reads.
+    r.step(Cycles(9));
+    r.step(Cycles(10));
+    assert!(r.settled);
+    r.return_credit(VcRef::new(1, 0));
+    assert!(!r.settled);
+}
+
 /// The status bits and class masks of every port, held to the facts they
 /// name; `Err` describes the first disagreement.
 fn bits_match_facts(r: &Router) -> Result<(), String> {
@@ -394,23 +428,48 @@ fn bits_match_facts(r: &Router) -> Result<(), String> {
             return Err(format!("p{o}: guaranteed_open is {}", r.guaranteed_open[o]));
         }
     }
+    // The port summary words.
+    for (p, input) in r.inputs.iter().enumerate() {
+        let words = [
+            ("occupied", r.occupied, input.has_flits()),
+            ("offered", r.offered, !r.candidate_bufs[p].is_empty()),
+        ];
+        for (name, word, fact) in words {
+            if (word >> p & 1 == 1) != fact {
+                return Err(format!("p{p}: {name} bit is {} but the fact is {fact}", !fact));
+            }
+        }
+    }
+    let connected = (0..r.cfg.ports).any(|p| r.crossbar.route_of(PortId(p)).is_some());
+    if r.crossbar.is_idle() == connected {
+        return Err(format!("crossbar says idle = {} but a route is {connected}", !connected));
+    }
     Ok(())
 }
 
-proptest::proptest! {
-    /// After every operation of a random establish / inject / accept /
-    /// packet / step / credit / teardown / quarantine sequence over all four
-    /// classes, each status bit and class mask agrees with the fact it names.
+/// A router under one of the random operation tapes the properties below
+/// share: establish / inject / accept / packet / AbortFrame / step / credit /
+/// teardown / quarantine over all four classes.
+struct Driven {
+    r: Router,
+    streams: Vec<ConnectionId>,
+    now: Cycles,
+}
+
+type Op = (u8, u8, u8);
+
+fn op_tape() -> impl proptest::Strategy<Value = (u64, Vec<Op>)> {
+    (
+        proptest::any::<u64>(),
+        proptest::collection::vec((0u8..16, proptest::any::<u8>(), proptest::any::<u8>()), 40..240),
+    )
+}
+
+impl Driven {
     /// Rounds are 16 cycles, a quarter of them open to guaranteed traffic, so
     /// quota latches, closed outputs and round boundaries are dense.
-    #[test]
-    fn status_bits_agree_with_the_facts_they_name(
-        (seed, ops) in (
-            proptest::any::<u64>(),
-            proptest::collection::vec((0u8..16, proptest::any::<u8>(), proptest::any::<u8>()), 40..240),
-        )
-    ) {
-        let mut r = RouterConfig::paper_default()
+    fn new(cfg: RouterConfig, seed: u64) -> Self {
+        let r = cfg
             .ports(4)
             .vcs_per_port(8)
             .candidates(4)
@@ -418,49 +477,139 @@ proptest::proptest! {
             .best_effort_reserve(0.75)
             .seed(seed)
             .build();
-        let mut streams: Vec<ConnectionId> = Vec::new();
-        let mut now = Cycles(0);
-        for (i, &(op, a, b)) in ops.iter().enumerate() {
-            let (input, output) = (PortId(a % 4), PortId(b % 4));
-            let stream = streams.get(usize::from(a) % streams.len().max(1)).copied();
-            match (op, stream) {
-                (0, _) => streams.extend(r.establish(cbr([10.0, 155.0, 310.0][usize::from(b) % 3], a % 4, b / 4 % 4))),
-                (1, _) => streams.extend(r.establish(ConnectionRequest {
-                    input,
-                    output,
-                    class: QosClass::Vbr {
-                        permanent: Bandwidth::from_mbps(80.0),
-                        peak: Bandwidth::from_mbps(160.0),
-                        priority: b,
-                    },
-                })),
-                (2, _) => drop(r.inject_packet(input, output, FlitKind::Control, now)),
-                (3, _) => drop(r.inject_packet(input, output, FlitKind::BestEffort, now)),
-                (4 | 5, Some(id)) => drop(r.inject(id, now)),
-                (6, Some(id)) => drop(r.accept(id, Flit::data(ConnectionId(999), u64::from(b), now), now)),
-                (7, Some(id)) => drop(r.inject_kind(id, FlitKind::Command(CommandWord::AbortFrame), now)),
-                (8, Some(id)) => {
-                    let out_vc = r.connection(id).expect("tracked streams are live").output_vc;
-                    r.return_credit(out_vc);
-                }
-                (9, _) => r.return_credit(VcRef::new(a % 4, u16::from(b % 8))),
-                (10, Some(id)) => {
-                    r.teardown(id).expect("tracked streams are live");
-                    streams.retain(|&s| s != id);
-                }
-                (11, _) if b < 16 => {
-                    r.quarantine();
-                    r.lift_quarantine();
-                    streams.clear();
-                }
-                _ => {
-                    r.step(now);
-                    now = Cycles(now.count() + 1);
+        Driven { r, streams: Vec::new(), now: Cycles(0) }
+    }
+
+    /// Applies one operation; a step returns its report.
+    fn apply(&mut self, (op, a, b): Op) -> Option<StepReport> {
+        let Driven { r, streams, now } = self;
+        let now = *now;
+        let (input, output) = (PortId(a % 4), PortId(b % 4));
+        let stream = streams.get(usize::from(a) % streams.len().max(1)).copied();
+        match (op, stream) {
+            (0, _) => streams.extend(r.establish(cbr([10.0, 155.0, 310.0][usize::from(b) % 3], a % 4, b / 4 % 4))),
+            (1, _) => streams.extend(r.establish(ConnectionRequest {
+                input,
+                output,
+                class: QosClass::Vbr {
+                    permanent: Bandwidth::from_mbps(80.0),
+                    peak: Bandwidth::from_mbps(160.0),
+                    priority: b,
+                },
+            })),
+            (2, _) => drop(r.inject_packet(input, output, FlitKind::Control, now)),
+            (3, _) => drop(r.inject_packet(input, output, FlitKind::BestEffort, now)),
+            (4 | 5, Some(id)) => drop(r.inject(id, now)),
+            (6, Some(id)) => drop(r.accept(id, Flit::data(ConnectionId(999), u64::from(b), now), now)),
+            (7, Some(id)) => drop(r.inject_kind(id, FlitKind::Command(CommandWord::AbortFrame), now)),
+            (8, Some(id)) => {
+                let out_vc = r.connection(id).expect("tracked streams are live").output_vc;
+                r.return_credit(out_vc);
+            }
+            (9, _) => r.return_credit(VcRef::new(a % 4, u16::from(b % 8))),
+            (10, Some(id)) => {
+                r.teardown(id).expect("tracked streams are live");
+                streams.retain(|&s| s != id);
+            }
+            (11, _) if b < 16 => {
+                r.quarantine();
+                r.lift_quarantine();
+                streams.clear();
+            }
+            _ => {
+                self.now = Cycles(now.count() + 1);
+                return Some(r.step(now));
+            }
+        }
+        None
+    }
+}
+
+/// What `bank_conflicts` must read with one bank per VCM: a step first gives
+/// every port its budget of one access back, and each push or pop beyond the
+/// budget is a conflict. Accesses are read off the VCMs' lifetime totals, so
+/// the model shares nothing with the router's `touched` word.
+#[derive(Default)]
+struct BankModel {
+    seen: [u64; 4],
+    since_reset: [u64; 4],
+    conflicts: u64,
+}
+
+impl BankModel {
+    fn observe(&mut self, r: &Router, stepped: bool) {
+        for p in 0..4 {
+            let (pushed, popped) = r.vcm(PortId(p as u8)).totals();
+            let new = pushed + popped - self.seen[p];
+            self.seen[p] += new;
+            let before = if stepped { 0 } else { self.since_reset[p] };
+            self.since_reset[p] = before + new;
+            self.conflicts += self.since_reset[p].max(1) - before.max(1);
+        }
+    }
+}
+
+proptest::proptest! {
+    /// After every operation of a random tape, each status bit, class mask
+    /// and port summary word agrees with the fact it names.
+    #[test]
+    fn status_bits_agree_with_the_facts_they_name((seed, ops) in op_tape()) {
+        let mut d = Driven::new(RouterConfig::paper_default(), seed);
+        for (i, &op) in ops.iter().enumerate() {
+            d.apply(op);
+            if let Err(e) = bits_match_facts(&d.r) {
+                proptest::prop_assert!(false, "after op {i} {op:?} at {}: {e}", d.now);
+            }
+        }
+    }
+
+    /// A settled step changes nothing but the cycle counter. Two routers
+    /// take one tape; the second has its memo cleared before every
+    /// operation, so it always runs the full stages. An over-driven CBR
+    /// source keeps spent quotas, closed outputs and credit stalls dense (the
+    /// states a router settles in), and one VCM bank makes a missed
+    /// bank-budget reset show as a bank conflict against [`BankModel`].
+    #[test]
+    fn a_settled_step_changes_nothing((seed, ops) in op_tape(), arbiter in 0usize..4) {
+        let arbiter = [
+            ArbiterKind::BiasedPriority,
+            ArbiterKind::RoundRobin,
+            ArbiterKind::autonet_default(),
+            ArbiterKind::Islip { iterations: 2 },
+        ][arbiter];
+        let cfg = RouterConfig::paper_default().arbiter(arbiter).vcm_banks(1);
+        let mut memo = Driven::new(cfg.clone(), seed);
+        let mut full = Driven::new(cfg, seed);
+        let mut banks = BankModel::default();
+        for (i, &op) in ops.iter().enumerate() {
+            for d in [&mut memo, &mut full] {
+                // The source offers whenever its buffer has room; a full
+                // buffer is not asked, so a stalled router stays settled.
+                match d.streams.first() {
+                    Some(&source) if d.r.can_inject(source) => drop(d.r.inject(source, d.now)),
+                    Some(_) => {}
+                    None => d.streams.extend(d.r.establish(cbr(155.0, 0, 1))),
                 }
             }
-            if let Err(e) = bits_match_facts(&r) {
-                proptest::prop_assert!(false, "after op {i} {:?} at {now}: {e}", (op, a, b));
+            banks.observe(&memo.r, false);
+            full.r.touch();
+            let (a, b) = (memo.apply(op), full.apply(op));
+            let at = format!("after op {i} {op:?} at {}", memo.now);
+            proptest::prop_assert_eq!(a.is_some(), b.is_some(), "{}", &at);
+            banks.observe(&memo.r, a.is_some());
+            proptest::prop_assert_eq!(memo.r.stats().bank_conflicts, banks.conflicts, "{}", &at);
+            if let (Some(a), Some(b)) = (a, b) {
+                proptest::prop_assert_eq!(a.transmitted, b.transmitted, "{}", &at);
+                proptest::prop_assert_eq!(a.outputs_used, b.outputs_used, "{}", &at);
             }
+            proptest::prop_assert_eq!(memo.r.stats(), full.r.stats(), "{}", &at);
+            proptest::prop_assert_eq!(memo.r.is_quiescent(), full.r.is_quiescent(), "{}", &at);
+            let served = |r: &Router| -> Vec<(ConnectionId, u64, u32)> {
+                r.connections_iter()
+                    .map(|c| (c.id, c.flits_forwarded, c.serviced_this_round))
+                    .collect()
+            };
+            proptest::prop_assert_eq!(served(&memo.r), served(&full.r), "{}", &at);
         }
     }
 }

@@ -23,7 +23,7 @@ use mmr_sim::SeededRng;
 
 use crate::arbiter::{ArbiterKind, Candidate};
 use crate::ids::{ConnectionId, PortId, VcIndex};
-use crate::table::PortMap;
+use crate::table::{set_ports, PortMap};
 
 /// One (input VC → output port) assignment for the coming flit cycle.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -129,21 +129,47 @@ impl SwitchScheduler {
         assert_eq!(candidates.len(), self.ports, "one candidate list per input port");
         // mmr-lint: allow(P-PANIC, reason="sizing contract vs construction-time invariant; one comparison per cycle, not data-dependent")
         assert_eq!(output_blocked.len(), self.ports, "one blocked flag per output port");
+        let offered = port_word(candidates.iter().map(|list| !list.is_empty()));
+        let blocked = port_word(output_blocked.iter().copied());
+        self.schedule_offered(candidates, offered, blocked, rng, pairs);
+    }
+
+    /// The matching itself, handed per-port request words instead of
+    /// discovering them: bit *p* of `offered` ⇔ `candidates[p]` is non-empty
+    /// (no other list is read), bit *o* of `blocked` ⇔ output *o* is already
+    /// claimed this cycle. [`SwitchScheduler::schedule_into`] folds its
+    /// slices into these; the router keeps them as it goes.
+    // mmr-lint: hot
+    pub(crate) fn schedule_offered(
+        &mut self,
+        candidates: &[Vec<Candidate>],
+        offered: u64,
+        blocked: u64,
+        rng: &mut SeededRng,
+        pairs: &mut Vec<MatchedPair>,
+    ) {
         pairs.clear();
+        // No scheme matches, draws randomness or moves a pointer when no
+        // input offers anything.
+        if offered == 0 {
+            return;
+        }
         match self.kind {
             ArbiterKind::FixedPriority
             | ArbiterKind::BiasedPriority
             | ArbiterKind::OldestFirst => {
-                self.priority_match(candidates, output_blocked, false, pairs)
+                self.priority_match(candidates, offered, blocked, false, pairs)
             }
-            ArbiterKind::RoundRobin => self.priority_match(candidates, output_blocked, true, pairs),
+            ArbiterKind::RoundRobin => {
+                self.priority_match(candidates, offered, blocked, true, pairs)
+            }
             ArbiterKind::Autonet { iterations } => {
-                self.pim_match(candidates, output_blocked, iterations, rng, pairs)
+                self.pim_match(candidates, offered, blocked, iterations, rng, pairs)
             }
             ArbiterKind::Islip { iterations } => {
-                self.islip_match(candidates, output_blocked, iterations, pairs)
+                self.islip_match(candidates, offered, blocked, iterations, pairs)
             }
-            ArbiterKind::Perfect => Self::perfect_match(candidates, pairs),
+            ArbiterKind::Perfect => Self::perfect_match(candidates, offered, pairs),
         }
     }
 
@@ -154,22 +180,14 @@ impl SwitchScheduler {
     fn priority_match(
         &mut self,
         candidates: &[Vec<Candidate>],
-        output_blocked: &[bool],
+        offered: u64,
+        blocked: u64,
         rotating_outputs: bool,
         pairs: &mut Vec<MatchedPair>,
     ) {
         let ports = self.ports;
         let mut input_matched: u64 = 0;
-        let mut output_matched = blocked_mask(output_blocked);
-        // Inputs that can still propose: non-empty candidate lists only, so
-        // the propose rounds walk a shrinking bitmask instead of re-visiting
-        // idle ports.
-        let mut input_live: u64 = 0;
-        for (p, list) in candidates.iter().enumerate() {
-            if !list.is_empty() {
-                input_live |= 1 << p;
-            }
-        }
+        let mut output_matched = blocked;
 
         loop {
             // Each unmatched input proposes its best candidate whose output
@@ -181,10 +199,9 @@ impl SwitchScheduler {
             // `winner_mask` marks the outputs whose winner slot is live this
             // round — stale slots are never read, so no per-round clear.
             let mut winner_mask: u64 = 0;
-            let mut pending = input_live & !input_matched;
-            while pending != 0 {
-                let p = pending.trailing_zeros() as usize;
-                pending &= pending - 1;
+            // Only inputs that offered can propose, so the rounds walk a
+            // shrinking bitmask instead of re-visiting idle ports.
+            for p in set_ports(offered & !input_matched) {
                 let Some(list) = candidates.get(p) else { continue };
                 let Some(c) = list.iter().find(|c| output_matched & (1 << c.output.index()) == 0)
                 else {
@@ -216,9 +233,7 @@ impl SwitchScheduler {
             }
 
             // Grant phase: match every output that received a proposal.
-            while winner_mask != 0 {
-                let o = winner_mask.trailing_zeros() as usize;
-                winner_mask &= winner_mask - 1;
+            for o in set_ports(winner_mask) {
                 let Some(w) = *self.winners.at(o) else { continue };
                 if rotating_outputs {
                     *self.grant_ptr.at_mut(o) = (w.input.index() + 1) % ports;
@@ -238,13 +253,14 @@ impl SwitchScheduler {
     fn pim_match(
         &mut self,
         candidates: &[Vec<Candidate>],
-        output_blocked: &[bool],
+        offered: u64,
+        blocked: u64,
         iterations: u32,
         rng: &mut SeededRng,
         pairs: &mut Vec<MatchedPair>,
     ) {
         let mut input_matched: u64 = 0;
-        let mut output_matched = blocked_mask(output_blocked);
+        let mut output_matched = blocked;
         let mut requests = std::mem::take(&mut self.requests);
         let mut grants = std::mem::take(&mut self.grants);
 
@@ -254,12 +270,9 @@ impl SwitchScheduler {
             for reqs in requests.iter_mut() {
                 reqs.clear(); // per output: inputs
             }
-            for (p, list) in candidates.iter().enumerate() {
-                if input_matched & (1 << p) != 0 {
-                    continue;
-                }
+            for p in set_ports(offered & !input_matched) {
                 let mut seen: u64 = 0;
-                for c in list {
+                for c in candidates.get(p).into_iter().flatten() {
                     let o = c.output.index();
                     if (output_matched | seen) & (1 << o) == 0 {
                         seen |= 1 << o;
@@ -319,13 +332,14 @@ impl SwitchScheduler {
     fn islip_match(
         &mut self,
         candidates: &[Vec<Candidate>],
-        output_blocked: &[bool],
+        offered: u64,
+        blocked: u64,
         iterations: u32,
         pairs: &mut Vec<MatchedPair>,
     ) {
         let ports = self.ports;
         let mut input_matched: u64 = 0;
-        let mut output_matched = blocked_mask(output_blocked);
+        let mut output_matched = blocked;
         let mut requests = std::mem::take(&mut self.requests);
         let mut grants = std::mem::take(&mut self.grants);
 
@@ -333,12 +347,9 @@ impl SwitchScheduler {
             for reqs in requests.iter_mut() {
                 reqs.clear();
             }
-            for (p, list) in candidates.iter().enumerate() {
-                if input_matched & (1 << p) != 0 {
-                    continue;
-                }
+            for p in set_ports(offered & !input_matched) {
                 let mut seen: u64 = 0;
-                for c in list {
+                for c in candidates.get(p).into_iter().flatten() {
                     let o = c.output.index();
                     if (output_matched | seen) & (1 << o) == 0 {
                         seen |= 1 << o;
@@ -395,18 +406,17 @@ impl SwitchScheduler {
     /// The perfect switch: every input transmits its top-ranked candidate;
     /// outputs accept any number of flits in the same cycle.
     // mmr-lint: hot
-    fn perfect_match(candidates: &[Vec<Candidate>], pairs: &mut Vec<MatchedPair>) {
+    fn perfect_match(candidates: &[Vec<Candidate>], offered: u64, pairs: &mut Vec<MatchedPair>) {
         // mmr-lint: allow(A-PUSH, reason="amortized: reusable buffer retains its capacity across cycles (PR 1 zero-alloc design)")
-        pairs.extend(candidates.iter().filter_map(|list| list.first().map(MatchedPair::from)));
+        pairs.extend(
+            set_ports(offered).filter_map(|p| candidates.get(p)?.first().map(MatchedPair::from)),
+        );
     }
 }
 
-/// Packs the blocked-output flags into a 64-bit occupancy mask.
-fn blocked_mask(output_blocked: &[bool]) -> u64 {
-    output_blocked
-        .iter()
-        .enumerate()
-        .fold(0u64, |mask, (o, &blocked)| if blocked { mask | (1 << o) } else { mask })
+/// Packs one flag per port into a port word.
+fn port_word(flags: impl Iterator<Item = bool>) -> u64 {
+    flags.enumerate().fold(0u64, |word, (p, set)| word | u64::from(set) << p)
 }
 
 /// Checks that a matching is feasible for a multiplexed crossbar: at most

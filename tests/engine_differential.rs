@@ -3,14 +3,23 @@
 //! §9). Every regression-corpus scenario and every quick figure sweep is
 //! run under both engines and the outputs compared — the corpus down to
 //! the exact divergence list, the figures byte-for-byte on the rendered
-//! tables. CI repeats this suite with `MMR_AUDIT=1` so the enforcing
-//! invariant auditor watches both engines take identical steps.
+//! tables — and the policed-source shape of perfbench's `dragonfly_sparse`
+//! is replayed in miniature down to every router's counters. CI repeats
+//! this suite with `MMR_AUDIT=1` so the enforcing invariant auditor watches
+//! both engines take identical steps.
 
 use std::path::PathBuf;
 
 use mmr_bench::{fig3_jitter, fig4_delay, fig5, Fig5Metric, Quality};
 use mmr_conform::{parse_seed, run_scenario, Hooks, Scenario};
+use mmr_core::router::{RouterConfig, RouterStats};
+use mmr_net::setup::cbr_mbps;
+use mmr_net::{
+    Dragonfly, MinimalSpec, NetConnectionId, NetworkSim, NodeId, RoutingSpec, SetupStrategy,
+    Topology,
+};
 use mmr_sim::sweep::SweepOptions;
+use mmr_sim::{Cycles, SeededRng};
 
 /// Loads `(name, seed, hooks)` for every corpus file, mirroring the
 /// parser in `conformance_corpus.rs` for the keys the differential gate
@@ -104,4 +113,80 @@ fn fig5_quick_is_byte_identical_across_engines() {
     let a = format!("{}", fig5(Fig5Metric::Jitter, &quality, &event));
     let b = format!("{}", fig5(Fig5Metric::Jitter, &quality, &dense));
     assert_eq!(a, b, "fig5 differs between the event-driven and dense engines");
+}
+
+/// perfbench's `dragonfly_sparse` recipe in miniature: a 20-router dragonfly
+/// under group-minimal routing, a dozen 8 Mbps sessions offered a flit every
+/// 16 cycles (one per ~155 is reserved, so every source router holds a flit
+/// behind a spent quota for most of each 512-cycle round — awake, settled,
+/// never quiescent), and three silent-drain / teardown / refill rounds. Both
+/// engines must report the same cycle by cycle, and once the event-driven
+/// engine's lazily credited idle cycles are settled, every router must read
+/// the same counters.
+#[test]
+fn policed_sources_on_a_dragonfly_agree_across_engines() {
+    const SESSIONS: usize = 12;
+    const PERIOD: u64 = 2_000;
+    const DRAIN: u64 = 600;
+    let run = |dense: bool| -> (Vec<String>, String, Vec<RouterStats>) {
+        let topology = Topology::dragonfly(4, 1, 1).expect("fits the port budget");
+        let routing = RoutingSpec {
+            minimal: MinimalSpec::Dragonfly(Dragonfly::balanced(4, 1, 1)),
+            valiant_salt: None,
+        };
+        let router = RouterConfig::paper_default().candidates(4).seed(0x5CA1E);
+        let mut net = NetworkSim::with_routing(topology, router, routing);
+        net.set_dense_stepping(dense);
+        let nodes = net.topology().nodes();
+        let mut rng = SeededRng::new(20);
+        let mut live: Vec<NetConnectionId> = Vec::new();
+        let mut frames = Vec::new();
+        let end = 3 * PERIOD + 700;
+        for t in 0..end {
+            if t % PERIOD == 0 {
+                // The fabric has been silent for DRAIN cycles (or is new):
+                // close a third of the population and refill it.
+                for conn in live.drain(..live.len() / 3) {
+                    net.teardown(conn).expect("tracked as live");
+                }
+                for _ in 0..SESSIONS * 4 {
+                    let (src, dst) = (rng.index(nodes) as u16, rng.index(nodes) as u16);
+                    if live.len() < SESSIONS && src != dst {
+                        live.extend(net.establish(
+                            NodeId(src),
+                            NodeId(dst),
+                            cbr_mbps(8.0),
+                            SetupStrategy::Epb,
+                        ));
+                    }
+                }
+            }
+            if t % PERIOD < PERIOD - DRAIN && t % 16 == 0 {
+                for &conn in &live {
+                    if net.can_inject(conn) {
+                        net.inject(conn, Cycles(t)).expect("checked");
+                    }
+                }
+            }
+            frames.push(format!("{:?}", net.step(Cycles(t))));
+        }
+        assert_eq!(live.len(), SESSIONS, "the population refilled");
+        assert!(net.stats().flits_delivered > 100, "the sessions carried traffic");
+        // One dense step makes the event-driven engine credit every
+        // sleeping router the cycles it skipped.
+        net.set_dense_stepping(true);
+        frames.push(format!("{:?}", net.step(Cycles(end))));
+        let routers = (0..nodes).map(|n| net.router(NodeId(n as u16)).stats()).collect();
+        (frames, format!("{:?}", net.stats()), routers)
+    };
+    let (event_frames, event_stats, event_routers) = run(false);
+    let (dense_frames, dense_stats, dense_routers) = run(true);
+    for (t, (e, d)) in event_frames.iter().zip(&dense_frames).enumerate() {
+        assert_eq!(e, d, "engines diverge at cycle {t}");
+    }
+    assert_eq!(event_stats, dense_stats, "identical aggregate statistics");
+    for (n, (e, d)) in event_routers.iter().zip(&dense_routers).enumerate() {
+        assert_eq!(e, d, "router {n} counters differ");
+        assert_eq!(e.cycles, 3 * PERIOD + 701, "router {n} is credited every cycle");
+    }
 }

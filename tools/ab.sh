@@ -1,0 +1,120 @@
+#!/bin/sh
+# A/B one perfbench workload between a parent revision and this checkout.
+#
+#   tools/ab.sh <parent-rev> <workload> [pairs=10] [seconds=10]
+#
+# Exports <parent-rev> with `git archive` (nothing is registered in .git, and
+# uncommitted changes in this checkout are what "change" measures), builds
+# both standalone perfbench packages, then makes strictly alternating single
+# runs — odd pairs parent first, even pairs change first — with `--trace 0`
+# and seeds 1..pairs. Prints every run, each side's median and quartiles for
+# the four end-to-end metrics, pair wins (ties count for neither) and whether
+# the medians differ by more than the parent's interquartile range.
+#
+# Exits 1 when the two sides disagree on a seed's `sim_digest` or any run
+# reports a failed operation; 2 on bad usage. Scratch space is $AB_DIR
+# (default /tmp/mmr-ab); the builds there are reused by the next call.
+set -eu
+
+[ $# -ge 2 ] && [ $# -le 4 ] || {
+    echo "usage: tools/ab.sh <parent-rev> <workload> [pairs=10] [seconds=10]" >&2
+    exit 2
+}
+rev=$1
+workload=$2
+pairs=${3:-10}
+seconds=${4:-10}
+root=$(git rev-parse --show-toplevel)
+dir=${AB_DIR:-/tmp/mmr-ab}
+pkg=crates/bench/examples/perfbench/Cargo.toml
+sha=$(git -C "$root" rev-parse --verify "$rev^{commit}")
+
+rm -rf "$dir/parent"
+mkdir -p "$dir/parent"
+git -C "$root" archive "$sha" | tar -x -C "$dir/parent"
+cargo build --release --quiet --manifest-path "$dir/parent/$pkg" --target-dir "$dir/parent-target"
+cargo build --release --quiet --manifest-path "$root/$pkg" --target-dir "$dir/change-target"
+
+echo "parent $sha  vs  change (this checkout)  workload $workload  $pairs pairs x $seconds s  cores $(nproc 2>/dev/null || echo '?')"
+runs=$dir/runs.$$
+: >"$runs"
+trap 'rm -f "$runs"' EXIT
+
+# One run: the last two stdout lines are the report object (sim_digest) and
+# the result object (failed, metrics); a crashed run counts as one failure.
+one() {
+    out=$("$dir/$1-target/release/perfbench" --workload "$workload" --seed "$2" \
+        --seconds "$seconds" --trace 0 | tail -n 2) || out=
+    printf '%s\n' "$out" | awk -v side="$1" -v seed="$2" '
+        function num(key,    s) {
+            if (!match($0, "\"" key "\":\\{\"value\":[-+0-9.eE]+")) return "nan"
+            s = substr($0, RSTART, RLENGTH); sub(/.*:/, "", s); return s
+        }
+        match($0, /"sim_digest":"[^"]*"/) { digest = substr($0, RSTART + 14, RLENGTH - 15) }
+        match($0, /"failed":[0-9]+/) {
+            failed = substr($0, RSTART + 9, RLENGTH - 9)
+            setup = num("setup_s"); cycles = num("net_cycles_per_s")
+            flits = num("flits_per_s"); rss = num("peak_rss_mb")
+        }
+        END {
+            if (failed == "") { failed = 1; setup = cycles = flits = rss = "nan"; digest = "crashed" }
+            print side, seed, setup, cycles, flits, rss, digest, failed
+        }' | tee -a "$runs"
+}
+
+echo "side seed setup_s net_cycles_per_s flits_per_s peak_rss_mb sim_digest failed"
+i=1
+while [ "$i" -le "$pairs" ]; do
+    if [ $((i % 2)) -eq 1 ]; then
+        one parent "$i"
+        one change "$i"
+    else
+        one change "$i"
+        one parent "$i"
+    fi
+    i=$((i + 1))
+done
+
+awk '
+    function quantile(side, m, q,    n, i, j, t, v, pos, lo) {
+        n = 0
+        for (i = 1; i <= seeds; i++) if ((side, i, m) in val) v[++n] = val[side, i, m]
+        for (i = 2; i <= n; i++) { t = v[i]; for (j = i - 1; j >= 1 && v[j] > t; j--) v[j + 1] = v[j]; v[j + 1] = t }
+        if (n == 0) return "nan"
+        pos = 1 + (n - 1) * q; lo = int(pos)
+        return lo >= n ? v[n] : v[lo] + (pos - lo) * (v[lo + 1] - v[lo])
+    }
+    {
+        if ($2 > seeds) seeds = $2
+        for (m = 1; m <= 4; m++) if ($(m + 2) != "nan") val[$1, $2, m] = $(m + 2) + 0
+        digest[$1, $2] = $7
+        failed += $8
+    }
+    END {
+        split("setup_s net_cycles_per_s flits_per_s peak_rss_mb", name, " ")
+        split("-1 1 1 -1", better, " ")
+        printf "\n%-18s %-7s %14s %14s %14s   %s\n", "metric", "side", "q1", "median", "q3", "pair wins"
+        for (m = 1; m <= 4; m++) {
+            wins = losses = 0
+            for (i = 1; i <= seeds; i++) {
+                if (!((("parent", i, m) in val) && (("change", i, m) in val))) continue
+                d = (val["change", i, m] - val["parent", i, m]) * better[m]
+                if (d > 0) wins++; else if (d < 0) losses++
+            }
+            pm = quantile("parent", m, 0.5); cm = quantile("change", m, 0.5)
+            iqr = quantile("parent", m, 0.75) - quantile("parent", m, 0.25)
+            gap = (cm - pm) * better[m]
+            printf "%-18s %-7s %14.6g %14.6g %14.6g\n", name[m], "parent", quantile("parent", m, 0.25), pm, quantile("parent", m, 0.75)
+            printf "%-18s %-7s %14.6g %14.6g %14.6g   change wins %d, loses %d of %d; change/parent %.3f; medians apart by %s the parent IQR\n", \
+                name[m], "change", quantile("change", m, 0.25), cm, quantile("change", m, 0.75), \
+                wins, losses, seeds, (pm != 0 ? cm / pm : 0), (gap > iqr ? "more than" : (gap < -iqr ? "more than (worse)" : "less than"))
+        }
+        for (i = 1; i <= seeds; i++)
+            if (digest["parent", i] != digest["change", i]) {
+                printf "sim_digest MISMATCH at seed %d: parent %s, change %s\n", i, digest["parent", i], digest["change", i]
+                bad = 1
+            }
+        if (!bad) print "sim_digest: identical on every seed"
+        printf "failed operations: %d\n", failed
+        exit (bad || failed > 0)
+    }' "$runs"
