@@ -111,6 +111,18 @@ pub struct ChurnResult {
 /// the admission controller, live CBR sessions pace isochronous flits,
 /// departures tear down, the auditor watches every cycle.
 pub fn run_trial(spec: &ChurnSpec, seed: u64) -> ChurnResult {
+    run_trial_on(spec, seed, false).0
+}
+
+/// [`run_trial`] that also hands back the network it ran on, with every
+/// audit pass made the full sweep if `exhaustive_audit` (see
+/// [`crate::faults::run_trial_on`]).
+#[doc(hidden)]
+pub fn run_trial_on(
+    spec: &ChurnSpec,
+    seed: u64,
+    exhaustive_audit: bool,
+) -> (ChurnResult, NetworkSim) {
     // 24 VCs per port so the VC pools outlast the bandwidth math: the
     // binding resources are the per-output books and the NI injection
     // ceiling, which is exactly what the admission controller manages.
@@ -121,6 +133,7 @@ pub fn run_trial(spec: &ChurnSpec, seed: u64) -> ChurnResult {
     let timing = router.clone().build().config().timing();
     let mut net = NetworkSim::new(spec.topology.build(seed), router);
     net.enable_audit(AuditConfig::default());
+    net.set_exhaustive_audit(exhaustive_audit);
 
     let policy = if spec.controls { AdmitPolicy::default() } else { AdmitPolicy::naive() };
     let mut ctl = AdmissionController::new(policy);
@@ -255,7 +268,7 @@ pub fn run_trial(spec: &ChurnSpec, seed: u64) -> ChurnResult {
     if let Some(tail) = recorder.jitter_tail() {
         r.jitter_p99 = tail.p99;
     }
-    r
+    (r, net)
 }
 
 /// Diurnal session churn, overload controls off vs on over the same tape

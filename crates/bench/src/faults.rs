@@ -228,6 +228,19 @@ const NODE_FAULTS: usize = 1;
 /// Runs one seeded trial: permanent (and, for chaos, transient) faults
 /// under automatic recovery.
 pub fn run_trial(spec: &StormSpec, seed: u64) -> StormResult {
+    run_trial_on(spec, seed, false).0
+}
+
+/// [`run_trial`] that also hands back the network it ran on, with every
+/// audit pass made the full sweep if `exhaustive_audit` — so the
+/// differential tests can hold the incremental pass to the sweep on the
+/// campaign's own trials (`tests/engine_differential.rs`).
+#[doc(hidden)]
+pub fn run_trial_on(
+    spec: &StormSpec,
+    seed: u64,
+    exhaustive_audit: bool,
+) -> (StormResult, NetworkSim) {
     let router = mmr_core::router::RouterConfig::paper_default()
         .vcs_per_port(16)
         .candidates(4)
@@ -237,6 +250,7 @@ pub fn run_trial(spec: &StormSpec, seed: u64) -> StormResult {
     let mut net = NetworkSim::new(topo, router);
     if spec.audit {
         net.enable_audit(AuditConfig::default());
+        net.set_exhaustive_audit(exhaustive_audit);
     }
     if spec.llr {
         net.enable_llr(LlrConfig::default());
@@ -311,7 +325,7 @@ pub fn run_trial(spec: &StormSpec, seed: u64) -> StormResult {
     let stats = mgr.stats();
     let net_stats = net.stats();
     let auditor = net.auditor();
-    StormResult {
+    let result = StormResult {
         broken: stats.faults,
         recovered: stats.recovered,
         permanently_failed: stats.permanently_failed,
@@ -335,7 +349,8 @@ pub fn run_trial(spec: &StormSpec, seed: u64) -> StormResult {
         out_of_order: net_stats.out_of_order,
         violations: auditor.map_or(0, |a| a.violation_count()),
         audit_checks: auditor.map_or(0, |a| a.checks()),
-    }
+    };
+    (result, net)
 }
 
 /// Every fabric × every `(faults, transients, llr)` variant, on the windows

@@ -11,7 +11,7 @@
 
 use std::collections::BTreeMap;
 
-use mmr_core::{AuditConfig, InjectError, LlrConfig, QosClass, RouterConfig};
+use mmr_core::{AuditConfig, AuditViolation, InjectError, LlrConfig, QosClass, RouterConfig};
 use mmr_net::{
     AdmissionController, AdmitPolicy, FaultInjector, NetConnectionId, NetworkSim, NodeId,
     SessionId, SetupStrategy,
@@ -51,6 +51,11 @@ pub struct Hooks {
     /// both engines must produce identical [`CaseRun`]s on every scenario
     /// (see `tests/engine_differential.rs`).
     pub dense_stepping: bool,
+    /// Make every pass of the invariant auditor the full sweep instead of
+    /// the incremental pass (`NetworkSim::set_exhaustive_audit`). Exists for
+    /// differential testing — both must produce identical [`CaseRun`]s on
+    /// every scenario (see `tests/engine_differential.rs`).
+    pub exhaustive_audit: bool,
 }
 
 /// The outcome of one differential case.
@@ -81,6 +86,20 @@ pub struct CaseRun {
     pub cycles_run: u64,
     /// Everything the oracle disagreed with.
     pub divergences: Vec<Divergence>,
+    /// Router-cycles the invariant auditor covered.
+    pub audit_checks: u64,
+    /// The violations the auditor stored, in discovery order (their total
+    /// count is in the `AuditorViolation` divergence).
+    pub audit_violations: Vec<AuditViolation>,
+    /// Violators a full audit sweep found that the incremental pass would
+    /// not have visited (`NetworkSim::audit_sweep_misses`).
+    pub audit_sweep_misses: u64,
+    /// `RouterStats::ghost_matches` summed over the routers and
+    /// `NetStats::ghost_releases`: bookkeeping disagreements that are
+    /// counted instead of panicking.
+    pub ghost_matches: u64,
+    /// See `ghost_matches`.
+    pub ghost_releases: u64,
 }
 
 impl CaseRun {
@@ -195,6 +214,7 @@ pub fn run_scenario(scenario: &Scenario, hooks: Hooks) -> CaseRun {
     // even when CI exports MMR_AUDIT=1.
     net.enable_audit(AuditConfig::default());
     net.set_dense_stepping(hooks.dense_stepping);
+    net.set_exhaustive_audit(hooks.exhaustive_audit);
     if hooks.phantom_credit {
         net.set_credit_clamp(false);
     }
@@ -446,16 +466,20 @@ pub fn run_scenario(scenario: &Scenario, hooks: Hooks) -> CaseRun {
         }
     }
 
-    if let Some(auditor) = net.auditor() {
-        if auditor.violation_count() > 0 {
-            let first = auditor
-                .violations()
-                .first()
-                .map(|v| format!("{v:?}"))
-                .unwrap_or_else(|| "(violation list truncated)".to_string());
-            oracle.note(Divergence::AuditorViolation { count: auditor.violation_count(), first });
-        }
+    let auditor = net.auditor().expect("armed above");
+    if auditor.violation_count() > 0 {
+        let first = auditor
+            .violations()
+            .first()
+            .map(|v| format!("{v:?}"))
+            .unwrap_or_else(|| "(violation list truncated)".to_string());
+        oracle.note(Divergence::AuditorViolation { count: auditor.violation_count(), first });
     }
+    let (audit_checks, audit_violations) = (auditor.checks(), auditor.violations().to_vec());
+    let ghost_matches: u64 = (0..net.topology().nodes())
+        .map(|n| net.router(NodeId(n as u16)).stats().ghost_matches)
+        .sum();
+    let ghost_releases = net.stats().ghost_releases;
 
     oracle.finish(net.stats());
 
@@ -475,6 +499,11 @@ pub fn run_scenario(scenario: &Scenario, hooks: Hooks) -> CaseRun {
         delivered,
         cycles_run: t,
         divergences: oracle.into_divergences(),
+        audit_checks,
+        audit_violations,
+        audit_sweep_misses: net.audit_sweep_misses(),
+        ghost_matches,
+        ghost_releases,
     }
 }
 

@@ -20,11 +20,12 @@
 //! The auditor is off the hot path unless enabled; the baseline simulation
 //! is byte-identical with or without it.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 
 use mmr_sim::Cycles;
 
+use crate::conn::ConnState;
 use crate::ids::ConnectionId;
 use crate::ids::PortId;
 use crate::router::Router;
@@ -230,7 +231,7 @@ impl AuditConfig {
     }
 }
 
-/// Per-(router, connection) starvation-watchdog state.
+/// Starvation-watchdog state of one connection on one router.
 #[derive(Debug, Clone, Copy)]
 struct WatchdogState {
     forwarded: u64,
@@ -245,9 +246,18 @@ pub struct Auditor {
     violations: Vec<AuditViolation>,
     /// Violations dropped after `max_violations` was reached.
     overflow: u64,
-    /// `check_router` invocations (for reporting).
+    /// Router-cycles covered (see [`Auditor::checks`]).
     checks: u64,
-    watchdog: BTreeMap<(u16, u32), WatchdogState>,
+    /// Per router, the watchdog entries of its connections in id order. Only
+    /// a connection that holds a flit or has been flagged has one: any other
+    /// entry would be `{stalled_since: None, flagged: false}`, which is what
+    /// a first visit starts from anyway.
+    watchdog: Vec<Vec<(u32, WatchdogState)>>,
+    /// Scratch the merge in `visit_router` writes the next entry list
+    /// into, and the per-port `(input, output)` mapped-VC counts of
+    /// `check_ports` (capacity persists across calls).
+    merged: Vec<(u32, WatchdogState)>,
+    mapped: Vec<(usize, usize)>,
     /// Per-stream next expected end-to-end sequence number.
     streams: BTreeMap<u64, u64>,
 }
@@ -268,32 +278,105 @@ impl Auditor {
         }
     }
 
-    /// Audits one router's invariants. Call between flit cycles (after
-    /// [`Router::step`]); `router` identifies the instance in reports and
-    /// `now` drives the starvation watchdog.
+    /// Audits one router's invariants, all of them: the exhaustive oracle.
+    /// Call between flit cycles (after [`Router::step`]); `router` identifies
+    /// the instance in reports and `now` drives the starvation watchdog.
+    /// Linear in ports + connections and allocation-free once warm.
     pub fn check_router(&mut self, router: u16, r: &Router, now: Cycles) {
+        self.visit_router(router, r, now, true, r.connections_iter(), |_| {});
+    }
+
+    /// The part of [`Auditor::check_router`] a caller asks for when it knows
+    /// what changed on the router since its last check: the per-port laws
+    /// (VC slots, bandwidth books, round budget) if `ports`, then the three
+    /// per-connection laws for `conns` — connections of `r` in ascending id
+    /// order; all of them, with `ports`, is `check_router`. For a caller
+    /// that re-visits what is broken, `broken` receives every connection
+    /// found in violation and the return value says whether a per-port law
+    /// is. Counts as one check.
+    ///
+    /// The laws run in one merge of `conns` against the router's watchdog
+    /// entries, which are in the same order; the entry of a connection that
+    /// is not visited survives only while the connection does (packet
+    /// connections are torn down within a cycle or two).
+    pub fn visit_router<'r>(
+        &mut self,
+        router: u16,
+        r: &'r Router,
+        now: Cycles,
+        ports: bool,
+        conns: impl Iterator<Item = &'r ConnState>,
+        mut broken: impl FnMut(ConnectionId),
+    ) -> bool {
         self.checks += 1;
+        let ports_broken = ports && self.check_ports(router, r);
+        let router_at = usize::from(router);
+        if self.watchdog.len() <= router_at {
+            self.watchdog.resize(router_at + 1, Vec::new());
+        }
+        let old = self.watchdog.get_mut(router_at).map(std::mem::take).unwrap_or_default();
+        let mut merged = std::mem::take(&mut self.merged);
+        merged.clear();
+        let mut entries = old.iter().copied().peekable();
+        let survives = |&(id, _): &(u32, WatchdogState)| r.connection(ConnectionId(id)).is_some();
+        for conn in conns {
+            let id = conn.id.raw();
+            merged.extend(std::iter::from_fn(|| entries.next_if(|e| e.0 < id)).filter(survives));
+            let mut state = entries.next_if(|e| e.0 == id).map_or(
+                WatchdogState {
+                    forwarded: conn.flits_forwarded,
+                    stalled_since: None,
+                    flagged: false,
+                },
+                |(_, state)| state,
+            );
+            if self.connection_laws(router, r, conn, now, &mut state) {
+                broken(conn.id);
+            }
+            if state.stalled_since.is_some() || state.flagged {
+                merged.push((id, state));
+            }
+        }
+        merged.extend(entries.filter(survives));
+        if let Some(entries) = self.watchdog.get_mut(router_at) {
+            *entries = merged;
+        }
+        self.merged = old;
+        ports_broken
+    }
+
+    /// Counts `routers` routers as covered this cycle without looking at
+    /// them: nothing on them changed since the pass that last checked them.
+    pub fn cover(&mut self, routers: u64) {
+        self.checks += routers;
+    }
+
+    /// The per-port laws; returns whether any is broken.
+    fn check_ports(&mut self, router: u16, r: &Router) -> bool {
         let dims = r.config();
-        let ports = dims.ports();
         let vcs = dims.vcs_per_port();
-        let depth = r.vc_depth();
         let round_cycles = dims.round_cycles();
+        let before = self.violation_count();
 
         // VC slot conservation: every VC is either on a free stack or mapped
         // by exactly one connection.
-        let mut mapped_in = vec![0usize; ports];
-        let mut mapped_out = vec![0usize; ports];
+        let mut mapped = std::mem::take(&mut self.mapped);
+        mapped.clear();
+        mapped.resize(dims.ports(), (0, 0));
         for conn in r.connections_iter() {
-            mapped_in[conn.input_vc.port.index()] += 1;
-            mapped_out[conn.output_vc.port.index()] += 1;
+            if let Some(at_input) = mapped.get_mut(conn.input_vc.port.index()) {
+                at_input.0 += 1;
+            }
+            if let Some(at_output) = mapped.get_mut(conn.output_vc.port.index()) {
+                at_output.1 += 1;
+            }
         }
-        for p in 0..ports {
+        for (p, &(mapped_in, mapped_out)) in mapped.iter().enumerate() {
             let port = PortId(p as u8);
             let (free_in, free_out) = r.free_vc_counts(port);
-            for (side, mapped, free) in [
-                (VcSide::Input, mapped_in[p], free_in),
-                (VcSide::Output, mapped_out[p], free_out),
-            ] {
+            for (side, mapped, free) in
+                [(VcSide::Input, mapped_in, free_in), (VcSide::Output, mapped_out, free_out)]
+            {
                 if mapped + free != vcs {
                     self.report(AuditViolation::VcSlotLeak {
                         router,
@@ -332,67 +415,68 @@ impl Auditor {
                 });
             }
         }
+        self.mapped = mapped;
+        self.violation_count() != before
+    }
 
-        // Per-connection invariants.
-        let mut live: BTreeSet<u32> = BTreeSet::new();
-        for conn in r.connections_iter() {
-            live.insert(conn.id.raw());
-            if r.credits_tracked() {
-                let credits = r.output_credit(conn.output_vc);
-                if credits as usize > depth {
-                    self.report(AuditViolation::CreditOverflow {
-                        router,
-                        conn: conn.id,
-                        credits,
-                        depth: depth as u32,
-                    });
-                }
-            }
-            if let Some(quota) = conn.round_quota() {
-                if conn.serviced_this_round > quota {
-                    self.report(AuditViolation::QuotaExceeded {
-                        router,
-                        conn: conn.id,
-                        serviced: conn.serviced_this_round,
-                        quota,
-                    });
-                }
-            }
-            // Starvation watchdog: flits queued, none forwarded, for longer
-            // than the threshold.
-            let occupancy = r.vcm(conn.input_vc.port).occupancy(conn.input_vc.vc);
-            let state = self
-                .watchdog
-                .entry((router, conn.id.raw()))
-                .or_insert(WatchdogState {
-                    forwarded: conn.flits_forwarded,
-                    stalled_since: None,
-                    flagged: false,
+    /// The three laws of one connection — credit overflow, round quota,
+    /// starvation, reported in that order — shared by the exhaustive oracle
+    /// and the incremental pass. Returns whether any was reported.
+    fn connection_laws(
+        &mut self,
+        router: u16,
+        r: &Router,
+        conn: &ConnState,
+        now: Cycles,
+        state: &mut WatchdogState,
+    ) -> bool {
+        let before = self.violation_count();
+        if r.credits_tracked() {
+            let credits = r.output_credit(conn.output_vc);
+            let depth = r.vc_depth();
+            if credits as usize > depth {
+                self.report(AuditViolation::CreditOverflow {
+                    router,
+                    conn: conn.id,
+                    credits,
+                    depth: depth as u32,
                 });
-            if state.forwarded != conn.flits_forwarded {
-                state.forwarded = conn.flits_forwarded;
-                state.stalled_since = None;
-                state.flagged = false;
-            }
-            if occupancy == 0 {
-                state.stalled_since = None;
-            } else {
-                let since = *state.stalled_since.get_or_insert(now);
-                if now.since(since) > self.cfg.starvation_threshold && !state.flagged {
-                    state.flagged = true;
-                    self.report(AuditViolation::Starvation {
-                        router,
-                        conn: conn.id,
-                        stalled_for: now.since(since),
-                        occupancy,
-                    });
-                }
             }
         }
-        // Forget watchdog state for connections this router no longer has
-        // (packet connections are torn down within a cycle or two).
-        self.watchdog
-            .retain(|&(rt, id), _| rt != router || live.contains(&id));
+        if let Some(quota) = conn.round_quota() {
+            if conn.serviced_this_round > quota {
+                self.report(AuditViolation::QuotaExceeded {
+                    router,
+                    conn: conn.id,
+                    serviced: conn.serviced_this_round,
+                    quota,
+                });
+            }
+        }
+        // Starvation watchdog: flits queued, none forwarded, for longer
+        // than the threshold. `flagged` outlives an empty spell: only a
+        // forwarded flit re-arms the report.
+        if state.forwarded != conn.flits_forwarded {
+            state.forwarded = conn.flits_forwarded;
+            state.stalled_since = None;
+            state.flagged = false;
+        }
+        let occupancy = r.vcm(conn.input_vc.port).occupancy(conn.input_vc.vc);
+        if occupancy == 0 {
+            state.stalled_since = None;
+        } else {
+            let since = *state.stalled_since.get_or_insert(now);
+            if now.since(since) > self.cfg.starvation_threshold && !state.flagged {
+                state.flagged = true;
+                self.report(AuditViolation::Starvation {
+                    router,
+                    conn: conn.id,
+                    stalled_for: now.since(since),
+                    occupancy,
+                });
+            }
+        }
+        self.violation_count() != before
     }
 
     /// Feeds one end-to-end delivery: stream `stream` delivered sequence
@@ -432,7 +516,11 @@ impl Auditor {
         self.violation_count() == 0
     }
 
-    /// `check_router` invocations so far.
+    /// Router-cycles the audit has covered: one per router check
+    /// ([`Auditor::check_router`], [`Auditor::visit_router`]) plus what
+    /// [`Auditor::cover`] added — a router nobody touched is covered by the
+    /// pass that last checked it. A network audit advances it by one per
+    /// router per audited cycle.
     pub fn checks(&self) -> u64 {
         self.checks
     }
@@ -532,10 +620,17 @@ mod tests {
             })
             .expect("admitted");
         // Queue a flit but never run `step`, so it can never be forwarded.
+        let drained = r.clone();
         r.inject(conn, Cycles(0)).expect("room");
         let cfg = AuditConfig::default().starvation_threshold(Cycles(10));
         let mut audit = Auditor::new(cfg);
         for t in 0..100u64 {
+            audit.check_router(0, &r, Cycles(t));
+        }
+        // An empty spell does not re-arm the report; only a forwarded flit
+        // does (the router as it was before the flit stands in for a flush).
+        audit.check_router(0, &drained, Cycles(100));
+        for t in 101..200u64 {
             audit.check_router(0, &r, Cycles(t));
         }
         let stalls = audit

@@ -267,7 +267,9 @@ impl ConnectionTable {
         if self.by_id.len() <= raw {
             self.by_id.resize(raw + 1, None); // mmr-lint: allow(A-TRANS, reason="amortized: grows once per newly allocated connection id, then stays flat")
         }
-        self.by_id[raw] = Some(state.input_vc); // mmr-lint: allow(P-TRANS, reason="by_id was just resized past raw")
+        if let Some(slot) = self.by_id.get_mut(raw) {
+            *slot = Some(state.input_vc);
+        }
         *slot = Some(state);
     }
 
@@ -275,8 +277,9 @@ impl ConnectionTable {
     pub fn remove(&mut self, id: ConnectionId) -> Option<ConnState> {
         let pos = self.index.binary_search_by_key(&id, |&(id, _)| id).ok()?;
         let (_, input_vc) = self.index.remove(pos);
-        // mmr-lint: allow(P-TRANS, reason="connection slots are allocated densely by this table; the raw id is in range by construction")
-        self.by_id[id.raw() as usize] = None;
+        if let Some(slot) = self.by_id.get_mut(id.raw() as usize) {
+            *slot = None;
+        }
         let state = self.slots[input_vc.port.index()][input_vc.vc.index()].take()?; // mmr-lint: allow(P-TRANS, reason="the index entry guarantees grow_to sized these rows at insert time")
         self.reverse[state.output_vc.port.index()][state.output_vc.vc.index()] = None; // mmr-lint: allow(P-TRANS, reason="the index entry guarantees grow_to sized these rows at insert time")
         Some(state)

@@ -160,13 +160,19 @@ impl Router {
     /// it.
     #[doc(hidden)]
     pub fn set_credit_clamp(&mut self, clamp: bool) {
-        self.touch();
         self.credit_clamp = clamp;
     }
 
-    /// Forgets the settled memo. Every `&mut self` entry point outside the
-    /// step family calls this first — a rule, not a judgement per mutator,
-    /// so "did this one forget" is a grep.
+    /// Forgets the settled memo. The memo says "no input offers a
+    /// candidate", and a candidate is a buffered flit with a credit and open
+    /// quota, so the entry points that call this first are the ones that
+    /// hand the schedulers a flit (`enqueue`), a credit (`return_credit`)
+    /// or a claimed output (`inject_packet`'s cut-through). The others
+    /// cannot un-settle a router: `establish_pinned` opens a VC that holds
+    /// no flit until `enqueue`, `teardown` only takes away, and the
+    /// quarantine and credit-clamp flags feed no scheduling decision —
+    /// `a_settled_step_changes_nothing` runs all four against a router
+    /// whose memo is cleared before every operation.
     #[inline]
     fn touch(&mut self) {
         self.settled = false;
@@ -312,6 +318,24 @@ impl Router {
         self.conns.by_input_vc(vc).map(|c| c.id)
     }
 
+    /// Reverse channel mapping: the connection owning an *output* VC, if
+    /// any — whose credit a return onto that VC moves.
+    pub fn connection_by_output_vc(&self, vc: VcRef) -> Option<ConnectionId> {
+        self.conns.by_output_vc(vc).map(|c| c.id)
+    }
+
+    /// The connections whose input VC holds a flit, in input-VC order: what
+    /// the starvation watchdog has to look at. Walks the set bits of the
+    /// `occupied` word and of each such port's `flits_available`, so a
+    /// router with nothing buffered costs one word test.
+    pub fn buffered_connections(&self) -> impl Iterator<Item = ConnectionId> + '_ {
+        set_ports(self.occupied).flat_map(move |p| {
+            self.inputs[p].vcm().flits_available().iter_set().filter_map(move |vc| {
+                self.connection_by_input_vc(VcRef { port: PortId(p as u8), vc: VcIndex(vc as u16) })
+            })
+        })
+    }
+
     /// Number of established connections.
     pub fn connections(&self) -> usize {
         self.conns.len()
@@ -353,7 +377,6 @@ impl Router {
         req: ConnectionRequest,
         pinned_input: Option<VcIndex>,
     ) -> Result<ConnectionId, EstablishError> {
-        self.touch();
         if self.quarantined {
             return Err(EstablishError::Quarantined);
         }
@@ -414,7 +437,6 @@ impl Router {
     ///
     /// Returns the id back if it is unknown.
     pub fn teardown(&mut self, id: ConnectionId) -> Result<usize, ConnectionId> {
-        self.touch();
         let state = self.conns.remove(id).ok_or(id)?;
         let input = &mut self.inputs[state.input_vc.port.index()];
         let dropped = input.close(state.input_vc.vc);
@@ -444,7 +466,6 @@ impl Router {
 
     /// Lifts a node-failure quarantine; the router admits connections again.
     pub fn lift_quarantine(&mut self) {
-        self.touch();
         self.quarantined = false;
     }
 

@@ -372,7 +372,7 @@ fn policed_source_settles_until_the_round_turns() {
     assert_eq!(r.stats(), RouterStats { cycles: before.cycles + 6, ..before });
     // The round boundary gives the quota back however settled the router is.
     assert_eq!(r.step(Cycles(8)).transmitted.len(), 1);
-    // Any mutator clears the memo, even one that changes nothing a step reads.
+    // A returned credit clears the memo, even onto a VC no connection owns.
     r.step(Cycles(9));
     r.step(Cycles(10));
     assert!(r.settled);
@@ -516,6 +516,7 @@ impl Driven {
                 r.lift_quarantine();
                 streams.clear();
             }
+            (12, _) => r.set_credit_clamp(b % 4 != 0),
             _ => {
                 self.now = Cycles(now.count() + 1);
                 return Some(r.step(now));

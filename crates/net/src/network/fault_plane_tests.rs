@@ -2,6 +2,8 @@
 //! invariant auditor, and the one sever path link and node faults share.
 #![cfg(test)]
 
+use mmr_core::audit::AuditViolation;
+
 use super::*;
 use crate::setup::{cbr_mbps, SetupStrategy};
 use crate::testkit::mesh_net;

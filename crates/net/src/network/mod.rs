@@ -20,17 +20,19 @@
 
 use std::collections::BTreeMap;
 
-use mmr_core::audit::{AuditConfig, AuditViolation, Auditor};
+use mmr_core::audit::{AuditConfig, Auditor};
+use mmr_core::conn::ConnectionRequest;
 use mmr_core::flit::{Flit, FlitKind};
-use mmr_core::ids::{ConnectionId, PortId, VcRef};
+use mmr_core::ids::{ConnectionId, PortId, VcIndex, VcRef};
 use mmr_core::llr::LlrConfig;
-use mmr_core::router::{InjectError, Router, RouterConfig};
+use mmr_core::router::{EstablishError, InjectError, Router, RouterConfig};
 use mmr_sim::{Bandwidth, Cycles, SeededRng};
 
 use crate::routing::{Routing, RoutingSpec};
 use crate::setup::ProbeQueue;
 use crate::topology::{NodeId, Topology};
 
+mod audit_pass;
 mod fabric;
 mod faults;
 mod packets;
@@ -46,6 +48,7 @@ mod fault_plane_tests;
 mod node_fault_tests;
 mod tests;
 
+use audit_pass::{AuditPass, Sessions};
 use fabric::Fabric;
 use packets::PacketPlane;
 use routers::RouterArray;
@@ -70,8 +73,9 @@ pub struct NetworkSim {
     /// Asynchronous setups in flight ([`NetworkSim::request_connection`]).
     pub(crate) probes: ProbeQueue,
     conns: BTreeMap<NetConnectionId, NetConnection>,
-    /// (node, local connection) → network connection, for delivery lookup.
-    local_index: BTreeMap<(NodeId, ConnectionId), NetConnectionId>,
+    /// (node, local connection) → network connection and the hop of it that
+    /// local connection is, for delivery lookup and the auditor's hop pairs.
+    local_index: BTreeMap<(NodeId, ConnectionId), (NetConnectionId, u16)>,
     next_conn: u32,
     pub(crate) rng: SeededRng,
     stats: NetStats,
@@ -81,6 +85,9 @@ pub struct NetworkSim {
     /// Escalate any violation to a panic (set by `MMR_AUDIT=1`; cleared by
     /// an explicit [`NetworkSim::enable_audit`], which records instead).
     audit_enforce: bool,
+    /// What the auditor's end-of-cycle pass carries from one cycle to the
+    /// next (`audit_pass.rs`).
+    audit_pass: AuditPass,
 }
 
 impl NetworkSim {
@@ -114,8 +121,12 @@ impl NetworkSim {
         // (the CI tier-1 suite runs once this way).
         let audit_env =
             std::env::var("MMR_AUDIT").map(|v| !v.is_empty() && v != "0").unwrap_or(false);
+        let mut routers = RouterArray::new(&topology, &router_cfg);
+        if audit_env {
+            routers.arm_audit();
+        }
         NetworkSim {
-            routers: RouterArray::new(&topology, &router_cfg),
+            routers,
             fabric: Fabric::new(topology, spec),
             wires: Wires::default(),
             packets: PacketPlane::default(),
@@ -127,6 +138,7 @@ impl NetworkSim {
             stats: NetStats::default(),
             auditor: audit_env.then(Auditor::default),
             audit_enforce: audit_env,
+            audit_pass: AuditPass::default(),
         }
     }
 
@@ -164,6 +176,29 @@ impl NetworkSim {
     pub fn enable_audit(&mut self, cfg: AuditConfig) {
         self.auditor = Some(Auditor::new(cfg));
         self.audit_enforce = false;
+        // A fresh auditor knows nothing: its first pass sweeps.
+        let exhaustive = self.audit_pass.exhaustive;
+        self.audit_pass = AuditPass::default();
+        self.audit_pass.exhaustive = exhaustive;
+        self.routers.arm_audit();
+    }
+
+    /// Makes every audit pass the full sweep — every law, every router,
+    /// every hop pair, every cycle — instead of one pass in 1,024. The
+    /// sweep is the oracle the incremental pass is tested against
+    /// (DESIGN.md §6c); both report the same violations in the same order
+    /// on the same cycle.
+    #[doc(hidden)]
+    pub fn set_exhaustive_audit(&mut self, exhaustive: bool) {
+        self.audit_pass.exhaustive = exhaustive;
+    }
+
+    /// Violators a full sweep found that the incremental pass in its place
+    /// would not have visited: 0 unless a change to the network escaped the
+    /// auditor's mark rules (DESIGN.md §6c).
+    #[doc(hidden)]
+    pub fn audit_sweep_misses(&self) -> u64 {
+        self.audit_pass.missed
     }
 
     /// The invariant auditor, when enabled.
@@ -199,7 +234,8 @@ impl NetworkSim {
         let Some(output_vc) = self.routers.get(node).connection(local).map(|s| s.output_vc) else {
             return false;
         };
-        self.routers.get_mut(node).return_credit(output_vc);
+        self.routers.return_credit(node, output_vc);
+        self.routers.mark_hop(id, hop as u16);
         true
     }
 
@@ -249,10 +285,25 @@ impl NetworkSim {
         self.routers.get(node)
     }
 
-    /// The waking accessor the probe/setup machinery mutates routers
-    /// through (see `RouterArray::get_mut`).
-    pub(crate) fn router_mut(&mut self, node: NodeId) -> &mut Router {
-        self.routers.get_mut(node)
+    /// Reserves one hop of a path being set up on `node`'s router (see
+    /// `RouterArray::establish`).
+    pub(crate) fn reserve_hop(
+        &mut self,
+        node: NodeId,
+        req: ConnectionRequest,
+        pinned_input: Option<VcIndex>,
+    ) -> Result<ConnectionId, EstablishError> {
+        self.routers.establish(node, req, pinned_input)
+    }
+
+    /// Releases a hop [`NetworkSim::reserve_hop`] reserved, returning the
+    /// flits dropped with it.
+    pub(crate) fn release_hop(
+        &mut self,
+        node: NodeId,
+        local: ConnectionId,
+    ) -> Result<usize, ConnectionId> {
+        self.routers.teardown(node, local)
     }
 
     /// Number of live end-to-end connections.
@@ -298,9 +349,11 @@ impl NetworkSim {
         let id = NetConnectionId(self.next_conn);
         self.next_conn += 1;
         conn.id = id;
-        for hop in &conn.hops {
+        for (at, hop) in conn.hops.iter().enumerate() {
             // mmr-lint: allow(A-TRANS, reason="per-connection-setup bookkeeping (control plane), not the per-flit data path")
-            self.local_index.insert((hop.node, hop.local), id);
+            self.local_index.insert((hop.node, hop.local), (id, at as u16));
+            // The session's hop pairs exist from this cycle on.
+            self.routers.mark_hops_around(id, at as u16);
         }
         self.conns.insert(id, conn); // mmr-lint: allow(A-TRANS, reason="per-connection-setup bookkeeping (control plane), not the per-flit data path")
         id
@@ -327,7 +380,7 @@ impl NetworkSim {
         let mut dropped = 0u64;
         for hop in &conn.hops {
             self.local_index.remove(&(hop.node, hop.local));
-            match self.routers.get_mut(hop.node).teardown(hop.local) {
+            match self.routers.teardown(hop.node, hop.local) {
                 Ok(n) => dropped += n as u64,
                 // A hop released twice (e.g. the router side already torn
                 // down by a fault) is counted, not fatal.
@@ -354,7 +407,7 @@ impl NetworkSim {
             .get(&id)
             .and_then(|conn| conn.hops.first())
             .ok_or(InjectError::UnknownConnection(ConnectionId(id.0)))?;
-        self.routers.get_mut(node).inject(local, now)
+        self.routers.get_mut_for(node, local).inject(local, now)
     }
 
     /// Whether the source NI can inject another flit this cycle.
@@ -452,6 +505,7 @@ impl NetworkSim {
         self.packets.drain_delivered(&mut report.packets);
         // Cycle-accurate invariant pass over the settled end-of-cycle state.
         if self.auditor.is_some() {
+            // mmr-lint: allow(A-TRANS, reason="the audit pass runs only with an auditor armed, which no unaudited step is; its lists are amortized scratch and the violation store is capped")
             self.run_audit(now);
         }
         report
@@ -473,20 +527,24 @@ impl NetworkSim {
                 // router mutation wakes" is cheaper to keep than to argue
                 // around.
                 if let Some((up, up_port)) = topology.peer_of(node, t.input_vc.port) {
-                    routers.get_mut(up).return_credit(VcRef { port: up_port, vc: t.input_vc.vc });
+                    routers.return_credit(up, VcRef { port: up_port, vc: t.input_vc.vc });
                 }
                 let output = t.output_vc.port;
                 if packets.forward_transmitted(node, t.conn, output, now, topology, stats) {
                     continue;
                 }
                 let owner = local_index.get(&(node, t.conn)).copied();
+                if let Some((id, at)) = owner {
+                    // A slot freed behind this hop, a credit spent ahead.
+                    routers.mark_hops_around(id, at);
+                }
                 match topology.peer_of(node, output) {
                     Some(peer) => wires.send(peer, t.output_vc.vc, owner, t.flit),
                     None => {
                         // Terminal port: the NI consumes the flit at once and
                         // returns the credit.
-                        routers.get_mut(node).return_credit(t.output_vc);
-                        let Some(id) = owner else { continue };
+                        routers.return_credit(node, t.output_vc);
+                        let Some((id, _)) = owner else { continue };
                         let Some(conn) = conns.get_mut(&id) else {
                             // Index and table disagree (stale index entry):
                             // count and drop the delivery.
@@ -505,51 +563,16 @@ impl NetworkSim {
         });
     }
 
-    /// The end-of-cycle invariant pass: per-router structural checks plus
-    /// the cross-router credit-conservation equation for every live stream
-    /// hop (credits held upstream + flits buffered downstream + frames owed
-    /// by the retry layer must equal the VC depth; stream wires themselves
-    /// are empty between steps).
+    /// The end-of-cycle invariant pass over the settled state, and the
+    /// `MMR_AUDIT=1` escalation of anything it finds.
     fn run_audit(&mut self, now: Cycles) {
-        let Some(mut aud) = self.auditor.take() else { return };
-        for (n, r) in self.routers.iter().enumerate() {
-            aud.check_router(n as u16, r, now);
-        }
-        for conn in self.conns.values() {
-            for pair in conn.hops.windows(2) {
-                let (up, down) = (&pair[0], &pair[1]);
-                let (up_router, down_router) =
-                    (self.routers.get(up.node), self.routers.get(down.node));
-                if !up_router.credits_tracked() {
-                    continue;
-                }
-                let (Some(up_state), Some(down_state)) =
-                    (up_router.connection(up.local), down_router.connection(down.local))
-                else {
-                    continue;
-                };
-                let credits = up_router.output_credit(up_state.output_vc);
-                let input = down_state.input_vc;
-                let buffered = down_router.vcm(input.port).occupancy(input.vc);
-                let in_layer = self.wires.owed_to((down.node, input.port), conn.id);
-                let depth = up_router.vc_depth();
-                if credits as usize + buffered + in_layer != depth {
-                    aud.report(AuditViolation::CreditConservation {
-                        router: up.node.0,
-                        conn: up.local,
-                        credits,
-                        buffered,
-                        in_flight: in_layer,
-                        depth,
-                    });
-                }
-            }
-        }
+        let Some(aud) = self.auditor.as_mut() else { return };
+        let sessions = Sessions { conns: &self.conns, local_index: &self.local_index };
+        self.audit_pass.run(aud, now, &mut self.routers, &sessions, &self.wires);
         if self.audit_enforce && !aud.is_clean() {
             // mmr-lint: allow(P-PANIC, reason="MMR_AUDIT=1 opt-in enforcement: aborting the campaign on an invariant breach is the auditor's contract")
             panic!("MMR_AUDIT: invariant violated at cycle {}: {}", now.count(), aud.summary());
         }
-        self.auditor = Some(aud);
     }
 }
 

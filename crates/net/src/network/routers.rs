@@ -4,12 +4,20 @@
 //! skipped each cycle: a clear wake bit means the router was examined,
 //! found quiescent, and has not been touched since. The obligation is kept
 //! by construction — the only `&mut Router` this module hands out is
-//! [`RouterArray::get_mut`], which wakes (DESIGN.md §9).
+//! [`RouterArray::get_mut`] and its narrower forms, which wake
+//! (DESIGN.md §9). The same choke point is the invariant auditor's dirty
+//! set: while an auditor is armed, every hand-out also leaves an
+//! [`AuditMarks`] entry saying what the next audit pass must look at
+//! (DESIGN.md §6c).
 
 use mmr_bitvec::StatusBits;
-use mmr_core::router::{Router, RouterConfig, StepReport, Transmitted};
+use mmr_core::conn::ConnectionRequest;
+use mmr_core::ids::{ConnectionId, VcIndex, VcRef};
+use mmr_core::router::{EstablishError, Router, RouterConfig, StepReport, Transmitted};
 use mmr_sim::{Cycles, SeededRng};
 
+use super::audit_pass::AuditMarks;
+use super::NetConnectionId;
 use crate::topology::{NodeId, Topology};
 
 #[derive(Debug)]
@@ -28,6 +36,9 @@ pub(super) struct RouterArray {
     dense: bool,
     /// Reusable router step report (capacity persists across cycles).
     step_scratch: StepReport,
+    /// The auditor's dirty set; `None` while no auditor is armed, which
+    /// costs the unaudited engine one predictable branch per hand-out.
+    marks: Option<AuditMarks>,
 }
 
 impl RouterArray {
@@ -55,7 +66,34 @@ impl RouterArray {
             idle_from: vec![0; nodes],
             dense: false,
             step_scratch: StepReport::default(),
+            marks: None,
         }
+    }
+
+    /// Starts recording [`AuditMarks`] (an auditor was armed). The first
+    /// audit pass sweeps, so nothing before this call needs a mark.
+    pub(super) fn arm_audit(&mut self) {
+        self.marks = Some(AuditMarks::new(self.routers.len()));
+    }
+
+    /// Hands the marks to an audit pass, which returns them emptied through
+    /// [`RouterArray::restore_marks`] so their buffers keep their capacity.
+    pub(super) fn take_marks(&mut self) -> Option<AuditMarks> {
+        self.marks.take()
+    }
+
+    pub(super) fn restore_marks(&mut self, marks: AuditMarks) {
+        self.marks = Some(marks);
+    }
+
+    #[cfg(test)]
+    pub(super) fn marks(&self) -> &AuditMarks {
+        self.marks.as_ref().expect("an auditor is armed")
+    }
+
+    /// The wake mask: between steps, every router that holds a flit is in it.
+    pub(super) fn awake(&self) -> &StatusBits {
+        &self.awake
     }
 
     pub(super) fn len(&self) -> usize {
@@ -71,11 +109,105 @@ impl RouterArray {
     }
 
     /// Mutable access may change anything, so the router must be
-    /// re-examined: this is the single wake choke point for every router
-    /// mutation outside [`RouterArray::drain_awake`] itself.
+    /// re-examined — stepped again, and audited whole: this is the wake
+    /// choke point for every router mutation outside
+    /// [`RouterArray::drain_awake`] itself, and conservative by default.
+    /// The forms below are for the sites that can name the one connection
+    /// they touch.
     pub(super) fn get_mut(&mut self, node: NodeId) -> &mut Router {
         self.wake(node);
+        if let Some(marks) = &mut self.marks {
+            marks.whole(node);
+        }
         &mut self.routers[node.index()]
+    }
+
+    /// [`RouterArray::get_mut`] for a caller that will touch `conn` and
+    /// nothing else (a flit injected at its NI or arriving off its wire).
+    #[inline]
+    pub(super) fn get_mut_for(&mut self, node: NodeId, conn: ConnectionId) -> &mut Router {
+        self.wake(node);
+        self.mark(node, conn);
+        &mut self.routers[node.index()]
+    }
+
+    /// Has the next audit pass visit `conn` on `node` without touching the
+    /// router.
+    #[inline]
+    fn mark(&mut self, node: NodeId, conn: ConnectionId) {
+        if let Some(marks) = &mut self.marks {
+            marks.conn(node, conn);
+        }
+    }
+
+    /// Has the next audit pass check the credit equation of hop pair
+    /// `hops[hop..hop + 2]` of `session`: a flit crossed it, a credit
+    /// crossed back over it, or it just came into being.
+    #[inline]
+    pub(super) fn mark_hop(&mut self, session: NetConnectionId, hop: u16) {
+        if let Some(marks) = &mut self.marks {
+            marks.hop(session, hop);
+        }
+    }
+
+    /// [`RouterArray::mark_hop`] for both pairs hop `at` of `session` is an
+    /// end of: something about that hop's connection changed.
+    #[inline]
+    pub(super) fn mark_hops_around(&mut self, session: NetConnectionId, at: u16) {
+        if let Some(marks) = &mut self.marks {
+            marks.hop(session, at);
+            if let Some(before) = at.checked_sub(1) {
+                marks.hop(session, before);
+            }
+        }
+    }
+
+    /// [`Router::establish_pinned`] on `node`: what it changes is the two
+    /// ports' free-VC stacks and books, and the connection it creates.
+    pub(super) fn establish(
+        &mut self,
+        node: NodeId,
+        req: ConnectionRequest,
+        pinned_input: Option<VcIndex>,
+    ) -> Result<ConnectionId, EstablishError> {
+        self.wake(node);
+        let granted = self.routers[node.index()].establish_pinned(req, pinned_input);
+        if let Some(marks) = &mut self.marks {
+            marks.ports(node);
+        }
+        if let Ok(conn) = granted {
+            self.mark(node, conn);
+        }
+        granted
+    }
+
+    /// [`Router::teardown`] on `node`: the mirror of
+    /// [`RouterArray::establish`].
+    pub(super) fn teardown(
+        &mut self,
+        node: NodeId,
+        conn: ConnectionId,
+    ) -> Result<usize, ConnectionId> {
+        self.wake(node);
+        if let Some(marks) = &mut self.marks {
+            marks.ports(node);
+        }
+        self.mark(node, conn);
+        self.routers[node.index()].teardown(conn)
+    }
+
+    /// Returns one credit onto `output_vc` of `node`; what it can change is
+    /// the connection owning that VC, if one does.
+    #[inline]
+    pub(super) fn return_credit(&mut self, node: NodeId, output_vc: VcRef) {
+        self.wake(node);
+        let router = &mut self.routers[node.index()];
+        if let Some(marks) = &mut self.marks {
+            if let Some(owner) = router.connection_by_output_vc(output_vc) {
+                marks.conn(node, owner);
+            }
+        }
+        router.return_credit(output_vc);
     }
 
     /// Marks a router for examination on the next step without touching it
@@ -128,6 +260,11 @@ impl RouterArray {
             self.idle_from[n] = now.count() + 1;
             self.routers[n].step_into(now, &mut rep);
             self.awake.set(n, true);
+            if let Some(marks) = &mut self.marks {
+                for t in &rep.transmitted {
+                    marks.conn(NodeId(n as u16), t.conn);
+                }
+            }
             visit(self, NodeId(n as u16), &rep.transmitted);
         }
         awake.clear();

@@ -31,6 +31,10 @@ struct WireFrame {
     /// replayed frames whose connection has since been torn down are
     /// discarded at delivery rather than injected into a reused VC.
     net_conn: Option<NetConnectionId>,
+    /// Which hop of `net_conn` sent the frame: it names the hop pair the
+    /// frame crosses, for the auditor. (Beside `vc` rather than inside the
+    /// option, where it would grow every replay-buffer slot by a word.)
+    hop: u16,
     flit: Flit,
 }
 
@@ -117,10 +121,11 @@ impl Wires {
         &mut self,
         to: Endpoint,
         vc: VcIndex,
-        net_conn: Option<NetConnectionId>,
+        sender: Option<(NetConnectionId, u16)>,
         flit: Flit,
     ) {
-        let frame = WireFrame { vc, net_conn, flit };
+        let (net_conn, hop) = sender.map_or((None, 0), |(id, hop)| (Some(id), hop));
+        let frame = WireFrame { vc, net_conn, hop, flit };
         match self.llr {
             Some(cfg) => {
                 self.links.entry(to).or_insert_with(|| LlrLink::new(cfg)).sender.enqueue(frame);
@@ -228,8 +233,12 @@ impl Wires {
             };
             // An arriving flit is the canonical wake event: the router has
             // buffered work for next cycle whether or not accept succeeds.
-            if routers.get_mut(node).accept(local, frame.flit, arrive_at).is_err() {
+            if routers.get_mut_for(node, local).accept(local, frame.flit, arrive_at).is_err() {
                 stats.flits_lost += 1;
+            }
+            // Usually the cycle the frame was sent, but a replay lands later.
+            if let Some(session) = frame.net_conn {
+                routers.mark_hop(session, frame.hop);
             }
         }
         self.crossing = crossing;

@@ -208,7 +208,8 @@ impl ProbeMachine {
                 self.unwind(net);
                 return ProbeStep::Failed(SetupError::Unreachable);
             };
-            match net.router_mut(self.dst).establish_pinned(
+            match net.reserve_hop(
+                self.dst,
                 ConnectionRequest { input: entry_port, output: ni, class: self.class },
                 pinned,
             ) {
@@ -249,7 +250,8 @@ impl ProbeMachine {
         for (port, peer, peer_port) in options {
             self.history.entry(node).or_default().push(port); // mmr-lint: allow(A-TRANS, reason="probe history is per-setup-event control-plane bookkeeping")
             let (entry_port, pinned) = self.stack[top].entry;
-            match net.router_mut(node).establish_pinned(
+            match net.reserve_hop(
+                node,
                 ConnectionRequest { input: entry_port, output: port, class: self.class },
                 pinned,
             ) {
@@ -259,7 +261,7 @@ impl ProbeMachine {
                     else {
                         // The reservation vanished between establish and
                         // query; release it and try the next output.
-                        if net.router_mut(node).teardown(local).is_err() {
+                        if net.release_hop(node, local).is_err() {
                             net.note_ghost_release();
                         }
                         continue;
@@ -333,7 +335,7 @@ impl ProbeMachine {
         };
         if let Some((local, _, _)) = prev.reserved.take() {
             let node = prev.node;
-            if net.router_mut(node).teardown(local).is_err() {
+            if net.release_hop(node, local).is_err() {
                 // The reservation already vanished router-side: count it
                 // (the invariant auditor flags real damage) and move on.
                 net.note_ghost_release();
@@ -348,7 +350,7 @@ impl ProbeMachine {
     fn unwind(&mut self, net: &mut NetworkSim) {
         while let Some(frame) = self.stack.pop() {
             if let Some((local, _, _)) = frame.reserved {
-                if net.router_mut(frame.node).teardown(local).is_err() {
+                if net.release_hop(frame.node, local).is_err() {
                     net.note_ghost_release();
                 }
             }

@@ -7,7 +7,8 @@
 # uncommitted changes in this checkout are what "change" measures), builds
 # both standalone perfbench packages, then makes strictly alternating single
 # runs — odd pairs parent first, even pairs change first — with `--trace 0`
-# and seeds 1..pairs. Prints every run, each side's median and quartiles for
+# and seeds 1..pairs. Prints the workload's auditor state (on / off, read off
+# the first run) in its header, every run, each side's median and quartiles for
 # the four end-to-end metrics, pair wins (ties count for neither) and whether
 # the medians differ by more than the parent's interquartile range.
 #
@@ -35,16 +36,29 @@ git -C "$root" archive "$sha" | tar -x -C "$dir/parent"
 cargo build --release --quiet --manifest-path "$dir/parent/$pkg" --target-dir "$dir/parent-target"
 cargo build --release --quiet --manifest-path "$root/$pkg" --target-dir "$dir/change-target"
 
-echo "parent $sha  vs  change (this checkout)  workload $workload  $pairs pairs x $seconds s  cores $(nproc 2>/dev/null || echo '?')"
 runs=$dir/runs.$$
 : >"$runs"
 trap 'rm -f "$runs"' EXIT
+
+# The header waits for the first run: whether the workload arms the invariant
+# auditor is in every run's JSON, and no rate is quoted without it.
+header() {
+    case $(printf '%s\n' "$1" | grep -o '"auditor":[a-z]*' | head -n 1) in
+    *true) auditor=on ;;
+    *false) auditor=off ;;
+    *) auditor='?' ;;
+    esac
+    echo "parent $sha  vs  change (this checkout)  workload $workload  auditor $auditor  $pairs pairs x $seconds s  cores $(nproc 2>/dev/null || echo '?')  jobs 1"
+    echo "side seed setup_s net_cycles_per_s flits_per_s peak_rss_mb sim_digest failed"
+}
 
 # One run: the last two stdout lines are the report object (sim_digest) and
 # the result object (failed, metrics); a crashed run counts as one failure.
 one() {
     out=$("$dir/$1-target/release/perfbench" --workload "$workload" --seed "$2" \
         --seconds "$seconds" --trace 0 | tail -n 2) || out=
+    [ -n "${headed:-}" ] || header "$out"
+    headed=1
     printf '%s\n' "$out" | awk -v side="$1" -v seed="$2" '
         function num(key,    s) {
             if (!match($0, "\"" key "\":\\{\"value\":[-+0-9.eE]+")) return "nan"
@@ -62,7 +76,6 @@ one() {
         }' | tee -a "$runs"
 }
 
-echo "side seed setup_s net_cycles_per_s flits_per_s peak_rss_mb sim_digest failed"
 i=1
 while [ "$i" -le "$pairs" ]; do
     if [ $((i % 2)) -eq 1 ]; then
