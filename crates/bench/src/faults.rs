@@ -312,6 +312,10 @@ pub fn run_trial_on(
             });
         }
         let report = net.step(now);
+        // The campaign checks itself: the retry layer's pump may skip only
+        // links whose sender is drained (a dropped tail frame is the case
+        // only its timeout rescues).
+        assert!(net.llr_live_covers_senders(), "cycle {t}: an undrained link left the live set");
         for event in mgr.service(&mut net, &report, now) {
             // Degradation changes the session's rate; repace its stream.
             if let mmr_net::RecoveryEvent::Degraded { session, to, .. } = event {

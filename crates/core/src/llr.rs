@@ -166,7 +166,7 @@ pub struct LlrRecvStats {
 }
 
 /// The sending end of one directed link.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LlrSender<F> {
     cfg: LlrConfig,
     /// Sequence number of the next first-time transmission.
@@ -481,6 +481,55 @@ mod tests {
         assert_eq!(got.len(), 1);
         assert_eq!(tx.stats().timeouts, 1);
         assert!(tx.is_drained());
+    }
+
+    /// What lets the network pump only the links holding a frame: pumping a
+    /// drained sender returns nothing and changes nothing — no timer, no
+    /// cursor, no counter — under any interleaving of traffic, loss, damage
+    /// and stale feedback. A drained sender never has a rewind in progress.
+    #[test]
+    fn a_drained_sender_pumps_nothing() {
+        let mut rng = mmr_sim::SeededRng::new(0x11A);
+        for window in [1, 2, 8] {
+            let mut tx = LlrSender::new(LlrConfig::default().window(window).timeout(Cycles(6)));
+            let mut rx = LlrReceiver::new();
+            let mut drained_pumps = 0;
+            for t in 0..6_000u64 {
+                let now = Cycles(t);
+                match rng.index(5) {
+                    0 => tx.enqueue(flit(t)),
+                    1..=3 if tx.is_drained() => {
+                        let before = tx.clone();
+                        assert!(tx.pump(now).is_none(), "t={t}");
+                        assert_eq!(tx, before, "t={t}");
+                        drained_pumps += 1;
+                    }
+                    1..=3 => {
+                        let Some((mut frame, _)) = tx.pump(now) else { continue };
+                        match rng.index(6) {
+                            0 => continue, // lost on the wire
+                            1 => frame.corrupt_payload_bit(3),
+                            _ => {}
+                        }
+                        if let (_, Some(signal)) = rx.receive(frame) {
+                            tx.on_signal(signal, now);
+                        }
+                    }
+                    // Feedback that is late, or arrives twice.
+                    _ => {
+                        let seq = rx.expected().wrapping_sub(rng.index(3) as u32);
+                        let signal = if rng.index(2) == 0 {
+                            LlrSignal::Ack { up_to: seq.wrapping_sub(1) }
+                        } else {
+                            LlrSignal::Nack { resume_from: seq }
+                        };
+                        tx.on_signal(signal, now);
+                    }
+                }
+                assert!(!tx.is_drained() || tx.cursor.is_none(), "t={t}: rewind on a drained sender");
+            }
+            assert!(drained_pumps > 100 && tx.stats().timeouts > 0 && tx.stats().retransmitted > 0);
+        }
     }
 
     #[test]

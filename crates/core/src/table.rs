@@ -245,7 +245,7 @@ impl<T> PhaseMap<T> {
 
 /// The set bits of a port word, ascending — how a per-cycle stage visits
 /// the ports that hold work instead of `0..ports`.
-pub(crate) fn set_ports(mut word: u64) -> impl Iterator<Item = usize> {
+pub fn set_ports(mut word: u64) -> impl Iterator<Item = usize> {
     std::iter::from_fn(move || {
         (word != 0).then(|| {
             let port = word.trailing_zeros() as usize;

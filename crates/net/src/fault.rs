@@ -23,7 +23,7 @@
 use mmr_core::ids::PortId;
 use mmr_sim::{Cycles, SeededRng};
 
-use crate::network::{NetConnectionId, NetError, NetworkSim, TransientKind};
+use crate::network::{NetConnectionId, NetworkSim, TransientKind};
 use crate::topology::{NodeId, Topology};
 
 /// What a scheduled fault event does to its wire or node.
@@ -288,7 +288,7 @@ impl FaultPlan {
         let mut plan =
             FaultPlan::seeded_campaign(topology, seed, faults, window.clone(), outage);
         let wires = topology.wires();
-        if wires.is_empty() {
+        if wires.is_empty() || window.is_empty() {
             return plan;
         }
         let mut rng = SeededRng::new(seed ^ 0x7A4E_51E7);
@@ -311,9 +311,9 @@ impl FaultPlan {
 /// `targets` failable things (wires or routers, by index) for `outage`
 /// cycles. A target already planned down at the strike is never
 /// double-failed — another is drawn, up to |targets| times, else the strike
-/// is dropped. Returns `(target, fail cycle, repair cycle)` in strike order;
-/// the draw order (all strikes, then targets per sorted strike) is what the
-/// committed seeds pin.
+/// is dropped. An empty window (or nothing to fail) plans nothing. Returns
+/// `(target, fail cycle, repair cycle)` in strike order; the draw order (all
+/// strikes, then targets per sorted strike) is what the committed seeds pin.
 fn seeded_outages(
     salted_seed: u64,
     targets: usize,
@@ -321,9 +321,8 @@ fn seeded_outages(
     window: std::ops::Range<u64>,
     outage: Cycles,
 ) -> Vec<(usize, u64, u64)> {
-    assert!(window.start < window.end, "empty campaign window");
     let mut planned: Vec<(usize, u64, u64)> = Vec::with_capacity(count);
-    if targets == 0 {
+    if targets == 0 || window.is_empty() {
         return planned;
     }
     let mut rng = SeededRng::new(salted_seed);
@@ -398,14 +397,16 @@ impl FaultInjector {
         self.plan.events.len() - self.cursor
     }
 
-    /// Events that could not be applied (e.g. failing an already-failed
-    /// wire in a hand-built plan) and were skipped.
+    /// Events that could not be applied — failing an already-failed wire,
+    /// or naming a terminal port, an unknown node or a non-wire endpoint in
+    /// a hand-built plan — and were skipped.
     pub fn skipped(&self) -> u64 {
         self.skipped
     }
 
     /// Applies every event due at or before `now`. Inapplicable events
-    /// (double failure, repairing a live wire) are counted in
+    /// (double failure, repairing a live wire, an address that is no wire
+    /// or no node of this fabric) are counted in
     /// [`FaultInjector::skipped`] rather than aborting the campaign.
     pub fn poll(&mut self, net: &mut NetworkSim, now: Cycles) -> FaultTick {
         let mut tick = FaultTick::default();
@@ -421,26 +422,22 @@ impl FaultInjector {
                         tick.failed.push((ev.node, ev.port));
                         tick.broken.extend(broken);
                     }
-                    Err(NetError::LinkAlreadyFailed { .. }) => self.skipped += 1,
-                    Err(e) => panic!("fault plan addresses a non-wire: {e}"),
+                    Err(_) => self.skipped += 1,
                 },
                 FaultAction::Repair => match net.repair_link(ev.node, ev.port) {
                     Ok(()) => tick.repaired.push((ev.node, ev.port)),
-                    Err(NetError::LinkNotFailed { .. }) => self.skipped += 1,
-                    Err(e) => panic!("fault plan addresses a non-wire: {e}"),
+                    Err(_) => self.skipped += 1,
                 },
                 FaultAction::FailNode => match net.fail_node(ev.node) {
                     Ok(broken) => {
                         tick.nodes_failed.push(ev.node);
                         tick.broken.extend(broken);
                     }
-                    Err(NetError::NodeAlreadyFailed { .. }) => self.skipped += 1,
-                    Err(e) => panic!("fault plan addresses an unknown node: {e}"),
+                    Err(_) => self.skipped += 1,
                 },
                 FaultAction::RepairNode => match net.repair_node(ev.node) {
                     Ok(()) => tick.nodes_repaired.push(ev.node),
-                    Err(NetError::NodeNotFailed { .. }) => self.skipped += 1,
-                    Err(e) => panic!("fault plan addresses an unknown node: {e}"),
+                    Err(_) => self.skipped += 1,
                 },
                 FaultAction::CorruptFlit | FaultAction::DropFlit => {
                     let kind = if ev.action == FaultAction::CorruptFlit {
@@ -450,7 +447,7 @@ impl FaultInjector {
                     };
                     match net.arm_transient(ev.node, ev.port, kind) {
                         Ok(()) => tick.transients_armed += 1,
-                        Err(e) => panic!("fault plan addresses a non-wire: {e}"),
+                        Err(_) => self.skipped += 1,
                     }
                 }
             }
@@ -507,6 +504,30 @@ mod tests {
         }
         assert_eq!(inj.skipped(), 2);
         assert!(net.link_ok(wire.a.0, wire.a.1));
+    }
+
+    #[test]
+    fn events_naming_no_wire_or_node_are_skipped_not_fatal() {
+        let mut net = mesh_net();
+        let ni = net.topology().terminal_port(NodeId(0)).expect("every mesh node has an NI");
+        let plan = FaultPlan::new()
+            .fail_at(Cycles(1), NodeId(0), ni)
+            .fail_node_at(Cycles(2), NodeId(99))
+            .drop_at(Cycles(3), NodeId(4), PortId(200));
+        let mut inj = FaultInjector::new(plan).expect("consistent plan");
+        for t in 0..5u64 {
+            assert!(inj.poll(&mut net, Cycles(t)).is_quiet(), "t={t}");
+        }
+        assert_eq!((inj.pending(), inj.skipped()), (0, 3));
+        assert_eq!(net.topology_epoch(), 0, "nothing was applied");
+    }
+
+    #[test]
+    fn an_empty_window_plans_nothing() {
+        let topo = Topology::torus2d(3, 3, 8).expect("topology wires within the port budget");
+        assert!(FaultPlan::seeded_campaign(&topo, 1, 4, 50..50, Cycles(10)).is_empty());
+        assert!(FaultPlan::seeded_node_campaign(&topo, 1, 4, 50..50, Cycles(10)).is_empty());
+        assert!(FaultPlan::seeded_chaos_campaign(&topo, 1, 4, 4, 50..50, Cycles(10)).is_empty());
     }
 
     #[test]

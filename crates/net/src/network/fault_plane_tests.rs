@@ -17,8 +17,9 @@ fn wire_endpoint(net: &NetworkSim, id: NetConnectionId, hop: usize) -> (NodeId, 
     (h.node, state.input_vc.port)
 }
 
-/// Drives `net` for `cycles`, injecting one flit every 4 cycles on `id`;
-/// returns (injected, delivered, out-of-order observed).
+/// Drives `net` for `cycles`, injecting one flit every 4 cycles on `id`,
+/// holding the retry layer's live set to its senders after every step;
+/// returns (injected, delivered).
 fn drive(net: &mut NetworkSim, id: NetConnectionId, cycles: u64) -> (u64, u64) {
     let mut injected = 0;
     let mut delivered = 0;
@@ -28,6 +29,7 @@ fn drive(net: &mut NetworkSim, id: NetConnectionId, cycles: u64) -> (u64, u64) {
             injected += 1;
         }
         delivered += net.step(Cycles(t)).delivered.len() as u64;
+        assert!(net.llr_live_covers_senders(), "t={t}: an undrained link left the live set");
     }
     (injected, delivered)
 }
@@ -106,6 +108,35 @@ fn llr_recovers_dropped_flits() {
     assert_eq!(net.stats().flits_dropped, 4);
     assert_eq!(net.stats().flits_lost, 0);
     assert_eq!(net.stats().out_of_order, 0);
+}
+
+#[test]
+fn enabling_llr_again_starts_every_link_from_scratch() {
+    let mut net = mesh_net();
+    net.enable_llr(LlrConfig::default());
+    let id = net
+        .establish(NodeId(0), NodeId(8), cbr_mbps(620.0), SetupStrategy::Epb)
+        .expect("path exists");
+    let (mut injected, mut delivered) = (0u64, 0u64);
+    for t in 0..400u64 {
+        if t == 200 {
+            // Mid-run, with frames sent last cycle still unacknowledged.
+            assert!(net.llr_live_links() > 0);
+            net.enable_llr(LlrConfig::default());
+            assert_eq!(net.llr_live_links(), 0, "no link survives the switch");
+        }
+        if t % 4 == 0 && t < 360 && net.can_inject(id) {
+            net.inject(id, Cycles(t)).expect("room");
+            injected += 1;
+        }
+        delivered += net.step(Cycles(t)).delivered.len() as u64;
+        assert!(net.llr_live_covers_senders(), "t={t}");
+    }
+    // Both ends of every wire restarted at sequence 0 together, so nothing
+    // is taken for a duplicate or a gap.
+    assert_eq!(injected, delivered);
+    assert_eq!((net.stats().out_of_order, net.stats().flits_retransmitted), (0, 0));
+    assert_eq!(net.llr_live_links(), 0, "the drained fabric pumps nothing");
 }
 
 #[test]

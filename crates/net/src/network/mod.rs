@@ -160,12 +160,28 @@ impl NetworkSim {
     /// earns its keep under transient faults (see
     /// [`NetworkSim::arm_transient`]).
     pub fn enable_llr(&mut self, cfg: LlrConfig) {
-        self.wires.enable_llr(cfg);
+        let topology = self.fabric.topology();
+        self.wires.enable_llr(cfg, topology.nodes(), usize::from(topology.ports_per_node()));
     }
 
     /// Whether link-level retransmission is on.
     pub fn llr_enabled(&self) -> bool {
         self.wires.llr_enabled()
+    }
+
+    /// Links of the retry layer that the last pump found holding a frame,
+    /// plus those handed one since: a count of per-cycle work, for tests.
+    #[doc(hidden)]
+    pub fn llr_live_links(&self) -> usize {
+        self.wires.live_links()
+    }
+
+    /// Whether the pump's live set covers every link-level sender that is
+    /// not drained — the condition under which skipping the others is a
+    /// no-op. Read-only; for tests.
+    #[doc(hidden)]
+    pub fn llr_live_covers_senders(&self) -> bool {
+        self.wires.live_covers_senders()
     }
 
     /// Turns on the cycle-accurate invariant auditor in *record* mode:
@@ -489,8 +505,10 @@ impl NetworkSim {
         // Link-level ack/nack feedback from last cycle's wire deliveries.
         self.wires.deliver_signals(now);
         // In-flight setup probes and acknowledgments move one hop.
+        // mmr-lint: allow(A-TRANS, reason="an up*/down* distance row is built by the first probe naming its destination in a topology epoch; every later query reads it")
         self.advance_probes(now, &mut report.setups);
         // Packets blocked waiting for a free VC retry, oldest first.
+        // mmr-lint: allow(A-TRANS, reason="an up*/down* legality row is built by the first packet offer naming its destination in a topology epoch; every later hop reads it")
         self.packets.retry_blocked(now, &self.fabric, &mut self.routers, &mut self.stats);
         // The awake routers step; what they transmit goes onto a wire, to
         // the packet plane, or out of the destination NI.

@@ -12,14 +12,16 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use mmr_core::flit::Flit;
-use mmr_core::ids::{VcIndex, VcRef};
+use mmr_core::ids::{PortId, VcIndex, VcRef};
 use mmr_core::llr::{LlrConfig, LlrFrame, LlrReceiver, LlrSender, LlrSignal, RxOutcome};
+use mmr_core::table::set_ports;
 use mmr_sim::Cycles;
 
 use super::routers::RouterArray;
 #[cfg(doc)]
 use super::NetworkSim;
 use super::{Endpoint, NetConnectionId, NetStats, TransientKind};
+use crate::topology::NodeId;
 
 /// A flit crossing one wire, as the link-level retry layer sees it: the
 /// [`Flit`] plus the wire-local metadata that must survive a replay.
@@ -80,13 +82,23 @@ impl LlrLink {
     }
 }
 
+/// Where a link table of `ports` slots per node keeps `(node, port)`.
+fn slot(ports: usize, (node, port): Endpoint) -> usize {
+    node.index() * ports + port.index()
+}
+
 #[derive(Debug, Default)]
 pub(super) struct Wires {
     /// The retry layer's configuration, when enabled.
     llr: Option<LlrConfig>,
-    /// One protocol pair per directed wire, keyed by its *receiving*
-    /// endpoint and created lazily. Empty while the retry layer is off.
-    links: BTreeMap<Endpoint, LlrLink>,
+    /// One slot per `(node, port)` — `ports` to a node — for the protocol
+    /// pair of the directed wire *received* there, created by the wire's
+    /// first frame. Sized by `enable_llr`; empty while the layer is off.
+    links: Vec<Option<LlrLink>>,
+    ports: usize,
+    /// Per node, bit `p` is set whenever the sender of `(node, p)` is not
+    /// drained: set by `send`, cleared by the pump that finds it drained.
+    live: Vec<u64>,
     /// In-flight ack/nack feedback: `(deliver_at, receiver key, signal)`.
     signals: Vec<(Cycles, Endpoint, LlrSignal)>,
     /// Armed transient faults, keyed by receiving endpoint; each entry
@@ -98,15 +110,31 @@ pub(super) struct Wires {
 }
 
 impl Wires {
-    /// Turns the retry layer on, with every link starting from scratch.
-    pub(super) fn enable_llr(&mut self, cfg: LlrConfig) {
+    /// Turns the retry layer on over a fabric of `nodes` routers with
+    /// `ports` ports each, with every link starting from scratch.
+    pub(super) fn enable_llr(&mut self, cfg: LlrConfig, nodes: usize, ports: usize) {
         self.llr = Some(cfg);
-        self.links.clear();
+        self.links = (0..nodes * ports).map(|_| None).collect();
+        self.ports = ports;
+        self.live = vec![0; nodes];
         self.signals.clear();
     }
 
     pub(super) fn llr_enabled(&self) -> bool {
         self.llr.is_some()
+    }
+
+    /// Links whose live bit is set: what the next pump visits.
+    pub(super) fn live_links(&self) -> usize {
+        self.live.iter().map(|word| word.count_ones() as usize).sum()
+    }
+
+    /// Whether every sender that is not drained has its live bit set.
+    pub(super) fn live_covers_senders(&self) -> bool {
+        self.links.iter().enumerate().all(|(at, link)| {
+            let live = self.live[at / self.ports] >> (at % self.ports) & 1 == 1;
+            live || link.as_ref().is_none_or(|l| l.sender.is_drained())
+        })
     }
 
     /// Arms a transient fault against the next flit delivered into `at`.
@@ -128,7 +156,10 @@ impl Wires {
         let frame = WireFrame { vc, net_conn, hop, flit };
         match self.llr {
             Some(cfg) => {
-                self.links.entry(to).or_insert_with(|| LlrLink::new(cfg)).sender.enqueue(frame);
+                let link =
+                    self.links[slot(self.ports, to)].get_or_insert_with(|| LlrLink::new(cfg));
+                link.sender.enqueue(frame);
+                self.live[to.0.index()] |= 1 << to.1.index();
             }
             // mmr-lint: allow(A-TRANS, reason="amortized: the transfer list keeps its capacity across cycles")
             None => self.crossing.push((to, frame)),
@@ -140,24 +171,28 @@ impl Wires {
     /// Retained in place: the signal queue keeps its capacity across
     /// cycles instead of reallocating a fresh buffer every step.
     pub(super) fn deliver_signals(&mut self, now: Cycles) {
-        let Wires { links, signals, .. } = self;
+        let Wires { links, signals, ports, .. } = self;
         signals.retain(|&(at, key, sig)| {
             if at > now {
                 return true;
             }
-            if let Some(link) = links.get_mut(&key) {
+            // Feedback can only shrink a replay buffer, so it never makes a
+            // drained sender live.
+            if let Some(link) = &mut links[slot(*ports, key)] {
                 link.sender.on_signal(sig, now);
             }
             false
         });
     }
 
-    /// Pumps each link-level sender — one frame per directed wire per
+    /// Pumps each live link-level sender — one frame per directed wire per
     /// cycle; in the fault-free case the frame enqueued this cycle leaves
     /// at once, so baseline timing is identical with or without the retry
     /// layer — then takes every crossing frame off its wire and into the
-    /// receiving router. The pump stays dense: retransmission timers tick
-    /// inside the senders whether or not any router has work.
+    /// receiving router. Pumping a drained sender is a no-op, so only live
+    /// links are visited; one holding an unacknowledged frame stays live,
+    /// and its retransmission timer ticks whether or not any router has
+    /// work. Nodes ascending, ports ascending: that is the delivery order.
     pub(super) fn pump_and_deliver(
         &mut self,
         now: Cycles,
@@ -166,13 +201,21 @@ impl Wires {
         is_live: impl Fn(NetConnectionId) -> bool,
     ) {
         let arrive_at = now + Cycles(1);
-        for (&to, link) in self.links.iter_mut() {
-            if let Some((frame, is_retx)) = link.sender.pump(now) {
-                if is_retx {
-                    stats.flits_retransmitted += 1;
+        for (node, word) in self.live.iter_mut().enumerate() {
+            for port in set_ports(*word) {
+                let to = (NodeId(node as u16), PortId(port as u8));
+                let link = self.links[slot(self.ports, to)].as_mut();
+                let Some(link) = link.filter(|l| !l.sender.is_drained()) else {
+                    *word &= !(1 << port);
+                    continue;
+                };
+                if let Some((frame, is_retx)) = link.sender.pump(now) {
+                    if is_retx {
+                        stats.flits_retransmitted += 1;
+                    }
+                    // mmr-lint: allow(A-TRANS, reason="amortized: the transfer list keeps its capacity across cycles")
+                    self.crossing.push((to, frame));
                 }
-                // mmr-lint: allow(A-TRANS, reason="amortized: the transfer list keeps its capacity across cycles")
-                self.crossing.push((to, frame));
             }
         }
 
@@ -201,8 +244,9 @@ impl Wires {
             // The link-level receiver checks CRC + sequence; only clean,
             // in-order frames pass through. Feedback crosses the reverse
             // channel and reaches the sender next cycle.
-            if let Some(cfg) = self.llr {
-                let link = self.links.entry(key).or_insert_with(|| LlrLink::new(cfg));
+            if self.llr.is_some() {
+                // The pump took the frame out of this very link.
+                let Some(link) = &mut self.links[slot(self.ports, key)] else { continue };
                 let (outcome, signal) = link.receiver.receive(frame);
                 if let Some(sig) = signal {
                     // mmr-lint: allow(A-TRANS, reason="amortized: the signal queue keeps its capacity across cycles (retain-based drain)")
@@ -258,7 +302,8 @@ impl Wires {
     /// of `conn` — the wire's term of the auditor's credit-conservation
     /// equation.
     pub(super) fn owed_to(&self, key: Endpoint, conn: NetConnectionId) -> usize {
-        self.links.get(&key).map_or(0, |link| link.undelivered(|f| f.net_conn == Some(conn)))
+        let link = self.links.get(slot(self.ports, key)).and_then(Option::as_ref);
+        link.map_or(0, |link| link.undelivered(|f| f.net_conn == Some(conn)))
     }
 
     /// Cuts the wire between `a` and `b`, in both directions, and returns
@@ -271,8 +316,9 @@ impl Wires {
         debug_assert!(self.crossing.is_empty(), "stream wires are empty between steps");
         let mut lost = 0;
         for key in [a, b] {
-            if let Some(link) = self.links.remove(&key) {
+            if let Some(link) = self.links.get_mut(slot(self.ports, key)).and_then(Option::take) {
                 lost += link.undelivered(|_| true) as u64;
+                self.live[key.0.index()] &= !(1 << key.1.index());
             }
             self.signals.retain(|(_, k, _)| *k != key);
             self.armed.remove(&key);

@@ -12,9 +12,13 @@
 //! because the shortest *legal* path may have to ascend away from the
 //! destination first, and a wrong down-move can make the destination
 //! unreachable (no up-moves are allowed afterwards). [`UpDownRouting`]
-//! therefore precomputes legal distances over the state space
-//! `(node, still-may-go-up?)`, so every offered hop strictly reduces the
-//! remaining legal distance and routing can never dead-end.
+//! therefore computes legal distances over the state space
+//! `(node, still-may-go-up?)` — one row per destination, built the first
+//! time that destination is routed to — so every offered hop strictly
+//! reduces the remaining legal distance and routing can never dead-end.
+
+use std::cell::OnceCell;
+use std::collections::VecDeque;
 
 use mmr_core::ids::PortId;
 
@@ -46,18 +50,26 @@ impl Phase {
     }
 }
 
-/// The up*/down* routing relation for one topology.
+/// The up*/down* routing relation for one topology. Only the BFS levels are
+/// computed up front; a destination's distance row and legality row are
+/// built the first time a query names that destination (DESIGN.md §6d), so
+/// replacing the relation after a fault costs one BFS, and a run pays only
+/// for the destinations it routes to.
 #[derive(Debug, Clone)]
 pub struct UpDownRouting {
     /// Spanning-tree root the link orientation hangs from.
     root: NodeId,
+    /// The graph the relation was built over (its own copy — the whole
+    /// relation is replaced when the fabric changes); rows are filled from it.
+    graph: Topology,
     /// BFS level of each node (from the root).
     level: Vec<usize>,
-    /// Plain hop distances between all pairs (minimal-path checks for EPB).
-    dist: Vec<Vec<usize>>,
+    /// dist\[dest\]\[node\] = plain hop distance (minimal-path checks for
+    /// EPB); the graph is undirected, so one row serves both directions.
+    dist: Vec<OnceCell<Vec<usize>>>,
     /// legal\[dest\]\[node\]\[phase\] = minimum legal hops to `dest` from
     /// `node` in `phase` (`usize::MAX` if unreachable legally).
-    legal: Vec<Vec<[usize; 2]>>,
+    legal: Vec<OnceCell<Vec<[usize; 2]>>>,
 }
 
 impl UpDownRouting {
@@ -72,51 +84,10 @@ impl UpDownRouting {
     /// `root` get `usize::MAX` levels, which the level/id tie-break still
     /// orients acyclically.
     pub fn with_root(topology: &Topology, root: NodeId) -> Self {
-        let n = topology.nodes();
         let level = topology.distances_from(root);
-        let dist: Vec<Vec<usize>> =
-            (0..n).map(|i| topology.distances_from(NodeId(i as u16))).collect();
-
-        let direction = |from: NodeId, to: NodeId| -> LinkDir {
-            let (lf, lt) = (level[from.index()], level[to.index()]);
-            if lt < lf || (lt == lf && to < from) {
-                LinkDir::Up
-            } else {
-                LinkDir::Down
-            }
-        };
-
-        // Backward BFS over the legality state space, per destination.
-        let mut legal = vec![vec![[usize::MAX; 2]; n]; n];
-        for dest in 0..n {
-            let table = &mut legal[dest];
-            table[dest] = [0, 0];
-            let mut queue =
-                std::collections::VecDeque::from([(dest, 0usize), (dest, 1usize)]);
-            while let Some((node, phase)) = queue.pop_front() {
-                let d = table[node][phase];
-                // Incoming transitions: a move `prev -> node` with direction
-                // `dir` lands in phase `dir == Down`; it is legal from
-                // `prev`'s phase `p` when `p == MayGoUp || dir == Down`.
-                for (_, prev, _) in topology.neighbors(NodeId(node as u16)) {
-                    let dir = direction(prev, NodeId(node as u16));
-                    let landing_phase = usize::from(dir == LinkDir::Down);
-                    if landing_phase != phase {
-                        continue;
-                    }
-                    let from_phases: &[usize] =
-                        if dir == LinkDir::Down { &[0, 1] } else { &[0] };
-                    for &p in from_phases {
-                        if table[prev.index()][p] == usize::MAX {
-                            table[prev.index()][p] = d + 1;
-                            queue.push_back((prev.index(), p));
-                        }
-                    }
-                }
-            }
-        }
-
-        UpDownRouting { root, level, dist, legal }
+        let n = level.len();
+        let (dist, legal) = (vec![OnceCell::new(); n], vec![OnceCell::new(); n]);
+        UpDownRouting { root, graph: topology.clone(), level, dist, legal }
     }
 
     /// The spanning-tree root this relation is oriented around.
@@ -129,18 +100,62 @@ impl UpDownRouting {
         self.level.len()
     }
 
-    /// Heap footprint of the routing tables: the O(n²) distance and
-    /// legality matrices that structured routing avoids.
+    /// Accounting footprint of the routing tables: the O(n²) distance and
+    /// legality matrices that structured routing avoids, at the size they
+    /// reach once every destination has been asked for — not what is
+    /// resident now. The figure feeds `net.footprint_bytes` and through it
+    /// every pinned `sim_digest`, so it must not depend on which rows a run
+    /// happened to fill (DESIGN.md §9 "The footprint is pinned").
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
         let n = self.level.len();
-        let dist: usize = self.dist.iter().map(|row| row.capacity() * size_of::<usize>()).sum();
-        let legal: usize =
-            self.legal.iter().map(|row| row.capacity() * size_of::<[usize; 2]>()).sum();
         self.level.capacity() * size_of::<usize>()
-            + dist
-            + legal
+            + n * n * (size_of::<usize>() + size_of::<[usize; 2]>())
             + 2 * n * size_of::<Vec<usize>>()
+    }
+
+    /// Distance and legality rows built so far (a work count for tests).
+    #[doc(hidden)]
+    pub fn rows_filled(&self) -> usize {
+        self.dist.iter().filter(|row| row.get().is_some()).count()
+            + self.legal.iter().filter(|row| row.get().is_some()).count()
+    }
+
+    /// Plain hop distances to `dest` from every node, built on first ask.
+    fn dist_row(&self, dest: NodeId) -> &[usize] {
+        self.dist[dest.index()].get_or_init(|| self.graph.distances_from(dest))
+    }
+
+    /// Legal distances to `dest` from every `(node, phase)`, built on first
+    /// ask: a backward BFS over the legality state space.
+    fn legal_row(&self, dest: NodeId) -> &[[usize; 2]] {
+        self.legal[dest.index()].get_or_init(|| {
+            let mut table = vec![[usize::MAX; 2]; self.level.len()];
+            table[dest.index()] = [0, 0];
+            let mut queue = VecDeque::from([(dest, 0usize), (dest, 1usize)]);
+            while let Some((node, phase)) = queue.pop_front() {
+                let d = table[node.index()][phase];
+                // Incoming transitions: a move `prev -> node` with direction
+                // `dir` lands in phase `dir == Down`; it is legal from
+                // `prev`'s phase `p` when `p == MayGoUp || dir == Down`.
+                for (_, prev, _) in self.graph.neighbors_iter(node) {
+                    let dir = self.direction(prev, node);
+                    let landing_phase = usize::from(dir == LinkDir::Down);
+                    if landing_phase != phase {
+                        continue;
+                    }
+                    let from_phases: &[usize] =
+                        if dir == LinkDir::Down { &[0, 1] } else { &[0] };
+                    for &p in from_phases {
+                        if table[prev.index()][p] == usize::MAX {
+                            table[prev.index()][p] = d + 1;
+                            queue.push_back((prev, p));
+                        }
+                    }
+                }
+            }
+            table
+        })
     }
 
     /// Direction of the link `from → to`.
@@ -155,13 +170,13 @@ impl UpDownRouting {
 
     /// Plain (topological) hop distance between two nodes.
     pub fn distance(&self, from: NodeId, to: NodeId) -> usize {
-        self.dist[from.index()][to.index()]
+        self.dist_row(to)[from.index()]
     }
 
     /// Minimum *legal* hops from `from` (having last moved `last_dir`) to
     /// `to`; `usize::MAX` when unreachable.
     pub fn legal_distance(&self, from: NodeId, to: NodeId, last_dir: Option<LinkDir>) -> usize {
-        self.legal[to.index()][from.index()][Phase::from_last(last_dir) as usize]
+        self.legal_row(to)[from.index()][Phase::from_last(last_dir) as usize]
     }
 
     /// The single best legal next hop — minimum remaining legal distance,
@@ -180,7 +195,8 @@ impl UpDownRouting {
             return None;
         }
         let phase = Phase::from_last(last_dir);
-        let here = self.legal[dest.index()][current.index()][phase as usize];
+        let legal = self.legal_row(dest);
+        let here = legal[current.index()][phase as usize];
         if here == usize::MAX {
             return None;
         }
@@ -191,7 +207,7 @@ impl UpDownRouting {
                 continue;
             }
             let landing = usize::from(dir == LinkDir::Down);
-            let there = self.legal[dest.index()][peer.index()][landing];
+            let there = legal[peer.index()][landing];
             if there < here
                 && best.is_none_or(|(bt, bp, _, _)| (there, port.index()) < (bt, bp.index()))
             {
@@ -227,7 +243,7 @@ impl RoutingAlgorithm for UpDownRouting {
     }
 
     fn distance(&self, from: NodeId, to: NodeId) -> usize {
-        self.dist[from.index()][to.index()]
+        UpDownRouting::distance(self, from, to)
     }
 
     fn vc_class(&self, _current: NodeId, _dst: NodeId, ctx: RouteCtx) -> u8 {

@@ -2,8 +2,13 @@
 
 use mmr_core::ids::PortId;
 use mmr_core::router::RouterConfig;
+use mmr_core::LlrConfig;
 use mmr_net::setup::cbr_mbps;
-use mmr_net::{NetworkSim, NodeId, SetupStrategy, Topology, UpDownRouting};
+use mmr_net::{
+    FaultInjector, FaultPlan, NetworkSim, NodeId, RecoveryManager, RecoveryPolicy, SetupStrategy,
+    Topology, UpDownRouting,
+};
+use mmr_sim::{Cycles, SeededRng};
 use proptest::prelude::*;
 
 /// Sum of router-local connection slots across the fabric.
@@ -28,6 +33,78 @@ fn max_load_factor(net: &NetworkSim, nodes: u16, ports: u8) -> f64 {
 /// All router-to-router wires of the topology as failable endpoints.
 fn wire_endpoints(net: &NetworkSim) -> Vec<(NodeId, PortId)> {
     net.topology().wires().iter().map(|w| w.a).collect()
+}
+
+/// A host-independent work gate for the failure path: counts, not times.
+/// A topology event replaces the up*/down* relation, and the relation
+/// builds a destination's rows only when somebody routes there; the retry
+/// layer's pump visits only the links holding a frame. Both are pinned as
+/// exact totals for one seeded scenario and bounded in shape — the numbers
+/// an eager all-pairs build (128 rows per event on this torus) or a pump
+/// over every existing link cannot meet.
+#[test]
+fn a_fault_costs_what_it_breaks() {
+    const CYCLES: u64 = 20_000;
+    let topology = Topology::torus2d(8, 8, 8).expect("an 8x8 torus fits 8 ports");
+    let plan = FaultPlan::seeded_campaign(&topology, 7, 8, 500..CYCLES - 1_000, Cycles(300))
+        .merged(FaultPlan::seeded_node_campaign(&topology, 7, 2, 500..CYCLES - 1_000, Cycles(300)));
+    let mut injector = FaultInjector::new(plan).expect("the seeded plan is consistent");
+    let mut net = NetworkSim::new(
+        topology,
+        RouterConfig::paper_default().vcs_per_port(16).candidates(4).seed(7),
+    );
+    net.enable_llr(LlrConfig::default());
+    let policy = RecoveryPolicy::default()
+        .max_retries(12)
+        .backoff(Cycles(8), Cycles(256))
+        .setup_timeout(Cycles(200));
+    let mut mgr = RecoveryManager::new(policy);
+    let mut rng = SeededRng::new(7);
+    let mut sessions = Vec::new();
+    while sessions.len() < 32 {
+        let (src, dst) = (NodeId(rng.index(64) as u16), NodeId(rng.index(64) as u16));
+        if src != dst {
+            sessions.push(mgr.open(&mut net, src, dst, cbr_mbps(124.0)).expect("an idle torus admits"));
+        }
+    }
+
+    let rows = |net: &NetworkSim| net.routing().up_down().map_or(0, UpDownRouting::rows_filled);
+    let (mut rows_built, mut events, mut links_pumped) = (0usize, 0u64, 0usize);
+    let mut live_before = 0;
+    for t in 0..CYCLES {
+        let now = Cycles(t);
+        let (epoch, rows_so_far) = (net.topology_epoch(), rows(&net));
+        let tick = injector.poll(&mut net, now);
+        if net.topology_epoch() != epoch {
+            // The event dropped the old relation: bank what it had built.
+            rows_built += rows_so_far;
+            events += net.topology_epoch() - epoch;
+        }
+        mgr.on_faults(&tick.broken, now);
+        if t % 8 == 0 {
+            for &session in &sessions {
+                if let Some(conn) = mgr.conn(session) {
+                    let _ = net.inject(conn, now);
+                }
+            }
+        }
+        let report = net.step(now);
+        let live = net.llr_live_links();
+        // A link is visited because a router handed it a frame this cycle
+        // (at most one per switched flit) or because the last pump left it
+        // holding one.
+        assert!(live <= report.flits_switched + live_before, "t={t}: {live} live links");
+        assert!(net.llr_live_covers_senders(), "t={t}");
+        links_pumped += live;
+        live_before = live;
+        mgr.service(&mut net, &report, now);
+    }
+    rows_built += rows(&net);
+
+    assert_eq!(injector.pending(), 0);
+    assert_eq!(events, 20, "8 link and 2 node faults, each failed and repaired");
+    assert!(rows_built as u64 <= 16 * events, "{rows_built} rows over {events} events");
+    assert_eq!((rows_built, links_pumped), (44, 324_557), "the pinned work of seed 7");
 }
 
 proptest! {

@@ -316,7 +316,9 @@ fn starvation_is_reported_on_the_sweeps_cycle() {
 /// with the retry layer off a dropped flit leaks a credit that is reported
 /// again every cycle — thousands of repeats, far past the storage cap — and
 /// the incremental pass must repeat them exactly as the sweep does; with it
-/// on, both stay clean.
+/// on, both stay clean — and after every step of those trials
+/// `run_trial_on` asserts `llr_live_covers_senders`, so the pump skipped no
+/// link that still held a frame.
 #[test]
 fn chaos_quick_grid_agrees_across_audits() {
     let mut flat = 0;

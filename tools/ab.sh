@@ -1,7 +1,9 @@
 #!/bin/sh
-# A/B one perfbench workload between a parent revision and this checkout.
+# A/B one perfbench workload — or, with `all`, every workload BENCHMARK.json
+# names, in turn on the same two builds — between a parent revision and this
+# checkout.
 #
-#   tools/ab.sh <parent-rev> <workload> [pairs=10] [seconds=10]
+#   tools/ab.sh <parent-rev> <workload|all> [pairs=10] [seconds=10]
 #
 # Exports <parent-rev> with `git archive` (nothing is registered in .git, and
 # uncommitted changes in this checkout are what "change" measures), builds
@@ -10,7 +12,13 @@
 # and seeds 1..pairs. Prints the workload's auditor state (on / off, read off
 # the first run) in its header, every run, each side's median and quartiles for
 # the four end-to-end metrics, pair wins (ties count for neither) and whether
-# the medians differ by more than the parent's interquartile range.
+# the medians differ by more than the parent's interquartile range. `all` ends
+# with one table, a row per workload and metric: both medians, pair wins and a
+# verdict against BENCHMARK.json's bound for the metric — `better` (at least
+# nine pairs in ten won and the medians apart by more than the parent's IQR),
+# `WORSE` (the change's median is worse by more than the bound), `unresolved`
+# (the parent's own quartiles are further apart than the bound, and not every
+# run of the change beats every run of the parent), else `unchanged`.
 #
 # Exits 1 when the two sides disagree on a seed's `sim_digest` or any run
 # reports a failed operation; 2 on bad usage. Scratch space is $AB_DIR
@@ -18,7 +26,7 @@
 set -eu
 
 [ $# -ge 2 ] && [ $# -le 4 ] || {
-    echo "usage: tools/ab.sh <parent-rev> <workload> [pairs=10] [seconds=10]" >&2
+    echo "usage: tools/ab.sh <parent-rev> <workload|all> [pairs=10] [seconds=10]" >&2
     exit 2
 }
 rev=$1
@@ -37,8 +45,22 @@ cargo build --release --quiet --manifest-path "$dir/parent/$pkg" --target-dir "$
 cargo build --release --quiet --manifest-path "$root/$pkg" --target-dir "$dir/change-target"
 
 runs=$dir/runs.$$
-: >"$runs"
-trap 'rm -f "$runs"' EXIT
+table=$dir/table.$$
+: >"$table"
+trap 'rm -f "$runs" "$table"' EXIT
+
+# What BENCHMARK.json declares: the workloads `all` stands for, and how far
+# each end-to-end metric may worsen (in the order the columns are printed).
+manifest=$root/BENCHMARK.json
+bounds=$(awk '/"end_to_end"/ { on = 1 } /"per_layer"/ { on = 0 }
+    on && /"bound"/ { gsub(/[^0-9.]/, ""); printf "%s ", $0 }' "$manifest")
+mode=$workload
+if [ "$mode" = all ]; then
+    workloads=$(awk '/"workloads"/ { on = 1 } /"end_to_end"/ { on = 0 }
+        on && /"name"/ { gsub(/.*: *"|".*/, ""); printf "%s ", $0 }' "$manifest")
+else
+    workloads=$workload
+fi
 
 # The header waits for the first run: whether the workload arms the invariant
 # auditor is in every run's JSON, and no rate is quoted without it.
@@ -76,58 +98,84 @@ one() {
         }' | tee -a "$runs"
 }
 
-i=1
-while [ "$i" -le "$pairs" ]; do
-    if [ $((i % 2)) -eq 1 ]; then
-        one parent "$i"
-        one change "$i"
-    else
-        one change "$i"
-        one parent "$i"
-    fi
-    i=$((i + 1))
+status=0
+for workload in $workloads; do
+    : >"$runs"
+    headed=
+    i=1
+    while [ "$i" -le "$pairs" ]; do
+        if [ $((i % 2)) -eq 1 ]; then
+            one parent "$i"
+            one change "$i"
+        else
+            one change "$i"
+            one parent "$i"
+        fi
+        i=$((i + 1))
+    done
+
+    awk -v workload="$workload" -v auditor="$auditor" -v bounds="$bounds" -v table="$table" '
+        function quantile(side, m, q,    n, i, j, t, v, pos, lo) {
+            n = 0
+            for (i = 1; i <= seeds; i++) if ((side, i, m) in val) v[++n] = val[side, i, m]
+            for (i = 2; i <= n; i++) { t = v[i]; for (j = i - 1; j >= 1 && v[j] > t; j--) v[j + 1] = v[j]; v[j + 1] = t }
+            if (n == 0) return "nan"
+            pos = 1 + (n - 1) * q; lo = int(pos)
+            return lo >= n ? v[n] : v[lo] + (pos - lo) * (v[lo + 1] - v[lo])
+        }
+        {
+            if ($2 > seeds) seeds = $2
+            for (m = 1; m <= 4; m++) if ($(m + 2) != "nan") val[$1, $2, m] = $(m + 2) + 0
+            digest[$1, $2] = $7
+            failed += $8
+        }
+        END {
+            split("setup_s net_cycles_per_s flits_per_s peak_rss_mb", name, " ")
+            split("-1 1 1 -1", better, " ")
+            split(bounds, bound, " ")
+            printf "\n%-18s %-7s %14s %14s %14s   %s\n", "metric", "side", "q1", "median", "q3", "pair wins"
+            for (m = 1; m <= 4; m++) {
+                wins = losses = both = 0
+                # Direction-adjusted extremes: does every run of the change
+                # beat every run of the parent?
+                worst_change = best_parent = ""
+                for (i = 1; i <= seeds; i++) {
+                    if (!((("parent", i, m) in val) && (("change", i, m) in val))) continue
+                    both++
+                    p = val["parent", i, m] * better[m]; c = val["change", i, m] * better[m]
+                    if (c > p) wins++; else if (c < p) losses++
+                    if (worst_change == "" || c < worst_change) worst_change = c
+                    if (best_parent == "" || p > best_parent) best_parent = p
+                }
+                pm = quantile("parent", m, 0.5); cm = quantile("change", m, 0.5)
+                iqr = quantile("parent", m, 0.75) - quantile("parent", m, 0.25)
+                gap = (cm - pm) * better[m]
+                printf "%-18s %-7s %14.6g %14.6g %14.6g\n", name[m], "parent", quantile("parent", m, 0.25), pm, quantile("parent", m, 0.75)
+                printf "%-18s %-7s %14.6g %14.6g %14.6g   change wins %d, loses %d of %d; change/parent %.3f; medians apart by %s the parent IQR\n", \
+                    name[m], "change", quantile("change", m, 0.25), cm, quantile("change", m, 0.75), \
+                    wins, losses, seeds, (pm != 0 ? cm / pm : 0), (gap > iqr ? "more than" : (gap < -iqr ? "more than (worse)" : "less than"))
+                if (both > 0 && wins * 10 >= both * 9 && gap > iqr) verdict = "better"
+                else if (pm != 0 && -gap > bound[m] * pm) verdict = "WORSE"
+                else if (pm != 0 && iqr > bound[m] * pm && !(worst_change > best_parent)) verdict = "unresolved"
+                else verdict = "unchanged"
+                printf "%-17s %-4s %-17s %12.6g %12.6g %6.3f  %2d-%-2d of %-2d  %s\n", \
+                    workload, auditor, name[m], pm, cm, (pm != 0 ? cm / pm : 0), wins, losses, both, verdict >>table
+            }
+            for (i = 1; i <= seeds; i++)
+                if (digest["parent", i] != digest["change", i]) {
+                    printf "sim_digest MISMATCH at seed %d: parent %s, change %s\n", i, digest["parent", i], digest["change", i]
+                    bad = 1
+                }
+            if (!bad) print "sim_digest: identical on every seed"
+            printf "failed operations: %d\n", failed
+            exit (bad || failed > 0)
+        }' "$runs" || status=1
+    echo
 done
 
-awk '
-    function quantile(side, m, q,    n, i, j, t, v, pos, lo) {
-        n = 0
-        for (i = 1; i <= seeds; i++) if ((side, i, m) in val) v[++n] = val[side, i, m]
-        for (i = 2; i <= n; i++) { t = v[i]; for (j = i - 1; j >= 1 && v[j] > t; j--) v[j + 1] = v[j]; v[j + 1] = t }
-        if (n == 0) return "nan"
-        pos = 1 + (n - 1) * q; lo = int(pos)
-        return lo >= n ? v[n] : v[lo] + (pos - lo) * (v[lo + 1] - v[lo])
-    }
-    {
-        if ($2 > seeds) seeds = $2
-        for (m = 1; m <= 4; m++) if ($(m + 2) != "nan") val[$1, $2, m] = $(m + 2) + 0
-        digest[$1, $2] = $7
-        failed += $8
-    }
-    END {
-        split("setup_s net_cycles_per_s flits_per_s peak_rss_mb", name, " ")
-        split("-1 1 1 -1", better, " ")
-        printf "\n%-18s %-7s %14s %14s %14s   %s\n", "metric", "side", "q1", "median", "q3", "pair wins"
-        for (m = 1; m <= 4; m++) {
-            wins = losses = 0
-            for (i = 1; i <= seeds; i++) {
-                if (!((("parent", i, m) in val) && (("change", i, m) in val))) continue
-                d = (val["change", i, m] - val["parent", i, m]) * better[m]
-                if (d > 0) wins++; else if (d < 0) losses++
-            }
-            pm = quantile("parent", m, 0.5); cm = quantile("change", m, 0.5)
-            iqr = quantile("parent", m, 0.75) - quantile("parent", m, 0.25)
-            gap = (cm - pm) * better[m]
-            printf "%-18s %-7s %14.6g %14.6g %14.6g\n", name[m], "parent", quantile("parent", m, 0.25), pm, quantile("parent", m, 0.75)
-            printf "%-18s %-7s %14.6g %14.6g %14.6g   change wins %d, loses %d of %d; change/parent %.3f; medians apart by %s the parent IQR\n", \
-                name[m], "change", quantile("change", m, 0.25), cm, quantile("change", m, 0.75), \
-                wins, losses, seeds, (pm != 0 ? cm / pm : 0), (gap > iqr ? "more than" : (gap < -iqr ? "more than (worse)" : "less than"))
-        }
-        for (i = 1; i <= seeds; i++)
-            if (digest["parent", i] != digest["change", i]) {
-                printf "sim_digest MISMATCH at seed %d: parent %s, change %s\n", i, digest["parent", i], digest["change", i]
-                bad = 1
-            }
-        if (!bad) print "sim_digest: identical on every seed"
-        printf "failed operations: %d\n", failed
-        exit (bad || failed > 0)
-    }' "$runs"
+if [ "$mode" = all ]; then
+    printf '%-17s %-4s %-17s %12s %12s %6s  %-11s  %s\n' \
+        workload aud metric parent change ratio 'won-lost' verdict
+    cat "$table"
+fi
+exit $status
