@@ -12,7 +12,7 @@
 //!
 //! * [`StatusBits`] — one vector: get/set per VC, wide AND/OR/XOR/NOT,
 //!   priority encoding ([`StatusBits::first_set`]) and rotating priority
-//!   encoding ([`StatusBits::next_set_wrapping`]).
+//!   encoding ([`StatusBits::iter_set_from`]).
 //! * [`StatusMatrix`] — the named per-condition banks
 //!   (`flits_available`, `credits_available`, `CBR_service_requested`, …)
 //!   with the combined queries the link scheduler issues.

@@ -2,6 +2,7 @@
 
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::iter::Chain;
 use std::ops::{BitAnd, BitAndAssign, BitOr, BitOrAssign, BitXor, Not};
 
 const WORD_BITS: usize = 64;
@@ -306,33 +307,19 @@ impl StatusBits {
         None
     }
 
-    /// Index of the lowest set bit at or after `from`, wrapping around —
-    /// a rotating priority encoder, the building block of round-robin
-    /// candidate selection.
-    pub fn next_set_wrapping(&self, from: usize) -> Option<usize> {
-        if self.len == 0 {
-            return None;
-        }
-        let from = from % self.len;
-        let words = self.words();
-        // Search [from, len).
-        let start_word = from / WORD_BITS;
-        let start_bit = from % WORD_BITS;
-        // mmr-lint: allow(P-TRANS, reason="start_word is reduced modulo the word count before indexing")
-        let masked = words[start_word] & (u64::MAX << start_bit);
-        if masked != 0 {
-            let idx = start_word * WORD_BITS + masked.trailing_zeros() as usize;
-            if idx < self.len {
-                return Some(idx);
-            }
-        }
-        for (wi, &word) in words.iter().enumerate().skip(start_word + 1) {
-            if word != 0 {
-                return Some(wi * WORD_BITS + word.trailing_zeros() as usize);
-            }
-        }
-        // Wrap to [0, from] — first_set covers it (and the empty vector).
-        self.first_set()
+    /// Iterates the set bits at or after `from` in ascending order, then
+    /// wraps to those below it — a rotating priority encoder, the building
+    /// block of round-robin candidate selection. Each set bit is yielded
+    /// once; a `from` at or past the end starts the walk at bit 0. The walk
+    /// divides by nothing but the word width: two word walks, from the start
+    /// word's high bits to the end, then from word 0 to the start word's low
+    /// bits.
+    pub fn iter_set_from(&self, from: usize) -> Chain<SetBits<'_>, SetBits<'_>> {
+        let from = if from < self.len { from } else { 0 };
+        let (words, start) = (self.words(), from / WORD_BITS);
+        let high = u64::MAX << (from % WORD_BITS);
+        let head = words.split_at_checked(start + 1).map_or(words, |(head, _)| head);
+        SetBits::new(words, start, high, u64::MAX).chain(SetBits::new(head, 0, u64::MAX, !high))
     }
 
     /// Drains every set bit into `out` in ascending order and clears the
@@ -353,8 +340,7 @@ impl StatusBits {
 
     /// Iterates over the indices of set bits in ascending order.
     pub fn iter_set(&self) -> SetBits<'_> {
-        let words = self.words();
-        SetBits { words, word_idx: 0, current: words.first().copied().unwrap_or(0) }
+        SetBits::new(self.words(), 0, u64::MAX, u64::MAX)
     }
 
     fn zip_len(&self, other: &StatusBits) -> usize {
@@ -388,12 +374,25 @@ impl fmt::Debug for StatusBits {
     }
 }
 
-/// Iterator over set-bit indices; see [`StatusBits::iter_set`].
+/// Iterator over set-bit indices; see [`StatusBits::iter_set`] and
+/// [`StatusBits::iter_set_from`].
 #[derive(Debug, Clone)]
 pub struct SetBits<'a> {
     words: &'a [u64],
     word_idx: usize,
     current: u64,
+    /// Applied to the last word of `words` when it is loaded.
+    last_mask: u64,
+}
+
+impl<'a> SetBits<'a> {
+    /// Walks `words` from word `first`, masking it with `first_mask` and
+    /// the last word with `last_mask`.
+    fn new(words: &'a [u64], first: usize, first_mask: u64, last_mask: u64) -> Self {
+        let mask = if first + 1 == words.len() { first_mask & last_mask } else { first_mask };
+        let word = words.split_at_checked(first).and_then(|(_, rest)| rest.first());
+        SetBits { words, word_idx: first, current: word.map_or(0, |w| w & mask), last_mask }
+    }
 }
 
 impl Iterator for SetBits<'_> {
@@ -411,6 +410,9 @@ impl Iterator for SetBits<'_> {
                 return None;
             }
             self.current = self.words[self.word_idx];
+            if self.word_idx + 1 == self.words.len() {
+                self.current &= self.last_mask;
+            }
         }
     }
 }
@@ -613,20 +615,25 @@ mod tests {
     }
 
     #[test]
-    fn next_set_wrapping_walks_ring() {
+    fn iter_set_from_walks_ring() {
         let v = StatusBits::from_set_bits(256, [10, 100, 250]);
-        assert_eq!(v.next_set_wrapping(0), Some(10));
-        assert_eq!(v.next_set_wrapping(10), Some(10));
-        assert_eq!(v.next_set_wrapping(11), Some(100));
-        assert_eq!(v.next_set_wrapping(101), Some(250));
-        assert_eq!(v.next_set_wrapping(251), Some(10)); // wraps
-        assert_eq!(StatusBits::zeros(8).next_set_wrapping(3), None);
+        let walk = |from| v.iter_set_from(from).collect::<Vec<_>>();
+        assert_eq!(walk(0), vec![10, 100, 250]);
+        assert_eq!(walk(10), vec![10, 100, 250]);
+        assert_eq!(walk(11), vec![100, 250, 10]);
+        assert_eq!(walk(101), vec![250, 10, 100]);
+        assert_eq!(walk(251), vec![10, 100, 250]); // wraps
+        assert_eq!(StatusBits::zeros(8).iter_set_from(3).next(), None);
+        // The start word's low bits come last, after every other word.
+        let w = StatusBits::from_set_bits(200, [3, 70, 66, 130, 199]);
+        assert_eq!(w.iter_set_from(68).collect::<Vec<_>>(), vec![70, 130, 199, 3, 66]);
     }
 
     #[test]
-    fn next_set_wrapping_from_beyond_len_wraps_modulo() {
-        let v = StatusBits::from_set_bits(8, [2]);
-        assert_eq!(v.next_set_wrapping(9), Some(2)); // 9 % 8 == 1 -> finds 2
+    fn iter_set_from_past_the_end_walks_from_zero() {
+        let v = StatusBits::from_set_bits(8, [2, 5]);
+        assert_eq!(v.iter_set_from(9).collect::<Vec<_>>(), vec![2, 5]);
+        assert_eq!(v.iter_set_from(8).collect::<Vec<_>>(), vec![2, 5]);
     }
 
     #[test]
@@ -649,7 +656,7 @@ mod tests {
         assert!(v.is_empty());
         assert!(!v.any());
         assert_eq!(v.first_set(), None);
-        assert_eq!(v.next_set_wrapping(0), None);
+        assert_eq!(v.iter_set_from(0).next(), None);
         assert_eq!(v.iter_set().count(), 0);
     }
 

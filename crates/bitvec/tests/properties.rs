@@ -79,16 +79,13 @@ proptest! {
     }
 
     #[test]
-    fn next_set_wrapping_finds_nearest(m in model_strategy(200), from in 0usize..400) {
+    fn iter_set_from_is_the_rotated_model(m in model_strategy(300), from in 0usize..400) {
         let bits = m.to_bits();
-        let expected = if m.0.iter().any(|&b| b) {
-            let len = m.0.len();
-            let start = from % len;
-            (0..len).map(|k| (start + k) % len).find(|&i| m.0[i])
-        } else {
-            None
-        };
-        prop_assert_eq!(bits.next_set_wrapping(from), expected);
+        let len = m.0.len();
+        let start = if from < len { from } else { 0 };
+        let expected: Vec<usize> =
+            (0..len).map(|k| (start + k) % len).filter(|&i| m.0[i]).collect();
+        prop_assert_eq!(bits.iter_set_from(from).collect::<Vec<_>>(), expected);
     }
 
     #[test]

@@ -15,16 +15,53 @@
 //! variant. The per-flit priorities (the biased ratio of §5.1, or static
 //! bandwidth-class priorities) ride along on the candidates and are used by
 //! the *switch scheduler* to arbitrate output conflicts.
+//!
+//! A select reads bit vectors, one [`VcSched`] record per visited VC and
+//! the VCM's head ready time; only a VBR connection's quota position sends
+//! it to the [`ConnectionTable`].
 
 use mmr_bitvec::{Condition, StatusBits, StatusMatrix};
 use mmr_sim::Cycles;
 
 use crate::arbiter::{biased_priority, sort_candidates, ArbiterKind, Candidate, ServicePhase};
-use crate::conn::{ConnectionTable, QosClass};
-use crate::flit::FlitKind;
-use crate::ids::{PortId, VcIndex, VcRef};
+use crate::conn::{ConnState, ConnectionTable, QosClass};
+use crate::ids::{ConnectionId, PortId, VcIndex, VcRef};
 use crate::table::{OutputSet, VcMap};
 use crate::vcm::VirtualChannelMemory;
+
+/// What the link scheduler needs of the connection mapped onto one input
+/// VC, so a select reads no [`ConnState`]: 16 bytes per input VC, kept by
+/// the input link beside the VC's status bits. It copies facts that change
+/// in two places only — establishment and a `ScaleRate` command word — so
+/// it has exactly those two writers. The head flit's ready time changes
+/// every pop and is read from the VCM instead.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct VcSched {
+    /// The arbiter's per-connection key: the inter-arrival period under
+    /// [`ArbiterKind::BiasedPriority`], the static priority under
+    /// [`ArbiterKind::FixedPriority`], zero otherwise.
+    pub key: f64,
+    /// The connection.
+    pub conn: ConnectionId,
+    /// The output port of its direct channel mapping.
+    pub output: PortId,
+}
+
+impl VcSched {
+    /// The record of a VC no connection has been mapped onto yet (never
+    /// read: the scheduler visits `ConnectionActive` VCs only).
+    pub const IDLE: VcSched = VcSched { key: 0.0, conn: ConnectionId(0), output: PortId(0) };
+
+    /// The record of `conn` under the router-wide arbiter `kind`.
+    pub fn of(kind: ArbiterKind, conn: &ConnState) -> Self {
+        let key = match kind {
+            ArbiterKind::BiasedPriority => conn.interarrival_cycles,
+            ArbiterKind::FixedPriority => conn.fixed_priority,
+            _ => 0.0,
+        };
+        VcSched { key, conn: conn.id, output: conn.output_vc.port }
+    }
+}
 
 /// Per-input-port class membership masks: which *active* VCs carry
 /// connections of each QoS class. Maintained by the router at establishment
@@ -175,8 +212,11 @@ pub struct LinkSchedView<'a> {
     pub vcm: &'a VirtualChannelMemory,
     /// The port's status bit vectors.
     pub status: &'a StatusMatrix,
-    /// The router's connection table (direct channel mappings).
+    /// The router's connection table (direct channel mappings); read for
+    /// VBR connections only.
     pub conns: &'a ConnectionTable,
+    /// The port's per-VC scheduling records.
+    pub records: &'a VcMap<VcSched>,
     /// Active arbitration scheme (decides how priorities are computed).
     pub kind: ArbiterKind,
     /// Maximum number of candidates to offer the switch scheduler.
@@ -190,7 +230,8 @@ pub struct LinkSchedView<'a> {
     /// best-effort reserve would be violated (§4.2: "reserve some
     /// bandwidth/round for best-effort traffic").
     pub guaranteed_open: &'a [bool],
-    /// Rotating-scan pointer: where the candidate scan starts this cycle.
+    /// Rotating-scan pointer: where the candidate scan starts this cycle
+    /// (always below the VC count).
     pub rr_pointer: usize,
     /// Current flit cycle.
     pub now: Cycles,
@@ -203,15 +244,6 @@ pub struct LinkSchedOutcome {
     pub candidates: Vec<Candidate>,
     /// Where next cycle's rotating scan should start.
     pub next_pointer: usize,
-}
-
-/// Per-VC classification computed from the eligible set.
-#[derive(Debug, Clone, Copy)]
-struct Classified {
-    phase: ServicePhase,
-    priority: f64,
-    output: PortId,
-    conn: crate::ids::ConnectionId,
 }
 
 const PHASES: [ServicePhase; 5] = [
@@ -230,17 +262,13 @@ const ELIGIBLE: [Condition; 3] =
 /// One input port's link scheduler with its reusable scratch state.
 ///
 /// The selection pass runs every flit cycle for every port, so all working
-/// storage (the eligible/classified bit vectors, the per-phase bit vectors
-/// and the classification table) lives here and is reused across cycles —
-/// [`LinkScheduler::select`] performs no heap allocation.
+/// storage (the eligible and per-phase bit vectors, the sorted list) lives
+/// here and is reused across cycles — [`LinkScheduler::select`] performs no
+/// heap allocation.
 #[derive(Debug, Clone)]
 pub struct LinkScheduler {
     /// Scratch: the word-parallel AND of the eligibility conditions.
     eligible: StatusBits,
-    /// Scratch: VCs classified this cycle (guards stale `info` entries).
-    classified: StatusBits,
-    /// Scratch: per-VC classification, valid where `classified` is set.
-    info: VcMap<Option<Classified>>,
     /// Scratch: the current phase's candidate domain (rotating scan only).
     domain: StatusBits,
     /// Scratch: eligible VCs whose head is a stream (data/command) flit.
@@ -258,8 +286,6 @@ impl LinkScheduler {
     pub fn new(vcs: usize) -> Self {
         LinkScheduler {
             eligible: StatusBits::zeros(vcs),
-            classified: StatusBits::zeros(vcs),
-            info: VcMap::filled(vcs, None),
             domain: StatusBits::zeros(vcs),
             stream_heads: StatusBits::zeros(vcs),
             control_heads: StatusBits::zeros(vcs),
@@ -272,8 +298,6 @@ impl LinkScheduler {
     /// contents excluded — `sorted` is transient and usually empty).
     pub fn heap_bytes(&self) -> usize {
         self.eligible.heap_bytes()
-            + self.classified.heap_bytes()
-            + self.info.heap_bytes()
             + self.domain.heap_bytes()
             + self.stream_heads.heap_bytes()
             + self.control_heads.heap_bytes()
@@ -285,10 +309,10 @@ impl LinkScheduler {
     /// cycle's rotating scan should start.
     ///
     /// The eligible set is the bit-vector intersection of `flits_available`,
-    /// `credits_available` and `connection_active`. Each eligible VC is
-    /// classified into its [`ServicePhase`]; a rotating scan then collects up
-    /// to `max_candidates` VCs with distinct outputs, visiting phases in
-    /// precedence order. The returned candidates carry the scheme's priority:
+    /// `credits_available` and `connection_active`. A rotating scan collects
+    /// up to `max_candidates` VCs with distinct outputs, visiting phases in
+    /// precedence order and classifying each VC it visits into its
+    /// [`ServicePhase`]. The returned candidates carry the scheme's priority:
     ///
     /// * [`ArbiterKind::BiasedPriority`] — waiting time ÷ inter-arrival
     ///   period, recomputed every cycle;
@@ -307,36 +331,15 @@ impl LinkScheduler {
     pub fn select(&mut self, view: &LinkSchedView<'_>, out: &mut Vec<Candidate>) -> usize {
         let vcs = view.vcm.vcs();
         // mmr-lint: allow(P-PANIC, reason="sizing contract vs construction-time invariant; one comparison per cycle, not data-dependent")
-        assert_eq!(self.info.len(), vcs, "scheduler sized for a different VC count");
+        assert_eq!(self.eligible.len(), vcs, "scheduler sized for a different VC count");
         out.clear();
         // A port with nothing eligible offers nothing; skip the phase walk
-        // (and the final sort) outright. The fused query computes the
-        // intersection and its population in one pass.
+        // outright. The fused query computes the intersection and its
+        // population in one pass.
         let eligible_count = view.status.all_of_count_into(&ELIGIBLE, &mut self.eligible);
         if eligible_count == 0 {
             return view.rr_pointer;
         }
-        // One eligible VC — the common shape below saturation — needs no
-        // head partition, phase walk, or sort: the walk would visit exactly
-        // this VC in the phase `classify` assigns it (the domain unions and
-        // subtractions reproduce `classify`'s own head-override and quota
-        // rules), offer its candidate if it classifies, and advance the
-        // pointer past it iff it was offered.
-        if eligible_count == 1
-            && view.max_candidates >= 1
-            && view.policy == CandidatePolicy::RotatingScan
-            && !matches!(view.kind, ArbiterKind::Autonet { .. } | ArbiterKind::Islip { .. })
-        {
-            if let Some(vc_idx) = self.eligible.first_set() {
-                if let Some(c) = classify(view, vc_idx, vcs) {
-                    // mmr-lint: allow(A-PUSH, reason="amortized: reusable buffer retains its capacity across cycles (PR 1 zero-alloc design)")
-                    out.push(to_candidate(view.port, vc_idx, &c));
-                    return (vc_idx + 1) % vcs;
-                }
-            }
-            return view.rr_pointer;
-        }
-        self.classified.clear();
 
         let mut next_pointer = view.rr_pointer;
 
@@ -347,9 +350,10 @@ impl LinkScheduler {
                 for vc_idx in self.eligible.iter_set() {
                     if let Some(c) = classify(view, vc_idx, vcs) {
                         // mmr-lint: allow(A-PUSH, reason="amortized: reusable buffer retains its capacity across cycles (PR 1 zero-alloc design)")
-                        out.push(to_candidate(view.port, vc_idx, &c));
+                        out.push(c);
                     }
                 }
+                sort_candidates(out);
             }
             // Candidate-set schemes: pick up to C candidates with distinct
             // outputs (an input can use at most one output per cycle),
@@ -364,9 +368,11 @@ impl LinkScheduler {
                     for vc_idx in self.eligible.iter_set() {
                         if let Some(c) = classify(view, vc_idx, vcs) {
                             // mmr-lint: allow(A-PUSH, reason="amortized: reusable buffer retains its capacity across cycles (PR 1 zero-alloc design)")
-                            self.sorted.push(to_candidate(view.port, vc_idx, &c));
+                            self.sorted.push(c);
                         }
                     }
+                    // A subsequence of a sorted list is sorted: `out` needs
+                    // no sort of its own.
                     sort_candidates(&mut self.sorted);
                     let mut outputs_seen = OutputSet::new();
                     for &c in &self.sorted {
@@ -380,16 +386,19 @@ impl LinkScheduler {
                     }
                 }
                 // The hot default: instead of classifying every eligible VC
-                // up front, derive each phase's candidate *domain* (a
-                // superset of the VCs that classify into the phase) from the
-                // class-membership and head-kind masks with word-parallel
-                // operations, then classify lazily on visit. The scan stops
-                // as soon as `max_candidates` distinct outputs are found, so
-                // a loaded port touches O(candidates) VCs instead of
-                // O(eligible). Visiting extra domain bits is harmless: the
-                // rotating order of the VCs that *do* classify into the
-                // phase — and therefore the selected set and the pointer
-                // update — is identical to the eager scan's.
+                // up front, derive each phase's candidate *domain* from the
+                // class-membership, head-kind and serviced masks with
+                // word-parallel operations, then classify on visit. The scan
+                // stops as soon as `max_candidates` distinct outputs are
+                // found, so a loaded port touches O(candidates) VCs instead
+                // of O(eligible). Invariant: the control, CBR and best-effort
+                // domains hold *exactly* the eligible VCs for which
+                // `classify` picks that domain, because `classify_in` trusts
+                // the domain and checks no class or head bit. Only the VBR
+                // domain, shared by both VBR phases, is a superset of each:
+                // `classify_in` picks the VBR phase from the quota position
+                // and the scan re-checks it. The eager oracle
+                // (`reference_select`) holds the domain builds to this.
                 CandidatePolicy::RotatingScan => {
                     // Partition the eligible set by head-flit kind — but
                     // lazily: on most cycles every eligible head is a stream
@@ -414,45 +423,31 @@ impl LinkScheduler {
 
                     let mut outputs_seen = OutputSet::new();
                     'phases: for phase in PHASES {
-                        // Skip a phase whose domain is provably empty — an
-                        // O(1) class-population test first (workloads are
-                        // typically single-class, so most phases exit here),
-                        // then a word-parallel intersection test.
-                        let populated = match phase {
-                            ServicePhase::Control => {
-                                control_heads_any
-                                    || (view.classes.has_control()
-                                        && view.classes.control.intersects(&self.eligible))
-                            }
-                            ServicePhase::CbrGuaranteed => {
-                                view.classes.has_cbr()
-                                    && view.classes.cbr.intersects(&self.eligible)
-                            }
-                            ServicePhase::VbrPermanent | ServicePhase::VbrExcess => {
-                                view.classes.has_vbr()
-                                    && view.classes.vbr.intersects(&self.eligible)
-                            }
-                            ServicePhase::BestEffort => {
-                                be_heads_any
-                                    || (view.classes.has_best_effort()
-                                        && view.classes.best_effort.intersects(&self.eligible))
-                            }
-                        };
-                        if !populated {
-                            continue;
-                        }
                         // With no special heads eligible, `stream_heads`
-                        // would equal `eligible` — use it directly. Each
-                        // domain build is a fused single-pass intersection
-                        // that also yields the population count.
+                        // would equal `eligible` — use it directly.
                         let stream_heads =
                             if split_heads { &self.stream_heads } else { &self.eligible };
-                        let mut population = match phase {
+                        // Build the phase's domain and skip it when empty. A
+                        // class no active VC carries is ruled out by an O(1)
+                        // population test (workloads are typically
+                        // single-class, so most phases exit there); each
+                        // build is a fused single pass that also counts.
+                        let population = match phase {
                             // Control heads always classify as control;
                             // control-class connections follow unless a
                             // best-effort head overrides the class.
-                            ServicePhase::Control => {
-                                self.domain.copy_intersection(&view.classes.control, stream_heads)
+                            ServicePhase::Control
+                                if control_heads_any || view.classes.has_control() =>
+                            {
+                                let n = self
+                                    .domain
+                                    .copy_intersection(&view.classes.control, stream_heads);
+                                if split_heads {
+                                    self.domain |= &self.control_heads;
+                                    self.domain.count_ones()
+                                } else {
+                                    n
+                                }
                             }
                             // Stream phases: class members whose head is a
                             // data/command flit (head kind takes precedence).
@@ -460,16 +455,20 @@ impl LinkScheduler {
                             // latched §4.4 "completely serviced" banks) would
                             // classify to `None` anyway — subtract them up
                             // front so the scan never visits them.
-                            ServicePhase::CbrGuaranteed => self.domain.copy_intersection_minus(
-                                &view.classes.cbr,
-                                stream_heads,
-                                view.status.bank(Condition::CbrBandwidthServiced),
-                            ),
+                            ServicePhase::CbrGuaranteed if view.classes.has_cbr() => {
+                                self.domain.copy_intersection_minus(
+                                    &view.classes.cbr,
+                                    stream_heads,
+                                    view.status.bank(Condition::CbrBandwidthServiced),
+                                )
+                            }
                             // Both VBR phases share one domain; the quota
                             // position decides per VC which phase it is in.
                             // The VBR serviced bank latches *peak* exhaustion,
                             // which rules a VC out of both phases.
-                            ServicePhase::VbrPermanent | ServicePhase::VbrExcess => {
+                            ServicePhase::VbrPermanent | ServicePhase::VbrExcess
+                                if view.classes.has_vbr() =>
+                            {
                                 self.domain.copy_intersection_minus(
                                     &view.classes.vbr,
                                     stream_heads,
@@ -479,63 +478,51 @@ impl LinkScheduler {
                             // Best-effort heads always classify as best
                             // effort; best-effort-class connections follow
                             // unless a control head overrides the class.
-                            ServicePhase::BestEffort => self
-                                .domain
-                                .copy_intersection(&view.classes.best_effort, stream_heads),
-                        };
-                        // The overriding-head union is rare (split_heads);
-                        // recount when it grows the domain.
-                        if split_heads {
-                            match phase {
-                                ServicePhase::Control => {
-                                    self.domain |= &self.control_heads;
-                                    population = self.domain.count_ones();
-                                }
-                                ServicePhase::BestEffort => {
+                            ServicePhase::BestEffort
+                                if be_heads_any || view.classes.has_best_effort() =>
+                            {
+                                let n = self
+                                    .domain
+                                    .copy_intersection(&view.classes.best_effort, stream_heads);
+                                if split_heads {
                                     self.domain |= &self.best_effort_heads;
-                                    population = self.domain.count_ones();
+                                    self.domain.count_ones()
+                                } else {
+                                    n
                                 }
-                                _ => {}
                             }
-                        }
+                            _ => 0,
+                        };
                         if population == 0 {
                             continue;
                         }
-                        let mut start = view.rr_pointer % vcs.max(1);
-                        for _ in 0..population {
+                        for vc_idx in self.domain.iter_set_from(view.rr_pointer) {
                             if out.len() >= view.max_candidates {
                                 break 'phases;
                             }
-                            let Some(vc_idx) = self.domain.next_set_wrapping(start) else {
-                                break;
-                            };
-                            // Stop once the scan has wrapped past every set
-                            // bit.
-                            start = (vc_idx + 1) % vcs;
-                            // Classify on first visit; the VBR domains reuse
-                            // the memo across their two phases.
-                            if !self.classified.get(vc_idx) {
-                                *self.info.at_mut(vc_idx) = classify(view, vc_idx, vcs);
-                                self.classified.set(vc_idx, true);
+                            // A VC bound for an output already offered
+                            // cannot be offered; skip its classification.
+                            if outputs_seen.contains(view.records.at(vc_idx).output) {
+                                continue;
                             }
-                            let Some(c) = *self.info.at(vc_idx) else { continue };
+                            let Some(c) = classify_in(view, vc_idx, vcs, phase) else { continue };
                             if c.phase != phase {
                                 continue;
                             }
-                            if outputs_seen.mark(c.output) {
-                                // mmr-lint: allow(A-PUSH, reason="amortized: reusable buffer retains its capacity across cycles (PR 1 zero-alloc design)")
-                                out.push(to_candidate(view.port, vc_idx, &c));
-                                next_pointer = (vc_idx + 1) % vcs;
-                            }
+                            outputs_seen.mark(c.output);
+                            // mmr-lint: allow(A-PUSH, reason="amortized: reusable buffer retains its capacity across cycles; at most C entries")
+                            out.push(c);
+                            // The VC after it on the ring, by comparison.
+                            next_pointer = if vc_idx + 1 < vcs { vc_idx + 1 } else { 0 };
                         }
                     }
+                    // Proposal order: most urgent first. The switch
+                    // scheduler resolves output conflicts with the same
+                    // ordering.
+                    sort_candidates(out);
                 }
             },
         }
-
-        // Proposal order: most urgent first. The switch scheduler resolves
-        // output conflicts with the same ordering.
-        sort_candidates(out);
         next_pointer
     }
 }
@@ -550,107 +537,215 @@ pub fn select_candidates(view: &LinkSchedView<'_>) -> LinkSchedOutcome {
     LinkSchedOutcome { candidates, next_pointer }
 }
 
-/// Classifies one eligible VC into its service phase and computes the
-/// scheme's priority. Pure: reads only the view, so classification can run
-/// eagerly over the whole eligible set or lazily on scan visit with
-/// identical results. Returns `None` when the VC cannot be serviced this
-/// cycle (quota exhausted, or the output's best-effort reserve is closed).
+/// Classifies one eligible VC: finds the phase domain holding it from bits
+/// alone — the head kind from the VCM's head bits (head kind first, for
+/// VCT packets), then the class from [`ClassMasks`] and the CBR quota from
+/// the latched `CbrBandwidthServiced` bit — and hands it to
+/// [`classify_in`]. Pure: reads only the view, so classification can run
+/// over the whole eligible set or on scan visit with identical results.
 // mmr-lint: hot
-fn classify(view: &LinkSchedView<'_>, vc_idx: usize, vcs: usize) -> Option<Classified> {
-    let vc = VcIndex(vc_idx as u16);
-    let vc_ref = VcRef { port: view.port, vc };
-    let Some(conn) = view.conns.by_input_vc(vc_ref) else {
-        debug_assert!(false, "connection_active bit set without a mapping for {vc_ref}");
-        return None;
+fn classify(view: &LinkSchedView<'_>, vc_idx: usize, vcs: usize) -> Option<Candidate> {
+    let (vcm, classes) = (view.vcm, view.classes);
+    let domain = if vcm.head_control_bits().get(vc_idx) {
+        ServicePhase::Control
+    } else if vcm.head_best_effort_bits().get(vc_idx) {
+        ServicePhase::BestEffort
+    } else if classes.control.get(vc_idx) {
+        ServicePhase::Control
+    } else if classes.best_effort.get(vc_idx) {
+        ServicePhase::BestEffort
+    } else if classes.cbr.get(vc_idx) {
+        if view.status.get(Condition::CbrBandwidthServiced, vc_idx) {
+            return None;
+        }
+        ServicePhase::CbrGuaranteed
+    } else {
+        // The domain both VBR phases share.
+        ServicePhase::VbrPermanent
     };
-    let Some((head, ready_at)) = view.vcm.head_with_ready(vc) else {
-        debug_assert!(false, "flits_available bit set for empty {vc_ref}");
-        return None;
-    };
-    let delay = view.now.since(ready_at).as_f64();
+    classify_in(view, vc_idx, vcs, domain)
+}
 
-    // Phase classification: head-flit kind first (VCT packets), then
-    // the connection's class and quota position.
-    let phase = match head.kind {
-        FlitKind::Control => Some(ServicePhase::Control),
-        FlitKind::BestEffort => Some(ServicePhase::BestEffort),
-        FlitKind::Data | FlitKind::Command(_) => match conn.class {
-            QosClass::Cbr { .. } | QosClass::Vbr { .. }
-                if !view
-                    .guaranteed_open
-                    .get(conn.output_vc.port.index())
-                    .copied()
-                    .unwrap_or(true) =>
-            {
-                // The output's best-effort reserve is exhausted for
-                // this round; guaranteed traffic waits for the next
-                // round.
-                None
+/// The candidate a VC of `domain`'s phase domain is offered as — the
+/// rotating scan walks the domains, so it knows the domain and reads no
+/// class or head bit. Output, connection and key come from the VC's
+/// [`VcSched`], the reserve from `guaranteed_open`, waiting time from the
+/// VCM's head ready time; a VBR connection's quota position (and excess
+/// priority) is the one thing read from its [`ConnState`]. Returns `None`
+/// when the VC cannot be serviced this cycle (the output's best-effort
+/// reserve is closed, or a VBR connection is past its peak).
+// mmr-lint: hot
+fn classify_in(
+    view: &LinkSchedView<'_>,
+    vc_idx: usize,
+    vcs: usize,
+    domain: ServicePhase,
+) -> Option<Candidate> {
+    let record = view.records.at(vc_idx);
+    // The phase, and the excess phase's own priority.
+    let (phase, excess) = match domain {
+        ServicePhase::Control | ServicePhase::BestEffort => (domain, None),
+        // The output's best-effort reserve is exhausted for this round;
+        // guaranteed traffic waits for the next round.
+        _ if !view.guaranteed_open.get(record.output.index()).copied().unwrap_or(true) => {
+            return None;
+        }
+        ServicePhase::CbrGuaranteed => (domain, None),
+        ServicePhase::VbrPermanent | ServicePhase::VbrExcess => {
+            let conn = connection(view, vc_idx)?;
+            let perm_quota = conn.vbr_permanent_cycles.ceil().max(1.0) as u32;
+            let peak_quota = conn.vbr_peak_cycles.ceil().max(1.0) as u32;
+            if conn.serviced_this_round < perm_quota {
+                (ServicePhase::VbrPermanent, None)
+            } else if conn.serviced_this_round < peak_quota {
+                // §4.3: excess bandwidth is serviced one connection at a
+                // time in priority order — a per-connection constant makes
+                // the ordering stable across cycles, so the leader drains
+                // before the next.
+                let priority = f64::from(conn.dynamic_priority) * 1e6
+                    - f64::from(conn.id.raw() % 1_000_000u32);
+                (ServicePhase::VbrExcess, Some(priority))
+            } else {
+                return None;
             }
-            QosClass::Cbr { .. } if conn.quota_exhausted() => None,
-            QosClass::Cbr { .. } => Some(ServicePhase::CbrGuaranteed),
+        }
+    };
+    let waited =
+        || view.vcm.head_ready_at(VcIndex(vc_idx as u16)).map(|at| view.now.since(at).as_f64());
+    let priority = match (excess, view.kind) {
+        (Some(priority), _) => priority,
+        (None, ArbiterKind::BiasedPriority) => biased_priority(waited()?, record.key),
+        // The perfect switch is the paper's lower bound: with no port
+        // conflicts the ideal input policy is oldest-ready-first, which
+        // minimises both waiting and delay variation. OldestFirst is the
+        // same rule under real switch conflicts.
+        (None, ArbiterKind::Perfect | ArbiterKind::OldestFirst) => waited()?,
+        (None, ArbiterKind::FixedPriority) => record.key,
+        // Distance past the pointer on the ring (`rr_pointer < vcs`).
+        (None, ArbiterKind::RoundRobin) => {
+            let dist = if vc_idx >= view.rr_pointer {
+                vc_idx - view.rr_pointer
+            } else {
+                vc_idx + vcs - view.rr_pointer
+            };
+            -(dist as f64)
+        }
+        (None, ArbiterKind::Autonet { .. } | ArbiterKind::Islip { .. }) => 0.0,
+    };
+    let (input, vc, output, conn) = (view.port, VcIndex(vc_idx as u16), record.output, record.conn);
+    Some(Candidate { input, vc, output, conn, phase, priority })
+}
+
+/// The connection mapped onto `vc_idx`: the one [`ConnectionTable`] read a
+/// select makes, for a VBR connection's quota position.
+fn connection<'v>(view: &LinkSchedView<'v>, vc_idx: usize) -> Option<&'v ConnState> {
+    #[cfg(test)]
+    CONNECTION_READS.with(|n| n.set(n.get() + 1));
+    view.conns.by_input_vc(VcRef { port: view.port, vc: VcIndex(vc_idx as u16) })
+}
+
+#[cfg(test)]
+thread_local! {
+    /// [`ConnectionTable`] reads made by link scheduling on this thread —
+    /// the counter behind the work gate that a stream select reads none.
+    pub(crate) static CONNECTION_READS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// The oracle for [`LinkScheduler::select`]: the eager selection it
+/// replaced. Every eligible VC is classified up front from its
+/// [`ConnState`] and its VCM head flit — no record, class mask, head bit or
+/// serviced bit is read — then the rotating scan (or the priority order)
+/// runs over that classification, and one sort gives the proposal order.
+#[cfg(test)]
+pub(crate) fn reference_select(view: &LinkSchedView<'_>, out: &mut Vec<Candidate>) -> usize {
+    let vcs = view.vcm.vcs();
+    let mut classified = vec![None; vcs];
+    for vc_idx in view.status.all_of(&ELIGIBLE).iter_set() {
+        classified[vc_idx] = reference_classify(view, vc_idx, vcs);
+    }
+    out.clear();
+    let mut next_pointer = view.rr_pointer;
+    let mut outputs_seen = OutputSet::new();
+    match (view.kind, view.policy) {
+        (ArbiterKind::Autonet { .. } | ArbiterKind::Islip { .. }, _) => {
+            out.extend(classified.iter().flatten());
+        }
+        (_, CandidatePolicy::PrioritySorted) => {
+            let mut all: Vec<Candidate> = classified.iter().flatten().copied().collect();
+            sort_candidates(&mut all);
+            for c in all {
+                if out.len() < view.max_candidates && outputs_seen.mark(c.output) {
+                    out.push(c);
+                }
+            }
+        }
+        (_, CandidatePolicy::RotatingScan) => {
+            for phase in PHASES {
+                for vc_idx in (0..vcs).map(|k| (view.rr_pointer + k) % vcs) {
+                    let Some(c) = classified[vc_idx].filter(|c| c.phase == phase) else { continue };
+                    if out.len() < view.max_candidates && outputs_seen.mark(c.output) {
+                        out.push(c);
+                        next_pointer = (vc_idx + 1) % vcs;
+                    }
+                }
+            }
+        }
+    }
+    sort_candidates(out);
+    next_pointer
+}
+
+/// The classification [`reference_select`] runs: from the connection's
+/// state and the head flit, as the scheduler did before the records.
+#[cfg(test)]
+fn reference_classify(view: &LinkSchedView<'_>, vc_idx: usize, vcs: usize) -> Option<Candidate> {
+    use crate::flit::FlitKind;
+    let vc = VcIndex(vc_idx as u16);
+    let conn = view.conns.by_input_vc(VcRef { port: view.port, vc })?;
+    let (head, ready_at) = view.vcm.head_with_ready(vc)?;
+    let delay = view.now.since(ready_at).as_f64();
+    let open = view.guaranteed_open.get(conn.output_vc.port.index()).copied().unwrap_or(true);
+    let phase = match head.kind {
+        FlitKind::Control => ServicePhase::Control,
+        FlitKind::BestEffort => ServicePhase::BestEffort,
+        FlitKind::Data | FlitKind::Command(_) => match conn.class {
+            QosClass::Cbr { .. } | QosClass::Vbr { .. } if !open => return None,
+            QosClass::Cbr { .. } if conn.quota_exhausted() => return None,
+            QosClass::Cbr { .. } => ServicePhase::CbrGuaranteed,
             QosClass::Vbr { .. } => {
                 let perm_quota = conn.vbr_permanent_cycles.ceil().max(1.0) as u32;
                 let peak_quota = conn.vbr_peak_cycles.ceil().max(1.0) as u32;
                 if conn.serviced_this_round < perm_quota {
-                    Some(ServicePhase::VbrPermanent)
+                    ServicePhase::VbrPermanent
                 } else if conn.serviced_this_round < peak_quota {
-                    Some(ServicePhase::VbrExcess)
+                    ServicePhase::VbrExcess
                 } else {
-                    None
+                    return None;
                 }
             }
-            QosClass::Control => Some(ServicePhase::Control),
-            QosClass::BestEffort => Some(ServicePhase::BestEffort),
+            QosClass::Control => ServicePhase::Control,
+            QosClass::BestEffort => ServicePhase::BestEffort,
         },
     };
-    let phase = phase?;
-
     let priority = match (phase, view.kind) {
-        // §4.3: excess bandwidth is serviced one connection at a
-        // time in priority order — a per-connection constant makes
-        // the ordering stable across cycles, so the leader drains
-        // before the next.
         (ServicePhase::VbrExcess, _) => {
             f64::from(conn.dynamic_priority) * 1e6 - f64::from(conn.id.raw() % 1_000_000u32)
         }
         (_, ArbiterKind::BiasedPriority) => biased_priority(delay, conn.interarrival_cycles),
-        // The perfect switch is the paper's lower bound: with no
-        // port conflicts the ideal input policy is
-        // oldest-ready-first, which minimises both waiting and delay
-        // variation. OldestFirst is the same rule under real switch
-        // conflicts.
         (_, ArbiterKind::Perfect | ArbiterKind::OldestFirst) => delay,
         (_, ArbiterKind::FixedPriority) => conn.fixed_priority,
-        (_, ArbiterKind::RoundRobin) => {
-            let dist = (vc_idx + vcs - view.rr_pointer % vcs) % vcs;
-            -(dist as f64)
-        }
+        (_, ArbiterKind::RoundRobin) => -(((vc_idx + vcs - view.rr_pointer % vcs) % vcs) as f64),
         (_, ArbiterKind::Autonet { .. } | ArbiterKind::Islip { .. }) => 0.0,
-        #[allow(unreachable_patterns)]
-        _ => 0.0,
     };
-
-    Some(Classified { phase, priority, output: conn.output_vc.port, conn: conn.id })
-}
-
-fn to_candidate(port: PortId, vc_idx: usize, c: &Classified) -> Candidate {
-    Candidate {
-        input: port,
-        vc: VcIndex(vc_idx as u16),
-        output: c.output,
-        conn: c.conn,
-        phase: c.phase,
-        priority: c.priority,
-    }
+    let output = conn.output_vc.port;
+    Some(Candidate { input: view.port, vc, output, conn: conn.id, phase, priority })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::conn::{ConnState, ConnectionRequest};
-    use crate::flit::Flit;
-    use crate::ids::ConnectionId;
+    use crate::conn::ConnectionRequest;
+    use crate::flit::{Flit, FlitKind};
     use mmr_sim::Bandwidth;
 
     static ALL_OPEN: [bool; 64] = [true; 64];
@@ -660,6 +755,7 @@ mod tests {
         status: StatusMatrix,
         conns: ConnectionTable,
         classes: ClassMasks,
+        records: VcMap<VcSched>,
     }
 
     impl Fixture {
@@ -669,6 +765,7 @@ mod tests {
                 status: StatusMatrix::new(vcs),
                 conns: ConnectionTable::new(),
                 classes: ClassMasks::new(vcs),
+                records: VcMap::filled(vcs, VcSched::IDLE),
             }
         }
 
@@ -700,12 +797,18 @@ mod tests {
             self.status.set(Condition::FlitsAvailable, vc.into(), true);
         }
 
-        fn view(&self, kind: ArbiterKind, max: usize, now: u64) -> LinkSchedView<'_> {
+        /// The view under `kind`, with every mapped VC's record written for
+        /// that arbiter first, as the router's `open` would have.
+        fn view(&mut self, kind: ArbiterKind, max: usize, now: u64) -> LinkSchedView<'_> {
+            for c in self.conns.iter() {
+                *self.records.get_mut(c.input_vc.vc) = VcSched::of(kind, c);
+            }
             LinkSchedView {
                 port: PortId(0),
                 vcm: &self.vcm,
                 status: &self.status,
                 conns: &self.conns,
+                records: &self.records,
                 kind,
                 max_candidates: max,
                 policy: CandidatePolicy::PrioritySorted,
@@ -718,8 +821,15 @@ mod tests {
     }
 
     #[test]
+    fn a_vc_record_is_sixteen_bytes() {
+        // It takes the place of the classification memo's 16-byte slot in
+        // the pinned footprint (DESIGN.md §9).
+        assert_eq!(std::mem::size_of::<VcSched>(), 16);
+    }
+
+    #[test]
     fn empty_port_offers_nothing() {
-        let f = Fixture::new(8);
+        let mut f = Fixture::new(8);
         let out = select_candidates(&f.view(ArbiterKind::BiasedPriority, 4, 10));
         assert!(out.candidates.is_empty());
         assert_eq!(out.next_pointer, 0);
@@ -826,7 +936,10 @@ mod tests {
     fn exhausted_cbr_quota_excludes_vc() {
         let mut f = Fixture::new(8);
         f.add_cbr(0, 100.0, 0.5, 0, 1);
+        // What the router does when the quota runs out: count the round
+        // and latch the serviced bit, which is what the scheduler reads.
         f.conns.get_mut(ConnectionId(0)).expect("present").serviced_this_round = 10;
+        f.status.set(Condition::CbrBandwidthServiced, 0, true);
         assert!(select_candidates(&f.view(ArbiterKind::BiasedPriority, 4, 5)).candidates.is_empty());
     }
 

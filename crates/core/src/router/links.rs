@@ -12,11 +12,12 @@
 //! class mask ⇔ a connection is mapped ([`InputLink::open`] /
 //! [`InputLink::close`]), `CreditsAvailable` follows the mapped output VC's
 //! credit count, and the serviced banks latch quota exhaustion until
-//! [`InputLink::new_round`].
+//! [`InputLink::new_round`]. The per-VC [`VcSched`] records copy their
+//! connection's state at [`InputLink::open`] and [`InputLink::rekey`].
 
 use std::mem::size_of;
 
-use mmr_bitvec::{Condition, StatusMatrix};
+use mmr_bitvec::{Condition, StatusBits, StatusMatrix};
 use mmr_sim::Cycles;
 
 use super::config::RouterConfig;
@@ -25,7 +26,8 @@ use crate::bandwidth::{Allocation, LinkBandwidthBook};
 use crate::conn::{ConnectionTable, QosClass};
 use crate::flit::Flit;
 use crate::ids::{PortId, VcIndex};
-use crate::linksched::{ClassMasks, LinkSchedView, LinkScheduler};
+use crate::linksched::{ClassMasks, LinkSchedView, LinkScheduler, VcSched};
+use crate::table::VcMap;
 use crate::vcm::{VcmError, VirtualChannelMemory};
 
 /// What admission reserves from on one direction of a physical link: the
@@ -86,6 +88,8 @@ pub(super) struct InputLink {
     vcm: VirtualChannelMemory,
     status: StatusMatrix,
     classes: ClassMasks,
+    /// What the link scheduler reads of each mapped VC's connection.
+    records: VcMap<VcSched>,
     sched: LinkScheduler,
     /// Where the link scheduler's rotating scan starts next cycle.
     rr_pointer: usize,
@@ -101,6 +105,7 @@ impl InputLink {
             vcm: VirtualChannelMemory::new(vcs, cfg.vc_depth, cfg.vcm_banks),
             status: StatusMatrix::new(vcs),
             classes: ClassMasks::new(vcs),
+            records: VcMap::filled(vcs, VcSched::IDLE),
             sched: LinkScheduler::new(vcs),
             rr_pointer: 0,
             lease: Lease::new(cfg.vcs_per_port, book),
@@ -111,11 +116,19 @@ impl InputLink {
         &self.vcm
     }
 
-    /// Maps a connection of `class` onto `vc`, with credits to send on.
-    pub(super) fn open(&mut self, vc: VcIndex, class: QosClass) {
+    /// Maps a connection of `class` onto `vc`, with credits to send on and
+    /// `record` for the link scheduler.
+    pub(super) fn open(&mut self, vc: VcIndex, class: QosClass, record: VcSched) {
         self.classes.set(vc.index(), class);
+        self.rekey(vc, record);
         self.status.set(Condition::ConnectionActive, vc.index(), true);
         self.status.set(Condition::CreditsAvailable, vc.index(), true);
+    }
+
+    /// Writes `vc`'s record: at [`InputLink::open`], and after a command
+    /// word rescaled the connection's rate (the one later change it copies).
+    pub(super) fn rekey(&mut self, vc: VcIndex, record: VcSched) {
+        *self.records.get_mut(vc) = record;
     }
 
     /// Unmaps `vc`: drops its queued flits (returning how many) and clears
@@ -219,6 +232,7 @@ impl InputLink {
             vcm: &self.vcm,
             status: &self.status,
             conns,
+            records: &self.records,
             kind: cfg.arbiter,
             max_candidates: cfg.offered_candidates(),
             policy: cfg.candidate_policy,
@@ -233,17 +247,29 @@ impl InputLink {
     /// This link's share of [`super::Router::heap_bytes`]. The inline part
     /// is the sum of the parts' sizes, not `size_of::<InputLink>()`: the
     /// figure is pinned by the benchmark digests and padding would move it.
+    /// The records are accounted where the scheduler's classification memo
+    /// was (same 16 bytes per VC, same table header).
     pub(super) fn accounted_bytes(&self) -> usize {
         self.vcm.heap_bytes()
             + self.status.heap_bytes()
             + self.sched.heap_bytes()
+            + self.records.heap_bytes()
             + self.classes.heap_bytes()
             + self.lease.accounted_bytes()
             + size_of::<VirtualChannelMemory>()
             + size_of::<StatusMatrix>()
             + size_of::<LinkScheduler>()
+            + size_of::<VcMap<VcSched>>()
             + size_of::<ClassMasks>()
             + size_of::<usize>()
+            + self.retired_classified_bytes()
+    }
+
+    /// The pinned share of the link scheduler's `classified` scratch vector,
+    /// which the records made redundant: a VC-count bit vector's inline size
+    /// and its heap spill, the same as `flits_available`'s.
+    fn retired_classified_bytes(&self) -> usize {
+        size_of::<StatusBits>() + self.vcm.flits_available().heap_bytes()
     }
 }
 
@@ -279,8 +305,39 @@ impl OutputLink {
 
 #[cfg(test)]
 impl InputLink {
-    /// The bit vectors, for the tests that hold them to the facts they name.
-    pub(super) fn bits(&self) -> (&StatusMatrix, &ClassMasks) {
-        (&self.status, &self.classes)
+    /// The bit vectors and records, for the tests that hold them to the
+    /// facts they name.
+    pub(super) fn bits(&self) -> (&StatusMatrix, &ClassMasks, &VcMap<VcSched>) {
+        (&self.status, &self.classes, &self.records)
+    }
+
+    /// This port's selection and the eager reference's on the same view,
+    /// each as (candidates, next pointer); the pointer does not move.
+    pub(super) fn select_and_reference(
+        &self,
+        port: PortId,
+        cfg: &RouterConfig,
+        conns: &ConnectionTable,
+        guaranteed_open: &[bool],
+        now: Cycles,
+    ) -> [(Vec<Candidate>, usize); 2] {
+        let view = LinkSchedView {
+            port,
+            vcm: &self.vcm,
+            status: &self.status,
+            conns,
+            records: &self.records,
+            kind: cfg.arbiter,
+            max_candidates: cfg.offered_candidates(),
+            policy: cfg.candidate_policy,
+            classes: &self.classes,
+            guaranteed_open,
+            rr_pointer: self.rr_pointer,
+            now,
+        };
+        let (mut fast, mut eager) = (Vec::new(), Vec::new());
+        let fast_next = self.sched.clone().select(&view, &mut fast);
+        let eager_next = crate::linksched::reference_select(&view, &mut eager);
+        [(fast, fast_next), (eager, eager_next)]
     }
 }

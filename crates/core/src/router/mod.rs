@@ -19,6 +19,7 @@ use crate::conn::{ConnState, ConnectionRequest, ConnectionTable, QosClass};
 use crate::crossbar::Crossbar;
 use crate::flit::{CommandWord, Flit, FlitKind};
 use crate::ids::{ConnectionId, PortId, VcIndex, VcRef};
+use crate::linksched::VcSched;
 use crate::switchsched::{MatchedPair, SwitchScheduler};
 use crate::table::set_ports;
 use crate::vcm::{VcmError, VirtualChannelMemory};
@@ -413,8 +414,7 @@ impl Router {
         };
 
         let id = self.conns.next_id();
-        // mmr-lint: allow(A-TRANS, reason="ConnectionTable::insert is per-connection-setup (control plane); its own growth is audited in conn.rs")
-        self.conns.insert(ConnState::new(
+        let state = ConnState::new(
             id,
             VcRef { port: req.input, vc: in_vc },
             VcRef { port: req.output, vc: out_vc },
@@ -422,8 +422,11 @@ impl Router {
             granted,
             self.cfg.timing,
             self.rng.unit(),
-        ));
-        self.inputs[req.input.index()].open(in_vc, req.class);
+        );
+        let record = VcSched::of(self.cfg.arbiter, &state);
+        // mmr-lint: allow(A-TRANS, reason="ConnectionTable::insert is per-connection-setup (control plane); its own growth is audited in conn.rs")
+        self.conns.insert(state);
+        self.inputs[req.input.index()].open(in_vc, req.class, record);
         if self.cfg.track_output_credits {
             self.outputs[req.output.index()].credits[out_vc.index()] = self.cfg.vc_depth as u32;
         }
@@ -813,8 +816,10 @@ impl Router {
                 CommandWord::SetPriority(prio) => state.dynamic_priority = prio,
                 CommandWord::ScaleRate { num, den } => {
                     if num > 0 && den > 0 {
-                        // Rate × num/den ⇒ inter-arrival × den/num.
+                        // Rate × num/den ⇒ inter-arrival × den/num — the
+                        // biased arbiter's key.
                         state.interarrival_cycles *= f64::from(den) / f64::from(num);
+                        input.rekey(pair.vc, VcSched::of(self.cfg.arbiter, state));
                     }
                 }
                 CommandWord::AbortFrame => {

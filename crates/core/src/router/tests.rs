@@ -380,12 +380,12 @@ fn policed_source_settles_until_the_round_turns() {
     assert!(!r.settled);
 }
 
-/// The status bits and class masks of every port, held to the facts they
-/// name; `Err` describes the first disagreement.
+/// The status bits, class masks and scheduling records of every port, held
+/// to the facts they name; `Err` describes the first disagreement.
 fn bits_match_facts(r: &Router) -> Result<(), String> {
     use mmr_bitvec::Condition;
     for (p, input) in r.inputs.iter().enumerate() {
-        let (status, classes) = input.bits();
+        let (status, classes, records) = input.bits();
         for v in 0..usize::from(r.cfg.vcs_per_port) {
             let vc = VcRef::new(p as u8, v as u16);
             let conn = r.conns.by_input_vc(vc);
@@ -420,6 +420,15 @@ fn bits_match_facts(r: &Router) -> Result<(), String> {
                     return Err(format!("{vc}: {name} mask is {bit} but the class is {class:?}"));
                 }
             }
+            // A mapped VC's record is its connection's, key bits included.
+            if let Some(c) = conn {
+                let (record, fact) = (records.get(vc.vc), VcSched::of(r.cfg.arbiter, c));
+                if (record.conn, record.output, record.key.to_bits())
+                    != (fact.conn, fact.output, fact.key.to_bits())
+                {
+                    return Err(format!("{vc}: record {record:?} but the connection says {fact:?}"));
+                }
+            }
         }
     }
     // The one derived latch kept outside the links.
@@ -448,8 +457,8 @@ fn bits_match_facts(r: &Router) -> Result<(), String> {
 }
 
 /// A router under one of the random operation tapes the properties below
-/// share: establish / inject / accept / packet / AbortFrame / step / credit /
-/// teardown / quarantine over all four classes.
+/// share: establish / inject / accept / packet / the three command words /
+/// step / credit / teardown / quarantine over all four classes.
 struct Driven {
     r: Router,
     streams: Vec<ConnectionId>,
@@ -461,18 +470,18 @@ type Op = (u8, u8, u8);
 fn op_tape() -> impl proptest::Strategy<Value = (u64, Vec<Op>)> {
     (
         proptest::any::<u64>(),
-        proptest::collection::vec((0u8..16, proptest::any::<u8>(), proptest::any::<u8>()), 40..240),
+        proptest::collection::vec((0u8..18, proptest::any::<u8>(), proptest::any::<u8>()), 40..240),
     )
 }
 
 impl Driven {
     /// Rounds are 16 cycles, a quarter of them open to guaranteed traffic, so
-    /// quota latches, closed outputs and round boundaries are dense.
+    /// quota latches, closed outputs and round boundaries are dense. `cfg`
+    /// keeps its arbiter, candidate count and policy.
     fn new(cfg: RouterConfig, seed: u64) -> Self {
         let r = cfg
             .ports(4)
             .vcs_per_port(8)
-            .candidates(4)
             .track_output_credits(true)
             .best_effort_reserve(0.75)
             .seed(seed)
@@ -517,6 +526,14 @@ impl Driven {
                 streams.clear();
             }
             (12, _) => r.set_credit_clamp(b % 4 != 0),
+            (13, Some(id)) => {
+                let scale =
+                    CommandWord::ScaleRate { num: u16::from(b % 4), den: u16::from(1 + a % 3) };
+                let _ = r.inject_kind(id, FlitKind::Command(scale), now);
+            }
+            (14, Some(id)) => {
+                let _ = r.inject_kind(id, FlitKind::Command(CommandWord::SetPriority(b)), now);
+            }
             _ => {
                 self.now = Cycles(now.count() + 1);
                 return Some(r.step(now));
@@ -550,9 +567,100 @@ impl BankModel {
     }
 }
 
+/// A CBR-only paper-default router schedules from bits and records alone: a
+/// few thousand over-driven cycles make no connection-table read in link
+/// scheduling. A VBR connection then shows the counter counts. A work gate,
+/// not a timing: exact per run, whatever the host.
+#[test]
+fn a_stream_select_reads_no_connection_state() {
+    let reads = || crate::linksched::CONNECTION_READS.with(|n| n.get());
+    let mut r = RouterConfig::paper_default().seed(7).build();
+    let ids: Vec<ConnectionId> = (0..8u8)
+        .flat_map(|p| (0..24u8).map(move |k| cbr(40.0, p, (p + k) % 8)))
+        .filter_map(|req| r.establish(req).ok())
+        .collect();
+    assert!(ids.len() > 100, "{} connections admitted", ids.len());
+    let before = reads();
+    for cycle in 0..3000u64 {
+        for &id in ids.iter().skip(cycle as usize % 3).step_by(3) {
+            if r.can_inject(id) {
+                r.inject(id, Cycles(cycle)).expect("room was checked");
+            }
+        }
+        r.step(Cycles(cycle));
+    }
+    assert!(r.stats().flits_transmitted > 10_000, "{:?}", r.stats());
+    assert_eq!(reads() - before, 0, "link scheduling read the connection table");
+    let vbr = ConnectionRequest {
+        input: PortId(0),
+        output: PortId(1),
+        class: QosClass::Vbr {
+            permanent: Bandwidth::from_mbps(10.0),
+            peak: Bandwidth::from_mbps(20.0),
+            priority: 1,
+        },
+    };
+    let id = r.establish(vbr).expect("admits");
+    r.inject(id, Cycles(3000)).expect("room");
+    r.step(Cycles(3000));
+    assert!(reads() > before, "a VBR select reads its quota position");
+}
+
 proptest::proptest! {
-    /// After every operation of a random tape, each status bit, class mask
-    /// and port summary word agrees with the fact it names.
+    /// After every operation of a random tape, each port's `select` offers
+    /// what the eager reference offers — the same candidates in the same
+    /// order, priorities to the bit — and moves the pointer to the same
+    /// place, under every arbiter, both policies and C ∈ {1, 2, 4, 8}.
+    #[test]
+    fn a_select_matches_the_eager_reference(
+        (seed, ops) in op_tape(),
+        arbiter in 0usize..7,
+        sorted in proptest::any::<bool>(),
+        c in 0usize..4,
+    ) {
+        use crate::linksched::CandidatePolicy;
+        let arbiter = [
+            ArbiterKind::FixedPriority,
+            ArbiterKind::BiasedPriority,
+            ArbiterKind::RoundRobin,
+            ArbiterKind::OldestFirst,
+            ArbiterKind::autonet_default(),
+            ArbiterKind::Islip { iterations: 2 },
+            ArbiterKind::Perfect,
+        ][arbiter];
+        let policy =
+            if sorted { CandidatePolicy::PrioritySorted } else { CandidatePolicy::RotatingScan };
+        let cfg = RouterConfig::paper_default()
+            .arbiter(arbiter)
+            .candidate_policy(policy)
+            .candidates([1, 2, 4, 8][c]);
+        let mut d = Driven::new(cfg, seed);
+        let keyed = |cands: &[Candidate]| -> Vec<_> {
+            cands
+                .iter()
+                .map(|c| (c.input, c.vc, c.output, c.conn, c.phase, c.priority.to_bits()))
+                .collect()
+        };
+        for (i, &op) in ops.iter().enumerate() {
+            d.apply(op);
+            let r = &d.r;
+            for (p, input) in r.inputs.iter().enumerate() {
+                let [(fast, fast_next), (eager, eager_next)] = input.select_and_reference(
+                    PortId(p as u8),
+                    &r.cfg,
+                    &r.conns,
+                    &r.guaranteed_open,
+                    d.now,
+                );
+                let at = format!("after op {i} {op:?} at {}, port {p}", d.now);
+                proptest::prop_assert_eq!(keyed(&fast), keyed(&eager), "{}", &at);
+                proptest::prop_assert_eq!(fast_next, eager_next, "{}", &at);
+            }
+        }
+    }
+
+    /// After every operation of a random tape, each status bit, class mask,
+    /// scheduling record and port summary word agrees with the fact it names.
     #[test]
     fn status_bits_agree_with_the_facts_they_name((seed, ops) in op_tape()) {
         let mut d = Driven::new(RouterConfig::paper_default(), seed);
