@@ -172,13 +172,6 @@ impl StatusMatrix {
         acc
     }
 
-    /// Whether any VC has `cond` set — batched quiescence detection: one u64
-    /// comparison per 64 VCs answers "do any of these lanes have work?"
-    /// without visiting per-VC state.
-    pub fn any_set(&self, cond: Condition) -> bool {
-        self.bank(cond).any()
-    }
-
     /// VCs satisfying all of `require` and none of `exclude` — the paper's
     /// example query "flits_available, credits_available for flit
     /// transmission, CBR_service_requested and *not* CBR_Completely_Serviced".

@@ -51,14 +51,6 @@ impl CostModel {
         (n.max(1) as f64).log2().ceil().max(1.0)
     }
 
-    /// Gate delays of one wide AND/OR over the per-VC status vectors
-    /// (§4.1): a tree over V bits with fan-in 4.
-    pub fn bitvec_query_delay(&self) -> f64 {
-        // Two input vectors ANDed bit-parallel (1 level) is not the cost;
-        // the cost is the subsequent any()/priority-encode tree.
-        1.0 + Self::log2_ceil(self.vcs_per_port) / 2.0
-    }
-
     /// Gate delays to select the candidate set at one input port: a rotating
     /// priority encoder over V bits repeated serially for C candidates is
     /// too slow, so the model assumes a C-port parallel extractor — depth of
@@ -75,18 +67,6 @@ impl CostModel {
         let compare = 4.0; // priority magnitude compare, pipelined to 4 gates
         let per_round = compare * Self::log2_ceil(self.ports);
         per_round * self.candidates as f64
-    }
-
-    /// Gate delays through the multiplexed crossbar: a P-way multiplexer
-    /// tree plus drive.
-    pub fn crossbar_traversal_delay(&self) -> f64 {
-        Self::log2_ceil(self.ports) / 2.0 + 2.0
-    }
-
-    /// Gate delays to reconfigure the crossbar (latch new selects): the
-    /// paper's "one clock cycle" operation.
-    pub fn reconfiguration_delay(&self) -> f64 {
-        2.0
     }
 
     /// The switch-scheduling critical path in nanoseconds: candidate

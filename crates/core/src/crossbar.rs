@@ -11,8 +11,8 @@
 //! Behaviourally the crossbar just carries the matched flits; this module
 //! keeps the *accounting* the architecture sections reason about — port
 //! constraints, reconfiguration counts, and the silicon-area comparison
-//! across crossbar organisations. (The serialization factor is
-//! [`crate::phitlink::PhitTimingModel`]'s.)
+//! across crossbar organisations. (Serialization is modelled at phit
+//! granularity in `tests/phit_pipeline.rs`.)
 
 use crate::ids::PortId;
 use crate::switchsched::MatchedPair;

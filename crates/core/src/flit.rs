@@ -1,9 +1,9 @@
-//! Flits, phits and phit buffers.
+//! Flits.
 //!
 //! §3.1: data is organised as a sequence of flow-control digits (flits);
-//! pipelining across a link happens at the *phit* (or word) level; §3.2:
-//! "small phit buffers are used for link buffers and are deep enough to
-//! store all the phits that arrive during a decoding period".
+//! pipelining across a link happens at the *phit* (or word) level, which
+//! the flit-cycle simulator folds into one flit cycle
+//! (`tests/phit_pipeline.rs` checks §3.2's phit-buffer sizing).
 //!
 //! §3.4: for VCT traffic "packet size is equal to flit size", so control and
 //! best-effort packets are single flits here, exactly as in the paper.
@@ -133,95 +133,9 @@ impl Flit {
     }
 }
 
-/// A phit: the unit transferred across the link (or internal datapath) per
-/// clock. Only its bookkeeping matters to the simulation; the payload is the
-/// owning flit's identity plus the phit's position.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Phit {
-    /// The flit this phit belongs to.
-    pub flit: Flit,
-    /// Position of this phit within the flit, `0..phits_per_flit`.
-    pub position: u16,
-}
-
-/// A small FIFO of phits in front of the virtual channel memory.
-///
-/// Its capacity is "deep enough to store all the phits that arrive during a
-/// decoding period" — i.e. while the VCM address is being computed. It also
-/// provides the low-latency path for VCT cut-through (§3.2).
-#[derive(Debug, Clone)]
-pub struct PhitBuffer {
-    slots: std::collections::VecDeque<Phit>,
-    capacity: usize,
-}
-
-impl PhitBuffer {
-    /// Creates a buffer holding up to `capacity` phits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
-        // mmr-lint: allow(P-TRANS, reason="construction-time capacity validation; unreachable from the per-cycle path")
-        assert!(capacity > 0, "phit buffer needs at least one slot");
-        PhitBuffer { slots: std::collections::VecDeque::with_capacity(capacity), capacity }
-    }
-
-    /// Capacity in phits.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Current occupancy in phits.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Whether the buffer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
-    /// Whether another phit can be accepted.
-    pub fn has_room(&self) -> bool {
-        self.slots.len() < self.capacity
-    }
-
-    /// Accepts a phit from the link.
-    ///
-    /// # Errors
-    ///
-    /// Returns the phit back if the buffer is full — the link-level flow
-    /// control must have prevented this, so callers treat it as a protocol
-    /// violation.
-    pub fn push(&mut self, phit: Phit) -> Result<(), Phit> {
-        if self.has_room() {
-            // mmr-lint: allow(A-TRANS, reason="bounded by the has_room check against the construction-time capacity; the deque never reallocates")
-            self.slots.push_back(phit);
-            Ok(())
-        } else {
-            Err(phit)
-        }
-    }
-
-    /// Removes the oldest phit (toward the VCM or the crossbar).
-    pub fn pop(&mut self) -> Option<Phit> {
-        self.slots.pop_front()
-    }
-
-    /// Peeks at the oldest phit without removing it.
-    pub fn peek(&self) -> Option<&Phit> {
-        self.slots.front()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn flit(seq: u64) -> Flit {
-        Flit::data(ConnectionId(1), seq, Cycles(0))
-    }
 
     #[test]
     fn data_constructor_sets_kind() {
@@ -230,33 +144,6 @@ mod tests {
         assert_eq!(f.conn, ConnectionId(9));
         assert_eq!(f.seq, 3);
         assert_eq!(f.injected_at, Cycles(17));
-    }
-
-    #[test]
-    fn phit_buffer_is_fifo() {
-        let mut b = PhitBuffer::new(4);
-        for i in 0..4 {
-            b.push(Phit { flit: flit(0), position: i }).expect("room");
-        }
-        assert!(!b.has_room());
-        assert_eq!(b.peek().map(|p| p.position), Some(0));
-        assert_eq!(b.pop().map(|p| p.position), Some(0));
-        assert_eq!(b.pop().map(|p| p.position), Some(1));
-        assert_eq!(b.len(), 2);
-    }
-
-    #[test]
-    fn phit_buffer_rejects_overflow() {
-        let mut b = PhitBuffer::new(1);
-        b.push(Phit { flit: flit(0), position: 0 }).expect("room");
-        let spilled = b.push(Phit { flit: flit(0), position: 1 });
-        assert_eq!(spilled.unwrap_err().position, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one slot")]
-    fn zero_capacity_panics() {
-        let _ = PhitBuffer::new(0);
     }
 
     #[test]

@@ -18,8 +18,6 @@
 //!   selected with status bit vectors ([`linksched`]) and an input-driven
 //!   switch scheduler ([`switchsched`]) arbitrating with dynamically
 //!   *biased priorities* ([`arbiter`]).
-//! * **Phit-level pipelining** — serialization and decode-period buffer
-//!   sizing ([`phitlink`]).
 //! * **Hardware feasibility** — gate-delay and silicon-area estimates for
 //!   the §6 timing budget ([`cost`]).
 //!
@@ -63,7 +61,6 @@ pub mod flit;
 pub mod ids;
 pub mod linksched;
 pub mod llr;
-pub mod phitlink;
 pub mod router;
 pub mod switchsched;
 pub mod table;
@@ -75,14 +72,13 @@ pub use bandwidth::{AdmissionError, Allocation, LinkBandwidthBook, Policer, Roun
 pub use conn::{ConnState, ConnectionRequest, ConnectionTable, QosClass};
 pub use cost::CostModel;
 pub use crossbar::{Crossbar, CrossbarOrganization};
-pub use flit::{CommandWord, Flit, FlitKind, Phit, PhitBuffer};
+pub use flit::{CommandWord, Flit, FlitKind};
 pub use ids::{ConnectionId, PortId, VcIndex, VcRef};
 pub use linksched::CandidatePolicy;
 pub use llr::{
     LlrConfig, LlrFrame, LlrReceiver, LlrRecvStats, LlrSendStats, LlrSender, LlrSignal, RxDiscard,
     RxOutcome,
 };
-pub use phitlink::{PhitEvent, PhitLink, PhitTimingModel};
 pub use router::{
     ConfigError, EstablishError, InjectError, PacketError, PacketOutcome, Router, RouterConfig,
     RouterStats, StepReport, Transmitted,

@@ -1,4 +1,4 @@
-//! Diagnostics: rule IDs, structured findings, and deterministic rendering.
+//! Diagnostics: rule IDs, findings, and deterministic rendering.
 
 use std::fmt;
 
@@ -10,12 +10,8 @@ pub enum Rule {
     DHash,
     /// std::time / SystemTime / Instant in simulation crates.
     DTime,
-    /// Seed-free RNG construction outside the point_seed discipline.
-    DRng,
     /// Float literals/types in integer-ledger accounting modules.
     DFloat,
-    /// Iteration over a hash-ordered collection in an order-strict crate.
-    DIter,
     /// `.unwrap()` in a panic-free module.
     PUnwrap,
     /// `.expect(..)` in a panic-free module.
@@ -37,10 +33,6 @@ pub enum Rule {
     /// A `// mmr-lint: hot` function transitively reaches an allocating
     /// site in a first-party callee.
     ATrans,
-    /// Shard-unsafe construct (`static mut`, `thread_local!`, `Rc`,
-    /// `RefCell`, `Cell`, raw-pointer types) in — or transitively reached
-    /// from — a `[shard_safe]` module.
-    SShard,
     /// An `mmr-lint: allow(...)` annotation that is malformed or carries no
     /// non-empty `reason=`.
     LReason,
@@ -49,12 +41,10 @@ pub enum Rule {
 }
 
 /// All rules, in ID order. The fixture meta-test iterates this.
-pub const ALL_RULES: [Rule; 16] = [
+pub const ALL_RULES: [Rule; 13] = [
     Rule::DHash,
     Rule::DTime,
-    Rule::DRng,
     Rule::DFloat,
-    Rule::DIter,
     Rule::PUnwrap,
     Rule::PExpect,
     Rule::PPanic,
@@ -63,7 +53,6 @@ pub const ALL_RULES: [Rule; 16] = [
     Rule::AAlloc,
     Rule::APush,
     Rule::ATrans,
-    Rule::SShard,
     Rule::LReason,
     Rule::LUnused,
 ];
@@ -74,9 +63,7 @@ impl Rule {
         match self {
             Rule::DHash => "D-HASH",
             Rule::DTime => "D-TIME",
-            Rule::DRng => "D-RNG",
             Rule::DFloat => "D-FLOAT",
-            Rule::DIter => "D-ITER",
             Rule::PUnwrap => "P-UNWRAP",
             Rule::PExpect => "P-EXPECT",
             Rule::PPanic => "P-PANIC",
@@ -85,7 +72,6 @@ impl Rule {
             Rule::AAlloc => "A-ALLOC",
             Rule::APush => "A-PUSH",
             Rule::ATrans => "A-TRANS",
-            Rule::SShard => "S-SHARD",
             Rule::LReason => "L-REASON",
             Rule::LUnused => "L-UNUSED",
         }
@@ -96,9 +82,7 @@ impl Rule {
         match self {
             Rule::DHash => "HashMap/HashSet in first-party code: iteration order is nondeterministic and can reach stats or serialized output; use BTreeMap/BTreeSet or sorted iteration",
             Rule::DTime => "std::time (SystemTime/Instant/Duration clocks) in simulation code: wall-clock reads break byte-identical sweeps; simulated time must come from flit-cycle counters",
-            Rule::DRng => "RNG constructed without an explicit seed (from_entropy/thread_rng/seed_from_u64 of a non-literal outside point_seed): breaks sweep reproducibility",
             Rule::DFloat => "float literal or f32/f64 type in an integer-ledger accounting module: credit/quota arithmetic must stay exact",
-            Rule::DIter => "iteration over a HashMap/HashSet-typed value in an order-strict crate ([deterministic] iter_strict): hash order is nondeterministic taint; use BTreeMap/BTreeSet or sort before iterating",
             Rule::PUnwrap => ".unwrap() in a designated panic-free module: convert to a typed error, audited counter, or graceful skip",
             Rule::PExpect => ".expect(..) in a designated panic-free module: convert to a typed error, audited counter, or graceful skip",
             Rule::PPanic => "panic!/unreachable!/todo!/unimplemented!/assert! in a designated panic-free module",
@@ -107,7 +91,6 @@ impl Rule {
             Rule::AAlloc => "allocating call (Vec::new, vec!, format!, Box::new, to_vec, collect, String::new, with_capacity) inside a `// mmr-lint: hot` function",
             Rule::APush => "growth call (.push/.insert/.extend/.resize) inside a `// mmr-lint: hot` function: may reallocate; reuse preallocated buffers and annotate amortized cases",
             Rule::ATrans => "`// mmr-lint: hot` function transitively reaches an allocating call in a first-party callee (call chain reported)",
-            Rule::SShard => "shard-unsafe construct (static mut, thread_local!, Rc/RefCell/Cell, raw-pointer types) in — or transitively reached from — a [shard_safe] module (the single-owner router-step path)",
             Rule::LReason => "mmr-lint allow annotation that is malformed or lacks a non-empty reason=\"...\"",
             Rule::LUnused => "mmr-lint allow annotation that suppressed no diagnostic: remove the stale escape hatch",
         }
@@ -134,18 +117,15 @@ pub struct Diagnostic {
     pub line: u32,
     /// Which rule fired.
     pub rule: Rule,
-    /// Human message (what was found, not why the rule exists).
+    /// Human message (what was found, not why the rule exists). A chain
+    /// finding ends with its call chain, `chain: root -> .. -> leaf`.
     pub message: String,
-    /// For interprocedural rules (A-TRANS, P-TRANS, S-SHARD chains): the
-    /// call chain from the designated root function to the offending leaf,
-    /// as `name@file:line` hops. Empty for single-site diagnostics.
-    pub chain: Vec<String>,
 }
 
 impl Diagnostic {
-    /// Builds a single-site diagnostic (no call chain).
+    /// Builds a diagnostic.
     pub fn new(file: &str, line: u32, rule: Rule, message: String) -> Diagnostic {
-        Diagnostic { file: file.to_string(), line, rule, message, chain: Vec::new() }
+        Diagnostic { file: file.to_string(), line, rule, message }
     }
 
     /// Renders the canonical single-line form used in golden tests and CI
@@ -153,37 +133,6 @@ impl Diagnostic {
     pub fn render(&self) -> String {
         format!("{}:{}: {}: {}", self.file, self.line, self.rule.id(), self.message)
     }
-
-    /// Renders as a JSON object (hand-rolled; keys in fixed order). The
-    /// `chain` key carries the full call chain for interprocedural findings
-    /// (empty array otherwise).
-    pub fn render_json(&self) -> String {
-        let chain: Vec<String> =
-            self.chain.iter().map(|h| format!("\"{}\"", json_escape(h))).collect();
-        format!(
-            "{{\"file\":\"{}\",\"line\":{},\"rule\":\"{}\",\"message\":\"{}\",\"chain\":[{}]}}",
-            json_escape(&self.file),
-            self.line,
-            self.rule.id(),
-            json_escape(&self.message),
-            chain.join(",")
-        )
-    }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -202,14 +151,5 @@ mod tests {
     fn render_is_stable() {
         let d = Diagnostic::new("crates/x/src/a.rs", 7, Rule::PUnwrap, "call to .unwrap()".into());
         assert_eq!(d.render(), "crates/x/src/a.rs:7: P-UNWRAP: call to .unwrap()");
-        assert!(d.render_json().starts_with("{\"file\":"));
-        assert!(d.render_json().ends_with("\"chain\":[]}"));
-    }
-
-    #[test]
-    fn json_carries_the_chain() {
-        let mut d = Diagnostic::new("a.rs", 3, Rule::ATrans, "chain finding".into());
-        d.chain = vec!["step@a.rs:3".into(), "helper@a.rs:9".into()];
-        assert!(d.render_json().contains("\"chain\":[\"step@a.rs:3\",\"helper@a.rs:9\"]"));
     }
 }

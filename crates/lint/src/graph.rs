@@ -1,8 +1,8 @@
-//! The workspace call graph and the interprocedural rule families built on
-//! it: A-TRANS (hot fn transitively reaches an allocation), P-TRANS
-//! (panic-free module transitively reaches a panic site), and the
-//! transitive half of S-SHARD (shard-safe module transitively reaches a
-//! shard-unsafe construct).
+//! The workspace call graph, the one matcher for panic and allocation
+//! sites ([`site_at`]), and the interprocedural rule families built on them:
+//! A-TRANS (hot fn transitively reaches an allocation) and P-TRANS
+//! (panic-free module transitively reaches a panic site). The direct P- and
+//! A-rules in [`crate::engine`] call the same matcher.
 //!
 //! Resolution is deliberately an over-approximation (DESIGN.md §7):
 //! `Type::method` resolves by `(type, name)`, `self.method` tries the
@@ -14,14 +14,13 @@
 //!
 //! Traversal never descends into functions that carry the same obligation
 //! as the root (another hot fn for A-TRANS, a `[panic_free]` file for
-//! P-TRANS, a `[shard_safe]` file for S-SHARD): those functions are
-//! analyzed from their own roots, so each finding is reported exactly once,
-//! at the outermost call edge that leaves the disciplined region.
+//! P-TRANS): those functions are analyzed from their own roots, so each
+//! finding is reported exactly once, at the outermost call edge that leaves
+//! the disciplined region.
 
 use std::collections::BTreeMap;
 
 use crate::diag::{Diagnostic, Rule};
-use crate::engine::{is_alloc_type_path, is_index_expr};
 use crate::lexer::{Token, TokenKind};
 use crate::parse::{Callee, FnItem};
 
@@ -32,8 +31,6 @@ pub(crate) enum LeafKind {
     Alloc,
     /// Panicking construct (P-TRANS leaves).
     Panic,
-    /// Shard-unsafe construct (S-SHARD leaves).
-    Shard,
 }
 
 /// One potential leaf site inside a function body.
@@ -43,10 +40,11 @@ pub(crate) struct Site {
     pub line: u32,
     /// Which family the site belongs to.
     pub kind: LeafKind,
-    /// The direct rule whose `allow(...)` annotation also exempts this
-    /// site as a transitive leaf (e.g. an amortized-push `allow(A-PUSH)`).
+    /// The direct rule the site trips in its own scope; its `allow(...)`
+    /// also exempts the site as a transitive leaf (e.g. an amortized-push
+    /// `allow(A-PUSH)`).
     pub direct: Rule,
-    /// Short description used in chain diagnostics.
+    /// Short description used in direct and chain diagnostics.
     pub desc: String,
 }
 
@@ -113,23 +111,17 @@ pub(crate) fn collect_sites(tokens: &[Token], fns: &[FnItem]) -> Vec<Vec<Site>> 
     sites
 }
 
-/// Recognizes a leaf site whose trigger token sits at `i`.
-fn site_at(tokens: &[Token], i: usize) -> Option<Site> {
+/// Recognizes a panic or allocation site whose trigger token sits at `i`.
+pub(crate) fn site_at(tokens: &[Token], i: usize) -> Option<Site> {
     let t = &tokens[i];
     let next = tokens.get(i + 1);
     let prev = i.checked_sub(1).and_then(|j| tokens.get(j));
     let site = |kind, direct, desc: String| Some(Site { line: t.line, kind, direct, desc });
 
     if t.kind == TokenKind::Punct {
-        // Bare indexing is a panic site; raw-pointer types are shard sites.
+        // Bare indexing is a panic site.
         if t.is_punct('[') && is_index_expr(tokens, i) {
             return site(LeafKind::Panic, Rule::PIndex, "bare indexing".into());
-        }
-        if t.is_punct('*')
-            && next.is_some_and(|n| n.is_ident("const") || n.is_ident("mut"))
-            && tokens.get(i + 2).is_some_and(|n| n.kind == TokenKind::Ident)
-        {
-            return site(LeafKind::Shard, Rule::SShard, "a raw-pointer type".into());
         }
         return None;
     }
@@ -171,18 +163,40 @@ fn site_at(tokens: &[Token], i: usize) -> Option<Site> {
         {
             site(LeafKind::Alloc, Rule::APush, format!("growing `.{}(..)`", t.text))
         }
-        // --- shard-unsafe sites ------------------------------------------
-        "Rc" | "RefCell" | "Cell" | "UnsafeCell" => {
-            site(LeafKind::Shard, Rule::SShard, format!("shard-unsafe `{}`", t.text))
-        }
-        "static" if next.is_some_and(|n| n.is_ident("mut")) => {
-            site(LeafKind::Shard, Rule::SShard, "shard-unsafe `static mut`".into())
-        }
-        "thread_local" if is_macro => {
-            site(LeafKind::Shard, Rule::SShard, "shard-unsafe `thread_local!`".into())
-        }
         _ => None,
     }
+}
+
+/// Whether the `[` at index `i` opens an index expression: the previous
+/// significant token is an identifier, `)`, or `]` (a value), not a type or
+/// attribute position.
+fn is_index_expr(tokens: &[Token], i: usize) -> bool {
+    let Some(prev) = i.checked_sub(1).and_then(|j| tokens.get(j)) else { return false };
+    match prev.kind {
+        TokenKind::Ident => !matches!(
+            prev.text.as_str(),
+            // Keyword before `[` means array/slice literal or pattern
+            // position (`let [a, b] = ...` destructures, it does not index).
+            "return" | "in" | "if" | "while" | "match" | "else" | "mut" | "ref" | "as" | "dyn"
+                | "let"
+        ),
+        TokenKind::Punct => prev.is_punct(')') || prev.is_punct(']'),
+        _ => false,
+    }
+}
+
+/// Whether token `i` (`new`/`from`/`with_capacity`) completes an allocating
+/// `Type::ctor` path: tokens `i-2`/`i-1` are an allocating type name and
+/// `::`.
+fn is_alloc_type_path(tokens: &[Token], i: usize) -> bool {
+    let Some(colons) = i.checked_sub(1).and_then(|j| tokens.get(j)) else { return false };
+    let Some(ty) = i.checked_sub(2).and_then(|j| tokens.get(j)) else { return false };
+    colons.text == "::"
+        && matches!(
+            ty.text.as_str(),
+            "Vec" | "VecDeque" | "Box" | "String" | "BTreeMap" | "BTreeSet" | "HashMap"
+                | "HashSet" | "Rc" | "Arc"
+        )
 }
 
 /// The crate key of a workspace-relative path: its first two path
@@ -312,20 +326,20 @@ pub(crate) fn build(
 }
 
 /// Computes the findings of one transitive rule family via BFS from each
-/// root. `covered` marks nodes carrying the same obligation as the roots
-/// (never descended into); `exempt` consults workspace allow-annotations at
-/// a leaf site (and marks them used).
+/// `scoped` node. The roots are never descended into from another root:
+/// each carries the obligation itself and is reported from its own BFS.
+/// `exempt` consults workspace allow-annotations at a leaf site (and marks
+/// them used).
 pub(crate) fn transitive_diags(
     graph: &Graph,
-    roots: &[usize],
-    covered: &dyn Fn(usize) -> bool,
+    scoped: &dyn Fn(usize) -> bool,
     leaf_kind: LeafKind,
     rule: Rule,
     root_label: &str,
     exempt: &mut dyn FnMut(usize, &Site) -> bool,
 ) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
-    for &root in roots {
+    for root in (0..graph.nodes.len()).filter(|&n| scoped(n)) {
         // BFS with parent pointers; `from[n] = (parent, edge_line)`.
         let mut from: BTreeMap<usize, (usize, u32)> = BTreeMap::new();
         let mut queue: std::collections::VecDeque<usize> = std::collections::VecDeque::new();
@@ -340,32 +354,24 @@ pub(crate) fn transitive_diags(
                     .find(|s| !exempt(n, s));
                 if let Some(site) = hit {
                     // Reconstruct the chain root → … → n.
-                    let mut chain_idx = vec![n];
+                    let mut chain = vec![n];
                     let mut cur = n;
                     while let Some(&(p, _)) = from.get(&cur) {
-                        chain_idx.push(p);
+                        chain.push(p);
                         cur = p;
                         if cur == root {
                             break;
                         }
                     }
-                    chain_idx.reverse();
-                    let first_line = from[&chain_idx[1]].1;
+                    chain.reverse();
                     let names: Vec<&str> =
-                        chain_idx.iter().map(|&k| graph.nodes[k].display.as_str()).collect();
-                    let chain: Vec<String> = chain_idx
-                        .iter()
-                        .map(|&k| {
-                            let node = &graph.nodes[k];
-                            format!("{}@{}:{}", node.display, graph.files[node.file], node.line)
-                        })
-                        .collect();
+                        chain.iter().map(|&k| graph.nodes[k].display.as_str()).collect();
                     let leaf = &graph.nodes[n];
-                    diags.push(Diagnostic {
-                        file: graph.files[graph.nodes[root].file].clone(),
-                        line: first_line,
+                    diags.push(Diagnostic::new(
+                        &graph.files[graph.nodes[root].file],
+                        from[&chain[1]].1,
                         rule,
-                        message: format!(
+                        format!(
                             "{root_label} `{}` transitively reaches {} in `{}` ({}:{}); chain: {}",
                             graph.nodes[root].display,
                             site.desc,
@@ -374,12 +380,11 @@ pub(crate) fn transitive_diags(
                             site.line,
                             names.join(" -> "),
                         ),
-                        chain,
-                    });
+                    ));
                 }
             }
             for &(next, line) in &graph.edges[n] {
-                if next == root || from.contains_key(&next) || covered(next) {
+                if next == root || from.contains_key(&next) || scoped(next) {
                     continue;
                 }
                 from.insert(next, (n, line));
@@ -482,11 +487,8 @@ mod tests {
             "// mmr-lint: hot\nfn hot() { mid(); }\nfn mid() { leaf(); }\nfn leaf() { let v = Vec::new(); }",
             &[1],
         );
-        let roots: Vec<usize> =
-            (0..g.nodes.len()).filter(|&i| g.nodes[i].hot).collect();
         let diags = transitive_diags(
             &g,
-            &roots,
             &|i| g.nodes[i].hot,
             LeafKind::Alloc,
             Rule::ATrans,
@@ -497,8 +499,6 @@ mod tests {
         let d = &diags[0];
         assert_eq!(d.line, 2, "anchored at the hot fn's call site");
         assert!(d.message.contains("chain: hot -> mid -> leaf"), "{}", d.message);
-        assert_eq!(d.chain.len(), 3);
-        assert_eq!(d.chain[0], "hot@a.rs:2");
     }
 
     #[test]
@@ -509,10 +509,8 @@ mod tests {
             "// mmr-lint: hot\nfn a() { b(); }\n// mmr-lint: hot\nfn b() { let v = Vec::new(); }",
             &[1, 3],
         );
-        let roots: Vec<usize> = (0..g.nodes.len()).filter(|&i| g.nodes[i].hot).collect();
         let diags = transitive_diags(
             &g,
-            &roots,
             &|i| g.nodes[i].hot,
             LeafKind::Alloc,
             Rule::ATrans,
@@ -532,13 +530,18 @@ mod tests {
 
     #[test]
     fn sites_cover_all_three_families() {
-        let g = graph_of(
-            "fn f(xs: &[u8], i: usize) { xs.to_vec(); xs[i]; let c = RefCell::new(1); }",
-            &[],
+        // Allocation, growth and panic sites, each with the direct rule it
+        // trips in its own scope.
+        let g = graph_of("fn f(xs: V, i: usize) { xs.to_vec(); xs.push(1); xs[i]; }", &[]);
+        let sites: Vec<(LeafKind, Rule)> =
+            g.nodes[0].sites.iter().map(|s| (s.kind, s.direct)).collect();
+        assert_eq!(
+            sites,
+            [
+                (LeafKind::Alloc, Rule::AAlloc),
+                (LeafKind::Alloc, Rule::APush),
+                (LeafKind::Panic, Rule::PIndex),
+            ]
         );
-        let kinds: Vec<LeafKind> = g.nodes[0].sites.iter().map(|s| s.kind).collect();
-        assert!(kinds.contains(&LeafKind::Alloc));
-        assert!(kinds.contains(&LeafKind::Panic));
-        assert!(kinds.contains(&LeafKind::Shard));
     }
 }

@@ -4,8 +4,8 @@
 //! story rests on:
 //!
 //! - **Determinism (D-lints)**: byte-identical sweeps at any `--jobs`
-//!   require no hash-order iteration, no wall-clock reads, no seed-free
-//!   RNGs, and exact integer arithmetic in credit/quota ledgers.
+//!   require no hash-order iteration, no wall-clock reads, and exact
+//!   integer arithmetic in credit/quota ledgers.
 //! - **Panic-freedom (P-lints)**: the per-flit-cycle data path (router,
 //!   schedulers, VC memory, LLR, the network delivery path) must degrade
 //!   via typed errors or audited counters, never by panicking mid-campaign.
@@ -13,12 +13,12 @@
 //!   `// mmr-lint: hot` must not allocate; scheduler inner loops are
 //!   fixed-work, fixed-time structures (cf. Tiny Tera's scheduler design).
 //!
-//! The tool is self-contained: its own tokenizer ([`lexer`]), a tiny
-//! TOML-subset manifest parser ([`manifest`]), and hand-rolled JSON output.
-//! See `DESIGN.md` §7 for the rule table and annotation grammar.
+//! The tool is self-contained: its own tokenizer ([`lexer`]) and a tiny
+//! TOML-subset manifest parser ([`manifest`]). See `DESIGN.md` §7 for the
+//! rule table, the audit that decided it, and the annotation grammar.
 
 pub mod diag;
-pub mod engine;
+mod engine;
 mod graph;
 pub mod lexer;
 pub mod manifest;
@@ -55,13 +55,6 @@ pub fn analyze_sources(files: &[(&str, &str)], manifest: &Manifest) -> Analysis 
         files.iter().map(|(p, s)| engine::analyze_file(p, s, manifest)).collect::<Vec<_>>();
     let (diagnostics, graph) = engine::finalize(analyses, manifest);
     Analysis { diagnostics, graph }
-}
-
-/// Lints one file's source text (a one-file workspace). `rel_path` must be
-/// the workspace-relative `/`-separated path (used for designation lookups
-/// and diagnostics).
-pub fn check_source(rel_path: &str, src: &str, manifest: &Manifest) -> Vec<Diagnostic> {
-    engine::check_file(rel_path, src, manifest)
 }
 
 /// The workspace-relative paths of the `.rs` files under `root`, sorted,

@@ -1,16 +1,16 @@
 //! `mmr-lint` CLI.
 //!
 //! ```text
-//! mmr-lint [--deny-all] [--root DIR] [--manifest FILE] [--json]
+//! mmr-lint [--deny-all] [--root DIR] [--manifest FILE]
 //!          [--emit-callgraph PATH] [--list-rules] [FILE ...]
 //! ```
 //!
 //! With no FILE arguments, analyzes every `.rs` file under `--root`
 //! (default: current directory) as one workspace — the call graph spans
-//! all files, so A-TRANS/P-TRANS/S-SHARD chains cross crate boundaries.
+//! all files, so A-TRANS/P-TRANS chains cross crate boundaries.
 //! With FILE arguments, analyzes exactly those files as one batch (paths
-//! relative to `--root`) — this is how CI exercises the committed fixture
-//! violations. `--emit-callgraph PATH` additionally writes the resolved
+//! relative to `--root`) — this is how a fixture group's golden output is
+//! regenerated. `--emit-callgraph PATH` additionally writes the resolved
 //! call graph as deterministic DOT.
 //!
 //! Exit codes: 0 = clean (or findings without `--deny-all`), 1 = findings
@@ -23,7 +23,6 @@ use mmr_lint::{analyze_sources, analyze_workspace, load_manifest, Analysis, ALL_
 
 struct Options {
     deny_all: bool,
-    json: bool,
     list_rules: bool,
     root: PathBuf,
     manifest: Option<PathBuf>,
@@ -34,7 +33,6 @@ struct Options {
 fn parse_args() -> Result<Options, String> {
     let mut opts = Options {
         deny_all: false,
-        json: false,
         list_rules: false,
         root: PathBuf::from("."),
         manifest: None,
@@ -45,7 +43,6 @@ fn parse_args() -> Result<Options, String> {
     while let Some(a) = args.next() {
         match a.as_str() {
             "--deny-all" => opts.deny_all = true,
-            "--json" => opts.json = true,
             "--list-rules" => opts.list_rules = true,
             "--root" => {
                 opts.root = PathBuf::from(args.next().ok_or("--root needs a directory")?)
@@ -59,7 +56,7 @@ fn parse_args() -> Result<Options, String> {
             }
             "--help" | "-h" => {
                 println!(
-                    "mmr-lint [--deny-all] [--root DIR] [--manifest FILE] [--json] [--emit-callgraph PATH] [--list-rules] [FILE ...]"
+                    "mmr-lint [--deny-all] [--root DIR] [--manifest FILE] [--emit-callgraph PATH] [--list-rules] [FILE ...]"
                 );
                 std::process::exit(0);
             }
@@ -129,20 +126,11 @@ fn main() -> ExitCode {
         }
     }
 
-    if opts.json {
-        println!("[");
-        for (i, d) in diags.iter().enumerate() {
-            let comma = if i + 1 < diags.len() { "," } else { "" };
-            println!("  {}{}", d.render_json(), comma);
-        }
-        println!("]");
-    } else {
-        for d in diags {
-            println!("{}", d.render());
-        }
-        if !diags.is_empty() {
-            eprintln!("mmr-lint: {} diagnostic(s)", diags.len());
-        }
+    for d in diags {
+        println!("{}", d.render());
+    }
+    if !diags.is_empty() {
+        eprintln!("mmr-lint: {} diagnostic(s)", diags.len());
     }
 
     if opts.deny_all && !diags.is_empty() {

@@ -13,9 +13,8 @@
 //! [paths]
 //! exclude = ["vendor", "target"]        # never linted at all
 //!
-//! [deterministic]                        # D-HASH / D-RNG scope is global;
+//! [deterministic]                        # D-HASH scope is global;
 //! time_exempt = ["crates/bench"]         # D-TIME applies outside these
-//! iter_strict = ["crates/sim"]           # D-ITER: hash-order iteration taint
 //!
 //! [accounting]                           # D-FLOAT: integer-ledger modules
 //! modules = ["crates/core/src/llr.rs"]
@@ -25,9 +24,6 @@
 //!
 //! [index_free]                           # P-INDEX (stricter, opt-in)
 //! modules = ["crates/core/src/llr.rs"]
-//!
-//! [shard_safe]                           # S-SHARD: the router-step path
-//! modules = ["crates/core/src/router.rs"]
 //! ```
 //!
 //! A-lints need no section: the direct rules trigger only inside functions
@@ -44,8 +40,6 @@ pub struct Manifest {
     pub exclude: Vec<String>,
     /// Path prefixes where `std::time` use is legitimate (benchmarks).
     pub time_exempt: Vec<String>,
-    /// Order-strict crates where hash-order iteration is flagged (D-ITER).
-    pub iter_strict: Vec<String>,
     /// Integer-ledger accounting modules (D-FLOAT scope).
     pub accounting: Vec<String>,
     /// Hot-path modules that must not panic (P-UNWRAP/P-EXPECT/P-PANIC
@@ -53,10 +47,6 @@ pub struct Manifest {
     pub panic_free: Vec<String>,
     /// Modules that must not use bare slice indexing (P-INDEX).
     pub index_free: Vec<String>,
-    /// The router-step path designated for the sharding refactor: no
-    /// `static mut`, `thread_local!`, `Rc`/`RefCell`/`Cell`, or raw-pointer
-    /// types, directly or transitively (S-SHARD).
-    pub shard_safe: Vec<String>,
 }
 
 /// Manifest syntax error with a line number.
@@ -104,8 +94,7 @@ impl Manifest {
             if let Some(name) = line.strip_prefix('[').and_then(|s| s.strip_suffix(']')) {
                 section = name.trim().to_string();
                 match section.as_str() {
-                    "paths" | "deterministic" | "accounting" | "panic_free" | "index_free"
-                    | "shard_safe" => {}
+                    "paths" | "deterministic" | "accounting" | "panic_free" | "index_free" => {}
                     other => {
                         return Err(ManifestError {
                             line: line_no,
@@ -129,11 +118,9 @@ impl Manifest {
             let target = match (section.as_str(), key) {
                 ("paths", "exclude") => &mut m.exclude,
                 ("deterministic", "time_exempt") => &mut m.time_exempt,
-                ("deterministic", "iter_strict") => &mut m.iter_strict,
                 ("accounting", "modules") => &mut m.accounting,
                 ("panic_free", "modules") => &mut m.panic_free,
                 ("index_free", "modules") => &mut m.index_free,
-                ("shard_safe", "modules") => &mut m.shard_safe,
                 _ => {
                     return Err(ManifestError {
                         line: line_no,
@@ -169,16 +156,6 @@ impl Manifest {
     /// Whether `path` must avoid bare slice indexing (P-INDEX on).
     pub fn is_index_free(&self, path: &str) -> bool {
         matches_any(path, &self.index_free)
-    }
-
-    /// Whether `path` is in an order-strict crate (D-ITER on).
-    pub fn is_iter_strict(&self, path: &str) -> bool {
-        matches_any(path, &self.iter_strict)
-    }
-
-    /// Whether `path` is on the shard-safe router-step path (S-SHARD on).
-    pub fn is_shard_safe(&self, path: &str) -> bool {
-        matches_any(path, &self.shard_safe)
     }
 }
 
@@ -258,7 +235,6 @@ exclude = ["vendor", "target"]
 
 [deterministic]
 time_exempt = ["crates/bench"]
-iter_strict = ["crates/sim"]
 
 [accounting]
 modules = ["crates/core/src/llr.rs"]
@@ -268,22 +244,15 @@ modules = ["crates/core/src/router.rs", "crates/net/src/setup.rs"]
 
 [index_free]
 modules = ["crates/core/src/llr.rs"]
-
-[shard_safe]
-modules = ["crates/core/src/router.rs"]
 "#,
         )
         .expect("parses");
         assert!(m.is_excluded("vendor/proptest/src/lib.rs"));
         assert!(!m.is_excluded("vendors/x.rs"));
         assert!(m.is_time_exempt("crates/bench/examples/perfbench/main.rs"));
-        assert!(m.is_iter_strict("crates/sim/src/stats.rs"));
-        assert!(!m.is_iter_strict("crates/core/src/router.rs"));
         assert!(m.is_accounting("crates/core/src/llr.rs"));
         assert!(m.is_panic_free("crates/net/src/setup.rs"));
         assert!(!m.is_panic_free("crates/net/src/driver.rs"));
-        assert!(m.is_shard_safe("crates/core/src/router.rs"));
-        assert!(!m.is_shard_safe("crates/net/src/network/mod.rs"));
     }
 
     #[test]
@@ -301,6 +270,13 @@ modules = ["crates/core/src/router.rs"]
         assert!(Manifest::parse("[panicfree]\nmodules = []").is_err());
         assert!(Manifest::parse("[paths]\nincl = []").is_err());
         assert!(Manifest::parse("[paths]\nexclude = vendor").is_err());
+        // The scopes of the deleted D-ITER and S-SHARD rules are typos now.
+        let err = |src| Manifest::parse(src).unwrap_err().to_string();
+        assert_eq!(err("[shard_safe]\nmodules = []"), "lint.toml:1: unknown section [shard_safe]");
+        assert_eq!(
+            err("[deterministic]\niter_strict = []"),
+            "lint.toml:2: unknown key `iter_strict` in section [deterministic]"
+        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Fixture: D-FLOAT violations in an integer-ledger accounting module.
 //!
-//! Never compiled — linted by `tests/golden.rs` and by the CI fixture loop.
+//! Never compiled — linted by `tests/golden.rs`.
 
 /// Credit ledger that drifts: float arithmetic accumulates rounding error
 /// across cycles, so two sweep orders can disagree on the final balance.

@@ -1,6 +1,6 @@
 //! Fixture: L-REASON and L-UNUSED violations in the annotation grammar.
 //!
-//! Never compiled — linted by `tests/golden.rs` and by the CI fixture loop.
+//! Never compiled — linted by `tests/golden.rs`.
 
 fn missing_reason(slot: Option<u32>) -> u32 {
     slot.unwrap() // mmr-lint: allow(P-UNWRAP)

@@ -1,6 +1,6 @@
-//! D-ITER fixture: hash-order iteration in an iteration-strict module.
-//! Both the method-call form and the for-loop form are nondeterministic;
-//! the BTreeMap equivalents below them are not.
+//! Hash-order iteration, method-call and for-loop form: D-HASH fires on
+//! the bindings (lines 6 and 9) every such iteration depends on, so no
+//! separate iteration rule is needed. The BTreeMap twin draws nothing.
 
 use std::collections::BTreeMap;
 use std::collections::HashMap;

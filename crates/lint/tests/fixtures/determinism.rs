@@ -1,6 +1,6 @@
-//! Fixture: D-HASH, D-TIME, D-RNG violations.
+//! Fixture: D-HASH and D-TIME violations.
 //!
-//! Never compiled — linted by `tests/golden.rs` and by the CI fixture loop.
+//! Never compiled — linted by `tests/golden.rs`.
 
 use std::collections::HashMap;
 use std::collections::HashSet;
@@ -18,14 +18,4 @@ fn tally(events: &[u32]) -> HashMap<u32, u32> {
 
 fn stamp() -> std::time::Instant {
     std::time::Instant::now()
-}
-
-fn roll() -> u64 {
-    let mut rng = thread_rng();
-    rng.next_u64()
-}
-
-fn seeded_ok(point_seed: u64) -> u64 {
-    // Deriving from the sweep point's seed is the sanctioned pattern.
-    point_seed.wrapping_mul(0x9e37_79b9_7f4a_7c15)
 }

@@ -1,6 +1,6 @@
 //! Fixture: A-ALLOC and A-PUSH violations inside `// mmr-lint: hot` bodies.
 //!
-//! Never compiled — linted by `tests/golden.rs` and by the CI fixture loop.
+//! Never compiled — linted by `tests/golden.rs`.
 
 struct Scheduler {
     grants: Vec<u32>,

@@ -1,6 +1,6 @@
 //! Fixture: P-INDEX violations in an index-free module.
 //!
-//! Never compiled — linted by `tests/golden.rs` and by the CI fixture loop.
+//! Never compiled — linted by `tests/golden.rs`.
 
 fn replay_frame(frames: &[u64], cursor: usize) -> u64 {
     frames[cursor]

@@ -1,6 +1,6 @@
 //! Fixture: P-UNWRAP, P-EXPECT, P-PANIC violations in a panic-free module.
 //!
-//! Never compiled — linted by `tests/golden.rs` and by the CI fixture loop.
+//! Never compiled — linted by `tests/golden.rs`.
 
 fn deliver(slot: Option<u32>) -> u32 {
     slot.unwrap()

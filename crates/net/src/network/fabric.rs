@@ -59,10 +59,6 @@ impl Fabric {
         &self.routing
     }
 
-    pub(super) fn spec(&self) -> RoutingSpec {
-        self.spec
-    }
-
     pub(super) fn epoch(&self) -> u64 {
         self.epoch
     }

@@ -272,11 +272,6 @@ impl NetworkSim {
         self.fabric.routing()
     }
 
-    /// The routing description the network was built with.
-    pub fn routing_spec(&self) -> RoutingSpec {
-        self.fabric.spec()
-    }
-
     /// Whether the wire attached to `(node, port)` is operational.
     pub fn link_ok(&self, node: NodeId, port: PortId) -> bool {
         self.fabric.link_ok(node, port)

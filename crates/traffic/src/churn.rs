@@ -116,14 +116,6 @@ impl ChurnConfig {
             horizon,
         }
     }
-
-    /// Offered erlangs at the peak (mean concurrent sessions that *want*
-    /// to be up): arrival rate × mean holding time. The lognormal mean is
-    /// `median · e^(sigma²/2)`.
-    pub fn peak_offered_erlangs(&self) -> f64 {
-        let mean_holding = self.median_holding * (self.holding_sigma.powi(2) / 2.0).exp();
-        self.peak_arrival_rate * mean_holding
-    }
 }
 
 /// One session's full lifecycle, decided at generation time.
