@@ -27,10 +27,12 @@ use mmr_core::conn::QosClass;
 use mmr_core::AuditConfig;
 use mmr_net::{AdmissionController, AdmitPolicy, AdmitVerdict, NetworkSim, NodeId, SessionId};
 use mmr_sim::{Cycles, DelayJitterRecorder, SeededRng};
-use mmr_traffic::{ChurnConfig, ChurnEventKind, ChurnSchedule, DiurnalCurve, SessionClass};
+use mmr_traffic::{
+    ChurnConfig, ChurnEventKind, ChurnSchedule, DiurnalCurve, SessionClass, SlotClock,
+};
 
 use crate::campaign::{add_fields, Campaign, Column, Value};
-use crate::faults::{CampaignTopology, Pacer};
+use crate::faults::CampaignTopology;
 use crate::FIGURE_SEED;
 
 /// One cell of the churn grid.
@@ -154,7 +156,7 @@ pub fn run_trial_on(
     cfg.diurnal = DiurnalCurve::day_night(0.25, spec.horizon() as f64);
     let tape = ChurnSchedule::generate(&cfg, seed);
 
-    let mut pacers: Vec<Pacer> = Vec::new();
+    let mut pacers: Vec<(SessionId, SlotClock)> = Vec::new();
     let mut live: BTreeMap<u32, SessionId> = BTreeMap::new();
     let mut phase_rng = SeededRng::new(seed ^ 0x9A5E);
     let mut recorder = DelayJitterRecorder::new();
@@ -197,13 +199,13 @@ pub fn run_trial_on(
                         if let Some(QosClass::Cbr { rate }) = ctl.sessions().class(session) {
                             let interarrival = timing.interarrival_cycles(rate);
                             let first = now.as_f64() + phase_rng.uniform(0.0, interarrival);
-                            pacers.push(Pacer::new(session, first, interarrival));
+                            pacers.push((session, SlotClock::new(first, interarrival)));
                         }
                     }
                 }
                 ChurnEventKind::Departure => {
                     if let Some(session) = live.remove(&plan.id) {
-                        pacers.retain(|p| p.session != session);
+                        pacers.retain(|(s, _)| *s != session);
                         if ctl.close(&mut net, session) {
                             r.departures += 1;
                         }
@@ -214,14 +216,18 @@ pub fn run_trial_on(
 
         // Live CBR sessions pace their isochronous slots; a refused slot
         // is a missed deadline, not a backlog.
-        for p in &mut pacers {
-            p.pump(ctl.sessions().conn(p.session), now, |conn| {
+        for (session, clock) in &mut pacers {
+            let Some(conn) = ctl.sessions().conn(*session) else {
+                clock.pause(now);
+                continue;
+            };
+            for _ in 0..clock.due(now) {
                 let missed = net.inject(conn, now).is_err();
                 if measuring {
                     r.cbr_slots_due += 1;
                     r.missed_cbr_slots += u64::from(missed);
                 }
-            });
+            }
         }
 
         let report = net.step(now);
@@ -233,15 +239,15 @@ pub fn run_trial_on(
         let (events, preempted) = ctl.service(&mut net, &report, now);
         debug_assert!(events.is_empty(), "no faults are injected in churn trials");
         for v in &preempted {
-            pacers.retain(|p| p.session != v.session);
+            pacers.retain(|(s, _)| *s != v.session);
             live.retain(|_, s| *s != v.session);
         }
         let upgrades = ctl.stats().upgrades;
         if upgrades != upgrades_seen {
             upgrades_seen = upgrades;
-            for p in &mut pacers {
-                if let Some(QosClass::Cbr { rate }) = ctl.sessions().class(p.session) {
-                    p.interarrival = timing.interarrival_cycles(rate);
+            for (session, clock) in &mut pacers {
+                if let Some(QosClass::Cbr { rate }) = ctl.sessions().class(*session) {
+                    clock.set_interarrival(timing.interarrival_cycles(rate));
                 }
             }
         }

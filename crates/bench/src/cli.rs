@@ -16,6 +16,7 @@
 
 use std::process::ExitCode;
 
+use mmr_conform::{parse_seed, Hooks, RunConfig};
 use mmr_sim::sweep::SweepOptions;
 use mmr_sim::SweepTable;
 
@@ -47,6 +48,13 @@ pub struct Request {
     pub table: Option<String>,
     /// `--out PATH`: write the JSON record there.
     pub out: Option<String>,
+    /// `--seed S` (conform): base seed, decimal, `0x` hex or a mnemonic.
+    pub seed: u64,
+    /// `--cases K` (conform): scenarios in the campaign.
+    pub cases: usize,
+    /// `--bug phantom-credit` (conform): fault hooks armed in the real
+    /// stack, to watch the oracle catch a known bug.
+    pub hooks: Hooks,
 }
 
 impl Request {
@@ -61,6 +69,9 @@ impl Request {
             plot: false,
             table: None,
             out: None,
+            seed: parse_seed("0xMMR5"),
+            cases: 200,
+            hooks: Hooks::default(),
         }
     }
 
@@ -151,16 +162,21 @@ fn claims(request: &Request) -> Output {
     Output { text: render_claims(&rows) + "\n", json: None, verdict }
 }
 
-/// The conformance fuzz gate CI runs: 200 seeded scenarios against the
-/// reference-model oracle, divergent ones shrunk.
-fn conform(request: &Request) -> Output {
-    let report = mmr_conform::run(&mmr_conform::RunConfig {
-        base_seed: mmr_conform::parse_seed("0xMMR5"),
-        cases: 200,
-        shrink: true,
-        hooks: mmr_conform::Hooks::default(),
+/// The conformance campaign a request asks for; its defaults (200 cases
+/// from seed `0xMMR5`, no hooks) are the fuzz gate `check` runs.
+fn conform_config(request: &Request) -> RunConfig {
+    RunConfig {
+        base_seed: request.seed,
+        cases: request.cases,
+        hooks: Hooks { dense_stepping: request.opts.dense, ..request.hooks },
         opts: request.opts,
-    });
+    }
+}
+
+/// Seeded scenarios against the reference-model oracle, divergent ones
+/// shrunk; fails the run when any case diverged.
+fn conform(request: &Request) -> Output {
+    let report = mmr_conform::run(&conform_config(request));
     let diverged = format!("{} case(s) diverged from the reference model", report.divergent);
     let verdict = report.is_clean().then_some(()).ok_or(diverged);
     Output { text: report.to_text(), json: Some(report.to_json()), verdict }
@@ -202,7 +218,12 @@ pub const REGISTRY: &[Entry] = &[
     grid_campaign::<Chaos>(),
     grid_campaign::<Churn>(),
     grid_campaign::<Scale>(),
-    Entry { name: "conform", parts: &[], flags: &["--out PATH"], run: conform },
+    Entry {
+        name: "conform",
+        parts: &[],
+        flags: &["--seed S", "--cases K", "--bug phantom-credit", "--dense", "--out PATH"],
+        run: conform,
+    },
 ];
 
 /// A parsed command line.
@@ -262,6 +283,15 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                     other => return Err(format!("--panel expects a or b, not '{other}'")),
                 };
             }
+            "--seed" => request.seed = parse_seed(value()?),
+            "--cases" => {
+                request.cases =
+                    value()?.parse().map_err(|_| "--cases expects a non-negative integer")?;
+            }
+            "--bug" => match value()? {
+                "phantom-credit" => request.hooks.phantom_credit = true,
+                other => return Err(format!("--bug expects phantom-credit, not '{other}'")),
+            },
             "--metric" => {
                 request.metrics = match value()? {
                     "delay" => &[Fig5Metric::Delay],
@@ -382,6 +412,14 @@ mod tests {
         assert!(fig3.plot && fig3.opts.dense && !fig3.quick);
         assert_eq!(request(&["fig5", "--metric", "jitter"]).metrics, &[Fig5Metric::Jitter]);
         assert_eq!(request(&["ablations", "round-k", "vc-count"]).parts, ["round-k", "vc-count"]);
+
+        let gate = conform_config(&request(&["conform"]));
+        assert_eq!((gate.base_seed, gate.cases), (parse_seed("0xMMR5"), 200));
+        assert_eq!(gate.hooks, Hooks::default());
+        let words = ["conform", "--seed", "0x2A", "--cases", "5", "--bug", "phantom-credit"];
+        let bugged = conform_config(&request(&[&words[..], &["--dense"]].concat()));
+        assert_eq!((bugged.base_seed, bugged.cases), (42, 5));
+        assert!(bugged.hooks.phantom_credit && bugged.hooks.dense_stepping && bugged.opts.dense);
 
         let checked = |words: &[&str]| match parse_words(words) {
             Ok(Command::Check(entries)) => entries.len(),

@@ -23,10 +23,11 @@
 use mmr_core::conn::QosClass;
 use mmr_core::{AuditConfig, LlrConfig};
 use mmr_net::{
-    FaultInjector, FaultPlan, NetConnectionId, NetworkSim, NodeId, RecoveryManager, RecoveryPolicy,
-    SessionId, Topology,
+    FaultInjector, FaultPlan, NetworkSim, NodeId, RecoveryManager, RecoveryPolicy, SessionId,
+    Topology,
 };
 use mmr_sim::{Cycles, SeededRng};
+use mmr_traffic::SlotClock;
 
 use crate::campaign::{add_fields, Campaign, Column, Value};
 use crate::FIGURE_SEED;
@@ -180,43 +181,6 @@ impl StormResult {
     }
 }
 
-/// A CBR stream's isochronous slot schedule: the one pacer every campaign
-/// trial loop drives its sessions with. The trial loop owns whose stream it
-/// is and how fast; when the next slot falls due is [`Pacer::pump`]'s alone.
-pub(crate) struct Pacer {
-    pub(crate) session: SessionId,
-    /// Slot spacing in cycles, from the session's current rate.
-    pub(crate) interarrival: f64,
-    /// Cycle (fractional) at which the next slot falls due.
-    next: f64,
-}
-
-impl Pacer {
-    /// Paces `session` from its first slot at cycle `first`.
-    pub(crate) fn new(session: SessionId, first: f64, interarrival: f64) -> Self {
-        Pacer { session, interarrival, next: first }
-    }
-
-    /// Hands `slot` the session's connection once per slot due by `now`. A
-    /// session without one (recovering, failed) pauses at `now`, so its
-    /// stream resumes cleanly once it is back.
-    pub(crate) fn pump(
-        &mut self,
-        conn: Option<NetConnectionId>,
-        now: Cycles,
-        mut slot: impl FnMut(NetConnectionId),
-    ) {
-        let Some(conn) = conn else {
-            self.next = self.next.max(now.as_f64());
-            return;
-        };
-        while self.next <= now.as_f64() {
-            self.next += self.interarrival;
-            slot(conn);
-        }
-    }
-}
-
 /// CBR sessions opened per trial.
 const SESSIONS: usize = 10;
 
@@ -264,9 +228,8 @@ pub fn run_trial_on(
         .setup_timeout(Cycles(200));
     let mut mgr = RecoveryManager::new(policy);
 
-    // Stream population: CBR pairs paced by their own interarrival
-    // schedules.
-    let mut pacers: Vec<Pacer> = Vec::new();
+    // Stream population: CBR pairs paced by their own slot clocks.
+    let mut pacers: Vec<(SessionId, SlotClock)> = Vec::new();
     let mut attempts = 0;
     while pacers.len() < SESSIONS && attempts < 200 {
         attempts += 1;
@@ -279,7 +242,7 @@ pub fn run_trial_on(
         let rate = ladder[3 + rng.index(ladder.len() - 3)];
         if let Ok(session) = mgr.open(&mut net, src, dst, QosClass::Cbr { rate }) {
             let interarrival = timing.interarrival_cycles(rate);
-            pacers.push(Pacer::new(session, rng.uniform(0.0, interarrival), interarrival));
+            pacers.push((session, SlotClock::new(rng.uniform(0.0, interarrival), interarrival)));
         }
     }
 
@@ -306,10 +269,15 @@ pub fn run_trial_on(
         if !tick.broken.is_empty() {
             mgr.on_faults(&tick.broken, now);
         }
-        for p in &mut pacers {
-            p.pump(mgr.conn(p.session), now, |conn| {
+        // A recovering session's stream pauses; a refused slot is dropped.
+        for (session, clock) in &mut pacers {
+            let Some(conn) = mgr.conn(*session) else {
+                clock.pause(now);
+                continue;
+            };
+            for _ in 0..clock.due(now) {
                 let _ = net.inject(conn, now);
-            });
+            }
         }
         let report = net.step(now);
         // The campaign checks itself: the retry layer's pump may skip only
@@ -319,8 +287,8 @@ pub fn run_trial_on(
         for event in mgr.service(&mut net, &report, now) {
             // Degradation changes the session's rate; repace its stream.
             if let mmr_net::RecoveryEvent::Degraded { session, to, .. } = event {
-                if let Some(p) = pacers.iter_mut().find(|p| p.session == session) {
-                    p.interarrival = timing.interarrival_cycles(to);
+                if let Some((_, clock)) = pacers.iter_mut().find(|(s, _)| *s == session) {
+                    clock.set_interarrival(timing.interarrival_cycles(to));
                 }
             }
         }

@@ -81,7 +81,7 @@ fn committed_fault_and_chaos_artefacts_are_current() {
 /// nothing on stdout.
 #[test]
 fn malformed_command_lines_exit_2_with_usage() {
-    let cases: [(&[&str], &str); 17] = [
+    let cases: [(&[&str], &str); 21] = [
         // Unknown flags are rejected, not ignored: `--quik` used to run the
         // minutes-long paper sweep; the retired spellings are unknown too.
         (&["fig3", "--quik"], "unknown flag '--quik' for fig3"),
@@ -101,6 +101,10 @@ fn malformed_command_lines_exit_2_with_usage() {
         (&["fig3", "--jobs", "four"], "--jobs expects a positive integer"),
         (&["fig3", "--panel", "c"], "--panel expects a or b, not 'c'"),
         (&["fig5", "--metric", "speed"], "--metric expects delay or jitter, not 'speed'"),
+        (&["conform", "--cases"], "--cases expects a value"),
+        (&["conform", "--cases", "many"], "--cases expects a non-negative integer"),
+        (&["conform", "--bug", "nope"], "--bug expects phantom-credit, not 'nope'"),
+        (&["conform", "--seed"], "--seed expects a value"),
         // Unknown campaign, ablation and extension names.
         (&[], "no campaign named"),
         (&["fig6"], "unknown campaign 'fig6'"),

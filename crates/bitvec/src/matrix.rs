@@ -163,15 +163,6 @@ impl StatusMatrix {
         out.count_ones()
     }
 
-    /// VCs satisfying *any* of `conds` (wide OR).
-    pub fn any_of(&self, conds: &[Condition]) -> StatusBits {
-        let mut acc = StatusBits::zeros(self.vcs);
-        for &c in conds {
-            acc |= self.bank(c);
-        }
-        acc
-    }
-
     /// VCs satisfying all of `require` and none of `exclude` — the paper's
     /// example query "flits_available, credits_available for flit
     /// transmission, CBR_service_requested and *not* CBR_Completely_Serviced".
@@ -247,16 +238,6 @@ mod tests {
         assert_eq!(m.all_of_count_into(&conds[..2], &mut out), 1);
         assert_eq!(out, m.all_of(&conds[..2]));
         assert_eq!(m.all_of_count_into(&[], &mut out), 70);
-    }
-
-    #[test]
-    fn any_of_is_union() {
-        let mut m = StatusMatrix::new(8);
-        m.set(Condition::CbrServiceRequested, 0, true);
-        m.set(Condition::VbrBandwidthServiced, 5, true);
-        let either = m.any_of(&[Condition::CbrServiceRequested, Condition::VbrBandwidthServiced]);
-        assert_eq!(either.iter_set().collect::<Vec<_>>(), vec![0, 5]);
-        assert_eq!(m.any_of(&[]).count_ones(), 0);
     }
 
     #[test]

@@ -20,9 +20,10 @@
 //! ```
 //!
 //! Campaigns fan out over the deterministic sweep harness
-//! (`mmr_sim::sweep`), so `mmr-conform --seed N --cases K` produces byte-identical
-//! output at any `--jobs` level. Regression seeds live in `tests/corpus/`
-//! at the workspace root and are replayed by the tier-1 test suite.
+//! (`mmr_sim::sweep`), so `mmr-bench conform --seed N --cases K` — this
+//! crate's command line — produces byte-identical output at any `--jobs`
+//! level. Regression seeds live in `tests/corpus/` at the workspace root and
+//! are replayed by the tier-1 test suite.
 
 pub mod oracle;
 pub mod report;
@@ -38,10 +39,6 @@ pub use scenario::{
     TopologySpec,
 };
 pub use shrink::{shrink as shrink_scenario, Shrunk, DEFAULT_BUDGET};
-
-// Re-exported so campaign callers can build a `RunConfig` from this crate
-// alone.
-pub use mmr_sim::sweep::{point_seed, SweepOptions};
 
 /// Salt mixed into every scenario seed so conformance streams are
 /// decorrelated from the figure-regeneration seeds that share the same

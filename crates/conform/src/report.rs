@@ -21,8 +21,6 @@ pub struct RunConfig {
     pub base_seed: u64,
     /// Number of cases.
     pub cases: usize,
-    /// Shrink divergent cases to minimal reproducers.
-    pub shrink: bool,
     /// Fault hooks armed inside the real stack (corpus bug replay).
     pub hooks: Hooks,
     /// Worker-thread options from the sweep harness.
@@ -54,7 +52,7 @@ pub struct CaseOutcome {
     pub cycles_run: u64,
     /// Rendered divergences (empty = conformant).
     pub divergences: Vec<String>,
-    /// Minimal reproducer, when shrinking ran.
+    /// Minimal reproducer, for a divergent case.
     pub shrunk: Option<ShrunkOutcome>,
 }
 
@@ -197,18 +195,15 @@ fn escape(s: &str) -> String {
     out
 }
 
-/// Runs the campaign: each case generates, executes, and (when divergent
-/// and requested) shrinks inside its own sweep slot.
+/// Runs the campaign: each case generates, executes, and (when divergent)
+/// shrinks inside its own sweep slot, so a clean campaign never shrinks.
 pub fn run(cfg: &RunConfig) -> Report {
     let outcomes = cfg.opts.run_indexed(cfg.cases, |i| {
         let seed = point_seed(cfg.base_seed, i);
         let scenario = Scenario::generate(seed);
         let run = run_scenario(&scenario, cfg.hooks);
-        let shrunk = if cfg.shrink && !run.is_clean() {
-            Some(ShrunkOutcome::from(&shrink(&scenario, cfg.hooks, DEFAULT_BUDGET)))
-        } else {
-            None
-        };
+        let shrunk = (!run.is_clean())
+            .then(|| ShrunkOutcome::from(&shrink(&scenario, cfg.hooks, DEFAULT_BUDGET)));
         CaseOutcome {
             index: i,
             seed,
@@ -237,7 +232,6 @@ mod tests {
         let base = RunConfig {
             base_seed: 0x5EED,
             cases: 8,
-            shrink: false,
             hooks: Hooks::default(),
             opts: SweepOptions::serial(),
         };

@@ -17,6 +17,7 @@ use mmr_net::{
     SessionId, SetupStrategy,
 };
 use mmr_sim::{Cycles, FlitTiming};
+use mmr_traffic::SlotClock;
 
 use crate::oracle::{Divergence, Oracle};
 use crate::scenario::{ChurnAction, Scenario};
@@ -109,12 +110,10 @@ impl CaseRun {
     }
 }
 
-/// Per-connection injection pacer.
+/// An up-front connection's injection slots.
 struct Stream {
     id: NetConnectionId,
-    interarrival: f64,
-    /// Next injection instant (fractional cycles).
-    next: f64,
+    clock: SlotClock,
     live: bool,
 }
 
@@ -123,17 +122,17 @@ struct Stream {
 /// the network nothing.
 const BEST_EFFORT_INTERARRIVAL: f64 = 24.0;
 
-/// Pacer and oracle bookkeeping for one mid-run churn session. Unlike the
-/// up-front [`Stream`]s, a churn session's connection id changes over its
-/// lifetime (recovery reroutes, ladder upgrades are break-before-make),
-/// so the runner reconciles `conn` against the controller every cycle.
+/// Injection slots and oracle bookkeeping for one mid-run churn session.
+/// Unlike the up-front [`Stream`]s, a churn session's connection id changes
+/// over its lifetime (recovery reroutes, ladder upgrades are
+/// break-before-make), so the runner reconciles `conn` against the
+/// controller every cycle.
 struct ChurnStream {
     session: SessionId,
     /// The connection the oracle's ledger currently tracks (`None` while
     /// the session is recovering, preempted, or departed).
     conn: Option<NetConnectionId>,
-    interarrival: f64,
-    next: f64,
+    clock: SlotClock,
     best_effort: bool,
     /// Closed for good (voluntary departure or shed preemption).
     departed: bool,
@@ -186,13 +185,14 @@ fn churn_service(
             let Some((links, hops)) = path_links(net, new_conn) else { continue };
             let fpc = match ctl.sessions().class(cs.session) {
                 Some(QosClass::Cbr { rate }) => {
-                    cs.interarrival = timing.interarrival_cycles(rate);
-                    1.0 / cs.interarrival
+                    let interarrival = timing.interarrival_cycles(rate);
+                    cs.clock.set_interarrival(interarrival);
+                    1.0 / interarrival
                 }
                 _ => 0.0,
             };
             oracle.admitted(new_conn.0, links, hops, fpc);
-            cs.next = now.0 as f64 + cs.interarrival;
+            cs.clock.restart(now);
             cs.conn = Some(new_conn);
         }
     }
@@ -234,7 +234,8 @@ pub fn run_scenario(scenario: &Scenario, hooks: Hooks) -> CaseRun {
                 let interarrival = timing.interarrival_cycles(spec.rate());
                 oracle.admitted(id.0, links, hops, 1.0 / interarrival);
                 by_id.insert(id, streams.len());
-                streams.push(Stream { id, interarrival, next: interarrival, live: true });
+                let clock = SlotClock::new(interarrival, interarrival);
+                streams.push(Stream { id, clock, live: true });
             }
             // Resource exhaustion is legitimate admission control, not a
             // divergence; the connection simply never enters the ledger.
@@ -328,8 +329,7 @@ pub fn run_scenario(scenario: &Scenario, hooks: Hooks) -> CaseRun {
                             churn.push(ChurnStream {
                                 session,
                                 conn: Some(conn),
-                                interarrival,
-                                next: t as f64 + interarrival,
+                                clock: SlotClock::new(t as f64 + interarrival, interarrival),
                                 best_effort,
                                 departed: false,
                             });
@@ -360,20 +360,16 @@ pub fn run_scenario(scenario: &Scenario, hooks: Hooks) -> CaseRun {
             next_churn += 1;
         }
 
-        for s in &mut streams {
-            if !s.live {
-                continue;
-            }
-            while s.next <= t as f64 {
+        for s in streams.iter_mut().filter(|s| s.live) {
+            let due = s.clock.due(now);
+            for k in 0..due {
                 match net.inject(s.id, now) {
-                    Ok(()) => {
-                        oracle.injected(s.id.0);
-                        s.next += s.interarrival;
+                    Ok(()) => oracle.injected(s.id.0),
+                    // Backpressure: the reserved rate still owes the slot.
+                    Err(InjectError::BufferFull(_)) => {
+                        s.clock.defer(due - k);
+                        break;
                     }
-                    // Backpressure: retry on a later cycle without
-                    // advancing the pacer (the reserved rate still owes
-                    // these flits).
-                    Err(InjectError::BufferFull(_)) => break,
                     // The connection vanished between the fault poll and
                     // the injection attempt; treat as torn down.
                     Err(_) => {
@@ -384,26 +380,20 @@ pub fn run_scenario(scenario: &Scenario, hooks: Hooks) -> CaseRun {
             }
         }
 
-        // Churn pacers: CBR backpressure retries without advancing (the
-        // reserved rate still owes the flits); best-effort skips the slot.
+        // Churn sessions: best effort skips a refused slot; CBR still owes
+        // it, and so does a connection torn down since the fault poll (the
+        // reconcile below restarts or drops the stream).
         for cs in &mut churn {
             let Some(conn) = cs.conn else { continue };
-            while cs.next <= t as f64 {
+            let due = cs.clock.due(now);
+            for k in 0..due {
                 match net.inject(conn, now) {
-                    Ok(()) => {
-                        oracle.injected(conn.0);
-                        cs.next += cs.interarrival;
+                    Ok(()) => oracle.injected(conn.0),
+                    Err(InjectError::BufferFull(_)) if cs.best_effort => {}
+                    Err(_) => {
+                        cs.clock.defer(due - k);
+                        break;
                     }
-                    Err(InjectError::BufferFull(_)) => {
-                        if cs.best_effort {
-                            cs.next += cs.interarrival;
-                        } else {
-                            break;
-                        }
-                    }
-                    // Torn down between the fault poll and this attempt;
-                    // the reconcile below settles the ledger.
-                    Err(_) => break,
                 }
             }
         }

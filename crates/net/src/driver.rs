@@ -10,6 +10,7 @@
 
 use mmr_core::router::RouterConfig;
 use mmr_sim::{Bandwidth, Cycles, DelayJitterRecorder, SeededRng, Warmup};
+use mmr_traffic::SlotClock;
 
 use crate::network::{NetConnectionId, NetworkSim};
 use crate::setup::SetupStrategy;
@@ -78,20 +79,13 @@ impl NetExperiment {
         let mut net = NetworkSim::new(self.topology.clone(), self.router.clone());
         let mut rng = SeededRng::new(self.seed);
         let nodes = net.topology().nodes();
-        let link = self.router.clone().build().config().timing().link_rate();
-        let capacity = link * nodes as f64; // one NI per node
+        let timing = self.router.clone().build().config().timing();
+        let capacity = timing.link_rate() * nodes as f64; // one NI per node
 
         // Build the stream population under EPB admission.
-        struct Source {
-            conn: NetConnectionId,
-            interarrival: f64,
-            next: f64,
-            backlog: u32,
-        }
-        let mut sources: Vec<Source> = Vec::new();
+        let mut sources: Vec<(NetConnectionId, SlotClock)> = Vec::new();
         let mut offered = Bandwidth::ZERO;
         let mut failures = 0u32;
-        let timing = self.router.clone().build().config().timing();
         while offered.fraction_of(capacity) < self.target_load && failures < self.admission_attempts
         {
             let rate = *rng.pick(&self.ladder);
@@ -109,12 +103,8 @@ impl NetExperiment {
                 Ok(conn) => {
                     offered += rate;
                     let interarrival = timing.interarrival_cycles(rate);
-                    sources.push(Source {
-                        conn,
-                        next: rng.uniform(0.0, interarrival),
-                        interarrival,
-                        backlog: 0,
-                    });
+                    let first = rng.uniform(0.0, interarrival);
+                    sources.push((conn, SlotClock::new(first, interarrival)));
                 }
                 Err(_) => failures += 1,
             }
@@ -123,21 +113,16 @@ impl NetExperiment {
         let warmup = Warmup::until(Cycles(self.warmup_cycles));
         let total = self.warmup_cycles + self.measure_cycles;
         let mut recorder = DelayJitterRecorder::new();
-        let mut hop_weighted_latency = 0.0f64;
         let mut measured = 0u64;
 
         for t in 0..total {
             let now = Cycles(t);
-            for s in &mut sources {
-                let mut due = s.backlog;
-                s.backlog = 0;
-                while s.next <= now.as_f64() {
-                    due += 1;
-                    s.next += s.interarrival;
-                }
+            for (conn, clock) in &mut sources {
+                let due = clock.due(now);
                 for k in 0..due {
-                    if net.inject(s.conn, now).is_err() {
-                        s.backlog = due - k;
+                    // A refused slot is owed: retried at the next cycle.
+                    if net.inject(*conn, now).is_err() {
+                        clock.defer(due - k);
                         break;
                     }
                 }
@@ -147,7 +132,6 @@ impl NetExperiment {
                 for d in &report.delivered {
                     recorder.record(d.conn.0, d.latency);
                     measured += 1;
-                    hop_weighted_latency += d.latency.as_f64();
                 }
             }
         }
@@ -168,7 +152,6 @@ impl NetExperiment {
             flits_delivered: measured,
             out_of_order: net.stats().out_of_order,
             admission_rejected: failures,
-            _hop_weighted: hop_weighted_latency,
         }
     }
 }
@@ -229,22 +212,22 @@ pub struct NetExperimentResult {
     pub out_of_order: u64,
     /// EPB admissions rejected while building the stream population.
     pub admission_rejected: u32,
-    _hop_weighted: f64,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn quick(load: f64) -> NetExperimentResult {
+    fn mesh(load: f64) -> NetExperiment {
         NetExperiment::new(
             Topology::mesh2d(3, 3, 8).expect("topology wires within the port budget"),
             RouterConfig::paper_default().vcs_per_port(16).candidates(4),
             load,
         )
-        .windows(1_000, 5_000)
-        .seed(3)
-        .run()
+    }
+
+    fn quick(load: f64) -> NetExperimentResult {
+        mesh(load).windows(1_000, 5_000).seed(3).run()
     }
 
     #[test]
@@ -273,14 +256,7 @@ mod tests {
     fn admission_budget_bounds_population_building() {
         // A zero budget admits nothing: the loop stops at the first possible
         // rejection point without ever offering load.
-        let r = NetExperiment::new(
-            Topology::mesh2d(3, 3, 8).expect("topology wires within the port budget"),
-            RouterConfig::paper_default().vcs_per_port(16).candidates(4),
-            0.9,
-        )
-        .windows(100, 200)
-        .admission_attempts(0)
-        .run();
+        let r = mesh(0.9).windows(100, 200).admission_attempts(0).run();
         assert_eq!(r.streams, 0);
         assert_eq!(r.admission_rejected, 0);
         // ... and says so in the typed outcome instead of stopping silently.
@@ -291,14 +267,7 @@ mod tests {
         assert!((r.population.shortfall() - 0.9).abs() < 1e-12);
         // A small budget stops population building at exactly that many
         // rejections, and the result reports the count.
-        let tight = NetExperiment::new(
-            Topology::mesh2d(3, 3, 8).expect("topology wires within the port budget"),
-            RouterConfig::paper_default().vcs_per_port(16).candidates(4),
-            0.9,
-        )
-        .windows(100, 200)
-        .admission_attempts(5)
-        .run();
+        let tight = mesh(0.9).windows(100, 200).admission_attempts(5).run();
         assert_eq!(tight.admission_rejected, 5);
         let PopulationOutcome::BudgetExhausted { achieved, target } = tight.population else {
             panic!("5 rejections at target 0.9 must exhaust the budget");

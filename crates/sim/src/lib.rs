@@ -9,8 +9,6 @@
 //!   and cycle times can never be confused.
 //! * [`rng`] — deterministic, seedable random source ([`SeededRng`]) so every
 //!   figure in the evaluation is exactly reproducible.
-//! * [`events`] — a discrete-event queue ([`EventQueue`]) for
-//!   connection-level events (establishment, teardown, frame arrivals).
 //! * [`stats`] — measurement machinery: streaming moments
 //!   ([`Accumulator`]), [`Histogram`], the paper's delay/jitter metrics
 //!   ([`DelayJitterRecorder`]), warm-up gating ([`Warmup`]) and figure-series
@@ -30,14 +28,12 @@
 //! assert!((timing.cycle_time_ns() - 103.2).abs() < 0.1);
 //! ```
 
-pub mod events;
 pub mod plot;
 pub mod rng;
 pub mod stats;
 pub mod sweep;
 pub mod units;
 
-pub use events::EventQueue;
 pub use rng::SeededRng;
 pub use stats::{Accumulator, DelayJitterRecorder, Histogram, SweepTable, TailSummary, Warmup};
 pub use sweep::{point_seed, SweepOptions};

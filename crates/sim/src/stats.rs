@@ -80,11 +80,6 @@ impl Accumulator {
         }
     }
 
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Smallest sample; `None` when empty.
     pub fn min(&self) -> Option<f64> {
         (self.count > 0).then_some(self.min)
@@ -517,7 +512,6 @@ mod tests {
         assert_eq!(acc.count(), 8);
         assert!((acc.mean() - 5.0).abs() < 1e-12);
         assert!((acc.variance() - 4.0).abs() < 1e-12);
-        assert!((acc.std_dev() - 2.0).abs() < 1e-12);
         assert_eq!(acc.min(), Some(2.0));
         assert_eq!(acc.max(), Some(9.0));
     }

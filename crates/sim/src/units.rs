@@ -219,11 +219,6 @@ impl SimTime {
         SimTime(ns)
     }
 
-    /// Creates a time from microseconds.
-    pub fn from_us(us: f64) -> Self {
-        SimTime(us * 1e3)
-    }
-
     /// This time in nanoseconds.
     pub fn ns(self) -> f64 {
         self.0
@@ -337,12 +332,6 @@ impl FlitTiming {
         assert!(rate.bits_per_sec() > 0.0, "connection rate must be positive");
         self.link_rate.bits_per_sec() / rate.bits_per_sec()
     }
-
-    /// Number of flits a connection at `rate` generates over `cycles`
-    /// flit cycles (the long-run average, rounded down).
-    pub fn flits_in(self, rate: Bandwidth, cycles: Cycles) -> u64 {
-        (cycles.as_f64() / self.interarrival_cycles(rate)).floor() as u64
-    }
 }
 
 #[cfg(test)]
@@ -402,8 +391,8 @@ mod tests {
 
     #[test]
     fn simtime_round_trip() {
-        let t = SimTime::from_us(1.5);
-        assert!((t.ns() - 1500.0).abs() < 1e-9);
+        let t = SimTime::from_ns(1500.0);
+        assert!((t.us() - 1.5).abs() < 1e-9);
         assert!(((t + SimTime::from_ns(500.0)).us() - 2.0).abs() < 1e-9);
         assert!(((t - SimTime::from_ns(500.0)).us() - 1.0).abs() < 1e-9);
     }
@@ -433,13 +422,6 @@ mod tests {
         assert!((period - 19375.0).abs() < 1.0);
         // A full-rate connection sends one flit per cycle.
         assert!((t.interarrival_cycles(Bandwidth::from_gbps(1.24)) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn flits_in_window() {
-        let t = FlitTiming::paper_default();
-        // Half-link-rate connection over 100 cycles -> 50 flits.
-        assert_eq!(t.flits_in(Bandwidth::from_gbps(0.62), Cycles(100)), 50);
     }
 
     #[test]

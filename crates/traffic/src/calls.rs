@@ -8,10 +8,13 @@
 //! admission-control analogue of an Erlang loss system, with the router's
 //! per-link registers as the servers.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use mmr_core::conn::{ConnectionRequest, QosClass};
 use mmr_core::ids::{ConnectionId, PortId};
 use mmr_core::router::{EstablishError, Router};
-use mmr_sim::{Bandwidth, Cycles, EventQueue, SeededRng};
+use mmr_sim::{Bandwidth, SeededRng};
 
 /// Configuration of a call-level run.
 #[derive(Debug, Clone)]
@@ -60,7 +63,7 @@ impl CallStats {
     }
 }
 
-#[derive(Debug)]
+#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
 enum CallEvent {
     Arrival,
     Departure(ConnectionId),
@@ -77,9 +80,12 @@ pub fn run_calls(router: &mut Router, workload: &CallWorkload, total_cycles: u64
 
     let ports = router.config().ports();
     let mut rng = SeededRng::new(workload.seed);
-    let mut queue: EventQueue<CallEvent> = EventQueue::new();
+    // (cycle, seq, event), earliest cycle first; `seq` counts schedulings,
+    // so same-cycle events pop in the order they were scheduled.
+    let mut queue = BinaryHeap::new();
+    let mut seq = 0u64..;
     let first = rng.exponential(1.0 / workload.arrival_rate) as u64;
-    queue.schedule(Cycles(first), CallEvent::Arrival);
+    queue.push(Reverse((first, seq.next(), CallEvent::Arrival)));
 
     let mut stats = CallStats {
         offered: 0,
@@ -92,12 +98,12 @@ pub fn run_calls(router: &mut Router, workload: &CallWorkload, total_cycles: u64
     let mut concurrent_integral: f64 = 0.0;
     let mut last_time: u64 = 0;
 
-    while let Some((at, event)) = queue.pop() {
-        if at.count() >= total_cycles {
+    while let Some(Reverse((at, _, event))) = queue.pop() {
+        if at >= total_cycles {
             break;
         }
-        concurrent_integral += concurrent as f64 * (at.count() - last_time) as f64;
-        last_time = at.count();
+        concurrent_integral += concurrent as f64 * (at - last_time) as f64;
+        last_time = at;
         match event {
             CallEvent::Arrival => {
                 stats.offered += 1;
@@ -113,7 +119,8 @@ pub fn run_calls(router: &mut Router, workload: &CallWorkload, total_cycles: u64
                         stats.admitted += 1;
                         concurrent += 1;
                         let holding = rng.exponential(workload.mean_holding).max(1.0) as u64;
-                        queue.schedule(at + Cycles(holding), CallEvent::Departure(conn));
+                        let departs = at + holding;
+                        queue.push(Reverse((departs, seq.next(), CallEvent::Departure(conn))));
                     }
                     Err(EstablishError::Admission(_)) => stats.blocked_bandwidth += 1,
                     Err(EstablishError::NoFreeInputVc | EstablishError::NoFreeOutputVc) => {
@@ -125,7 +132,7 @@ pub fn run_calls(router: &mut Router, workload: &CallWorkload, total_cycles: u64
                     ) => unreachable!("standalone router, never quarantined: {e}"),
                 }
                 let gap = rng.exponential(1.0 / workload.arrival_rate).max(1.0) as u64;
-                queue.schedule(at + Cycles(gap), CallEvent::Arrival);
+                queue.push(Reverse((at + gap, seq.next(), CallEvent::Arrival)));
             }
             CallEvent::Departure(conn) => {
                 router.teardown(conn).expect("departing calls are live");

@@ -1,12 +1,15 @@
 //! Constant-bit-rate sources and workload construction.
 //!
-//! A [`CbrSource`] paces one connection: it produces a flit every
-//! inter-arrival period (a real number of flit cycles, so slow connections
-//! are modelled exactly), with a random initial phase so connections do not
-//! arrive in lockstep. [`CbrWorkload`] builds the paper's experiment
-//! population: connections with rates drawn uniformly from a ladder,
-//! assigned to random input/output ports under admission control, until a
-//! target offered load is reached.
+//! A [`SlotClock`] is the paper's CBR rule (§5) and the only place it is
+//! written: a connection owes a flit every inter-arrival period (a real
+//! number of flit cycles, so slow connections are modelled exactly). Every
+//! CBR pacer in the workspace holds one and decides only what a refused
+//! slot means at its inject site — owed ([`SlotClock::defer`]), dropped, or
+//! skipped. A [`CbrSource`] is the clock of one router connection, with a
+//! random initial phase so connections do not arrive in lockstep.
+//! [`CbrWorkload`] builds the paper's experiment population: connections
+//! with rates drawn uniformly from a ladder, assigned to random input/output
+//! ports under admission control, until a target offered load is reached.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -16,16 +19,75 @@ use mmr_core::ids::{ConnectionId, PortId};
 use mmr_core::router::{EstablishError, Router, Transmitted};
 use mmr_sim::{Bandwidth, Cycles, SeededRng};
 
+/// The slot schedule of one CBR stream: a slot falls due every
+/// `interarrival` cycles from the first one, and slots a caller could not
+/// use may be kept as a backlog that is due again at the next call.
+#[derive(Debug, Clone)]
+pub struct SlotClock {
+    interarrival: f64,
+    /// Cycle (fractional) at which the next slot falls due.
+    next: f64,
+    /// Slots that were due but refused and are still owed; they are due
+    /// again before new slots — the paper's source-interface backpressure.
+    backlog: u32,
+}
+
+impl SlotClock {
+    /// A clock whose first slot falls due at cycle `first`.
+    pub fn new(first: f64, interarrival: f64) -> Self {
+        SlotClock { interarrival, next: first, backlog: 0 }
+    }
+
+    /// Number of slots due at or before `now`, owed ones first; advances
+    /// the clock past them and clears the backlog.
+    pub fn due(&mut self, now: Cycles) -> u32 {
+        let mut due = self.backlog;
+        self.backlog = 0;
+        while self.next <= now.as_f64() {
+            due += 1;
+            self.next += self.interarrival;
+        }
+        due
+    }
+
+    /// Records that `n` due slots were refused and are still owed.
+    pub fn defer(&mut self, n: u32) {
+        self.backlog += n;
+    }
+
+    /// The earliest cycle at which the next slot falls due: a slot is due at
+    /// integer cycle `t` iff `next <= t`, i.e. at `ceil(next)`. Only
+    /// meaningful while the backlog is empty (owed slots are due every
+    /// cycle).
+    fn next_due(&self) -> u64 {
+        self.next.max(0.0).ceil() as u64
+    }
+
+    /// Holds the clock at `now` while its stream has nowhere to send: the
+    /// slots it misses are not due later, so it resumes without a burst.
+    pub fn pause(&mut self, now: Cycles) {
+        self.next = self.next.max(now.as_f64());
+    }
+
+    /// Starts over one period after `now` with nothing owed — for a stream
+    /// that came back on a new connection.
+    pub fn restart(&mut self, now: Cycles) {
+        self.next = now.as_f64() + self.interarrival;
+        self.backlog = 0;
+    }
+
+    /// Re-spaces the slots after a rate change; the next slot keeps its
+    /// time.
+    pub fn set_interarrival(&mut self, interarrival: f64) {
+        self.interarrival = interarrival;
+    }
+}
+
 /// Paces flit arrivals for one established connection.
 #[derive(Debug, Clone)]
 pub struct CbrSource {
     conn: ConnectionId,
-    interarrival: f64,
-    next_arrival: f64,
-    /// Flits that were due but could not be injected (buffer full); they are
-    /// retried before new arrivals — the paper's source-interface
-    /// backpressure.
-    backlog: u32,
+    clock: SlotClock,
 }
 
 impl CbrSource {
@@ -40,12 +102,8 @@ impl CbrSource {
             interarrival_cycles.is_finite() && interarrival_cycles > 0.0,
             "CBR inter-arrival must be positive"
         );
-        CbrSource {
-            conn,
-            interarrival: interarrival_cycles,
-            next_arrival: rng.uniform(0.0, interarrival_cycles),
-            backlog: 0,
-        }
+        let first = rng.uniform(0.0, interarrival_cycles);
+        CbrSource { conn, clock: SlotClock::new(first, interarrival_cycles) }
     }
 
     /// The connection this source feeds.
@@ -55,42 +113,25 @@ impl CbrSource {
 
     /// Number of flits due at or before `now` (advances the arrival clock).
     pub fn due(&mut self, now: Cycles) -> u32 {
-        let mut due = self.backlog;
-        self.backlog = 0;
-        while self.next_arrival <= now.as_f64() {
-            due += 1;
-            self.next_arrival += self.interarrival;
-        }
-        due
+        self.clock.due(now)
     }
 
     /// Records that `n` due flits could not be injected and must be retried.
     pub fn defer(&mut self, n: u32) {
-        self.backlog += n;
-    }
-
-    /// The earliest cycle at which this source next has a flit due: a flit
-    /// arrives at integer cycle `t` iff `next_arrival <= t`, i.e. at
-    /// `ceil(next_arrival)`. Only meaningful while the backlog is empty
-    /// (a backlogged source is due every cycle).
-    fn next_due(&self) -> u64 {
-        self.next_arrival.max(0.0).ceil() as u64
+        self.clock.defer(n);
     }
 
     /// Injects all due flits into `router`, deferring on backpressure.
     /// Returns the number injected.
     pub fn pump(&mut self, router: &mut Router, now: Cycles) -> u32 {
         let due = self.due(now);
-        let mut injected = 0;
-        for _ in 0..due {
-            if router.inject(self.conn, now).is_ok() {
-                injected += 1;
-            } else {
+        for injected in 0..due {
+            if router.inject(self.conn, now).is_err() {
                 self.defer(due - injected);
-                break;
+                return injected;
             }
         }
-        injected
+        due
     }
 }
 
@@ -246,7 +287,7 @@ impl CbrWorkload {
             due_scratch: Vec::new(),
         };
         for i in 0..workload.sources.len() {
-            let due = workload.sources[i].next_due();
+            let due = workload.sources[i].clock.next_due();
             workload.schedule_wake(due, i);
         }
         workload
@@ -310,11 +351,6 @@ impl CbrWorkload {
         &self.connections
     }
 
-    /// Total offered bandwidth of admitted connections.
-    pub fn offered_bandwidth(&self) -> Bandwidth {
-        self.offered
-    }
-
     /// Achieved offered load as a fraction of `ports × link_rate`.
     pub fn offered_load(&self, router: &Router) -> f64 {
         let dims = router.config();
@@ -366,10 +402,10 @@ impl CbrWorkload {
             let idx = self.due_scratch[i];
             let src = &mut self.sources[idx];
             injected += src.pump(router, now);
-            if src.backlog > 0 {
+            if src.clock.backlog > 0 {
                 self.parked[idx] = true;
             } else {
-                let due = src.next_due();
+                let due = src.clock.next_due();
                 self.schedule_wake(due, idx);
             }
         }
@@ -478,6 +514,36 @@ mod tests {
     }
 
     #[test]
+    fn paused_clock_resumes_at_the_pause_cycle_without_a_burst() {
+        let mut clock = SlotClock::new(0.0, 10.0);
+        assert_eq!(clock.due(Cycles(0)), 1);
+        // The stream has nowhere to send over cycles 1..=50: the slots at
+        // 10, 20, .., 50 are not owed afterwards.
+        for t in 1..=50 {
+            clock.pause(Cycles(t));
+        }
+        assert_eq!(clock.due(Cycles(51)), 1, "one slot, held at cycle 50");
+        assert_eq!(clock.next_due(), 60);
+        let rest: u32 = (52..100).map(|t| clock.due(Cycles(t))).sum();
+        assert_eq!(rest, 4, "slots at 60, 70, 80 and 90");
+    }
+
+    #[test]
+    fn dropping_refused_slots_gives_one_slot_per_period() {
+        // A caller that never defers a refused slot sees each period's slot
+        // once, however many it refused before.
+        let mut clock = SlotClock::new(0.5, 4.0);
+        let mut total = 0;
+        for t in 0..400 {
+            let due = clock.due(Cycles(t));
+            assert!(due <= 1, "cycle {t}: {due} slots at once");
+            total += due;
+        }
+        assert_eq!(total, 100);
+        assert_eq!(clock.backlog, 0);
+    }
+
+    #[test]
     fn fractional_interarrival_is_exact() {
         let mut r = rng();
         // 2.5-cycle period -> exactly 40 flits in 100 cycles.
@@ -547,6 +613,6 @@ mod tests {
         let mut r = rng();
         let w = CbrWorkload::build(&mut router, &paper_rate_ladder(), 0.0, &mut r);
         assert!(w.connections().is_empty());
-        assert_eq!(w.offered_bandwidth(), Bandwidth::ZERO);
+        assert_eq!(w.offered_load(&router), 0.0);
     }
 }

@@ -236,12 +236,6 @@ impl ChurnSchedule {
         });
         ChurnSchedule { sessions, events }
     }
-
-    /// Number of sessions whose `[arrives, departs)` interval covers `t` —
-    /// the offered concurrency the admission controller faces at `t`.
-    pub fn concurrent_at(&self, t: Cycles) -> usize {
-        self.sessions.iter().filter(|s| s.arrives <= t && t < s.departs).count()
-    }
 }
 
 #[cfg(test)]
@@ -357,6 +351,7 @@ mod tests {
             .sum::<i64>();
         // events at exactly t: departures (at <= t, t < departs fails) and
         // arrivals (arrives <= t holds) are counted consistently by both.
-        assert_eq!(s.concurrent_at(t) as i64, by_events);
+        let covering = s.sessions.iter().filter(|p| p.arrives <= t && t < p.departs).count();
+        assert_eq!(covering as i64, by_events);
     }
 }

@@ -6,7 +6,8 @@
 //! the measurement loop around them:
 //!
 //! * [`rates`] — the nine-rate ladder and scaled variants.
-//! * [`cbr`] — paced CBR sources and load-targeted workload construction.
+//! * [`cbr`] — the CBR slot clock, paced CBR sources and load-targeted
+//!   workload construction.
 //! * [`vbr`] — a synthetic MPEG-2 GoP model for VBR traffic (the paper's
 //!   follow-up workload; see DESIGN.md for the substitution note).
 //! * [`besteffort`] — Poisson single-flit control/best-effort packets.
@@ -43,7 +44,7 @@ pub use churn::{
     ChurnConfig, ChurnEvent, ChurnEventKind, ChurnSchedule, DiurnalCurve, SessionClass,
     SessionPlan,
 };
-pub use cbr::{CbrConnection, CbrSource, CbrWorkload};
+pub use cbr::{CbrConnection, CbrSource, CbrWorkload, SlotClock};
 pub use driver::{Experiment, ExperimentResult, RateClassResult};
 pub use rates::{ladder_mean, paper_rate_ladder, scaled_rate_ladder};
 pub use vbr::{FrameType, MpegGopModel, VbrSource, GOP_PATTERN};
