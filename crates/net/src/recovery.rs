@@ -31,7 +31,7 @@
 //! [`RecoveryStats`] (time-to-recover, retries, backoff waits, degradations,
 //! permanent failures) and the per-cycle [`RecoveryEvent`] stream.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::ops::Bound;
 
 use mmr_core::conn::QosClass;
@@ -193,6 +193,21 @@ enum SessionState {
     Failed,
 }
 
+impl SessionState {
+    /// The connection carrying an active session.
+    fn conn(self) -> Option<NetConnectionId> {
+        let SessionState::Active { conn } = self else { return None };
+        Some(conn)
+    }
+
+    /// Whether `service` still has work on the session: waiting, probing
+    /// or parked.
+    fn unsettled(self) -> bool {
+        use SessionState::{Partitioned, Probing, Waiting};
+        matches!(self, Waiting { .. } | Probing { .. } | Partitioned { .. })
+    }
+}
+
 /// One row of the session table — everything either client (recovery,
 /// admission) knows about a session lives here and nowhere else.
 #[derive(Debug, Clone)]
@@ -212,30 +227,19 @@ struct Session {
     attempts: u32,
 }
 
-/// Transition: session `id` is carried by `conn` from here on. The state
-/// and its reverse index are only ever written together, here.
-fn active_on(
-    by_conn: &mut BTreeMap<NetConnectionId, SessionId>,
-    id: SessionId,
-    conn: NetConnectionId,
-) -> SessionState {
-    by_conn.insert(conn, id);
-    SessionState::Active { conn }
-}
-
 impl Session {
-    /// Transition: the session lost its connection at `now`. A fresh
-    /// incident starts; the first attempt is due immediately.
-    fn enter_recovery(&mut self, now: Cycles, stats: &mut RecoveryStats) {
-        self.state = SessionState::Waiting { resume_at: now };
+    /// The session lost its connection at `now`: a fresh incident starts,
+    /// and the state it moves to has the first attempt due immediately.
+    fn enter_recovery(&mut self, now: Cycles, stats: &mut RecoveryStats) -> SessionState {
         self.fault_at = now;
         self.attempts = 0;
         stats.faults += 1;
+        SessionState::Waiting { resume_at: now }
     }
 
-    /// Books the outcome of a failed (or timed-out) attempt: schedule the
-    /// next retry with exponential backoff, degrade one rate rung when the
-    /// budget is spent, or give up.
+    /// Books the outcome of a failed (or timed-out) attempt and returns the
+    /// state it leads to: the next retry after exponential backoff, one rate
+    /// rung down when the budget is spent, or death.
     fn attempt_failed(
         &mut self,
         id: SessionId,
@@ -243,12 +247,11 @@ impl Session {
         stats: &mut RecoveryStats,
         now: Cycles,
         events: &mut Vec<RecoveryEvent>,
-    ) {
+    ) -> SessionState {
         if self.attempts < policy.max_retries {
             let wait = policy.backoff_for(self.attempts + 1);
-            self.state = SessionState::Waiting { resume_at: now + wait };
             stats.backoff_cycles += wait.0;
-            return;
+            return SessionState::Waiting { resume_at: now + wait };
         }
         // Budget exhausted at this rate: degrade or die.
         let lower = match self.class {
@@ -261,17 +264,17 @@ impl Session {
             Some((from, to)) => {
                 self.class = QosClass::Cbr { rate: to };
                 self.attempts = 0;
-                self.state = SessionState::Waiting { resume_at: now + Cycles(1) };
                 stats.degraded += 1;
                 events.push(RecoveryEvent::Degraded { session: id, from, to });
+                SessionState::Waiting { resume_at: now + Cycles(1) }
             }
             None => {
-                self.state = SessionState::Failed;
                 stats.permanently_failed += 1;
                 events.push(RecoveryEvent::Abandoned {
                     session: id,
                     after: now.since(self.fault_at),
                 });
+                SessionState::Failed
             }
         }
     }
@@ -370,8 +373,18 @@ pub enum UpgradeOutcome {
 #[derive(Debug, Clone)]
 pub struct RecoveryManager {
     policy: RecoveryPolicy,
+    /// The rows, in id order. `by_conn`, `window` and `unsettled` are
+    /// derived from them and written only by [`RecoveryManager::transition`].
     sessions: BTreeMap<SessionId, Session>,
     by_conn: BTreeMap<NetConnectionId, SessionId>,
+    /// The connection carrying each session `base..next`, `None` unless
+    /// it is active: a driver's per-cycle `conn` poll is one read. The
+    /// front advances past closed rows, so `base` is the oldest live id.
+    window: VecDeque<Option<NetConnectionId>>,
+    base: u32,
+    /// The `Waiting`, `Probing` and `Partitioned` sessions, in id order:
+    /// the only rows `service` walks.
+    unsettled: BTreeSet<SessionId>,
     /// Timed-out probes still in flight: a late success is torn down.
     orphaned: BTreeSet<ProbeToken>,
     next: u32,
@@ -394,6 +407,9 @@ impl RecoveryManager {
             policy,
             sessions: BTreeMap::new(),
             by_conn: BTreeMap::new(),
+            window: VecDeque::new(),
+            base: 0,
+            unsettled: BTreeSet::new(),
             orphaned: BTreeSet::new(),
             next: 0,
             stats: RecoveryStats::default(),
@@ -418,19 +434,58 @@ impl RecoveryManager {
         let conn = net.establish(src, dst, class, SetupStrategy::Epb)?;
         let id = SessionId(self.next);
         self.next += 1;
-        self.sessions.insert(
-            id,
-            Session {
-                src,
-                dst,
-                class,
-                owed: None,
-                state: active_on(&mut self.by_conn, id, conn),
-                fault_at: Cycles::ZERO,
-                attempts: 0,
-            },
-        );
+        // A row is born `Failed`, the one state no index holds, so the
+        // transition books its activation like any other move.
+        let row = Session {
+            src,
+            dst,
+            class,
+            owed: None,
+            state: SessionState::Failed,
+            fault_at: Cycles::ZERO,
+            attempts: 0,
+        };
+        self.sessions.insert(id, row);
+        self.transition(id, Some(SessionState::Active { conn }));
         Ok(id)
+    }
+
+    /// The one transition: moves session `id` to `to`, or forgets its row
+    /// when `to` is `None`, and keeps `by_conn`, the window and `unsettled`
+    /// in step with the row. Returns the state it left, `None` for an
+    /// unknown id.
+    fn transition(&mut self, id: SessionId, to: Option<SessionState>) -> Option<SessionState> {
+        let from = match to {
+            Some(to) => std::mem::replace(&mut self.sessions.get_mut(&id)?.state, to),
+            None => self.sessions.remove(&id)?.state,
+        };
+        if let Some(conn) = from.conn() {
+            self.by_conn.remove(&conn);
+        }
+        let carried = to.and_then(SessionState::conn);
+        if let Some(conn) = carried {
+            self.by_conn.insert(conn, id);
+        }
+        // Ids are issued in order, so a row just born is one past the end.
+        let slot = id.0.wrapping_sub(self.base) as usize;
+        if slot == self.window.len() {
+            self.window.push_back(None);
+        }
+        if let Some(at) = self.window.get_mut(slot) {
+            *at = carried;
+        }
+        while self.window.front() == Some(&None)
+            && !self.sessions.contains_key(&SessionId(self.base))
+        {
+            self.window.pop_front();
+            self.base += 1;
+        }
+        if to.is_some_and(SessionState::unsettled) {
+            self.unsettled.insert(id);
+        } else {
+            self.unsettled.remove(&id);
+        }
+        Some(from)
     }
 
     /// Records that `id` was granted less than the `asked` rate
@@ -448,10 +503,9 @@ impl RecoveryManager {
     /// (churn) and load-shed preemptions. Returns `false` when the id was
     /// never tracked or is already closed.
     pub fn close(&mut self, net: &mut NetworkSim, id: SessionId) -> bool {
-        let Some(session) = self.sessions.remove(&id) else { return false };
-        match session.state {
+        let Some(from) = self.transition(id, None) else { return false };
+        match from {
             SessionState::Active { conn } => {
-                self.by_conn.remove(&conn);
                 // A fault may have torn the connection down in the same
                 // cycle; the ghost release is already accounted there.
                 let _ = net.teardown(conn);
@@ -494,25 +548,23 @@ impl RecoveryManager {
             return UpgradeOutcome::AtCeiling;
         };
 
-        self.by_conn.remove(&conn);
         let _ = net.teardown(conn);
         let (src, dst) = (session.src, session.dst);
         let mut place = |rate| net.establish(src, dst, QosClass::Cbr { rate }, SetupStrategy::Epb);
-        if let Ok(conn) = place(higher) {
+        let (to, outcome) = if let Ok(conn) = place(higher) {
             session.class = QosClass::Cbr { rate: higher };
             session.owed = session.owed.filter(|&asked| higher < asked);
-            session.state = active_on(&mut self.by_conn, id, conn);
             self.stats.upgraded += 1;
-            UpgradeOutcome::Upgraded { from: rate, to: higher }
+            (SessionState::Active { conn }, UpgradeOutcome::Upgraded { from: rate, to: higher })
         } else if let Ok(conn) = place(rate) {
-            session.state = active_on(&mut self.by_conn, id, conn);
-            UpgradeOutcome::NoHeadroom
+            (SessionState::Active { conn }, UpgradeOutcome::NoHeadroom)
         } else {
             // Losing the restore race is an incident like any other: the
             // retry/backoff/degradation machinery owns it from here.
-            session.enter_recovery(now, &mut self.stats);
-            UpgradeOutcome::Recovering
-        }
+            (session.enter_recovery(now, &mut self.stats), UpgradeOutcome::Recovering)
+        };
+        self.transition(id, Some(to));
+        outcome
     }
 
     /// The recovery policy in force.
@@ -544,10 +596,7 @@ impl RecoveryManager {
 
     /// The connection currently carrying a session, if it is active.
     pub fn conn(&self, id: SessionId) -> Option<NetConnectionId> {
-        match self.sessions.get(&id)?.state {
-            SessionState::Active { conn } => Some(conn),
-            _ => None,
-        }
+        *self.window.get(id.0.checked_sub(self.base)? as usize)?
     }
 
     /// The session's current QoS class (reflects degradation steps).
@@ -568,10 +617,7 @@ impl RecoveryManager {
     /// Active `(session, connection)` pairs in session order — the
     /// deterministic iteration a traffic driver injects from.
     pub fn active(&self) -> impl Iterator<Item = (SessionId, NetConnectionId)> + '_ {
-        self.sessions.iter().filter_map(|(&id, s)| match s.state {
-            SessionState::Active { conn } => Some((id, conn)),
-            _ => None,
-        })
+        self.sessions.iter().filter_map(|(&id, s)| Some((id, s.state.conn()?)))
     }
 
     /// Aggregate guaranteed egress reserved by active sessions sourced at
@@ -612,11 +658,26 @@ impl RecoveryManager {
     /// first attempt launches on the next [`RecoveryManager::service`] call.
     pub fn on_faults(&mut self, broken: &[NetConnectionId], now: Cycles) {
         for conn in broken {
-            let Some(id) = self.by_conn.remove(conn) else { continue };
-            if let Some(session) = self.sessions.get_mut(&id) {
-                session.enter_recovery(now, &mut self.stats);
-            }
+            let Some(&id) = self.by_conn.get(conn) else { continue };
+            let Some(session) = self.sessions.get_mut(&id) else { continue };
+            let to = session.enter_recovery(now, &mut self.stats);
+            self.transition(id, Some(to));
         }
+    }
+
+    /// Whether `by_conn`, the window and `unsettled` are exactly what the
+    /// rows say, recomputed from scratch. Read-only; for tests.
+    #[doc(hidden)]
+    pub fn indexes_agree(&self) -> bool {
+        let by_conn: BTreeMap<_, _> =
+            self.sessions.iter().filter_map(|(&id, s)| Some((s.state.conn()?, id))).collect();
+        let unsettled: BTreeSet<_> =
+            self.sessions.iter().filter(|(_, s)| s.state.unsettled()).map(|(&id, _)| id).collect();
+        let oldest = self.sessions.keys().next().map_or(self.next, |id| id.0);
+        let window = (self.base..self.next)
+            .map(|id| self.sessions.get(&SessionId(id)).and_then(|s| s.state.conn()))
+            .eq(self.window.iter().copied());
+        by_conn == self.by_conn && unsettled == self.unsettled && oldest == self.base && window
     }
 
     /// Runs one cycle of the recovery state machine: consumes this cycle's
@@ -644,14 +705,15 @@ impl RecoveryManager {
                 }
                 continue;
             }
-            let Some((&id, session)) = self.sessions.iter_mut().find(|(_, s)| {
-                matches!(s.state, SessionState::Probing { token, .. } if token == setup.token)
+            let Some(id) = self.unsettled.iter().copied().find(|id| {
+                let state = self.sessions.get(id).map(|s| s.state);
+                matches!(state, Some(SessionState::Probing { token, .. }) if token == setup.token)
             }) else {
                 continue; // Not one of ours.
             };
-            match setup.result {
+            let Some(session) = self.sessions.get_mut(&id) else { continue };
+            let to = match setup.result {
                 Ok(conn) => {
-                    session.state = active_on(&mut self.by_conn, id, conn);
                     let after = now.since(session.fault_at);
                     self.stats.recovered += 1;
                     self.stats.time_to_recover.record(after.as_f64());
@@ -661,19 +723,21 @@ impl RecoveryManager {
                         after,
                         attempts: session.attempts,
                     });
+                    SessionState::Active { conn }
                 }
                 // Unreachable is a typed partition verdict about the
                 // surviving topology, not a transient setup loss: park the
                 // session until the graph changes rather than burn its
                 // budget against the same wall.
                 Err(SetupError::Unreachable) => {
-                    session.state = SessionState::Partitioned { epoch: net.topology_epoch() };
                     self.stats.partitioned += 1;
+                    SessionState::Partitioned { epoch: net.topology_epoch() }
                 }
                 Err(_) => {
-                    session.attempt_failed(id, &self.policy, &mut self.stats, now, &mut events);
+                    session.attempt_failed(id, &self.policy, &mut self.stats, now, &mut events)
                 }
-            }
+            };
+            self.transition(id, Some(to));
         }
 
         // 2. Attempt timeouts, and 3. unparking partitioned sessions once
@@ -682,56 +746,77 @@ impl RecoveryManager {
         //    exactly when reachability could have changed — never sooner,
         //    never via blind polling. The two phases touch disjoint states
         //    and each only its own row, so one walk in id order serves both
-        //    and counts the probes still in flight for phase 4.
+        //    and counts the probes still in flight for phase 4. Every row
+        //    phases 2-4 act on is unsettled and none of them adds to
+        //    `unsettled`, so its snapshot, in id order, is the rows a walk
+        //    of the whole ledger would act on, in the same order.
         let current_epoch = net.topology_epoch();
         let mut probing = 0;
-        for (&id, session) in &mut self.sessions {
-            match session.state {
+        let walk: Vec<SessionId> = self.unsettled.iter().copied().collect();
+        for &id in &walk {
+            #[cfg(test)]
+            VISITS.with(|n| n.set(n.get() + 1));
+            let Some(session) = self.sessions.get_mut(&id) else { continue };
+            let to = match session.state {
                 SessionState::Probing { token, deadline } if deadline < now => {
                     self.orphaned.insert(token);
                     self.stats.timeouts += 1;
-                    session.attempt_failed(id, &self.policy, &mut self.stats, now, &mut events);
+                    session.attempt_failed(id, &self.policy, &mut self.stats, now, &mut events)
                 }
-                SessionState::Probing { .. } => probing += 1,
+                SessionState::Probing { .. } => {
+                    probing += 1;
+                    continue;
+                }
                 SessionState::Partitioned { epoch } if epoch != current_epoch => {
-                    session.state = SessionState::Waiting { resume_at: now };
+                    SessionState::Waiting { resume_at: now }
                 }
-                _ => {}
-            }
+                _ => continue,
+            };
+            self.transition(id, Some(to));
         }
 
         // 4. Launch due attempts in id order, capped at
         //    `max_concurrent_probes` probes in flight. Deferred sessions
         //    pick up a small seeded jitter so a mass-evacuation wavefront
         //    does not re-collide on the same cycle.
-        for session in self.sessions.values_mut() {
+        for &id in &walk {
+            #[cfg(test)]
+            VISITS.with(|n| n.set(n.get() + 1));
+            let Some(session) = self.sessions.get_mut(&id) else { continue };
             let SessionState::Waiting { resume_at } = session.state else { continue };
             if resume_at > now {
                 continue;
             }
-            if probing >= self.policy.max_concurrent_probes {
+            let to = if probing >= self.policy.max_concurrent_probes {
                 let jitter =
                     1 + self.rng.index(self.policy.base_backoff.0.max(1) as usize) as u64;
-                session.state = SessionState::Waiting { resume_at: now + Cycles(jitter) };
                 self.stats.probe_throttled += 1;
-                continue;
-            }
-            let token = net.request_connection(
-                session.src,
-                session.dst,
-                session.class,
-                SetupStrategy::Epb,
-                now,
-            );
-            session.attempts += 1;
-            session.state =
-                SessionState::Probing { token, deadline: now + self.policy.setup_timeout };
-            self.stats.retries += 1;
-            probing += 1;
+                SessionState::Waiting { resume_at: now + Cycles(jitter) }
+            } else {
+                let token = net.request_connection(
+                    session.src,
+                    session.dst,
+                    session.class,
+                    SetupStrategy::Epb,
+                    now,
+                );
+                session.attempts += 1;
+                self.stats.retries += 1;
+                probing += 1;
+                SessionState::Probing { token, deadline: now + self.policy.setup_timeout }
+            };
+            self.transition(id, Some(to));
         }
 
         events
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Rows read by `service`'s per-cycle walks on this thread, one per row
+    /// per walk — the counter behind the gate that a quiet cycle visits none.
+    static VISITS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 #[cfg(test)]
@@ -822,6 +907,75 @@ mod tests {
             let _ = mgr.service(&mut net, &report, Cycles(t));
         }
         panic!("the orphaned probe never completed");
+    }
+
+    /// Rows `service`'s walks read in one cycle.
+    fn visits_in(net: &mut NetworkSim, mgr: &mut RecoveryManager, t: u64) -> u64 {
+        let report = net.step(Cycles(t));
+        VISITS.with(|n| n.set(0));
+        let _ = mgr.service(net, &report, Cycles(t));
+        VISITS.with(std::cell::Cell::get)
+    }
+
+    #[test]
+    fn a_quiet_cycle_visits_no_session() {
+        let mut net = NetworkSim::new(
+            Topology::mesh2d(3, 3, 8).expect("topology wires within the port budget"),
+            RouterConfig::paper_default().vcs_per_port(64).candidates(4),
+        );
+        let mut mgr = RecoveryManager::default();
+        let sids: Vec<SessionId> = (0..120u16)
+            .map(|k| {
+                let (src, dst) = (k % 9, (k + 1 + k / 9) % 9);
+                let dst = if dst == src { (dst + 1) % 9 } else { dst };
+                mgr.open(&mut net, NodeId(src), NodeId(dst), cbr_mbps(0.064)).expect("placed")
+            })
+            .collect();
+        for t in 0..50 {
+            assert_eq!(visits_in(&mut net, &mut mgr, t), 0, "cycle {t}: a quiet cycle");
+        }
+        // One link fault: each walk visits exactly the sessions it broke,
+        // and only until each one is carried again.
+        let (node, port) = output_wire(&net, mgr.conn(sids[0]).expect("active"), 0);
+        let broken = net.fail_link(node, port).expect("inter-router wire");
+        assert!(broken.len() > 1 && broken.len() < sids.len(), "{} broken", broken.len());
+        let hit: Vec<SessionId> = sids
+            .iter()
+            .copied()
+            .filter(|&id| broken.contains(&mgr.conn(id).expect("active")))
+            .collect();
+        mgr.on_faults(&broken, Cycles(50));
+        let mut walked = 0;
+        for t in 50..600 {
+            let visits = visits_in(&mut net, &mut mgr, t);
+            let unsettled =
+                hit.iter().filter(|&&id| mgr.status(id) != Some(SessionStatus::Active)).count();
+            assert_eq!(visits, 2 * unsettled as u64, "cycle {t}: a visit per walk per broken row");
+            walked += visits;
+        }
+        assert!(walked > 0);
+        assert_eq!(mgr.stats().recovered as usize, hit.len());
+        assert!(sids.iter().all(|&id| mgr.status(id) == Some(SessionStatus::Active)));
+    }
+
+    #[test]
+    fn the_window_follows_live_sessions() {
+        let mut net = mesh_net();
+        let mut mgr = RecoveryManager::default();
+        let mut sids = Vec::new();
+        for k in 0..1_000u16 {
+            let (src, dst) = (NodeId(k % 9), NodeId((k + 4) % 9));
+            sids.push(mgr.open(&mut net, src, dst, cbr_mbps(0.064)).expect("placed"));
+            if let Some(&oldest) = sids.len().checked_sub(11).and_then(|k| sids.get(k)) {
+                assert!(mgr.close(&mut net, oldest));
+            }
+            assert!(mgr.window.len() <= 10, "{} slots", mgr.window.len());
+        }
+        assert_eq!(mgr.sessions(), 10);
+        let (closed, live) = sids.split_at(990);
+        assert!(closed.iter().all(|&id| mgr.conn(id).is_none()));
+        assert!(live.iter().all(|&id| mgr.conn(id).is_some()));
+        assert!(mgr.indexes_agree());
     }
 
     #[test]

@@ -333,6 +333,7 @@ proptest! {
                 }
             }
             let mgr = ctl.sessions();
+            prop_assert!(mgr.indexes_agree(), "an index disagrees with the rows");
             prop_assert_eq!(mgr.sessions(), live.len(), "the table holds exactly the live sessions");
             for (id, conn) in mgr.active() {
                 let carried = net.connection(conn).map(|c| ((c.src, c.dst), c.class));
@@ -351,6 +352,7 @@ proptest! {
             }
             for &id in &gone {
                 prop_assert_eq!(mgr.status(id), None);
+                prop_assert_eq!(mgr.conn(id), None);
                 prop_assert_eq!(mgr.owed(id), None);
                 prop_assert!(mgr.active().all(|(live_id, _)| live_id != id));
             }

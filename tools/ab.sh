@@ -3,36 +3,40 @@
 # names, in turn on the same two builds — between a parent revision and this
 # checkout.
 #
-#   tools/ab.sh <parent-rev> <workload|all> [pairs=10] [seconds=10]
+#   tools/ab.sh <parent-rev> <workload|all> [pairs=10] [seconds=10] [first-seed=1]
 #
 # Exports <parent-rev> with `git archive` (nothing is registered in .git, and
 # uncommitted changes in this checkout are what "change" measures), builds
 # both standalone perfbench packages, then makes strictly alternating single
 # runs — odd pairs parent first, even pairs change first — with `--trace 0`
-# and seeds 1..pairs. Prints the workload's auditor state (on / off, read off
-# the first run) in its header, every run, each side's median and quartiles for
-# the four end-to-end metrics, pair wins (ties count for neither) and whether
-# the medians differ by more than the parent's interquartile range. `all` ends
-# with one table, a row per workload and metric: both medians, pair wins and a
-# verdict against BENCHMARK.json's bound for the metric — `better` (at least
-# nine pairs in ten won and the medians apart by more than the parent's IQR),
-# `WORSE` (the change's median is worse by more than the bound), `unresolved`
-# (the parent's own quartiles are further apart than the bound, and not every
-# run of the change beats every run of the parent), else `unchanged`.
+# and seeds first-seed..first-seed+pairs-1 (1..pairs by default; a later
+# first seed gives a held-out set). Prints the seed range and the workload's
+# auditor state (on / off, read off the first run) in its header, every run,
+# each side's median and quartiles for the four end-to-end metrics, pair wins
+# (ties count for neither) and whether the medians differ by more than the
+# parent's interquartile range. `all` ends with one table, a row per workload
+# and metric: both medians, pair wins and a verdict against BENCHMARK.json's
+# bound for the metric — `better` (at least nine pairs in ten won and the
+# medians apart by more than the parent's IQR), `WORSE` (the change's median
+# is worse by more than the bound), `unresolved` (the parent's own quartiles
+# are further apart than the bound, and not every run of the change beats
+# every run of the parent), else `unchanged`.
 #
 # Exits 1 when the two sides disagree on a seed's `sim_digest` or any run
 # reports a failed operation; 2 on bad usage. Scratch space is $AB_DIR
 # (default /tmp/mmr-ab); the builds there are reused by the next call.
 set -eu
 
-[ $# -ge 2 ] && [ $# -le 4 ] || {
-    echo "usage: tools/ab.sh <parent-rev> <workload|all> [pairs=10] [seconds=10]" >&2
+[ $# -ge 2 ] && [ $# -le 5 ] || {
+    echo "usage: tools/ab.sh <parent-rev> <workload|all> [pairs=10] [seconds=10] [first-seed=1]" >&2
     exit 2
 }
 rev=$1
 workload=$2
 pairs=${3:-10}
 seconds=${4:-10}
+first=${5:-1}
+last=$((first + pairs - 1))
 root=$(git rev-parse --show-toplevel)
 dir=${AB_DIR:-/tmp/mmr-ab}
 pkg=crates/bench/examples/perfbench/Cargo.toml
@@ -70,7 +74,7 @@ header() {
     *false) auditor=off ;;
     *) auditor='?' ;;
     esac
-    echo "parent $sha  vs  change (this checkout)  workload $workload  auditor $auditor  $pairs pairs x $seconds s  cores $(nproc 2>/dev/null || echo '?')  jobs 1"
+    echo "parent $sha  vs  change (this checkout)  workload $workload  auditor $auditor  $pairs pairs x $seconds s  seeds $first..$last  cores $(nproc 2>/dev/null || echo '?')  jobs 1"
     echo "side seed setup_s net_cycles_per_s flits_per_s peak_rss_mb sim_digest failed"
 }
 
@@ -102,8 +106,8 @@ status=0
 for workload in $workloads; do
     : >"$runs"
     headed=
-    i=1
-    while [ "$i" -le "$pairs" ]; do
+    i=$first
+    while [ "$i" -le "$last" ]; do
         if [ $((i % 2)) -eq 1 ]; then
             one parent "$i"
             one change "$i"
@@ -117,7 +121,7 @@ for workload in $workloads; do
     awk -v workload="$workload" -v auditor="$auditor" -v bounds="$bounds" -v table="$table" '
         function quantile(side, m, q,    n, i, j, t, v, pos, lo) {
             n = 0
-            for (i = 1; i <= seeds; i++) if ((side, i, m) in val) v[++n] = val[side, i, m]
+            for (i = first; i <= seeds; i++) if ((side, i, m) in val) v[++n] = val[side, i, m]
             for (i = 2; i <= n; i++) { t = v[i]; for (j = i - 1; j >= 1 && v[j] > t; j--) v[j + 1] = v[j]; v[j + 1] = t }
             if (n == 0) return "nan"
             pos = 1 + (n - 1) * q; lo = int(pos)
@@ -125,6 +129,7 @@ for workload in $workloads; do
         }
         {
             if ($2 > seeds) seeds = $2
+            if (first == "" || $2 < first) first = $2
             for (m = 1; m <= 4; m++) if ($(m + 2) != "nan") val[$1, $2, m] = $(m + 2) + 0
             digest[$1, $2] = $7
             failed += $8
@@ -139,7 +144,7 @@ for workload in $workloads; do
                 # Direction-adjusted extremes: does every run of the change
                 # beat every run of the parent?
                 worst_change = best_parent = ""
-                for (i = 1; i <= seeds; i++) {
+                for (i = first; i <= seeds; i++) {
                     if (!((("parent", i, m) in val) && (("change", i, m) in val))) continue
                     both++
                     p = val["parent", i, m] * better[m]; c = val["change", i, m] * better[m]
@@ -153,7 +158,7 @@ for workload in $workloads; do
                 printf "%-18s %-7s %14.6g %14.6g %14.6g\n", name[m], "parent", quantile("parent", m, 0.25), pm, quantile("parent", m, 0.75)
                 printf "%-18s %-7s %14.6g %14.6g %14.6g   change wins %d, loses %d of %d; change/parent %.3f; medians apart by %s the parent IQR\n", \
                     name[m], "change", quantile("change", m, 0.25), cm, quantile("change", m, 0.75), \
-                    wins, losses, seeds, (pm != 0 ? cm / pm : 0), (gap > iqr ? "more than" : (gap < -iqr ? "more than (worse)" : "less than"))
+                    wins, losses, seeds - first + 1, (pm != 0 ? cm / pm : 0), (gap > iqr ? "more than" : (gap < -iqr ? "more than (worse)" : "less than"))
                 if (both > 0 && wins * 10 >= both * 9 && gap > iqr) verdict = "better"
                 else if (pm != 0 && -gap > bound[m] * pm) verdict = "WORSE"
                 else if (pm != 0 && iqr > bound[m] * pm && !(worst_change > best_parent)) verdict = "unresolved"
@@ -161,7 +166,7 @@ for workload in $workloads; do
                 printf "%-17s %-4s %-17s %12.6g %12.6g %6.3f  %2d-%-2d of %-2d  %s\n", \
                     workload, auditor, name[m], pm, cm, (pm != 0 ? cm / pm : 0), wins, losses, both, verdict >>table
             }
-            for (i = 1; i <= seeds; i++)
+            for (i = first; i <= seeds; i++)
                 if (digest["parent", i] != digest["change", i]) {
                     printf "sim_digest MISMATCH at seed %d: parent %s, change %s\n", i, digest["parent", i], digest["change", i]
                     bad = 1
