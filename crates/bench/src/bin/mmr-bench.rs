@@ -7,11 +7,8 @@ use mmr_bench::cli;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match cli::parse(&args) {
-        Ok(command) => cli::execute(command),
-        Err(complaint) => {
-            eprintln!("mmr-bench: {complaint}\n{}", cli::usage());
-            ExitCode::from(2)
-        }
-    }
+    cli::parse(&args).and_then(cli::execute).unwrap_or_else(|complaint| {
+        eprintln!("mmr-bench: {complaint}\n{}", cli::usage());
+        ExitCode::from(2)
+    })
 }

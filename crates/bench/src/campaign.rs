@@ -33,7 +33,7 @@ pub enum Value {
 }
 
 impl Value {
-    fn json(&self) -> String {
+    pub(crate) fn json(&self) -> String {
         match self {
             Value::Int(v) => v.to_string(),
             Value::Real(v) => v.to_string(),
@@ -256,7 +256,7 @@ pub fn run_cells<C: Campaign>(grid: &[C::Spec], opts: &SweepOptions) -> Output {
 /// Runs `run` with one worker and with four and demands the same bytes —
 /// the determinism gate behind `mmr-bench check`. Returns the serial
 /// output so the caller can enforce its verdict.
-pub fn jobs_identity(run: impl Fn(&SweepOptions) -> Output) -> Result<Output, String> {
+pub fn jobs_identity<T: PartialEq>(run: impl Fn(&SweepOptions) -> T) -> Result<T, String> {
     let serial = run(&SweepOptions::serial());
     let parallel = run(&SweepOptions { jobs: 4, ..SweepOptions::serial() });
     if serial != parallel {

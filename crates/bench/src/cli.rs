@@ -3,7 +3,7 @@
 //! at `--jobs 1` vs `--jobs 4`, bytes compared, verdicts enforced.
 //!
 //! ```text
-//! mmr-bench <campaign> [part ...] [--quick] [--jobs N] [--table PATH] [flags]
+//! mmr-bench <campaign> [part ...] [--table PATH] [flags]
 //! mmr-bench check [campaign ...]
 //! ```
 //!
@@ -11,10 +11,12 @@
 //! `--out` writes the JSON record. Nothing is written unless asked for, so
 //! no invocation can clobber a committed artefact by accident. Anything the
 //! parser does not recognise — a flag, a flag for another campaign, a
-//! missing or malformed value, a campaign or part name — is a usage error
-//! (exit 2), never a guess.
+//! missing or malformed value, a campaign or part name — and any value an
+//! entry refuses before it runs is a usage error (exit 2), never a guess.
 
+use std::fmt::Display;
 use std::process::ExitCode;
+use std::str::FromStr;
 
 use mmr_conform::{parse_seed, Hooks, RunConfig};
 use mmr_sim::sweep::SweepOptions;
@@ -22,6 +24,7 @@ use mmr_sim::SweepTable;
 
 use crate::campaign::{self, Campaign, Output};
 use crate::churn::Churn;
+use crate::experiments::{calls, cost, network, router};
 use crate::faults::{Chaos, Faults};
 use crate::scale::Scale;
 use crate::{
@@ -38,23 +41,62 @@ pub struct Request {
     pub opts: SweepOptions,
     /// Sub-experiments selected by name; empty selects all.
     pub parts: Vec<&'static str>,
-    /// Candidate counts of the `--panel` (default: both panels in one grid).
-    pub panel: &'static [usize],
-    /// Figure 5 panels selected by `--metric` (default: both).
-    pub metrics: &'static [Fig5Metric],
     /// `--plot`: an ASCII rendering under each table.
     pub plot: bool,
     /// `--table PATH`: also write the text rendering there.
     pub table: Option<String>,
     /// `--out PATH`: write the JSON record there.
     pub out: Option<String>,
-    /// `--seed S` (conform): base seed, decimal, `0x` hex or a mnemonic.
-    pub seed: u64,
-    /// `--cases K` (conform): scenarios in the campaign.
-    pub cases: usize,
-    /// `--bug phantom-credit` (conform): fault hooks armed in the real
-    /// stack, to watch the oracle catch a known bug.
-    pub hooks: Hooks,
+    /// `--seed S`: base seed, decimal, `0x` hex or a mnemonic; each entry
+    /// has its own default.
+    pub seed: Option<u64>,
+    /// Every other valued flag (`--panel b`, `--load 0.5`), read where it
+    /// is used.
+    pub values: Values,
+}
+
+/// Valued flags as typed, read by name (`"load"` for `--load`) and parsed
+/// at the width of the field each one feeds, so an out-of-range number is
+/// an error rather than a silent wrap. The last occurrence wins.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Values(Vec<(String, String)>);
+
+impl Values {
+    /// The flag's text, if given.
+    pub(crate) fn text(&self, name: &str) -> Option<&str> {
+        self.0.iter().rev().find(|(n, _)| n == name).map(|(_, v)| v.as_str())
+    }
+
+    /// The flag parsed as a `T`, or `default` when absent.
+    pub(crate) fn get<T: FromStr>(&self, name: &str, default: T) -> Result<T, String>
+    where
+        T::Err: Display,
+    {
+        match self.text(name) {
+            Some(v) => v.parse().map_err(|e| format!("--{name}: {e}: {v}")),
+            None => Ok(default),
+        }
+    }
+
+    /// `--load`: an offered load, a fraction of the switch bandwidth.
+    pub(crate) fn load(&self, default: f64) -> Result<f64, String> {
+        let load = self.get("load", default)?;
+        if (0.0..=1.0).contains(&load) {
+            Ok(load)
+        } else {
+            Err(format!("--load must be between 0 and 1, got {load}"))
+        }
+    }
+
+    /// A rate or duration that must be positive and finite.
+    pub(crate) fn positive(&self, name: &str, default: f64) -> Result<f64, String> {
+        let x = self.get(name, default)?;
+        if x > 0.0 && x.is_finite() {
+            Ok(x)
+        } else {
+            Err(format!("--{name} must be positive and finite, got {x}"))
+        }
+    }
 }
 
 impl Request {
@@ -64,14 +106,11 @@ impl Request {
             quick,
             opts,
             parts: Vec::new(),
-            panel: &[1, 2, 4, 8],
-            metrics: &[Fig5Metric::Delay, Fig5Metric::Jitter],
             plot: false,
             table: None,
             out: None,
-            seed: parse_seed("0xMMR5"),
-            cases: 200,
-            hooks: Hooks::default(),
+            seed: None,
+            values: Values::default(),
         }
     }
 
@@ -93,14 +132,35 @@ impl Request {
         }
     }
 
+    /// `--panel a|b`: the candidate counts of one panel of Figures 3 and 4
+    /// (both panels in one grid by default).
+    fn panel(&self) -> Result<&'static [usize], String> {
+        match self.values.text("panel") {
+            None => Ok(&[1, 2, 4, 8]),
+            Some("a") => Ok(&[1, 2]),
+            Some("b") => Ok(&[4, 8]),
+            Some(other) => Err(format!("--panel expects a or b, not '{other}'")),
+        }
+    }
+
+    /// `--metric delay|jitter`: the Figure 5 panels (both by default).
+    fn metrics(&self) -> Result<&'static [Fig5Metric], String> {
+        match self.values.text("metric") {
+            None => Ok(&[Fig5Metric::Delay, Fig5Metric::Jitter]),
+            Some("delay") => Ok(&[Fig5Metric::Delay]),
+            Some("jitter") => Ok(&[Fig5Metric::Jitter]),
+            Some(other) => Err(format!("--metric expects delay or jitter, not '{other}'")),
+        }
+    }
+
     /// Runs the selected parts (all when none is named), in table order.
-    fn run_parts(&self, parts: &[Part]) -> Output {
+    fn run_parts(&self, parts: &[Part]) -> Result<Output, String> {
         let selected =
             parts.iter().filter(|(name, _)| self.parts.is_empty() || self.parts.contains(name));
         self.tables(selected.map(|(_, sweep)| sweep(self)))
     }
 
-    fn tables(&self, tables: impl IntoIterator<Item = SweepTable>) -> Output {
+    fn tables(&self, tables: impl IntoIterator<Item = SweepTable>) -> Result<Output, String> {
         let mut text = String::new();
         for table in tables {
             text.push_str(&format!("{table}\n"));
@@ -108,7 +168,7 @@ impl Request {
                 text.push_str(&format!("{}\n", mmr_sim::plot::ascii_plot(&table, 64, 20)));
             }
         }
-        Output { text, json: None, verdict: Ok(()) }
+        Ok(Output { text, json: None, verdict: Ok(()) })
     }
 }
 
@@ -121,11 +181,11 @@ pub struct Entry {
     pub name: &'static str,
     /// Sub-experiments selectable by positional name.
     pub parts: &'static [Part],
-    /// Flags accepted besides the common `--quick`, `--jobs` and `--table`,
-    /// spelt as in the usage text (`--panel a|b`).
+    /// Flags accepted besides the common `--table`, spelt as in the usage
+    /// text (`--panel a|b`).
     pub flags: &'static [&'static str],
-    /// Runs the campaign.
-    pub run: fn(&Request) -> Output,
+    /// Runs the campaign; `Err` refuses the request before anything ran.
+    pub run: fn(&Request) -> Result<Output, String>,
 }
 
 impl Entry {
@@ -155,65 +215,76 @@ const EXTENSIONS: &[Part] = &[
 ];
 
 /// The §5.2 claims table; fails the run when a claim stops holding.
-fn claims(request: &Request) -> Output {
+fn claims(request: &Request) -> Result<Output, String> {
     let rows = claims_table(&request.quality(), &request.opts);
     let failures = rows.iter().filter(|row| !row.holds).count();
     let verdict = (failures == 0).then_some(()).ok_or(format!("{failures} claim(s) did not hold"));
-    Output { text: render_claims(&rows) + "\n", json: None, verdict }
+    Ok(Output { text: render_claims(&rows) + "\n", json: None, verdict })
 }
 
 /// The conformance campaign a request asks for; its defaults (200 cases
 /// from seed `0xMMR5`, no hooks) are the fuzz gate `check` runs.
-fn conform_config(request: &Request) -> RunConfig {
-    RunConfig {
-        base_seed: request.seed,
-        cases: request.cases,
-        hooks: Hooks { dense_stepping: request.opts.dense, ..request.hooks },
+/// `--bug phantom-credit` arms a fault hook in the real stack, to watch the
+/// oracle catch a known bug.
+fn conform_config(request: &Request) -> Result<RunConfig, String> {
+    let phantom_credit = match request.values.text("bug") {
+        None => false,
+        Some("phantom-credit") => true,
+        Some(other) => return Err(format!("--bug expects phantom-credit, not '{other}'")),
+    };
+    let cases = request.values.get("cases", 200);
+    Ok(RunConfig {
+        base_seed: request.seed.unwrap_or_else(|| parse_seed("0xMMR5")),
+        cases: cases.map_err(|_| "--cases expects a non-negative integer")?,
+        hooks: Hooks { phantom_credit, dense_stepping: request.opts.dense, ..Hooks::default() },
         opts: request.opts,
-    }
+    })
 }
 
 /// Seeded scenarios against the reference-model oracle, divergent ones
 /// shrunk; fails the run when any case diverged.
-fn conform(request: &Request) -> Output {
-    let report = mmr_conform::run(&conform_config(request));
+fn conform(request: &Request) -> Result<Output, String> {
+    let report = mmr_conform::run(&conform_config(request)?);
     let diverged = format!("{} case(s) diverged from the reference model", report.divergent);
     let verdict = report.is_clean().then_some(()).ok_or(diverged);
-    Output { text: report.to_text(), json: Some(report.to_json()), verdict }
+    Ok(Output { text: report.to_text(), json: Some(report.to_json()), verdict })
 }
 
 const fn grid_campaign<C: Campaign>() -> Entry {
     Entry {
         name: C::NAME,
         parts: &[],
-        flags: &["--out PATH"],
-        run: |r| campaign::run_cells::<C>(&C::grid(r.quick), &r.opts),
+        flags: &["--quick", "--jobs N", "--out PATH"],
+        run: |r| Ok(campaign::run_cells::<C>(&C::grid(r.quick), &r.opts)),
     }
 }
+
+/// The flags of a campaign with a quick grid and a worker pool.
+const SWEEP: &[&str] = &["--quick", "--jobs N"];
 
 /// Every campaign `mmr-bench` can run, in `check` order.
 pub const REGISTRY: &[Entry] = &[
     Entry {
         name: "fig3",
         parts: &[],
-        flags: &["--panel a|b", "--plot", "--dense"],
-        run: |r| r.tables([fig3_jitter(r.panel, &r.quality(), &r.opts)]),
+        flags: &["--quick", "--jobs N", "--panel a|b", "--plot", "--dense"],
+        run: |r| r.tables([fig3_jitter(r.panel()?, &r.quality(), &r.opts)]),
     },
     Entry {
         name: "fig4",
         parts: &[],
-        flags: &["--panel a|b", "--plot", "--dense"],
-        run: |r| r.tables([fig4_delay(r.panel, &r.quality(), &r.opts)]),
+        flags: &["--quick", "--jobs N", "--panel a|b", "--plot", "--dense"],
+        run: |r| r.tables([fig4_delay(r.panel()?, &r.quality(), &r.opts)]),
     },
     Entry {
         name: "fig5",
         parts: &[],
-        flags: &["--metric delay|jitter", "--plot", "--dense"],
-        run: |r| r.tables(r.metrics.iter().map(|&metric| fig5(metric, &r.quality(), &r.opts))),
+        flags: &["--quick", "--jobs N", "--metric delay|jitter", "--plot", "--dense"],
+        run: |r| r.tables(r.metrics()?.iter().map(|&m| fig5(m, &r.quality(), &r.opts))),
     },
-    Entry { name: "claims", parts: &[], flags: &["--dense"], run: claims },
-    Entry { name: "ablations", parts: ABLATIONS, flags: &[], run: |r| r.run_parts(ABLATIONS) },
-    Entry { name: "extensions", parts: EXTENSIONS, flags: &[], run: |r| r.run_parts(EXTENSIONS) },
+    Entry { name: "claims", parts: &[], flags: &["--quick", "--jobs N", "--dense"], run: claims },
+    Entry { name: "ablations", parts: ABLATIONS, flags: SWEEP, run: |r| r.run_parts(ABLATIONS) },
+    Entry { name: "extensions", parts: EXTENSIONS, flags: SWEEP, run: |r| r.run_parts(EXTENSIONS) },
     grid_campaign::<Faults>(),
     grid_campaign::<Chaos>(),
     grid_campaign::<Churn>(),
@@ -221,8 +292,57 @@ pub const REGISTRY: &[Entry] = &[
     Entry {
         name: "conform",
         parts: &[],
-        flags: &["--seed S", "--cases K", "--bug phantom-credit", "--dense", "--out PATH"],
+        flags: &[
+            "--jobs N",
+            "--seed S",
+            "--cases K",
+            "--bug phantom-credit",
+            "--dense",
+            "--out PATH",
+        ],
         run: conform,
+    },
+    Entry {
+        name: "router",
+        parts: &[],
+        flags: &[
+            "--load L",
+            "--arbiter biased|fixed|autonet|islip|rr|oldest|perfect",
+            "--candidates C",
+            "--vcs V",
+            "--ports P",
+            "--warmup N",
+            "--measure N",
+            "--seed S",
+            "--out PATH",
+        ],
+        run: router,
+    },
+    Entry {
+        name: "network",
+        parts: &[],
+        flags: &[
+            "--topology mesh3x3|mesh4x4|torus3x3|ring6|irregular10",
+            "--load L",
+            "--warmup N",
+            "--measure N",
+            "--seed S",
+            "--admission-attempts N",
+            "--out PATH",
+        ],
+        run: network,
+    },
+    Entry {
+        name: "calls",
+        parts: &[],
+        flags: &["--arrival R", "--holding T", "--cycles N", "--vcs V", "--seed S", "--out PATH"],
+        run: calls,
+    },
+    Entry {
+        name: "cost",
+        parts: &[],
+        flags: &["--candidates C", "--vcs V", "--ports P", "--ns-per-gate NS"],
+        run: cost,
     },
 ];
 
@@ -261,6 +381,10 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 .ok_or_else(|| format!("{arg} expects a value"))
         };
         match arg {
+            "--table" => request.table = Some(value()?.to_string()),
+            flag if flag.starts_with("--") && !entry.accepts(flag) => {
+                return Err(format!("unknown flag '{flag}' for {}", entry.name));
+            }
             "--quick" => request.quick = true,
             "--jobs" => {
                 request.opts.jobs = value()?
@@ -269,37 +393,13 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                     .filter(|&jobs| jobs >= 1)
                     .ok_or("--jobs expects a positive integer")?;
             }
-            "--table" => request.table = Some(value()?.to_string()),
-            flag if flag.starts_with("--") && !entry.accepts(flag) => {
-                return Err(format!("unknown flag '{flag}' for {}", entry.name));
-            }
             "--out" => request.out = Some(value()?.to_string()),
             "--dense" => request.opts.dense = true,
             "--plot" => request.plot = true,
-            "--panel" => {
-                request.panel = match value()? {
-                    "a" => &[1, 2],
-                    "b" => &[4, 8],
-                    other => return Err(format!("--panel expects a or b, not '{other}'")),
-                };
-            }
-            "--seed" => request.seed = parse_seed(value()?),
-            "--cases" => {
-                request.cases =
-                    value()?.parse().map_err(|_| "--cases expects a non-negative integer")?;
-            }
-            "--bug" => match value()? {
-                "phantom-credit" => request.hooks.phantom_credit = true,
-                other => return Err(format!("--bug expects phantom-credit, not '{other}'")),
-            },
-            "--metric" => {
-                request.metrics = match value()? {
-                    "delay" => &[Fig5Metric::Delay],
-                    "jitter" => &[Fig5Metric::Jitter],
-                    other => {
-                        return Err(format!("--metric expects delay or jitter, not '{other}'"))
-                    }
-                };
+            "--seed" => request.seed = Some(parse_seed(value()?)),
+            flag if flag.starts_with("--") => {
+                let value = value()?.to_string();
+                request.values.0.push((flag[2..].to_string(), value));
             }
             part => match entry.parts.iter().find(|(name, _)| *name == part) {
                 Some((name, _)) => request.parts.push(*name),
@@ -313,7 +413,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
 /// The usage text, generated from the registry.
 pub fn usage() -> String {
     let mut text = String::from(
-        "usage: mmr-bench <campaign> [part ...] [--quick] [--jobs N] [--table PATH] [flags]\n\
+        "usage: mmr-bench <campaign> [part ...] [--table PATH] [flags]\n\
          \x20      mmr-bench check [campaign ...]\ncampaigns:\n",
     );
     for entry in REGISTRY {
@@ -338,25 +438,26 @@ fn write(path: Option<&str>, content: &str) -> Result<(), String> {
 }
 
 /// Runs a parsed command: exit 0 on success, 1 when a verdict or the
-/// determinism gate fails or a file cannot be written.
-pub fn execute(command: Command) -> ExitCode {
+/// determinism gate fails or a file cannot be written. `Err` is a request
+/// the entry refused before running anything, to report as [`parse`]'s.
+pub fn execute(command: Command) -> Result<ExitCode, String> {
     let result = match command {
         Command::Check(entries) => check(&entries),
         Command::Run(entry, request) => {
-            let output = (entry.run)(&request);
+            let output = (entry.run)(&request)?;
             print!("{}", output.text);
             write(request.table.as_deref(), &output.text)
                 .and_then(|()| write(request.out.as_deref(), &output.json.unwrap_or_default()))
                 .and(output.verdict)
         }
     };
-    result.map_or_else(
+    Ok(result.map_or_else(
         |why| {
             eprintln!("FAIL: {why}");
             ExitCode::FAILURE
         },
         |()| ExitCode::SUCCESS,
-    )
+    ))
 }
 
 /// Runs each entry's quick grid with one worker and with four; the bytes
@@ -365,6 +466,7 @@ fn check(entries: &[&'static Entry]) -> Result<(), String> {
     let mut failed = Vec::new();
     for entry in entries {
         let gate = campaign::jobs_identity(|opts| (entry.run)(&Request::new(true, *opts)))
+            .flatten()
             .and_then(|output| output.verdict);
         match gate {
             Ok(()) => println!("ok    {}", entry.name),
@@ -408,18 +510,26 @@ mod tests {
         );
 
         let fig3 = request(&["fig3", "--panel", "b", "--plot", "--dense"]);
-        assert_eq!(fig3.panel, &[4, 8]);
+        assert_eq!(fig3.panel(), Ok(&[4, 8][..]));
         assert!(fig3.plot && fig3.opts.dense && !fig3.quick);
-        assert_eq!(request(&["fig5", "--metric", "jitter"]).metrics, &[Fig5Metric::Jitter]);
+        assert_eq!(
+            request(&["fig5", "--metric", "jitter"]).metrics(),
+            Ok(&[Fig5Metric::Jitter][..])
+        );
         assert_eq!(request(&["ablations", "round-k", "vc-count"]).parts, ["round-k", "vc-count"]);
 
-        let gate = conform_config(&request(&["conform"]));
+        let gate = conform_config(&request(&["conform"])).expect("the default campaign runs");
         assert_eq!((gate.base_seed, gate.cases), (parse_seed("0xMMR5"), 200));
         assert_eq!(gate.hooks, Hooks::default());
         let words = ["conform", "--seed", "0x2A", "--cases", "5", "--bug", "phantom-credit"];
         let bugged = conform_config(&request(&[&words[..], &["--dense"]].concat()));
+        let bugged = bugged.expect("a bugged campaign runs");
         assert_eq!((bugged.base_seed, bugged.cases), (42, 5));
         assert!(bugged.hooks.phantom_credit && bugged.hooks.dense_stepping && bugged.opts.dense);
+
+        // Seeds are decimal too; a repeated value flag takes its last value.
+        let router = request(&["router", "--load", "0.5", "--seed", "7", "--load", "0.6"]);
+        assert_eq!((router.seed, router.values.load(0.8)), (Some(7), Ok(0.6)));
 
         let checked = |words: &[&str]| match parse_words(words) {
             Ok(Command::Check(entries)) => entries.len(),
@@ -430,16 +540,17 @@ mod tests {
     }
 
     /// `Entry::flags` says which flags a campaign takes, `parse`'s arms what
-    /// they do; a spelling without an arm would fall through to the
-    /// part-name arm and be reported as an unknown name.
+    /// they do; a switch without its arm would be read as a valued flag and
+    /// demand a value, a spelling the entry does not accept is unknown.
     #[test]
     fn every_advertised_flag_has_a_parse_arm() {
         for entry in REGISTRY {
             for spelling in entry.flags {
                 let mut words = vec![entry.name];
                 words.extend(spelling.split(' '));
-                let unknown = matches!(parse_words(&words), Err(why) if why.starts_with("unknown"));
-                assert!(!unknown, "{} advertises {spelling}; parse has no arm for it", entry.name);
+                let refused = matches!(parse_words(&words),
+                    Err(why) if why.starts_with("unknown") || why.ends_with("expects a value"));
+                assert!(!refused, "{} advertises {spelling}; parse has no arm for it", entry.name);
             }
         }
     }

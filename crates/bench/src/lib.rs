@@ -4,11 +4,12 @@
 //!
 //! The figure, ablation and extension sweeps are plain functions returning
 //! a [`SweepTable`]; the fault, chaos, churn and scale campaigns implement
-//! [`campaign::Campaign`]. All of them are run, rendered, written and gated
-//! by the one `mmr-bench` binary ([`cli`]). [`Quality`] selects between the
-//! paper's full measurement windows and a quick smoke preset. Wall-clock
-//! measurement is not this crate's business: it lives only in
-//! `examples/perfbench` (see its README).
+//! [`campaign::Campaign`]; `experiments` holds the single `router`,
+//! `network`, `calls` and `cost` runs. All of them are run, rendered,
+//! written and gated by the one `mmr-bench` binary ([`cli`]). [`Quality`]
+//! selects between the paper's full measurement windows and a quick smoke
+//! preset. Wall-clock measurement is not this crate's business: it lives
+//! only in `examples/perfbench` (see its README).
 
 use mmr_core::arbiter::ArbiterKind;
 use mmr_core::linksched::CandidatePolicy;
@@ -21,6 +22,7 @@ pub mod ablations;
 pub mod campaign;
 pub mod churn;
 pub mod cli;
+mod experiments;
 pub mod extensions;
 pub mod faults;
 pub mod scale;
