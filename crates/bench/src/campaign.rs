@@ -231,14 +231,16 @@ pub fn render_json<C: Campaign>(cells: &[(C::Spec, C::Cell)]) -> String {
 }
 
 /// What a campaign run hands the command line: the text to print (and
-/// `--table`), the JSON record for `--out` if the campaign has one, and
-/// its exit-code gate.
+/// `--table`), the JSON record for `--out` if the campaign has one, the
+/// files for `--dir` if it has several, and its exit-code gate.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Output {
     /// Human-readable rendering.
     pub text: String,
     /// Machine-readable rendering, for campaigns that commit one.
     pub json: Option<String>,
+    /// The text split into its committed files, by file name.
+    pub files: Vec<(&'static str, String)>,
     /// `Err` makes the process exit 1 with the report on stderr.
     pub verdict: Result<(), String>,
 }
@@ -249,6 +251,7 @@ pub fn run_cells<C: Campaign>(grid: &[C::Spec], opts: &SweepOptions) -> Output {
     Output {
         text: render_table::<C>(&cells),
         json: Some(render_json::<C>(&cells)),
+        files: Vec::new(),
         verdict: C::verdict(&cells),
     }
 }

@@ -7,8 +7,9 @@
 //! mmr-bench check [campaign ...]
 //! ```
 //!
-//! A run prints its text rendering; `--table` also writes it to a file and
-//! `--out` writes the JSON record. Nothing is written unless asked for, so
+//! A run prints its text rendering; `--table` also writes it to a file,
+//! `--out` writes the JSON record and `paper --dir` writes each of its four
+//! renderings to its own file. Nothing is written unless asked for, so
 //! no invocation can clobber a committed artefact by accident. Anything the
 //! parser does not recognise — a flag, a flag for another campaign, a
 //! missing or malformed value, a campaign or part name — and any value an
@@ -27,10 +28,7 @@ use crate::churn::Churn;
 use crate::experiments::{calls, cost, network, router};
 use crate::faults::{Chaos, Faults};
 use crate::scale::Scale;
-use crate::{
-    ablations, claims_table, extensions, fig3_jitter, fig4_delay, fig5, render_claims, Fig5Metric,
-    Quality,
-};
+use crate::{ablations, extensions, render_tables, Quality};
 
 /// What one campaign run was asked to do.
 #[derive(Debug, Clone, PartialEq)]
@@ -47,11 +45,12 @@ pub struct Request {
     pub table: Option<String>,
     /// `--out PATH`: write the JSON record there.
     pub out: Option<String>,
+    /// `--dir DIR`: write each of the run's files there.
+    pub dir: Option<String>,
     /// `--seed S`: base seed, decimal, `0x` hex or a mnemonic; each entry
     /// has its own default.
     pub seed: Option<u64>,
-    /// Every other valued flag (`--panel b`, `--load 0.5`), read where it
-    /// is used.
+    /// Every other valued flag (`--load 0.5`), read where it is used.
     pub values: Values,
 }
 
@@ -109,6 +108,7 @@ impl Request {
             plot: false,
             table: None,
             out: None,
+            dir: None,
             seed: None,
             values: Values::default(),
         }
@@ -132,43 +132,13 @@ impl Request {
         }
     }
 
-    /// `--panel a|b`: the candidate counts of one panel of Figures 3 and 4
-    /// (both panels in one grid by default).
-    fn panel(&self) -> Result<&'static [usize], String> {
-        match self.values.text("panel") {
-            None => Ok(&[1, 2, 4, 8]),
-            Some("a") => Ok(&[1, 2]),
-            Some("b") => Ok(&[4, 8]),
-            Some(other) => Err(format!("--panel expects a or b, not '{other}'")),
-        }
-    }
-
-    /// `--metric delay|jitter`: the Figure 5 panels (both by default).
-    fn metrics(&self) -> Result<&'static [Fig5Metric], String> {
-        match self.values.text("metric") {
-            None => Ok(&[Fig5Metric::Delay, Fig5Metric::Jitter]),
-            Some("delay") => Ok(&[Fig5Metric::Delay]),
-            Some("jitter") => Ok(&[Fig5Metric::Jitter]),
-            Some(other) => Err(format!("--metric expects delay or jitter, not '{other}'")),
-        }
-    }
-
     /// Runs the selected parts (all when none is named), in table order.
     fn run_parts(&self, parts: &[Part]) -> Result<Output, String> {
         let selected =
             parts.iter().filter(|(name, _)| self.parts.is_empty() || self.parts.contains(name));
-        self.tables(selected.map(|(_, sweep)| sweep(self)))
-    }
-
-    fn tables(&self, tables: impl IntoIterator<Item = SweepTable>) -> Result<Output, String> {
-        let mut text = String::new();
-        for table in tables {
-            text.push_str(&format!("{table}\n"));
-            if self.plot {
-                text.push_str(&format!("{}\n", mmr_sim::plot::ascii_plot(&table, 64, 20)));
-            }
-        }
-        Ok(Output { text, json: None, verdict: Ok(()) })
+        let tables: Vec<SweepTable> = selected.map(|(_, sweep)| sweep(self)).collect();
+        let text = render_tables(&tables, self.plot);
+        Ok(Output { text, json: None, files: Vec::new(), verdict: Ok(()) })
     }
 }
 
@@ -214,12 +184,15 @@ const EXTENSIONS: &[Part] = &[
     ("network-load", |r| extensions::network_load(&r.quality(), &r.opts)),
 ];
 
-/// The §5.2 claims table; fails the run when a claim stops holding.
-fn claims(request: &Request) -> Result<Output, String> {
-    let rows = claims_table(&request.quality(), &request.opts);
-    let failures = rows.iter().filter(|row| !row.holds).count();
+/// Figures 3–5 and the §5.2 claims table from one run of each grid; fails
+/// the run when a claim stops holding.
+fn paper(request: &Request) -> Result<Output, String> {
+    let paper = crate::paper(&request.quality(), &request.opts);
+    let failures = paper.claims.iter().filter(|row| !row.holds).count();
     let verdict = (failures == 0).then_some(()).ok_or(format!("{failures} claim(s) did not hold"));
-    Ok(Output { text: render_claims(&rows) + "\n", json: None, verdict })
+    let files = paper.files(request.plot).to_vec();
+    let text = files.iter().map(|(_, text)| text.as_str()).collect();
+    Ok(Output { text, json: None, files, verdict })
 }
 
 /// The conformance campaign a request asks for; its defaults (200 cases
@@ -247,7 +220,7 @@ fn conform(request: &Request) -> Result<Output, String> {
     let report = mmr_conform::run(&conform_config(request)?);
     let diverged = format!("{} case(s) diverged from the reference model", report.divergent);
     let verdict = report.is_clean().then_some(()).ok_or(diverged);
-    Ok(Output { text: report.to_text(), json: Some(report.to_json()), verdict })
+    Ok(Output { text: report.to_text(), json: Some(report.to_json()), files: Vec::new(), verdict })
 }
 
 const fn grid_campaign<C: Campaign>() -> Entry {
@@ -265,24 +238,11 @@ const SWEEP: &[&str] = &["--quick", "--jobs N"];
 /// Every campaign `mmr-bench` can run, in `check` order.
 pub const REGISTRY: &[Entry] = &[
     Entry {
-        name: "fig3",
+        name: "paper",
         parts: &[],
-        flags: &["--quick", "--jobs N", "--panel a|b", "--plot", "--dense"],
-        run: |r| r.tables([fig3_jitter(r.panel()?, &r.quality(), &r.opts)]),
+        flags: &["--quick", "--jobs N", "--plot", "--dense", "--dir DIR"],
+        run: paper,
     },
-    Entry {
-        name: "fig4",
-        parts: &[],
-        flags: &["--quick", "--jobs N", "--panel a|b", "--plot", "--dense"],
-        run: |r| r.tables([fig4_delay(r.panel()?, &r.quality(), &r.opts)]),
-    },
-    Entry {
-        name: "fig5",
-        parts: &[],
-        flags: &["--quick", "--jobs N", "--metric delay|jitter", "--plot", "--dense"],
-        run: |r| r.tables(r.metrics()?.iter().map(|&m| fig5(m, &r.quality(), &r.opts))),
-    },
-    Entry { name: "claims", parts: &[], flags: &["--quick", "--jobs N", "--dense"], run: claims },
     Entry { name: "ablations", parts: ABLATIONS, flags: SWEEP, run: |r| r.run_parts(ABLATIONS) },
     Entry { name: "extensions", parts: EXTENSIONS, flags: SWEEP, run: |r| r.run_parts(EXTENSIONS) },
     grid_campaign::<Faults>(),
@@ -394,6 +354,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                     .ok_or("--jobs expects a positive integer")?;
             }
             "--out" => request.out = Some(value()?.to_string()),
+            "--dir" => request.dir = Some(value()?.to_string()),
             "--dense" => request.opts.dense = true,
             "--plot" => request.plot = true,
             "--seed" => request.seed = Some(parse_seed(value()?)),
@@ -448,6 +409,11 @@ pub fn execute(command: Command) -> Result<ExitCode, String> {
             print!("{}", output.text);
             write(request.table.as_deref(), &output.text)
                 .and_then(|()| write(request.out.as_deref(), &output.json.unwrap_or_default()))
+                .and_then(|()| {
+                    let Some(dir) = &request.dir else { return Ok(()) };
+                    let mut files = output.files.iter();
+                    files.try_for_each(|(name, text)| write(Some(&format!("{dir}/{name}")), text))
+                })
                 .and(output.verdict)
         }
     };
@@ -509,13 +475,9 @@ mod tests {
             (Some("f.txt"), Some("f.json"))
         );
 
-        let fig3 = request(&["fig3", "--panel", "b", "--plot", "--dense"]);
-        assert_eq!(fig3.panel(), Ok(&[4, 8][..]));
-        assert!(fig3.plot && fig3.opts.dense && !fig3.quick);
-        assert_eq!(
-            request(&["fig5", "--metric", "jitter"]).metrics(),
-            Ok(&[Fig5Metric::Jitter][..])
-        );
+        let paper = request(&["paper", "--dir", "results", "--plot", "--dense"]);
+        assert_eq!(paper.dir.as_deref(), Some("results"));
+        assert!(paper.plot && paper.opts.dense && !paper.quick);
         assert_eq!(request(&["ablations", "round-k", "vc-count"]).parts, ["round-k", "vc-count"]);
 
         let gate = conform_config(&request(&["conform"])).expect("the default campaign runs");

@@ -78,7 +78,7 @@ fn report(text: String, record: Option<&[(&str, Value)]>) -> Result<Output, Stri
             fields.iter().map(|(k, v)| format!("\"{k}\": {}", v.json())).collect();
         format!("{{{}}}\n", fields.join(", "))
     });
-    Ok(Output { text, json, verdict: Ok(()) })
+    Ok(Output { text, json, files: Vec::new(), verdict: Ok(()) })
 }
 
 /// `router`: the paper's single-router experiment at one offered load,

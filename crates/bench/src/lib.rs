@@ -2,20 +2,22 @@
 //! MMR paper's evaluation (§5), plus the ablations and extensions listed in
 //! DESIGN.md.
 //!
-//! The figure, ablation and extension sweeps are plain functions returning
-//! a [`SweepTable`]; the fault, chaos, churn and scale campaigns implement
-//! [`campaign::Campaign`]; `experiments` holds the single `router`,
-//! `network`, `calls` and `cost` runs. All of them are run, rendered,
-//! written and gated by the one `mmr-bench` binary ([`cli`]). [`Quality`]
-//! selects between the paper's full measurement windows and a quick smoke
-//! preset. Wall-clock measurement is not this crate's business: it lives
-//! only in `examples/perfbench` (see its README).
+//! [`paper`] simulates the figure and claims grids once each and renders
+//! Figures 3–5 and the T1 claims from them; the ablation and extension
+//! sweeps are plain functions returning a [`SweepTable`]; the fault, chaos,
+//! churn and scale campaigns implement [`campaign::Campaign`];
+//! `experiments` holds the single `router`, `network`, `calls` and `cost`
+//! runs. All of them are run, rendered, written and gated by the one
+//! `mmr-bench` binary ([`cli`]). [`Quality`] selects between the paper's
+//! full measurement windows and a quick smoke preset. Wall-clock
+//! measurement is not this crate's business: it lives only in
+//! `examples/perfbench` (see its README).
 
 use mmr_core::arbiter::ArbiterKind;
 use mmr_core::linksched::CandidatePolicy;
 use mmr_core::router::RouterConfig;
 use mmr_sim::sweep::{point_seed, SweepOptions};
-use mmr_sim::{Accumulator, SweepTable};
+use mmr_sim::SweepTable;
 use mmr_traffic::driver::{Experiment, ExperimentResult};
 
 pub mod ablations;
@@ -73,46 +75,8 @@ pub fn run_point(config: RouterConfig, load: f64, quality: &Quality) -> Experime
     experiment(config, load, quality, FIGURE_SEED).run()
 }
 
-/// Mean and standard error of a metric over independent workload seeds —
-/// for checking that a figure point is not a single-seed artifact.
-///
-/// # Example
-///
-/// ```
-/// use mmr_bench::{replicate, Quality};
-/// use mmr_core::router::RouterConfig;
-///
-/// let q = Quality { warmup: 200, measure: 1_000, loads: vec![] };
-/// let (mean, stderr) = replicate(
-///     RouterConfig::paper_default().vcs_per_port(32),
-///     0.5,
-///     &q,
-///     3,
-///     |r| r.mean_delay_cycles,
-/// );
-/// assert!(mean >= 0.0 && stderr >= 0.0);
-/// ```
-pub fn replicate(
-    config: RouterConfig,
-    load: f64,
-    quality: &Quality,
-    seeds: u64,
-    metric: impl Fn(&ExperimentResult) -> f64,
-) -> (f64, f64) {
-    assert!(seeds >= 1, "need at least one replication");
-    let mut samples = Accumulator::new();
-    for k in 0..seeds {
-        let seed = FIGURE_SEED ^ k.wrapping_mul(0x9E37_79B9);
-        samples.record(metric(&experiment(config.clone(), load, quality, seed).run()));
-    }
-    // The accumulator's variance is the population's (÷ n); the standard
-    // error of the mean wants the sample's (÷ n−1), then ÷ n.
-    let stderr = (samples.variance() / (seeds as f64 - 1.0).max(1.0)).sqrt();
-    (samples.mean(), stderr)
-}
-
-/// One simulation of a figure sweep: a router configuration driven at one
-/// offered load.
+/// One simulation of the paper's sweeps: a router configuration driven at
+/// one offered load.
 struct PointSpec {
     /// Which curve of the figure the result belongs to.
     series: String,
@@ -122,45 +86,12 @@ struct PointSpec {
     load: f64,
 }
 
-/// Runs every point (in parallel per `opts`) and returns the results in
-/// point order, each simulated with the seed its position derives from
-/// [`FIGURE_SEED`].
-fn run_points(
-    points: &[PointSpec],
-    quality: &Quality,
-    opts: &SweepOptions,
-) -> Vec<ExperimentResult> {
-    opts.run_indexed(points.len(), |i| {
-        let p = &points[i];
-        experiment(p.config.clone(), p.load, quality, point_seed(FIGURE_SEED, i))
-            .dense_stepping(opts.dense)
-            .run()
-    })
-}
-
-/// Runs a figure sweep and folds it into a [`SweepTable`], one curve per
-/// distinct `series` name, points in specification order.
-fn run_table(
-    title: &str,
-    points: &[PointSpec],
-    quality: &Quality,
-    opts: &SweepOptions,
-    metric: impl Fn(&ExperimentResult) -> f64,
-) -> SweepTable {
-    let results = run_points(points, quality, opts);
-    let mut table = SweepTable::new(title);
-    for (p, r) in points.iter().zip(&results) {
-        table.push(&p.series, r.offered_load, metric(r));
-    }
-    table
-}
-
-/// The candidate × scheme × load grid shared by Figures 3 and 4, in the
+/// The candidate × scheme × load grid Figures 3 and 4 both read, in the
 /// figures' series order. Point index — and therefore each point's derived
 /// seed — is a pure function of this ordering, never of execution schedule.
-fn fig34_points(panel_candidates: &[usize], quality: &Quality) -> Vec<PointSpec> {
+fn fig34_points(quality: &Quality) -> Vec<PointSpec> {
     let mut points = Vec::new();
-    for &c in panel_candidates {
+    for c in [1, 2, 4, 8] {
         for (label, kind) in
             [("C biased", ArbiterKind::BiasedPriority), ("C fixed", ArbiterKind::FixedPriority)]
         {
@@ -176,75 +107,127 @@ fn fig34_points(panel_candidates: &[usize], quality: &Quality) -> Vec<PointSpec>
     points
 }
 
-/// Figure 3: jitter (flit cycles) vs offered load for fixed and biased
-/// priorities. Panel "a" sweeps 1 and 2 candidates, panel "b" 4 and 8.
-pub fn fig3_jitter(
-    panel_candidates: &[usize],
-    quality: &Quality,
-    opts: &SweepOptions,
-) -> SweepTable {
-    run_table(
-        "Figure 3 — jitter (router cycles) vs offered load",
-        &fig34_points(panel_candidates, quality),
-        quality,
-        opts,
-        |r| r.mean_jitter_cycles,
-    )
-}
-
-/// Figure 4: mean delay (microseconds) vs offered load for fixed and biased
-/// priorities at the given candidate counts.
-pub fn fig4_delay(
-    panel_candidates: &[usize],
-    quality: &Quality,
-    opts: &SweepOptions,
-) -> SweepTable {
-    run_table(
-        "Figure 4 — delay (microseconds) vs offered load",
-        &fig34_points(panel_candidates, quality),
-        quality,
-        opts,
-        |r| r.mean_delay_us,
-    )
-}
-
-/// The four algorithms of Figure 5 with their paper labels (biased and
-/// fixed use 8 candidates, per the figure caption).
-pub fn fig5_algorithms() -> [(&'static str, RouterConfig); 4] {
-    [
+/// The grid of Figure 5: its four algorithms with their paper labels
+/// (biased and fixed use 8 candidates, per the figure caption), each swept
+/// over the loads.
+fn fig5_points(quality: &Quality) -> Vec<PointSpec> {
+    let algorithms = [
         ("biased", base_config().candidates(8).arbiter(ArbiterKind::BiasedPriority)),
         ("fixed", base_config().candidates(8).arbiter(ArbiterKind::FixedPriority)),
         ("DEC", base_config().arbiter(ArbiterKind::autonet_default())),
         ("perfect", base_config().arbiter(ArbiterKind::Perfect)),
-    ]
-}
-
-/// Which Figure 5 panel to produce.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Fig5Metric {
-    /// Delay in microseconds.
-    Delay,
-    /// Jitter in router cycles.
-    Jitter,
-}
-
-/// Figure 5: delay and jitter vs offered load for biased(8C), fixed(8C),
-/// the Autonet/DEC scheduler, and the perfect switch.
-pub fn fig5(metric: Fig5Metric, quality: &Quality, opts: &SweepOptions) -> SweepTable {
-    let title = match metric {
-        Fig5Metric::Delay => "Figure 5 — delay (microseconds) vs offered load",
-        Fig5Metric::Jitter => "Figure 5 — jitter (router cycles) vs offered load",
-    };
+    ];
     let mut points = Vec::new();
-    for (name, config) in fig5_algorithms() {
+    for (name, config) in algorithms {
         for &load in &quality.loads {
             points.push(PointSpec { series: name.to_string(), config: config.clone(), load });
         }
     }
-    run_table(title, &points, quality, opts, |r| match metric {
-        Fig5Metric::Delay => r.mean_delay_us,
-        Fig5Metric::Jitter => r.mean_jitter_cycles,
-    })
+    points
+}
+
+/// The eleven points the T1 claims read, in a fixed order: each point's
+/// derived seed and the claims built from it depend only on this list, not
+/// on how the sweep is scheduled.
+fn claims_points() -> Vec<PointSpec> {
+    let specs = [
+        (2, ArbiterKind::BiasedPriority, 0.7),
+        (2, ArbiterKind::FixedPriority, 0.7),
+        (2, ArbiterKind::BiasedPriority, 0.8),
+        (2, ArbiterKind::FixedPriority, 0.8),
+        (8, ArbiterKind::BiasedPriority, 0.7),
+        (8, ArbiterKind::FixedPriority, 0.7),
+        (8, ArbiterKind::BiasedPriority, 0.8),
+        (8, ArbiterKind::FixedPriority, 0.8),
+        (8, ArbiterKind::BiasedPriority, 0.95),
+        (1, ArbiterKind::BiasedPriority, 0.95),
+        (8, ArbiterKind::FixedPriority, 0.95),
+    ];
+    let point = |(c, kind, load): (usize, ArbiterKind, f64)| PointSpec {
+        series: format!("{c}C {kind:?} @{load}"),
+        config: base_config().candidates(c).arbiter(kind),
+        load,
+    };
+    specs.into_iter().map(point).collect()
+}
+
+/// The paper's §5 evaluation: Figures 3 and 4 read jitter and delay off one
+/// candidate × scheme × load sweep, Figure 5's two panels off one
+/// four-algorithm sweep, and the T1 claims off their eleven points.
+#[derive(Debug)]
+pub struct Paper {
+    /// Figure 3: jitter (router cycles) vs offered load for fixed and
+    /// biased priorities at 1, 2, 4 and 8 candidates.
+    pub fig3: SweepTable,
+    /// Figure 4: mean delay (microseconds) over the same sweep.
+    pub fig4: SweepTable,
+    /// Figure 5: delay (microseconds), then jitter (router cycles), for
+    /// biased(8C), fixed(8C), the Autonet/DEC scheduler and the perfect
+    /// switch.
+    pub fig5: [SweepTable; 2],
+    /// The T1 claims table.
+    pub claims: Vec<ClaimRow>,
+}
+
+/// Simulates each of the paper's three grids once, all in one worker pool
+/// (per `opts`), every point seeded from [`FIGURE_SEED`] by its index
+/// within its own grid.
+pub fn paper(quality: &Quality, opts: &SweepOptions) -> Paper {
+    let grids = [fig34_points(quality), fig5_points(quality), claims_points()];
+    let results = campaign::fan_out(&grids, Vec::len, opts, |points, i, _| {
+        let p = &points[i];
+        experiment(p.config.clone(), p.load, quality, point_seed(FIGURE_SEED, i))
+            .dense_stepping(opts.dense)
+            .run()
+    });
+    let table = |title: &str, grid: usize, metric: fn(&ExperimentResult) -> f64| {
+        let mut table = SweepTable::new(title);
+        for (p, r) in grids[grid].iter().zip(&results[grid]) {
+            table.push(&p.series, r.offered_load, metric(r));
+        }
+        table
+    };
+    let delay: fn(&ExperimentResult) -> f64 = |r| r.mean_delay_us;
+    let jitter: fn(&ExperimentResult) -> f64 = |r| r.mean_jitter_cycles;
+    Paper {
+        fig3: table("Figure 3 — jitter (router cycles) vs offered load", 0, jitter),
+        fig4: table("Figure 4 — delay (microseconds) vs offered load", 0, delay),
+        fig5: [
+            table("Figure 5 — delay (microseconds) vs offered load", 1, delay),
+            table("Figure 5 — jitter (router cycles) vs offered load", 1, jitter),
+        ],
+        claims: claims_table(&results[2]),
+    }
+}
+
+impl Paper {
+    /// The four renderings `mmr-bench paper` prints, in order, each with
+    /// the name of the `results/` file it is committed as; `plot` adds an
+    /// ASCII plot under each figure table.
+    pub fn files(&self, plot: bool) -> [(&'static str, String); 4] {
+        [
+            ("fig3.txt", render_tables([&self.fig3], plot)),
+            ("fig4.txt", render_tables([&self.fig4], plot)),
+            ("fig5.txt", render_tables(&self.fig5, plot)),
+            ("claims.txt", render_claims(&self.claims) + "\n"),
+        ]
+    }
+}
+
+/// Renders tables as `mmr-bench` prints them: each followed by a blank line
+/// and, with `plot`, by its ASCII plot.
+pub(crate) fn render_tables<'a>(
+    tables: impl IntoIterator<Item = &'a SweepTable>,
+    plot: bool,
+) -> String {
+    let mut text = String::new();
+    for table in tables {
+        text.push_str(&format!("{table}\n"));
+        if plot {
+            text.push_str(&format!("{}\n", mmr_sim::plot::ascii_plot(table, 64, 20)));
+        }
+    }
+    text
 }
 
 /// One in-text claim of §5.2, checked against measured values.
@@ -260,32 +243,9 @@ pub struct ClaimRow {
     pub holds: bool,
 }
 
-/// Reproduces the T1 claims table (the quantitative statements of §5.2).
-pub fn claims_table(quality: &Quality, opts: &SweepOptions) -> Vec<ClaimRow> {
-    // Fixed point order: each point's derived seed and the claims built from
-    // it depend only on this list, not on how the sweep is scheduled.
-    let specs = [
-        (2, ArbiterKind::BiasedPriority, 0.7),
-        (2, ArbiterKind::FixedPriority, 0.7),
-        (2, ArbiterKind::BiasedPriority, 0.8),
-        (2, ArbiterKind::FixedPriority, 0.8),
-        (8, ArbiterKind::BiasedPriority, 0.7),
-        (8, ArbiterKind::FixedPriority, 0.7),
-        (8, ArbiterKind::BiasedPriority, 0.8),
-        (8, ArbiterKind::FixedPriority, 0.8),
-        (8, ArbiterKind::BiasedPriority, 0.95),
-        (1, ArbiterKind::BiasedPriority, 0.95),
-        (8, ArbiterKind::FixedPriority, 0.95),
-    ];
-    let points: Vec<PointSpec> = specs
-        .iter()
-        .map(|&(c, kind, load)| PointSpec {
-            series: format!("{c}C {kind:?} @{load}"),
-            config: base_config().candidates(c).arbiter(kind),
-            load,
-        })
-        .collect();
-    let results = run_points(&points, quality, opts);
+/// The T1 claims table (the quantitative statements of §5.2), read off
+/// the results of [`claims_points`].
+fn claims_table(results: &[ExperimentResult]) -> Vec<ClaimRow> {
     let (biased2_70, fixed2_70) = (&results[0], &results[1]);
     let (biased2_80, fixed2_80) = (&results[2], &results[3]);
     let (biased8_70, fixed8_70) = (&results[4], &results[5]);
@@ -374,7 +334,7 @@ pub fn claims_table(quality: &Quality, opts: &SweepOptions) -> Vec<ClaimRow> {
 }
 
 /// Renders the claims table.
-pub fn render_claims(rows: &[ClaimRow]) -> String {
+fn render_claims(rows: &[ClaimRow]) -> String {
     let mut out = String::from("# T1 — in-text claims of §5.2, paper vs measured\n");
     for row in rows {
         out.push_str(&format!(

@@ -12,10 +12,7 @@ use mmr_bench::churn::Churn;
 use mmr_bench::cli::{self, Request, REGISTRY};
 use mmr_bench::faults::{Chaos, Faults};
 use mmr_bench::scale::Scale;
-use mmr_bench::{
-    ablations, claims_table, extensions, fig3_jitter, fig4_delay, fig5, render_claims, Fig5Metric,
-    Quality,
-};
+use mmr_bench::{ablations, extensions, paper, Quality};
 use mmr_sim::sweep::SweepOptions;
 
 fn tiny() -> Quality {
@@ -88,16 +85,13 @@ fn single_run_request(line: &str) -> (&'static cli::Entry, Request) {
 #[test]
 fn every_campaign_is_jobs_identical() {
     type Sweep = fn(&SweepOptions) -> String;
-    let sweeps: [(&str, Sweep); 6] = [
-        ("fig3", |o| fig3_jitter(&[1, 2], &tiny(), o).to_string()),
-        ("fig4", |o| fig4_delay(&[4, 8], &tiny(), o).to_string()),
-        ("fig5", |o| fig5(Fig5Metric::Delay, &tiny(), o).to_string()),
-        ("claims", |o| render_claims(&claims_table(&tiny(), o))),
+    let sweeps: [(&str, Sweep); 3] = [
+        ("paper", |o| paper(&tiny(), o).files(false).map(|(_, text)| text).concat()),
         ("ablations", |o| ablations::candidates(&tiny(), o).to_string()),
         ("extensions", |o| extensions::fault_recovery(2, o).to_string()),
     ];
     for (name, run) in sweeps {
-        jobs_identity(|o| Output { text: run(o), json: None, verdict: Ok(()) })
+        jobs_identity(|o| Output { text: run(o), json: None, files: Vec::new(), verdict: Ok(()) })
             .unwrap_or_else(|why| panic!("{name}: {why}"));
     }
     let grids: [(&str, fn()); 4] = [
@@ -149,6 +143,26 @@ fn single_runs_print_their_pinned_bytes() {
     }
 }
 
+/// `paper --dir` writes exactly its four files, and stdout is their
+/// concatenation in the order `paper` prints them.
+#[test]
+fn paper_dir_writes_the_four_files_stdout_prints() {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("paper");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("a fresh temporary directory");
+    let run = mmr_bench(&["paper", "--quick", "--dir", dir.to_str().expect("a UTF-8 path")]);
+    assert_eq!(run.status.code(), Some(0), "{}", String::from_utf8_lossy(&run.stderr));
+    let mut written: Vec<String> = std::fs::read_dir(&dir)
+        .expect("the directory lists")
+        .map(|entry| entry.expect("an entry").file_name().to_string_lossy().into_owned())
+        .collect();
+    written.sort();
+    assert_eq!(written, ["claims.txt", "fig3.txt", "fig4.txt", "fig5.txt"]);
+    let files = ["fig3.txt", "fig4.txt", "fig5.txt", "claims.txt"]
+        .map(|name| std::fs::read(dir.join(name)).expect("a written file"));
+    assert_eq!(run.stdout, files.concat());
+}
+
 /// The committed quick artefacts are byte-for-byte what the code renders —
 /// a change to a trial loop, a seed or a column fails here until the files
 /// are regenerated (README lists the commands).
@@ -172,14 +186,16 @@ fn committed_fault_and_chaos_artefacts_are_current() {
 /// nothing on stdout.
 #[test]
 fn malformed_command_lines_exit_2_with_usage() {
-    let cases: [(&[&str], &str); 52] = [
+    let cases: [(&[&str], &str); 53] = [
         // Unknown flags are rejected, not ignored: `--quik` used to run the
         // minutes-long paper sweep; the retired spellings are unknown too.
-        (&["fig3", "--quik"], "unknown flag '--quik' for fig3"),
+        (&["paper", "--quik"], "unknown flag '--quik' for paper"),
         (&["faults", "--full"], "unknown flag '--full' for faults"),
         // So are another campaign's flags.
         (&["faults", "--panel", "a"], "unknown flag '--panel' for faults"),
-        (&["fig3", "--out", "x.json"], "unknown flag '--out' for fig3"),
+        (&["paper", "--out", "x.json"], "unknown flag '--out' for paper"),
+        (&["paper", "--panel", "a"], "unknown flag '--panel' for paper"),
+        (&["paper", "--metric", "speed"], "unknown flag '--metric' for paper"),
         (&["router", "--bogus", "1"], "unknown flag '--bogus' for router"),
         (&["cost", "--json"], "unknown flag '--json' for cost"),
         // No flag is accepted and then ignored: `conform` has no quick grid,
@@ -190,15 +206,13 @@ fn malformed_command_lines_exit_2_with_usage() {
         // A flag missing its value: `fig3 --panel` used to index out of
         // bounds (exit 101), `faultsweep --out` to overwrite the committed
         // BENCH_faults.json.
-        (&["fig3", "--panel"], "--panel expects a value"),
-        (&["fig3", "--jobs"], "--jobs expects a value"),
+        (&["paper", "--dir"], "--dir expects a value"),
+        (&["paper", "--jobs"], "--jobs expects a value"),
         (&["faults", "--out"], "--out expects a value"),
         (&["faults", "--out", "--quick"], "--out expects a value"),
         // Malformed values.
-        (&["fig3", "--jobs", "0"], "--jobs expects a positive integer"),
-        (&["fig3", "--jobs", "four"], "--jobs expects a positive integer"),
-        (&["fig3", "--panel", "c"], "--panel expects a or b, not 'c'"),
-        (&["fig5", "--metric", "speed"], "--metric expects delay or jitter, not 'speed'"),
+        (&["paper", "--jobs", "0"], "--jobs expects a positive integer"),
+        (&["paper", "--jobs", "four"], "--jobs expects a positive integer"),
         (&["conform", "--cases"], "--cases expects a value"),
         (&["conform", "--cases", "many"], "--cases expects a non-negative integer"),
         (&["conform", "--bug", "nope"], "--bug expects phantom-credit, not 'nope'"),
@@ -245,6 +259,7 @@ fn malformed_command_lines_exit_2_with_usage() {
         // Unknown campaign, ablation and extension names.
         (&[], "no campaign named"),
         (&["fig6"], "unknown campaign 'fig6'"),
+        (&["fig3"], "unknown campaign 'fig3'"),
         (&["check", "fig6"], "unknown campaign 'fig6'"),
         (&["ablations", "round-q"], "unknown ablations name 'round-q'"),
         (&["extensions", "round-k"], "unknown extensions name 'round-k'"),

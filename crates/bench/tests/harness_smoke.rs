@@ -2,10 +2,9 @@
 //! produces structurally sound output (tiny windows; shape assertions live
 //! in the workspace integration tests).
 
-use mmr_bench::{
-    ablations, claims_table, extensions, fig3_jitter, fig4_delay, fig5, render_claims,
-    Fig5Metric, Quality,
-};
+use std::sync::OnceLock;
+
+use mmr_bench::{ablations, extensions, paper, Paper, Quality};
 use mmr_sim::sweep::SweepOptions;
 
 fn tiny() -> Quality {
@@ -16,11 +15,19 @@ fn serial() -> SweepOptions {
     SweepOptions::serial()
 }
 
+/// The paper's grids on tiny windows, simulated once for every test here.
+fn tiny_paper() -> &'static Paper {
+    static PAPER: OnceLock<Paper> = OnceLock::new();
+    PAPER.get_or_init(|| paper(&tiny(), &serial()))
+}
+
 #[test]
 fn fig3_produces_one_series_per_scheme_and_candidate() {
-    let table = fig3_jitter(&[1, 4], &tiny(), &serial());
+    let table = &tiny_paper().fig3;
     let names: Vec<&str> = table.series_names().collect();
-    assert_eq!(names, vec!["1C biased", "1C fixed", "4C biased", "4C fixed"]);
+    let expected: Vec<String> =
+        [1, 2, 4, 8].iter().flat_map(|c| [format!("{c}C biased"), format!("{c}C fixed")]).collect();
+    assert_eq!(names, expected);
     for name in names {
         let pts = table.series(name).expect("series exists");
         assert_eq!(pts.len(), 1);
@@ -30,7 +37,7 @@ fn fig3_produces_one_series_per_scheme_and_candidate() {
 
 #[test]
 fn fig4_reports_microseconds() {
-    let table = fig4_delay(&[2], &tiny(), &serial());
+    let table = &tiny_paper().fig4;
     let pts = table.series("2C biased").expect("series exists");
     // At 50% load, delays are well under 10 us.
     assert!(pts[0].y < 10.0, "{}", pts[0].y);
@@ -38,17 +45,19 @@ fn fig4_reports_microseconds() {
 
 #[test]
 fn fig5_covers_all_four_algorithms() {
-    let table = fig5(Fig5Metric::Jitter, &tiny(), &serial());
-    let names: Vec<&str> = table.series_names().collect();
-    assert_eq!(names, vec!["biased", "fixed", "DEC", "perfect"]);
+    for table in &tiny_paper().fig5 {
+        let names: Vec<&str> = table.series_names().collect();
+        assert_eq!(names, vec!["biased", "fixed", "DEC", "perfect"]);
+    }
 }
 
 #[test]
 fn claims_table_has_six_rows_and_renders() {
-    let rows = claims_table(&tiny(), &serial());
-    assert_eq!(rows.len(), 6);
-    let text = render_claims(&rows);
-    for row in &rows {
+    let paper = tiny_paper();
+    assert_eq!(paper.claims.len(), 6);
+    let [.., (name, text)] = paper.files(false);
+    assert_eq!(name, "claims.txt");
+    for row in &paper.claims {
         assert!(text.contains(row.id));
     }
 }
@@ -69,20 +78,4 @@ fn extensions_run_on_tiny_inputs() {
     assert!(faults.series("recovery rate").is_some());
     let latency = extensions::setup_latency(2, &serial());
     assert!(latency.series_names().count() >= 2);
-}
-
-#[test]
-fn replication_reports_mean_and_stderr() {
-    use mmr_bench::replicate;
-    use mmr_core::router::RouterConfig;
-    let q = Quality { warmup: 200, measure: 1_000, loads: vec![] };
-    let (mean, stderr) = replicate(
-        RouterConfig::paper_default().vcs_per_port(32),
-        0.6,
-        &q,
-        3,
-        |r| r.mean_jitter_cycles,
-    );
-    assert!(mean > 0.0, "jitter exists at 60% load: {mean}");
-    assert!(stderr >= 0.0 && stderr < mean * 2.0, "stderr sane: {stderr} vs {mean}");
 }

@@ -250,7 +250,6 @@ impl Default for DelayJitterRecorder {
 
 #[derive(Debug, Clone)]
 struct FlowJitter {
-    first_delay: f64,
     last_delay: f64,
     jitter: Accumulator,
 }
@@ -282,8 +281,7 @@ impl DelayJitterRecorder {
                 f.last_delay = d;
             }
             slot => {
-                *slot =
-                    Some(FlowJitter { first_delay: d, last_delay: d, jitter: Accumulator::new() });
+                *slot = Some(FlowJitter { last_delay: d, jitter: Accumulator::new() });
                 self.flows += 1;
             }
         }
@@ -332,28 +330,6 @@ impl DelayJitterRecorder {
             all.merge(&f.jitter);
         }
         all.mean()
-    }
-
-    /// Connection-weighted mean *signed* successive-delay difference. The
-    /// signed differences telescope, so per connection this is
-    /// `(last_delay − first_delay) / (flits − 1)`: a drift indicator that is
-    /// ≈ 0 for a scheduler in steady state and grows when queues build over
-    /// the measurement window (an alternative literal reading of the
-    /// paper's "difference in the delays of successive flits").
-    pub fn mean_drift_cycles(&self) -> f64 {
-        let mut sum = 0.0;
-        let mut n = 0u64;
-        for f in self.per_flow.iter().flatten() {
-            if f.jitter.count() > 0 {
-                sum += (f.last_delay - f.first_delay) / f.jitter.count() as f64;
-                n += 1;
-            }
-        }
-        if n == 0 {
-            0.0
-        } else {
-            sum / n as f64
-        }
     }
 
     /// p50/p95/p99 switch delay in cycles; `None` before the first flit.
@@ -587,8 +563,6 @@ mod tests {
         assert_eq!(r.flow_jitter(1), Some(0.0));
         // Connection-weighted: (1.5 + 0.0) / 2.
         assert!((r.mean_jitter_cycles() - 0.75).abs() < 1e-12);
-        // Drift: flow 0 went 1 -> 2 over 2 steps (+0.5), flow 1 is flat.
-        assert!((r.mean_drift_cycles() - 0.25).abs() < 1e-12);
         // Flit-weighted: (2 + 1 + 0) / 3.
         assert!((r.mean_jitter_cycles_flit_weighted() - 1.0).abs() < 1e-12);
     }

@@ -64,11 +64,6 @@ fn flow_metrics_ignore_flow_arrival_order() {
         reversed.mean_jitter_cycles_flit_weighted().to_bits(),
         "flit-weighted jitter depends on flow arrival order"
     );
-    assert_eq!(
-        forward.mean_drift_cycles().to_bits(),
-        reversed.mean_drift_cycles().to_bits(),
-        "drift depends on flow arrival order"
-    );
     for (flow, _) in flow_traces() {
         assert_eq!(
             forward.flow_jitter(flow).map(f64::to_bits),

@@ -160,7 +160,6 @@ impl Experiment {
             mean_delay_us: timing.cycles_f64_to_time(recorder.mean_delay_cycles()).us(),
             max_delay_cycles: recorder.max_delay_cycles(),
             mean_jitter_cycles: recorder.mean_jitter_cycles(),
-            mean_drift_cycles: recorder.mean_drift_cycles(),
             delay_tail: recorder.delay_tail(),
             jitter_tail: recorder.jitter_tail(),
             utilization: measured_flits as f64
@@ -212,10 +211,6 @@ pub struct ExperimentResult {
     pub max_delay_cycles: f64,
     /// Connection-weighted mean jitter in flit cycles (Figure 3/5 y-axis).
     pub mean_jitter_cycles: f64,
-    /// Connection-weighted mean *signed* successive-delay difference (a
-    /// drift/stability indicator; see
-    /// [`mmr_sim::DelayJitterRecorder::mean_drift_cycles`]).
-    pub mean_drift_cycles: f64,
     /// p50/p95/p99 switch delay in cycles; `None` when no flit was measured.
     pub delay_tail: Option<TailSummary>,
     /// p50/p95/p99 flit-weighted |Δdelay| jitter in cycles.

@@ -16,11 +16,12 @@
 //! structured fabrics under teardown / refill rounds and a link outage.
 
 use std::path::PathBuf;
+use std::sync::OnceLock;
 
 use mmr_bench::campaign::Campaign;
 use mmr_bench::churn::ChurnSpec;
 use mmr_bench::faults::{CampaignTopology, Chaos};
-use mmr_bench::{churn, faults, fig3_jitter, fig4_delay, fig5, Fig5Metric, Quality};
+use mmr_bench::{churn, faults, paper, Quality};
 use mmr_conform::{parse_seed, run_scenario, CaseRun, ChurnAction, Hooks, Scenario};
 use mmr_core::router::{RouterConfig, RouterStats};
 use mmr_core::{AuditConfig, AuditViolation};
@@ -145,35 +146,51 @@ fn engines() -> (SweepOptions, SweepOptions) {
     (event, SweepOptions { dense: true, ..event })
 }
 
-/// Figure 3 panel (a), quick preset: byte-identical tables.
+/// `paper`'s quick renderings under the event-driven and the dense engine,
+/// computed once and shared by the four tests below.
+fn paper_files() -> &'static [[(&'static str, String); 4]; 2] {
+    static FILES: OnceLock<[[(&'static str, String); 4]; 2]> = OnceLock::new();
+    FILES.get_or_init(|| {
+        let quality = Quality::quick();
+        let (event, dense) = engines();
+        [paper(&quality, &event).files(false), paper(&quality, &dense).files(false)]
+    })
+}
+
+/// Asserts that `paper`'s rendering `name` is byte-identical across engines.
+fn assert_paper_file_agrees(name: &str) {
+    let [event, dense] = paper_files();
+    let find = |files: &[(&str, String); 4]| {
+        files.iter().find(|(file, _)| *file == name).map(|(_, text)| text.clone())
+    };
+    let (a, b) = (find(event).expect(name), find(dense).expect(name));
+    assert_eq!(a, b, "{name} differs between the event-driven and dense engines");
+}
+
+/// Figure 3, quick preset: byte-identical tables.
 #[test]
 fn fig3_quick_is_byte_identical_across_engines() {
-    let quality = Quality::quick();
-    let (event, dense) = engines();
-    let a = format!("{}", fig3_jitter(&[1, 2], &quality, &event));
-    let b = format!("{}", fig3_jitter(&[1, 2], &quality, &dense));
-    assert_eq!(a, b, "fig3 differs between the event-driven and dense engines");
+    assert_paper_file_agrees("fig3.txt");
 }
 
 /// Figure 4, quick preset: byte-identical tables.
 #[test]
 fn fig4_quick_is_byte_identical_across_engines() {
-    let quality = Quality::quick();
-    let (event, dense) = engines();
-    let a = format!("{}", fig4_delay(&[1, 2], &quality, &event));
-    let b = format!("{}", fig4_delay(&[1, 2], &quality, &dense));
-    assert_eq!(a, b, "fig4 differs between the event-driven and dense engines");
+    assert_paper_file_agrees("fig4.txt");
 }
 
 /// Figure 5 (all four scheduling algorithms, including Autonet/DEC and
-/// the perfect switch), quick preset: byte-identical tables.
+/// the perfect switch, in both metrics), quick preset: byte-identical
+/// tables.
 #[test]
 fn fig5_quick_is_byte_identical_across_engines() {
-    let quality = Quality::quick();
-    let (event, dense) = engines();
-    let a = format!("{}", fig5(Fig5Metric::Jitter, &quality, &event));
-    let b = format!("{}", fig5(Fig5Metric::Jitter, &quality, &dense));
-    assert_eq!(a, b, "fig5 differs between the event-driven and dense engines");
+    assert_paper_file_agrees("fig5.txt");
+}
+
+/// The T1 claims points, quick preset: byte-identical tables.
+#[test]
+fn claims_quick_is_byte_identical_across_engines() {
+    assert_paper_file_agrees("claims.txt");
 }
 
 /// perfbench's `dragonfly_sparse` recipe in miniature: a 20-router dragonfly
