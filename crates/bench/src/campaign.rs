@@ -268,12 +268,8 @@ pub fn jobs_identity<T: PartialEq>(run: impl Fn(&SweepOptions) -> T) -> Result<T
     Ok(serial)
 }
 
-/// Test gate: the first two cells of `C`'s quick grid render the same bytes
-/// at any worker count.
-///
-/// # Panics
-///
-/// When they do not.
+/// For tests: panics unless the first two quick-grid cells are byte-identical across job counts.
+#[doc(hidden)]
 pub fn assert_jobs_identity<C: Campaign>() {
     let grid = C::grid(true);
     let sample = &grid[..grid.len().min(2)];

@@ -163,9 +163,8 @@ impl StatusMatrix {
         out.count_ones()
     }
 
-    /// VCs satisfying all of `require` and none of `exclude` — the paper's
-    /// example query "flits_available, credits_available for flit
-    /// transmission, CBR_service_requested and *not* CBR_Completely_Serviced".
+    /// For tests: the VCs with every `require` bit and no `exclude` bit (§4.1's example query).
+    #[doc(hidden)]
     pub fn matching(&self, require: &[Condition], exclude: &[Condition]) -> StatusBits {
         let mut acc = self.all_of(require);
         for &c in exclude {

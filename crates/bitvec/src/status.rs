@@ -19,7 +19,7 @@ const INLINE_WORDS: usize = 4;
 /// (§4.1 of the MMR paper): one bit per virtual channel, wide logical
 /// operations, and constant-time priority encoding.
 ///
-/// Vectors of up to [`INLINE_WORDS`] × 64 bits are stored inline (no heap
+/// Vectors of up to `INLINE_WORDS` × 64 bits are stored inline (no heap
 /// allocation); longer vectors spill to a `Vec`. The representation is
 /// invisible to callers — equality, hashing, and every operation are
 /// defined over the logical bits only.
@@ -297,7 +297,8 @@ impl StatusBits {
         self.words().iter().any(|&w| w != 0)
     }
 
-    /// Index of the lowest set bit (a hardware priority encoder), if any.
+    /// For tests: the lowest set bit, the paper's priority encoder.
+    #[doc(hidden)]
     pub fn first_set(&self) -> Option<usize> {
         for (wi, &w) in self.words().iter().enumerate() {
             if w != 0 {

@@ -54,15 +54,6 @@ impl ArbiterKind {
     pub fn autonet_default() -> Self {
         ArbiterKind::Autonet { iterations: 4 }
     }
-
-    /// Whether this scheme ranks candidates by an explicit priority value
-    /// (as opposed to random or rotating selection).
-    pub fn uses_priorities(self) -> bool {
-        matches!(
-            self,
-            ArbiterKind::FixedPriority | ArbiterKind::BiasedPriority | ArbiterKind::OldestFirst
-        )
-    }
 }
 
 /// The service phase of a candidate, ordered by scheduling precedence
@@ -201,11 +192,6 @@ mod tests {
 
     #[test]
     fn kind_classification() {
-        assert!(ArbiterKind::FixedPriority.uses_priorities());
-        assert!(ArbiterKind::BiasedPriority.uses_priorities());
-        assert!(ArbiterKind::OldestFirst.uses_priorities());
-        assert!(!ArbiterKind::autonet_default().uses_priorities());
-        assert!(!ArbiterKind::Perfect.uses_priorities());
         assert_eq!(ArbiterKind::autonet_default(), ArbiterKind::Autonet { iterations: 4 });
     }
 }

@@ -9,7 +9,7 @@
 //! long before it shows up in a throughput figure.
 //!
 //! [`Auditor`] checks the laws explicitly. It is deliberately read-only:
-//! [`Auditor::check_router`] inspects a [`Router`] between flit cycles via
+//! [`Auditor::visit_router`] inspects a [`Router`] between flit cycles via
 //! its public introspection surface, and the multi-router simulator feeds
 //! end-to-end delivery events into [`Auditor::observe_delivery`]. Violations
 //! are reported as structured [`AuditViolation`] values rather than panics,
@@ -218,13 +218,15 @@ impl Default for AuditConfig {
 }
 
 impl AuditConfig {
-    /// Overrides the starvation watchdog threshold.
+    /// For tests: overrides the starvation watchdog threshold.
+    #[doc(hidden)]
     pub fn starvation_threshold(mut self, threshold: Cycles) -> Self {
         self.starvation_threshold = threshold;
         self
     }
 
-    /// Overrides the stored-violation cap.
+    /// For tests: overrides the stored-violation cap.
+    #[doc(hidden)]
     pub fn max_violations(mut self, max: usize) -> Self {
         self.max_violations = max;
         self
@@ -278,19 +280,17 @@ impl Auditor {
         }
     }
 
-    /// Audits one router's invariants, all of them: the exhaustive oracle.
-    /// Call between flit cycles (after [`Router::step`]); `router` identifies
-    /// the instance in reports and `now` drives the starvation watchdog.
-    /// Linear in ports + connections and allocation-free once warm.
+    /// For tests: audits every invariant of one router, the exhaustive oracle.
+    #[doc(hidden)]
     pub fn check_router(&mut self, router: u16, r: &Router, now: Cycles) {
         self.visit_router(router, r, now, true, r.connections_iter(), |_| {});
     }
 
-    /// The part of [`Auditor::check_router`] a caller asks for when it knows
-    /// what changed on the router since its last check: the per-port laws
+    /// Audits one router between flit cycles (after [`Router::step`]),
+    /// asking for what changed since its last check: the per-port laws
     /// (VC slots, bandwidth books, round budget) if `ports`, then the three
     /// per-connection laws for `conns` — connections of `r` in ascending id
-    /// order; all of them, with `ports`, is `check_router`. For a caller
+    /// order; all of them, with `ports`, is the exhaustive oracle. For a caller
     /// that re-visits what is broken, `broken` receives every connection
     /// found in violation and the return value says whether a per-port law
     /// is. Counts as one check.

@@ -1,4 +1,4 @@
-//! Rounds, bandwidth allocation registers, admission control and policing.
+//! Rounds, bandwidth allocation registers and admission control.
 //!
 //! §4.1–§4.2 of the paper: link bandwidth is split into flit cycles, grouped
 //! into *rounds* of `K × V` cycles (`V` = virtual channels per link,
@@ -46,11 +46,6 @@ impl RoundConfig {
     /// The round length in flit cycles.
     pub fn cycles_per_round(self) -> u64 {
         self.vcs_per_link as u64 * u64::from(self.k)
-    }
-
-    /// The multiplier `K`.
-    pub fn k(self) -> u32 {
-        self.k
     }
 
     /// Bandwidth represented by one flit cycle per round — the allocation
@@ -167,12 +162,14 @@ impl LinkBandwidthBook {
         self.round.cycles_per_round() as f64 * (1.0 - self.best_effort_reserve)
     }
 
-    /// Currently allocated guaranteed cycles/round.
+    /// For tests: the allocated guaranteed cycles/round.
+    #[doc(hidden)]
     pub fn guaranteed_allocated(&self) -> f64 {
         self.guaranteed_register
     }
 
-    /// Currently booked VBR peak cycles/round.
+    /// For tests: the booked VBR peak cycles/round.
+    #[doc(hidden)]
     pub fn peak_booked(&self) -> f64 {
         self.peak_register
     }
@@ -244,50 +241,6 @@ impl LinkBandwidthBook {
     }
 }
 
-/// A per-connection token-bucket policer (§4.2: "a policing protocol
-/// operates by limiting the injection of new flits … each connection does
-/// not use higher link bandwidth than that allocated").
-///
-/// One token buys one flit; tokens accrue at the allocated rate (in flits
-/// per flit cycle) up to a configurable burst depth.
-#[derive(Debug, Clone)]
-pub struct Policer {
-    tokens: f64,
-    rate_per_cycle: f64,
-    burst: f64,
-}
-
-impl Policer {
-    /// Creates a policer for a connection allocated `rate` on a link with
-    /// the given timing, allowing bursts of `burst` flits. The bucket starts
-    /// full.
-    pub fn new(rate: Bandwidth, timing: FlitTiming, burst: f64) -> Self {
-        assert!(burst >= 1.0, "burst below one flit would block all traffic");
-        let rate_per_cycle = rate.fraction_of(timing.link_rate());
-        Policer { tokens: burst, rate_per_cycle, burst }
-    }
-
-    /// Accrues tokens for `cycles` elapsed flit cycles.
-    pub fn advance(&mut self, cycles: u64) {
-        self.tokens = (self.tokens + self.rate_per_cycle * cycles as f64).min(self.burst);
-    }
-
-    /// Attempts to spend one token (inject one flit).
-    pub fn try_take(&mut self) -> bool {
-        if self.tokens >= 1.0 {
-            self.tokens -= 1.0;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Tokens currently available.
-    pub fn tokens(&self) -> f64 {
-        self.tokens
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -304,7 +257,6 @@ mod tests {
     fn round_length_and_granularity() {
         let r = RoundConfig::new(256, 2);
         assert_eq!(r.cycles_per_round(), 512);
-        assert_eq!(r.k(), 2);
         // Granularity = 1.24 Gbps / 512 ≈ 2.42 Mbps.
         assert!((r.granularity(timing()).mbps() - 2.421875).abs() < 1e-6);
         // A 55 Mbps connection needs ~22.7 cycles/round.
@@ -397,20 +349,5 @@ mod tests {
         b.try_admit(QosClass::Cbr { rate: Bandwidth::from_gbps(1.24) }).expect("full link");
         let err = b.try_admit(QosClass::Cbr { rate: Bandwidth::from_mbps(1.0) }).unwrap_err();
         assert!(err.to_string().contains("guaranteed bandwidth exhausted"));
-    }
-
-    #[test]
-    fn policer_enforces_rate() {
-        // 10% of link rate, burst of 2.
-        let mut p = Policer::new(Bandwidth::from_mbps(124.0), timing(), 2.0);
-        assert!(p.try_take() && p.try_take(), "burst available initially");
-        assert!(!p.try_take(), "bucket empty");
-        p.advance(5); // 0.5 tokens
-        assert!(!p.try_take());
-        p.advance(5); // 1.0 token
-        assert!(p.try_take());
-        // Long idle caps at the burst.
-        p.advance(10_000);
-        assert!((p.tokens() - 2.0).abs() < 1e-12);
     }
 }

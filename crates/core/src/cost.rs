@@ -2,10 +2,9 @@
 //!
 //! The paper's conclusions hinge on implementability: "Targeting 1–2 Gbps
 //! links and 128-bit flit sizes, the crossbar must be capable of computing
-//! switch settings at a rate of 64 ns–128 ns" (§6), and §3.3 justifies the
-//! multiplexed crossbar by silicon area. This module provides a
-//! Chien-style delay/area model (after A. Chien, *"A cost and speed model
-//! for k-ary n-cube wormhole routers"*, ref [8] of the paper) specialised
+//! switch settings at a rate of 64 ns–128 ns" (§6). This module provides a
+//! Chien-style delay model (after A. Chien, *"A cost and speed model
+//! for k-ary n-cube wormhole routers"*, ref \[8\] of the paper) specialised
 //! to the MMR's structures: bit-vector candidate selection, candidate-set
 //! switch arbitration, multiplexed-crossbar traversal and reconfiguration.
 //!
@@ -15,9 +14,7 @@
 //! *scaling* with ports, virtual channels and candidates is the point —
 //! that is what the paper's trade-off discussion argues about.
 
-use mmr_sim::{Bandwidth, FlitTiming};
-
-use crate::crossbar::CrossbarOrganization;
+use mmr_sim::Bandwidth;
 
 /// Technology and microarchitecture parameters of the estimate.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -77,52 +74,18 @@ impl CostModel {
         (self.candidate_select_delay() + self.switch_arbitration_delay()) * self.ns_per_gate
     }
 
-    /// The flit-cycle budget for a link of the given rate and flit size.
-    pub fn flit_cycle_budget_ns(&self, timing: FlitTiming) -> f64 {
-        timing.cycle_time_ns()
-    }
-
-    /// Whether the scheduler meets the flit-cycle budget (the §6 feasibility
-    /// requirement: scheduling must complete within one flit cycle so it can
-    /// be overlapped with the current transmission).
-    pub fn meets_budget(&self, timing: FlitTiming) -> bool {
-        self.schedule_time_ns() <= self.flit_cycle_budget_ns(timing)
-    }
-
     /// The fastest link rate this configuration can schedule for, in
     /// bits/s, given the flit size.
     pub fn max_link_rate(&self, flit_bits: u32) -> Bandwidth {
         let cycle_ns = self.schedule_time_ns();
         Bandwidth::from_bps(f64::from(flit_bits) / (cycle_ns * 1e-9))
     }
-
-    /// Relative silicon area of the internal switch for the given
-    /// organisation (normalised to one multiplexed crosspoint): crosspoint
-    /// count × datapath width.
-    pub fn switch_area(&self, organisation: CrossbarOrganization) -> f64 {
-        let base = (self.ports * self.ports) as f64 * f64::from(self.datapath_bits);
-        base * organisation.relative_area(self.vcs_per_port)
-    }
-
-    /// Relative area of the scheduling state: the status bit vectors
-    /// (bits per condition per VC) plus per-VC priority/bookkeeping
-    /// registers (modelled as 64 bits per VC) across all ports.
-    pub fn scheduler_state_area(&self) -> f64 {
-        let conditions = 7.0; // the Condition enum of mmr-bitvec
-        (self.ports * self.vcs_per_port) as f64 * (conditions + 64.0)
-    }
-
-    /// Relative area of the virtual channel memory: V × depth × flit bits
-    /// per port (depth fixed at the paper's 4 flits).
-    pub fn vcm_area(&self, vc_depth: usize) -> f64 {
-        (self.ports * self.vcs_per_port * vc_depth) as f64 * 128.0
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mmr_sim::Bandwidth;
+    use mmr_sim::FlitTiming;
 
     #[test]
     fn paper_configuration_meets_its_own_budget() {
@@ -135,7 +98,7 @@ mod tests {
             "schedule in {} ns <= 128 ns budget",
             m.schedule_time_ns()
         );
-        assert!(m.meets_budget(t_1g));
+        assert!(m.schedule_time_ns() <= t_1g.cycle_time_ns());
     }
 
     #[test]
@@ -144,7 +107,7 @@ mod tests {
         // aggressive end. The model agrees it is tight with 8 candidates.
         let m = CostModel::paper_default();
         let t_2g = FlitTiming::new(128, Bandwidth::from_gbps(2.0));
-        let slack = m.flit_cycle_budget_ns(t_2g) - m.schedule_time_ns();
+        let slack = t_2g.cycle_time_ns() - m.schedule_time_ns();
         assert!(slack.abs() < 64.0, "2 Gbps is near the feasibility edge: slack {slack} ns");
     }
 
@@ -171,29 +134,11 @@ mod tests {
     }
 
     #[test]
-    fn multiplexed_crossbar_is_v_and_v2_cheaper() {
-        let m = CostModel::paper_default();
-        let mux = m.switch_area(CrossbarOrganization::Multiplexed);
-        let partial = m.switch_area(CrossbarOrganization::PartiallyDemultiplexed);
-        let full = m.switch_area(CrossbarOrganization::FullyDemultiplexed);
-        assert!((partial / mux - 256.0).abs() < 1e-9);
-        assert!((full / mux - 65536.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn vcm_dominates_scheduler_state() {
-        // The cache-like VCM is the big RAM; scheduler bit vectors are small
-        // by comparison — the paper's "trade space (silicon) for time".
-        let m = CostModel::paper_default();
-        assert!(m.vcm_area(4) > 5.0 * m.scheduler_state_area());
-    }
-
-    #[test]
     fn max_link_rate_is_consistent() {
         let m = CostModel::paper_default();
         let max = m.max_link_rate(128);
-        assert!(m.meets_budget(FlitTiming::new(128, max * 0.99)));
-        assert!(!m.meets_budget(FlitTiming::new(128, max * 1.01)));
+        assert!(m.schedule_time_ns() <= FlitTiming::new(128, max * 0.99).cycle_time_ns());
+        assert!(m.schedule_time_ns() > FlitTiming::new(128, max * 1.01).cycle_time_ns());
     }
 
     #[test]

@@ -10,37 +10,12 @@
 //!
 //! Behaviourally the crossbar just carries the matched flits; this module
 //! keeps the *accounting* the architecture sections reason about — port
-//! constraints, reconfiguration counts, and the silicon-area comparison
-//! across crossbar organisations. (Serialization is modelled at phit
+//! constraints and reconfiguration counts. (Serialization is modelled at phit
 //! granularity in `tests/phit_pipeline.rs`.)
 
 use crate::ids::PortId;
 use crate::switchsched::MatchedPair;
 use crate::table::set_ports;
-
-/// Crossbar organisations compared in §3.3.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CrossbarOrganization {
-    /// One crossbar port per physical link (the MMR's choice).
-    Multiplexed,
-    /// One crossbar input per VC, one output per link.
-    PartiallyDemultiplexed,
-    /// One crossbar port per VC on both sides.
-    FullyDemultiplexed,
-}
-
-impl CrossbarOrganization {
-    /// Relative silicon area for `links` physical links with `vcs` virtual
-    /// channels each, normalised to the multiplexed organisation (area
-    /// ∝ inputs × outputs).
-    pub fn relative_area(self, vcs: usize) -> f64 {
-        match self {
-            CrossbarOrganization::Multiplexed => 1.0,
-            CrossbarOrganization::PartiallyDemultiplexed => vcs as f64,
-            CrossbarOrganization::FullyDemultiplexed => (vcs as f64) * (vcs as f64),
-        }
-    }
-}
 
 /// Configuration and cycle-accounting state of the internal switch.
 #[derive(Debug, Clone)]
@@ -105,7 +80,8 @@ impl Crossbar {
         self.connected == 0
     }
 
-    /// The output currently connected to `input`, if any.
+    /// For tests: the output currently connected to `input`, if any.
+    #[doc(hidden)]
     pub fn route_of(&self, input: PortId) -> Option<PortId> {
         self.config.get(input.index()).copied().flatten()
     }
@@ -128,18 +104,6 @@ mod tests {
             output: PortId(o),
             conn: ConnectionId(0),
         }
-    }
-
-    #[test]
-    fn area_scaling_matches_paper() {
-        // "It reduces silicon area by V and V², respectively."
-        let v = 256;
-        let mux = CrossbarOrganization::Multiplexed.relative_area(v);
-        let partial = CrossbarOrganization::PartiallyDemultiplexed.relative_area(v);
-        let full = CrossbarOrganization::FullyDemultiplexed.relative_area(v);
-        assert_eq!(mux, 1.0);
-        assert_eq!(partial / mux, 256.0);
-        assert_eq!(full / mux, 65_536.0);
     }
 
     #[test]

@@ -54,7 +54,8 @@ pub struct VcRef {
 }
 
 impl VcRef {
-    /// Convenience constructor from raw indices.
+    /// For tests: a `VcRef` from raw indices.
+    #[doc(hidden)]
     pub fn new(port: u8, vc: u16) -> Self {
         VcRef { port: PortId(port), vc: VcIndex(vc) }
     }

@@ -68,10 +68,10 @@ pub mod vcm;
 
 pub use arbiter::{ArbiterKind, Candidate, ServicePhase};
 pub use audit::{AuditConfig, AuditViolation, Auditor, VcSide};
-pub use bandwidth::{AdmissionError, Allocation, LinkBandwidthBook, Policer, RoundConfig};
+pub use bandwidth::{AdmissionError, Allocation, LinkBandwidthBook, RoundConfig};
 pub use conn::{ConnState, ConnectionRequest, ConnectionTable, QosClass};
 pub use cost::CostModel;
-pub use crossbar::{Crossbar, CrossbarOrganization};
+pub use crossbar::Crossbar;
 pub use flit::{CommandWord, Flit, FlitKind};
 pub use ids::{ConnectionId, PortId, VcIndex, VcRef};
 pub use linksched::CandidatePolicy;
@@ -84,5 +84,5 @@ pub use router::{
     RouterStats, StepReport, Transmitted,
 };
 pub use switchsched::{is_valid_matching, MatchedPair, SwitchScheduler};
-pub use table::{OutputSet, PhaseMap, PortMap, VcMap};
+pub use table::{OutputSet, PortMap, VcMap};
 pub use vcm::{BankTimingModel, VcmError, VirtualChannelMemory};

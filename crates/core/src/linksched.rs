@@ -527,9 +527,8 @@ impl LinkScheduler {
     }
 }
 
-/// One-shot convenience wrapper around [`LinkScheduler::select`] for tests
-/// and callers outside the per-cycle hot path: allocates a fresh scheduler
-/// and returns the selection as a [`LinkSchedOutcome`].
+/// For tests: a one-shot [`LinkScheduler::select`] on a fresh scheduler.
+#[doc(hidden)]
 pub fn select_candidates(view: &LinkSchedView<'_>) -> LinkSchedOutcome {
     let mut scheduler = LinkScheduler::new(view.vcm.vcs());
     let mut candidates = Vec::new();

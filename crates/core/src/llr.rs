@@ -84,7 +84,8 @@ impl Default for LlrConfig {
 }
 
 impl LlrConfig {
-    /// Overrides the replay window.
+    /// For tests: overrides the replay window.
+    #[doc(hidden)]
     pub fn window(mut self, window: usize) -> Self {
         // mmr-lint: allow(P-PANIC, reason="construction-time config validation, not on the flit-cycle path")
         assert!(window > 0, "LLR window must hold at least one frame");
@@ -92,7 +93,8 @@ impl LlrConfig {
         self
     }
 
-    /// Overrides the tail-loss timeout.
+    /// For tests: overrides the tail-loss timeout.
+    #[doc(hidden)]
     pub fn timeout(mut self, timeout: Cycles) -> Self {
         self.timeout = timeout;
         self
@@ -290,14 +292,10 @@ impl<F: LlrFrame> LlrSender<F> {
         popped
     }
 
-    /// Frames stamped but not yet acknowledged.
+    /// For tests: frames stamped but not yet acknowledged.
+    #[doc(hidden)]
     pub fn unacked(&self) -> usize {
         self.replay.len()
-    }
-
-    /// Frames waiting for window room.
-    pub fn backlog_len(&self) -> usize {
-        self.backlog.len()
     }
 
     /// Whether every frame handed to the sender has been acknowledged.
@@ -548,7 +546,6 @@ mod tests {
         }
         assert_eq!(sent, 2);
         assert_eq!(tx.unacked(), 2);
-        assert_eq!(tx.backlog_len(), 3);
         // Acking frees the window for the backlog.
         tx.on_signal(LlrSignal::Ack { up_to: 1 }, Cycles(10));
         assert_eq!(tx.unacked(), 0);

@@ -472,7 +472,8 @@ impl Router {
         self.quarantined = false;
     }
 
-    /// Whether the router is currently quarantined (node failed).
+    /// For tests: whether the router is quarantined (node failed).
+    #[doc(hidden)]
     pub fn is_quarantined(&self) -> bool {
         self.quarantined
     }

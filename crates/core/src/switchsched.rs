@@ -88,17 +88,8 @@ impl SwitchScheduler {
         self.kind
     }
 
-    /// Computes the matching for the next flit cycle.
-    ///
-    /// `candidates[p]` is input port `p`'s ranked candidate list (from
-    /// [`crate::linksched::select_candidates`]); `output_blocked[o]` marks
-    /// outputs already claimed this cycle (e.g. by a VCT cut-through, §3.4:
-    /// "the corresponding switch port and output link will be considered
-    /// busy during link arbitration for the next flit cycle").
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice lengths disagree with the port count.
+    /// For tests: [`SwitchScheduler::schedule_into`] into a fresh vector.
+    #[doc(hidden)]
     pub fn schedule(
         &mut self,
         candidates: &[Vec<Candidate>],
@@ -110,9 +101,13 @@ impl SwitchScheduler {
         pairs
     }
 
-    /// In-place variant of [`SwitchScheduler::schedule`]: clears `pairs` and
-    /// writes the matching into it, so the per-cycle router loop can reuse
-    /// one buffer instead of allocating a fresh `Vec` every flit cycle.
+    /// Computes the matching for the next flit cycle into `pairs` (cleared
+    /// first, so the per-cycle router loop reuses one buffer).
+    /// `candidates[p]` is input port `p`'s ranked candidate list;
+    /// `output_blocked[o]` marks outputs already claimed this cycle (e.g. by
+    /// a VCT cut-through, §3.4: "the corresponding switch port and output
+    /// link will be considered busy during link arbitration for the next
+    /// flit cycle").
     ///
     /// # Panics
     ///
@@ -419,9 +414,8 @@ fn port_word(flags: impl Iterator<Item = bool>) -> u64 {
     flags.enumerate().fold(0u64, |word, (p, set)| word | u64::from(set) << p)
 }
 
-/// Checks that a matching is feasible for a multiplexed crossbar: at most
-/// one flit per input port and (except for the perfect switch) one per
-/// output port. Used by tests and debug assertions.
+/// For tests: whether a matching is feasible for a multiplexed crossbar (one flit per input and, unless `allow_output_sharing`, per output).
+#[doc(hidden)]
 pub fn is_valid_matching(pairs: &[MatchedPair], ports: usize, allow_output_sharing: bool) -> bool {
     let mut in_used = vec![false; ports];
     let mut out_used = vec![false; ports];

@@ -18,11 +18,9 @@
 //!   and the wrappers surface it as a panic at the access site instead of
 //!   silently clamping.
 //! * Everything is allocation-free after construction; the wrappers are
-//!   `#[repr(transparent)]`-equivalent thin views over a `Vec<T>` (or a
-//!   fixed array for [`PhaseMap`]) so the hot scheduling loops keep their
-//!   zero-alloc guarantee.
+//!   `#[repr(transparent)]`-equivalent thin views over a `Vec<T>` so the
+//!   hot scheduling loops keep their zero-alloc guarantee.
 
-use crate::arbiter::ServicePhase;
 use crate::ids::{PortId, VcIndex};
 
 /// A dense table with one slot per router port, indexed by [`PortId`] (or by
@@ -38,12 +36,6 @@ pub struct PortMap<T> {
 }
 
 impl<T> PortMap<T> {
-    /// Creates a table of `ports` slots, each initialised with `fill()`.
-    pub fn new_with(ports: usize, fill: impl FnMut() -> T) -> Self {
-        let mut slots = Vec::with_capacity(ports);
-        slots.resize_with(ports, fill);
-        PortMap { slots: slots.into_boxed_slice() }
-    }
 
     /// Creates a table of `ports` clones of `value`.
     pub fn filled(ports: usize, value: T) -> Self
@@ -198,51 +190,6 @@ impl<T> VcMap<T> {
     }
 }
 
-/// A fixed table with one slot per [`ServicePhase`], accessed by phase value
-/// — the match in [`PhaseMap::index`] replaces the old
-/// `phase_bits[phase_index(phase)]` pattern with a panic-free lookup.
-#[derive(Debug, Clone)]
-pub struct PhaseMap<T> {
-    slots: [T; 5],
-}
-
-impl<T> PhaseMap<T> {
-    /// Creates the table with each phase slot initialised by `fill()`.
-    pub fn new_with(mut fill: impl FnMut() -> T) -> Self {
-        PhaseMap { slots: std::array::from_fn(|_| fill()) }
-    }
-
-    fn index(phase: ServicePhase) -> usize {
-        match phase {
-            ServicePhase::Control => 0,
-            ServicePhase::CbrGuaranteed => 1,
-            ServicePhase::VbrPermanent => 2,
-            ServicePhase::VbrExcess => 3,
-            ServicePhase::BestEffort => 4,
-        }
-    }
-
-    /// The slot for `phase`.
-    pub fn get(&self, phase: ServicePhase) -> &T {
-        let i = Self::index(phase);
-        // The match above yields 0..5 for a 5-slot array; this cannot fail.
-        // mmr-lint: allow(P-TRANS, reason="the table has one slot per Phase variant; the enum discriminant cannot exceed it")
-        self.slots.get(i).unwrap_or_else(|| unreachable!("phase index in range"))
-    }
-
-    /// Mutable slot for `phase`.
-    pub fn get_mut(&mut self, phase: ServicePhase) -> &mut T {
-        let i = Self::index(phase);
-        // mmr-lint: allow(P-TRANS, reason="the table has one slot per Phase variant; the enum discriminant cannot exceed it")
-        self.slots.get_mut(i).unwrap_or_else(|| unreachable!("phase index in range"))
-    }
-
-    /// Mutably iterates all phase slots (service-order: control first).
-    pub fn iter_mut(&mut self) -> std::slice::IterMut<'_, T> {
-        self.slots.iter_mut()
-    }
-}
-
 /// The set bits of a port word, ascending — how a per-cycle stage visits
 /// the ports that hold work instead of `0..ports`.
 pub fn set_ports(mut word: u64) -> impl Iterator<Item = usize> {
@@ -312,24 +259,6 @@ mod tests {
         assert_eq!(*m.get(VcIndex(5)), Some(1));
         assert_eq!(*m.at(5), Some(1));
         assert_eq!(m.len(), 8);
-    }
-
-    #[test]
-    fn phase_map_addresses_every_phase_distinctly() {
-        let mut m = PhaseMap::new_with(|| 0u8);
-        let phases = [
-            ServicePhase::Control,
-            ServicePhase::CbrGuaranteed,
-            ServicePhase::VbrPermanent,
-            ServicePhase::VbrExcess,
-            ServicePhase::BestEffort,
-        ];
-        for (i, p) in phases.into_iter().enumerate() {
-            *m.get_mut(p) = i as u8 + 1;
-        }
-        for (i, p) in phases.into_iter().enumerate() {
-            assert_eq!(*m.get(p), i as u8 + 1);
-        }
     }
 
     #[test]

@@ -67,7 +67,7 @@ const QUEUE_BANK_VCS: usize = 32;
 
 /// The virtual channel memory of one input port: `vcs` bounded FIFOs over an
 /// interleaved bank array. Queue storage is materialized lazily in
-/// [`QUEUE_BANK_VCS`]-sized chunks on first push, so an idle port costs a
+/// `QUEUE_BANK_VCS`-sized chunks on first push, so an idle port costs a
 /// few hundred bytes regardless of its VC count.
 ///
 /// # Example
@@ -152,16 +152,6 @@ impl VirtualChannelMemory {
     /// Number of virtual channels.
     pub fn vcs(&self) -> usize {
         self.vcs
-    }
-
-    /// Per-VC buffer depth in flits.
-    pub fn depth(&self) -> usize {
-        self.depth
-    }
-
-    /// Number of interleaved banks.
-    pub fn banks(&self) -> usize {
-        self.banks
     }
 
     /// The queue of `vc`, or `None` if the index is out of range *or* its
@@ -286,27 +276,15 @@ impl VirtualChannelMemory {
         Some((flit, delay, emptied))
     }
 
-    /// The head flit of `vc`, if any.
-    pub fn head(&self, vc: VcIndex) -> Option<&Flit> {
-        self.queue_ref(vc.index()).and_then(|q| q.flits.front())
-    }
-
     /// Cycle at which the head flit of `vc` became ready, if there is one.
     pub fn head_ready_at(&self, vc: VcIndex) -> Option<Cycles> {
         self.queue_ref(vc.index()).and_then(|q| (!q.flits.is_empty()).then_some(q.head_ready_at))
     }
 
-    /// The head flit of `vc` together with the cycle it became ready — one
-    /// queue lookup where the scheduler's per-candidate classification
-    /// would otherwise do two.
+    /// For tests: the head flit of `vc` and the cycle it became ready.
+    #[doc(hidden)]
     pub fn head_with_ready(&self, vc: VcIndex) -> Option<(&Flit, Cycles)> {
         self.queue_ref(vc.index()).and_then(|q| q.flits.front().map(|f| (f, q.head_ready_at)))
-    }
-
-    /// The paper's per-flit delay so far: cycles the head of `vc` has waited
-    /// since becoming ready. `None` if the VC is empty.
-    pub fn head_delay(&self, vc: VcIndex, now: Cycles) -> Option<Cycles> {
-        self.head_ready_at(vc).map(|r| now.since(r))
     }
 
     /// Number of flits queued on `vc` (0 for out-of-range indices).
@@ -430,20 +408,6 @@ impl BankTimingModel {
     pub fn peak_bandwidth(&self) -> Bandwidth {
         Bandwidth::from_bps(self.banks as f64 * f64::from(self.word_bits) / (self.access_ns * 1e-9))
     }
-
-    /// Whether the array can sustain `link_rate` for simultaneous read and
-    /// write streams (one incoming and one outgoing flit per flit cycle, the
-    /// steady-state load of a busy port).
-    pub fn sustains_full_duplex(&self, link_rate: Bandwidth) -> bool {
-        self.peak_bandwidth().bits_per_sec() >= 2.0 * link_rate.bits_per_sec()
-    }
-
-    /// Minimum number of banks of this word size / access time needed to
-    /// sustain full-duplex `link_rate`.
-    pub fn banks_required(word_bits: u32, access_ns: f64, link_rate: Bandwidth) -> usize {
-        let per_bank = f64::from(word_bits) / (access_ns * 1e-9);
-        (2.0 * link_rate.bits_per_sec() / per_bank).ceil() as usize
-    }
 }
 
 #[cfg(test)]
@@ -529,11 +493,9 @@ mod tests {
         vcm.push(vc, flit(1, 10), Cycles(10)).expect("room");
         // Head became ready when it arrived into an empty queue.
         assert_eq!(vcm.head_ready_at(vc), Some(Cycles(10)));
-        assert_eq!(vcm.head_delay(vc, Cycles(14)), Some(Cycles(4)));
         // After popping at cycle 14, the next head is ready at 15.
         vcm.pop(vc, Cycles(14));
         assert_eq!(vcm.head_ready_at(vc), Some(Cycles(15)));
-        assert_eq!(vcm.head_delay(vc, Cycles(15)), Some(Cycles(0)));
     }
 
     #[test]
@@ -587,7 +549,6 @@ mod tests {
         assert_eq!(vcm.occupancy(VcIndex(200)), 0);
         assert_eq!(vcm.pop(VcIndex(200), Cycles(0)), None);
         assert_eq!(vcm.flush(VcIndex(200)), 0);
-        assert!(vcm.head(VcIndex(200)).is_none());
         assert_eq!(vcm.materialized_banks(), 0);
         // One push materializes exactly the bank holding that VC.
         vcm.push(VcIndex(200), flit(0, 0), Cycles(0)).expect("room");
@@ -624,11 +585,5 @@ mod tests {
         // 8 banks of 32-bit words at 10 ns sustain 25.6 Gbps peak.
         let m = BankTimingModel { banks: 8, word_bits: 32, access_ns: 10.0 };
         assert!((m.peak_bandwidth().bits_per_sec() - 25.6e9).abs() < 1e3);
-        assert!(m.sustains_full_duplex(Bandwidth::from_gbps(1.24)));
-        // One bank of the same geometry cannot sustain 2.48 Gbps duplex.
-        let one = BankTimingModel { banks: 1, word_bits: 32, access_ns: 10.0 };
-        assert!(!one.sustains_full_duplex(Bandwidth::from_gbps(2.0)));
-        assert_eq!(BankTimingModel::banks_required(32, 10.0, Bandwidth::from_gbps(1.24)), 1);
-        assert_eq!(BankTimingModel::banks_required(32, 40.0, Bandwidth::from_gbps(1.24)), 4);
     }
 }

@@ -33,6 +33,8 @@ pub enum Rule {
     /// A `// mmr-lint: hot` function transitively reaches an allocating
     /// site in a first-party callee.
     ATrans,
+    /// A library fn that no entry point reaches over the call graph.
+    UDead,
     /// An `mmr-lint: allow(...)` annotation that is malformed or carries no
     /// non-empty `reason=`.
     LReason,
@@ -41,7 +43,7 @@ pub enum Rule {
 }
 
 /// All rules, in ID order. The fixture meta-test iterates this.
-pub const ALL_RULES: [Rule; 13] = [
+pub const ALL_RULES: [Rule; 14] = [
     Rule::DHash,
     Rule::DTime,
     Rule::DFloat,
@@ -53,6 +55,7 @@ pub const ALL_RULES: [Rule; 13] = [
     Rule::AAlloc,
     Rule::APush,
     Rule::ATrans,
+    Rule::UDead,
     Rule::LReason,
     Rule::LUnused,
 ];
@@ -72,6 +75,7 @@ impl Rule {
             Rule::AAlloc => "A-ALLOC",
             Rule::APush => "A-PUSH",
             Rule::ATrans => "A-TRANS",
+            Rule::UDead => "U-DEAD",
             Rule::LReason => "L-REASON",
             Rule::LUnused => "L-UNUSED",
         }
@@ -91,6 +95,7 @@ impl Rule {
             Rule::AAlloc => "allocating call (Vec::new, vec!, format!, Box::new, to_vec, collect, String::new, with_capacity) inside a `// mmr-lint: hot` function",
             Rule::APush => "growth call (.push/.insert/.extend/.resize) inside a `// mmr-lint: hot` function: may reallocate; reuse preallocated buffers and annotate amortized cases",
             Rule::ATrans => "`// mmr-lint: hot` function transitively reaches an allocating call in a first-party callee (call chain reported)",
+            Rule::UDead => "fn under crates/*/src that no entry point reaches: no `fn main`, trait method, `#[doc(hidden)]` test hook or const/static table or macro body calls or names it (reachability over the call graph, by name)",
             Rule::LReason => "mmr-lint allow annotation that is malformed or lacks a non-empty reason=\"...\"",
             Rule::LUnused => "mmr-lint allow annotation that suppressed no diagnostic: remove the stale escape hatch",
         }

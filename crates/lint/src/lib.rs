@@ -1,7 +1,7 @@
 //! `mmr-lint` — workspace static analysis for the MMR simulator.
 //!
 //! Enforces, at CI time, the three properties the simulator's correctness
-//! story rests on:
+//! story rests on, and keeps dead code out of the library:
 //!
 //! - **Determinism (D-lints)**: byte-identical sweeps at any `--jobs`
 //!   require no hash-order iteration, no wall-clock reads, and exact
@@ -12,6 +12,8 @@
 //! - **No hot-path allocation (A-lints)**: functions annotated
 //!   `// mmr-lint: hot` must not allocate; scheduler inner loops are
 //!   fixed-work, fixed-time structures (cf. Tiny Tera's scheduler design).
+//! - **No dead library code (U-DEAD)**: every fn under `crates/*/src` is
+//!   reached from a `fn main`, a trait method or a `#[doc(hidden)]` hook.
 //!
 //! The tool is self-contained: its own tokenizer ([`lexer`]) and a tiny
 //! TOML-subset manifest parser ([`manifest`]). See `DESIGN.md` §7 for the
@@ -80,11 +82,6 @@ pub fn analyze_workspace(root: &Path, manifest: &Manifest) -> io::Result<Analysi
     Ok(analyze_sources(&refs, manifest))
 }
 
-/// Like [`analyze_workspace`], returning only the diagnostics.
-pub fn check_workspace(root: &Path, manifest: &Manifest) -> io::Result<Vec<Diagnostic>> {
-    analyze_workspace(root, manifest).map(|a| a.diagnostics)
-}
-
 fn collect_rs_files(
     root: &Path,
     dir: &Path,
@@ -140,7 +137,7 @@ mod tests {
         fs::write(tmp.join("vendor/dep/src/b.rs"), "use std::collections::HashMap;\n")
             .expect("write");
         let m = Manifest::parse("[paths]\nexclude = [\"vendor\"]").expect("manifest");
-        let diags = check_workspace(&tmp, &m).expect("walk");
+        let diags = analyze_workspace(&tmp, &m).expect("walk").diagnostics;
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].file, "src/a.rs");
         let _ = fs::remove_dir_all(&tmp);

@@ -47,6 +47,21 @@ pub enum Callee {
     Method(String),
 }
 
+/// A name that may denote a first-party fn without calling it through a
+/// resolvable receiver: the reference edges U-DEAD adds on top of the
+/// resolved calls, so a fn passed as a value (`run: paper`,
+/// `.map(SessionState::conn)`) counts as used.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Mention {
+    /// `name` or `module::name`: every free fn of that name.
+    Free(String),
+    /// `Type::name`: that associated fn of `Type` (or of a type `Type`
+    /// aliases; `Self` is the mentioning fn's impl type).
+    Qualified(String, String),
+    /// `.name(..)`: every method of that name, whatever the receiver.
+    Method(String),
+}
+
 /// One call expression inside a function body.
 #[derive(Debug, Clone)]
 pub struct CallSite {
@@ -74,12 +89,20 @@ pub struct FnItem {
     pub hot: bool,
     /// Whether the fn sits inside a `#[cfg(test)]` / `#[test]` region.
     pub in_test: bool,
+    /// Whether the fn carries `#[doc(hidden)]`, the marker of a test hook.
+    pub doc_hidden: bool,
+    /// Whether the fn implements or defaults a trait method, so it may be
+    /// called through the trait without naming it.
+    pub trait_method: bool,
     /// Call expressions in the body, excluding nested fns' bodies.
     pub calls: Vec<CallSite>,
     /// Declared variable types visible in the body: params plus annotated
     /// or constructor-initialized `let` bindings, as
     /// `(name, type-final-segment)` in declaration order.
     pub vars: Vec<(String, String)>,
+    /// Every name in the body that may denote a fn, nested fns' bodies
+    /// excluded (see [`Mention`]).
+    pub mentions: Vec<Mention>,
 }
 
 impl FnItem {
@@ -101,10 +124,132 @@ pub fn parse_items(tokens: &[Token], hot_lines: &[u32], test_regions: &[Region])
     let mut fns = find_fn_items(tokens, &impls, test_regions);
     mark_hot(tokens, &mut fns, hot_lines);
     extract_calls(tokens, &mut fns);
+    let bodies: Vec<Region> = fns.iter().filter_map(|f| f.body).collect();
     for f in &mut fns {
         f.vars = parse_vars(tokens, f.start, f.body);
+        if let (Some(body), false) = (f.body, f.in_test) {
+            let nested: Vec<Region> =
+                bodies.iter().copied().filter(|b| b.start > body.start && b.end <= body.end).collect();
+            f.mentions = mentions_in(tokens, body, &nested);
+        }
     }
     fns
+}
+
+/// The mentions in every non-test `const` / `static` item (a const generic
+/// parameter is not one) and `macro_rules!` body: a fn named in a table or a
+/// macro is used wherever the table or the macro is.
+pub fn parse_root_mentions(tokens: &[Token], test_regions: &[Region]) -> Vec<Mention> {
+    let mut out = Vec::new();
+    for i in 0..tokens.len() {
+        if tokens[i].is_ident("macro_rules") && !test_regions.iter().any(|r| r.contains(i)) {
+            out.extend(mentions_in(tokens, Region { start: i + 3, end: skip_item(tokens, i) }, &[]));
+        }
+        let name = if tokens.get(i + 1).is_some_and(|t| t.is_ident("mut")) { i + 2 } else { i + 1 };
+        let generic = i.checked_sub(1).is_some_and(|p| tokens[p].is_punct('<') || tokens[p].is_punct(','));
+        let item = (tokens[i].is_ident("const") || tokens[i].is_ident("static"))
+            && !generic
+            && tokens.get(name + 1).is_some_and(|t| t.is_punct(':'))
+            && !test_regions.iter().any(|r| r.contains(i));
+        if !item {
+            continue;
+        }
+        // The item runs to its `;` outside every bracket.
+        let mut depth = 0i32;
+        let end = (name + 2..tokens.len())
+            .find(|&k| {
+                let t = &tokens[k];
+                depth += i32::from(t.is_punct('(') || t.is_punct('[') || t.is_punct('{'));
+                depth -= i32::from(t.is_punct(')') || t.is_punct(']') || t.is_punct('}'));
+                depth <= 0 && t.is_punct(';')
+            })
+            .unwrap_or(tokens.len());
+        out.extend(mentions_in(tokens, Region { start: name + 2, end }, &[]));
+    }
+    out
+}
+
+/// Collects `type Alias = Path;` declarations (item-level and associated)
+/// as `(alias, type-final-segment)`, so `Alias::f(..)` reaches `Path::f`.
+pub fn parse_aliases(tokens: &[Token]) -> Vec<(String, String)> {
+    (0..tokens.len().saturating_sub(2))
+        .filter(|&i| tokens[i].is_ident("type"))
+        .filter_map(|i| {
+            let eq = if tokens[i + 2].is_punct('<') { skip_angles(tokens, i + 2) } else { i + 2 };
+            let (ty, _) = read_type_path(tokens, eq + 1);
+            (tokens.get(eq)?.is_punct('=') && !ty.is_empty()).then(|| (tokens[i + 1].text.clone(), ty))
+        })
+        .collect()
+}
+
+/// The mentions in `tokens[range]`, skipping attribute bodies and the
+/// `skip` regions (nested fn bodies, which own their mentions).
+fn mentions_in(tokens: &[Token], range: Region, skip: &[Region]) -> Vec<Mention> {
+    let mut out = Vec::new();
+    let mut i = range.start;
+    while i < range.end.min(tokens.len()) {
+        if let Some(r) = skip.iter().find(|r| r.start == i) {
+            i = r.end;
+        } else if tokens[i].is_punct('#') && tokens.get(i + 1).is_some_and(|t| t.is_punct('[')) {
+            i = skip_attribute(tokens, i);
+        } else {
+            out.extend(mention_at(tokens, i));
+            i += 1;
+        }
+    }
+    out
+}
+
+/// Recognizes a name at token `i` that may denote a fn. Keywords, type and
+/// variant names (uppercase), macro names, path prefixes, field accesses and
+/// `name:` positions (fields, params, bindings) are not fn mentions.
+fn mention_at(tokens: &[Token], i: usize) -> Option<Mention> {
+    let t = &tokens[i];
+    if t.kind != crate::lexer::TokenKind::Ident
+        || is_expr_keyword(&t.text)
+        || t.text.starts_with(|c: char| c.is_uppercase())
+    {
+        return None;
+    }
+    let next = tokens.get(i + 1);
+    let turbofish = next.is_some_and(|n| n.text == "::")
+        && tokens.get(i + 2).is_some_and(|n| n.is_punct('<'));
+    if next.is_some_and(|n| (n.text == "::" && !turbofish) || n.is_punct('!') || n.is_punct(':')) {
+        return None;
+    }
+    let prev = i.checked_sub(1).and_then(|j| tokens.get(j));
+    let name = t.text.clone();
+    if prev.is_some_and(|p| p.is_punct('.')) {
+        let call = turbofish || next.is_some_and(|n| n.is_punct('('));
+        return call.then_some(Mention::Method(name));
+    }
+    if prev.is_some_and(|p| p.text == "::") {
+        if let Some(q) = i.checked_sub(2).and_then(|j| tokens.get(j)) {
+            if q.kind == crate::lexer::TokenKind::Ident && q.text.starts_with(char::is_uppercase) {
+                return Some(Mention::Qualified(q.text.clone(), name));
+            }
+            if q.is_punct('>') {
+                // `<T as Trait>::f` / `Vec::<u8>::f`: any method of the name.
+                return Some(Mention::Method(name));
+            }
+        }
+    }
+    Some(Mention::Free(name))
+}
+
+/// Given `#` at `i` opening an attribute, returns the index one past its `]`.
+pub(crate) fn skip_attribute(tokens: &[Token], i: usize) -> usize {
+    let mut depth = 1u32;
+    let mut j = i + 2;
+    while j < tokens.len() && depth > 0 {
+        if tokens[j].is_punct('[') {
+            depth += 1;
+        } else if tokens[j].is_punct(']') {
+            depth -= 1;
+        }
+        j += 1;
+    }
+    j
 }
 
 /// Collects struct field types from one file as
@@ -274,37 +419,15 @@ pub fn find_test_regions(tokens: &[Token]) -> Vec<Region> {
     while i < tokens.len() {
         if tokens[i].is_punct('#') && tokens.get(i + 1).is_some_and(|t| t.is_punct('[')) {
             // Scan the attribute body for `test` / `cfg(..test..)`.
-            let mut j = i + 2;
-            let mut depth = 1u32;
-            let mut is_test_attr = false;
-            while j < tokens.len() && depth > 0 {
-                let t = &tokens[j];
-                if t.is_punct('[') {
-                    depth += 1;
-                } else if t.is_punct(']') {
-                    depth -= 1;
-                } else if t.is_ident("test") || t.is_ident("tests") {
-                    is_test_attr = true;
-                }
-                j += 1;
-            }
-            if is_test_attr {
+            let j = skip_attribute(tokens, i);
+            if tokens[i..j].iter().any(|t| t.is_ident("test") || t.is_ident("tests")) {
                 // Skip any further attributes, then the item itself.
                 let mut k = j;
                 while k < tokens.len()
                     && tokens[k].is_punct('#')
                     && tokens.get(k + 1).is_some_and(|t| t.is_punct('['))
                 {
-                    let mut d = 1u32;
-                    k += 2;
-                    while k < tokens.len() && d > 0 {
-                        if tokens[k].is_punct('[') {
-                            d += 1;
-                        } else if tokens[k].is_punct(']') {
-                            d -= 1;
-                        }
-                        k += 1;
-                    }
+                    k = skip_attribute(tokens, k);
                 }
                 let end = skip_item(tokens, k);
                 regions.push(Region { start: i, end });
@@ -459,6 +582,16 @@ fn find_fn_items(
     impls: &[ImplRegion],
     test_regions: &[Region],
 ) -> Vec<FnItem> {
+    // `trait Name { .. }` and `impl Trait for Type { .. }` bodies, whatever
+    // `Type` is: their fns are called through the trait, never by name.
+    let traits: Vec<Region> = (0..tokens.len())
+        .filter(|&i| tokens[i].is_ident("trait") || (tokens[i].is_ident("impl") && is_item_impl(tokens, i)))
+        .filter_map(|i| {
+            let open = (i..tokens.len()).find(|&k| tokens[k].is_punct('{') || tokens[k].is_punct(';'))?;
+            let of_trait = tokens[i].is_ident("trait") || tokens[i..open].iter().any(|t| t.is_ident("for"));
+            (of_trait && tokens[open].is_punct('{')).then(|| Region { start: open, end: skip_item(tokens, open) })
+        })
+        .collect();
     let mut out = Vec::new();
     let mut i = 0;
     while i < tokens.len() {
@@ -485,13 +618,26 @@ fn find_fn_items(
                 body,
                 hot: false,
                 in_test: test_regions.iter().any(|r| r.contains(i)),
+                doc_hidden: is_doc_hidden(tokens, i),
+                trait_method: traits.iter().any(|r| r.contains(i)),
                 calls: Vec::new(),
                 vars: Vec::new(),
+                mentions: Vec::new(),
             });
         }
         i += 1;
     }
     out
+}
+
+/// Whether the `fn` at `i` carries `#[doc(hidden)]`: the tokens back to the
+/// previous item boundary are its attributes and qualifiers.
+fn is_doc_hidden(tokens: &[Token], i: usize) -> bool {
+    let start = tokens[..i]
+        .iter()
+        .rposition(|t| t.is_punct(';') || t.is_punct('{') || t.is_punct('}'))
+        .map_or(0, |b| b + 1);
+    tokens[start..i].windows(3).any(|w| w[0].is_ident("doc") && w[1].is_punct('(') && w[2].is_ident("hidden"))
 }
 
 /// Scans a fn signature from just past the name to the body `{` (or `;`
@@ -571,16 +717,7 @@ fn extract_calls(tokens: &[Token], fns: &mut [FnItem]) {
     while i < tokens.len() {
         // Skip attributes wholesale: `derive(..)`, `cfg(..)` are not calls.
         if tokens[i].is_punct('#') && tokens.get(i + 1).is_some_and(|t| t.is_punct('[')) {
-            let mut depth = 1u32;
-            i += 2;
-            while i < tokens.len() && depth > 0 {
-                if tokens[i].is_punct('[') {
-                    depth += 1;
-                } else if tokens[i].is_punct(']') {
-                    depth -= 1;
-                }
-                i += 1;
-            }
+            i = skip_attribute(tokens, i);
             continue;
         }
         if let Some(site) = call_at(tokens, i) {
@@ -789,6 +926,40 @@ mod tests {
         assert_eq!(fns.len(), 2);
         assert!(fns[0].body.is_none());
         assert!(fns[1].body.is_some());
+    }
+
+    #[test]
+    fn mentions_name_fns_by_value_and_by_call() {
+        let fns = parse("fn f(s: S) { a(); s.m(); T::q(); run(paper); s.field; x::y::free; Self::z; w!(v); }");
+        let m = |s: &str| Mention::Free(s.into());
+        assert_eq!(
+            fns[0].mentions,
+            [
+                m("a"),
+                m("s"),
+                Mention::Method("m".into()),
+                Mention::Qualified("T".into(), "q".into()),
+                m("run"),
+                m("paper"),
+                m("s"),
+                m("free"),
+                Mention::Qualified("Self".into(), "z".into()),
+                m("v"),
+            ]
+        );
+    }
+
+    #[test]
+    fn roots_are_flagged_and_const_tables_mention() {
+        let fns = parse(
+            "#[doc(hidden)]\npub(crate) fn hook() {}\nfn plain() {}\ntrait T { fn d(&self) {} }\nimpl T for S { fn i(&self) {} }\nimpl<'a> T for &'a S { fn r(&self) {} }",
+        );
+        let flags: Vec<(bool, bool)> = fns.iter().map(|f| (f.doc_hidden, f.trait_method)).collect();
+        assert_eq!(flags, [(true, false), (false, false), (false, true), (false, true), (false, true)]);
+        let lexed = lex("const R: &[E] = &[E { run: go }];\nfn f<const N: usize>() { stop(); }\ntype A = b::B;\nmacro_rules! m { () => { expand() }; }");
+        let mentions = parse_root_mentions(&lexed.tokens, &[]);
+        assert_eq!(mentions, [Mention::Free("go".into()), Mention::Free("expand".into())]);
+        assert_eq!(parse_aliases(&lexed.tokens), [("A".to_string(), "B".to_string())]);
     }
 
     #[test]

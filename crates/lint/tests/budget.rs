@@ -7,7 +7,7 @@
 use std::path::Path;
 use std::time::Instant;
 
-use mmr_lint::{check_workspace, load_manifest, workspace_sources};
+use mmr_lint::{analyze_workspace, load_manifest, workspace_sources};
 
 /// Wall-clock budget for one full lint pass, in seconds.
 const LINT_BUDGET_SECS: f64 = 2.0;
@@ -28,7 +28,7 @@ fn workspace_pass_fits_its_wall_clock_budget() {
     let best = (0..3)
         .map(|_| {
             let start = Instant::now();
-            check_workspace(root, &manifest).expect("workspace walk succeeds");
+            analyze_workspace(root, &manifest).expect("workspace walk succeeds");
             start.elapsed().as_secs_f64()
         })
         .fold(f64::INFINITY, f64::min);

@@ -143,12 +143,6 @@ impl AdmitPolicy {
         self
     }
 
-    /// Overrides the per-class protected floor.
-    pub fn protected_floor(mut self, floor: usize) -> Self {
-        self.protected_floor = floor;
-        self
-    }
-
     /// The "naive" baseline: no utilization guard, no degradation, no
     /// shedding — admission is the raw bandwidth book, and overload lands
     /// on every admitted session. The `mmr-bench churn` control series.
@@ -687,12 +681,11 @@ mod tests {
             AdmitPolicy::default()
                 .headroom(0.05)
                 .shed_patience(1)
-                .shed_batch(1)
-                .protected_floor(1),
+                .shed_batch(1),
         );
         // One best-effort and three CBR sessions, load pinned over the
         // headroom forever: the last best-effort session must survive (the
-        // floor), so pressure rotates onto CBR.
+        // default floor of one), so pressure rotates onto CBR.
         let be = ctl
             .request(&mut net, NodeId(0), NodeId(8), QosClass::BestEffort)
             .session()

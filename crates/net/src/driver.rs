@@ -178,15 +178,6 @@ pub enum PopulationOutcome {
 }
 
 impl PopulationOutcome {
-    /// The shortfall (`target - achieved`), zero when the target was met.
-    pub fn shortfall(&self) -> f64 {
-        match *self {
-            PopulationOutcome::ReachedTarget => 0.0,
-            PopulationOutcome::BudgetExhausted { achieved, target } => {
-                (target - achieved).max(0.0)
-            }
-        }
-    }
 }
 
 /// Results of one network experiment.
@@ -264,7 +255,6 @@ mod tests {
             r.population,
             PopulationOutcome::BudgetExhausted { achieved: 0.0, target: 0.9 }
         );
-        assert!((r.population.shortfall() - 0.9).abs() < 1e-12);
         // A small budget stops population building at exactly that many
         // rejections, and the result reports the count.
         let tight = mesh(0.9).windows(100, 200).admission_attempts(5).run();
@@ -279,7 +269,6 @@ mod tests {
         let ok = quick(0.1);
         assert!(ok.admission_rejected <= 400, "{}", ok.admission_rejected);
         assert_eq!(ok.population, PopulationOutcome::ReachedTarget);
-        assert_eq!(ok.population.shortfall(), 0.0);
     }
 
     #[test]

@@ -156,7 +156,8 @@ impl FaultPlan {
         self
     }
 
-    /// The scheduled events in firing order (ties keep insertion order).
+    /// For tests: the plan's events in firing order.
+    #[doc(hidden)]
     pub fn events(&self) -> impl Iterator<Item = &FaultEvent> {
         self.events.iter()
     }
@@ -392,14 +393,14 @@ impl FaultInjector {
         Ok(FaultInjector { plan, cursor: 0, skipped: 0 })
     }
 
-    /// Events not yet applied.
+    /// For tests: the events not yet fired.
+    #[doc(hidden)]
     pub fn pending(&self) -> usize {
         self.plan.events.len() - self.cursor
     }
 
-    /// Events that could not be applied — failing an already-failed wire,
-    /// or naming a terminal port, an unknown node or a non-wire endpoint in
-    /// a hand-built plan — and were skipped.
+    /// For tests: the events that named no wire or node and were skipped.
+    #[doc(hidden)]
     pub fn skipped(&self) -> u64 {
         self.skipped
     }

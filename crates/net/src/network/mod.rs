@@ -164,11 +164,6 @@ impl NetworkSim {
         self.wires.enable_llr(cfg, topology.nodes(), usize::from(topology.ports_per_node()));
     }
 
-    /// Whether link-level retransmission is on.
-    pub fn llr_enabled(&self) -> bool {
-        self.wires.llr_enabled()
-    }
-
     /// Links of the retry layer that the last pump found holding a frame,
     /// plus those handed one since: a count of per-cycle work, for tests.
     #[doc(hidden)]
@@ -277,8 +272,8 @@ impl NetworkSim {
         self.fabric.link_ok(node, port)
     }
 
-    /// Whether the router at `node` is operational (not quarantined by
-    /// [`NetworkSim::fail_node`]).
+    /// For tests: whether router `node` is up.
+    #[doc(hidden)]
     pub fn node_ok(&self, node: NodeId) -> bool {
         self.fabric.node_ok(node)
     }

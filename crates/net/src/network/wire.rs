@@ -120,10 +120,6 @@ impl Wires {
         self.signals.clear();
     }
 
-    pub(super) fn llr_enabled(&self) -> bool {
-        self.llr.is_some()
-    }
-
     /// Links whose live bit is set: what the next pump visits.
     pub(super) fn live_links(&self) -> usize {
         self.live.iter().map(|word| word.count_ones() as usize).sum()

@@ -115,7 +115,8 @@ impl RecoveryPolicy {
         self
     }
 
-    /// Enables or disables graceful rate degradation.
+    /// For tests: turns degrade-on-admit on or off.
+    #[doc(hidden)]
     pub fn degrade(mut self, degrade: bool) -> Self {
         self.degrade = degrade;
         self
@@ -127,7 +128,8 @@ impl RecoveryPolicy {
         self
     }
 
-    /// Overrides the concurrent re-establishment probe cap.
+    /// For tests: overrides the cap on concurrent recovery probes.
+    #[doc(hidden)]
     pub fn max_concurrent_probes(mut self, cap: usize) -> Self {
         self.max_concurrent_probes = cap;
         self
@@ -582,7 +584,8 @@ impl RecoveryManager {
         self.sessions.len()
     }
 
-    /// A session's current status.
+    /// For tests: a session's current status.
+    #[doc(hidden)]
     pub fn status(&self, id: SessionId) -> Option<SessionStatus> {
         self.sessions.get(&id).map(|s| match s.state {
             SessionState::Active { .. } => SessionStatus::Active,
@@ -604,12 +607,14 @@ impl RecoveryManager {
         self.sessions.get(&id).map(|s| s.class)
     }
 
-    /// The asked rate a degrade-on-admit grant still owes the session.
+    /// For tests: the asked rate a degraded session is still owed.
+    #[doc(hidden)]
     pub fn owed(&self, id: SessionId) -> Option<Bandwidth> {
         self.sessions.get(&id)?.owed
     }
 
-    /// The session's `(source, destination)` endpoints.
+    /// For tests: a session's (source, destination).
+    #[doc(hidden)]
     pub fn endpoints(&self, id: SessionId) -> Option<(NodeId, NodeId)> {
         self.sessions.get(&id).map(|s| (s.src, s.dst))
     }

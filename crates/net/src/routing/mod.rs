@@ -357,7 +357,8 @@ impl Routing {
         }
     }
 
-    /// The up*/down* tables, when that is the (base) algorithm.
+    /// For tests: the up*/down* tables, when the algorithm has them.
+    #[doc(hidden)]
     pub fn up_down(&self) -> Option<&UpDownRouting> {
         match self.minimal() {
             MinimalRouting::UpDown(r) => Some(r),
@@ -365,8 +366,8 @@ impl Routing {
         }
     }
 
-    /// The up*/down* root when applicable, `n0` otherwise (structured
-    /// algorithms have no root).
+    /// For tests: the up*/down* root, `n0` for the structured algorithms.
+    #[doc(hidden)]
     pub fn root(&self) -> NodeId {
         self.up_down().map_or(NodeId(0), |r| r.root())
     }

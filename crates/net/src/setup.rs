@@ -163,11 +163,6 @@ impl ProbeMachine {
         self.probe_hops
     }
 
-    /// Backtrack moves made so far.
-    pub fn backtracks(&self) -> u32 {
-        self.backtracks
-    }
-
     /// Routers currently holding a reservation for this probe.
     pub fn path_len(&self) -> usize {
         self.stack.len()
@@ -405,7 +400,8 @@ impl NetworkSim {
         token
     }
 
-    /// Number of setups still in flight.
+    /// For tests: the probes still in flight.
+    #[doc(hidden)]
     pub fn probes_in_flight(&self) -> usize {
         self.probes.active.len()
     }

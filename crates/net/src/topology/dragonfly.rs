@@ -88,13 +88,15 @@ impl Dragonfly {
         NodeId((group * usize::from(self.routers_per_group) + slot) as u16)
     }
 
-    /// Intra-group (local) link count: `g · a(a-1)/2`.
+    /// For tests: the intra-group link count, `g · a(a-1)/2`.
+    #[doc(hidden)]
     pub fn local_links(&self) -> usize {
         let a = usize::from(self.routers_per_group);
         usize::from(self.groups) * a * (a - 1) / 2
     }
 
-    /// Global link count: one per group pair, `g(g-1)/2`.
+    /// For tests: the global link count, one per group pair.
+    #[doc(hidden)]
     pub fn global_links(&self) -> usize {
         let g = usize::from(self.groups);
         g * (g - 1) / 2

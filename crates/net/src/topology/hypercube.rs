@@ -49,7 +49,8 @@ impl Hypercube {
         (self.dim as u16 + self.terminals_per_router) as u8
     }
 
-    /// Link count `dim · 2^(dim-1)`.
+    /// For tests: the link count, `dim · 2^(dim-1)`.
+    #[doc(hidden)]
     pub fn links(&self) -> usize {
         (self.dim as usize) << (self.dim - 1)
     }

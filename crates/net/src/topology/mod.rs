@@ -194,7 +194,8 @@ impl Topology {
         self.neighbors_iter(a).any(|(_, peer, _)| peer == b)
     }
 
-    /// Whether the graph is connected (ignoring isolated terminal ports).
+    /// For tests: whether every router reaches every other.
+    #[doc(hidden)]
     pub fn is_connected(&self) -> bool {
         if self.nodes <= 1 {
             return true;
@@ -429,12 +430,8 @@ impl Topology {
         Butterfly::new(k, stages).build()
     }
 
-    /// A binary hypercube of dimension `dim` (`2^dim` routers).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`TopologyError`] if the wiring plan is inconsistent; see
-    /// [`Hypercube::build`].
+    /// For tests: a binary hypercube of `2^dim` routers.
+    #[doc(hidden)]
     pub fn hypercube(dim: u32) -> Result<Self, TopologyError> {
         Hypercube::new(dim).build()
     }

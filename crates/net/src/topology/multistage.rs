@@ -71,7 +71,8 @@ impl Butterfly {
         (2 * self.k + self.terminals_per_router) as u8
     }
 
-    /// Link count `(stages - 1) · rows · k`.
+    /// For tests: the link count, `(stages - 1) · rows · k`.
+    #[doc(hidden)]
     pub fn links(&self) -> usize {
         (usize::from(self.stages) - 1) * self.rows() * usize::from(self.k)
     }

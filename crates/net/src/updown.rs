@@ -173,8 +173,8 @@ impl UpDownRouting {
         self.dist_row(to)[from.index()]
     }
 
-    /// Minimum *legal* hops from `from` (having last moved `last_dir`) to
-    /// `to`; `usize::MAX` when unreachable.
+    /// For tests: the fewest legal hops to `to` after moving `last_dir`; `usize::MAX` if none.
+    #[doc(hidden)]
     pub fn legal_distance(&self, from: NodeId, to: NodeId, last_dir: Option<LinkDir>) -> usize {
         self.legal_row(to)[from.index()][Phase::from_last(last_dir) as usize]
     }
@@ -225,7 +225,7 @@ impl RoutingAlgorithm for UpDownRouting {
 
     /// `phase` 0 means the packet may still ascend (fresh, or last moved
     /// Up), 1 means it is committed downward — exactly the private
-    /// [`Phase`] the legality tables are indexed by, so routing through
+    /// `Phase` the legality tables are indexed by, so routing through
     /// the trait is bit-identical to the historical `last_dir` tracking.
     fn next_hop(
         &self,

@@ -18,7 +18,7 @@ use std::fmt;
 
 use crate::units::Cycles;
 
-/// Streaming count/mean/variance/min/max over `f64` samples (Welford).
+/// Streaming count/mean/min/max over `f64` samples (Welford).
 ///
 /// # Example
 ///
@@ -36,6 +36,8 @@ use crate::units::Cycles;
 pub struct Accumulator {
     count: u64,
     mean: f64,
+    /// Sum of squared deviations. Nothing reads it, but it is part of the
+    /// `Debug` form that pinned transcripts hash.
     m2: f64,
     min: f64,
     max: f64,
@@ -68,15 +70,6 @@ impl Accumulator {
             0.0
         } else {
             self.mean
-        }
-    }
-
-    /// Population variance; 0 when fewer than two samples.
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
         }
     }
 
@@ -148,17 +141,20 @@ impl Histogram {
         }
     }
 
-    /// Count in bin `i`.
+    /// For tests: the count in bin `i`.
+    #[doc(hidden)]
     pub fn bin(&self, i: usize) -> u64 {
         self.bins[i]
     }
 
-    /// Count of samples beyond the last bin.
+    /// For tests: the count of samples beyond the last bin.
+    #[doc(hidden)]
     pub fn overflow(&self) -> u64 {
         self.overflow
     }
 
-    /// Total samples recorded.
+    /// For tests: the samples recorded.
+    #[doc(hidden)]
     pub fn total(&self) -> u64 {
         self.total
     }
@@ -322,8 +318,8 @@ impl DelayJitterRecorder {
         }
     }
 
-    /// Flit-weighted mean jitter (every |Δdelay| sample weighted equally),
-    /// for sensitivity analysis against the connection-weighted metric.
+    /// For tests: the flit-weighted mean jitter (every |Δdelay| sample weighted equally).
+    #[doc(hidden)]
     pub fn mean_jitter_cycles_flit_weighted(&self) -> f64 {
         let mut all = Accumulator::new();
         for f in self.per_flow.iter().flatten() {
@@ -344,13 +340,15 @@ impl DelayJitterRecorder {
         TailSummary::from_histogram(&self.jitter_hist)
     }
 
-    /// Mean jitter of one connection, if it produced at least two flits.
+    /// For tests: the mean jitter of one connection, if it produced two flits or more.
+    #[doc(hidden)]
     pub fn flow_jitter(&self, flow: FlowId) -> Option<f64> {
         let f = self.per_flow.get(flow as usize)?.as_ref()?;
         (f.jitter.count() > 0).then(|| f.jitter.mean())
     }
 
-    /// Number of connections that have produced at least one flit.
+    /// For tests: the connections that have produced a flit.
+    #[doc(hidden)]
     pub fn flows(&self) -> usize {
         self.flows
     }
@@ -487,7 +485,6 @@ mod tests {
         }
         assert_eq!(acc.count(), 8);
         assert!((acc.mean() - 5.0).abs() < 1e-12);
-        assert!((acc.variance() - 4.0).abs() < 1e-12);
         assert_eq!(acc.min(), Some(2.0));
         assert_eq!(acc.max(), Some(9.0));
     }
@@ -496,7 +493,6 @@ mod tests {
     fn accumulator_empty_is_benign() {
         let acc = Accumulator::new();
         assert_eq!(acc.mean(), 0.0);
-        assert_eq!(acc.variance(), 0.0);
         assert_eq!(acc.min(), None);
         assert_eq!(acc.max(), None);
     }
@@ -518,7 +514,6 @@ mod tests {
         }
         left.merge(&right);
         assert!((left.mean() - whole.mean()).abs() < 1e-9);
-        assert!((left.variance() - whole.variance()).abs() < 1e-9);
         assert_eq!(left.count(), whole.count());
     }
 

@@ -219,11 +219,6 @@ impl SimTime {
         SimTime(ns)
     }
 
-    /// This time in nanoseconds.
-    pub fn ns(self) -> f64 {
-        self.0
-    }
-
     /// This time in microseconds.
     pub fn us(self) -> f64 {
         self.0 / 1e3
@@ -307,7 +302,8 @@ impl FlitTiming {
         f64::from(self.flit_bits) / self.link_rate.bits_per_sec() * 1e9
     }
 
-    /// Converts a cycle count to simulated time.
+    /// For tests: converts a cycle count to simulated time.
+    #[doc(hidden)]
     pub fn cycles_to_time(self, cycles: Cycles) -> SimTime {
         SimTime::from_ns(cycles.as_f64() * self.cycle_time_ns())
     }

@@ -172,7 +172,6 @@ pub struct CbrWorkload {
     connections: Vec<CbrConnection>,
     sources: Vec<CbrSource>,
     offered: Bandwidth,
-    attempts_failed: u32,
     /// Calendar buckets: source indices due at cycle `c` live in bucket
     /// `c & WHEEL_MASK`. Every source that is neither backlogged nor
     /// awaiting retry has exactly one entry (here or in `overflow`). The
@@ -278,7 +277,6 @@ impl CbrWorkload {
             connections,
             sources,
             offered,
-            attempts_failed,
             buckets: vec![Vec::new(); WHEEL_SLOTS],
             occupied: [0; WHEEL_SLOTS / 64],
             cursor: 0,
@@ -355,11 +353,6 @@ impl CbrWorkload {
     pub fn offered_load(&self, router: &Router) -> f64 {
         let dims = router.config();
         self.offered.fraction_of(dims.timing().link_rate() * dims.ports() as f64)
-    }
-
-    /// Establishment attempts that failed (admission or VC exhaustion).
-    pub fn attempts_failed(&self) -> u32 {
-        self.attempts_failed
     }
 
     /// Injects all due flits of every source for cycle `now`.

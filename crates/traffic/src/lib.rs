@@ -46,5 +46,5 @@ pub use churn::{
 };
 pub use cbr::{CbrConnection, CbrSource, CbrWorkload, SlotClock};
 pub use driver::{Experiment, ExperimentResult, RateClassResult};
-pub use rates::{ladder_mean, paper_rate_ladder, scaled_rate_ladder};
+pub use rates::{paper_rate_ladder, scaled_rate_ladder};
 pub use vbr::{FrameType, MpegGopModel, VbrSource, GOP_PATTERN};

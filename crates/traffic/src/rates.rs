@@ -29,12 +29,6 @@ pub fn scaled_rate_ladder(scale: f64) -> [Bandwidth; 9] {
     paper_rate_ladder().map(|r| r * scale)
 }
 
-/// Mean of the ladder (useful for estimating connection counts per load).
-pub fn ladder_mean() -> Bandwidth {
-    let ladder = paper_rate_ladder();
-    ladder.iter().copied().sum::<Bandwidth>() / ladder.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -52,7 +46,8 @@ mod tests {
 
     #[test]
     fn mean_is_about_24_mbps() {
-        let m = ladder_mean().mbps();
+        let ladder = paper_rate_ladder();
+        let m = ladder.iter().map(|r| r.mbps()).sum::<f64>() / ladder.len() as f64;
         assert!((m - 23.74).abs() < 0.1, "mean {m} Mbps");
     }
 

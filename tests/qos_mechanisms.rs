@@ -1,9 +1,8 @@
 //! Integration tests for the QoS machinery: VBR three-phase scheduling,
-//! hybrid traffic isolation, policing, best-effort reserve, and dynamic
+//! hybrid traffic isolation, best-effort reserve, and dynamic
 //! control words.
 
 use mmr::core::arbiter::ArbiterKind;
-use mmr::core::bandwidth::Policer;
 use mmr::core::conn::{ConnectionRequest, QosClass};
 use mmr::core::flit::{CommandWord, FlitKind};
 use mmr::core::ids::PortId;
@@ -187,25 +186,6 @@ fn best_effort_reserve_prevents_starvation() {
         "a 15% reserve delivers markedly more best-effort packets ({with}) than none ({without})"
     );
     assert!(with > 1_000, "reserved bandwidth actually flows: {with}");
-}
-
-#[test]
-fn policer_limits_connection_to_allocated_rate() {
-    let timing = mmr::sim::FlitTiming::paper_default();
-    // 124 Mbps allocation = 1 flit per 10 cycles.
-    let mut policer = Policer::new(Bandwidth::from_mbps(124.0), timing, 4.0);
-    let mut sent = 0u32;
-    for _ in 0..10_000 {
-        policer.advance(1);
-        if policer.try_take() {
-            sent += 1;
-        }
-    }
-    let expected = 10_000.0 / timing.interarrival_cycles(Bandwidth::from_mbps(124.0));
-    assert!(
-        (f64::from(sent) - expected).abs() <= 5.0,
-        "policed rate {sent} ~= allocation {expected:.0}"
-    );
 }
 
 #[test]
