@@ -284,6 +284,9 @@ pub fn run_trial_on(
         // links whose sender is drained (a dropped tail frame is the case
         // only its timeout rescues).
         assert!(net.llr_live_covers_senders(), "cycle {t}: an undrained link left the live set");
+        // Every router connection's tag names its owner (an O(fabric)
+        // rebuild, so debug builds only: the test suites).
+        debug_assert!(net.tags_agree(), "cycle {t}: a router connection's tag names the wrong owner");
         for event in mgr.service(&mut net, &report, now) {
             // Degradation changes the session's rate; repace its stream.
             if let mmr_net::RecoveryEvent::Degraded { session, to, .. } = event {

@@ -99,6 +99,11 @@ pub struct ConnState {
     /// Flits injected into the input VC over the connection's lifetime
     /// (also the sequence number of the next flit).
     pub flits_injected: u64,
+    /// An opaque word naming the connection's owner, for whoever drives
+    /// the router ([`crate::router::Router::set_tag`]); 0 until set. The
+    /// router never reads it, only echoes it in each
+    /// [`crate::router::Transmitted`].
+    pub tag: u64,
 }
 
 impl ConnState {
@@ -141,6 +146,7 @@ impl ConnState {
             dynamic_priority,
             flits_forwarded: 0,
             flits_injected: 0,
+            tag: 0,
         }
     }
 
@@ -354,6 +360,7 @@ mod tests {
             dynamic_priority: 0,
             flits_forwarded: 0,
             flits_injected: 0,
+            tag: 0,
         }
     }
 

@@ -786,6 +786,7 @@ mod tests {
                 dynamic_priority: 0,
                 flits_forwarded: 0,
                 flits_injected: 0,
+                tag: 0,
             });
             self.vcm
                 .push(VcIndex(vc), Flit::data(id, 0, Cycles(ready)), Cycles(ready))
@@ -974,6 +975,7 @@ mod tests {
             dynamic_priority: 0,
             flits_forwarded: 0,
             flits_injected: 0,
+            tag: 0,
         });
         f.classes.set(3, QosClass::Control);
         f.vcm
@@ -1013,6 +1015,7 @@ mod tests {
             dynamic_priority: 5,
             flits_forwarded: 0,
             flits_injected: 0,
+            tag: 0,
         });
         f.classes.set(
             3,

@@ -410,6 +410,9 @@ pub struct Transmitted {
     /// The paper's delay metric: cycles between the flit being ready at the
     /// switch and leaving it.
     pub delay: Cycles,
+    /// The connection's owner tag ([`crate::conn::ConnState::tag`]) when
+    /// the flit left.
+    pub tag: u64,
 }
 
 /// The result of one flit cycle.

@@ -314,9 +314,18 @@ impl Router {
     }
 
     /// Direct channel mapping: the connection owning an *input* VC, if any.
-    /// Multi-router simulators use this to retag flits arriving on a link.
-    pub fn connection_by_input_vc(&self, vc: VcRef) -> Option<ConnectionId> {
-        self.conns.by_input_vc(vc).map(|c| c.id)
+    /// Multi-router simulators use this to retag flits arriving on a link
+    /// and to check the arriving flit's owner against the connection's tag.
+    pub fn connection_by_input_vc(&self, vc: VcRef) -> Option<&ConnState> {
+        self.conns.by_input_vc(vc)
+    }
+
+    /// Sets `conn`'s owner tag ([`ConnState::tag`]); a no-op when the
+    /// connection does not exist. Changes nothing the router reads.
+    pub fn set_tag(&mut self, conn: ConnectionId, tag: u64) {
+        if let Some(state) = self.conns.get_mut(conn) {
+            state.tag = tag;
+        }
     }
 
     /// Reverse channel mapping: the connection owning an *output* VC, if
@@ -332,7 +341,8 @@ impl Router {
     pub fn buffered_connections(&self) -> impl Iterator<Item = ConnectionId> + '_ {
         set_ports(self.occupied).flat_map(move |p| {
             self.inputs[p].vcm().flits_available().iter_set().filter_map(move |vc| {
-                self.connection_by_input_vc(VcRef { port: PortId(p as u8), vc: VcIndex(vc as u16) })
+                let vc = VcRef { port: PortId(p as u8), vc: VcIndex(vc as u16) };
+                self.conns.by_input_vc(vc).map(|c| c.id)
             })
         })
     }
@@ -853,6 +863,7 @@ impl Router {
             output_vc: state.output_vc,
             flit,
             delay,
+            tag: state.tag,
         })
     }
 }

@@ -722,3 +722,24 @@ proptest::proptest! {
         }
     }
 }
+
+/// A connection's owner tag belongs to whoever drives the router: it rides
+/// out with every flit the connection transmits, the direct mapping hands
+/// it back with the id, and the router reads it nowhere else. The two
+/// records it grew are pinned here, so further growth is a visible
+/// decision.
+#[test]
+fn the_owner_tag_rides_out_with_every_flit() {
+    use std::mem::size_of;
+    assert_eq!((size_of::<ConnState>(), size_of::<Transmitted>()), (112, 72));
+    let mut r = small_router(ArbiterKind::BiasedPriority);
+    let id = r.establish(cbr(124.0, 0, 1)).expect("admits");
+    assert_eq!(r.connection(id).map(|s| s.tag), Some(0), "untagged until set");
+    r.set_tag(id, 0xfeed);
+    r.set_tag(ConnectionId(99), 1); // no such connection: a no-op
+    r.inject(id, Cycles(0)).expect("room");
+    let sent: Vec<_> = (0..4).flat_map(|t| r.step(Cycles(t)).transmitted).collect();
+    assert_eq!(sent.iter().map(|t| (t.conn, t.tag)).collect::<Vec<_>>(), [(id, 0xfeed)]);
+    let vc = r.connection(id).expect("live").input_vc;
+    assert_eq!(r.connection_by_input_vc(vc).map(|s| (s.id, s.tag)), Some((id, 0xfeed)));
+}

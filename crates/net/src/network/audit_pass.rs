@@ -21,7 +21,7 @@ use mmr_sim::Cycles;
 
 use super::routers::RouterArray;
 use super::wire::Wires;
-use super::{NetConnection, NetConnectionId};
+use super::{NetConnection, NetConnectionId, Owner};
 use crate::topology::NodeId;
 
 /// One audited cycle in this many is a full sweep. A constant, not an
@@ -118,13 +118,6 @@ impl AuditMarks {
     }
 }
 
-/// The session tables the pass reads: the connections, and per `(node,
-/// local connection)` the session and which of its hops that is.
-pub(super) struct Sessions<'a> {
-    pub(super) conns: &'a BTreeMap<NetConnectionId, NetConnection>,
-    pub(super) local_index: &'a BTreeMap<(NodeId, ConnectionId), (NetConnectionId, u16)>,
-}
-
 /// What the auditor's pass carries from one cycle to the next.
 #[derive(Debug, Default)]
 pub(super) struct AuditPass {
@@ -149,14 +142,14 @@ impl AuditPass {
         aud: &mut Auditor,
         now: Cycles,
         routers: &mut RouterArray,
-        sessions: &Sessions<'_>,
+        conns: &BTreeMap<NetConnectionId, NetConnection>,
         wires: &Wires,
     ) {
         let Some(mut marks) = routers.take_marks() else { return };
         let sweep = self.exhaustive || self.passes.is_multiple_of(SWEEP_PERIOD);
         let first = self.passes == 0;
         self.passes += 1;
-        self.digest(&mut marks, routers, sessions);
+        self.digest(&mut marks, routers);
 
         // Router laws, ascending router then ascending connection.
         self.broken_conns.clear();
@@ -196,14 +189,14 @@ impl AuditPass {
             }
         };
         if sweep {
-            for conn in sessions.conns.values() {
+            for conn in conns.values() {
                 (0..conn.hops.len().saturating_sub(1)).for_each(|hop| leaks(aud, conn, hop as u16));
             }
         } else {
             let mut session = None;
             for &(id, hop) in &marks.hops {
                 if session.is_none_or(|conn: &NetConnection| conn.id != id) {
-                    session = sessions.conns.get(&id);
+                    session = conns.get(&id);
                 }
                 if let Some(conn) = session {
                     leaks(aud, conn, hop);
@@ -227,7 +220,7 @@ impl AuditPass {
     /// Digests the marks into what an ordinary pass visits: per named
     /// router the ascending connections, and the ascending hop pairs. Empties
     /// `broken_hops` into the latter.
-    fn digest(&mut self, marks: &mut AuditMarks, routers: &RouterArray, sessions: &Sessions<'_>) {
+    fn digest(&mut self, marks: &mut AuditMarks, routers: &RouterArray) {
         // The marked; the broken; every connection holding a flit (a router
         // asleep is quiescent, so holds none); every hop pair through a
         // router handed out whole.
@@ -248,9 +241,8 @@ impl AuditPass {
         }
         marks.hops.append(&mut self.broken_hops);
         for n in marks.whole.iter_set() {
-            let node = NodeId(n as u16);
-            let through = (node, ConnectionId(0))..=(node, ConnectionId(u32::MAX));
-            for (_, &(session, at)) in sessions.local_index.range(through) {
+            for state in routers.get(NodeId(n as u16)).connections_iter() {
+                let Some(Owner::Hop(session, at)) = Owner::of(state.tag) else { continue };
                 marks.hops.extend(at.checked_sub(1).map(|before| (session, before)));
                 marks.hops.push((session, at));
             }
@@ -347,8 +339,8 @@ mod tests {
 
     /// The wire phase of `NetworkSim::step` on its own.
     fn deliver(net: &mut NetworkSim, now: Cycles) {
-        let NetworkSim { wires, routers, stats, conns, .. } = net;
-        wires.pump_and_deliver(now, routers, stats, |id| conns.contains_key(&id));
+        let NetworkSim { wires, routers, stats, .. } = net;
+        wires.pump_and_deliver(now, routers, stats);
     }
 
     /// What each way into a router leaves for the next audit pass: the
@@ -407,6 +399,15 @@ mod tests {
         assert_eq!(marked(&net), (vec![], vec![], vec![path[1]], vec![(id.0, 1)]));
         net.step(Cycles(5));
 
+        // A tag written — here hop 1's own, again — is read by no law and
+        // no stage: no mark, and no router woken.
+        let awake: Vec<usize> = net.routers.awake().iter_set().collect();
+        let (node, local) = (NodeId(path[1].0 as u16), ConnectionId(path[1].1));
+        net.routers.tag(node, local, Owner::Hop(id, 1).tag());
+        assert_eq!(marked(&net), (vec![], vec![], vec![], vec![]));
+        assert_eq!(net.routers.awake().iter_set().collect::<Vec<_>>(), awake);
+        assert!(net.tags_agree());
+
         // A VCT packet is offered through `get_mut`: the whole router.
         net.send_packet(NodeId(4), NodeId(5), FlitKind::BestEffort, Cycles(6)).expect("valid");
         assert_eq!(marked(&net), (vec![4], vec![], vec![], vec![]));
@@ -430,6 +431,7 @@ mod tests {
         let aud = net.auditor().expect("armed");
         assert!(aud.is_clean(), "{}", aud.summary());
         assert_eq!(aud.checks(), 9 * 42, "one check per router per audited cycle");
+        assert_eq!(net.audit_sweep_misses(), 0);
     }
 
     /// With the retry layer on, a dropped frame is replayed cycles after the

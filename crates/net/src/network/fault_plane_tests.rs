@@ -18,8 +18,9 @@ fn wire_endpoint(net: &NetworkSim, id: NetConnectionId, hop: usize) -> (NodeId, 
 }
 
 /// Drives `net` for `cycles`, injecting one flit every 4 cycles on `id`,
-/// holding the retry layer's live set to its senders after every step;
-/// returns (injected, delivered).
+/// holding the retry layer's live set to its senders and every router
+/// connection's tag to its owner after every step; returns (injected,
+/// delivered).
 fn drive(net: &mut NetworkSim, id: NetConnectionId, cycles: u64) -> (u64, u64) {
     let mut injected = 0;
     let mut delivered = 0;
@@ -30,6 +31,7 @@ fn drive(net: &mut NetworkSim, id: NetConnectionId, cycles: u64) -> (u64, u64) {
         }
         delivered += net.step(Cycles(t)).delivered.len() as u64;
         assert!(net.llr_live_covers_senders(), "t={t}: an undrained link left the live set");
+        assert!(net.tags_agree(), "t={t}: a router connection's tag names the wrong owner");
     }
     (injected, delivered)
 }
@@ -52,6 +54,7 @@ fn llr_leaves_fault_free_timing_untouched() {
             for d in net.step(Cycles(t)).delivered {
                 log.push((d.flit.seq, d.latency));
             }
+            assert!(net.tags_agree(), "t={t}");
         }
         log
     };
@@ -131,6 +134,7 @@ fn enabling_llr_again_starts_every_link_from_scratch() {
         }
         delivered += net.step(Cycles(t)).delivered.len() as u64;
         assert!(net.llr_live_covers_senders(), "t={t}");
+        assert!(net.tags_agree(), "t={t}");
     }
     // Both ends of every wire restarted at sequence 0 together, so nothing
     // is taken for a duplicate or a gap.
@@ -237,6 +241,7 @@ fn link_and_node_faults_sever_wires_through_one_path() {
                 injected += 1;
             }
             delivered += net.step(Cycles(t)).delivered.len() as u64;
+            assert!(net.tags_agree(), "{name}: t={t}");
         }
         let stats = net.stats();
         assert!(stats.flits_dropped > 0, "{name}: the cut found frames unacknowledged");
@@ -244,4 +249,56 @@ fn link_and_node_faults_sever_wires_through_one_path() {
         let aud = net.auditor().expect("enabled");
         assert!(aud.is_clean(), "{name}: {}", aud.summary());
     }
+}
+
+/// The stale-delivery guard. A frame dropped on the wire waits in the
+/// sender's replay buffer; its session is torn down and a new one re-leases
+/// the very VC the frame is bound for before the replay lands. The replay
+/// is lost — the new session never sees it, in or out of order — and the
+/// books still balance.
+#[test]
+fn a_replay_that_outlived_its_session_is_lost_not_delivered() {
+    let mut net = mesh_net();
+    net.enable_llr(LlrConfig::default());
+    let establish = |net: &mut NetworkSim| {
+        net.establish(NodeId(0), NodeId(2), cbr_mbps(620.0), SetupStrategy::Epb)
+            .expect("path exists")
+    };
+    let input_vc = |net: &NetworkSim, id| {
+        let hop = net.connection(id).expect("live connection").hops[1];
+        net.router(hop.node).connection(hop.local).expect("hop is mapped").input_vc
+    };
+    let old = establish(&mut net);
+    let (node, port) = wire_endpoint(&net, old, 1);
+    let leased = input_vc(&net, old);
+    net.arm_transient(node, port, TransientKind::Drop).expect("wire endpoint");
+    net.inject(old, Cycles(0)).expect("room");
+    for t in 0..4 {
+        net.step(Cycles(t));
+    }
+    assert_eq!(net.stats().flits_dropped, 1, "the frame was struck on the wire");
+    assert_eq!(net.stats().flits_retransmitted, 0, "its replay is still pending");
+
+    net.teardown(old).expect("live");
+    let new = establish(&mut net);
+    assert_eq!(input_vc(&net, new), leased, "the new session re-leased the VC");
+    let (mut injected, mut delivered) = (1u64, 0u64);
+    for t in 4..300u64 {
+        if t % 4 == 0 && t < 240 && net.can_inject(new) {
+            net.inject(new, Cycles(t)).expect("room");
+            injected += 1;
+        }
+        for d in net.step(Cycles(t)).delivered {
+            assert_eq!(d.conn, new, "t={t}");
+            delivered += 1;
+        }
+        assert!(net.tags_agree(), "t={t}");
+    }
+    let stats = net.stats();
+    assert!(stats.flits_retransmitted > 0, "the replay landed after the re-lease");
+    assert_eq!(stats.flits_lost, 1, "the replay counts as lost");
+    assert_eq!(delivered, injected - 1, "and never reaches the new session");
+    assert_eq!(net.connection(new).expect("live").delivered, delivered);
+    assert_eq!(stats.out_of_order, 0, "the new session's stream is in order");
+    assert_eq!(injected, delivered + stats.flits_lost, "injected = delivered + lost");
 }

@@ -48,7 +48,7 @@ mod fault_plane_tests;
 mod node_fault_tests;
 mod tests;
 
-use audit_pass::{AuditPass, Sessions};
+use audit_pass::AuditPass;
 use fabric::Fabric;
 use packets::PacketPlane;
 use routers::RouterArray;
@@ -63,6 +63,38 @@ pub use types::{
 /// into. Per-wire state is keyed by the *receiving* endpoint.
 type Endpoint = (NodeId, PortId);
 
+/// Who owns a router connection, as the connection's tag
+/// ([`ConnState::tag`](mmr_core::conn::ConnState::tag)) spells it: hop `at`
+/// of a session, or a VCT packet buffered in that router. Tag 0 — never
+/// set — is a setup probe's reservation.
+#[derive(Debug, Clone, Copy)]
+enum Owner {
+    Hop(NetConnectionId, u16),
+    Buffered(PacketId),
+}
+
+impl Owner {
+    const HOP: u64 = 1 << 62;
+    const PACKET: u64 = 1 << 63;
+
+    fn tag(self) -> u64 {
+        match self {
+            Owner::Hop(id, at) => Self::HOP | u64::from(id.0) << 16 | u64::from(at),
+            Owner::Buffered(packet) => Self::PACKET | packet.0,
+        }
+    }
+
+    fn of(tag: u64) -> Option<Owner> {
+        if tag & Self::PACKET != 0 {
+            Some(Owner::Buffered(PacketId(tag & !Self::PACKET)))
+        } else if tag & Self::HOP != 0 {
+            Some(Owner::Hop(NetConnectionId((tag >> 16) as u32), tag as u16))
+        } else {
+            None
+        }
+    }
+}
+
 /// The multi-router simulator.
 #[derive(Debug)]
 pub struct NetworkSim {
@@ -72,10 +104,9 @@ pub struct NetworkSim {
     packets: PacketPlane,
     /// Asynchronous setups in flight ([`NetworkSim::request_connection`]).
     pub(crate) probes: ProbeQueue,
+    /// The live sessions. Which session hop a router connection is rides
+    /// on the connection itself, as its [`Owner`] tag.
     conns: BTreeMap<NetConnectionId, NetConnection>,
-    /// (node, local connection) → network connection and the hop of it that
-    /// local connection is, for delivery lookup and the auditor's hop pairs.
-    local_index: BTreeMap<(NodeId, ConnectionId), (NetConnectionId, u16)>,
     next_conn: u32,
     pub(crate) rng: SeededRng,
     stats: NetStats,
@@ -132,7 +163,6 @@ impl NetworkSim {
             packets: PacketPlane::default(),
             probes: ProbeQueue::default(),
             conns: BTreeMap::new(),
-            local_index: BTreeMap::new(),
             next_conn: 0,
             rng: SeededRng::new(0x4E45_5457),
             stats: NetStats::default(),
@@ -177,6 +207,38 @@ impl NetworkSim {
     #[doc(hidden)]
     pub fn llr_live_covers_senders(&self) -> bool {
         self.wires.live_covers_senders()
+    }
+
+    /// Whether every router connection's tag names its owner: the session
+    /// hop `conns` says it is, or the VCT packet the packet plane holds
+    /// buffered in that router; every other connection (a setup probe's
+    /// reservation) is untagged. Rebuilds from the tables what the tags
+    /// stand for and compares. Read-only; for tests.
+    #[doc(hidden)]
+    pub fn tags_agree(&self) -> bool {
+        // (router, connection, tag); a packet's connection is left out, as
+        // the packet plane does not keep it.
+        let mut want = Vec::new();
+        for conn in self.conns.values() {
+            for (at, hop) in conn.hops.iter().enumerate() {
+                // A hop its router already let go of has no tag to check.
+                if self.routers.get(hop.node).connection(hop.local).is_some() {
+                    want.push((hop.node, Some(hop.local), Owner::Hop(conn.id, at as u16).tag()));
+                }
+            }
+        }
+        let packets = self.packets.buffered();
+        want.extend(packets.map(|(node, packet)| (node, None, Owner::Buffered(packet).tag())));
+        let mut have = Vec::new();
+        for (n, router) in self.routers.iter().enumerate() {
+            for state in router.connections_iter().filter(|state| state.tag != 0) {
+                let hop = matches!(Owner::of(state.tag), Some(Owner::Hop(..)));
+                have.push((NodeId(n as u16), hop.then_some(state.id), state.tag));
+            }
+        }
+        want.sort_unstable();
+        have.sort_unstable();
+        want == have
     }
 
     /// Turns on the cycle-accurate invariant auditor in *record* mode:
@@ -356,8 +418,7 @@ impl NetworkSim {
         self.next_conn += 1;
         conn.id = id;
         for (at, hop) in conn.hops.iter().enumerate() {
-            // mmr-lint: allow(A-TRANS, reason="per-connection-setup bookkeeping (control plane), not the per-flit data path")
-            self.local_index.insert((hop.node, hop.local), (id, at as u16));
+            self.routers.tag(hop.node, hop.local, Owner::Hop(id, at as u16).tag());
             // The session's hop pairs exist from this cycle on.
             self.routers.mark_hops_around(id, at as u16);
         }
@@ -385,7 +446,6 @@ impl NetworkSim {
         let conn = self.conns.remove(&id).ok_or(NetError::UnknownConnection(id))?;
         let mut dropped = 0u64;
         for hop in &conn.hops {
-            self.local_index.remove(&(hop.node, hop.local));
             match self.routers.teardown(hop.node, hop.local) {
                 Ok(n) => dropped += n as u64,
                 // A hop released twice (e.g. the router side already torn
@@ -504,10 +564,7 @@ impl NetworkSim {
         // the packet plane, or out of the destination NI.
         self.step_routers(now, &mut report);
         // Stream flits cross their wire into the next router.
-        let conns = &self.conns;
-        self.wires.pump_and_deliver(now, &mut self.routers, &mut self.stats, |id| {
-            conns.contains_key(&id)
-        });
+        self.wires.pump_and_deliver(now, &mut self.routers, &mut self.stats);
         // Packets that finished crossing a wire are offered onward.
         self.packets.deliver_arrivals(now, &self.fabric, &mut self.routers, &mut self.stats);
         self.packets.drain_delivered(&mut report.packets);
@@ -522,8 +579,7 @@ impl NetworkSim {
     /// The router phase of [`NetworkSim::step`]: drains the wake set and
     /// dispatches every transmitted flit.
     fn step_routers(&mut self, now: Cycles, report: &mut NetStepReport) {
-        let NetworkSim { fabric, routers, wires, packets, conns, local_index, stats, auditor, .. } =
-            self;
+        let NetworkSim { fabric, routers, wires, packets, conns, stats, auditor, .. } = self;
         let topology = fabric.topology();
         routers.drain_awake(now, |routers, node, transmitted| {
             report.flits_switched += transmitted.len();
@@ -538,14 +594,18 @@ impl NetworkSim {
                     routers.return_credit(up, VcRef { port: up_port, vc: t.input_vc.vc });
                 }
                 let output = t.output_vc.port;
-                if packets.forward_transmitted(node, t.conn, output, now, topology, stats) {
-                    continue;
-                }
-                let owner = local_index.get(&(node, t.conn)).copied();
-                if let Some((id, at)) = owner {
-                    // A slot freed behind this hop, a credit spent ahead.
-                    routers.mark_hops_around(id, at);
-                }
+                let owner = match Owner::of(t.tag) {
+                    Some(Owner::Buffered(packet)) => {
+                        packets.forward(node, output, packet, now, topology, stats);
+                        continue;
+                    }
+                    Some(Owner::Hop(id, at)) => {
+                        // A slot freed behind this hop, a credit spent ahead.
+                        routers.mark_hops_around(id, at);
+                        Some((id, at))
+                    }
+                    None => None,
+                };
                 match topology.peer_of(node, output) {
                     Some(peer) => wires.send(peer, t.output_vc.vc, owner, t.flit),
                     None => {
@@ -554,8 +614,8 @@ impl NetworkSim {
                         routers.return_credit(node, t.output_vc);
                         let Some((id, _)) = owner else { continue };
                         let Some(conn) = conns.get_mut(&id) else {
-                            // Index and table disagree (stale index entry):
-                            // count and drop the delivery.
+                            // The tag names a session the table no longer
+                            // holds: count and drop the delivery.
                             stats.ghost_releases += 1;
                             continue;
                         };
@@ -575,8 +635,7 @@ impl NetworkSim {
     /// `MMR_AUDIT=1` escalation of anything it finds.
     fn run_audit(&mut self, now: Cycles) {
         let Some(aud) = self.auditor.as_mut() else { return };
-        let sessions = Sessions { conns: &self.conns, local_index: &self.local_index };
-        self.audit_pass.run(aud, now, &mut self.routers, &sessions, &self.wires);
+        self.audit_pass.run(aud, now, &mut self.routers, &self.conns, &self.wires);
         if self.audit_enforce && !aud.is_clean() {
             // mmr-lint: allow(P-PANIC, reason="MMR_AUDIT=1 opt-in enforcement: aborting the campaign on an invariant breach is the auditor's contract")
             panic!("MMR_AUDIT: invariant violated at cycle {}: {}", now.count(), aud.summary());

@@ -5,13 +5,13 @@
 use std::collections::BTreeMap;
 
 use mmr_core::flit::FlitKind;
-use mmr_core::ids::{ConnectionId, PortId};
+use mmr_core::ids::PortId;
 use mmr_core::router::{PacketError, PacketOutcome};
 use mmr_sim::Cycles;
 
 use super::fabric::Fabric;
 use super::routers::RouterArray;
-use super::{DeliveredPacket, Endpoint, NetError, NetStats, PacketId};
+use super::{DeliveredPacket, Endpoint, NetError, NetStats, Owner, PacketId};
 use crate::routing::{RouteCtx, RoutingAlgorithm};
 use crate::topology::{NodeId, Topology};
 
@@ -24,6 +24,9 @@ struct PacketState {
     /// Per-packet routing state (up*/down* phase, butterfly walk segment,
     /// Valiant intermediate — whatever the active algorithm carries).
     ctx: RouteCtx,
+    /// The router the packet is buffered in, if any; the router connection
+    /// holding it carries its [`Owner::Buffered`] tag.
+    buffered_at: Option<NodeId>,
 }
 
 /// A packet on a wire, due at the router behind `at`. Unlike stream flits
@@ -39,8 +42,6 @@ struct PacketArrival {
 #[derive(Debug, Default)]
 pub(super) struct PacketPlane {
     packets: BTreeMap<PacketId, PacketState>,
-    /// (node, local connection) → the packet buffered in that router.
-    index: BTreeMap<(NodeId, ConnectionId), PacketId>,
     arrivals: Vec<PacketArrival>,
     /// Scratch for the arrival pass (capacity persists across cycles).
     arrivals_scratch: Vec<PacketArrival>,
@@ -75,7 +76,8 @@ impl PacketPlane {
             return Err(NetError::NoTerminalPort { node: src });
         };
         let ctx = fabric.routing().initial_ctx(src, dst, id.0);
-        self.packets.insert(id, PacketState { dst, kind, hops: 0, injected_at: now, ctx });
+        let state = PacketState { dst, kind, hops: 0, injected_at: now, ctx, buffered_at: None };
+        self.packets.insert(id, state);
         self.offer((src, entry), id, now, fabric, routers, stats);
         Ok(id)
     }
@@ -94,7 +96,7 @@ impl PacketPlane {
         let (node, entry) = at;
         // A packet that vanished (torn down by a fault mid-retry) has
         // nothing left to offer.
-        let Some(state) = self.packets.get(&packet).cloned() else { return };
+        let Some(state) = self.packets.get_mut(&packet) else { return };
         // Next output: terminal port when at the destination, else the
         // routing engine's next hop (the packet's routing context — e.g.
         // the up*/down* descent phase — is sticky).
@@ -117,8 +119,9 @@ impl PacketPlane {
             }
         };
         let outcome = routers.get_mut(node).inject_packet(entry, output, state.kind, now);
-        if let (Ok(_), Some(c), Some(state)) = (&outcome, next_ctx, self.packets.get_mut(&packet)) {
-            state.ctx = c;
+        if let Ok(placed) = &outcome {
+            state.ctx = next_ctx.unwrap_or(state.ctx);
+            state.buffered_at = matches!(placed, PacketOutcome::Buffered(_)).then_some(node);
         }
         match outcome {
             // The packet crossed this router within the cycle; it is now
@@ -127,8 +130,7 @@ impl PacketPlane {
                 self.forward(node, output, packet, now, fabric.topology(), stats);
             }
             Ok(PacketOutcome::Buffered(local)) => {
-                // mmr-lint: allow(A-TRANS, reason="per-packet index entry, bounded by the admission-controlled in-flight packet population")
-                self.index.insert((node, local), packet);
+                routers.tag(node, local, Owner::Buffered(packet).tag());
             }
             Err(PacketError::Blocked) => {
                 self.blocked.push((at, packet)); // mmr-lint: allow(A-TRANS, reason="bounded by the in-flight packet population; the list keeps its capacity across cycles")
@@ -144,8 +146,10 @@ impl PacketPlane {
     }
 
     /// Moves a packet from `node`'s `output` port onto the wire (or records
-    /// delivery when the output is a terminal).
-    fn forward(
+    /// delivery when the output is a terminal): it cut through the router,
+    /// or the router transmitted it from a buffer (packet connections tear
+    /// down on transmit inside the router).
+    pub(super) fn forward(
         &mut self,
         node: NodeId,
         output: PortId,
@@ -158,6 +162,7 @@ impl PacketPlane {
             Some(at) => {
                 if let Some(state) = self.packets.get_mut(&packet) {
                     state.hops += 1;
+                    state.buffered_at = None;
                 }
                 // mmr-lint: allow(A-TRANS, reason="amortized: the arrival buffer keeps its capacity across cycles (scratch-swap delivery pass)")
                 self.arrivals.push(PacketArrival { deliver_at: now + Cycles(1), at, packet });
@@ -172,23 +177,6 @@ impl PacketPlane {
                 self.delivered.push(DeliveredPacket { packet, at: node, hops: state.hops, latency });
             }
         }
-    }
-
-    /// A router transmitted the flit of its local connection `local`: if
-    /// that was a buffered packet (packet connections tear down on transmit
-    /// inside the router), moves it along and returns `true`.
-    pub(super) fn forward_transmitted(
-        &mut self,
-        node: NodeId,
-        local: ConnectionId,
-        output: PortId,
-        now: Cycles,
-        topology: &Topology,
-        stats: &mut NetStats,
-    ) -> bool {
-        let Some(packet) = self.index.remove(&(node, local)) else { return false };
-        self.forward(node, output, packet, now, topology, stats);
-        true
     }
 
     /// Retries packets blocked waiting for a free VC, strictly in
@@ -230,11 +218,16 @@ impl PacketPlane {
             if a.deliver_at > now + Cycles(1) {
                 // mmr-lint: allow(A-TRANS, reason="amortized: the arrival buffer keeps its capacity across cycles (scratch-swap delivery pass)")
                 self.arrivals.push(a);
-            } else if self.packets.contains_key(&a.packet) {
+            } else {
                 self.offer(a.at, a.packet, a.deliver_at, fabric, routers, stats);
             }
         }
         self.arrivals_scratch = arriving;
+    }
+
+    /// Every buffered packet with the router holding it.
+    pub(super) fn buffered(&self) -> impl Iterator<Item = (NodeId, PacketId)> + '_ {
+        self.packets.iter().filter_map(|(&packet, state)| Some((state.buffered_at?, packet)))
     }
 
     /// Moves the deliveries recorded since the last call into `out`.
@@ -264,12 +257,7 @@ impl PacketPlane {
     /// returned as lost.
     pub(super) fn purge_node(&mut self, node: NodeId) -> u64 {
         let mut lost = 0;
-        self.index.retain(|&(n, _), packet| {
-            if n == node {
-                self.packets.remove(packet);
-            }
-            n != node
-        });
+        self.packets.retain(|_, state| state.buffered_at != Some(node));
         self.blocked.retain(|&((n, _), packet)| {
             if n == node {
                 self.packets.remove(&packet);

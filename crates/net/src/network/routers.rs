@@ -162,6 +162,12 @@ impl RouterArray {
         }
     }
 
+    /// Writes `conn`'s owner tag on `node` ([`Router::set_tag`]). Neither
+    /// wakes nor marks: no stage and no router law reads a tag.
+    pub(super) fn tag(&mut self, node: NodeId, conn: ConnectionId, tag: u64) {
+        self.routers[node.index()].set_tag(conn, tag);
+    }
+
     /// [`Router::establish_pinned`] on `node`: what it changes is the two
     /// ports' free-VC stacks and books, and the connection it creates.
     pub(super) fn establish(

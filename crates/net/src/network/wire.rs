@@ -20,7 +20,7 @@ use mmr_sim::Cycles;
 use super::routers::RouterArray;
 #[cfg(doc)]
 use super::NetworkSim;
-use super::{Endpoint, NetConnectionId, NetStats, TransientKind};
+use super::{Endpoint, NetConnectionId, NetStats, Owner, TransientKind};
 use crate::topology::NodeId;
 
 /// A flit crossing one wire, as the link-level retry layer sees it: the
@@ -30,12 +30,14 @@ struct WireFrame {
     /// Target VC on the receiving port.
     vc: VcIndex,
     /// The end-to-end connection the flit belonged to when it was queued —
-    /// replayed frames whose connection has since been torn down are
-    /// discarded at delivery rather than injected into a reused VC.
+    /// a frame is delivered only into that connection's next hop, so a
+    /// replay that outlived its connection is discarded rather than
+    /// injected into a reused VC.
     net_conn: Option<NetConnectionId>,
     /// Which hop of `net_conn` sent the frame: it names the hop pair the
-    /// frame crosses, for the auditor. (Beside `vc` rather than inside the
-    /// option, where it would grow every replay-buffer slot by a word.)
+    /// frame crosses, for the auditor, and the next hop's tag the frame
+    /// may land on. (Beside `vc` rather than inside the option, where it
+    /// would grow every replay-buffer slot by a word.)
     hop: u16,
     flit: Flit,
 }
@@ -194,7 +196,6 @@ impl Wires {
         now: Cycles,
         routers: &mut RouterArray,
         stats: &mut NetStats,
-        is_live: impl Fn(NetConnectionId) -> bool,
     ) {
         let arrive_at = now + Cycles(1);
         for (node, word) in self.live.iter_mut().enumerate() {
@@ -254,16 +255,8 @@ impl Wires {
                 };
             }
 
-            // Stale-delivery guard: a replayed frame can outlive its
-            // connection (recovery tears the circuit down while copies sit
-            // in the replay buffer). Discard it here rather than injecting
-            // it into a VC the slot may since have been re-leased to.
-            if frame.net_conn.is_some_and(|id| !is_live(id)) {
-                stats.flits_lost += 1;
-                continue;
-            }
             let (node, port) = key;
-            let Some(local) =
+            let Some(state) =
                 routers.get(node).connection_by_input_vc(VcRef { port, vc: frame.vc })
             else {
                 // The VC mapping disappeared mid-flight (teardown raced the
@@ -271,6 +264,16 @@ impl Wires {
                 stats.flits_lost += 1;
                 continue;
             };
+            // Stale-delivery guard: a replayed frame can outlive its
+            // connection (recovery tears the circuit down while copies sit
+            // in the replay buffer), and the VC may since have been
+            // re-leased. Session ids are never reused, so only the
+            // session's own next hop carries the tag the frame expects.
+            let local = state.id;
+            if frame.net_conn.is_some_and(|id| state.tag != Owner::Hop(id, frame.hop + 1).tag()) {
+                stats.flits_lost += 1;
+                continue;
+            }
             // An arriving flit is the canonical wake event: the router has
             // buffered work for next cycle whether or not accept succeeds.
             if routers.get_mut_for(node, local).accept(local, frame.flit, arrive_at).is_err() {

@@ -120,6 +120,7 @@ proptest! {
                 _ => {
                     for _ in 0..4 {
                         let report = net.step(Cycles(t));
+                        prop_assert!(net.tags_agree(), "cycle {t}: a tag names the wrong owner");
                         let (_, preempted) = ctl.service(&mut net, &report, Cycles(t));
                         for p in &preempted {
                             live.retain(|&id| id != p.session);
