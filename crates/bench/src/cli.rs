@@ -13,9 +13,11 @@
 //! no invocation can clobber a committed artefact by accident. Anything the
 //! parser does not recognise — a flag, a flag for another campaign, a
 //! missing or malformed value, a campaign or part name — and any value an
-//! entry refuses before it runs is a usage error (exit 2), never a guess.
+//! entry refuses before it runs, a file destination in a missing directory
+//! among them, is a usage error (exit 2), never a guess.
 
 use std::fmt::Display;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::str::FromStr;
 
@@ -391,6 +393,17 @@ pub fn usage() -> String {
     text
 }
 
+/// Refuses a `--table`, `--out` or `--dir` destination in a directory that
+/// does not exist, so a run that could not save its result never starts.
+fn check_destinations(request: &Request) -> Result<(), String> {
+    let files = [&request.table, &request.out].into_iter().flatten();
+    let parents = files.filter_map(|file| Path::new(".").join(file).parent().map(Path::to_path_buf));
+    match parents.chain(request.dir.iter().map(PathBuf::from)).find(|dir| !dir.is_dir()) {
+        Some(dir) => Err(format!("no directory {}", dir.display())),
+        None => Ok(()),
+    }
+}
+
 fn write(path: Option<&str>, content: &str) -> Result<(), String> {
     let Some(path) = path else { return Ok(()) };
     std::fs::write(path, content).map_err(|e| format!("cannot write {path}: {e}"))?;
@@ -405,6 +418,7 @@ pub fn execute(command: Command) -> Result<ExitCode, String> {
     let result = match command {
         Command::Check(entries) => check(&entries),
         Command::Run(entry, request) => {
+            check_destinations(&request)?;
             let output = (entry.run)(&request)?;
             print!("{}", output.text);
             write(request.table.as_deref(), &output.text)

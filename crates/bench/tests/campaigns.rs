@@ -186,7 +186,7 @@ fn committed_fault_and_chaos_artefacts_are_current() {
 /// nothing on stdout.
 #[test]
 fn malformed_command_lines_exit_2_with_usage() {
-    let cases: [(&[&str], &str); 53] = [
+    let cases: [(&[&str], &str); 56] = [
         // Unknown flags are rejected, not ignored: `--quik` used to run the
         // minutes-long paper sweep; the retired spellings are unknown too.
         (&["paper", "--quik"], "unknown flag '--quik' for paper"),
@@ -264,6 +264,11 @@ fn malformed_command_lines_exit_2_with_usage() {
         (&["ablations", "round-q"], "unknown ablations name 'round-q'"),
         (&["extensions", "round-k"], "unknown extensions name 'round-k'"),
         (&["router", "stray"], "unknown router name 'stray'"),
+        // A destination in a missing directory, refused before the run:
+        // `paper --dir` once ran its whole sweep and then failed to write.
+        (&["paper", "--dir", "no/such/dir"], "no directory no/such/dir"),
+        (&["faults", "--out", "no/such/dir/f.json"], "no directory ./no/such/dir"),
+        (&["ablations", "--table", "no/such/dir/a.txt"], "no directory ./no/such/dir"),
     ];
     for (args, complaint) in cases {
         let run = mmr_bench(args);

@@ -26,8 +26,7 @@ use std::fmt;
 use mmr_sim::Cycles;
 
 use crate::conn::ConnState;
-use crate::ids::ConnectionId;
-use crate::ids::PortId;
+use crate::ids::{ConnRef, ConnectionId, PortId};
 use crate::router::Router;
 
 /// Which side of a port an invariant refers to.
@@ -250,15 +249,15 @@ pub struct Auditor {
     overflow: u64,
     /// Router-cycles covered (see [`Auditor::checks`]).
     checks: u64,
-    /// Per router, the watchdog entries of its connections in id order. Only
+    /// Per router, the watchdog entries of its connections in handle order. Only
     /// a connection that holds a flit or has been flagged has one: any other
     /// entry would be `{stalled_since: None, flagged: false}`, which is what
     /// a first visit starts from anyway.
-    watchdog: Vec<Vec<(u32, WatchdogState)>>,
+    watchdog: Vec<Vec<(ConnRef, WatchdogState)>>,
     /// Scratch the merge in `visit_router` writes the next entry list
     /// into, and the per-port `(input, output)` mapped-VC counts of
     /// `check_ports` (capacity persists across calls).
-    merged: Vec<(u32, WatchdogState)>,
+    merged: Vec<(ConnRef, WatchdogState)>,
     mapped: Vec<(usize, usize)>,
     /// Per-stream next expected end-to-end sequence number.
     streams: BTreeMap<u64, u64>,
@@ -289,8 +288,9 @@ impl Auditor {
     /// Audits one router between flit cycles (after [`Router::step`]),
     /// asking for what changed since its last check: the per-port laws
     /// (VC slots, bandwidth books, round budget) if `ports`, then the three
-    /// per-connection laws for `conns` — connections of `r` in ascending id
-    /// order; all of them, with `ports`, is the exhaustive oracle. For a caller
+    /// per-connection laws for `conns` — connections of `r` in ascending
+    /// handle order, [`Router::connections_iter`]'s; all of them, with
+    /// `ports`, is the exhaustive oracle. For a caller
     /// that re-visits what is broken, `broken` receives every connection
     /// found in violation and the return value says whether a per-port law
     /// is. Counts as one check.
@@ -306,7 +306,7 @@ impl Auditor {
         now: Cycles,
         ports: bool,
         conns: impl Iterator<Item = &'r ConnState>,
-        mut broken: impl FnMut(ConnectionId),
+        mut broken: impl FnMut(ConnRef),
     ) -> bool {
         self.checks += 1;
         let ports_broken = ports && self.check_ports(router, r);
@@ -318,11 +318,11 @@ impl Auditor {
         let mut merged = std::mem::take(&mut self.merged);
         merged.clear();
         let mut entries = old.iter().copied().peekable();
-        let survives = |&(id, _): &(u32, WatchdogState)| r.connection(ConnectionId(id)).is_some();
+        let survives = |&(conn, _): &(ConnRef, WatchdogState)| r.connection(conn).is_some();
         for conn in conns {
-            let id = conn.id.raw();
-            merged.extend(std::iter::from_fn(|| entries.next_if(|e| e.0 < id)).filter(survives));
-            let mut state = entries.next_if(|e| e.0 == id).map_or(
+            let handle = conn.handle();
+            merged.extend(std::iter::from_fn(|| entries.next_if(|e| e.0 < handle)).filter(survives));
+            let mut state = entries.next_if(|e| e.0 == handle).map_or(
                 WatchdogState {
                     forwarded: conn.flits_forwarded,
                     stalled_since: None,
@@ -331,10 +331,10 @@ impl Auditor {
                 |(_, state)| state,
             );
             if self.connection_laws(router, r, conn, now, &mut state) {
-                broken(conn.id);
+                broken(handle);
             }
             if state.stalled_since.is_some() || state.flagged {
-                merged.push((id, state));
+                merged.push((handle, state));
             }
         }
         merged.extend(entries.filter(survives));

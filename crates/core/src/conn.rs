@@ -9,7 +9,7 @@
 use mmr_sim::{Bandwidth, FlitTiming};
 
 use crate::bandwidth::Allocation;
-use crate::ids::{ConnectionId, PortId, VcRef};
+use crate::ids::{ConnRef, ConnectionId, PortId, VcRef};
 
 /// The service class of a connection (§2, §4).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -150,6 +150,11 @@ impl ConnState {
         }
     }
 
+    /// The handle naming this connection.
+    pub fn handle(&self) -> ConnRef {
+        ConnRef { vc: self.input_vc, id: self.id }
+    }
+
     /// The bandwidth this connection holds on each of its two links, to be
     /// surrendered at teardown. An allocation is a function of the class,
     /// the round and the link timing alone, all router-wide, so the input
@@ -195,21 +200,15 @@ impl ConnState {
 ///
 /// Connection state is stored *in the direct mapping*: one dense
 /// `[input port][input VC]` slot array, because a connection owns exactly
-/// one input VC for its lifetime (double-booking panics). The per-cycle hot
-/// paths — link-scheduler classification, flit transmission and credit
-/// return — therefore reach connection state with two array indexes instead
-/// of ordered-map walks, which is what lets the engine classify dozens of
-/// eligible VCs per cycle at scale. Lookups by id index a dense id →
-/// input-VC table (ids are allocated monotonically, so the table grows once
-/// per establishment and per-cycle injection reaches state in O(1)).
+/// one input VC for its lifetime (double-booking panics). A lookup by VC or
+/// by handle is two array indexes: the per-cycle hot paths — link-scheduler
+/// classification, flit transmission and credit return — read a slot by
+/// VC, and a caller that names a connection holds a [`ConnRef`], whose VC
+/// picks the slot and whose id must match the one there. Nothing is keyed
+/// by [`ConnectionId`], so the table's storage is bounded by the router's
+/// VCs however many connections come and go.
 #[derive(Debug, Clone, Default)]
 pub struct ConnectionTable {
-    /// Sorted by id: each live connection's id and its input VC (the slot
-    /// key). Ids are monotone, so pushes preserve the order.
-    index: Vec<(ConnectionId, VcRef)>,
-    /// Dense id → input-VC mapping (`None` = never existed or torn down);
-    /// the O(1) id lookup used by per-cycle injection.
-    by_id: Vec<Option<VcRef>>,
     /// Direct mapping and state storage, indexed `[input port][input VC]`;
     /// grown on demand.
     slots: Vec<Vec<Option<ConnState>>>,
@@ -217,10 +216,12 @@ pub struct ConnectionTable {
     /// connection's *input* VC (its slot key); grown on demand.
     reverse: Vec<Vec<Option<VcRef>>>,
     next_id: u32,
+    live: usize,
 }
 
-/// Grows a dense `[port][vc]` table so `vc` is a valid index.
-fn grow_to<T: Clone>(table: &mut Vec<Vec<Option<T>>>, vc: VcRef) {
+/// Grows a dense `[port][vc]` table so `vc` is a valid index, and returns
+/// that slot.
+fn grow_to<T: Clone>(table: &mut Vec<Vec<Option<T>>>, vc: VcRef) -> &mut Option<T> {
     let p = vc.port.index();
     if table.len() <= p {
         // mmr-lint: allow(A-TRANS, reason="amortized: the port-indexed free-list table grows once per newly seen port, then stays flat")
@@ -231,6 +232,7 @@ fn grow_to<T: Clone>(table: &mut Vec<Vec<Option<T>>>, vc: VcRef) {
     if row.len() <= vc.vc.index() {
         row.resize(vc.vc.index() + 1, None); // mmr-lint: allow(A-TRANS, reason="amortized: a row grows once per newly seen vc, then stays flat")
     }
+    &mut row[vc.vc.index()] // mmr-lint: allow(P-TRANS, reason="the row was just resized past vc")
 }
 
 /// Reads a dense `[port][vc]` table, treating unallocated rows as empty.
@@ -238,12 +240,12 @@ fn slot_of<T>(table: &[Vec<Option<T>>], vc: VcRef) -> Option<&T> {
     table.get(vc.port.index())?.get(vc.vc.index())?.as_ref()
 }
 
-impl ConnectionTable {
-    /// Creates an empty table.
-    pub fn new() -> Self {
-        Self::default()
-    }
+/// [`slot_of`] for writing: the slot itself, `None` where no row reaches.
+fn slot_mut<T>(table: &mut [Vec<Option<T>>], vc: VcRef) -> Option<&mut Option<T>> {
+    table.get_mut(vc.port.index())?.get_mut(vc.vc.index())
+}
 
+impl ConnectionTable {
     /// Allocates the next connection id.
     pub fn next_id(&mut self) -> ConnectionId {
         let id = ConnectionId(self.next_id);
@@ -257,51 +259,40 @@ impl ConnectionTable {
     ///
     /// Panics if either VC is already mapped — the router must never
     /// double-book a virtual channel.
-    pub fn insert(&mut self, state: ConnState) {
-        grow_to(&mut self.slots, state.input_vc);
-        grow_to(&mut self.reverse, state.output_vc);
-        // mmr-lint: allow(P-TRANS, reason="port/vc indices come from the router's own construction-sized tables")
-        let slot = &mut self.slots[state.input_vc.port.index()][state.input_vc.vc.index()];
+    pub fn insert(&mut self, state: ConnState) -> ConnRef {
+        let slot = grow_to(&mut self.slots, state.input_vc);
         assert!(slot.is_none(), "input VC {} double-booked", state.input_vc); // mmr-lint: allow(P-TRANS, reason="double-booking is a router bug; the assert is the documented API contract")
-        let rev = &mut self.reverse[state.output_vc.port.index()][state.output_vc.vc.index()]; // mmr-lint: allow(P-TRANS, reason="grow_to just sized the reverse table for this output VC")
+        let rev = grow_to(&mut self.reverse, state.output_vc);
         assert!(rev.is_none(), "output VC {} double-booked", state.output_vc); // mmr-lint: allow(P-TRANS, reason="double-booking is a router bug; the assert is the documented API contract")
         *rev = Some(state.input_vc);
-        let pos = self.index.partition_point(|&(id, _)| id < state.id);
-        // mmr-lint: allow(A-TRANS, reason="per-connection-setup bookkeeping (control plane), not the per-flit data path")
-        self.index.insert(pos, (state.id, state.input_vc));
-        let raw = state.id.raw() as usize;
-        if self.by_id.len() <= raw {
-            self.by_id.resize(raw + 1, None); // mmr-lint: allow(A-TRANS, reason="amortized: grows once per newly allocated connection id, then stays flat")
-        }
-        if let Some(slot) = self.by_id.get_mut(raw) {
-            *slot = Some(state.input_vc);
-        }
+        self.live += 1;
+        let conn = state.handle();
         *slot = Some(state);
+        conn
     }
 
-    /// Removes a connection and both its mappings, returning its state.
-    pub fn remove(&mut self, id: ConnectionId) -> Option<ConnState> {
-        let pos = self.index.binary_search_by_key(&id, |&(id, _)| id).ok()?;
-        let (_, input_vc) = self.index.remove(pos);
-        if let Some(slot) = self.by_id.get_mut(id.raw() as usize) {
-            *slot = None;
+    /// Removes a connection and both its mappings, returning its state;
+    /// `None` when `conn`'s slot no longer holds it.
+    pub fn remove(&mut self, conn: ConnRef) -> Option<ConnState> {
+        let slot = slot_mut(&mut self.slots, conn.vc)?;
+        let state = slot.take_if(|state| state.id == conn.id)?;
+        if let Some(rev) = slot_mut(&mut self.reverse, state.output_vc) {
+            *rev = None;
         }
-        let state = self.slots[input_vc.port.index()][input_vc.vc.index()].take()?; // mmr-lint: allow(P-TRANS, reason="the index entry guarantees grow_to sized these rows at insert time")
-        self.reverse[state.output_vc.port.index()][state.output_vc.vc.index()] = None; // mmr-lint: allow(P-TRANS, reason="the index entry guarantees grow_to sized these rows at insert time")
+        self.live -= 1;
         Some(state)
     }
 
-    /// Looks up a connection by id.
+    /// Looks up a connection by handle.
     // mmr-lint: hot
-    pub fn get(&self, id: ConnectionId) -> Option<&ConnState> {
-        slot_of(&self.slots, *self.by_id.get(id.raw() as usize)?.as_ref()?)
+    pub fn get(&self, conn: ConnRef) -> Option<&ConnState> {
+        self.by_input_vc(conn.vc).filter(|state| state.id == conn.id)
     }
 
-    /// Mutable lookup by id.
+    /// Mutable lookup by handle.
     // mmr-lint: hot
-    pub fn get_mut(&mut self, id: ConnectionId) -> Option<&mut ConnState> {
-        let vc = (*self.by_id.get(id.raw() as usize)?)?;
-        self.slots.get_mut(vc.port.index())?.get_mut(vc.vc.index())?.as_mut()
+    pub fn get_mut(&mut self, conn: ConnRef) -> Option<&mut ConnState> {
+        slot_mut(&mut self.slots, conn.vc)?.as_mut().filter(|state| state.id == conn.id)
     }
 
     /// Direct mapping: which connection owns this *input* VC?
@@ -314,30 +305,24 @@ impl ConnectionTable {
         slot_of(&self.slots, *slot_of(&self.reverse, vc)?)
     }
 
-    /// Mutable direct-mapping lookup.
-    pub fn by_input_vc_mut(&mut self, vc: VcRef) -> Option<&mut ConnState> {
-        self.slots.get_mut(vc.port.index())?.get_mut(vc.vc.index())?.as_mut()
-    }
-
-    /// Iterates over all connections in id order.
+    /// Iterates over all connections in handle (input-VC) order.
     pub fn iter(&self) -> impl Iterator<Item = &ConnState> {
-        self.index.iter().filter_map(|&(_, vc)| slot_of(&self.slots, vc))
+        self.slots.iter().flatten().filter_map(Option::as_ref)
     }
 
-    /// Mutable iteration over all connections, in input-VC (port-major)
-    /// order. Callers that need id order use [`ConnectionTable::iter`].
+    /// Mutable iteration over all connections, in handle order.
     pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut ConnState> {
-        self.slots.iter_mut().flatten().filter_map(|slot| slot.as_mut())
+        self.slots.iter_mut().flatten().filter_map(Option::as_mut)
     }
 
     /// Number of live connections.
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.live
     }
 
     /// Whether the table is empty.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.live == 0
     }
 }
 
@@ -400,18 +385,23 @@ mod tests {
 
     #[test]
     fn table_mappings_round_trip() {
-        let mut t = ConnectionTable::new();
+        let mut t = ConnectionTable::default();
         let id = t.next_id();
         assert_eq!(id, ConnectionId(0));
         let in_vc = VcRef::new(2, 17);
         let out_vc = VcRef::new(5, 3);
-        t.insert(state(id.raw(), in_vc, out_vc));
+        let conn = t.insert(state(id.raw(), in_vc, out_vc));
+        assert_eq!(conn, ConnRef { vc: in_vc, id });
         assert_eq!(t.len(), 1);
+        assert_eq!(t.get(conn).map(|c| c.id), Some(id));
         assert_eq!(t.by_input_vc(in_vc).map(|c| c.id), Some(id));
         assert_eq!(t.by_output_vc(out_vc).map(|c| c.id), Some(id));
         assert!(t.by_input_vc(VcRef::new(2, 18)).is_none());
-        let removed = t.remove(id).expect("present");
+        assert!(t.remove(ConnRef { id: ConnectionId(7), ..conn }).is_none(), "another id");
+        let removed = t.remove(conn).expect("present");
         assert_eq!(removed.id, id);
+        assert!(t.get(conn).is_none());
+        assert!(t.remove(conn).is_none(), "removed once");
         assert!(t.by_input_vc(in_vc).is_none());
         assert!(t.by_output_vc(out_vc).is_none());
         assert!(t.is_empty());
@@ -420,25 +410,50 @@ mod tests {
     #[test]
     #[should_panic(expected = "double-booked")]
     fn double_booking_input_vc_panics() {
-        let mut t = ConnectionTable::new();
+        let mut t = ConnectionTable::default();
         t.insert(state(0, VcRef::new(0, 0), VcRef::new(1, 0)));
         t.insert(state(1, VcRef::new(0, 0), VcRef::new(1, 1)));
     }
 
     #[test]
     fn ids_are_unique_and_monotone() {
-        let mut t = ConnectionTable::new();
+        let mut t = ConnectionTable::default();
         let a = t.next_id();
         let b = t.next_id();
         assert!(b > a);
     }
 
     #[test]
-    fn iteration_is_id_ordered() {
-        let mut t = ConnectionTable::new();
-        t.insert(state(5, VcRef::new(0, 0), VcRef::new(1, 0)));
-        t.insert(state(2, VcRef::new(0, 1), VcRef::new(1, 1)));
-        let ids: Vec<u32> = t.iter().map(|c| c.id.raw()).collect();
-        assert_eq!(ids, vec![2, 5]);
+    fn iteration_is_in_handle_order() {
+        let mut t = ConnectionTable::default();
+        let b = t.insert(state(2, VcRef::new(1, 0), VcRef::new(1, 1)));
+        let a = t.insert(state(5, VcRef::new(0, 3), VcRef::new(1, 0)));
+        let handles: Vec<ConnRef> = t.iter().map(ConnState::handle).collect();
+        assert_eq!(handles, vec![a, b], "input-VC order, not id order");
+    }
+
+    /// The table holds nothing per connection ever established: churning
+    /// 100,000 connections through one VC pair leaves every row as large as
+    /// the first connection made it.
+    #[test]
+    fn storage_is_bounded_by_the_vcs_not_the_ids() {
+        fn rows<T>(table: &[Vec<Option<T>>]) -> Vec<usize> {
+            table.iter().map(Vec::capacity).collect()
+        }
+        let (in_vc, out_vc) = (VcRef::new(1, 2), VcRef::new(3, 4));
+        let mut t = ConnectionTable::default();
+        let capacities = |t: &ConnectionTable| {
+            (t.slots.capacity(), rows(&t.slots), t.reverse.capacity(), rows(&t.reverse))
+        };
+        let mut after_one = None;
+        for _ in 0..100_000 {
+            let id = t.next_id();
+            let conn = t.insert(state(id.raw(), in_vc, out_vc));
+            after_one.get_or_insert_with(|| capacities(&t));
+            assert!(t.remove(conn).is_some());
+        }
+        assert_eq!(t.next_id(), ConnectionId(100_000));
+        assert_eq!(Some(capacities(&t)), after_one);
+        assert!(t.is_empty());
     }
 }

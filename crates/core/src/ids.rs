@@ -84,6 +84,17 @@ impl fmt::Display for ConnectionId {
     }
 }
 
+/// A handle on a router connection: the input VC it owns (§3.5's direct
+/// mapping key) and its id, which the slot at `vc` must still hold. Handles
+/// order by VC, then id: the router's slot order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct ConnRef {
+    /// The input virtual channel the connection owns.
+    pub vc: VcRef,
+    /// The connection's identity.
+    pub id: ConnectionId,
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -100,6 +111,14 @@ mod tests {
     fn ordering_is_port_major() {
         assert!(VcRef::new(0, 255) < VcRef::new(1, 0));
         assert!(VcRef::new(1, 3) < VcRef::new(1, 4));
+    }
+
+    #[test]
+    fn a_handle_is_eight_bytes_and_orders_by_vc() {
+        assert_eq!(std::mem::size_of::<ConnRef>(), 8);
+        let at = |port, vc, id| ConnRef { vc: VcRef::new(port, vc), id: ConnectionId(id) };
+        assert!(at(0, 1, 9) < at(1, 0, 2));
+        assert!(at(1, 0, 2) < at(1, 0, 3), "a re-leased VC's new handle sorts after the old");
     }
 
     #[test]

@@ -73,7 +73,7 @@ pub use conn::{ConnState, ConnectionRequest, ConnectionTable, QosClass};
 pub use cost::CostModel;
 pub use crossbar::Crossbar;
 pub use flit::{CommandWord, Flit, FlitKind};
-pub use ids::{ConnectionId, PortId, VcIndex, VcRef};
+pub use ids::{ConnRef, ConnectionId, PortId, VcIndex, VcRef};
 pub use linksched::CandidatePolicy;
 pub use llr::{
     LlrConfig, LlrFrame, LlrReceiver, LlrRecvStats, LlrSendStats, LlrSender, LlrSignal, RxDiscard,

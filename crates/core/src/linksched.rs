@@ -744,6 +744,7 @@ fn reference_classify(view: &LinkSchedView<'_>, vc_idx: usize, vcs: usize) -> Op
 mod tests {
     use super::*;
     use crate::conn::ConnectionRequest;
+    use crate::ids::ConnRef;
     use crate::flit::{Flit, FlitKind};
     use mmr_sim::Bandwidth;
 
@@ -762,7 +763,7 @@ mod tests {
             Fixture {
                 vcm: VirtualChannelMemory::new(vcs, 4, 8),
                 status: StatusMatrix::new(vcs),
-                conns: ConnectionTable::new(),
+                conns: ConnectionTable::default(),
                 classes: ClassMasks::new(vcs),
                 records: VcMap::filled(vcs, VcSched::IDLE),
             }
@@ -770,9 +771,9 @@ mod tests {
 
         /// Adds a CBR connection on `vc` with a head flit queued since
         /// `ready` and the given inter-arrival period.
-        fn add_cbr(&mut self, vc: u16, interarrival: f64, fixed: f64, ready: u64, out: u8) {
+        fn add_cbr(&mut self, vc: u16, interarrival: f64, fixed: f64, ready: u64, out: u8) -> ConnRef {
             let id = self.conns.next_id();
-            self.conns.insert(ConnState {
+            let conn = self.conns.insert(ConnState {
                 id,
                 input_vc: VcRef::new(0, vc),
                 output_vc: VcRef::new(out, vc),
@@ -795,6 +796,7 @@ mod tests {
             self.status.set(Condition::ConnectionActive, vc.into(), true);
             self.status.set(Condition::CreditsAvailable, vc.into(), true);
             self.status.set(Condition::FlitsAvailable, vc.into(), true);
+            conn
         }
 
         /// The view under `kind`, with every mapped VC's record written for
@@ -935,10 +937,10 @@ mod tests {
     #[test]
     fn exhausted_cbr_quota_excludes_vc() {
         let mut f = Fixture::new(8);
-        f.add_cbr(0, 100.0, 0.5, 0, 1);
+        let conn = f.add_cbr(0, 100.0, 0.5, 0, 1);
         // What the router does when the quota runs out: count the round
         // and latch the serviced bit, which is what the scheduler reads.
-        f.conns.get_mut(ConnectionId(0)).expect("present").serviced_this_round = 10;
+        f.conns.get_mut(conn).expect("present").serviced_this_round = 10;
         f.status.set(Condition::CbrBandwidthServiced, 0, true);
         assert!(select_candidates(&f.view(ArbiterKind::BiasedPriority, 4, 5)).candidates.is_empty());
     }
@@ -997,7 +999,7 @@ mod tests {
     fn vbr_phases_split_on_quota() {
         let mut f = Fixture::new(8);
         let id = f.conns.next_id();
-        f.conns.insert(ConnState {
+        let conn = f.conns.insert(ConnState {
             id,
             input_vc: VcRef::new(0, 3),
             output_vc: VcRef::new(1, 3),
@@ -1032,11 +1034,11 @@ mod tests {
         let out = select_candidates(&f.view(ArbiterKind::BiasedPriority, 4, 5));
         assert_eq!(out.candidates[0].phase, ServicePhase::VbrPermanent);
         // Past the permanent quota the same VC drops to the excess phase.
-        f.conns.get_mut(id).expect("present").serviced_this_round = 2;
+        f.conns.get_mut(conn).expect("present").serviced_this_round = 2;
         let out = select_candidates(&f.view(ArbiterKind::BiasedPriority, 4, 5));
         assert_eq!(out.candidates[0].phase, ServicePhase::VbrExcess);
         // Past the peak quota it disappears.
-        f.conns.get_mut(id).expect("present").serviced_this_round = 8;
+        f.conns.get_mut(conn).expect("present").serviced_this_round = 8;
         assert!(select_candidates(&f.view(ArbiterKind::BiasedPriority, 4, 5)).candidates.is_empty());
     }
 

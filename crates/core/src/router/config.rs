@@ -9,7 +9,7 @@ use super::Router;
 use crate::arbiter::ArbiterKind;
 use crate::bandwidth::AdmissionError;
 use crate::flit::Flit;
-use crate::ids::{ConnectionId, PortId, VcRef};
+use crate::ids::{ConnRef, ConnectionId, PortId, VcRef};
 use crate::linksched::CandidatePolicy;
 
 /// Router configuration (consuming builder).
@@ -369,7 +369,7 @@ pub enum PacketOutcome {
     CutThrough,
     /// The packet was stored in a reserved virtual channel and will be
     /// scheduled synchronously with the data streams.
-    Buffered(ConnectionId),
+    Buffered(ConnRef),
 }
 
 /// Why a VCT packet was refused.

@@ -18,7 +18,7 @@ use crate::bandwidth::{Allocation, LinkBandwidthBook, RoundConfig};
 use crate::conn::{ConnState, ConnectionRequest, ConnectionTable, QosClass};
 use crate::crossbar::Crossbar;
 use crate::flit::{CommandWord, Flit, FlitKind};
-use crate::ids::{ConnectionId, PortId, VcIndex, VcRef};
+use crate::ids::{ConnRef, ConnectionId, PortId, VcIndex, VcRef};
 use crate::linksched::VcSched;
 use crate::switchsched::{MatchedPair, SwitchScheduler};
 use crate::table::set_ports;
@@ -93,7 +93,7 @@ pub struct Router {
     /// [`Router::step_into`] only counts its cycle.
     settled: bool,
     pairs_buf: Vec<MatchedPair>,
-    completed_buf: Vec<ConnectionId>,
+    completed_buf: Vec<ConnRef>,
     /// Whether [`Router::return_credit`] saturates at the buffer depth.
     /// Always `true` in production; the conformance harness disables it via
     /// [`Router::set_credit_clamp`] to resurrect the pre-fix
@@ -127,7 +127,7 @@ impl Router {
         Router {
             inputs: (0..ports).map(|_| InputLink::new(&cfg, book())).collect(),
             outputs: (0..ports).map(|_| OutputLink::new(&cfg, book())).collect(),
-            conns: ConnectionTable::new(),
+            conns: ConnectionTable::default(),
             scheduler: SwitchScheduler::new(cfg.arbiter, ports),
             crossbar: Crossbar::new(ports),
             rng: SeededRng::new(cfg.seed),
@@ -253,9 +253,9 @@ impl Router {
         &self.inputs[input.index()].lease.book
     }
 
-    /// Looks up a connection's state.
-    pub fn connection(&self, id: ConnectionId) -> Option<&ConnState> {
-        self.conns.get(id)
+    /// Looks up a connection's state; `None` once it is torn down.
+    pub fn connection(&self, conn: ConnRef) -> Option<&ConnState> {
+        self.conns.get(conn)
     }
 
     /// The virtual channel memory of an input port (invariant-auditor
@@ -307,8 +307,8 @@ impl Router {
         self.outputs[output.index()].guaranteed_serviced
     }
 
-    /// Iterates the live connections in id order (invariant-auditor
-    /// introspection).
+    /// Iterates the live connections in handle (input-VC) order
+    /// (invariant-auditor introspection).
     pub fn connections_iter(&self) -> impl Iterator<Item = &ConnState> {
         self.conns.iter()
     }
@@ -322,7 +322,7 @@ impl Router {
 
     /// Sets `conn`'s owner tag ([`ConnState::tag`]); a no-op when the
     /// connection does not exist. Changes nothing the router reads.
-    pub fn set_tag(&mut self, conn: ConnectionId, tag: u64) {
+    pub fn set_tag(&mut self, conn: ConnRef, tag: u64) {
         if let Some(state) = self.conns.get_mut(conn) {
             state.tag = tag;
         }
@@ -330,19 +330,19 @@ impl Router {
 
     /// Reverse channel mapping: the connection owning an *output* VC, if
     /// any — whose credit a return onto that VC moves.
-    pub fn connection_by_output_vc(&self, vc: VcRef) -> Option<ConnectionId> {
-        self.conns.by_output_vc(vc).map(|c| c.id)
+    pub fn connection_by_output_vc(&self, vc: VcRef) -> Option<ConnRef> {
+        self.conns.by_output_vc(vc).map(ConnState::handle)
     }
 
     /// The connections whose input VC holds a flit, in input-VC order: what
     /// the starvation watchdog has to look at. Walks the set bits of the
     /// `occupied` word and of each such port's `flits_available`, so a
     /// router with nothing buffered costs one word test.
-    pub fn buffered_connections(&self) -> impl Iterator<Item = ConnectionId> + '_ {
+    pub fn buffered_connections(&self) -> impl Iterator<Item = ConnRef> + '_ {
         set_ports(self.occupied).flat_map(move |p| {
             self.inputs[p].vcm().flits_available().iter_set().filter_map(move |vc| {
                 let vc = VcRef { port: PortId(p as u8), vc: VcIndex(vc as u16) };
-                self.conns.by_input_vc(vc).map(|c| c.id)
+                self.conns.by_input_vc(vc).map(ConnState::handle)
             })
         })
     }
@@ -370,7 +370,7 @@ impl Router {
     /// partially reserved resources are released — exactly the paper's
     /// "if resources cannot be reserved along the whole path … all the
     /// resources reserved during the construction of the path are released".
-    pub fn establish(&mut self, req: ConnectionRequest) -> Result<ConnectionId, EstablishError> {
+    pub fn establish(&mut self, req: ConnectionRequest) -> Result<ConnRef, EstablishError> {
         self.establish_pinned(req, None)
     }
 
@@ -387,7 +387,7 @@ impl Router {
         &mut self,
         req: ConnectionRequest,
         pinned_input: Option<VcIndex>,
-    ) -> Result<ConnectionId, EstablishError> {
+    ) -> Result<ConnRef, EstablishError> {
         if self.quarantined {
             return Err(EstablishError::Quarantined);
         }
@@ -423,9 +423,8 @@ impl Router {
             }
         };
 
-        let id = self.conns.next_id();
         let state = ConnState::new(
-            id,
+            self.conns.next_id(),
             VcRef { port: req.input, vc: in_vc },
             VcRef { port: req.output, vc: out_vc },
             req.class,
@@ -435,12 +434,12 @@ impl Router {
         );
         let record = VcSched::of(self.cfg.arbiter, &state);
         // mmr-lint: allow(A-TRANS, reason="ConnectionTable::insert is per-connection-setup (control plane); its own growth is audited in conn.rs")
-        self.conns.insert(state);
+        let conn = self.conns.insert(state);
         self.inputs[req.input.index()].open(in_vc, req.class, record);
         if self.cfg.track_output_credits {
             self.outputs[req.output.index()].credits[out_vc.index()] = self.cfg.vc_depth as u32;
         }
-        Ok(id)
+        Ok(conn)
     }
 
     /// Tears down a connection, releasing its VCs and bandwidth and dropping
@@ -448,9 +447,9 @@ impl Router {
     ///
     /// # Errors
     ///
-    /// Returns the id back if it is unknown.
-    pub fn teardown(&mut self, id: ConnectionId) -> Result<usize, ConnectionId> {
-        let state = self.conns.remove(id).ok_or(id)?;
+    /// Returns the handle back if its connection is gone.
+    pub fn teardown(&mut self, conn: ConnRef) -> Result<usize, ConnRef> {
+        let state = self.conns.remove(conn).ok_or(conn)?;
         let input = &mut self.inputs[state.input_vc.port.index()];
         let dropped = input.close(state.input_vc.vc);
         clear_if_empty(&mut self.occupied, state.input_vc.port, input);
@@ -467,14 +466,14 @@ impl Router {
     /// number of buffered flits drained. In-cycle crossbar/cut-through
     /// state is left untouched — the next step settles it identically
     /// under dense and event-driven stepping.
+    ///
+    /// Connections go in id order, so the bandwidth books take their
+    /// releases back in the order they were granted.
     pub fn quarantine(&mut self) -> usize {
         self.quarantined = true;
-        let ids: Vec<ConnectionId> = self.conns.iter().map(|c| c.id).collect();
-        let mut dropped = 0;
-        for id in ids {
-            dropped += self.teardown(id).unwrap_or(0);
-        }
-        dropped
+        let mut conns: Vec<ConnRef> = self.conns.iter().map(ConnState::handle).collect();
+        conns.sort_unstable_by_key(|conn| conn.id);
+        conns.into_iter().map(|conn| self.teardown(conn).unwrap_or(0)).sum()
     }
 
     /// Lifts a node-failure quarantine; the router admits connections again.
@@ -496,7 +495,7 @@ impl Router {
     /// [`InjectError::BufferFull`] when the VC's small buffer is occupied —
     /// the caller models the paper's link-level flow control by retrying
     /// later.
-    pub fn inject(&mut self, conn: ConnectionId, now: Cycles) -> Result<(), InjectError> {
+    pub fn inject(&mut self, conn: ConnRef, now: Cycles) -> Result<(), InjectError> {
         self.inject_kind(conn, FlitKind::Data, now)
     }
 
@@ -507,11 +506,11 @@ impl Router {
     /// Same as [`Router::inject`].
     pub fn inject_kind(
         &mut self,
-        conn: ConnectionId,
+        conn: ConnRef,
         kind: FlitKind,
         now: Cycles,
     ) -> Result<(), InjectError> {
-        self.enqueue(conn, now, |seq| Flit::new(conn, kind, seq, now))
+        self.enqueue(conn, now, |seq| Flit::new(conn.id, kind, seq, now))
     }
 
     /// Accepts a flit arriving from an upstream router for `conn`,
@@ -524,11 +523,11 @@ impl Router {
     /// Same as [`Router::inject`].
     pub fn accept(
         &mut self,
-        conn: ConnectionId,
+        conn: ConnRef,
         flit: Flit,
         now: Cycles,
     ) -> Result<(), InjectError> {
-        self.enqueue(conn, now, |_| Flit { conn, ..flit })
+        self.enqueue(conn, now, |_| Flit { conn: conn.id, ..flit })
     }
 
     /// Pushes one flit into `conn`'s input VC; `flit` builds it from the
@@ -536,13 +535,13 @@ impl Router {
     #[inline]
     fn enqueue(
         &mut self,
-        conn: ConnectionId,
+        conn: ConnRef,
         now: Cycles,
         flit: impl FnOnce(u64) -> Flit,
     ) -> Result<(), InjectError> {
         self.touch();
-        let state = self.conns.get_mut(conn).ok_or(InjectError::UnknownConnection(conn))?;
-        let vc = state.input_vc;
+        let state = self.conns.get_mut(conn).ok_or(InjectError::UnknownConnection(conn.id))?;
+        let vc = conn.vc;
         match self.inputs[vc.port.index()].store(vc.vc, flit(state.flits_injected), now) {
             Ok(()) => {
                 state.flits_injected += 1;
@@ -550,16 +549,14 @@ impl Router {
                 self.touched |= 1 << vc.port.index();
                 Ok(())
             }
-            Err(VcmError::BufferFull { .. }) => Err(InjectError::BufferFull(conn)),
-            Err(VcmError::NoSuchVc { .. }) => Err(InjectError::InvalidVc(conn)),
+            Err(VcmError::BufferFull { .. }) => Err(InjectError::BufferFull(conn.id)),
+            Err(VcmError::NoSuchVc { .. }) => Err(InjectError::InvalidVc(conn.id)),
         }
     }
 
     /// Whether `conn` can accept another flit this cycle.
-    pub fn can_inject(&self, conn: ConnectionId) -> bool {
-        self.conns
-            .get(conn)
-            .is_some_and(|s| !self.vcm(s.input_vc.port).is_full(s.input_vc.vc))
+    pub fn can_inject(&self, conn: ConnRef) -> bool {
+        self.conns.get(conn).is_some() && !self.vcm(conn.vc.port).is_full(conn.vc.vc)
     }
 
     /// Hands a single-flit VCT packet to the router (§3.4).
@@ -598,18 +595,18 @@ impl Router {
 
         let class =
             if matches!(kind, FlitKind::Control) { QosClass::Control } else { QosClass::BestEffort };
-        let id = self
+        let conn = self
             .establish(ConnectionRequest { input, output, class })
             .map_err(|_| PacketError::Blocked)?;
-        if self.inject_kind(id, kind, now).is_err() {
+        if self.inject_kind(conn, kind, now).is_err() {
             // A freshly reserved VC should have room; if the first flit
             // bounces, the table and VCM disagree. Release the reservation,
             // count the ghost, and report backpressure instead of panicking.
-            let _ = self.teardown(id);
+            let _ = self.teardown(conn);
             self.counters.ghost_matches += 1;
             return Err(PacketError::Blocked);
         }
-        Ok(PacketOutcome::Buffered(id))
+        Ok(PacketOutcome::Buffered(conn))
     }
 
     /// Returns one credit for an output VC (the downstream router freed a
@@ -799,16 +796,14 @@ impl Router {
         if emptied {
             clear_if_empty(&mut self.occupied, pair.input, input);
         }
-        let state = match self.conns.by_input_vc_mut(VcRef { port: pair.input, vc: pair.vc }) {
-            Some(state) if state.id == pair.conn => state,
+        let conn = ConnRef { vc: VcRef { port: pair.input, vc: pair.vc }, id: pair.conn };
+        let Some(state) = self.conns.get_mut(conn) else {
             // A matching can name a vanished connection only if a teardown
             // raced the scheduler; the flit's VC was flushed with it (and may
             // have been re-leased since), so this stray copy is dropped and
             // counted rather than panicking.
-            _ => {
-                self.counters.ghost_matches += 1;
-                return None;
-            }
+            self.counters.ghost_matches += 1;
+            return None;
         };
         let output = &mut self.outputs[state.output_vc.port.index()];
         state.serviced_this_round += 1;
@@ -854,7 +849,7 @@ impl Router {
         if !state.class.reserves_bandwidth() {
             // A control or best-effort connection is one single-flit packet.
             // mmr-lint: allow(A-PUSH, reason="amortized: reusable buffer retains its capacity across cycles (PR 1 zero-alloc design)")
-            self.completed_buf.push(pair.conn);
+            self.completed_buf.push(conn);
         }
 
         Some(Transmitted {

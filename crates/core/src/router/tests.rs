@@ -103,7 +103,7 @@ fn single_flit_flows_through_in_one_cycle() {
     let report = r.step(Cycles(5));
     assert_eq!(report.transmitted.len(), 1);
     let t = &report.transmitted[0];
-    assert_eq!(t.conn, id);
+    assert_eq!(t.conn, id.id);
     assert_eq!(t.delay, Cycles(0), "uncontended flit leaves immediately");
     assert_eq!(t.output_vc.port, PortId(1));
     assert_eq!(report.outputs_used, 1);
@@ -141,7 +141,7 @@ fn buffer_full_backpressure() {
         r.inject(id, Cycles(0)).expect("vc_depth = 4");
     }
     assert!(!r.can_inject(id));
-    assert_eq!(r.inject(id, Cycles(0)), Err(InjectError::BufferFull(id)));
+    assert_eq!(r.inject(id, Cycles(0)), Err(InjectError::BufferFull(id.id)));
     r.step(Cycles(0));
     assert!(r.can_inject(id), "transmission freed a slot");
 }
@@ -149,8 +149,8 @@ fn buffer_full_backpressure() {
 #[test]
 fn unknown_connection_errors() {
     let mut r = small_router(ArbiterKind::BiasedPriority);
-    let ghost = ConnectionId(99);
-    assert_eq!(r.inject(ghost, Cycles(0)), Err(InjectError::UnknownConnection(ghost)));
+    let ghost = ConnRef { vc: VcRef::new(0, 0), id: ConnectionId(99) };
+    assert_eq!(r.inject(ghost, Cycles(0)), Err(InjectError::UnknownConnection(ghost.id)));
     assert!(!r.can_inject(ghost));
 }
 
@@ -200,7 +200,7 @@ fn best_effort_yields_to_streams() {
     r.inject(stream, Cycles(0)).expect("room");
     let report = r.step(Cycles(0));
     assert_eq!(report.transmitted.len(), 1);
-    assert_eq!(report.transmitted[0].conn, stream, "CBR outranks best-effort");
+    assert_eq!(report.transmitted[0].conn, stream.id, "CBR outranks best-effort");
     let report = r.step(Cycles(1));
     assert_eq!(report.transmitted[0].flit.kind, FlitKind::BestEffort);
 }
@@ -461,7 +461,7 @@ fn bits_match_facts(r: &Router) -> Result<(), String> {
 /// step / credit / teardown / quarantine over all four classes.
 struct Driven {
     r: Router,
-    streams: Vec<ConnectionId>,
+    streams: Vec<ConnRef>,
     now: Cycles,
 }
 
@@ -575,7 +575,7 @@ impl BankModel {
 fn a_stream_select_reads_no_connection_state() {
     let reads = || crate::linksched::CONNECTION_READS.with(|n| n.get());
     let mut r = RouterConfig::paper_default().seed(7).build();
-    let ids: Vec<ConnectionId> = (0..8u8)
+    let ids: Vec<ConnRef> = (0..8u8)
         .flat_map(|p| (0..24u8).map(move |k| cbr(40.0, p, (p + k) % 8)))
         .filter_map(|req| r.establish(req).ok())
         .collect();
@@ -736,10 +736,37 @@ fn the_owner_tag_rides_out_with_every_flit() {
     let id = r.establish(cbr(124.0, 0, 1)).expect("admits");
     assert_eq!(r.connection(id).map(|s| s.tag), Some(0), "untagged until set");
     r.set_tag(id, 0xfeed);
-    r.set_tag(ConnectionId(99), 1); // no such connection: a no-op
+    r.set_tag(ConnRef { id: ConnectionId(99), ..id }, 1); // no such connection: a no-op
     r.inject(id, Cycles(0)).expect("room");
     let sent: Vec<_> = (0..4).flat_map(|t| r.step(Cycles(t)).transmitted).collect();
-    assert_eq!(sent.iter().map(|t| (t.conn, t.tag)).collect::<Vec<_>>(), [(id, 0xfeed)]);
-    let vc = r.connection(id).expect("live").input_vc;
-    assert_eq!(r.connection_by_input_vc(vc).map(|s| (s.id, s.tag)), Some((id, 0xfeed)));
+    assert_eq!(sent.iter().map(|t| (t.conn, t.tag)).collect::<Vec<_>>(), [(id.id, 0xfeed)]);
+    assert_eq!(r.connection_by_input_vc(id.vc).map(|s| (s.handle(), s.tag)), Some((id, 0xfeed)));
+}
+
+/// A handle names one connection, not its VC: once the connection is torn
+/// down and its input VC leased to another, the old handle reaches nothing
+/// — every lookup compares the id the slot holds.
+#[test]
+fn a_stale_handle_reaches_nothing_after_its_vc_is_re_leased() {
+    let mut r = small_router(ArbiterKind::BiasedPriority);
+    let v = Some(VcIndex(5));
+    let a = r.establish_pinned(cbr(10.0, 0, 1), v).expect("admits");
+    r.teardown(a).expect("live");
+    let b = r.establish_pinned(cbr(10.0, 0, 2), v).expect("the VC is free again");
+    assert_eq!(a.vc, b.vc, "B owns A's old input VC");
+    r.set_tag(b, 0xb);
+    r.inject(b, Cycles(0)).expect("room");
+
+    assert_eq!(r.inject(a, Cycles(0)), Err(InjectError::UnknownConnection(a.id)));
+    assert_eq!(r.inject_kind(a, FlitKind::Data, Cycles(0)), Err(InjectError::UnknownConnection(a.id)));
+    assert!(r.accept(a, Flit::data(a.id, 0, Cycles(0)), Cycles(0)).is_err());
+    assert!(!r.can_inject(a));
+    assert_eq!(r.teardown(a), Err(a));
+    assert!(r.connection(a).is_none());
+    r.set_tag(a, 0xa);
+
+    let state = r.connection(b).expect("B is untouched");
+    assert_eq!((state.flits_injected, state.tag), (1, 0xb));
+    assert_eq!(r.vcm(b.vc.port).occupancy(b.vc.vc), 1, "only B's own flit is queued");
+    assert_eq!(r.connections(), 1);
 }

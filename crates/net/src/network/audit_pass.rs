@@ -16,7 +16,7 @@ use std::collections::BTreeMap;
 
 use mmr_bitvec::StatusBits;
 use mmr_core::audit::{AuditViolation, Auditor};
-use mmr_core::ids::ConnectionId;
+use mmr_core::ids::ConnRef;
 use mmr_sim::Cycles;
 
 use super::routers::RouterArray;
@@ -33,7 +33,7 @@ const SWEEP_PERIOD: u64 = 1024;
 enum Mark {
     /// This connection on this router, and nothing else there: it
     /// transmitted, received a flit or a credit, appeared or went away.
-    Conn(NodeId, ConnectionId),
+    Conn(NodeId, ConnRef),
     /// Hop pair `hops[hop..hop + 2]` of this session: a term of its credit
     /// equation moved.
     Hop(NetConnectionId, u16),
@@ -54,9 +54,9 @@ pub(super) struct AuditMarks {
     /// Everything narrower, in the order it happened.
     log: Vec<Mark>,
     /// The log as a pass visits it, filled in by `AuditPass::digest`: per
-    /// router the ascending connections (`named` has the routers with any),
-    /// and the ascending hop pairs.
-    conns: Vec<Vec<u32>>,
+    /// router the ascending connection handles (`named` has the routers with
+    /// any), and the ascending hop pairs.
+    conns: Vec<Vec<ConnRef>>,
     named: StatusBits,
     hops: Vec<(NetConnectionId, u16)>,
 }
@@ -82,7 +82,7 @@ impl AuditMarks {
         self.ports.set(node.index(), true);
     }
 
-    pub(super) fn conn(&mut self, node: NodeId, conn: ConnectionId) {
+    pub(super) fn conn(&mut self, node: NodeId, conn: ConnRef) {
         self.note(Mark::Conn(node, conn));
     }
 
@@ -96,13 +96,13 @@ impl AuditMarks {
     }
 
     /// Queues `conn` on router `node` for this pass's visit.
-    fn visit(&mut self, node: NodeId, conn: ConnectionId) {
+    fn visit(&mut self, node: NodeId, conn: ConnRef) {
         self.named.set(node.index(), true);
-        self.conns[node.index()].push(conn.raw());
+        self.conns[node.index()].push(conn);
     }
 
     /// Whether an ordinary pass visits `conn` on router `n`.
-    fn visits(&self, n: u16, conn: u32) -> bool {
+    fn visits(&self, n: u16, conn: ConnRef) -> bool {
         self.whole.get(usize::from(n)) || self.conns[usize::from(n)].binary_search(&conn).is_ok()
     }
 
@@ -128,7 +128,7 @@ pub(super) struct AuditPass {
     passes: u64,
     /// What the last pass found broken, each list ascending: `(router,
     /// connection)`, routers with a broken per-port law, hop pairs.
-    broken_conns: Vec<(u16, u32)>,
+    broken_conns: Vec<(u16, ConnRef)>,
     broken_ports: Vec<u16>,
     broken_hops: Vec<(NetConnectionId, u16)>,
     /// Violators a sweep found that an ordinary pass in its place would not
@@ -151,19 +151,19 @@ impl AuditPass {
         self.passes += 1;
         self.digest(&mut marks, routers);
 
-        // Router laws, ascending router then ascending connection.
+        // Router laws, ascending router then ascending connection handle.
         self.broken_conns.clear();
         self.broken_ports.clear();
         let broken_conns = &mut self.broken_conns;
         let broken_ports = &mut self.broken_ports;
         let mut visit = |n: usize, whole: bool| {
             let (r, n) = (routers.get(NodeId(n as u16)), n as u16);
-            let broken = |id: ConnectionId| broken_conns.push((n, id.raw()));
+            let broken = |conn: ConnRef| broken_conns.push((n, conn));
             let ports_broken = if whole {
                 aud.visit_router(n, r, now, true, r.connections_iter(), broken)
             } else {
-                let ids = marks.conns[usize::from(n)].iter();
-                let conns = ids.filter_map(|&id| r.connection(ConnectionId(id)));
+                let handles = marks.conns[usize::from(n)].iter();
+                let conns = handles.filter_map(|&conn| r.connection(conn));
                 aud.visit_router(n, r, now, marks.ports.get(usize::from(n)), conns, broken)
             };
             if ports_broken {
@@ -205,7 +205,7 @@ impl AuditPass {
         }
 
         if sweep && !first {
-            let missed_conns = self.broken_conns.iter().filter(|&&(n, id)| !marks.visits(n, id));
+            let missed_conns = self.broken_conns.iter().filter(|&&(n, c)| !marks.visits(n, c));
             let missed_ports = (self.broken_ports.iter().map(|&n| usize::from(n)))
                 .filter(|&n| !marks.whole.get(n) && !marks.ports.get(n));
             let missed_hops =
@@ -232,12 +232,12 @@ impl AuditPass {
             }
         }
         marks.log = log;
-        for &(n, id) in &self.broken_conns {
-            marks.visit(NodeId(n), ConnectionId(id));
+        for &(n, conn) in &self.broken_conns {
+            marks.visit(NodeId(n), conn);
         }
         for n in routers.awake().iter_set() {
             let node = NodeId(n as u16);
-            routers.get(node).buffered_connections().for_each(|id| marks.visit(node, id));
+            routers.get(node).buffered_connections().for_each(|conn| marks.visit(node, conn));
         }
         marks.hops.append(&mut self.broken_hops);
         for n in marks.whole.iter_set() {
@@ -296,7 +296,7 @@ fn hop_leaks(
     if leaks {
         aud.report(AuditViolation::CreditConservation {
             router: up.node.0,
-            conn: up.local,
+            conn: up.local.id,
             credits,
             buffered,
             in_flight,
@@ -319,14 +319,14 @@ mod tests {
 
     /// The marks in a comparable shape: whole-marked routers, port-marked
     /// routers, named `(router, connection)`s and hop pairs, each ascending.
-    type Marked = (Vec<usize>, Vec<usize>, Vec<(usize, u32)>, Vec<(u32, u16)>);
+    type Marked = (Vec<usize>, Vec<usize>, Vec<(usize, ConnRef)>, Vec<(u32, u16)>);
 
     fn marked(net: &NetworkSim) -> Marked {
         let marks = net.routers.marks();
         let (mut conns, mut hops) = (Vec::new(), Vec::new());
         for &mark in &marks.log {
             match mark {
-                Mark::Conn(node, conn) => conns.push((node.index(), conn.raw())),
+                Mark::Conn(node, conn) => conns.push((node.index(), conn)),
                 Mark::Hop(session, hop) => hops.push((session.0, hop)),
             }
         }
@@ -359,8 +359,8 @@ mod tests {
         // session's two hop pairs exist from registration on.
         let id =
             net.establish(NodeId(0), NodeId(2), cbr_mbps(155.0), SetupStrategy::Epb).expect("fits");
-        let path: Vec<(usize, u32)> = (net.connection(id).expect("live").hops.iter())
-            .map(|hop| (hop.node.index(), hop.local.raw()))
+        let path: Vec<(usize, ConnRef)> = (net.connection(id).expect("live").hops.iter())
+            .map(|hop| (hop.node.index(), hop.local))
             .collect();
         assert_eq!(path.iter().map(|&(n, _)| n).collect::<Vec<_>>(), [0, 1, 2]);
         let pairs = vec![(id.0, 0), (id.0, 1), (id.0, 2)];
@@ -402,7 +402,7 @@ mod tests {
         // A tag written — here hop 1's own, again — is read by no law and
         // no stage: no mark, and no router woken.
         let awake: Vec<usize> = net.routers.awake().iter_set().collect();
-        let (node, local) = (NodeId(path[1].0 as u16), ConnectionId(path[1].1));
+        let (node, local) = (NodeId(path[1].0 as u16), path[1].1);
         net.routers.tag(node, local, Owner::Hop(id, 1).tag());
         assert_eq!(marked(&net), (vec![], vec![], vec![], vec![]));
         assert_eq!(net.routers.awake().iter_set().collect::<Vec<_>>(), awake);

@@ -23,7 +23,7 @@ use std::collections::BTreeMap;
 use mmr_core::audit::{AuditConfig, Auditor};
 use mmr_core::conn::ConnectionRequest;
 use mmr_core::flit::{Flit, FlitKind};
-use mmr_core::ids::{ConnectionId, PortId, VcIndex, VcRef};
+use mmr_core::ids::{ConnRef, ConnectionId, PortId, VcIndex, VcRef};
 use mmr_core::llr::LlrConfig;
 use mmr_core::router::{EstablishError, InjectError, Router, RouterConfig};
 use mmr_sim::{Bandwidth, Cycles, SeededRng};
@@ -233,7 +233,7 @@ impl NetworkSim {
         for (n, router) in self.routers.iter().enumerate() {
             for state in router.connections_iter().filter(|state| state.tag != 0) {
                 let hop = matches!(Owner::of(state.tag), Some(Owner::Hop(..)));
-                have.push((NodeId(n as u16), hop.then_some(state.id), state.tag));
+                have.push((NodeId(n as u16), hop.then_some(state.handle()), state.tag));
             }
         }
         want.sort_unstable();
@@ -360,7 +360,7 @@ impl NetworkSim {
         node: NodeId,
         req: ConnectionRequest,
         pinned_input: Option<VcIndex>,
-    ) -> Result<ConnectionId, EstablishError> {
+    ) -> Result<ConnRef, EstablishError> {
         self.routers.establish(node, req, pinned_input)
     }
 
@@ -369,8 +369,8 @@ impl NetworkSim {
     pub(crate) fn release_hop(
         &mut self,
         node: NodeId,
-        local: ConnectionId,
-    ) -> Result<usize, ConnectionId> {
+        local: ConnRef,
+    ) -> Result<usize, ConnRef> {
         self.routers.teardown(node, local)
     }
 

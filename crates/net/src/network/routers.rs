@@ -12,7 +12,7 @@
 
 use mmr_bitvec::StatusBits;
 use mmr_core::conn::ConnectionRequest;
-use mmr_core::ids::{ConnectionId, VcIndex, VcRef};
+use mmr_core::ids::{ConnRef, VcIndex, VcRef};
 use mmr_core::router::{EstablishError, Router, RouterConfig, StepReport, Transmitted};
 use mmr_sim::{Cycles, SeededRng};
 
@@ -125,7 +125,7 @@ impl RouterArray {
     /// [`RouterArray::get_mut`] for a caller that will touch `conn` and
     /// nothing else (a flit injected at its NI or arriving off its wire).
     #[inline]
-    pub(super) fn get_mut_for(&mut self, node: NodeId, conn: ConnectionId) -> &mut Router {
+    pub(super) fn get_mut_for(&mut self, node: NodeId, conn: ConnRef) -> &mut Router {
         self.wake(node);
         self.mark(node, conn);
         &mut self.routers[node.index()]
@@ -134,7 +134,7 @@ impl RouterArray {
     /// Has the next audit pass visit `conn` on `node` without touching the
     /// router.
     #[inline]
-    fn mark(&mut self, node: NodeId, conn: ConnectionId) {
+    fn mark(&mut self, node: NodeId, conn: ConnRef) {
         if let Some(marks) = &mut self.marks {
             marks.conn(node, conn);
         }
@@ -164,7 +164,7 @@ impl RouterArray {
 
     /// Writes `conn`'s owner tag on `node` ([`Router::set_tag`]). Neither
     /// wakes nor marks: no stage and no router law reads a tag.
-    pub(super) fn tag(&mut self, node: NodeId, conn: ConnectionId, tag: u64) {
+    pub(super) fn tag(&mut self, node: NodeId, conn: ConnRef, tag: u64) {
         self.routers[node.index()].set_tag(conn, tag);
     }
 
@@ -175,7 +175,7 @@ impl RouterArray {
         node: NodeId,
         req: ConnectionRequest,
         pinned_input: Option<VcIndex>,
-    ) -> Result<ConnectionId, EstablishError> {
+    ) -> Result<ConnRef, EstablishError> {
         self.wake(node);
         let granted = self.routers[node.index()].establish_pinned(req, pinned_input);
         if let Some(marks) = &mut self.marks {
@@ -192,8 +192,8 @@ impl RouterArray {
     pub(super) fn teardown(
         &mut self,
         node: NodeId,
-        conn: ConnectionId,
-    ) -> Result<usize, ConnectionId> {
+        conn: ConnRef,
+    ) -> Result<usize, ConnRef> {
         self.wake(node);
         if let Some(marks) = &mut self.marks {
             marks.ports(node);
@@ -268,7 +268,7 @@ impl RouterArray {
             self.awake.set(n, true);
             if let Some(marks) = &mut self.marks {
                 for t in &rep.transmitted {
-                    marks.conn(NodeId(n as u16), t.conn);
+                    marks.conn(NodeId(n as u16), ConnRef { vc: t.input_vc, id: t.conn });
                 }
             }
             visit(self, NodeId(n as u16), &rep.transmitted);

@@ -3,7 +3,7 @@
 
 use mmr_core::conn::QosClass;
 use mmr_core::flit::{Flit, FlitKind};
-use mmr_core::ids::{ConnectionId, PortId};
+use mmr_core::ids::{ConnRef, PortId};
 use mmr_sim::{Accumulator, Cycles};
 
 #[cfg(doc)]
@@ -144,7 +144,7 @@ pub struct Hop {
     /// The router this hop crosses.
     pub node: NodeId,
     /// The router-local connection.
-    pub local: ConnectionId,
+    pub local: ConnRef,
 }
 
 /// An established end-to-end connection.

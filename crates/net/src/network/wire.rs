@@ -269,7 +269,7 @@ impl Wires {
             // in the replay buffer), and the VC may since have been
             // re-leased. Session ids are never reused, so only the
             // session's own next hop carries the tag the frame expects.
-            let local = state.id;
+            let local = state.handle();
             if frame.net_conn.is_some_and(|id| state.tag != Owner::Hop(id, frame.hop + 1).tag()) {
                 stats.flits_lost += 1;
                 continue;

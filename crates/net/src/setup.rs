@@ -27,7 +27,7 @@
 use std::collections::BTreeMap;
 
 use mmr_core::conn::{ConnectionRequest, QosClass};
-use mmr_core::ids::{ConnectionId, PortId, VcIndex};
+use mmr_core::ids::{ConnRef, PortId, VcIndex};
 use mmr_sim::{Bandwidth, Cycles};
 
 use crate::network::{Hop, NetConnection, NetConnectionId, NetworkSim, ProbeToken, SetupEvent};
@@ -104,7 +104,7 @@ struct Frame {
     /// source NI.
     entry: (PortId, Option<VcIndex>),
     /// Reservation made when the probe advanced *from* this node.
-    reserved: Option<(ConnectionId, PortId, VcIndex)>,
+    reserved: Option<(ConnRef, PortId, VcIndex)>,
 }
 
 /// What one [`ProbeMachine::advance`] call did.

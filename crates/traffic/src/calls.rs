@@ -12,7 +12,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use mmr_core::conn::{ConnectionRequest, QosClass};
-use mmr_core::ids::{ConnectionId, PortId};
+use mmr_core::ids::{ConnRef, PortId};
 use mmr_core::router::{EstablishError, Router};
 use mmr_sim::{Bandwidth, SeededRng};
 
@@ -66,7 +66,7 @@ impl CallStats {
 #[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
 enum CallEvent {
     Arrival,
-    Departure(ConnectionId),
+    Departure(ConnRef),
 }
 
 /// Runs a call-level simulation for `total_cycles` on `router`.

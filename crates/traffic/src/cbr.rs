@@ -15,7 +15,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use mmr_core::conn::{ConnectionRequest, QosClass};
-use mmr_core::ids::{ConnectionId, PortId};
+use mmr_core::ids::{ConnRef, ConnectionId, PortId};
 use mmr_core::router::{EstablishError, Router, Transmitted};
 use mmr_sim::{Bandwidth, Cycles, SeededRng};
 
@@ -86,7 +86,7 @@ impl SlotClock {
 /// Paces flit arrivals for one established connection.
 #[derive(Debug, Clone)]
 pub struct CbrSource {
-    conn: ConnectionId,
+    conn: ConnRef,
     clock: SlotClock,
 }
 
@@ -97,7 +97,7 @@ impl CbrSource {
     /// # Panics
     ///
     /// Panics if `interarrival_cycles` is not positive and finite.
-    pub fn new(conn: ConnectionId, interarrival_cycles: f64, rng: &mut SeededRng) -> Self {
+    pub fn new(conn: ConnRef, interarrival_cycles: f64, rng: &mut SeededRng) -> Self {
         assert!(
             interarrival_cycles.is_finite() && interarrival_cycles > 0.0,
             "CBR inter-arrival must be positive"
@@ -107,7 +107,7 @@ impl CbrSource {
     }
 
     /// The connection this source feeds.
-    pub fn conn(&self) -> ConnectionId {
+    pub fn conn(&self) -> ConnRef {
         self.conn
     }
 
@@ -166,7 +166,9 @@ const WHEEL_MASK: u64 = WHEEL_SLOTS as u64 - 1;
 /// VC drains is a transmission of its connection, a retry before then is a
 /// provable no-op. [`CbrWorkload::note_transmitted`] wakes parked sources —
 /// callers that interleave `pump` with [`Router::step`] must feed every
-/// step's transmissions back, or backpressured sources stall.
+/// step's transmissions back, or backpressured sources stall. Each
+/// connection's owner tag ([`Router::set_tag`]) names its source, and must
+/// be left as the workload set it.
 #[derive(Debug, Clone)]
 pub struct CbrWorkload {
     connections: Vec<CbrConnection>,
@@ -194,8 +196,6 @@ pub struct CbrWorkload {
     /// Sources woken by [`CbrWorkload::note_transmitted`], retried at the
     /// next pump.
     retry: Vec<usize>,
-    /// Source index by connection id (`usize::MAX` = no source).
-    source_of_conn: Vec<usize>,
     /// Reusable per-cycle list of source indices with work.
     due_scratch: Vec<usize>,
 }
@@ -244,11 +244,12 @@ impl CbrWorkload {
                 output,
                 class: QosClass::Cbr { rate },
             }) {
-                Ok(id) => {
+                Ok(conn) => {
+                    router.set_tag(conn, sources.len() as u64 + 1);
                     offered += rate;
                     let interarrival = dims.timing().interarrival_cycles(rate);
-                    sources.push(CbrSource::new(id, interarrival, rng));
-                    connections.push(CbrConnection { id, rate, input, output });
+                    sources.push(CbrSource::new(conn, interarrival, rng));
+                    connections.push(CbrConnection { id: conn.id, rate, input, output });
                 }
                 Err(
                     EstablishError::Admission(_)
@@ -265,15 +266,9 @@ impl CbrWorkload {
             }
         }
 
-        let max_raw = connections.iter().map(|c| c.id.raw() as usize).max().map_or(0, |m| m + 1);
-        let mut source_of_conn = vec![usize::MAX; max_raw];
-        for (i, c) in connections.iter().enumerate() {
-            source_of_conn[c.id.raw() as usize] = i;
-        }
         let mut workload = CbrWorkload {
             parked: vec![false; sources.len()],
             retry: Vec::new(),
-            source_of_conn,
             connections,
             sources,
             offered,
@@ -413,14 +408,19 @@ impl CbrWorkload {
     // mmr-lint: hot
     pub fn note_transmitted(&mut self, transmitted: &[Transmitted]) {
         for tx in transmitted {
-            if let Some(&idx) = self.source_of_conn.get(tx.conn.raw() as usize) {
-                if idx != usize::MAX && self.parked[idx] {
-                    self.parked[idx] = false;
-                    // mmr-lint: allow(A-PUSH, reason="amortized: reusable buffer retains its capacity across cycles (PR 1 zero-alloc design)")
-                    self.retry.push(idx);
-                }
+            if let Some(idx) = self.source_of(tx).filter(|&idx| self.parked[idx]) {
+                self.parked[idx] = false;
+                // mmr-lint: allow(A-PUSH, reason="amortized: reusable buffer retains its capacity across cycles (PR 1 zero-alloc design)")
+                self.retry.push(idx);
             }
         }
+    }
+
+    /// The index in [`CbrWorkload::connections`] of the source whose
+    /// connection transmitted `tx`, read off the connection's tag.
+    // mmr-lint: hot
+    pub fn source_of(&self, tx: &Transmitted) -> Option<usize> {
+        (tx.tag as usize).checked_sub(1).filter(|&idx| idx < self.sources.len())
     }
 
     /// The earliest cycle at which any source next has self-driven work, or
@@ -465,7 +465,13 @@ impl CbrWorkload {
 mod tests {
     use super::*;
     use crate::rates::paper_rate_ladder;
+    use mmr_core::ids::VcRef;
     use mmr_core::router::RouterConfig;
+
+    /// A handle for sources that are only asked what is due.
+    fn unused() -> ConnRef {
+        ConnRef { vc: VcRef::new(0, 0), id: ConnectionId(0) }
+    }
 
     fn rng() -> SeededRng {
         SeededRng::new(99)
@@ -474,7 +480,7 @@ mod tests {
     #[test]
     fn source_paces_at_interarrival() {
         let mut r = rng();
-        let mut src = CbrSource::new(ConnectionId(0), 10.0, &mut r);
+        let mut src = CbrSource::new(unused(), 10.0, &mut r);
         let mut total = 0;
         for t in 0..100 {
             total += src.due(Cycles(t));
@@ -487,7 +493,7 @@ mod tests {
         let mut r = rng();
         let firsts: Vec<u32> = (0..8)
             .map(|_| {
-                let mut s = CbrSource::new(ConnectionId(0), 100.0, &mut r);
+                let mut s = CbrSource::new(unused(), 100.0, &mut r);
                 (0..100u64).find(|&t| s.due(Cycles(t)) > 0).expect("arrives within a period")
                     as u32
             })
@@ -499,7 +505,7 @@ mod tests {
     #[test]
     fn deferred_flits_are_retried() {
         let mut r = rng();
-        let mut src = CbrSource::new(ConnectionId(0), 5.0, &mut r);
+        let mut src = CbrSource::new(unused(), 5.0, &mut r);
         let due = src.due(Cycles(20));
         assert!(due >= 3);
         src.defer(due);
@@ -540,7 +546,7 @@ mod tests {
     fn fractional_interarrival_is_exact() {
         let mut r = rng();
         // 2.5-cycle period -> exactly 40 flits in 100 cycles.
-        let mut src = CbrSource::new(ConnectionId(0), 2.5, &mut r);
+        let mut src = CbrSource::new(unused(), 2.5, &mut r);
         let total: u32 = (0..100).map(|t| src.due(Cycles(t))).sum();
         assert_eq!(total, 40);
     }

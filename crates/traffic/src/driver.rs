@@ -10,7 +10,7 @@
 use mmr_core::router::RouterConfig;
 use mmr_sim::{Bandwidth, Cycles, DelayJitterRecorder, SeededRng, TailSummary, Warmup};
 
-use crate::cbr::CbrWorkload;
+use crate::cbr::{CbrConnection, CbrWorkload};
 use crate::rates::paper_rate_ladder;
 
 /// Configuration of one experiment run (one point of one figure series).
@@ -86,20 +86,14 @@ impl Experiment {
         let offered_load = workload.offered_load(&router);
         let connections = workload.connections().len();
 
-        // Dense per-connection lookup tables replace the former BTreeMaps on
-        // the measurement fast path: `rates` holds the distinct rate rungs in
-        // ascending order, `slot_of_conn` maps a connection id to its rung.
-        let mut rates: Vec<u64> =
-            workload.connections().iter().map(|c| c.rate.bits_per_sec() as u64).collect();
+        // `rates` holds the distinct rate rungs in ascending order, `rung`
+        // each source's.
+        let bps = |c: &CbrConnection| c.rate.bits_per_sec() as u64;
+        let mut rates: Vec<u64> = workload.connections().iter().map(bps).collect();
         rates.sort_unstable();
         rates.dedup();
-        let max_raw =
-            workload.connections().iter().map(|c| c.id.raw() as usize).max().unwrap_or(0);
-        let mut slot_of_conn = vec![usize::MAX; max_raw + 1];
-        for c in workload.connections() {
-            let slot = rates.binary_search(&(c.rate.bits_per_sec() as u64)).expect("rate present");
-            slot_of_conn[c.id.raw() as usize] = slot;
-        }
+        let rung_of = |c| rates.binary_search(&bps(c)).expect("rate present");
+        let rung: Vec<usize> = workload.connections().iter().map(rung_of).collect();
         let mut rate_recorders = vec![DelayJitterRecorder::default(); rates.len()];
 
         let warmup = Warmup::until(Cycles(self.warmup_cycles));
@@ -117,10 +111,8 @@ impl Experiment {
             if warmup.measuring(now) {
                 for tx in &report.transmitted {
                     recorder.record(tx.conn.raw(), tx.delay);
-                    if let Some(&slot) = slot_of_conn.get(tx.conn.raw() as usize) {
-                        if slot != usize::MAX {
-                            rate_recorders[slot].record(tx.conn.raw(), tx.delay);
-                        }
+                    if let Some(source) = workload.source_of(tx) {
+                        rate_recorders[rung[source]].record(tx.conn.raw(), tx.delay);
                     }
                 }
                 measured_flits += report.transmitted.len() as u64;

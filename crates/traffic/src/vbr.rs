@@ -9,7 +9,7 @@
 //! reservations, three-phase link scheduling and priority-ordered excess
 //! service.
 
-use mmr_core::ids::ConnectionId;
+use mmr_core::ids::ConnRef;
 use mmr_core::router::Router;
 use mmr_sim::{Bandwidth, Cycles, FlitTiming, SeededRng};
 
@@ -109,7 +109,7 @@ impl MpegGopModel {
 /// evenly over its frame interval.
 #[derive(Debug, Clone)]
 pub struct VbrSource {
-    conn: ConnectionId,
+    conn: ConnRef,
     model: MpegGopModel,
     timing: FlitTiming,
     rng: SeededRng,
@@ -124,7 +124,7 @@ pub struct VbrSource {
 
 impl VbrSource {
     /// Creates a source for `conn` with its own RNG stream.
-    pub fn new(conn: ConnectionId, model: MpegGopModel, timing: FlitTiming, rng: SeededRng) -> Self {
+    pub fn new(conn: ConnRef, model: MpegGopModel, timing: FlitTiming, rng: SeededRng) -> Self {
         let mut src = VbrSource {
             conn,
             model,
@@ -141,7 +141,7 @@ impl VbrSource {
     }
 
     /// The connection this source feeds.
-    pub fn conn(&self) -> ConnectionId {
+    pub fn conn(&self) -> ConnRef {
         self.conn
     }
 
@@ -193,6 +193,12 @@ impl VbrSource {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mmr_core::ids::{ConnectionId, VcRef};
+
+    /// A handle for sources that are only asked what is due.
+    fn unused() -> ConnRef {
+        ConnRef { vc: VcRef::new(0, 0), id: ConnectionId(0) }
+    }
 
     #[test]
     fn gop_pattern_shape() {
@@ -236,7 +242,7 @@ mod tests {
         m.sigma = 0.0;
         let timing = FlitTiming::paper_default();
         let interval = m.frame_interval_cycles(timing);
-        let mut src = VbrSource::new(ConnectionId(0), m.clone(), timing, SeededRng::new(3));
+        let mut src = VbrSource::new(unused(), m.clone(), timing, SeededRng::new(3));
         // Over exactly one frame interval, the source should emit the
         // I-frame's worth of flits (frame 0 of the GoP).
         let mut total = 0u32;
@@ -255,7 +261,7 @@ mod tests {
     fn long_run_rate_matches_mean() {
         let m = MpegGopModel::sd_5mbps();
         let timing = FlitTiming::paper_default();
-        let mut src = VbrSource::new(ConnectionId(0), m.clone(), timing, SeededRng::new(4));
+        let mut src = VbrSource::new(unused(), m.clone(), timing, SeededRng::new(4));
         // 4 GoPs worth of cycles.
         let cycles = (m.frame_interval_cycles(timing) * 48.0) as u64;
         let total: u64 = (0..cycles).map(|t| u64::from(src.due(Cycles(t)))).sum();
