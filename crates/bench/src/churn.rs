@@ -132,8 +132,8 @@ pub fn run_trial_on(
         .vcs_per_port(24)
         .candidates(4)
         .seed(seed ^ 0xD07);
-    let timing = router.clone().build().config().timing();
     let mut net = NetworkSim::new(spec.topology.build(seed), router);
+    let timing = net.router(NodeId(0)).config().timing();
     net.enable_audit(AuditConfig::default());
     net.set_exhaustive_audit(exhaustive_audit);
 

@@ -209,9 +209,9 @@ pub fn run_trial_on(
         .vcs_per_port(16)
         .candidates(4)
         .seed(seed ^ 0xD06);
-    let timing = router.clone().build().config().timing();
     let topo = spec.topology.build(seed);
     let mut net = NetworkSim::new(topo, router);
+    let timing = net.router(NodeId(0)).config().timing();
     if spec.audit {
         net.enable_audit(AuditConfig::default());
         net.set_exhaustive_audit(exhaustive_audit);

@@ -7,14 +7,18 @@
 //! credits_available for flit transmission, CBR_service_requested and not
 //! CBR_Completely_Serviced)."
 //!
-//! Selection starts from the bit-vector *eligible* set (phase by phase, per
-//! the §4.3 service order) and picks up to `C` virtual channels with
-//! distinct output ports — one flit per output is all an input can use in a
-//! cycle. Two selection rules are provided (see [`CandidatePolicy`]): a
-//! rotating scan of the eligible set (default) and a priority-sorted
-//! variant. The per-flit priorities (the biased ratio of §5.1, or static
-//! bandwidth-class priorities) ride along on the candidates and are used by
-//! the *switch scheduler* to arbitrate output conflicts.
+//! Selection starts from the bit-vector *eligible* set and walks it phase by
+//! phase, per the §4.3 service order: each phase's domain is a few
+//! word-parallel operations on class, head-kind and serviced masks, and a
+//! VC is classified only when the walk visits it. Up to `C` virtual
+//! channels with distinct output ports are picked — one flit per output is
+//! all an input can use in a cycle. Two selection rules are provided (see
+//! [`CandidatePolicy`]): a rotating scan that stops at `C` distinct outputs
+//! (default) and a priority-sorted variant that sorts the whole walk; the
+//! iterative schemes take the whole walk too. The per-flit priorities (the
+//! biased ratio of §5.1, or static bandwidth-class priorities) ride along on
+//! the candidates and are used by the *switch scheduler* to arbitrate output
+//! conflicts.
 //!
 //! A select reads bit vectors, one [`VcSched`] record per visited VC and
 //! the VCM's head ready time; only a VBR connection's quota position sends
@@ -269,7 +273,7 @@ const ELIGIBLE: [Condition; 3] =
 pub struct LinkScheduler {
     /// Scratch: the word-parallel AND of the eligibility conditions.
     eligible: StatusBits,
-    /// Scratch: the current phase's candidate domain (rotating scan only).
+    /// Scratch: the current phase's candidate domain.
     domain: StatusBits,
     /// Scratch: eligible VCs whose head is a stream (data/command) flit.
     stream_heads: StatusBits,
@@ -277,7 +281,7 @@ pub struct LinkScheduler {
     control_heads: StatusBits,
     /// Scratch: eligible VCs whose head is a best-effort flit.
     best_effort_heads: StatusBits,
-    /// Scratch: full sorted candidate list (PrioritySorted policy only).
+    /// Scratch: the whole walk, sorted (PrioritySorted policy only).
     sorted: Vec<Candidate>,
 }
 
@@ -309,10 +313,13 @@ impl LinkScheduler {
     /// cycle's rotating scan should start.
     ///
     /// The eligible set is the bit-vector intersection of `flits_available`,
-    /// `credits_available` and `connection_active`. A rotating scan collects
-    /// up to `max_candidates` VCs with distinct outputs, visiting phases in
-    /// precedence order and classifying each VC it visits into its
-    /// [`ServicePhase`]. The returned candidates carry the scheme's priority:
+    /// `credits_available` and `connection_active`. One walk visits its
+    /// phase domains in precedence order and classifies each VC it visits
+    /// into its [`ServicePhase`]. The rotating scan stops at
+    /// `max_candidates` VCs with distinct outputs; the priority sort keeps
+    /// the `max_candidates` best distinct outputs of the whole walk; the
+    /// iterative schemes take the whole walk. The returned candidates carry
+    /// the scheme's priority:
     ///
     /// * [`ArbiterKind::BiasedPriority`] — waiting time ÷ inter-arrival
     ///   period, recomputed every cycle;
@@ -342,186 +349,136 @@ impl LinkScheduler {
         }
 
         let mut next_pointer = view.rr_pointer;
+        // Only the rotating scan stops early; the iterative schemes (whose
+        // selection rule lives in the switch scheduler) and the priority
+        // sort take the whole walk, the sort into its own scratch.
+        let iterative =
+            matches!(view.kind, ArbiterKind::Autonet { .. } | ArbiterKind::Islip { .. });
+        let sorted = !iterative && view.policy == CandidatePolicy::PrioritySorted;
+        let scan = !iterative && !sorted;
+        self.sorted.clear();
+        let walked = if sorted { &mut self.sorted } else { &mut *out };
 
-        match view.kind {
-            // Iterative schemes consume the full eligible set (their
-            // selection rule lives in the switch scheduler).
-            ArbiterKind::Autonet { .. } | ArbiterKind::Islip { .. } => {
-                for vc_idx in self.eligible.iter_set() {
-                    if let Some(c) = classify(view, vc_idx, vcs) {
-                        // mmr-lint: allow(A-PUSH, reason="amortized: reusable buffer retains its capacity across cycles (PR 1 zero-alloc design)")
-                        out.push(c);
-                    }
-                }
-                sort_candidates(out);
-            }
-            // Candidate-set schemes: pick up to C candidates with distinct
-            // outputs (an input can use at most one output per cycle),
-            // either by priority order or by rotating scan.
-            ArbiterKind::FixedPriority
-            | ArbiterKind::BiasedPriority
-            | ArbiterKind::RoundRobin
-            | ArbiterKind::OldestFirst
-            | ArbiterKind::Perfect => match view.policy {
-                CandidatePolicy::PrioritySorted => {
-                    self.sorted.clear();
-                    for vc_idx in self.eligible.iter_set() {
-                        if let Some(c) = classify(view, vc_idx, vcs) {
-                            // mmr-lint: allow(A-PUSH, reason="amortized: reusable buffer retains its capacity across cycles (PR 1 zero-alloc design)")
-                            self.sorted.push(c);
-                        }
-                    }
-                    // A subsequence of a sorted list is sorted: `out` needs
-                    // no sort of its own.
-                    sort_candidates(&mut self.sorted);
-                    let mut outputs_seen = OutputSet::new();
-                    for &c in &self.sorted {
-                        if out.len() >= view.max_candidates {
-                            break;
-                        }
-                        if outputs_seen.mark(c.output) {
-                            // mmr-lint: allow(A-PUSH, reason="amortized: reusable buffer retains its capacity across cycles (PR 1 zero-alloc design)")
-                            out.push(c);
-                        }
-                    }
-                }
-                // The hot default: instead of classifying every eligible VC
-                // up front, derive each phase's candidate *domain* from the
-                // class-membership, head-kind and serviced masks with
-                // word-parallel operations, then classify on visit. The scan
-                // stops as soon as `max_candidates` distinct outputs are
-                // found, so a loaded port touches O(candidates) VCs instead
-                // of O(eligible). Invariant: the control, CBR and best-effort
-                // domains hold *exactly* the eligible VCs for which
-                // `classify` picks that domain, because `classify_in` trusts
-                // the domain and checks no class or head bit. Only the VBR
-                // domain, shared by both VBR phases, is a superset of each:
-                // `classify_in` picks the VBR phase from the quota position
-                // and the scan re-checks it. The eager oracle
-                // (`reference_select`) holds the domain builds to this.
-                CandidatePolicy::RotatingScan => {
-                    // Partition the eligible set by head-flit kind — but
-                    // lazily: on most cycles every eligible head is a stream
-                    // (data/command) flit, so `stream_heads == eligible` and
-                    // the partition collapses to two word-parallel membership
-                    // tests. Head kinds are mutually exclusive, so
-                    // `eligible = stream ∪ control ∪ best-effort` heads.
-                    let control_heads_any = view.vcm.has_control_heads()
-                        && view.vcm.head_control_bits().intersects(&self.eligible);
-                    let be_heads_any = view.vcm.has_best_effort_heads()
-                        && view.vcm.head_best_effort_bits().intersects(&self.eligible);
-                    let split_heads = control_heads_any || be_heads_any;
+        // Partition the eligible set by head-flit kind — but lazily: on most
+        // cycles every eligible head is a stream (data/command) flit, so
+        // `stream_heads == eligible` (and is used as such) and the partition
+        // collapses to two word-parallel membership tests. Head kinds are
+        // mutually exclusive, so `eligible = stream ∪ control ∪ best-effort`.
+        let control_heads_any = view.vcm.has_control_heads()
+            && view.vcm.head_control_bits().intersects(&self.eligible);
+        let be_heads_any = view.vcm.has_best_effort_heads()
+            && view.vcm.head_best_effort_bits().intersects(&self.eligible);
+        let split_heads = control_heads_any || be_heads_any;
+        if split_heads {
+            self.stream_heads.copy_from(&self.eligible);
+            self.stream_heads.subtract(view.vcm.head_control_bits());
+            self.stream_heads.subtract(view.vcm.head_best_effort_bits());
+            self.control_heads.copy_from(&self.eligible);
+            self.control_heads &= view.vcm.head_control_bits();
+            self.best_effort_heads.copy_from(&self.eligible);
+            self.best_effort_heads &= view.vcm.head_best_effort_bits();
+        }
+
+        // The one place a VC is classified: each phase's *domain* comes from
+        // the class, head-kind and serviced masks by word-parallel
+        // operations, and `classify_in` runs on visit, trusting the domain
+        // for class and head. The control, CBR and best-effort domains hold
+        // exactly the eligible VCs of their phase; the VBR domain, shared by
+        // both VBR phases, is a superset of each, so the walk re-checks the
+        // phase the quota position gives. `reference_select` holds the
+        // builds to this.
+        let mut outputs_seen = OutputSet::new();
+        'phases: for phase in PHASES {
+            let stream_heads = if split_heads { &self.stream_heads } else { &self.eligible };
+            // Build the phase's domain and skip it when empty. A class no
+            // active VC carries is ruled out by an O(1) population test
+            // (workloads are typically single-class, so most phases exit
+            // there); each build is a fused single pass that also counts.
+            let population = match phase {
+                // Control heads always classify as control; control-class
+                // connections follow unless a best-effort head overrides the
+                // class.
+                ServicePhase::Control if control_heads_any || view.classes.has_control() => {
+                    let n = self.domain.copy_intersection(&view.classes.control, stream_heads);
                     if split_heads {
-                        self.stream_heads.copy_from(&self.eligible);
-                        self.stream_heads.subtract(view.vcm.head_control_bits());
-                        self.stream_heads.subtract(view.vcm.head_best_effort_bits());
-                        self.control_heads.copy_from(&self.eligible);
-                        self.control_heads &= view.vcm.head_control_bits();
-                        self.best_effort_heads.copy_from(&self.eligible);
-                        self.best_effort_heads &= view.vcm.head_best_effort_bits();
+                        self.domain |= &self.control_heads;
+                        self.domain.count_ones()
+                    } else {
+                        n
                     }
-
-                    let mut outputs_seen = OutputSet::new();
-                    'phases: for phase in PHASES {
-                        // With no special heads eligible, `stream_heads`
-                        // would equal `eligible` — use it directly.
-                        let stream_heads =
-                            if split_heads { &self.stream_heads } else { &self.eligible };
-                        // Build the phase's domain and skip it when empty. A
-                        // class no active VC carries is ruled out by an O(1)
-                        // population test (workloads are typically
-                        // single-class, so most phases exit there); each
-                        // build is a fused single pass that also counts.
-                        let population = match phase {
-                            // Control heads always classify as control;
-                            // control-class connections follow unless a
-                            // best-effort head overrides the class.
-                            ServicePhase::Control
-                                if control_heads_any || view.classes.has_control() =>
-                            {
-                                let n = self
-                                    .domain
-                                    .copy_intersection(&view.classes.control, stream_heads);
-                                if split_heads {
-                                    self.domain |= &self.control_heads;
-                                    self.domain.count_ones()
-                                } else {
-                                    n
-                                }
-                            }
-                            // Stream phases: class members whose head is a
-                            // data/command flit (head kind takes precedence).
-                            // VCs whose round quota is already exhausted (the
-                            // latched §4.4 "completely serviced" banks) would
-                            // classify to `None` anyway — subtract them up
-                            // front so the scan never visits them.
-                            ServicePhase::CbrGuaranteed if view.classes.has_cbr() => {
-                                self.domain.copy_intersection_minus(
-                                    &view.classes.cbr,
-                                    stream_heads,
-                                    view.status.bank(Condition::CbrBandwidthServiced),
-                                )
-                            }
-                            // Both VBR phases share one domain; the quota
-                            // position decides per VC which phase it is in.
-                            // The VBR serviced bank latches *peak* exhaustion,
-                            // which rules a VC out of both phases.
-                            ServicePhase::VbrPermanent | ServicePhase::VbrExcess
-                                if view.classes.has_vbr() =>
-                            {
-                                self.domain.copy_intersection_minus(
-                                    &view.classes.vbr,
-                                    stream_heads,
-                                    view.status.bank(Condition::VbrBandwidthServiced),
-                                )
-                            }
-                            // Best-effort heads always classify as best
-                            // effort; best-effort-class connections follow
-                            // unless a control head overrides the class.
-                            ServicePhase::BestEffort
-                                if be_heads_any || view.classes.has_best_effort() =>
-                            {
-                                let n = self
-                                    .domain
-                                    .copy_intersection(&view.classes.best_effort, stream_heads);
-                                if split_heads {
-                                    self.domain |= &self.best_effort_heads;
-                                    self.domain.count_ones()
-                                } else {
-                                    n
-                                }
-                            }
-                            _ => 0,
-                        };
-                        if population == 0 {
-                            continue;
-                        }
-                        for vc_idx in self.domain.iter_set_from(view.rr_pointer) {
-                            if out.len() >= view.max_candidates {
-                                break 'phases;
-                            }
-                            // A VC bound for an output already offered
-                            // cannot be offered; skip its classification.
-                            if outputs_seen.contains(view.records.at(vc_idx).output) {
-                                continue;
-                            }
-                            let Some(c) = classify_in(view, vc_idx, vcs, phase) else { continue };
-                            if c.phase != phase {
-                                continue;
-                            }
-                            outputs_seen.mark(c.output);
-                            // mmr-lint: allow(A-PUSH, reason="amortized: reusable buffer retains its capacity across cycles; at most C entries")
-                            out.push(c);
-                            // The VC after it on the ring, by comparison.
-                            next_pointer = if vc_idx + 1 < vcs { vc_idx + 1 } else { 0 };
-                        }
-                    }
-                    // Proposal order: most urgent first. The switch
-                    // scheduler resolves output conflicts with the same
-                    // ordering.
-                    sort_candidates(out);
                 }
-            },
+                // Stream phases: class members whose head is a data/command
+                // flit (head kind takes precedence). VCs whose round quota
+                // is already exhausted (the latched §4.4 "completely
+                // serviced" banks) are subtracted up front so the walk never
+                // visits them.
+                ServicePhase::CbrGuaranteed if view.classes.has_cbr() => {
+                    self.domain.copy_intersection_minus(
+                        &view.classes.cbr,
+                        stream_heads,
+                        view.status.bank(Condition::CbrBandwidthServiced),
+                    )
+                }
+                // Both VBR phases share one domain; the quota position
+                // decides per VC which phase it is in. The VBR serviced bank
+                // latches *peak* exhaustion, which rules a VC out of both.
+                ServicePhase::VbrPermanent | ServicePhase::VbrExcess
+                    if view.classes.has_vbr() =>
+                {
+                    self.domain.copy_intersection_minus(
+                        &view.classes.vbr,
+                        stream_heads,
+                        view.status.bank(Condition::VbrBandwidthServiced),
+                    )
+                }
+                // Best-effort heads always classify as best effort;
+                // best-effort-class connections follow unless a control head
+                // overrides the class.
+                ServicePhase::BestEffort if be_heads_any || view.classes.has_best_effort() => {
+                    let n = self.domain.copy_intersection(&view.classes.best_effort, stream_heads);
+                    if split_heads {
+                        self.domain |= &self.best_effort_heads;
+                        self.domain.count_ones()
+                    } else {
+                        n
+                    }
+                }
+                _ => 0,
+            };
+            if population == 0 {
+                continue;
+            }
+            for vc_idx in self.domain.iter_set_from(view.rr_pointer) {
+                // The scan stops at C distinct outputs, and a VC bound for
+                // an output already offered is not even classified.
+                if scan && walked.len() >= view.max_candidates {
+                    break 'phases;
+                }
+                if scan && outputs_seen.contains(view.records.at(vc_idx).output) {
+                    continue;
+                }
+                let Some(c) = classify_in(view, vc_idx, vcs, phase) else { continue };
+                if c.phase != phase {
+                    continue;
+                }
+                // mmr-lint: allow(A-PUSH, reason="amortized: reusable buffer retains its capacity across cycles (PR 1 zero-alloc design)")
+                walked.push(c);
+                if scan {
+                    outputs_seen.mark(c.output);
+                    // The VC after it on the ring, by comparison.
+                    next_pointer = if vc_idx + 1 < vcs { vc_idx + 1 } else { 0 };
+                }
+            }
+        }
+
+        // Proposal order: most urgent first. The switch scheduler resolves
+        // output conflicts with the same ordering, and the priority sort's
+        // `out`, a subsequence of the sorted walk, needs no sort of its own.
+        sort_candidates(walked);
+        if sorted {
+            let fresh = self.sorted.iter().filter(|c| outputs_seen.mark(c.output));
+            // mmr-lint: allow(A-PUSH, reason="amortized: reusable buffer retains its capacity across cycles (PR 1 zero-alloc design)")
+            out.extend(fresh.take(view.max_candidates));
         }
         next_pointer
     }
@@ -536,37 +493,8 @@ pub fn select_candidates(view: &LinkSchedView<'_>) -> LinkSchedOutcome {
     LinkSchedOutcome { candidates, next_pointer }
 }
 
-/// Classifies one eligible VC: finds the phase domain holding it from bits
-/// alone — the head kind from the VCM's head bits (head kind first, for
-/// VCT packets), then the class from [`ClassMasks`] and the CBR quota from
-/// the latched `CbrBandwidthServiced` bit — and hands it to
-/// [`classify_in`]. Pure: reads only the view, so classification can run
-/// over the whole eligible set or on scan visit with identical results.
-// mmr-lint: hot
-fn classify(view: &LinkSchedView<'_>, vc_idx: usize, vcs: usize) -> Option<Candidate> {
-    let (vcm, classes) = (view.vcm, view.classes);
-    let domain = if vcm.head_control_bits().get(vc_idx) {
-        ServicePhase::Control
-    } else if vcm.head_best_effort_bits().get(vc_idx) {
-        ServicePhase::BestEffort
-    } else if classes.control.get(vc_idx) {
-        ServicePhase::Control
-    } else if classes.best_effort.get(vc_idx) {
-        ServicePhase::BestEffort
-    } else if classes.cbr.get(vc_idx) {
-        if view.status.get(Condition::CbrBandwidthServiced, vc_idx) {
-            return None;
-        }
-        ServicePhase::CbrGuaranteed
-    } else {
-        // The domain both VBR phases share.
-        ServicePhase::VbrPermanent
-    };
-    classify_in(view, vc_idx, vcs, domain)
-}
-
 /// The candidate a VC of `domain`'s phase domain is offered as — the
-/// rotating scan walks the domains, so it knows the domain and reads no
+/// select walk visits the domains, so it knows the domain and reads no
 /// class or head bit. Output, connection and key come from the VC's
 /// [`VcSched`], the reserve from `guaranteed_open`, waiting time from the
 /// VCM's head ready time; a VBR connection's quota position (and excess

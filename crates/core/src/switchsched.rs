@@ -18,6 +18,13 @@
 //! * [`ArbiterKind::Islip`]: rotating-pointer grant/accept iterations;
 //! * [`ArbiterKind::Perfect`]: the paper's lower bound — every input
 //!   transmits its best candidate, outputs accept any number of flits.
+//!
+//! The matchers answer per-port questions from 64-bit port words (bit *p* =
+//! port *p*, hence the 64-port limit). PIM and iSLIP share one request
+//! phase that fills a request word per output and grant into one word per
+//! input; a grant or accept picks a set bit — the n-th for PIM's random
+//! draw, the first at or after the pointer for iSLIP (Tiny Tera's request
+//! and grant bitmaps with priority encoders).
 
 use mmr_sim::SeededRng;
 
@@ -55,10 +62,12 @@ pub struct SwitchScheduler {
     accept_ptr: PortMap<usize>,
     /// Reusable per-output winner slots for priority matching.
     winners: PortMap<Option<Candidate>>,
-    /// Reusable request lists for PIM/iSLIP (per output: requesting inputs).
-    requests: PortMap<Vec<usize>>,
-    /// Reusable grant lists for PIM/iSLIP (per input: granting outputs).
-    grants: PortMap<Vec<usize>>,
+    /// Reusable request words for PIM/iSLIP: bit *p* of output *o*'s word
+    /// ⇔ input *p* requests output *o*.
+    requests: PortMap<u64>,
+    /// Reusable grant words for PIM/iSLIP: bit *o* of input *p*'s word ⇔
+    /// output *o* granted input *p*.
+    grants: PortMap<u64>,
 }
 
 impl SwitchScheduler {
@@ -78,8 +87,8 @@ impl SwitchScheduler {
             grant_ptr: PortMap::filled(ports, 0),
             accept_ptr: PortMap::filled(ports, 0),
             winners: PortMap::filled(ports, None),
-            requests: PortMap::filled(ports, Vec::new()),
-            grants: PortMap::filled(ports, Vec::new()),
+            requests: PortMap::filled(ports, 0),
+            grants: PortMap::filled(ports, 0),
         }
     }
 
@@ -241,9 +250,30 @@ impl SwitchScheduler {
         }
     }
 
+    /// The request phase PIM and iSLIP share: fills output *o*'s request
+    /// word with the `inputs` holding a candidate for it, for every *o*
+    /// outside `output_matched`, clears the grant words and returns the word
+    /// of requested outputs.
+    // mmr-lint: hot
+    fn request(&mut self, candidates: &[Vec<Candidate>], inputs: u64, output_matched: u64) -> u64 {
+        self.requests.iter_mut().for_each(|word| *word = 0);
+        self.grants.iter_mut().for_each(|word| *word = 0);
+        let mut requested: u64 = 0;
+        for p in set_ports(inputs) {
+            for c in candidates.get(p).into_iter().flatten() {
+                let o = c.output.index();
+                if output_matched & (1 << o) == 0 {
+                    *self.requests.at_mut(o) |= 1 << p;
+                    requested |= 1 << o;
+                }
+            }
+        }
+        requested
+    }
+
     /// Parallel iterative matching (Anderson et al.): in each iteration,
-    /// every unmatched output grants a *random* requesting input and every
-    /// input accepts a *random* grant.
+    /// every requested output grants a *random* requesting input and every
+    /// granted input accepts a *random* grant.
     // mmr-lint: hot
     fn pim_match(
         &mut self,
@@ -256,73 +286,46 @@ impl SwitchScheduler {
     ) {
         let mut input_matched: u64 = 0;
         let mut output_matched = blocked;
-        let mut requests = std::mem::take(&mut self.requests);
-        let mut grants = std::mem::take(&mut self.grants);
-
         for _ in 0..iterations.max(1) {
-            // Request phase: which unmatched inputs request which unmatched
-            // outputs?
-            for reqs in requests.iter_mut() {
-                reqs.clear(); // per output: inputs
+            // Every request is granted and every grant accepted, so the
+            // first iteration without requests is the first to match none.
+            let requested = self.request(candidates, offered & !input_matched, output_matched);
+            if requested == 0 {
+                break;
             }
-            for p in set_ports(offered & !input_matched) {
-                let mut seen: u64 = 0;
-                for c in candidates.get(p).into_iter().flatten() {
-                    let o = c.output.index();
-                    if (output_matched | seen) & (1 << o) == 0 {
-                        seen |= 1 << o;
-                        // mmr-lint: allow(A-PUSH, reason="amortized: reusable buffer retains its capacity across cycles (PR 1 zero-alloc design)")
-                        requests.at_mut(o).push(p);
-                    }
-                }
-            }
-            // Grant phase: each output picks a random requester.
-            for gs in grants.iter_mut() {
-                gs.clear(); // per input: outputs
-            }
-            for (o, reqs) in requests.entries() {
-                if reqs.is_empty() {
+            let mut granted: u64 = 0;
+            for o in set_ports(requested) {
+                let word = *self.requests.at(o);
+                let Some(p) = nth_set_port(word, rng.index(word.count_ones() as usize)) else {
                     continue;
-                }
-                let Some(&pick) = reqs.get(rng.index(reqs.len())) else { continue };
-                // mmr-lint: allow(A-PUSH, reason="amortized: reusable buffer retains its capacity across cycles (PR 1 zero-alloc design)")
-                grants.at_mut(pick).push(o);
+                };
+                *self.grants.at_mut(p) |= 1 << o;
+                granted |= 1 << p;
             }
-            // Accept phase: each input picks a random grant.
-            let mut progress = false;
-            for (p, gs) in grants.entries() {
-                if gs.is_empty() {
+            for p in set_ports(granted) {
+                let word = *self.grants.at(p);
+                let Some(o) = nth_set_port(word, rng.index(word.count_ones() as usize)) else {
                     continue;
-                }
-                let Some(&o) = gs.get(rng.index(gs.len())) else { continue };
+                };
                 // The flit transmitted is a random candidate of (p, o).
                 let matching =
                     || candidates.get(p).into_iter().flatten().filter(|c| c.output.index() == o);
                 let count = matching().count();
-                if count == 0 {
-                    // A grant without a matching candidate would be an
-                    // invariant breach; skip the input rather than panic.
-                    debug_assert!(false, "grant implies a candidate");
-                    continue;
-                }
-                let Some(c) = matching().nth(rng.index(count)) else { continue };
+                debug_assert!(count > 0, "grant implies a candidate");
+                let Some(c) = matching().nth(rng.index(count.max(1))) else { continue };
                 input_matched |= 1 << p;
                 output_matched |= 1 << o;
                 // mmr-lint: allow(A-PUSH, reason="amortized: reusable buffer retains its capacity across cycles (PR 1 zero-alloc design)")
                 pairs.push(MatchedPair::from(c));
-                progress = true;
-            }
-            if !progress {
-                break;
             }
         }
-        self.requests = requests;
-        self.grants = grants;
     }
 
-    /// iSLIP-style matching: grant/accept by rotating pointers, pointers
-    /// advanced only for matches made in the first iteration (the standard
-    /// rule that preserves fairness).
+    /// iSLIP-style matching: each requested output grants the first
+    /// requester at or after its pointer and each granted input accepts the
+    /// first grant at or after its own; pointers advance only for matches
+    /// made in the first iteration (the standard rule that preserves
+    /// fairness).
     // mmr-lint: hot
     fn islip_match(
         &mut self,
@@ -335,43 +338,22 @@ impl SwitchScheduler {
         let ports = self.ports;
         let mut input_matched: u64 = 0;
         let mut output_matched = blocked;
-        let mut requests = std::mem::take(&mut self.requests);
-        let mut grants = std::mem::take(&mut self.grants);
-
         for it in 0..iterations.max(1) {
-            for reqs in requests.iter_mut() {
-                reqs.clear();
+            // As in PIM: no requests, no match.
+            let requested = self.request(candidates, offered & !input_matched, output_matched);
+            if requested == 0 {
+                break;
             }
-            for p in set_ports(offered & !input_matched) {
-                let mut seen: u64 = 0;
-                for c in candidates.get(p).into_iter().flatten() {
-                    let o = c.output.index();
-                    if (output_matched | seen) & (1 << o) == 0 {
-                        seen |= 1 << o;
-                        // mmr-lint: allow(A-PUSH, reason="amortized: reusable buffer retains its capacity across cycles (PR 1 zero-alloc design)")
-                        requests.at_mut(o).push(p);
-                    }
-                }
-            }
-            for gs in grants.iter_mut() {
-                gs.clear();
-            }
-            for (o, reqs) in requests.entries() {
-                let ptr = *self.grant_ptr.at(o);
-                // min_by_key returns None exactly when no input requested
-                // this output; that subsumes the emptiness check.
-                let Some(&pick) = reqs.iter().min_by_key(|&&p| (p + ports - ptr % ports) % ports)
-                else {
+            let mut granted: u64 = 0;
+            for o in set_ports(requested) {
+                let Some(p) = next_set_port(*self.requests.at(o), *self.grant_ptr.at(o)) else {
                     continue;
                 };
-                // mmr-lint: allow(A-PUSH, reason="amortized: reusable buffer retains its capacity across cycles (PR 1 zero-alloc design)")
-                grants.at_mut(pick).push(o);
+                *self.grants.at_mut(p) |= 1 << o;
+                granted |= 1 << p;
             }
-            let mut progress = false;
-            for (p, gs) in grants.entries() {
-                let ptr = *self.accept_ptr.at(p);
-                let Some(&o) = gs.iter().min_by_key(|&&o| (o + ports - ptr % ports) % ports)
-                else {
+            for p in set_ports(granted) {
+                let Some(o) = next_set_port(*self.grants.at(p), *self.accept_ptr.at(p)) else {
                     continue;
                 };
                 let Some(c) =
@@ -384,18 +366,12 @@ impl SwitchScheduler {
                 output_matched |= 1 << o;
                 // mmr-lint: allow(A-PUSH, reason="amortized: reusable buffer retains its capacity across cycles (PR 1 zero-alloc design)")
                 pairs.push(MatchedPair::from(c));
-                progress = true;
                 if it == 0 {
                     *self.grant_ptr.at_mut(o) = (p + 1) % ports;
                     *self.accept_ptr.at_mut(p) = (o + 1) % ports;
                 }
             }
-            if !progress {
-                break;
-            }
         }
-        self.requests = requests;
-        self.grants = grants;
     }
 
     /// The perfect switch: every input transmits its top-ranked candidate;
@@ -407,6 +383,20 @@ impl SwitchScheduler {
             set_ports(offered).filter_map(|p| candidates.get(p)?.first().map(MatchedPair::from)),
         );
     }
+}
+
+/// The `n`-th set bit of a port word, counting up from bit 0: PIM's random
+/// pick among the requesters or grants the word holds.
+fn nth_set_port(word: u64, n: usize) -> Option<usize> {
+    set_ports(word).nth(n)
+}
+
+/// The first set bit of a port word at or after bit `from`, wrapping round
+/// to bit 0: iSLIP's rotating-pointer pick.
+fn next_set_port(word: u64, from: usize) -> Option<usize> {
+    let at_or_after = u32::try_from(from).ok().and_then(|from| u64::MAX.checked_shl(from));
+    let above = word & at_or_after.unwrap_or(0);
+    set_ports(if above != 0 { above } else { word }).next()
 }
 
 /// Packs one flag per port into a port word.
@@ -431,6 +421,118 @@ pub fn is_valid_matching(pairs: &[MatchedPair], ports: usize, allow_output_shari
         }
     }
     true
+}
+
+/// The oracles for the word matchers: PIM and iSLIP as they were before
+/// the request and grant words, each rebuilding its request phase into
+/// per-output lists of requesting inputs and per-input lists of granting
+/// outputs.
+#[cfg(test)]
+impl SwitchScheduler {
+    /// The request phase both list matchers ran: per output, the unmatched
+    /// inputs that hold a candidate for it, ascending.
+    fn reference_requests(
+        &self,
+        candidates: &[Vec<Candidate>],
+        inputs: u64,
+        output_matched: u64,
+    ) -> Vec<Vec<usize>> {
+        let mut requests = vec![Vec::new(); self.ports];
+        for p in set_ports(inputs) {
+            let mut seen: u64 = 0;
+            for c in candidates.get(p).into_iter().flatten() {
+                let o = c.output.index();
+                if (output_matched | seen) & (1 << o) == 0 {
+                    seen |= 1 << o;
+                    requests[o].push(p);
+                }
+            }
+        }
+        requests
+    }
+
+    /// PIM over request and grant lists.
+    pub(crate) fn reference_pim_match(
+        &mut self,
+        candidates: &[Vec<Candidate>],
+        offered: u64,
+        blocked: u64,
+        iterations: u32,
+        rng: &mut SeededRng,
+        pairs: &mut Vec<MatchedPair>,
+    ) {
+        let mut input_matched: u64 = 0;
+        let mut output_matched = blocked;
+        for _ in 0..iterations.max(1) {
+            let requests = self.reference_requests(candidates, offered & !input_matched, output_matched);
+            let mut grants = vec![Vec::new(); self.ports];
+            for (o, reqs) in requests.iter().enumerate() {
+                if !reqs.is_empty() {
+                    grants[reqs[rng.index(reqs.len())]].push(o);
+                }
+            }
+            let mut progress = false;
+            for (p, gs) in grants.iter().enumerate() {
+                if gs.is_empty() {
+                    continue;
+                }
+                let o = gs[rng.index(gs.len())];
+                let matching: Vec<&Candidate> =
+                    candidates[p].iter().filter(|c| c.output.index() == o).collect();
+                let c = matching[rng.index(matching.len())];
+                input_matched |= 1 << p;
+                output_matched |= 1 << o;
+                pairs.push(MatchedPair::from(c));
+                progress = true;
+            }
+            if !progress {
+                break;
+            }
+        }
+    }
+
+    /// iSLIP over request and grant lists.
+    pub(crate) fn reference_islip_match(
+        &mut self,
+        candidates: &[Vec<Candidate>],
+        offered: u64,
+        blocked: u64,
+        iterations: u32,
+        pairs: &mut Vec<MatchedPair>,
+    ) {
+        let ports = self.ports;
+        let mut input_matched: u64 = 0;
+        let mut output_matched = blocked;
+        for it in 0..iterations.max(1) {
+            let requests = self.reference_requests(candidates, offered & !input_matched, output_matched);
+            let mut grants = vec![Vec::new(); ports];
+            for (o, reqs) in requests.iter().enumerate() {
+                let ptr = self.grant_ptr.at(o) % ports;
+                if let Some(&pick) = reqs.iter().min_by_key(|&&p| (p + ports - ptr) % ports) {
+                    grants[pick].push(o);
+                }
+            }
+            let mut progress = false;
+            for (p, gs) in grants.iter().enumerate() {
+                let ptr = self.accept_ptr.at(p) % ports;
+                let Some(&o) = gs.iter().min_by_key(|&&o| (o + ports - ptr) % ports) else {
+                    continue;
+                };
+                let c = candidates[p].iter().find(|c| c.output.index() == o).expect("granted");
+                input_matched |= 1 << p;
+                output_matched |= 1 << o;
+                pairs.push(MatchedPair::from(c));
+                progress = true;
+                if it == 0 {
+                    *self.grant_ptr.at_mut(o) = (p + 1) % ports;
+                    *self.accept_ptr.at_mut(p) = (o + 1) % ports;
+                }
+            }
+            if !progress {
+                break;
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -583,5 +685,89 @@ mod tests {
         let mut s = SwitchScheduler::new(ArbiterKind::BiasedPriority, 3);
         let pairs = s.schedule(&vec![Vec::new(); 3], &[false; 3], &mut rng());
         assert!(pairs.is_empty());
+    }
+
+    #[test]
+    fn nth_set_port_counts_up_from_bit_zero() {
+        let word = 1 | 1 << 5 | 1 << 63;
+        assert_eq!(nth_set_port(word, 0), Some(0));
+        assert_eq!(nth_set_port(word, 1), Some(5));
+        assert_eq!(nth_set_port(word, 2), Some(63), "port 63 is the last bit");
+        assert_eq!(nth_set_port(word, 3), None);
+        assert_eq!(nth_set_port(1 << 9, 0), Some(9), "a single set bit");
+        assert_eq!(nth_set_port(0, 0), None);
+    }
+
+    #[test]
+    fn next_set_port_wraps_past_the_last_port() {
+        let word = 1 << 2 | 1 << 40 | 1 << 63;
+        assert_eq!(next_set_port(word, 0), Some(2));
+        assert_eq!(next_set_port(word, 2), Some(2), "at the pointer counts");
+        assert_eq!(next_set_port(word, 3), Some(40));
+        assert_eq!(next_set_port(word, 41), Some(63), "port 63");
+        assert_eq!(next_set_port(1 << 63, 63), Some(63));
+        assert_eq!(next_set_port(1 << 2 | 1 << 40, 41), Some(2), "wrap-around");
+        assert_eq!(next_set_port(1 << 2 | 1 << 40, 64), Some(2), "a pointer past bit 63");
+        for from in [0, 17, 63] {
+            assert_eq!(next_set_port(1 << 17, from), Some(17), "a single set bit from {from}");
+        }
+        assert_eq!(next_set_port(0, 5), None);
+    }
+
+    proptest::proptest! {
+        /// On random candidate sets (2–64 ports), blocked outputs and 1–4
+        /// iterations, called repeatedly on one scheduler, the word matchers
+        /// return the pairs the list matchers return, in the same order,
+        /// and leave the same pointers and the same RNG state.
+        #[test]
+        fn the_word_matchers_match_the_list_rule(
+            seed in proptest::any::<u64>(),
+            ports in 2usize..65,
+            iterations in 1u32..5,
+            islip in proptest::any::<bool>(),
+        ) {
+            let kind = if islip {
+                ArbiterKind::Islip { iterations }
+            } else {
+                ArbiterKind::Autonet { iterations }
+            };
+            let mut draw = SeededRng::new(seed);
+            let mut word = SwitchScheduler::new(kind, ports);
+            let mut list = word.clone();
+            let (mut word_rng, mut list_rng) = (SeededRng::new(!seed), SeededRng::new(!seed));
+            for call in 0..6 {
+                let density = draw.unit();
+                let cands: Vec<Vec<Candidate>> = (0..ports)
+                    .map(|i| {
+                        let n = if draw.chance(density) { 1 + draw.index(8) } else { 0 };
+                        (0..n)
+                            .map(|v| cand(i as u8, v as u16, draw.index(ports) as u8, 0.0))
+                            .collect()
+                    })
+                    .collect();
+                let blocked: Vec<bool> = (0..ports).map(|_| draw.chance(0.2)).collect();
+                let offered = port_word(cands.iter().map(|l| !l.is_empty()));
+                let blocked_word = port_word(blocked.iter().copied());
+                let got = word.schedule(&cands, &blocked, &mut word_rng);
+                let mut want = Vec::new();
+                if offered != 0 {
+                    if islip {
+                        list.reference_islip_match(
+                            &cands, offered, blocked_word, iterations, &mut want,
+                        );
+                    } else {
+                        list.reference_pim_match(
+                            &cands, offered, blocked_word, iterations, &mut list_rng, &mut want,
+                        );
+                    }
+                }
+                proptest::prop_assert_eq!(&got, &want, "call {}", call);
+                proptest::prop_assert_eq!(word.grant_ptr.iter().collect::<Vec<_>>(),
+                    list.grant_ptr.iter().collect::<Vec<_>>(), "call {}", call);
+                proptest::prop_assert_eq!(word.accept_ptr.iter().collect::<Vec<_>>(),
+                    list.accept_ptr.iter().collect::<Vec<_>>(), "call {}", call);
+                proptest::prop_assert_eq!(&word_rng, &list_rng, "call {}", call);
+            }
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! Typed dense tables for the schedulers' per-port / per-VC scratch state.
 //!
 //! The link and switch schedulers keep dense arrays indexed by port and
-//! virtual-channel ids (grant pointers, winner slots, request lists,
+//! virtual-channel ids (grant pointers, winner slots, request words,
 //! per-phase bit vectors). Historically those were bare `Vec<T>`s indexed
 //! with `table[i]`, which kept the `P-INDEX` lint rule from covering the
 //! scheduler modules. This module centralises the indexing in three small
@@ -108,11 +108,6 @@ impl<T> PortMap<T> {
     /// Mutably iterates the slots in port order.
     pub fn iter_mut(&mut self) -> std::slice::IterMut<'_, T> {
         self.slots.iter_mut()
-    }
-
-    /// Iterates `(raw port index, &slot)` pairs in port order.
-    pub fn entries(&self) -> impl Iterator<Item = (usize, &T)> {
-        self.slots.iter().enumerate()
     }
 }
 
@@ -249,7 +244,7 @@ mod tests {
         assert_eq!(m.len(), 4);
         assert!(!m.is_empty());
         assert_eq!(m.iter().copied().sum::<u32>(), 16);
-        assert_eq!(m.entries().filter(|(_, &v)| v != 0).count(), 2);
+        assert_eq!(m.iter().filter(|&&v| v != 0).count(), 2);
     }
 
     #[test]

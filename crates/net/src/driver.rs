@@ -79,7 +79,7 @@ impl NetExperiment {
         let mut net = NetworkSim::new(self.topology.clone(), self.router.clone());
         let mut rng = SeededRng::new(self.seed);
         let nodes = net.topology().nodes();
-        let timing = self.router.clone().build().config().timing();
+        let timing = net.router(NodeId(0)).config().timing();
         let capacity = timing.link_rate() * nodes as f64; // one NI per node
 
         // Build the stream population under EPB admission.
@@ -175,9 +175,6 @@ pub enum PopulationOutcome {
         /// The `target_load` asked for.
         target: f64,
     },
-}
-
-impl PopulationOutcome {
 }
 
 /// Results of one network experiment.
