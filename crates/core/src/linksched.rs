@@ -53,7 +53,8 @@ pub struct VcSched {
 
 impl VcSched {
     /// The record of a VC no connection has been mapped onto yet (never
-    /// read: the scheduler visits `ConnectionActive` VCs only).
+    /// read: the scheduler visits `ConnectionActive` VCs only); the fill of
+    /// a port's lazily allocated record table.
     pub const IDLE: VcSched = VcSched { key: 0.0, conn: ConnectionId(0), output: PortId(0) };
 
     /// The record of `conn` under the router-wide arbiter `kind`.
@@ -64,6 +65,12 @@ impl VcSched {
             _ => 0.0,
         };
         VcSched { key, conn: conn.id, output: conn.output_vc.port }
+    }
+}
+
+impl Default for VcSched {
+    fn default() -> Self {
+        VcSched::IDLE
     }
 }
 
@@ -263,12 +270,14 @@ const PHASES: [ServicePhase; 5] = [
 const ELIGIBLE: [Condition; 3] =
     [Condition::FlitsAvailable, Condition::CreditsAvailable, Condition::ConnectionActive];
 
-/// One input port's link scheduler with its reusable scratch state.
+/// The link scheduler with its reusable scratch state.
 ///
 /// The selection pass runs every flit cycle for every port, so all working
 /// storage (the eligible and per-phase bit vectors, the sorted list) lives
 /// here and is reused across cycles — [`LinkScheduler::select`] performs no
-/// heap allocation.
+/// heap allocation. Nothing in it outlives a select (the rotating pointer
+/// is the port's, passed in the view), so a router keeps one and lends it
+/// to each input port in turn.
 #[derive(Debug, Clone)]
 pub struct LinkScheduler {
     /// Scratch: the word-parallel AND of the eligibility conditions.
@@ -286,7 +295,7 @@ pub struct LinkScheduler {
 }
 
 impl LinkScheduler {
-    /// Creates a scheduler for a port with `vcs` virtual channels.
+    /// Creates a scheduler for ports with `vcs` virtual channels.
     pub fn new(vcs: usize) -> Self {
         LinkScheduler {
             eligible: StatusBits::zeros(vcs),
@@ -693,7 +702,7 @@ mod tests {
                 status: StatusMatrix::new(vcs),
                 conns: ConnectionTable::default(),
                 classes: ClassMasks::new(vcs),
-                records: VcMap::filled(vcs, VcSched::IDLE),
+                records: VcMap::from_fn(vcs, |_| VcSched::IDLE),
             }
         }
 

@@ -14,6 +14,16 @@
 //! credit count, and the serviced banks latch quota exhaustion until
 //! [`InputLink::new_round`]. The per-VC [`VcSched`] records copy their
 //! connection's state at [`InputLink::open`] and [`InputLink::rekey`].
+//!
+//! A port costs what it carries: its three per-VC tables — the records,
+//! the output credits and each [`Lease`]'s free-VC stack — are allocated
+//! whole at the first connection that needs them ([`InputLink::open`], the
+//! credit write in `establish_pinned`, the first [`Lease::take_vc`]) and
+//! read as their fill value until then. The port's last teardown gives the
+//! records and credits back, and a free-VC stack goes back once it is
+//! pristine again. The data path (select, transmit, a returned credit, a
+//! rekey) only reaches ports a connection is mapped onto and never
+//! allocates one. The footprint accounts them eagerly (DESIGN.md §9).
 
 use std::mem::size_of;
 
@@ -21,46 +31,72 @@ use mmr_bitvec::{Condition, StatusBits, StatusMatrix};
 use mmr_sim::Cycles;
 
 use super::config::RouterConfig;
-use crate::arbiter::Candidate;
 use crate::bandwidth::{Allocation, LinkBandwidthBook};
 use crate::conn::{ConnectionTable, QosClass};
 use crate::flit::Flit;
 use crate::ids::{PortId, VcIndex};
 use crate::linksched::{ClassMasks, LinkSchedView, LinkScheduler, VcSched};
-use crate::table::VcMap;
+use crate::table::{LazyVcMap, VcMap};
 use crate::vcm::{VcmError, VirtualChannelMemory};
 
 /// What admission reserves from on one direction of a physical link: the
 /// free virtual channels and the §4.2 allocation registers.
 #[derive(Debug, Clone)]
 pub(super) struct Lease {
-    /// Free VC stack, descending, so allocation hands out low indices first.
-    free_vcs: Vec<VcIndex>,
+    /// Free VC stack, its top at `free - 1`, descending when allocated so
+    /// allocation hands out low indices first; `None` while pristine (every
+    /// VC free, in that order), until the first [`Lease::take_vc`].
+    stack: Option<VcMap<VcIndex>>,
+    /// Number of free VCs: the stack's height.
+    free: u16,
+    /// The link's VC count.
+    vcs: u16,
     /// The allocation registers.
     pub(super) book: LinkBandwidthBook,
 }
 
 impl Lease {
     fn new(vcs: u16, book: LinkBandwidthBook) -> Self {
-        Lease { free_vcs: (0..vcs).rev().map(VcIndex).collect(), book }
+        Lease { stack: None, free: vcs, vcs, book }
     }
 
     /// Takes a free VC: the `pinned` one (`None` when it is taken), or else
-    /// the lowest free index.
+    /// the top of the stack — the lowest free index until VCs come back.
+    /// The first take allocates the stack.
     pub(super) fn take_vc(&mut self, pinned: Option<VcIndex>) -> Option<VcIndex> {
-        match pinned {
-            Some(vc) => {
-                let pos = self.free_vcs.iter().position(|&v| v == vc)?;
-                Some(self.free_vcs.swap_remove(pos))
-            }
-            None => self.free_vcs.pop(),
-        }
+        let vcs = usize::from(self.vcs);
+        let descending = |k| VcIndex((vcs - 1 - k) as u16);
+        let stack = self.stack.get_or_insert_with(|| VcMap::from_fn(vcs, descending));
+        let top = usize::from(self.free);
+        let pos = match pinned {
+            // Free VCs are distinct, so a search from the top finds the slot
+            // a search from the bottom would, sooner for the low indices
+            // an upstream router hands out first.
+            Some(vc) => stack.iter().take(top).rposition(|&v| v == vc)?,
+            None => top.checked_sub(1)?,
+        };
+        // Swap-remove: the top fills the hole.
+        let vc = *stack.at(pos);
+        *stack.at_mut(pos) = *stack.at(top - 1);
+        self.free -= 1;
+        Some(vc)
     }
 
-    /// Puts a VC back without touching the registers (setup rollback).
+    /// Puts a taken VC back on top without touching the registers (setup
+    /// rollback). When that leaves the stack pristine again — every VC
+    /// back, in the order of a stack never taken from — the stack is given
+    /// back, so it reads as the pristine stack it equals.
     pub(super) fn return_vc(&mut self, vc: VcIndex) {
-        // mmr-lint: allow(A-TRANS, reason="returns a VC to a free list whose capacity was reserved for every VC at construction")
-        self.free_vcs.push(vc);
+        debug_assert!(self.stack.is_some() && self.free < self.vcs, "{vc} was not taken");
+        if let Some(stack) = &mut self.stack {
+            *stack.at_mut(usize::from(self.free)) = vc;
+            self.free += 1;
+            let vcs = usize::from(self.vcs);
+            let in_place = |(k, v): (usize, &VcIndex)| v.index() == vcs - 1 - k;
+            if self.free == self.vcs && stack.iter().enumerate().all(in_place) {
+                self.stack = None;
+            }
+        }
     }
 
     /// Surrenders a torn-down connection's VC and bandwidth.
@@ -71,11 +107,22 @@ impl Lease {
 
     /// Number of unmapped VCs.
     pub(super) fn free_vcs(&self) -> usize {
-        self.free_vcs.len()
+        usize::from(self.free)
     }
 
+    /// Whether every VC is free: the link carries no connection.
+    fn is_idle(&self) -> bool {
+        self.free == self.vcs
+    }
+
+    /// Whether the free stack has been allocated.
+    fn holds_table(&self) -> bool {
+        self.stack.is_some()
+    }
+
+    /// The share of the eager `Vec` stack this replaced, allocated or not.
     fn accounted_bytes(&self) -> usize {
-        self.free_vcs.capacity() * size_of::<VcIndex>()
+        usize::from(self.vcs) * size_of::<VcIndex>()
             + size_of::<LinkBandwidthBook>()
             + size_of::<Vec<VcIndex>>()
     }
@@ -89,10 +136,9 @@ pub(super) struct InputLink {
     status: StatusMatrix,
     classes: ClassMasks,
     /// What the link scheduler reads of each mapped VC's connection.
-    records: VcMap<VcSched>,
-    sched: LinkScheduler,
+    records: LazyVcMap<VcSched>,
     /// Where the link scheduler's rotating scan starts next cycle.
-    rr_pointer: usize,
+    pub(super) rr_pointer: usize,
     /// The arriving side is policed too: a connection consumes bandwidth on
     /// the link it arrives on (§4.2 reserves on every link of the path).
     pub(super) lease: Lease,
@@ -105,8 +151,7 @@ impl InputLink {
             vcm: VirtualChannelMemory::new(vcs, cfg.vc_depth, cfg.vcm_banks),
             status: StatusMatrix::new(vcs),
             classes: ClassMasks::new(vcs),
-            records: VcMap::filled(vcs, VcSched::IDLE),
-            sched: LinkScheduler::new(vcs),
+            records: LazyVcMap::new(cfg.vcs_per_port),
             rr_pointer: 0,
             lease: Lease::new(cfg.vcs_per_port, book),
         }
@@ -117,18 +162,21 @@ impl InputLink {
     }
 
     /// Maps a connection of `class` onto `vc`, with credits to send on and
-    /// `record` for the link scheduler.
+    /// `record` for the link scheduler. The port's first connection
+    /// allocates its record table.
     pub(super) fn open(&mut self, vc: VcIndex, class: QosClass, record: VcSched) {
         self.classes.set(vc.index(), class);
-        self.rekey(vc, record);
+        *self.records.slot_mut(vc) = record;
         self.status.set(Condition::ConnectionActive, vc.index(), true);
         self.status.set(Condition::CreditsAvailable, vc.index(), true);
     }
 
-    /// Writes `vc`'s record: at [`InputLink::open`], and after a command
-    /// word rescaled the connection's rate (the one later change it copies).
+    /// Rewrites mapped `vc`'s record after a command word rescaled the
+    /// connection's rate (the one later change it copies).
     pub(super) fn rekey(&mut self, vc: VcIndex, record: VcSched) {
-        *self.records.get_mut(vc) = record;
+        if let Some(slot) = self.records.get_mut(vc) {
+            *slot = record;
+        }
     }
 
     /// Unmaps `vc`: drops its queued flits (returning how many) and clears
@@ -146,6 +194,15 @@ impl InputLink {
             self.status.set(cond, vc.index(), false);
         }
         self.vcm.flush(vc)
+    }
+
+    /// Surrenders a torn-down connection's input VC and bandwidth; the
+    /// port's last connection gives its record table back too.
+    pub(super) fn release(&mut self, vc: VcIndex, alloc: Allocation) {
+        self.lease.release(vc, alloc);
+        if self.lease.is_idle() {
+            self.records.release();
+        }
     }
 
     /// Queues a flit on `vc`.
@@ -213,26 +270,25 @@ impl InputLink {
         self.vcm.flits_available().any()
     }
 
-    /// Link scheduling for this port: writes this cycle's candidates into
-    /// `out` and advances the rotating pointer. The router calls it only for
-    /// a port that holds a flit; an empty one would offer nothing and leave
-    /// the pointer where it was.
+    /// What link scheduling reads of this port this cycle. The router
+    /// builds it only for a port that holds a flit, so the records it lends
+    /// exist, and stores what the select returns in `rr_pointer`.
     // mmr-lint: hot
-    pub(super) fn select(
-        &mut self,
+    #[inline]
+    pub(super) fn view<'a>(
+        &'a self,
         port: PortId,
         cfg: &RouterConfig,
-        conns: &ConnectionTable,
-        guaranteed_open: &[bool],
+        conns: &'a ConnectionTable,
+        guaranteed_open: &'a [bool],
         now: Cycles,
-        out: &mut Vec<Candidate>,
-    ) {
-        let view = LinkSchedView {
+    ) -> LinkSchedView<'a> {
+        LinkSchedView {
             port,
             vcm: &self.vcm,
             status: &self.status,
             conns,
-            records: &self.records,
+            records: self.records.slots(),
             kind: cfg.arbiter,
             max_candidates: cfg.offered_candidates(),
             policy: cfg.candidate_policy,
@@ -240,19 +296,24 @@ impl InputLink {
             guaranteed_open,
             rr_pointer: self.rr_pointer,
             now,
-        };
-        self.rr_pointer = self.sched.select(&view, out);
+        }
+    }
+
+    /// Whether any of the port's lazily allocated tables is held.
+    pub(super) fn holds_tables(&self) -> bool {
+        self.records.is_materialized() || self.lease.holds_table()
     }
 
     /// This link's share of [`super::Router::heap_bytes`]. The inline part
     /// is the sum of the parts' sizes, not `size_of::<InputLink>()`: the
     /// figure is pinned by the benchmark digests and padding would move it.
     /// The records are accounted where the scheduler's classification memo
-    /// was (same 16 bytes per VC, same table header).
-    pub(super) fn accounted_bytes(&self) -> usize {
+    /// was (same 16 bytes per VC, same table header) and as if allocated,
+    /// and the router's one `sched` scratch as if every port held a copy.
+    pub(super) fn accounted_bytes(&self, sched: &LinkScheduler) -> usize {
         self.vcm.heap_bytes()
             + self.status.heap_bytes()
-            + self.sched.heap_bytes()
+            + sched.heap_bytes()
             + self.records.heap_bytes()
             + self.classes.heap_bytes()
             + self.lease.accounted_bytes()
@@ -278,8 +339,9 @@ impl InputLink {
 #[derive(Debug, Clone)]
 pub(super) struct OutputLink {
     pub(super) lease: Lease,
-    /// Credits per output VC; meaningful only when credits are tracked.
-    pub(super) credits: Vec<u32>,
+    /// Credits per output VC; meaningful only when credits are tracked,
+    /// and allocated at the first connection that writes one.
+    pub(super) credits: LazyVcMap<u32>,
     /// Guaranteed-class (CBR/VBR) flits serviced this round.
     pub(super) guaranteed_serviced: u32,
 }
@@ -288,16 +350,31 @@ impl OutputLink {
     pub(super) fn new(cfg: &RouterConfig, book: LinkBandwidthBook) -> Self {
         OutputLink {
             lease: Lease::new(cfg.vcs_per_port, book),
-            credits: vec![0; usize::from(cfg.vcs_per_port)],
+            credits: LazyVcMap::new(cfg.vcs_per_port),
             guaranteed_serviced: 0,
         }
     }
 
+    /// Surrenders a torn-down connection's output VC and bandwidth; the
+    /// port's last connection gives its credit table back too.
+    pub(super) fn release(&mut self, vc: VcIndex, alloc: Allocation) {
+        self.lease.release(vc, alloc);
+        if self.lease.is_idle() {
+            self.credits.release();
+        }
+    }
+
+    /// Whether any of the port's lazily allocated tables is held.
+    pub(super) fn holds_tables(&self) -> bool {
+        self.credits.is_materialized() || self.lease.holds_table()
+    }
+
     /// This link's share of [`super::Router::heap_bytes`]; see
-    /// [`InputLink::accounted_bytes`] for why it is a sum of parts.
+    /// [`InputLink::accounted_bytes`] for why it is a sum of parts, with
+    /// the credits accounted as the eager `Vec` they were.
     pub(super) fn accounted_bytes(&self) -> usize {
         self.lease.accounted_bytes()
-            + self.credits.capacity() * size_of::<u32>()
+            + self.credits.heap_bytes()
             + size_of::<Vec<u32>>()
             + size_of::<u32>()
     }
@@ -307,37 +384,79 @@ impl OutputLink {
 impl InputLink {
     /// The bit vectors and records, for the tests that hold them to the
     /// facts they name.
-    pub(super) fn bits(&self) -> (&StatusMatrix, &ClassMasks, &VcMap<VcSched>) {
+    pub(super) fn bits(&self) -> (&StatusMatrix, &ClassMasks, &LazyVcMap<VcSched>) {
         (&self.status, &self.classes, &self.records)
     }
+}
 
-    /// This port's selection and the eager reference's on the same view,
-    /// each as (candidates, next pointer); the pointer does not move.
-    pub(super) fn select_and_reference(
-        &self,
-        port: PortId,
-        cfg: &RouterConfig,
-        conns: &ConnectionTable,
-        guaranteed_open: &[bool],
-        now: Cycles,
-    ) -> [(Vec<Candidate>, usize); 2] {
-        let view = LinkSchedView {
-            port,
-            vcm: &self.vcm,
-            status: &self.status,
-            conns,
-            records: &self.records,
-            kind: cfg.arbiter,
-            max_candidates: cfg.offered_candidates(),
-            policy: cfg.candidate_policy,
-            classes: &self.classes,
-            guaranteed_open,
-            rr_pointer: self.rr_pointer,
-            now,
-        };
-        let (mut fast, mut eager) = (Vec::new(), Vec::new());
-        let fast_next = self.sched.clone().select(&view, &mut fast);
-        let eager_next = crate::linksched::reference_select(&view, &mut eager);
-        [(fast, fast_next), (eager, eager_next)]
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::bandwidth::RoundConfig;
+
+    /// The free stack as it was before it became lazy: every VC pushed,
+    /// descending, at construction.
+    struct EagerStack(Vec<VcIndex>);
+
+    impl EagerStack {
+        fn new(vcs: u16) -> Self {
+            EagerStack((0..vcs).rev().map(VcIndex).collect())
+        }
+
+        fn take_vc(&mut self, pinned: Option<VcIndex>) -> Option<VcIndex> {
+            match pinned {
+                Some(vc) => {
+                    let pos = self.0.iter().position(|&v| v == vc)?;
+                    Some(self.0.swap_remove(pos))
+                }
+                None => self.0.pop(),
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// From the pristine state, any tape of takes, pinned takes and
+        /// returns hands out the same VCs in the same order, and leaves the
+        /// same free count after every step, as the eager stack did; the
+        /// lazy stack is held exactly while the eager one is not pristine.
+        #[test]
+        fn a_lazy_lease_hands_out_what_the_eager_stack_did(
+            vcs in 1u16..300,
+            ops in proptest::collection::vec((0u8..3, proptest::any::<u16>()), 0..200),
+        ) {
+            let cfg = RouterConfig::paper_default();
+            let round = RoundConfig::new(usize::from(vcs), cfg.round_k);
+            let book = LinkBandwidthBook::new(
+                round,
+                cfg.timing,
+                cfg.best_effort_reserve,
+                cfg.concurrency_factor,
+            );
+            let mut lazy = Lease::new(vcs, book);
+            let mut eager = EagerStack::new(vcs);
+            let pristine = EagerStack::new(vcs).0;
+            proptest::prop_assert_eq!(lazy.free_vcs(), usize::from(vcs));
+            proptest::prop_assert!(!lazy.holds_table());
+            let mut taken: Vec<VcIndex> = Vec::new();
+            for (i, &(op, x)) in ops.iter().enumerate() {
+                match op {
+                    0 | 1 => {
+                        let pinned = (op == 1).then_some(VcIndex(x % vcs));
+                        let got = lazy.take_vc(pinned);
+                        proptest::prop_assert_eq!(got, eager.take_vc(pinned), "op {}", i);
+                        taken.extend(got);
+                    }
+                    _ if !taken.is_empty() => {
+                        let vc = taken.swap_remove(usize::from(x) % taken.len());
+                        lazy.return_vc(vc);
+                        eager.0.push(vc);
+                    }
+                    _ => {}
+                }
+                proptest::prop_assert_eq!(lazy.free_vcs(), eager.0.len(), "op {}", i);
+                // Held exactly while the stack differs from a pristine one.
+                proptest::prop_assert_eq!(lazy.holds_table(), eager.0 != pristine, "op {}", i);
+            }
+        }
     }
 }

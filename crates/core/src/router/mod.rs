@@ -19,7 +19,7 @@ use crate::conn::{ConnState, ConnectionRequest, ConnectionTable, QosClass};
 use crate::crossbar::Crossbar;
 use crate::flit::{CommandWord, Flit, FlitKind};
 use crate::ids::{ConnRef, ConnectionId, PortId, VcIndex, VcRef};
-use crate::linksched::VcSched;
+use crate::linksched::{LinkScheduler, VcSched};
 use crate::switchsched::{MatchedPair, SwitchScheduler};
 use crate::table::set_ports;
 use crate::vcm::{VcmError, VirtualChannelMemory};
@@ -67,6 +67,9 @@ pub struct Router {
     /// (§4.1 motivates single-cycle scheduling decisions).
     candidate_bufs: Vec<Vec<Candidate>>,
     guaranteed_open: Vec<bool>,
+    /// The link scheduler's scratch, lent to each input port's select in
+    /// turn.
+    link_sched: LinkScheduler,
     /// Port summary words, bit *p* = port *p* (`ports ≤ 64` is a
     /// [`RouterConfig::validate`] rule): §4.4's status-bit trick one level
     /// up, so a per-cycle question about all ports is one word test and a
@@ -137,6 +140,7 @@ impl Router {
             next_round_start: 0,
             candidate_bufs: vec![Vec::new(); ports],
             guaranteed_open: vec![true; ports],
+            link_sched: LinkScheduler::new(usize::from(cfg.vcs_per_port)),
             occupied: 0,
             touched: 0,
             offered: 0,
@@ -188,9 +192,15 @@ impl Router {
     /// vector headers and the per-connection allocation record. Transient
     /// contents (in-flight candidate lists) are not counted; the figure is
     /// an accounting lower bound rather than an allocator measurement.
+    ///
+    /// It is accounted, not resident (DESIGN.md §9 "The footprint is
+    /// pinned"): the scheduling records, the credits and both free-VC
+    /// stacks count as allocated on every port, though a port allocates
+    /// them only at its first connection, and the one link-scheduler
+    /// scratch counts once per input port, as when each port held its own.
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
-        let inputs: usize = self.inputs.iter().map(InputLink::accounted_bytes).sum();
+        let inputs: usize = self.inputs.iter().map(|l| l.accounted_bytes(&self.link_sched)).sum();
         let outputs: usize = self.outputs.iter().map(OutputLink::accounted_bytes).sum();
         // The accounted size of the two output latch registers. They are
         // words now, but this figure is pinned by the benchmark digests
@@ -199,6 +209,16 @@ impl Router {
         let latches = usize::from(self.cfg.ports) * 2 * size_of::<bool>();
         let allocs = self.conns.len() * (size_of::<ConnectionId>() + 2 * size_of::<Allocation>());
         inputs + outputs + latches + allocs
+    }
+
+    /// For tests: the ports holding any of their lazily allocated tables
+    /// (scheduling records, output credits, either free-VC stack) — the
+    /// resident count that [`Router::heap_bytes`], which accounts every
+    /// port's tables, cannot show.
+    #[doc(hidden)]
+    pub fn ports_holding_tables(&self) -> usize {
+        let ports = self.inputs.iter().zip(&self.outputs);
+        ports.filter(|(i, o)| i.holds_tables() || o.holds_tables()).count()
     }
 
     /// Total lazily materialized VC queue banks across all input ports —
@@ -269,13 +289,14 @@ impl Router {
     }
 
     /// Credits currently available on an output VC. Meaningful only when
-    /// [`RouterConfig::track_output_credits`] is on.
+    /// [`RouterConfig::track_output_credits`] is on; 0 on a port no
+    /// connection has written a credit count for.
     ///
     /// # Panics
     ///
     /// Panics if the VC reference is out of range.
     pub fn output_credit(&self, vc: VcRef) -> u32 {
-        self.outputs[vc.port.index()].credits[vc.vc.index()]
+        self.outputs[vc.port.index()].credits.get(vc.vc)
     }
 
     /// Whether downstream output credits are tracked.
@@ -437,7 +458,7 @@ impl Router {
         let conn = self.conns.insert(state);
         self.inputs[req.input.index()].open(in_vc, req.class, record);
         if self.cfg.track_output_credits {
-            self.outputs[req.output.index()].credits[out_vc.index()] = self.cfg.vc_depth as u32;
+            *self.outputs[req.output.index()].credits.slot_mut(out_vc) = self.cfg.vc_depth as u32;
         }
         Ok(conn)
     }
@@ -453,9 +474,8 @@ impl Router {
         let input = &mut self.inputs[state.input_vc.port.index()];
         let dropped = input.close(state.input_vc.vc);
         clear_if_empty(&mut self.occupied, state.input_vc.port, input);
-        input.lease.release(state.input_vc.vc, state.allocation());
-        let output = &mut self.outputs[state.output_vc.port.index()];
-        output.lease.release(state.output_vc.vc, state.allocation());
+        input.release(state.input_vc.vc, state.allocation());
+        self.outputs[state.output_vc.port.index()].release(state.output_vc.vc, state.allocation());
         Ok(dropped)
     }
 
@@ -620,8 +640,12 @@ impl Router {
         // connection tore down (late return onto a re-leased VC) must not
         // mint capacity the downstream buffer does not have. The clamp is
         // lifted only by the conformance harness's bug hook
-        // ([`Router::set_credit_clamp`]).
-        let c = &mut self.outputs[output_vc.port.index()].credits[output_vc.vc.index()];
+        // ([`Router::set_credit_clamp`]). A credit for a port no connection
+        // ever wrote a count on has nothing to count against: establishment
+        // writes the count before anything reads it.
+        let Some(c) = self.outputs[output_vc.port.index()].credits.get_mut(output_vc.vc) else {
+            return;
+        };
         *c += 1;
         if self.credit_clamp {
             *c = (*c).min(self.cfg.vc_depth as u32);
@@ -735,7 +759,9 @@ impl Router {
         self.offered = 0;
         for p in set_ports(self.occupied) {
             let (input, out) = (&mut self.inputs[p], &mut self.candidate_bufs[p]);
-            input.select(PortId(p as u8), &self.cfg, &self.conns, &self.guaranteed_open, now, out);
+            let port = PortId(p as u8);
+            let view = input.view(port, &self.cfg, &self.conns, &self.guaranteed_open, now);
+            input.rr_pointer = self.link_sched.select(&view, out);
             self.offered |= u64::from(!out.is_empty()) << p;
         }
     }
@@ -835,8 +861,9 @@ impl Router {
             }
         }
 
-        if self.cfg.track_output_credits {
-            let c = &mut output.credits[state.output_vc.vc.index()];
+        // The credit table exists exactly where `establish_pinned` wrote a
+        // count: on this mapped output VC's port when credits are tracked.
+        if let Some(c) = output.credits.get_mut(state.output_vc.vc) {
             debug_assert!(*c > 0, "scheduled without a credit");
             *c -= 1;
             if *c == 0 {

@@ -644,14 +644,16 @@ proptest::proptest! {
         for (i, &op) in ops.iter().enumerate() {
             d.apply(op);
             let r = &d.r;
+            // The router's own scratch, as its selects left it, lent to every
+            // port in turn as `link_schedule` lends it: nothing one select
+            // leaves behind may reach the next port's. A clone, so the
+            // router's pointers do not move.
+            let mut sched = r.link_sched.clone();
             for (p, input) in r.inputs.iter().enumerate() {
-                let [(fast, fast_next), (eager, eager_next)] = input.select_and_reference(
-                    PortId(p as u8),
-                    &r.cfg,
-                    &r.conns,
-                    &r.guaranteed_open,
-                    d.now,
-                );
+                let view = input.view(PortId(p as u8), &r.cfg, &r.conns, &r.guaranteed_open, d.now);
+                let (mut fast, mut eager) = (Vec::new(), Vec::new());
+                let fast_next = sched.select(&view, &mut fast);
+                let eager_next = crate::linksched::reference_select(&view, &mut eager);
                 let at = format!("after op {i} {op:?} at {}, port {p}", d.now);
                 proptest::prop_assert_eq!(keyed(&fast), keyed(&eager), "{}", &at);
                 proptest::prop_assert_eq!(fast_next, eager_next, "{}", &at);
@@ -769,4 +771,70 @@ fn a_stale_handle_reaches_nothing_after_its_vc_is_re_leased() {
     assert_eq!((state.flits_injected, state.tag), (1, 0xb));
     assert_eq!(r.vcm(b.vc.port).occupancy(b.vc.vc), 1, "only B's own flit is queued");
     assert_eq!(r.connections(), 1);
+}
+
+/// A port costs what it carries: on a 33-port, 256-VC router one connection
+/// allocates tables on its input link and its output link, and nothing
+/// else; the data path — select, transmit, a rekeying command word, a
+/// returned credit, even onto a port that never carried a connection —
+/// allocates no table anywhere. The accounted footprint moves by the
+/// connection's allocation record only, and the teardown gives both ports'
+/// tables back.
+#[test]
+fn one_connection_allocates_tables_on_its_two_ports_only() {
+    use std::mem::size_of;
+    let mut r = RouterConfig::paper_default()
+        .ports(33)
+        .vcs_per_port(256)
+        .candidates(4)
+        .track_output_credits(true)
+        .seed(5)
+        .build();
+    let tables = |r: &Router| -> Vec<(bool, bool)> {
+        r.inputs.iter().zip(&r.outputs).map(|(i, o)| (i.holds_tables(), o.holds_tables())).collect()
+    };
+    let footprint = r.heap_bytes();
+    assert_eq!(r.ports_holding_tables(), 0);
+    assert_eq!(r.output_credit(VcRef::new(17, 0)), 0, "an unallocated table reads its fill");
+    assert_eq!(r.free_vc_counts(PortId(3)), (256, 256));
+
+    let id = r.establish(cbr(124.0, 3, 17)).expect("admits");
+    let out_vc = r.connection(id).expect("live").output_vc;
+    let mut want = vec![(false, false); 33];
+    want[3].0 = true;
+    want[17].1 = true;
+    assert_eq!(tables(&r), want);
+    assert_eq!(r.ports_holding_tables(), 2);
+    assert_eq!(r.output_credit(out_vc), r.vc_depth() as u32);
+    assert_eq!((r.free_vc_counts(PortId(3)).0, r.free_vc_counts(PortId(17)).1), (255, 255));
+    assert_eq!(
+        r.heap_bytes() - footprint,
+        size_of::<ConnectionId>() + 2 * size_of::<Allocation>(),
+        "the tables are accounted whether allocated or not"
+    );
+
+    let period = r.connection(id).expect("live").interarrival_cycles;
+    let scale = FlitKind::Command(CommandWord::ScaleRate { num: 2, den: 1 });
+    r.inject_kind(id, scale, Cycles(0)).expect("room");
+    r.inject(id, Cycles(0)).expect("room");
+    let mut sent = 0;
+    for t in 0..64 {
+        sent += r.step(Cycles(t)).transmitted.len();
+        r.return_credit(out_vc);
+        r.return_credit(VcRef::new(20, 9));
+        if t % 8 == 0 && r.can_inject(id) {
+            r.inject(id, Cycles(t)).expect("room was checked");
+        }
+    }
+    assert!(sent >= 3, "{sent} flits crossed");
+    assert_eq!(tables(&r), want, "the data path allocated a table");
+    assert_eq!(r.output_credit(VcRef::new(20, 9)), 0, "a stray credit has no table to land in");
+    let record = r.inputs[3].bits().2.get(id.vc.vc);
+    assert_eq!(record.key, period / 2.0, "the rescaled rate is the record's key");
+    r.teardown(id).expect("live");
+    assert_eq!(r.ports_holding_tables(), 0, "the last teardown gives the tables back");
+    let id = r.establish(cbr(124.0, 3, 17)).expect("admits again");
+    assert_eq!(tables(&r), want, "and the next connection allocates them afresh");
+    assert_eq!(r.connection(id).expect("live").output_vc, out_vc, "onto the same VC");
+    assert_eq!(r.output_credit(out_vc), r.vc_depth() as u32);
 }

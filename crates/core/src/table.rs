@@ -19,7 +19,10 @@
 //!   silently clamping.
 //! * Everything is allocation-free after construction; the wrappers are
 //!   `#[repr(transparent)]`-equivalent thin views over a `Vec<T>` so the
-//!   hot scheduling loops keep their zero-alloc guarantee.
+//!   hot scheduling loops keep their zero-alloc guarantee. The one
+//!   exception is [`LazyVcMap`], a port's per-VC table, which allocates at
+//!   its first control-plane write, is given back at the port's last
+//!   teardown, and never allocates on the data path.
 
 use crate::ids::{PortId, VcIndex};
 
@@ -122,12 +125,12 @@ pub struct VcMap<T> {
 }
 
 impl<T> VcMap<T> {
-    /// Creates a table of `vcs` clones of `value`.
-    pub fn filled(vcs: usize, value: T) -> Self
-    where
-        T: Clone,
-    {
-        VcMap { slots: vec![value; vcs].into_boxed_slice() }
+    /// Creates a table whose slot `k` is `slot(k)`: how a port's per-VC
+    /// tables are allocated, each once, at the port's first connection
+    /// ([`LazyVcMap`], a lease's free-VC stack).
+    pub fn from_fn(vcs: usize, slot: impl FnMut(usize) -> T) -> Self {
+        // mmr-lint: allow(A-TRANS, reason="a port's per-VC table is allocated once, at the port's first connection (control plane), never per cycle")
+        VcMap { slots: (0..vcs).map(slot).collect() }
     }
 
     /// Shallow heap footprint of the table itself (slot storage only).
@@ -164,6 +167,11 @@ impl<T> VcMap<T> {
         self.at_mut(vc.index())
     }
 
+    /// Iterates the slots in VC order.
+    pub fn iter(&self) -> std::slice::Iter<'_, T> {
+        self.slots.iter()
+    }
+
     /// The slot at raw index `i` (bit-vector scans yield raw indices).
     ///
     /// # Panics
@@ -182,6 +190,92 @@ impl<T> VcMap<T> {
     pub fn at_mut(&mut self, i: usize) -> &mut T {
         // mmr-lint: allow(P-TRANS, reason="typed wrapper over a construction-sized table; vc ids are validated at creation")
         &mut self.slots[i]
+    }
+}
+
+/// A [`VcMap`] that holds no storage until its first write: until then
+/// every slot reads as `T::default()`. A port's per-VC tables are these, so
+/// a port that never carries a connection costs a header, not a table (the
+/// paper keeps per-VC scheduling state in status bits, §4.1).
+///
+/// Only [`LazyVcMap::slot_mut`] allocates, once until
+/// [`LazyVcMap::release`] gives the storage back; the control plane is
+/// their only caller. Every other accessor leaves an unmaterialised table as it
+/// is, and [`LazyVcMap::heap_bytes`] reports the eager table either way.
+#[derive(Debug, Clone)]
+pub struct LazyVcMap<T> {
+    /// Empty until materialised, then `vcs` slots.
+    slots: VcMap<T>,
+    /// The slot count to materialise.
+    vcs: u16,
+}
+
+impl<T: Copy + Default> LazyVcMap<T> {
+    /// A table of `vcs` slots that holds no storage yet.
+    pub fn new(vcs: u16) -> Self {
+        LazyVcMap { slots: VcMap::default(), vcs }
+    }
+
+    /// Whether the slots have been allocated.
+    pub fn is_materialized(&self) -> bool {
+        !self.slots.is_empty()
+    }
+
+    /// The slot for `vc`; `T::default()` until the table is materialised.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `vc` is outside a materialised table.
+    pub fn get(&self, vc: VcIndex) -> T {
+        if self.is_materialized() {
+            *self.slots.get(vc)
+        } else {
+            T::default()
+        }
+    }
+
+    /// The materialised slots, for a reader that only visits VCs a
+    /// connection was mapped onto; empty (so every access panics) before.
+    pub fn slots(&self) -> &VcMap<T> {
+        &self.slots
+    }
+
+    /// Mutable slot for `vc` of a materialised table, `None` before: the
+    /// data path's write, which never allocates.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `vc` is outside a materialised table.
+    pub fn get_mut(&mut self, vc: VcIndex) -> Option<&mut T> {
+        if self.is_materialized() {
+            Some(self.slots.get_mut(vc))
+        } else {
+            None
+        }
+    }
+
+    /// Mutable slot for `vc`, materialising the table first if needed: the
+    /// control plane's write.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `vc` is outside the table.
+    pub fn slot_mut(&mut self, vc: VcIndex) -> &mut T {
+        if !self.is_materialized() {
+            self.slots = VcMap::from_fn(usize::from(self.vcs), |_| T::default());
+        }
+        self.slots.get_mut(vc)
+    }
+
+    /// Gives the storage back: every slot reads `T::default()` again, and
+    /// the next [`LazyVcMap::slot_mut`] allocates afresh.
+    pub fn release(&mut self) {
+        self.slots = VcMap::default();
+    }
+
+    /// Accounted heap bytes: the eager table's, materialised or not.
+    pub fn heap_bytes(&self) -> usize {
+        usize::from(self.vcs) * std::mem::size_of::<T>()
     }
 }
 
@@ -249,11 +343,39 @@ mod tests {
 
     #[test]
     fn vc_map_round_trips() {
-        let mut m = VcMap::filled(8, None::<u8>);
+        let mut m = VcMap::from_fn(8, |_| None::<u8>);
         *m.get_mut(VcIndex(5)) = Some(1);
         assert_eq!(*m.get(VcIndex(5)), Some(1));
         assert_eq!(*m.at(5), Some(1));
         assert_eq!(m.len(), 8);
+    }
+
+    #[test]
+    fn a_lazy_table_reads_its_fill_until_the_first_write_and_after_a_release() {
+        let mut m = LazyVcMap::<u32>::new(256);
+        let eager = VcMap::from_fn(256, |_| 0u32);
+        assert_eq!(m.heap_bytes(), eager.heap_bytes(), "accounted as the eager table");
+        assert!(!m.is_materialized());
+        assert_eq!(m.get(VcIndex(7)), 0);
+        assert!(m.get_mut(VcIndex(7)).is_none(), "the data path does not allocate");
+        assert!(m.slots().is_empty());
+        assert!(!m.is_materialized());
+        *m.slot_mut(VcIndex(7)) = 3;
+        assert!(m.is_materialized());
+        assert_eq!(m.slots().len(), 256);
+        let slots = m.slots().at(0) as *const u32;
+        *m.slot_mut(VcIndex(9)) = 4;
+        *m.get_mut(VcIndex(7)).expect("materialised") += 1;
+        assert_eq!(m.slots().at(0) as *const u32, slots, "materialised once");
+        assert_eq!((m.get(VcIndex(7)), m.get(VcIndex(9)), m.get(VcIndex(8))), (4, 4, 0));
+        assert_eq!(m.heap_bytes(), eager.heap_bytes());
+        m.release();
+        assert!(!m.is_materialized());
+        assert_eq!(m.get(VcIndex(7)), 0, "a released table reads its fill");
+        assert!(m.get_mut(VcIndex(7)).is_none());
+        assert_eq!(m.heap_bytes(), eager.heap_bytes());
+        *m.slot_mut(VcIndex(9)) += 1;
+        assert_eq!((m.get(VcIndex(7)), m.get(VcIndex(9))), (0, 1), "materialised afresh");
     }
 
     #[test]

@@ -149,3 +149,61 @@ fn many_packets_with_small_vc_pool_eventually_deliver() {
     }
     assert_eq!(net.stats().packets_delivered, 20, "blocked packets retry until done");
 }
+
+/// A port costs what it carries: on a dragonfly with a handful of EPB
+/// sessions, the ports holding per-VC tables (scheduling records, credits,
+/// free-VC stacks) are exactly the distinct (router, port) pairs the
+/// sessions' hops lease, a stretch of traffic through them allocates none
+/// anywhere else, and tearing the sessions down gives every table back. A
+/// count, not a size: exact on any host.
+#[test]
+fn only_the_ports_sessions_lease_hold_tables() {
+    use crate::routing::MinimalSpec;
+    use crate::topology::Dragonfly;
+    use std::collections::BTreeSet;
+    let minimal = MinimalSpec::Dragonfly(Dragonfly::balanced(8, 1, 1));
+    let routing = RoutingSpec { minimal, valiant_salt: None };
+    let mut net = NetworkSim::with_routing(
+        Topology::dragonfly(8, 1, 1).expect("the dragonfly fits its port budget"),
+        RouterConfig::paper_default().candidates(4),
+        routing,
+    );
+    let nodes = net.topology().nodes() as u16;
+    let holding = |net: &NetworkSim| -> usize {
+        (0..nodes).map(|n| net.router(NodeId(n)).ports_holding_tables()).sum()
+    };
+    assert_eq!(holding(&net), 0, "a fabric with no session holds no table");
+    let ids: Vec<NetConnectionId> = [(0, 40), (5, 71), (13, 14), (30, 2), (66, 9), (40, 0)]
+        .into_iter()
+        .map(|(s, d)| {
+            net.establish(NodeId(s), NodeId(d), cbr_mbps(8.0), SetupStrategy::Epb).expect("admits")
+        })
+        .collect();
+    let leased: BTreeSet<(NodeId, PortId)> = ids
+        .iter()
+        .flat_map(|&id| net.connection(id).expect("live").hops.clone())
+        .flat_map(|hop| {
+            let state = net.router(hop.node).connection(hop.local).expect("mapped");
+            [(hop.node, state.input_vc.port), (hop.node, state.output_vc.port)]
+        })
+        .collect();
+    assert!(leased.len() > 2 * ids.len(), "{} pairs", leased.len());
+    assert_eq!(holding(&net), leased.len());
+    let mut delivered = 0;
+    for t in 0..2_000u64 {
+        for &id in &ids {
+            if t % 16 == 0 && net.can_inject(id) {
+                net.inject(id, Cycles(t)).expect("room was checked");
+            }
+        }
+        delivered += net.step(Cycles(t)).delivered.len();
+    }
+    assert!(delivered > 50, "{delivered} flits delivered");
+    assert_eq!(holding(&net), leased.len(), "the data path allocated a table");
+    // Torn down last-in first-out, every free-VC stack is pristine again,
+    // so the ports give back every table.
+    for &id in ids.iter().rev() {
+        net.teardown(id).expect("live");
+    }
+    assert_eq!(holding(&net), 0, "a table outlived its port's last session");
+}

@@ -45,7 +45,12 @@ sha=$(git -C "$root" rev-parse --verify "$rev^{commit}")
 rm -rf "$dir/parent"
 mkdir -p "$dir/parent"
 git -C "$root" archive "$sha" | tar -x -C "$dir/parent"
+# `git archive` stamps every file with the commit's time, so a build of a
+# later parent looks newer than these sources and cargo would keep it: the
+# parent build is reused only for the revision it was built from.
+[ "$(cat "$dir/parent-target/rev" 2>/dev/null)" = "$sha" ] || rm -rf "$dir/parent-target"
 cargo build --release --quiet --manifest-path "$dir/parent/$pkg" --target-dir "$dir/parent-target"
+echo "$sha" >"$dir/parent-target/rev"
 cargo build --release --quiet --manifest-path "$root/$pkg" --target-dir "$dir/change-target"
 
 runs=$dir/runs.$$

@@ -38,8 +38,12 @@ sha=$(git -C "$root" rev-parse --verify "$rev^{commit}")
 rm -rf "$dir/parent" "$dir/run-parent" "$dir/run-change"
 mkdir -p "$dir/parent" "$dir/run-parent" "$dir/run-change"
 git -C "$root" archive "$sha" | tar -x -C "$dir/parent"
+# As in tools/ab.sh: archived sources carry the commit's time, so a build
+# of another revision would look fresh; reuse the build of this one only.
+[ "$(cat "$dir/parent-target/rev" 2>/dev/null)" = "$sha" ] || rm -rf "$dir/parent-target"
 cargo build --release --quiet -p mmr-bench --manifest-path "$dir/parent/Cargo.toml" \
     --target-dir "$dir/parent-target"
+echo "$sha" >"$dir/parent-target/rev"
 cargo build --release --quiet -p mmr-bench --manifest-path "$root/Cargo.toml" \
     --target-dir "$dir/change-target"
 
