@@ -15,7 +15,7 @@
 //!   encoding ([`StatusBits::iter_set_from`]).
 //! * [`StatusMatrix`] — the named per-condition banks
 //!   (`flits_available`, `credits_available`, `CBR_service_requested`, …)
-//!   with the combined queries the link scheduler issues.
+//!   and their wide AND ([`StatusMatrix::all_of`]).
 //!
 //! # Example
 //!

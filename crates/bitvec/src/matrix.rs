@@ -126,52 +126,6 @@ impl StatusMatrix {
         }
         acc
     }
-
-    /// In-place variant of [`StatusMatrix::all_of`]: writes the wide AND
-    /// into `out` without allocating, so per-cycle schedulers can reuse one
-    /// scratch vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out` does not have `vcs` bits.
-    pub fn all_of_into(&self, conds: &[Condition], out: &mut StatusBits) {
-        match conds.split_first() {
-            None => out.set_all(),
-            Some((&first, rest)) => {
-                out.copy_from(self.bank(first));
-                for &c in rest {
-                    *out &= self.bank(c);
-                }
-            }
-        }
-    }
-
-    /// Fused [`StatusMatrix::all_of_into`] that also returns the population
-    /// count of the result, computed in the same pass over the backing
-    /// words. The three-condition shape — the paper's eligibility query —
-    /// runs as a single fused loop; other arities fall back to the composed
-    /// ops.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out` does not have `vcs` bits.
-    pub fn all_of_count_into(&self, conds: &[Condition], out: &mut StatusBits) -> usize {
-        if let [a, b, c] = *conds {
-            return out.copy_intersection3(self.bank(a), self.bank(b), self.bank(c));
-        }
-        self.all_of_into(conds, out);
-        out.count_ones()
-    }
-
-    /// For tests: the VCs with every `require` bit and no `exclude` bit (§4.1's example query).
-    #[doc(hidden)]
-    pub fn matching(&self, require: &[Condition], exclude: &[Condition]) -> StatusBits {
-        let mut acc = self.all_of(require);
-        for &c in exclude {
-            acc &= &!self.bank(c);
-        }
-        acc
-    }
 }
 
 #[cfg(test)]
@@ -201,63 +155,6 @@ mod tests {
         assert_eq!(both.iter_set().collect::<Vec<_>>(), vec![2]);
         // Empty condition list is the AND identity: everything matches.
         assert_eq!(m.all_of(&[]).count_ones(), 8);
-    }
-
-    #[test]
-    fn all_of_into_matches_all_of() {
-        let mut m = StatusMatrix::new(70);
-        m.set(Condition::FlitsAvailable, 1, true);
-        m.set(Condition::FlitsAvailable, 69, true);
-        m.set(Condition::CreditsAvailable, 69, true);
-        let conds = [Condition::FlitsAvailable, Condition::CreditsAvailable];
-        let mut out = StatusBits::zeros(70);
-        m.all_of_into(&conds, &mut out);
-        assert_eq!(out, m.all_of(&conds));
-        m.all_of_into(&[], &mut out);
-        assert_eq!(out.count_ones(), 70, "empty condition list is the AND identity");
-    }
-
-    #[test]
-    fn all_of_count_into_matches_all_of() {
-        let mut m = StatusMatrix::new(70);
-        m.set(Condition::FlitsAvailable, 1, true);
-        m.set(Condition::FlitsAvailable, 69, true);
-        m.set(Condition::CreditsAvailable, 69, true);
-        m.set(Condition::ConnectionActive, 69, true);
-        // The fused three-condition shape.
-        let conds = [
-            Condition::FlitsAvailable,
-            Condition::CreditsAvailable,
-            Condition::ConnectionActive,
-        ];
-        let mut out = StatusBits::zeros(70);
-        assert_eq!(m.all_of_count_into(&conds, &mut out), 1);
-        assert_eq!(out, m.all_of(&conds));
-        // The fallback arities.
-        assert_eq!(m.all_of_count_into(&conds[..2], &mut out), 1);
-        assert_eq!(out, m.all_of(&conds[..2]));
-        assert_eq!(m.all_of_count_into(&[], &mut out), 70);
-    }
-
-    #[test]
-    fn matching_excludes() {
-        // The paper's candidate query for CBR service.
-        let mut m = StatusMatrix::new(8);
-        for vc in [1, 2, 3] {
-            m.set(Condition::FlitsAvailable, vc, true);
-            m.set(Condition::CreditsAvailable, vc, true);
-            m.set(Condition::CbrServiceRequested, vc, true);
-        }
-        m.set(Condition::CbrBandwidthServiced, 2, true);
-        let c = m.matching(
-            &[
-                Condition::FlitsAvailable,
-                Condition::CreditsAvailable,
-                Condition::CbrServiceRequested,
-            ],
-            &[Condition::CbrBandwidthServiced],
-        );
-        assert_eq!(c.iter_set().collect::<Vec<_>>(), vec![1, 3]);
     }
 
     #[test]

@@ -220,8 +220,8 @@ impl StatusBits {
     /// Writes `a ∩ b` into `self` and returns its population count — the
     /// fused form of `copy_from` + `&=` + `count_ones`, one pass over the
     /// backing words instead of three. This is the link scheduler's
-    /// per-phase domain build, which runs for every service phase of every
-    /// port every flit cycle.
+    /// eligible-set query (`flits_available ∧ credits_available`) and its
+    /// per-phase domain build, which run for every port every flit cycle.
     ///
     /// # Panics
     ///
@@ -232,27 +232,6 @@ impl StatusBits {
         let mut count = 0;
         for ((o, x), y) in self.words_mut().iter_mut().zip(a.words()).zip(b.words()) {
             let w = x & y;
-            *o = w;
-            count += w.count_ones() as usize;
-        }
-        count
-    }
-
-    /// Writes `a ∩ b ∩ c` into `self` and returns its population count —
-    /// the paper's three-condition eligibility query (`flits_available ∧
-    /// credits_available ∧ connection_active`) as a single fused pass.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths differ.
-    pub fn copy_intersection3(&mut self, a: &StatusBits, b: &StatusBits, c: &StatusBits) -> usize {
-        a.zip_len(b);
-        a.zip_len(c);
-        self.zip_len(a);
-        let mut count = 0;
-        let (aw, bw, cw) = (a.words(), b.words(), c.words());
-        for (i, o) in self.words_mut().iter_mut().enumerate() {
-            let w = aw[i] & bw[i] & cw[i];
             *o = w;
             count += w.count_ones() as usize;
         }
@@ -676,9 +655,6 @@ mod tests {
 
         assert_eq!(out.copy_intersection(&a, &b), 4);
         assert_eq!(out, &a & &b);
-
-        assert_eq!(out.copy_intersection3(&a, &b, &c), 3);
-        assert_eq!(out, &(&a & &b) & &c);
 
         assert_eq!(out.copy_intersection_minus(&a, &b, &c), 1);
         let mut expect = &a & &b;

@@ -53,8 +53,8 @@ pub struct VcSched {
 
 impl VcSched {
     /// The record of a VC no connection has been mapped onto yet (never
-    /// read: the scheduler visits `ConnectionActive` VCs only); the fill of
-    /// a port's lazily allocated record table.
+    /// read: a select visits only VCs with a flit and a credit, and those
+    /// are mapped); the fill of a port's lazily allocated record table.
     pub const IDLE: VcSched = VcSched { key: 0.0, conn: ConnectionId(0), output: PortId(0) };
 
     /// The record of `conn` under the router-wide arbiter `kind`.
@@ -265,11 +265,6 @@ const PHASES: [ServicePhase; 5] = [
     ServicePhase::BestEffort,
 ];
 
-/// The conditions whose intersection forms the eligible set (§4.4's example
-/// bit-vector query).
-const ELIGIBLE: [Condition; 3] =
-    [Condition::FlitsAvailable, Condition::CreditsAvailable, Condition::ConnectionActive];
-
 /// The link scheduler with its reusable scratch state.
 ///
 /// The selection pass runs every flit cycle for every port, so all working
@@ -321,8 +316,10 @@ impl LinkScheduler {
     /// proposal order into `out` (cleared first) and returning where next
     /// cycle's rotating scan should start.
     ///
-    /// The eligible set is the bit-vector intersection of `flits_available`,
-    /// `credits_available` and `connection_active`. One walk visits its
+    /// The eligible set is the bit-vector intersection of the VCM's
+    /// `flits_available` and the `credits_available` bank (§4.4's example
+    /// query); a credit bit is only ever set on a mapped VC, so every
+    /// eligible VC carries a connection. One walk visits its
     /// phase domains in precedence order and classifies each VC it visits
     /// into its [`ServicePhase`]. The rotating scan stops at
     /// `max_candidates` VCs with distinct outputs; the priority sort keeps
@@ -352,7 +349,10 @@ impl LinkScheduler {
         // A port with nothing eligible offers nothing; skip the phase walk
         // outright. The fused query computes the intersection and its
         // population in one pass.
-        let eligible_count = view.status.all_of_count_into(&ELIGIBLE, &mut self.eligible);
+        let eligible_count = self.eligible.copy_intersection(
+            view.vcm.flits_available(),
+            view.status.bank(Condition::CreditsAvailable),
+        );
         if eligible_count == 0 {
             return view.rr_pointer;
         }
@@ -588,16 +588,24 @@ thread_local! {
 }
 
 /// The oracle for [`LinkScheduler::select`]: the eager selection it
-/// replaced. Every eligible VC is classified up front from its
-/// [`ConnState`] and its VCM head flit — no record, class mask, head bit or
-/// serviced bit is read — then the rotating scan (or the priority order)
-/// runs over that classification, and one sort gives the proposal order.
+/// replaced. Eligibility comes from the facts — a flit queued in the VCM, a
+/// connection mapped in the table, and the credits bit — and every
+/// eligible VC is classified up front from its [`ConnState`] and its VCM
+/// head flit: no record, class mask, head bit, serviced bit or
+/// `flits_available` bit is read. Then the rotating scan (or the priority
+/// order) runs over that classification, and one sort gives the proposal
+/// order.
 #[cfg(test)]
 pub(crate) fn reference_select(view: &LinkSchedView<'_>, out: &mut Vec<Candidate>) -> usize {
     let vcs = view.vcm.vcs();
     let mut classified = vec![None; vcs];
-    for vc_idx in view.status.all_of(&ELIGIBLE).iter_set() {
-        classified[vc_idx] = reference_classify(view, vc_idx, vcs);
+    for (vc_idx, slot) in classified.iter_mut().enumerate() {
+        let vc = VcIndex(vc_idx as u16);
+        let mapped = view.conns.by_input_vc(VcRef { port: view.port, vc }).is_some();
+        let credited = view.status.get(Condition::CreditsAvailable, vc_idx);
+        if view.vcm.occupancy(vc) > 0 && mapped && credited {
+            *slot = reference_classify(view, vc_idx, vcs);
+        }
     }
     out.clear();
     let mut next_pointer = view.rr_pointer;
@@ -730,9 +738,7 @@ mod tests {
                 .push(VcIndex(vc), Flit::data(id, 0, Cycles(ready)), Cycles(ready))
                 .expect("room");
             self.classes.set(vc.into(), QosClass::Cbr { rate: Bandwidth::from_mbps(10.0) });
-            self.status.set(Condition::ConnectionActive, vc.into(), true);
             self.status.set(Condition::CreditsAvailable, vc.into(), true);
-            self.status.set(Condition::FlitsAvailable, vc.into(), true);
             conn
         }
 
@@ -924,9 +930,7 @@ mod tests {
                 Cycles(50),
             )
             .expect("room");
-        for c in [Condition::ConnectionActive, Condition::CreditsAvailable, Condition::FlitsAvailable] {
-            f.status.set(c, 3, true);
-        }
+        f.status.set(Condition::CreditsAvailable, 3, true);
         let out = select_candidates(&f.view(ArbiterKind::BiasedPriority, 4, 60));
         assert_eq!(out.candidates[0].phase, ServicePhase::Control);
         assert_eq!(out.candidates[0].vc, VcIndex(3), "control proposed before data");
@@ -965,9 +969,7 @@ mod tests {
             },
         );
         f.vcm.push(VcIndex(3), Flit::data(id, 0, Cycles(0)), Cycles(0)).expect("room");
-        for c in [Condition::ConnectionActive, Condition::CreditsAvailable, Condition::FlitsAvailable] {
-            f.status.set(c, 3, true);
-        }
+        f.status.set(Condition::CreditsAvailable, 3, true);
         let out = select_candidates(&f.view(ArbiterKind::BiasedPriority, 4, 5));
         assert_eq!(out.candidates[0].phase, ServicePhase::VbrPermanent);
         // Past the permanent quota the same VC drops to the excess phase.

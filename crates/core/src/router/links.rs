@@ -6,14 +6,16 @@
 //! [`InputLink`]'s bit vectors are private to this file, so every status
 //! bit and class mask has exactly one writer and "bit ⇔ the fact it names"
 //! is decided here ([`OutputLink`] keeps no condition among its fields and
-//! is plain data):
-//! `FlitsAvailable` ⇔ the VC's queue is non-empty ([`InputLink::store`] /
-//! [`InputLink::fetch`] / [`InputLink::flush`]), `ConnectionActive` and the
-//! class mask ⇔ a connection is mapped ([`InputLink::open`] /
-//! [`InputLink::close`]), `CreditsAvailable` follows the mapped output VC's
-//! credit count, and the serviced banks latch quota exhaustion until
-//! [`InputLink::new_round`]. The per-VC [`VcSched`] records copy their
-//! connection's state at [`InputLink::open`] and [`InputLink::rekey`].
+//! is plain data): the class mask ⇔ a connection is mapped
+//! ([`InputLink::open`] / [`InputLink::close`]), `CreditsAvailable` follows
+//! the mapped output VC's credit count (so it is set on mapped VCs only),
+//! and the serviced banks latch quota exhaustion until
+//! [`InputLink::new_round`]. "The VC holds a flit" has one copy, the VCM's
+//! own `flits_available`, which the router writes through the VCM; the
+//! `FlitsAvailable` and `ConnectionActive` banks, like `InputBufferFull`
+//! and `CbrServiceRequested`, have no writer. The per-VC [`VcSched`]
+//! records copy their connection's state at [`InputLink::open`] and
+//! [`InputLink::rekey`].
 //!
 //! A port costs what it carries: its three per-VC tables — the records,
 //! the output credits and each [`Lease`]'s free-VC stack — are allocated
@@ -33,11 +35,10 @@ use mmr_sim::Cycles;
 use super::config::RouterConfig;
 use crate::bandwidth::{Allocation, LinkBandwidthBook};
 use crate::conn::{ConnectionTable, QosClass};
-use crate::flit::Flit;
 use crate::ids::{PortId, VcIndex};
 use crate::linksched::{ClassMasks, LinkSchedView, LinkScheduler, VcSched};
 use crate::table::{LazyVcMap, VcMap};
-use crate::vcm::{VcmError, VirtualChannelMemory};
+use crate::vcm::VirtualChannelMemory;
 
 /// What admission reserves from on one direction of a physical link: the
 /// free virtual channels and the §4.2 allocation registers.
@@ -161,13 +162,18 @@ impl InputLink {
         &self.vcm
     }
 
+    /// The VCM, for the router's pushes, pops and flushes: it keeps the
+    /// only copy of which VCs hold a flit, so nothing here mirrors them.
+    pub(super) fn vcm_mut(&mut self) -> &mut VirtualChannelMemory {
+        &mut self.vcm
+    }
+
     /// Maps a connection of `class` onto `vc`, with credits to send on and
     /// `record` for the link scheduler. The port's first connection
     /// allocates its record table.
     pub(super) fn open(&mut self, vc: VcIndex, class: QosClass, record: VcSched) {
         self.classes.set(vc.index(), class);
         *self.records.slot_mut(vc) = record;
-        self.status.set(Condition::ConnectionActive, vc.index(), true);
         self.status.set(Condition::CreditsAvailable, vc.index(), true);
     }
 
@@ -180,14 +186,11 @@ impl InputLink {
     }
 
     /// Unmaps `vc`: drops its queued flits (returning how many) and clears
-    /// every bit that described the connection. (`InputBufferFull` and
-    /// `CbrServiceRequested` have no writer at all.)
+    /// every bit that described the connection.
     pub(super) fn close(&mut self, vc: VcIndex) -> usize {
         self.classes.clear(vc.index());
         for cond in [
-            Condition::ConnectionActive,
             Condition::CreditsAvailable,
-            Condition::FlitsAvailable,
             Condition::CbrBandwidthServiced,
             Condition::VbrBandwidthServiced,
         ] {
@@ -203,32 +206,6 @@ impl InputLink {
         if self.lease.is_idle() {
             self.records.release();
         }
-    }
-
-    /// Queues a flit on `vc`.
-    #[inline]
-    pub(super) fn store(&mut self, vc: VcIndex, flit: Flit, now: Cycles) -> Result<(), VcmError> {
-        // mmr-lint: allow(A-TRANS, reason="VirtualChannelMemory::push is depth-gated VCM admission, not container growth; its buffer ops are audited in vcm.rs")
-        self.vcm.push(vc, flit, now)?;
-        self.status.set(Condition::FlitsAvailable, vc.index(), true);
-        Ok(())
-    }
-
-    /// Dequeues `vc`'s head flit with the cycles it waited at the switch
-    /// and whether that emptied the VC.
-    // mmr-lint: hot
-    pub(super) fn fetch(&mut self, vc: VcIndex, now: Cycles) -> Option<(Flit, Cycles, bool)> {
-        let (flit, delay, emptied) = self.vcm.pop_timed(vc, now)?;
-        if emptied {
-            self.status.set(Condition::FlitsAvailable, vc.index(), false);
-        }
-        Some((flit, delay, emptied))
-    }
-
-    /// Drops everything queued on `vc` (an in-band `AbortFrame`).
-    pub(super) fn flush(&mut self, vc: VcIndex) {
-        self.vcm.flush(vc);
-        self.status.set(Condition::FlitsAvailable, vc.index(), false);
     }
 
     /// Records whether `vc`'s mapped output VC holds any credit.
@@ -260,12 +237,10 @@ impl InputLink {
         self.vcm.begin_cycle();
     }
 
-    /// Whether any VC holds a flit — one word-parallel test per 64 VCs.
-    /// Asks the VCM's own bit vector, not the equal `FlitsAvailable` bank:
-    /// the VCM's is inline in this struct, the bank a heap line away. The
-    /// router asks wherever a VC of this port may have been the last to
-    /// empty and keeps the answer in its `occupied` word, so nothing scans
-    /// the ports with this per cycle.
+    /// Whether any VC holds a flit — one word-parallel test per 64 VCs of
+    /// the VCM's `flits_available`. The router asks wherever a VC of this
+    /// port may have been the last to empty and keeps the answer in its
+    /// `occupied` word, so nothing scans the ports with this per cycle.
     pub(super) fn has_flits(&self) -> bool {
         self.vcm.flits_available().any()
     }

@@ -76,8 +76,8 @@ pub struct Router {
     /// stage visits only the ports that hold work for it.
     ///
     /// Input *p* holds a flit (`inputs[p].has_flits()`); written after the
-    /// four `InputLink` operations that can change it — `store`, `fetch`,
-    /// `flush`, `close`.
+    /// four operations that can change it — a VCM push, pop or flush, and
+    /// `InputLink::close`.
     occupied: u64,
     /// Input *p*'s VCM was pushed or popped since its bank budget was last
     /// reset, so `begin_cycle` owes it one.
@@ -562,7 +562,9 @@ impl Router {
         self.touch();
         let state = self.conns.get_mut(conn).ok_or(InjectError::UnknownConnection(conn.id))?;
         let vc = conn.vc;
-        match self.inputs[vc.port.index()].store(vc.vc, flit(state.flits_injected), now) {
+        let vcm = self.inputs[vc.port.index()].vcm_mut();
+        // mmr-lint: allow(A-TRANS, reason="VirtualChannelMemory::push is depth-gated VCM admission, not container growth; its buffer ops are audited in vcm.rs")
+        match vcm.push(vc.vc, flit(state.flits_injected), now) {
             Ok(()) => {
                 state.flits_injected += 1;
                 self.occupied |= 1 << vc.port.index();
@@ -817,7 +819,7 @@ impl Router {
     // mmr-lint: hot
     fn transmit(&mut self, pair: MatchedPair, now: Cycles) -> Option<Transmitted> {
         let input = &mut self.inputs[pair.input.index()];
-        let (flit, delay, emptied) = input.fetch(pair.vc, now)?;
+        let (flit, delay, emptied) = input.vcm_mut().pop_timed(pair.vc, now)?;
         self.touched |= 1 << pair.input.index();
         if emptied {
             clear_if_empty(&mut self.occupied, pair.input, input);
@@ -855,7 +857,7 @@ impl Router {
                     }
                 }
                 CommandWord::AbortFrame => {
-                    input.flush(pair.vc);
+                    input.vcm_mut().flush(pair.vc);
                     clear_if_empty(&mut self.occupied, pair.input, input);
                 }
             }

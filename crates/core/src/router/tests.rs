@@ -392,11 +392,13 @@ fn bits_match_facts(r: &Router) -> Result<(), String> {
             let class = conn.map(|c| c.class);
             let spent = conn.is_some_and(ConnState::round_spent);
             let facts = [
-                (Condition::FlitsAvailable, input.vcm().occupancy(vc.vc) > 0),
-                (Condition::ConnectionActive, conn.is_some()),
                 (Condition::CreditsAvailable, conn.is_some_and(|c| r.output_credit(c.output_vc) > 0)),
                 (Condition::CbrBandwidthServiced, spent && matches!(class, Some(QosClass::Cbr { .. }))),
                 (Condition::VbrBandwidthServiced, spent && matches!(class, Some(QosClass::Vbr { .. }))),
+                // No writer: the VCM's word below is the one copy of the
+                // first, and a credit bit implies a mapped VC.
+                (Condition::FlitsAvailable, false),
+                (Condition::ConnectionActive, false),
                 (Condition::InputBufferFull, false),
                 (Condition::CbrServiceRequested, false),
             ];
@@ -405,8 +407,8 @@ fn bits_match_facts(r: &Router) -> Result<(), String> {
                     return Err(format!("{vc}: {cond:?} is {} but the fact is {fact}", !fact));
                 }
             }
-            // `InputLink::has_flits` reads the VCM's copy of the first fact.
-            if input.vcm().flits_available().get(v) != facts[0].1 {
+            // Link scheduling and `InputLink::has_flits` read the VCM's word.
+            if input.vcm().flits_available().get(v) != (input.vcm().occupancy(vc.vc) > 0) {
                 return Err(format!("{vc}: the VCM's flits_available disagrees with its queue"));
             }
             let masks = [

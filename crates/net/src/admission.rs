@@ -28,13 +28,13 @@
 //!   conservation holds.
 //!
 //! **Anti-starvation**: two guards ensure no session class is preempted
-//! forever. A class bucket is never drained below
-//! [`AdmitPolicy::protected_floor`] live sessions, and a bucket hit in
-//! [`AdmitPolicy::starvation_guard`] *consecutive* shed rounds becomes
-//! immune for the next round, pushing the pressure one priority level up.
-//! Since immunity refreshes every round and shedding stops the moment the
-//! peak drops below the headroom, every class keeps a protected core and
-//! periodically gets shed-free rounds (DESIGN.md §10 gives the argument).
+//! forever. A class bucket is never drained below `PROTECTED_FLOOR` (one)
+//! live session, and a bucket hit in `STARVATION_GUARD` (three)
+//! *consecutive* shed rounds becomes immune for the next round, pushing the
+//! pressure one priority level up. Since immunity refreshes every round
+//! and shedding stops the moment the peak drops below the headroom, every
+//! class keeps a protected core and periodically gets shed-free rounds
+//! (DESIGN.md §10 gives the argument).
 
 use std::collections::BTreeMap;
 
@@ -77,12 +77,14 @@ pub struct AdmitPolicy {
     pub shed_patience: u32,
     /// At most this many sessions are preempted per shed round.
     pub shed_batch: usize,
-    /// A class bucket is never drained below this many live sessions.
-    pub protected_floor: usize,
-    /// A bucket hit in this many consecutive shed rounds sits the next
-    /// round out (anti-starvation rotation).
-    pub starvation_guard: u32,
 }
+
+/// A class bucket is never drained below this many live sessions.
+const PROTECTED_FLOOR: usize = 1;
+
+/// A bucket hit in this many consecutive shed rounds sits the next round
+/// out (anti-starvation rotation).
+const STARVATION_GUARD: u32 = 3;
 
 impl Default for AdmitPolicy {
     fn default() -> Self {
@@ -94,8 +96,6 @@ impl Default for AdmitPolicy {
             shed: true,
             shed_patience: 64,
             shed_batch: 2,
-            protected_floor: 1,
-            starvation_guard: 3,
         }
     }
 }
@@ -484,14 +484,12 @@ impl AdmissionController {
             if room == 0 {
                 break;
             }
-            if self.consecutive_hits.get(&bucket).copied().unwrap_or(0)
-                >= self.policy.starvation_guard
-            {
+            if self.consecutive_hits.get(&bucket).copied().unwrap_or(0) >= STARVATION_GUARD {
                 // This class carried the last rounds; it sits this one out.
                 self.stats.starvation_skips += 1;
                 continue;
             }
-            let spare = members.len().saturating_sub(self.policy.protected_floor);
+            let spare = members.len().saturating_sub(PROTECTED_FLOOR);
             victims.extend(members.iter().take(spare.min(room)));
             if !victims.is_empty() {
                 hit_buckets.push(bucket);
@@ -685,7 +683,7 @@ mod tests {
         );
         // One best-effort and three CBR sessions, load pinned over the
         // headroom forever: the last best-effort session must survive (the
-        // default floor of one), so pressure rotates onto CBR.
+        // `PROTECTED_FLOOR` of one), so pressure rotates onto CBR.
         let be = ctl
             .request(&mut net, NodeId(0), NodeId(8), QosClass::BestEffort)
             .session()

@@ -256,12 +256,12 @@ impl fmt::Display for SimTime {
 /// # Example
 ///
 /// ```
-/// use mmr_sim::{Bandwidth, Cycles, FlitTiming};
+/// use mmr_sim::{Bandwidth, FlitTiming};
 ///
 /// let t = FlitTiming::new(128, Bandwidth::from_gbps(1.24));
 /// assert!((t.cycle_time_ns() - 103.2).abs() < 0.1);
 /// // Converting a 10-cycle delay to microseconds for Figure 4:
-/// assert!((t.cycles_to_time(Cycles(10)).us() - 1.032).abs() < 0.01);
+/// assert!((t.cycles_f64_to_time(10.0).us() - 1.032).abs() < 0.01);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlitTiming {
@@ -300,12 +300,6 @@ impl FlitTiming {
     /// Duration of one flit cycle in nanoseconds.
     pub fn cycle_time_ns(self) -> f64 {
         f64::from(self.flit_bits) / self.link_rate.bits_per_sec() * 1e9
-    }
-
-    /// For tests: converts a cycle count to simulated time.
-    #[doc(hidden)]
-    pub fn cycles_to_time(self, cycles: Cycles) -> SimTime {
-        SimTime::from_ns(cycles.as_f64() * self.cycle_time_ns())
     }
 
     /// Converts a (possibly fractional) cycle count to simulated time.
@@ -424,7 +418,7 @@ mod tests {
     fn cycles_to_time_matches_figure_axis() {
         let t = FlitTiming::paper_default();
         // 10 cycles is just over a microsecond at 103.2 ns/cycle.
-        let d = t.cycles_to_time(Cycles(10));
+        let d = t.cycles_f64_to_time(10.0);
         assert!((d.us() - 1.0322).abs() < 1e-3);
     }
 }

@@ -582,28 +582,58 @@ mod tests {
 
     #[test]
     fn event_pump_matches_dense_scan() {
-        // The wake-wheel pump must be indistinguishable from pumping every
-        // source every cycle, including under backpressure at high load.
-        let build = || {
-            let mut router =
-                RouterConfig::paper_default().vcs_per_port(64).candidates(2).seed(11).build();
-            let mut r = SeededRng::new(42);
-            let w = CbrWorkload::build(&mut router, &paper_rate_ladder(), 0.9, &mut r);
-            (router, w)
-        };
-        let (mut ra, mut wa) = build();
-        let (mut rb, mut wb) = build();
-        for t in 0..4_000 {
-            let now = Cycles(t);
-            let ea = wa.pump(&mut ra, now);
-            let eb: u32 = wb.sources.iter_mut().map(|s| s.pump(&mut rb, now)).sum();
-            assert_eq!(ea, eb, "injections diverge at cycle {t}");
-            let sa = ra.step(now);
-            let sb = rb.step(now);
-            assert_eq!(sa.transmitted, sb.transmitted, "transmissions diverge at cycle {t}");
-            wa.note_transmitted(&sa.transmitted);
+        // The wake-wheel pump, skipping the cycles a quiescent router has
+        // no due source for as `Experiment::run` does, must be
+        // indistinguishable from pumping every source every cycle. Two
+        // populations: the paper's ladder at high load, under backpressure;
+        // and four 64 Kbps sources (one flit per ~19,375 cycles each) over
+        // ten wheel horizons, whose wakes wait in the overflow heap and
+        // whose skips jump the cursor past the horizon.
+        let populations = [(paper_rate_ladder().to_vec(), 0.9, 4_000u64), (
+            vec![Bandwidth::from_kbps(64.0)],
+            2e-5,
+            10 * WHEEL_SLOTS as u64,
+        )];
+        for (ladder, load, cycles) in populations {
+            let build = || {
+                let mut router =
+                    RouterConfig::paper_default().vcs_per_port(64).candidates(2).seed(11).build();
+                let mut r = SeededRng::new(42);
+                let w = CbrWorkload::build(&mut router, &ladder, load, &mut r);
+                (router, w)
+            };
+            let (mut ra, mut wa) = build();
+            let (mut rb, mut wb) = build();
+            // The event side's next cycle, and its longest skip.
+            let (mut next, mut longest_skip) = (0, 0);
+            for t in 0..cycles {
+                let now = Cycles(t);
+                let eb: u32 = wb.sources.iter_mut().map(|s| s.pump(&mut rb, now)).sum();
+                let sb = rb.step(now);
+                if t < next {
+                    assert_eq!(eb, 0, "load {load}: a skipped cycle {t} injects");
+                    assert!(sb.transmitted.is_empty(), "load {load}: a skipped cycle {t} transmits");
+                    continue;
+                }
+                let ea = wa.pump(&mut ra, now);
+                assert_eq!(ea, eb, "load {load}: injections diverge at cycle {t}");
+                let sa = ra.step(now);
+                assert_eq!(sa.transmitted, sb.transmitted, "load {load}: cycle {t} diverges");
+                wa.note_transmitted(&sa.transmitted);
+                next = t + 1;
+                if sa.transmitted.is_empty() && ra.is_quiescent() {
+                    let until = wa.next_due_cycle().map_or(cycles, |due| due.clamp(next, cycles));
+                    ra.note_idle_cycles(until - next);
+                    longest_skip = longest_skip.max(until - next);
+                    next = until;
+                }
+            }
+            assert_eq!(ra.stats(), rb.stats(), "load {load}");
+            if load < 0.01 {
+                assert!(rb.stats().flits_transmitted > 0, "the slow sources send");
+                assert!(longest_skip > WHEEL_SLOTS as u64, "longest skip {longest_skip}");
+            }
         }
-        assert_eq!(ra.stats(), rb.stats());
     }
 
     #[test]
