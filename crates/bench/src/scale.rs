@@ -5,10 +5,15 @@
 //! algorithm (group-minimal on the dragonfly, destination-tag on the
 //! butterfly), opens a population of CBR sessions, drives churn (periodic
 //! teardown + re-establishment) through a bounded run, then tears
-//! everything down and reads the fabric's steady-state heap footprint
-//! ([`NetworkSim::memory_footprint`]). The bytes-per-router figure is the
-//! scale wall's guardrail: it proves lazy VC-bank allocation and the
-//! compact scheduler tables keep 1k+ routers affordable.
+//! everything down. At steady state it reads the fabric's accounted
+//! footprint ([`NetworkSim::memory_footprint`]) and its materialized VC
+//! queue banks. The footprint is accounted, not resident: a closed-form
+//! model of the storage the configuration states (`mmr_core::footprint`),
+//! whose one measured term is the queue storage the traffic materialized,
+//! so the bytes-per-router budget guards against re-eagered VC banks. The
+//! resident counts are `Router::materialized_vc_banks` (reported here) and
+//! `Router::ports_holding_tables`; resident memory itself is perfbench's
+//! `peak_rss_mb`.
 //!
 //! Every field of [`ScaleResult`] is a pure function of the point and its
 //! seed, so `BENCH_scale.json` and `results/scale.txt` are byte-identical
@@ -86,9 +91,9 @@ impl ScaleFabric {
         RoutingSpec { minimal, valiant_salt: None }
     }
 
-    /// Heap budget per router (bytes): measured steady-state figures plus
+    /// Accounted budget per router (bytes): the steady-state figures plus
     /// ~40% headroom, enforced by [`Scale`]'s verdict. A regression that
-    /// re-eagers the VC banks or fattens the per-port tables trips this.
+    /// re-eagers the VC banks trips this.
     pub fn bytes_per_router_budget(&self) -> usize {
         match self {
             // 33 ports/router at 256 VCs each dominates; lazy banks keep
@@ -142,8 +147,8 @@ pub struct ScaleResult {
     pub lost: u64,
     /// Router flit cycles actually stepped (awake routers only).
     pub router_cycles: u64,
-    /// Steady-state fabric heap footprint in bytes, read after the churn
-    /// window while the session population is still open.
+    /// Steady-state accounted fabric footprint in bytes, read after the
+    /// churn window while the session population is still open.
     pub footprint_bytes: usize,
     /// `footprint_bytes / nodes`.
     pub bytes_per_router: usize,

@@ -4,6 +4,11 @@
 //! scheduling decisions are a set of status bit vectors ... Examples of
 //! status bit vectors include: flits_available, input_buffer_full,
 //! CBR_service_requested, CBR_bandwidth_serviced, VBR_bandwidth_serviced".
+//!
+//! The router keeps only the banks it writes, each a [`StatusBits`] of its
+//! own (the credit bank and the two serviced banks; the VCM keeps
+//! `flits_available`). The matrix is the seven-condition form of §4.1's
+//! example query, which the `eligible_query` benchmark kernel times.
 
 use crate::status::StatusBits;
 
@@ -80,41 +85,14 @@ impl StatusMatrix {
         StatusMatrix { vcs, banks: (0..Condition::ALL.len()).map(|_| StatusBits::zeros(vcs)).collect() }
     }
 
-    /// Number of virtual channels tracked.
-    pub fn vcs(&self) -> usize {
-        self.vcs
-    }
-
-    /// Heap bytes owned by the matrix's condition banks.
-    pub fn heap_bytes(&self) -> usize {
-        self.banks.capacity() * std::mem::size_of::<StatusBits>()
-            + self.banks.iter().map(StatusBits::heap_bytes).sum::<usize>()
-    }
-
-    /// Reads one condition bit of one VC.
-    pub fn get(&self, cond: Condition, vc: usize) -> bool {
-        self.bank(cond).get(vc)
-    }
-
     /// Writes one condition bit of one VC.
     pub fn set(&mut self, cond: Condition, vc: usize, value: bool) {
-        self.bank_mut(cond).set(vc, value);
+        self.banks[cond.index()].set(vc, value);
     }
 
     /// Borrows the full vector of a condition.
     pub fn bank(&self, cond: Condition) -> &StatusBits {
         &self.banks[cond.index()]
-    }
-
-    fn bank_mut(&mut self, cond: Condition) -> &mut StatusBits {
-        // mmr-lint: allow(P-TRANS, reason="`new` builds one bank per Condition, so Condition::index() is always in range")
-        &mut self.banks[cond.index()]
-    }
-
-    /// Clears one condition across all VCs (used at round boundaries for the
-    /// `*_bandwidth_serviced` vectors).
-    pub fn clear_condition(&mut self, cond: Condition) {
-        self.bank_mut(cond).clear();
     }
 
     /// VCs satisfying *all* of `conds` (wide AND). With an empty list this
@@ -139,7 +117,7 @@ mod tests {
             m.set(c, i, true);
         }
         for (i, c) in Condition::ALL.into_iter().enumerate() {
-            assert!(m.get(c, i));
+            assert!(m.bank(c).get(i));
             assert_eq!(m.bank(c).count_ones(), 1, "{c:?}");
         }
     }
@@ -155,15 +133,5 @@ mod tests {
         assert_eq!(both.iter_set().collect::<Vec<_>>(), vec![2]);
         // Empty condition list is the AND identity: everything matches.
         assert_eq!(m.all_of(&[]).count_ones(), 8);
-    }
-
-    #[test]
-    fn clear_condition_resets_round_state() {
-        let mut m = StatusMatrix::new(8);
-        m.set(Condition::CbrBandwidthServiced, 4, true);
-        m.set(Condition::FlitsAvailable, 4, true);
-        m.clear_condition(Condition::CbrBandwidthServiced);
-        assert!(!m.get(Condition::CbrBandwidthServiced, 4));
-        assert!(m.get(Condition::FlitsAvailable, 4), "other banks untouched");
     }
 }

@@ -125,16 +125,6 @@ impl StatusBits {
         self.len
     }
 
-    /// Heap bytes owned by the vector: zero while the words fit the inline
-    /// buffer, the word buffer's capacity otherwise. Memory accounting for
-    /// the scale benchmarks.
-    pub fn heap_bytes(&self) -> usize {
-        match &self.words {
-            Words::Inline(_) => 0,
-            Words::Heap(v) => v.capacity() * std::mem::size_of::<u64>(),
-        }
-    }
-
     /// Whether the vector has zero length.
     pub fn is_empty(&self) -> bool {
         self.len == 0

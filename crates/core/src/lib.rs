@@ -58,6 +58,7 @@ pub mod conn;
 pub mod cost;
 pub mod crossbar;
 pub mod flit;
+pub mod footprint;
 pub mod ids;
 pub mod linksched;
 pub mod llr;

@@ -24,7 +24,7 @@
 //! the VCM's head ready time; only a VBR connection's quota position sends
 //! it to the [`ConnectionTable`].
 
-use mmr_bitvec::{Condition, StatusBits, StatusMatrix};
+use mmr_bitvec::StatusBits;
 use mmr_sim::Cycles;
 
 use crate::arbiter::{biased_priority, sort_candidates, ArbiterKind, Candidate, ServicePhase};
@@ -174,14 +174,6 @@ impl ClassMasks {
     pub fn has_best_effort(&self) -> bool {
         self.best_effort_count > 0
     }
-
-    /// Heap bytes owned by the four class masks.
-    pub fn heap_bytes(&self) -> usize {
-        self.cbr.heap_bytes()
-            + self.vbr.heap_bytes()
-            + self.control.heap_bytes()
-            + self.best_effort.heap_bytes()
-    }
 }
 
 /// How the link scheduler picks its `C` candidates from the eligible set.
@@ -221,8 +213,14 @@ pub struct LinkSchedView<'a> {
     pub port: PortId,
     /// The port's virtual channel memory (head flits and their ready times).
     pub vcm: &'a VirtualChannelMemory,
-    /// The port's status bit vectors.
-    pub status: &'a StatusMatrix,
+    /// §4.1's `credits_available`: the VCs whose mapped output VC holds a
+    /// credit (set on mapped VCs only).
+    pub credits: &'a StatusBits,
+    /// §4.4's `CBR_Completely_Serviced`: the CBR VCs that have used up
+    /// their round.
+    pub cbr_serviced: &'a StatusBits,
+    /// The VBR VCs that have reached their peak quota this round.
+    pub vbr_serviced: &'a StatusBits,
     /// The router's connection table (direct channel mappings); read for
     /// VBR connections only.
     pub conns: &'a ConnectionTable,
@@ -302,16 +300,6 @@ impl LinkScheduler {
         }
     }
 
-    /// Heap bytes owned by the scheduler's scratch state (candidate
-    /// contents excluded — `sorted` is transient and usually empty).
-    pub fn heap_bytes(&self) -> usize {
-        self.eligible.heap_bytes()
-            + self.domain.heap_bytes()
-            + self.stream_heads.heap_bytes()
-            + self.control_heads.heap_bytes()
-            + self.best_effort_heads.heap_bytes()
-    }
-
     /// Selects this cycle's candidates for one input port, writing them in
     /// proposal order into `out` (cleared first) and returning where next
     /// cycle's rotating scan should start.
@@ -351,7 +339,7 @@ impl LinkScheduler {
         // population in one pass.
         let eligible_count = self.eligible.copy_intersection(
             view.vcm.flits_available(),
-            view.status.bank(Condition::CreditsAvailable),
+            view.credits,
         );
         if eligible_count == 0 {
             return view.rr_pointer;
@@ -425,7 +413,7 @@ impl LinkScheduler {
                     self.domain.copy_intersection_minus(
                         &view.classes.cbr,
                         stream_heads,
-                        view.status.bank(Condition::CbrBandwidthServiced),
+                        view.cbr_serviced,
                     )
                 }
                 // Both VBR phases share one domain; the quota position
@@ -437,7 +425,7 @@ impl LinkScheduler {
                     self.domain.copy_intersection_minus(
                         &view.classes.vbr,
                         stream_heads,
-                        view.status.bank(Condition::VbrBandwidthServiced),
+                        view.vbr_serviced,
                     )
                 }
                 // Best-effort heads always classify as best effort;
@@ -602,7 +590,7 @@ pub(crate) fn reference_select(view: &LinkSchedView<'_>, out: &mut Vec<Candidate
     for (vc_idx, slot) in classified.iter_mut().enumerate() {
         let vc = VcIndex(vc_idx as u16);
         let mapped = view.conns.by_input_vc(VcRef { port: view.port, vc }).is_some();
-        let credited = view.status.get(Condition::CreditsAvailable, vc_idx);
+        let credited = view.credits.get(vc_idx);
         if view.vcm.occupancy(vc) > 0 && mapped && credited {
             *slot = reference_classify(view, vc_idx, vcs);
         }
@@ -697,7 +685,9 @@ mod tests {
 
     struct Fixture {
         vcm: VirtualChannelMemory,
-        status: StatusMatrix,
+        credits: StatusBits,
+        cbr_serviced: StatusBits,
+        vbr_serviced: StatusBits,
         conns: ConnectionTable,
         classes: ClassMasks,
         records: VcMap<VcSched>,
@@ -707,7 +697,9 @@ mod tests {
         fn new(vcs: usize) -> Self {
             Fixture {
                 vcm: VirtualChannelMemory::new(vcs, 4, 8),
-                status: StatusMatrix::new(vcs),
+                credits: StatusBits::zeros(vcs),
+                cbr_serviced: StatusBits::zeros(vcs),
+                vbr_serviced: StatusBits::zeros(vcs),
                 conns: ConnectionTable::default(),
                 classes: ClassMasks::new(vcs),
                 records: VcMap::from_fn(vcs, |_| VcSched::IDLE),
@@ -738,7 +730,7 @@ mod tests {
                 .push(VcIndex(vc), Flit::data(id, 0, Cycles(ready)), Cycles(ready))
                 .expect("room");
             self.classes.set(vc.into(), QosClass::Cbr { rate: Bandwidth::from_mbps(10.0) });
-            self.status.set(Condition::CreditsAvailable, vc.into(), true);
+            self.credits.set(vc.into(), true);
             conn
         }
 
@@ -751,7 +743,9 @@ mod tests {
             LinkSchedView {
                 port: PortId(0),
                 vcm: &self.vcm,
-                status: &self.status,
+                credits: &self.credits,
+                cbr_serviced: &self.cbr_serviced,
+                vbr_serviced: &self.vbr_serviced,
                 conns: &self.conns,
                 records: &self.records,
                 kind,
@@ -767,8 +761,9 @@ mod tests {
 
     #[test]
     fn a_vc_record_is_sixteen_bytes() {
-        // It takes the place of the classification memo's 16-byte slot in
-        // the pinned footprint (DESIGN.md §9).
+        // A select reads one per visited VC, so it stays one quarter of a
+        // cache line (the accounted footprint counts 16 bytes a VC either
+        // way, `footprint.rs`).
         assert_eq!(std::mem::size_of::<VcSched>(), 16);
     }
 
@@ -873,7 +868,7 @@ mod tests {
     fn missing_credits_exclude_vc() {
         let mut f = Fixture::new(8);
         f.add_cbr(0, 100.0, 0.5, 0, 1);
-        f.status.set(Condition::CreditsAvailable, 0, false);
+        f.credits.set(0, false);
         assert!(select_candidates(&f.view(ArbiterKind::BiasedPriority, 4, 5)).candidates.is_empty());
     }
 
@@ -884,7 +879,7 @@ mod tests {
         // What the router does when the quota runs out: count the round
         // and latch the serviced bit, which is what the scheduler reads.
         f.conns.get_mut(conn).expect("present").serviced_this_round = 10;
-        f.status.set(Condition::CbrBandwidthServiced, 0, true);
+        f.cbr_serviced.set(0, true);
         assert!(select_candidates(&f.view(ArbiterKind::BiasedPriority, 4, 5)).candidates.is_empty());
     }
 
@@ -930,7 +925,7 @@ mod tests {
                 Cycles(50),
             )
             .expect("room");
-        f.status.set(Condition::CreditsAvailable, 3, true);
+        f.credits.set(3, true);
         let out = select_candidates(&f.view(ArbiterKind::BiasedPriority, 4, 60));
         assert_eq!(out.candidates[0].phase, ServicePhase::Control);
         assert_eq!(out.candidates[0].vc, VcIndex(3), "control proposed before data");
@@ -969,7 +964,7 @@ mod tests {
             },
         );
         f.vcm.push(VcIndex(3), Flit::data(id, 0, Cycles(0)), Cycles(0)).expect("room");
-        f.status.set(Condition::CreditsAvailable, 3, true);
+        f.credits.set(3, true);
         let out = select_candidates(&f.view(ArbiterKind::BiasedPriority, 4, 5));
         assert_eq!(out.candidates[0].phase, ServicePhase::VbrPermanent);
         // Past the permanent quota the same VC drops to the excess phase.

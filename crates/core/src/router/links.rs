@@ -7,15 +7,13 @@
 //! bit and class mask has exactly one writer and "bit ⇔ the fact it names"
 //! is decided here ([`OutputLink`] keeps no condition among its fields and
 //! is plain data): the class mask ⇔ a connection is mapped
-//! ([`InputLink::open`] / [`InputLink::close`]), `CreditsAvailable` follows
+//! ([`InputLink::open`] / [`InputLink::close`]), the credit bank follows
 //! the mapped output VC's credit count (so it is set on mapped VCs only),
-//! and the serviced banks latch quota exhaustion until
+//! and the two serviced banks latch quota exhaustion until
 //! [`InputLink::new_round`]. "The VC holds a flit" has one copy, the VCM's
-//! own `flits_available`, which the router writes through the VCM; the
-//! `FlitsAvailable` and `ConnectionActive` banks, like `InputBufferFull`
-//! and `CbrServiceRequested`, have no writer. The per-VC [`VcSched`]
-//! records copy their connection's state at [`InputLink::open`] and
-//! [`InputLink::rekey`].
+//! own `flits_available`, which the router writes through the VCM. The
+//! per-VC [`VcSched`] records copy their connection's state at
+//! [`InputLink::open`] and [`InputLink::rekey`].
 //!
 //! A port costs what it carries: its three per-VC tables — the records,
 //! the output credits and each [`Lease`]'s free-VC stack — are allocated
@@ -25,18 +23,17 @@
 //! records and credits back, and a free-VC stack goes back once it is
 //! pristine again. The data path (select, transmit, a returned credit, a
 //! rekey) only reaches ports a connection is mapped onto and never
-//! allocates one. The footprint accounts them eagerly (DESIGN.md §9).
+//! allocates one. The accounted footprint counts them on every port
+//! (`crate::footprint`, DESIGN.md §9).
 
-use std::mem::size_of;
-
-use mmr_bitvec::{Condition, StatusBits, StatusMatrix};
+use mmr_bitvec::StatusBits;
 use mmr_sim::Cycles;
 
 use super::config::RouterConfig;
 use crate::bandwidth::{Allocation, LinkBandwidthBook};
 use crate::conn::{ConnectionTable, QosClass};
 use crate::ids::{PortId, VcIndex};
-use crate::linksched::{ClassMasks, LinkSchedView, LinkScheduler, VcSched};
+use crate::linksched::{ClassMasks, LinkSchedView, VcSched};
 use crate::table::{LazyVcMap, VcMap};
 use crate::vcm::VirtualChannelMemory;
 
@@ -120,13 +117,6 @@ impl Lease {
     fn holds_table(&self) -> bool {
         self.stack.is_some()
     }
-
-    /// The share of the eager `Vec` stack this replaced, allocated or not.
-    fn accounted_bytes(&self) -> usize {
-        usize::from(self.vcs) * size_of::<VcIndex>()
-            + size_of::<LinkBandwidthBook>()
-            + size_of::<Vec<VcIndex>>()
-    }
 }
 
 /// One input link: its VCM, the status bit vectors and class masks over
@@ -134,7 +124,13 @@ impl Lease {
 #[derive(Debug, Clone)]
 pub(super) struct InputLink {
     vcm: VirtualChannelMemory,
-    status: StatusMatrix,
+    /// §4.1's `credits_available`: the mapped output VC holds a credit.
+    credits: StatusBits,
+    /// §4.4's `CBR_Completely_Serviced`: the CBR connection has used up its
+    /// round.
+    cbr_serviced: StatusBits,
+    /// Its VBR twin: the VBR connection has reached its peak quota.
+    vbr_serviced: StatusBits,
     classes: ClassMasks,
     /// What the link scheduler reads of each mapped VC's connection.
     records: LazyVcMap<VcSched>,
@@ -150,7 +146,9 @@ impl InputLink {
         let vcs = usize::from(cfg.vcs_per_port);
         InputLink {
             vcm: VirtualChannelMemory::new(vcs, cfg.vc_depth, cfg.vcm_banks),
-            status: StatusMatrix::new(vcs),
+            credits: StatusBits::zeros(vcs),
+            cbr_serviced: StatusBits::zeros(vcs),
+            vbr_serviced: StatusBits::zeros(vcs),
             classes: ClassMasks::new(vcs),
             records: LazyVcMap::new(cfg.vcs_per_port),
             rr_pointer: 0,
@@ -174,7 +172,7 @@ impl InputLink {
     pub(super) fn open(&mut self, vc: VcIndex, class: QosClass, record: VcSched) {
         self.classes.set(vc.index(), class);
         *self.records.slot_mut(vc) = record;
-        self.status.set(Condition::CreditsAvailable, vc.index(), true);
+        self.credits.set(vc.index(), true);
     }
 
     /// Rewrites mapped `vc`'s record after a command word rescaled the
@@ -189,12 +187,8 @@ impl InputLink {
     /// every bit that described the connection.
     pub(super) fn close(&mut self, vc: VcIndex) -> usize {
         self.classes.clear(vc.index());
-        for cond in [
-            Condition::CreditsAvailable,
-            Condition::CbrBandwidthServiced,
-            Condition::VbrBandwidthServiced,
-        ] {
-            self.status.set(cond, vc.index(), false);
+        for bank in [&mut self.credits, &mut self.cbr_serviced, &mut self.vbr_serviced] {
+            bank.set(vc.index(), false);
         }
         self.vcm.flush(vc)
     }
@@ -210,7 +204,7 @@ impl InputLink {
 
     /// Records whether `vc`'s mapped output VC holds any credit.
     pub(super) fn set_credits_available(&mut self, vc: VcIndex, available: bool) {
-        self.status.set(Condition::CreditsAvailable, vc.index(), available);
+        self.credits.set(vc.index(), available);
     }
 
     /// Latches "`vc` has used up its round" (§4.4's `CBR_Completely_Serviced`
@@ -219,17 +213,17 @@ impl InputLink {
     /// same exhausted VCs every remaining cycle of the round.
     pub(super) fn latch_serviced(&mut self, vc: VcIndex, class: QosClass) {
         let bank = match class {
-            QosClass::Cbr { .. } => Condition::CbrBandwidthServiced,
-            QosClass::Vbr { .. } => Condition::VbrBandwidthServiced,
+            QosClass::Cbr { .. } => &mut self.cbr_serviced,
+            QosClass::Vbr { .. } => &mut self.vbr_serviced,
             QosClass::BestEffort | QosClass::Control => return,
         };
-        self.status.set(bank, vc.index(), true);
+        bank.set(vc.index(), true);
     }
 
     /// Round boundary: every connection's quota is whole again.
     pub(super) fn new_round(&mut self) {
-        self.status.clear_condition(Condition::CbrBandwidthServiced);
-        self.status.clear_condition(Condition::VbrBandwidthServiced);
+        self.cbr_serviced.clear();
+        self.vbr_serviced.clear();
     }
 
     /// Resets the VCM's per-cycle bank budget.
@@ -261,7 +255,9 @@ impl InputLink {
         LinkSchedView {
             port,
             vcm: &self.vcm,
-            status: &self.status,
+            credits: &self.credits,
+            cbr_serviced: &self.cbr_serviced,
+            vbr_serviced: &self.vbr_serviced,
             conns,
             records: self.records.slots(),
             kind: cfg.arbiter,
@@ -277,35 +273,6 @@ impl InputLink {
     /// Whether any of the port's lazily allocated tables is held.
     pub(super) fn holds_tables(&self) -> bool {
         self.records.is_materialized() || self.lease.holds_table()
-    }
-
-    /// This link's share of [`super::Router::heap_bytes`]. The inline part
-    /// is the sum of the parts' sizes, not `size_of::<InputLink>()`: the
-    /// figure is pinned by the benchmark digests and padding would move it.
-    /// The records are accounted where the scheduler's classification memo
-    /// was (same 16 bytes per VC, same table header) and as if allocated,
-    /// and the router's one `sched` scratch as if every port held a copy.
-    pub(super) fn accounted_bytes(&self, sched: &LinkScheduler) -> usize {
-        self.vcm.heap_bytes()
-            + self.status.heap_bytes()
-            + sched.heap_bytes()
-            + self.records.heap_bytes()
-            + self.classes.heap_bytes()
-            + self.lease.accounted_bytes()
-            + size_of::<VirtualChannelMemory>()
-            + size_of::<StatusMatrix>()
-            + size_of::<LinkScheduler>()
-            + size_of::<VcMap<VcSched>>()
-            + size_of::<ClassMasks>()
-            + size_of::<usize>()
-            + self.retired_classified_bytes()
-    }
-
-    /// The pinned share of the link scheduler's `classified` scratch vector,
-    /// which the records made redundant: a VC-count bit vector's inline size
-    /// and its heap spill, the same as `flits_available`'s.
-    fn retired_classified_bytes(&self) -> usize {
-        size_of::<StatusBits>() + self.vcm.flits_available().heap_bytes()
     }
 }
 
@@ -343,24 +310,16 @@ impl OutputLink {
     pub(super) fn holds_tables(&self) -> bool {
         self.credits.is_materialized() || self.lease.holds_table()
     }
-
-    /// This link's share of [`super::Router::heap_bytes`]; see
-    /// [`InputLink::accounted_bytes`] for why it is a sum of parts, with
-    /// the credits accounted as the eager `Vec` they were.
-    pub(super) fn accounted_bytes(&self) -> usize {
-        self.lease.accounted_bytes()
-            + self.credits.heap_bytes()
-            + size_of::<Vec<u32>>()
-            + size_of::<u32>()
-    }
 }
 
 #[cfg(test)]
 impl InputLink {
     /// The bit vectors and records, for the tests that hold them to the
-    /// facts they name.
-    pub(super) fn bits(&self) -> (&StatusMatrix, &ClassMasks, &LazyVcMap<VcSched>) {
-        (&self.status, &self.classes, &self.records)
+    /// facts they name: the credit and the two serviced banks, in that
+    /// order, the class masks and the records.
+    pub(super) fn bits(&self) -> ([&StatusBits; 3], &ClassMasks, &LazyVcMap<VcSched>) {
+        let banks = [&self.credits, &self.cbr_serviced, &self.vbr_serviced];
+        (banks, &self.classes, &self.records)
     }
 }
 

@@ -14,11 +14,11 @@
 use mmr_sim::{Cycles, SeededRng};
 
 use crate::arbiter::Candidate;
-use crate::bandwidth::{Allocation, LinkBandwidthBook, RoundConfig};
+use crate::bandwidth::{LinkBandwidthBook, RoundConfig};
 use crate::conn::{ConnState, ConnectionRequest, ConnectionTable, QosClass};
 use crate::crossbar::Crossbar;
 use crate::flit::{CommandWord, Flit, FlitKind};
-use crate::ids::{ConnRef, ConnectionId, PortId, VcIndex, VcRef};
+use crate::ids::{ConnRef, PortId, VcIndex, VcRef};
 use crate::linksched::{LinkScheduler, VcSched};
 use crate::switchsched::{MatchedPair, SwitchScheduler};
 use crate::table::set_ports;
@@ -183,32 +183,18 @@ impl Router {
         self.settled = false;
     }
 
-    /// Estimated heap bytes of this router's steady-state structures — the
-    /// per-router term of the scale benchmarks' bytes-per-router figure.
+    /// The accounted bytes of this router (`crate::footprint`):
+    /// the per-router term of the scale benchmarks' bytes-per-router figure
+    /// and of perfbench's `footprint_bytes`.
     ///
-    /// Covers the dominant per-port state: VC memories (lazily materialized
-    /// queue banks), status matrices, link-scheduler scratch, class masks,
-    /// free-VC stacks, credit tables, and bandwidth books, plus per-port
-    /// vector headers and the per-connection allocation record. Transient
-    /// contents (in-flight candidate lists) are not counted; the figure is
-    /// an accounting lower bound rather than an allocator measurement.
-    ///
-    /// It is accounted, not resident (DESIGN.md §9 "The footprint is
-    /// pinned"): the scheduling records, the credits and both free-VC
-    /// stacks count as allocated on every port, though a port allocates
-    /// them only at its first connection, and the one link-scheduler
-    /// scratch counts once per input port, as when each port held its own.
+    /// It is accounted, not resident (DESIGN.md §9 "The footprint is a
+    /// model"): every port's per-VC tables count whether the port holds
+    /// them or not. The resident counts are
+    /// [`Router::ports_holding_tables`] and
+    /// [`Router::materialized_vc_banks`].
     pub fn heap_bytes(&self) -> usize {
-        use std::mem::size_of;
-        let inputs: usize = self.inputs.iter().map(|l| l.accounted_bytes(&self.link_sched)).sum();
-        let outputs: usize = self.outputs.iter().map(OutputLink::accounted_bytes).sum();
-        // The accounted size of the two output latch registers. They are
-        // words now, but this figure is pinned by the benchmark digests
-        // (DESIGN.md §9 "The footprint is pinned"), so it stays a flag per
-        // port per latch and the summary words are not added.
-        let latches = usize::from(self.cfg.ports) * 2 * size_of::<bool>();
-        let allocs = self.conns.len() * (size_of::<ConnectionId>() + 2 * size_of::<Allocation>());
-        inputs + outputs + latches + allocs
+        let queues = self.inputs.iter().map(|l| l.vcm().queue_bytes()).sum();
+        crate::footprint::router_bytes(&self.config(), self.conns.len(), queues)
     }
 
     /// For tests: the ports holding any of their lazily allocated tables

@@ -3,6 +3,7 @@
 
 use super::*;
 use crate::arbiter::ArbiterKind;
+use crate::ids::ConnectionId;
 use mmr_sim::Bandwidth;
 
 fn small_router(arbiter: ArbiterKind) -> Router {
@@ -383,28 +384,21 @@ fn policed_source_settles_until_the_round_turns() {
 /// The status bits, class masks and scheduling records of every port, held
 /// to the facts they name; `Err` describes the first disagreement.
 fn bits_match_facts(r: &Router) -> Result<(), String> {
-    use mmr_bitvec::Condition;
     for (p, input) in r.inputs.iter().enumerate() {
-        let (status, classes, records) = input.bits();
+        let ([credits, cbr_serviced, vbr_serviced], classes, records) = input.bits();
         for v in 0..usize::from(r.cfg.vcs_per_port) {
             let vc = VcRef::new(p as u8, v as u16);
             let conn = r.conns.by_input_vc(vc);
             let class = conn.map(|c| c.class);
             let spent = conn.is_some_and(ConnState::round_spent);
             let facts = [
-                (Condition::CreditsAvailable, conn.is_some_and(|c| r.output_credit(c.output_vc) > 0)),
-                (Condition::CbrBandwidthServiced, spent && matches!(class, Some(QosClass::Cbr { .. }))),
-                (Condition::VbrBandwidthServiced, spent && matches!(class, Some(QosClass::Vbr { .. }))),
-                // No writer: the VCM's word below is the one copy of the
-                // first, and a credit bit implies a mapped VC.
-                (Condition::FlitsAvailable, false),
-                (Condition::ConnectionActive, false),
-                (Condition::InputBufferFull, false),
-                (Condition::CbrServiceRequested, false),
+                ("credits", credits, conn.is_some_and(|c| r.output_credit(c.output_vc) > 0)),
+                ("cbr-serviced", cbr_serviced, spent && matches!(class, Some(QosClass::Cbr { .. }))),
+                ("vbr-serviced", vbr_serviced, spent && matches!(class, Some(QosClass::Vbr { .. }))),
             ];
-            for (cond, fact) in facts {
-                if status.get(cond, v) != fact {
-                    return Err(format!("{vc}: {cond:?} is {} but the fact is {fact}", !fact));
+            for (name, bank, fact) in facts {
+                if bank.get(v) != fact {
+                    return Err(format!("{vc}: the {name} bit is {} but the fact is {fact}", !fact));
                 }
             }
             // Link scheduling and `InputLink::has_flits` read the VCM's word.
@@ -784,7 +778,6 @@ fn a_stale_handle_reaches_nothing_after_its_vc_is_re_leased() {
 /// tables back.
 #[test]
 fn one_connection_allocates_tables_on_its_two_ports_only() {
-    use std::mem::size_of;
     let mut r = RouterConfig::paper_default()
         .ports(33)
         .vcs_per_port(256)
@@ -811,7 +804,7 @@ fn one_connection_allocates_tables_on_its_two_ports_only() {
     assert_eq!((r.free_vc_counts(PortId(3)).0, r.free_vc_counts(PortId(17)).1), (255, 255));
     assert_eq!(
         r.heap_bytes() - footprint,
-        size_of::<ConnectionId>() + 2 * size_of::<Allocation>(),
+        crate::footprint::CONNECTION,
         "the tables are accounted whether allocated or not"
     );
 

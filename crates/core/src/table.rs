@@ -48,12 +48,6 @@ impl<T> PortMap<T> {
         PortMap { slots: vec![value; ports].into_boxed_slice() }
     }
 
-    /// Shallow heap footprint of the table itself (slot storage only — heap
-    /// owned *by* the slots, if any, is not traversed).
-    pub fn heap_bytes(&self) -> usize {
-        std::mem::size_of_val::<[T]>(&self.slots)
-    }
-
     /// Number of ports the table was sized for.
     pub fn len(&self) -> usize {
         self.slots.len()
@@ -133,11 +127,6 @@ impl<T> VcMap<T> {
         VcMap { slots: (0..vcs).map(slot).collect() }
     }
 
-    /// Shallow heap footprint of the table itself (slot storage only).
-    pub fn heap_bytes(&self) -> usize {
-        std::mem::size_of_val::<[T]>(&self.slots)
-    }
-
     /// Number of virtual channels the table was sized for.
     pub fn len(&self) -> usize {
         self.slots.len()
@@ -201,7 +190,7 @@ impl<T> VcMap<T> {
 /// Only [`LazyVcMap::slot_mut`] allocates, once until
 /// [`LazyVcMap::release`] gives the storage back; the control plane is
 /// their only caller. Every other accessor leaves an unmaterialised table as it
-/// is, and [`LazyVcMap::heap_bytes`] reports the eager table either way.
+/// is.
 #[derive(Debug, Clone)]
 pub struct LazyVcMap<T> {
     /// Empty until materialised, then `vcs` slots.
@@ -271,11 +260,6 @@ impl<T: Copy + Default> LazyVcMap<T> {
     /// the next [`LazyVcMap::slot_mut`] allocates afresh.
     pub fn release(&mut self) {
         self.slots = VcMap::default();
-    }
-
-    /// Accounted heap bytes: the eager table's, materialised or not.
-    pub fn heap_bytes(&self) -> usize {
-        usize::from(self.vcs) * std::mem::size_of::<T>()
     }
 }
 
@@ -353,8 +337,6 @@ mod tests {
     #[test]
     fn a_lazy_table_reads_its_fill_until_the_first_write_and_after_a_release() {
         let mut m = LazyVcMap::<u32>::new(256);
-        let eager = VcMap::from_fn(256, |_| 0u32);
-        assert_eq!(m.heap_bytes(), eager.heap_bytes(), "accounted as the eager table");
         assert!(!m.is_materialized());
         assert_eq!(m.get(VcIndex(7)), 0);
         assert!(m.get_mut(VcIndex(7)).is_none(), "the data path does not allocate");
@@ -368,12 +350,10 @@ mod tests {
         *m.get_mut(VcIndex(7)).expect("materialised") += 1;
         assert_eq!(m.slots().at(0) as *const u32, slots, "materialised once");
         assert_eq!((m.get(VcIndex(7)), m.get(VcIndex(9)), m.get(VcIndex(8))), (4, 4, 0));
-        assert_eq!(m.heap_bytes(), eager.heap_bytes());
         m.release();
         assert!(!m.is_materialized());
         assert_eq!(m.get(VcIndex(7)), 0, "a released table reads its fill");
         assert!(m.get_mut(VcIndex(7)).is_none());
-        assert_eq!(m.heap_bytes(), eager.heap_bytes());
         *m.slot_mut(VcIndex(9)) += 1;
         assert_eq!((m.get(VcIndex(7)), m.get(VcIndex(9))), (0, 1), "materialised afresh");
     }

@@ -63,7 +63,7 @@ struct VcQueue {
 /// paper-default port exposes 256 VCs but a typical connection load
 /// touches a handful, so thousand-router fabrics only pay for the banks
 /// they actually lease (the bytes-per-router number `mmr-bench scale` reports).
-const QUEUE_BANK_VCS: usize = 32;
+pub(crate) const QUEUE_BANK_VCS: usize = 32;
 
 /// The virtual channel memory of one input port: `vcs` bounded FIFOs over an
 /// interleaved bank array. Queue storage is materialized lazily in
@@ -357,24 +357,14 @@ impl VirtualChannelMemory {
         self.queue_banks.iter().flatten().count()
     }
 
-    /// Heap bytes currently held by this VCM: the status vectors, the bank
-    /// spine, and every materialized queue (including VecDeque capacity).
-    /// This is the per-port term of the bytes-per-router figure reported by
-    /// `mmr-bench scale`.
-    pub fn heap_bytes(&self) -> usize {
+    /// Resident queue storage: every materialized bank's queues, each with
+    /// its `VecDeque`'s capacity (which follows the deepest occupancy the
+    /// queue reached). The measured input of the accounted footprint
+    /// (`crate::footprint`).
+    pub(crate) fn queue_bytes(&self) -> usize {
         use std::mem::size_of;
-        let status = self.flits_available.heap_bytes()
-            + self.head_control.heap_bytes()
-            + self.head_best_effort.heap_bytes();
-        let spine = self.queue_banks.capacity() * size_of::<Option<Box<[VcQueue]>>>();
-        let queues: usize = self
-            .queue_banks
-            .iter()
-            .flatten()
-            .flat_map(|bank| bank.iter())
-            .map(|q| size_of::<VcQueue>() + q.flits.capacity() * size_of::<Flit>())
-            .sum();
-        status + spine + queues
+        let queues = self.queue_banks.iter().flatten().flat_map(|bank| bank.iter());
+        queues.map(|q| size_of::<VcQueue>() + q.flits.capacity() * size_of::<Flit>()).sum()
     }
 
     /// Accesses that exceeded the per-cycle bank budget since construction.
@@ -543,7 +533,7 @@ mod tests {
     fn queue_banks_materialize_on_first_push_only() {
         let mut vcm = VirtualChannelMemory::new(256, 4, 8);
         assert_eq!(vcm.materialized_banks(), 0, "idle VCM holds no queue storage");
-        let idle_bytes = vcm.heap_bytes();
+        assert_eq!(vcm.queue_bytes(), 0);
         // Reads on an unmaterialized bank see empty-queue semantics and
         // allocate nothing.
         assert_eq!(vcm.occupancy(VcIndex(200)), 0);
@@ -553,7 +543,7 @@ mod tests {
         // One push materializes exactly the bank holding that VC.
         vcm.push(VcIndex(200), flit(0, 0), Cycles(0)).expect("room");
         assert_eq!(vcm.materialized_banks(), 1);
-        assert!(vcm.heap_bytes() > idle_bytes);
+        assert!(vcm.queue_bytes() > 32 * std::mem::size_of::<VcQueue>(), "a bank of queues, one holding a flit");
         assert_eq!(vcm.occupancy(VcIndex(200)), 1);
         // A neighbor in the same bank reuses it; a distant VC adds one.
         vcm.push(VcIndex(201), flit(1, 0), Cycles(0)).expect("room");

@@ -490,8 +490,9 @@ impl AdmissionController {
                 continue;
             }
             let spare = members.len().saturating_sub(PROTECTED_FLOOR);
+            let before = victims.len();
             victims.extend(members.iter().take(spare.min(room)));
-            if !victims.is_empty() {
+            if victims.len() > before {
                 hit_buckets.push(bucket);
             }
         }
@@ -704,6 +705,51 @@ mod tests {
             "rotation moved the pressure to CBR: {:?}",
             ctl.stats()
         );
+    }
+
+    proptest::proptest! {
+        /// A shed round ages a bucket's streak only when that bucket gave
+        /// a victim: a floored or immune bucket that gave nobody up is
+        /// re-armed even when an earlier bucket of the same round gave, and
+        /// a round that shed nobody clears every streak.
+        #[test]
+        fn a_bucket_ages_only_when_it_gives_a_victim(
+            counts in proptest::collection::vec(0usize..4, 4),
+            batch in 1usize..5,
+            rounds in 1usize..7,
+        ) {
+            let mut net = mesh_net();
+            let mut ctl = AdmissionController::new(AdmitPolicy::naive().shed_batch(batch));
+            let classes = [QosClass::BestEffort, cbr_mbps(1.0), cbr_mbps(2.0), cbr_mbps(4.0)];
+            for (&class, &n) in classes.iter().zip(&counts) {
+                for k in 0..n as u16 {
+                    let verdict = ctl.request(&mut net, NodeId(k), NodeId(8 - k), class);
+                    proptest::prop_assert!(verdict.session().is_some(), "{:?}", verdict);
+                }
+            }
+            for round in 0..rounds {
+                let live: Vec<ShedBucket> = ctl
+                    .mgr
+                    .active()
+                    .filter_map(|(session, _)| ctl.mgr.class(session).map(bucket_of))
+                    .collect();
+                let before = ctl.consecutive_hits.clone();
+                let victims = ctl.shed_round(&mut net);
+                let gave: Vec<ShedBucket> = victims.iter().map(|v| bucket_of(v.class)).collect();
+                for bucket in live {
+                    let streak = |hits: &BTreeMap<ShedBucket, u32>| hits.get(&bucket).copied().unwrap_or(0);
+                    let want = if gave.contains(&bucket) { streak(&before) + 1 } else { 0 };
+                    proptest::prop_assert_eq!(
+                        streak(&ctl.consecutive_hits),
+                        want,
+                        "round {} bucket {:?}, victims {:?}",
+                        round,
+                        bucket,
+                        &gave
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -379,15 +379,18 @@ impl NetworkSim {
         self.conns.len()
     }
 
-    /// Estimated heap bytes of the fabric's steady-state structures: every
-    /// router's [`Router::heap_bytes`] plus the routing engine's tables.
-    /// `mmr-bench scale` divides this by the router count for its
-    /// bytes-per-router figure, so the number reflects what actually grows
-    /// with fabric size (lazy VC banks, status vectors, routing state) and
-    /// not transient traffic.
+    /// The fabric's accounted bytes: every router's [`Router::heap_bytes`]
+    /// plus the up*/down* tables at the size they reach when every
+    /// destination has been asked for ([`mmr_core::footprint::updown`];
+    /// the structured algorithms hold none). `mmr-bench scale` divides it
+    /// by the router count for its bytes-per-router figure.
+    ///
+    /// It is accounted, not resident (DESIGN.md §9 "The footprint is a
+    /// model"); the resident counts are [`Router::ports_holding_tables`] and
+    /// [`Router::materialized_vc_banks`].
     pub fn memory_footprint(&self) -> usize {
         let routers: usize = self.routers.iter().map(Router::heap_bytes).sum();
-        routers + self.fabric.routing().heap_bytes()
+        routers + self.fabric.routing().up_down().map_or(0, |r| mmr_core::footprint::updown(r.nodes()))
     }
 
     /// A connection's state.

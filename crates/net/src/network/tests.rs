@@ -5,6 +5,16 @@ use super::*;
 use crate::setup::{cbr_mbps, SetupStrategy};
 use crate::testkit::mesh_net;
 
+/// The accounted footprint of a fresh 12-node up*/down* fabric: twelve
+/// 5-port, 8-VC routers and the tables at their all-destinations size.
+#[test]
+fn a_fabric_footprint_is_its_routers_and_its_tables() {
+    let topology = Topology::torus2d(4, 3, 5).expect("wires");
+    let net = NetworkSim::new(topology, RouterConfig::paper_default().vcs_per_port(8));
+    assert_eq!(net.router(NodeId(0)).heap_bytes(), 7_910);
+    assert_eq!(net.memory_footprint(), 12 * 7_910 + 4_128);
+}
+
 #[test]
 fn stream_flows_end_to_end_in_order() {
     let mut net = mesh_net();

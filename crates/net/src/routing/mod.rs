@@ -251,15 +251,6 @@ impl MinimalRouting {
             MinimalRouting::Butterfly(r) => r.shape().nodes(),
         }
     }
-
-    /// Heap footprint of the routing tables (the structured algorithms are
-    /// table-free).
-    pub fn heap_bytes(&self) -> usize {
-        match self {
-            MinimalRouting::UpDown(r) => r.heap_bytes(),
-            _ => 0,
-        }
-    }
 }
 
 /// Hands a [`RoutingAlgorithm`] call to whichever variant of a routing enum
@@ -357,8 +348,7 @@ impl Routing {
         }
     }
 
-    /// For tests: the up*/down* tables, when the algorithm has them.
-    #[doc(hidden)]
+    /// The up*/down* tables, when the algorithm has them.
     pub fn up_down(&self) -> Option<&UpDownRouting> {
         match self.minimal() {
             MinimalRouting::UpDown(r) => Some(r),
@@ -370,11 +360,6 @@ impl Routing {
     #[doc(hidden)]
     pub fn root(&self) -> NodeId {
         self.up_down().map_or(NodeId(0), |r| r.root())
-    }
-
-    /// Heap footprint of the routing tables.
-    pub fn heap_bytes(&self) -> usize {
-        self.minimal().heap_bytes()
     }
 }
 

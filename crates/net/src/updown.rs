@@ -100,20 +100,6 @@ impl UpDownRouting {
         self.level.len()
     }
 
-    /// Accounting footprint of the routing tables: the O(n²) distance and
-    /// legality matrices that structured routing avoids, at the size they
-    /// reach once every destination has been asked for — not what is
-    /// resident now. The figure feeds `net.footprint_bytes` and through it
-    /// every pinned `sim_digest`, so it must not depend on which rows a run
-    /// happened to fill (DESIGN.md §9 "The footprint is pinned").
-    pub fn heap_bytes(&self) -> usize {
-        use std::mem::size_of;
-        let n = self.level.len();
-        self.level.capacity() * size_of::<usize>()
-            + n * n * (size_of::<usize>() + size_of::<[usize; 2]>())
-            + 2 * n * size_of::<Vec<usize>>()
-    }
-
     /// Distance and legality rows built so far (a work count for tests).
     #[doc(hidden)]
     pub fn rows_filled(&self) -> usize {
