@@ -125,7 +125,8 @@ impl StatusBits {
         self.len
     }
 
-    /// Whether the vector has zero length.
+    /// For tests: whether the vector has zero length.
+    #[doc(hidden)]
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }

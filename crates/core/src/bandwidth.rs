@@ -179,11 +179,6 @@ impl LinkBandwidthBook {
         self.guaranteed_register / self.reservable_cycles()
     }
 
-    /// The round structure this book allocates within.
-    pub fn round(&self) -> RoundConfig {
-        self.round
-    }
-
     /// Attempts to admit a connection of the given class (§4.2 rules).
     ///
     /// Classes without reservations (best-effort, control) always succeed

@@ -320,7 +320,8 @@ impl ConnectionTable {
         self.live
     }
 
-    /// Whether the table is empty.
+    /// For tests: whether the table is empty.
+    #[doc(hidden)]
     pub fn is_empty(&self) -> bool {
         self.live == 0
     }

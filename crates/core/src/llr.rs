@@ -313,7 +313,8 @@ impl<F: LlrFrame> LlrSender<F> {
         self.backlog.iter()
     }
 
-    /// Lifetime counters.
+    /// For tests: lifetime counters.
+    #[doc(hidden)]
     pub fn stats(&self) -> LlrSendStats {
         self.stats
     }
@@ -382,7 +383,8 @@ impl LlrReceiver {
         Some(LlrSignal::Nack { resume_from: self.expected })
     }
 
-    /// Lifetime counters.
+    /// For tests: lifetime counters.
+    #[doc(hidden)]
     pub fn stats(&self) -> LlrRecvStats {
         self.stats
     }

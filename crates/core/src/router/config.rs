@@ -248,8 +248,6 @@ impl std::error::Error for ConfigError {}
 pub struct RouterDims {
     pub(super) ports: usize,
     pub(super) vcs_per_port: usize,
-    pub(super) candidates: usize,
-    pub(super) arbiter: ArbiterKind,
     pub(super) round_cycles: u64,
     pub(super) timing: FlitTiming,
 }
@@ -263,16 +261,6 @@ impl RouterDims {
     /// Virtual channels per input port.
     pub fn vcs_per_port(&self) -> usize {
         self.vcs_per_port
-    }
-
-    /// Candidate-set size per input port.
-    pub fn candidates(&self) -> usize {
-        self.candidates
-    }
-
-    /// Active arbitration scheme.
-    pub fn arbiter(&self) -> ArbiterKind {
-        self.arbiter
     }
 
     /// Round length in flit cycles.

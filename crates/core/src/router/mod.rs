@@ -219,8 +219,6 @@ impl Router {
         RouterDims {
             ports: usize::from(self.cfg.ports),
             vcs_per_port: usize::from(self.cfg.vcs_per_port),
-            candidates: self.cfg.candidates,
-            arbiter: self.cfg.arbiter,
             round_cycles: self.round.cycles_per_round(),
             timing: self.cfg.timing,
         }
@@ -354,7 +352,8 @@ impl Router {
         })
     }
 
-    /// Number of established connections.
+    /// For tests: number of established connections.
+    #[doc(hidden)]
     pub fn connections(&self) -> usize {
         self.conns.len()
     }

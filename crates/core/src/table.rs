@@ -26,8 +26,8 @@
 
 use crate::ids::{PortId, VcIndex};
 
-/// A dense table with one slot per router port, indexed by [`PortId`] (or by
-/// the raw port index inside scheduler loops).
+/// A dense table with one slot per router port, indexed by the raw port
+/// index the scheduler loops iterate.
 ///
 /// Backed by a `Box<[T]>` rather than a `Vec<T>`: the tables never grow
 /// after construction, and the boxed slice drops the capacity word — three
@@ -48,35 +48,6 @@ impl<T> PortMap<T> {
         PortMap { slots: vec![value; ports].into_boxed_slice() }
     }
 
-    /// Number of ports the table was sized for.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Whether the table has no slots.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
-    /// The slot for `port`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `port` is outside the table — a construction-time sizing
-    /// bug, never data-dependent.
-    pub fn get(&self, port: PortId) -> &T {
-        self.at(port.index())
-    }
-
-    /// Mutable slot for `port`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `port` is outside the table.
-    pub fn get_mut(&mut self, port: PortId) -> &mut T {
-        self.at_mut(port.index())
-    }
-
     /// The slot at raw index `i` (scheduler loops iterate `0..ports`).
     ///
     /// # Panics
@@ -95,11 +66,6 @@ impl<T> PortMap<T> {
     pub fn at_mut(&mut self, i: usize) -> &mut T {
         // mmr-lint: allow(P-TRANS, reason="typed wrapper over a construction-sized table; port ids are validated at creation")
         &mut self.slots[i]
-    }
-
-    /// Iterates the slots in port order.
-    pub fn iter(&self) -> std::slice::Iter<'_, T> {
-        self.slots.iter()
     }
 
     /// Mutably iterates the slots in port order.
@@ -125,11 +91,6 @@ impl<T> VcMap<T> {
     pub fn from_fn(vcs: usize, slot: impl FnMut(usize) -> T) -> Self {
         // mmr-lint: allow(A-TRANS, reason="a port's per-VC table is allocated once, at the port's first connection (control plane), never per cycle")
         VcMap { slots: (0..vcs).map(slot).collect() }
-    }
-
-    /// Number of virtual channels the table was sized for.
-    pub fn len(&self) -> usize {
-        self.slots.len()
     }
 
     /// Whether the table has no slots.
@@ -314,15 +275,12 @@ mod tests {
     #[test]
     fn port_map_round_trips_by_id_and_raw_index() {
         let mut m = PortMap::filled(4, 0u32);
-        *m.get_mut(PortId(2)) = 7;
-        assert_eq!(*m.get(PortId(2)), 7);
+        *m.at_mut(PortId(2).index()) = 7;
         assert_eq!(*m.at(2), 7);
         *m.at_mut(3) = 9;
-        assert_eq!(*m.get(PortId(3)), 9);
-        assert_eq!(m.len(), 4);
-        assert!(!m.is_empty());
-        assert_eq!(m.iter().copied().sum::<u32>(), 16);
-        assert_eq!(m.iter().filter(|&&v| v != 0).count(), 2);
+        assert_eq!(*m.at(PortId(3).index()), 9);
+        m.iter_mut().for_each(|v| *v += 1);
+        assert_eq!((0..4).map(|p| *m.at(p)).collect::<Vec<_>>(), [1, 1, 8, 10]);
     }
 
     #[test]
@@ -331,7 +289,6 @@ mod tests {
         *m.get_mut(VcIndex(5)) = Some(1);
         assert_eq!(*m.get(VcIndex(5)), Some(1));
         assert_eq!(*m.at(5), Some(1));
-        assert_eq!(m.len(), 8);
     }
 
     #[test]
@@ -344,7 +301,7 @@ mod tests {
         assert!(!m.is_materialized());
         *m.slot_mut(VcIndex(7)) = 3;
         assert!(m.is_materialized());
-        assert_eq!(m.slots().len(), 256);
+        assert_eq!(m.slots().slots.len(), 256);
         let slots = m.slots().at(0) as *const u32;
         *m.slot_mut(VcIndex(9)) = 4;
         *m.get_mut(VcIndex(7)).expect("materialised") += 1;

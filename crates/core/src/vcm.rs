@@ -373,7 +373,8 @@ impl VirtualChannelMemory {
         self.bank_conflicts
     }
 
-    /// Lifetime (pushed, popped) flit counts — conservation checking.
+    /// For tests: lifetime (pushed, popped) flit counts — conservation checking.
+    #[doc(hidden)]
     pub fn totals(&self) -> (u64, u64) {
         (self.total_pushed, self.total_popped)
     }

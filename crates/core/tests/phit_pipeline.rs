@@ -75,7 +75,6 @@ impl PhitBuffer {
     /// callers treat it as a protocol violation.
     fn push(&mut self, phit: Phit) -> Result<(), Phit> {
         if self.has_room() {
-            // mmr-lint: allow(A-TRANS, reason="bounded by the has_room check against the construction-time capacity; the deque never reallocates")
             self.slots.push_back(phit);
             Ok(())
         } else {

@@ -2,7 +2,7 @@
 //! regions, and the direct rules — the D-rules' token patterns here, the P-
 //! and A-rules through [`graph::site_at`], the one matcher the chain rules
 //! use too. Per workspace: the call graph over every analyzed file and the
-//! interprocedural rule families (A-TRANS, P-TRANS, U-DEAD), then allow-application
+//! interprocedural rule families (A-TRANS, P-TRANS), then allow-application
 //! and L-UNUSED reporting in one global pass — an allow on a leaf line can
 //! be "used" by a call chain rooted in another file.
 
@@ -12,7 +12,7 @@ use crate::diag::{Diagnostic, Rule};
 use crate::graph::{self, LeafKind, Site};
 use crate::lexer::{lex, Comment, Token, TokenKind};
 use crate::manifest::Manifest;
-use crate::parse::{self, FnItem, Mention, Region};
+use crate::parse::{self, FnItem, Region};
 
 /// Parsed `mmr-lint: allow(RULE, reason="...")` annotation.
 #[derive(Debug)]
@@ -37,10 +37,6 @@ pub(crate) struct FileAnalysis {
     sites: Vec<Vec<Site>>,
     /// Struct field types declared in this file, for receiver resolution.
     fields: Vec<(String, String, String)>,
-    /// Type aliases declared in this file, as `(alias, type)`.
-    aliases: Vec<(String, String)>,
-    /// Fn mentions in this file's `const` / `static` items and macro bodies.
-    root_mentions: Vec<Mention>,
 }
 
 /// Runs annotation parsing, item parsing, site collection, and every
@@ -126,9 +122,7 @@ pub(crate) fn analyze_file(path: &str, src: &str, manifest: &Manifest) -> FileAn
     }
 
     let fields = parse::parse_fields(tokens);
-    let aliases = parse::parse_aliases(tokens);
-    let root_mentions = parse::parse_root_mentions(tokens, &test_regions);
-    FileAnalysis { path: path.to_string(), raw, fixed, allows, fns, sites, fields, aliases, root_mentions }
+    FileAnalysis { path: path.to_string(), raw, fixed, allows, fns, sites, fields }
 }
 
 /// The workspace-level pass: builds the call graph over every analyzed
@@ -144,8 +138,6 @@ pub(crate) fn finalize(
     let mut out: Vec<Diagnostic> = Vec::new();
     let mut per_file = Vec::new();
     let mut fields: BTreeMap<(String, String), String> = BTreeMap::new();
-    let mut aliases: BTreeMap<String, Vec<String>> = BTreeMap::new();
-    let mut root_mentions: Vec<Mention> = Vec::new();
     for f in files {
         paths.push(f.path.clone());
         raws.push(f.raw);
@@ -154,13 +146,9 @@ pub(crate) fn finalize(
         for (s, name, ty) in f.fields {
             fields.insert((s, name), ty);
         }
-        for (alias, ty) in f.aliases {
-            aliases.entry(alias).or_default().push(ty);
-        }
-        root_mentions.extend(f.root_mentions);
         per_file.push((f.path, f.fns, f.sites));
     }
-    let g = graph::build(per_file, &fields, &aliases, &root_mentions);
+    let g = graph::build(per_file, &fields);
 
     // Interprocedural rules. Callees carrying the same obligation as the
     // root are never descended into: their own direct rules (or their own
@@ -178,7 +166,6 @@ pub(crate) fn finalize(
         };
         trans.extend(graph::transitive_diags(&g, &|n| scoped[n], kind, rule, label, &mut exempt));
     }
-    trans.extend(graph::dead_diags(&g));
 
     // Apply allow-annotations: direct findings against their own file's
     // allows, chain findings against the root call-site line.

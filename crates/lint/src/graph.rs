@@ -7,17 +7,11 @@
 //! Resolution is deliberately an over-approximation (DESIGN.md §7):
 //! `Type::method` resolves by `(type, name)`, `self.method` tries the
 //! caller's impl type first, and a bare `.method()` resolves by name across
-//! **every** first-party impl — no trait dispatch, no receiver type
-//! inference. Calls into std or vendored code produce no edges (only
-//! first-party definitions are graph nodes), so a chain always ends at
-//! first-party source the repo can fix.
-//!
-//! U-DEAD runs on the same graph the other way round: from the entry points
-//! (every `fn main`, trait method and `#[doc(hidden)]` test hook, plus the
-//! fns `const` / `static` tables and `macro_rules!` bodies name) over the resolved calls and the
-//! by-name [`Mention`] edges, and reports the `crates/*/src` fns no root
-//! reaches. Its edges only ever add, so it can miss dead code but never
-//! flag live code.
+//! the caller's crate — no trait dispatch, no receiver type inference. A
+//! call from library code (`crates/*/src`) resolves only to library fns: no
+//! crate can call into an example, a test or perfbench. Calls into std or
+//! vendored code produce no edges (only first-party definitions are graph
+//! nodes), so a chain always ends at first-party source the repo can fix.
 //!
 //! Traversal never descends into functions that carry the same obligation
 //! as the root (another hot fn for A-TRANS, a `[panic_free]` file for
@@ -29,7 +23,7 @@ use std::collections::BTreeMap;
 
 use crate::diag::{Diagnostic, Rule};
 use crate::lexer::{Token, TokenKind};
-use crate::parse::{skip_attribute, Callee, FnItem, Mention};
+use crate::parse::{skip_attribute, Callee, FnItem};
 
 /// Which transitive family a leaf site belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,13 +74,6 @@ pub(crate) struct Graph {
     /// Resolved edges: `edges[n]` lists `(callee, call_line)` pairs, sorted
     /// by callee with the earliest call line kept per callee.
     pub edges: Vec<Vec<(usize, u32)>>,
-    /// Mention edges: `refs[n]` lists every fn a [`Mention`] in `n`'s body
-    /// may denote.
-    pub refs: Vec<Vec<usize>>,
-    /// U-DEAD's entry points: every `fn main`, trait method and
-    /// `#[doc(hidden)]` hook, and every fn a `const` / `static` or a
-    /// `macro_rules!` body mentions.
-    pub roots: Vec<usize>,
 }
 
 /// Collects leaf sites for each fn of one file. `fns` must come from
@@ -211,7 +198,7 @@ fn crate_of(path: &str) -> String {
     path.split('/').take(2).collect::<Vec<_>>().join("/")
 }
 
-/// Whether `path` is library code U-DEAD reports on: `crates/<name>/src/..`.
+/// Whether `path` is library code: `crates/<name>/src/..`.
 fn in_library(path: &str) -> bool {
     let mut parts = path.split('/');
     parts.next() == Some("crates") && parts.nth(1) == Some("src")
@@ -219,27 +206,24 @@ fn in_library(path: &str) -> bool {
 
 /// Builds the graph over all files. `per_file` holds, for each file (in
 /// sorted path order), its path, parsed fns, and collected sites; `fields`
-/// maps `(struct, field)` to the field's type and `aliases` a type alias to
-/// every type it names, across the whole workspace; `root_mentions` are the
-/// mentions in every `const` / `static` item and `macro_rules!` body.
+/// maps `(struct, field)` to the field's type across the whole workspace.
 pub(crate) fn build(
     per_file: Vec<(String, Vec<FnItem>, Vec<Vec<Site>>)>,
     fields: &BTreeMap<(String, String), String>,
-    aliases: &BTreeMap<String, Vec<String>>,
-    root_mentions: &[Mention],
 ) -> Graph {
     let mut g = Graph::default();
     // Node table: every non-test fn with a body, plus name → node indices.
     let mut self_tys: Vec<Option<String>> = Vec::new();
     let mut names: Vec<String> = Vec::new();
     let mut crates: Vec<String> = Vec::new();
+    let mut library: Vec<bool> = Vec::new();
     let mut vars: Vec<Vec<(String, String)>> = Vec::new();
     let mut calls: Vec<Vec<Callee>> = Vec::new();
     let mut call_lines: Vec<Vec<u32>> = Vec::new();
-    let mut mentions: Vec<Vec<Mention>> = Vec::new();
     for (path, fns, sites) in per_file {
         let file_idx = g.files.len();
         let krate = crate_of(&path);
+        let in_lib = in_library(&path);
         g.files.push(path);
         for (f, s) in fns.into_iter().zip(sites) {
             if f.in_test || f.body.is_none() {
@@ -252,16 +236,13 @@ pub(crate) fn build(
                 hot: f.hot,
                 sites: s,
             });
-            if f.trait_method || f.doc_hidden || (f.name == "main" && f.self_ty.is_none()) {
-                g.roots.push(g.nodes.len() - 1);
-            }
             self_tys.push(f.self_ty.clone());
             names.push(f.name.clone());
             crates.push(krate.clone());
+            library.push(in_lib);
             vars.push(f.vars.clone());
             calls.push(f.calls.iter().map(|c| c.callee.clone()).collect());
             call_lines.push(f.calls.iter().map(|c| c.line).collect());
-            mentions.push(f.mentions);
         }
     }
 
@@ -269,41 +250,15 @@ pub(crate) fn build(
     let mut methods_in: BTreeMap<(&str, &str), Vec<usize>> = BTreeMap::new();
     let mut by_ty: BTreeMap<(&str, &str), Vec<usize>> = BTreeMap::new();
     let mut free: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
-    let mut methods: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
     for (idx, name) in names.iter().enumerate() {
         match &self_tys[idx] {
             Some(ty) => {
                 methods_in.entry((&crates[idx], name)).or_default().push(idx);
                 by_ty.entry((ty, name)).or_default().push(idx);
-                methods.entry(name).or_default().push(idx);
             }
             None => free.entry(name).or_default().push(idx),
         }
     }
-
-    // Mention edges: by name, never narrowed by a receiver type.
-    let resolve = |m: &Mention, self_ty: Option<&str>| -> Vec<usize> {
-        match m {
-            Mention::Free(n) => free.get(n.as_str()).cloned().unwrap_or_default(),
-            Mention::Method(n) => methods.get(n.as_str()).cloned().unwrap_or_default(),
-            Mention::Qualified(ty, n) => {
-                let ty = if ty == "Self" { self_ty.unwrap_or("Self") } else { ty.as_str() };
-                let aliased = aliases.get(ty).into_iter().flatten().map(String::as_str);
-                std::iter::once(ty)
-                    .chain(aliased)
-                    .filter_map(|t| by_ty.get(&(t, n.as_str())))
-                    .flatten()
-                    .copied()
-                    .collect()
-            }
-        }
-    };
-    g.refs = mentions
-        .iter()
-        .zip(&self_tys)
-        .map(|(ms, ty)| ms.iter().flat_map(|m| resolve(m, ty.as_deref())).collect())
-        .collect();
-    g.roots.extend(root_mentions.iter().flat_map(|m| resolve(m, None)));
 
     let empty: Vec<usize> = Vec::new();
     for (caller, callees) in calls.iter().enumerate() {
@@ -361,7 +316,8 @@ pub(crate) fn build(
                 }
             };
             for &t in targets {
-                if t != caller {
+                // Library code cannot call into an example, a test or perfbench.
+                if t != caller && (library[t] || !library[caller]) {
                     out.entry(t).or_insert(line);
                 }
             }
@@ -441,36 +397,6 @@ pub(crate) fn transitive_diags(
     diags
 }
 
-/// U-DEAD: the `crates/*/src` fns that no root reaches over the resolved
-/// calls and the mention edges.
-pub(crate) fn dead_diags(graph: &Graph) -> Vec<Diagnostic> {
-    let mut live = vec![false; graph.nodes.len()];
-    let mut stack = graph.roots.clone();
-    while let Some(n) = stack.pop() {
-        if !std::mem::replace(&mut live[n], true) {
-            stack.extend(graph.edges[n].iter().map(|&(t, _)| t));
-            stack.extend(&graph.refs[n]);
-        }
-    }
-    graph
-        .nodes
-        .iter()
-        .zip(live)
-        .filter(|(n, live)| !live && in_library(&graph.files[n.file]))
-        .map(|(n, _)| {
-            Diagnostic::new(
-                &graph.files[n.file],
-                n.line,
-                Rule::UDead,
-                format!(
-                    "`{}` is reached from no `fn main`, trait method, `#[doc(hidden)]` hook or const table; delete it or declare it a test hook",
-                    n.display
-                ),
-            )
-        })
-        .collect()
-}
-
 /// Renders the graph as deterministic DOT: nodes and edges sorted, one
 /// line each, suitable as a CI artifact.
 pub(crate) fn to_dot(graph: &Graph) -> String {
@@ -508,7 +434,7 @@ mod tests {
         for (s, f, t) in parse_fields(&lexed.tokens) {
             fields.insert((s, f), t);
         }
-        build(vec![("a.rs".to_string(), fns, sites)], &fields, &BTreeMap::new(), &[])
+        build(vec![("a.rs".to_string(), fns, sites)], &fields)
     }
 
     #[test]
@@ -538,8 +464,6 @@ mod tests {
                 ("crates/b/src/y.rs".to_string(), ofns, osites),
             ],
             &BTreeMap::new(),
-            &BTreeMap::new(),
-            &[],
         );
         let go = g.nodes.iter().position(|n| n.display == "S::go").expect("go");
         assert!(g.edges[go].is_empty(), "{:?}", g.edges[go]);
@@ -596,19 +520,6 @@ mod tests {
             &mut |_, _| false,
         );
         assert!(diags.is_empty(), "{diags:?}");
-    }
-
-    #[test]
-    fn dead_code_is_what_no_root_reaches() {
-        // `A::f` reaches `B::f` through the alias; `Vec::g` names no `B::g`.
-        let lexed = lex("type A = B;\nstruct B;\nimpl B { fn f() {} fn g() {} }\nfn main() { A::f(); Vec::g(); }");
-        let fns = parse_items(&lexed.tokens, &[], &[]);
-        let sites = collect_sites(&lexed.tokens, &fns);
-        let aliases = BTreeMap::from([("A".to_string(), vec!["B".to_string()])]);
-        let g = build(vec![("crates/x/src/main.rs".into(), fns, sites)], &BTreeMap::new(), &aliases, &[]);
-        let dead: Vec<String> = dead_diags(&g).iter().map(|d| d.render()).collect();
-        assert_eq!(dead.len(), 1, "{dead:?}");
-        assert!(dead[0].starts_with("crates/x/src/main.rs:3: U-DEAD: `B::g`"), "{dead:?}");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! `mmr-lint` — workspace static analysis for the MMR simulator.
 //!
 //! Enforces, at CI time, the three properties the simulator's correctness
-//! story rests on, and keeps dead code out of the library:
+//! story rests on:
 //!
 //! - **Determinism (D-lints)**: byte-identical sweeps at any `--jobs`
 //!   require no hash-order iteration, no wall-clock reads, and exact
@@ -12,10 +12,10 @@
 //! - **No hot-path allocation (A-lints)**: functions annotated
 //!   `// mmr-lint: hot` must not allocate; scheduler inner loops are
 //!   fixed-work, fixed-time structures (cf. Tiny Tera's scheduler design).
-//! - **No dead library code (U-DEAD)**: every fn under `crates/*/src` is
-//!   reached from a `fn main`, a trait method or a `#[doc(hidden)]` hook.
 //!
-//! The tool is self-contained: its own tokenizer ([`lexer`]) and a tiny
+//! Dead library code is not this tool's question: `tools/reach.sh` asks the
+//! compiler which fns under `crates/*/src` have a caller (U-DEAD, DESIGN.md
+//! §7). The tool is self-contained: its own tokenizer ([`lexer`]) and a tiny
 //! TOML-subset manifest parser ([`manifest`]). See `DESIGN.md` §7 for the
 //! rule table, the audit that decided it, and the annotation grammar.
 

@@ -32,9 +32,13 @@ const FIXTURES: &[&[&str]] = &[
     &["a_trans"],
     &["p_trans", "p_trans_helper"],
     &["d_iter"],
-    // U-DEAD reports only under `crates/*/src`, so its group is laid out
-    // like a workspace: a library module and an example's `main`.
-    &["crates/demo/src/u_dead", "crates/demo/examples/u_dead_main"],
+    // Laid out like a workspace: a call from `crates/*/src` resolves only
+    // to library fns, never to the example's fn of the same name.
+    &[
+        "crates/demo/src/p_trans_scope",
+        "crates/demo/src/footprint",
+        "crates/demo/examples/router",
+    ],
 ];
 
 fn fixtures_dir() -> PathBuf {
@@ -86,9 +90,9 @@ fn every_fixture_group_violates_something() {
 #[test]
 fn every_fixture_file_is_in_exactly_one_group() {
     // A fixture outside every group is never linted; one in two groups is
-    // pinned twice. Companion files (`*_helper.rs`, an example's `main`)
-    // carry no violations of their own and only matter as call-graph
-    // neighbours of their group head.
+    // pinned twice. Companion files (`*_helper.rs`, the scope group's
+    // footprint and example) carry no violations of their own and only
+    // matter as call-graph neighbours of their group head.
     let mut on_disk: Vec<String> = Vec::new();
     let mut dirs = vec![fixtures_dir()];
     while let Some(dir) = dirs.pop() {
@@ -137,6 +141,10 @@ fn transitive_goldens_record_call_chains() {
     for (name, hops) in [
         ("a_trans", "chain: step -> refill -> grow"),
         ("p_trans", "chain: service -> helper_value"),
+        (
+            "crates/demo/src/p_trans_scope",
+            "chain: heap_bytes -> queues",
+        ),
     ] {
         let expected =
             fs::read_to_string(dir.join(format!("{name}.expected"))).expect("golden readable");

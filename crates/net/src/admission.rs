@@ -67,7 +67,7 @@ pub struct AdmitPolicy {
     /// or rejected. `f64::INFINITY` disables the guard (naive baseline).
     pub ni_headroom: f64,
     /// Degrade-on-admit: grant the lowest rung of the session layer's
-    /// ladder ([`RecoveryPolicy::ladder`]) past the headroom instead of
+    /// degradation ladder ([`RecoveryPolicy`]) past the headroom instead of
     /// rejecting outright.
     pub degrade_on_admit: bool,
     /// Enables the load shedder.
@@ -303,11 +303,6 @@ impl AdmissionController {
             upgrade_cursor: None,
             stats: AdmitStats::default(),
         }
-    }
-
-    /// The admission policy in force.
-    pub fn policy(&self) -> &AdmitPolicy {
-        &self.policy
     }
 
     /// Aggregate statistics so far.

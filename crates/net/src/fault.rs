@@ -162,16 +162,6 @@ impl FaultPlan {
         self.events.iter()
     }
 
-    /// Number of scheduled events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether the plan is empty.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
     /// Sorts events into firing order (stable, so same-cycle events keep
     /// insertion order), drops *identical* duplicate permanent events, and
     /// rejects contradictory schedules. Node events conflict only with node
@@ -526,9 +516,13 @@ mod tests {
     #[test]
     fn an_empty_window_plans_nothing() {
         let topo = Topology::torus2d(3, 3, 8).expect("topology wires within the port budget");
-        assert!(FaultPlan::seeded_campaign(&topo, 1, 4, 50..50, Cycles(10)).is_empty());
-        assert!(FaultPlan::seeded_node_campaign(&topo, 1, 4, 50..50, Cycles(10)).is_empty());
-        assert!(FaultPlan::seeded_chaos_campaign(&topo, 1, 4, 4, 50..50, Cycles(10)).is_empty());
+        for plan in [
+            FaultPlan::seeded_campaign(&topo, 1, 4, 50..50, Cycles(10)),
+            FaultPlan::seeded_node_campaign(&topo, 1, 4, 50..50, Cycles(10)),
+            FaultPlan::seeded_chaos_campaign(&topo, 1, 4, 4, 50..50, Cycles(10)),
+        ] {
+            assert!(plan.events.is_empty());
+        }
     }
 
     #[test]
@@ -550,7 +544,7 @@ mod tests {
             .fail_at(Cycles(5), NodeId(1), PortId(2))
             .normalized()
             .expect("duplicates are not a contradiction");
-        assert_eq!(plan.len(), 1);
+        assert_eq!(plan.events.len(), 1);
     }
 
     #[test]
@@ -575,7 +569,7 @@ mod tests {
             .drop_at(Cycles(4), NodeId(0), PortId(0))
             .normalized()
             .expect("transient duplicates are legal");
-        assert_eq!(plan.len(), 3, "each transient arms one more flit");
+        assert_eq!(plan.events.len(), 3, "each transient arms one more flit");
     }
 
     #[test]
@@ -600,7 +594,7 @@ mod tests {
         }
         let c = FaultPlan::seeded_campaign(&topo, 78, 6, 100..2_000, Cycles(300));
         assert!(
-            a.events().zip(c.events()).any(|(x, y)| x != y) || a.len() != c.len(),
+            a.events().zip(c.events()).any(|(x, y)| x != y) || a.events.len() != c.events.len(),
             "different seeds diverge"
         );
         // Every generated event applies cleanly.
@@ -633,14 +627,14 @@ mod tests {
             .repair_at(Cycles(7), NodeId(3), PortId(0))
             .normalized()
             .expect("node and wire domains are disjoint");
-        assert_eq!(plan.len(), 2);
+        assert_eq!(plan.events.len(), 2);
         // Identical duplicate node events collapse to one.
         let plan = FaultPlan::new()
             .fail_node_at(Cycles(5), NodeId(1))
             .fail_node_at(Cycles(5), NodeId(1))
             .normalized()
             .expect("duplicates are not a contradiction");
-        assert_eq!(plan.len(), 1);
+        assert_eq!(plan.events.len(), 1);
     }
 
     #[test]
@@ -648,7 +642,7 @@ mod tests {
         let topo = Topology::torus2d(3, 3, 8).expect("topology wires within the port budget");
         let a = FaultPlan::seeded_node_campaign(&topo, 77, 3, 100..2_000, Cycles(300));
         let b = FaultPlan::seeded_node_campaign(&topo, 77, 3, 100..2_000, Cycles(300));
-        assert!(a.events().zip(b.events()).all(|(x, y)| x == y) && a.len() == b.len());
+        assert_eq!(a.events, b.events);
         assert!(a.events().all(|e| e.action.is_node()));
         // Every generated event applies cleanly to a live network.
         let mut net = NetworkSim::new(
@@ -671,7 +665,7 @@ mod tests {
         let links = FaultPlan::seeded_campaign(&topo, 9, 4, 100..2_000, Cycles(300));
         let nodes = FaultPlan::seeded_node_campaign(&topo, 9, 2, 100..2_000, Cycles(300));
         let merged = links.clone().merged(nodes.clone());
-        assert_eq!(merged.len(), links.len() + nodes.len());
+        assert_eq!(merged.events.len(), links.events.len() + nodes.events.len());
         let mut last = 0u64;
         for ev in merged.events() {
             assert!(ev.at.count() >= last, "merged events sorted into firing order");
@@ -685,7 +679,7 @@ mod tests {
         let topo = Topology::torus2d(3, 3, 8).expect("topology wires within the port budget");
         let base = FaultPlan::seeded_campaign(&topo, 77, 4, 100..2_000, Cycles(300));
         let chaos = FaultPlan::seeded_chaos_campaign(&topo, 77, 4, 10, 100..2_000, Cycles(300));
-        assert_eq!(chaos.len(), base.len() + 10);
+        assert_eq!(chaos.events.len(), base.events.len() + 10);
         let transients =
             chaos.events().filter(|e| !e.action.is_permanent()).count();
         assert_eq!(transients, 10);

@@ -374,11 +374,6 @@ impl NetworkSim {
         self.routers.teardown(node, local)
     }
 
-    /// Number of live end-to-end connections.
-    pub fn connections(&self) -> usize {
-        self.conns.len()
-    }
-
     /// The fabric's accounted bytes: every router's [`Router::heap_bytes`]
     /// plus the up*/down* tables at the size they reach when every
     /// destination has been asked for ([`mmr_core::footprint::updown`];

@@ -122,7 +122,8 @@ impl RecoveryPolicy {
         self
     }
 
-    /// Overrides the degradation ladder (must be ascending).
+    /// For tests: overrides the degradation ladder (must be ascending).
+    #[doc(hidden)]
     pub fn ladder(mut self, ladder: Vec<Bandwidth>) -> Self {
         self.ladder = ladder;
         self
@@ -579,7 +580,8 @@ impl RecoveryManager {
         &self.stats
     }
 
-    /// Number of tracked sessions.
+    /// For tests: number of tracked sessions.
+    #[doc(hidden)]
     pub fn sessions(&self) -> usize {
         self.sessions.len()
     }

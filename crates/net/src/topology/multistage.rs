@@ -77,8 +77,9 @@ impl Butterfly {
         (usize::from(self.stages) - 1) * self.rows() * usize::from(self.k)
     }
 
-    /// Closed-form diameter bound for the bidirectional fly: a full
-    /// descent plus a full ascent, `2(stages - 1)`.
+    /// For tests: closed-form diameter bound for the bidirectional fly, a
+    /// full descent plus a full ascent, `2(stages - 1)`.
+    #[doc(hidden)]
     pub fn diameter_bound(&self) -> usize {
         2 * (usize::from(self.stages) - 1)
     }

@@ -73,7 +73,8 @@ impl Accumulator {
         }
     }
 
-    /// Smallest sample; `None` when empty.
+    /// For tests: smallest sample; `None` when empty.
+    #[doc(hidden)]
     pub fn min(&self) -> Option<f64> {
         (self.count > 0).then_some(self.min)
     }

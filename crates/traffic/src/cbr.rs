@@ -106,11 +106,6 @@ impl CbrSource {
         CbrSource { conn, clock: SlotClock::new(first, interarrival_cycles) }
     }
 
-    /// The connection this source feeds.
-    pub fn conn(&self) -> ConnRef {
-        self.conn
-    }
-
     /// Number of flits due at or before `now` (advances the arrival clock).
     pub fn due(&mut self, now: Cycles) -> u32 {
         self.clock.due(now)

@@ -1,5 +1,6 @@
 #!/bin/sh
-# The one line counter: first-party Rust lines, and non-test lines by crate.
+# The one line counter: first-party Rust lines, non-test lines by crate, and
+# the tools' shell lines.
 #
 #   tools/lines.sh [rev]
 #
@@ -21,6 +22,8 @@
 # - `lines` counts every line; `code` leaves out blank lines and lines that
 #   are only a `//` comment (doc comments included), so trimming docs or
 #   reflowing moves `lines` but not `code`.
+# - tools: every tools/*.sh on its own row, `code` leaving out blank lines
+#   and `#` comments, so a check moved from Rust into a script still counts.
 set -eu
 
 root=$(git rev-parse --show-toplevel)
@@ -62,3 +65,6 @@ printf '%-18s %8d %8d\n' "bench/perfbench" "$1" "$2"
 set -- $(find crates src tests examples -name '*.rs' -not -path '*/target/*' \
     -not -path 'crates/lint/tests/fixtures/*' | sort | count whole)
 printf '%-18s %8d %8d\n' "first-party total" "$1" "$2"
+set -- $(awk '{ lines++ } !/^[ \t]*$/ && !/^[ \t]*#/ { code++ }
+    END { printf "%d %d\n", lines, code }' tools/*.sh)
+printf '%-18s %8d %8d\n' "tools (sh)" "$1" "$2"
