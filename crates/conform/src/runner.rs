@@ -62,8 +62,6 @@ pub struct Hooks {
 /// The outcome of one differential case.
 #[derive(Debug, Clone)]
 pub struct CaseRun {
-    /// Scenario seed.
-    pub seed: u64,
     /// Connections the setup path admitted.
     pub admitted: usize,
     /// Connections the setup path rejected (insufficient resources —
@@ -75,9 +73,13 @@ pub struct CaseRun {
     /// Churn arrivals the admission controller turned away with a typed
     /// verdict (legitimate overload protection, not a divergence).
     pub churn_rejected: usize,
-    /// Churn sessions the load shedder preempted (best-effort + CBR).
+    /// For tests: churn sessions the load shedder preempted (best-effort +
+    /// CBR), the count a corpus seed's overload pin holds.
+    #[doc(hidden)]
     pub preempted: u64,
-    /// Rate-ladder upgrades granted when load receded.
+    /// For tests: rate-ladder upgrades granted when load receded, the count
+    /// a corpus seed's upgrade pin holds.
+    #[doc(hidden)]
     pub upgraded: u64,
     /// Flits injected at source NIs.
     pub injected: u64,
@@ -87,19 +89,23 @@ pub struct CaseRun {
     pub cycles_run: u64,
     /// Everything the oracle disagreed with.
     pub divergences: Vec<Divergence>,
-    /// Router-cycles the invariant auditor covered.
+    /// For tests: router-cycles the invariant auditor covered.
+    #[doc(hidden)]
     pub audit_checks: u64,
-    /// The violations the auditor stored, in discovery order (their total
-    /// count is in the `AuditorViolation` divergence).
+    /// For tests: the violations the auditor stored, in discovery order
+    /// (their total count is in the `AuditorViolation` divergence).
+    #[doc(hidden)]
     pub audit_violations: Vec<AuditViolation>,
-    /// Violators a full audit sweep found that the incremental pass would
-    /// not have visited (`NetworkSim::audit_sweep_misses`).
+    /// For tests: violators a full audit sweep found that the incremental
+    /// pass would not have visited (`NetworkSim::audit_sweep_misses`).
+    #[doc(hidden)]
     pub audit_sweep_misses: u64,
-    /// `RouterStats::ghost_matches` summed over the routers and
-    /// `NetStats::ghost_releases`: bookkeeping disagreements that are
-    /// counted instead of panicking.
+    /// For tests: `RouterStats::ghost_matches` summed over the routers, a
+    /// bookkeeping disagreement that is counted instead of panicking.
+    #[doc(hidden)]
     pub ghost_matches: u64,
-    /// See `ghost_matches`.
+    /// For tests: `NetStats::ghost_releases` (see `ghost_matches`).
+    #[doc(hidden)]
     pub ghost_releases: u64,
 }
 
@@ -478,7 +484,6 @@ pub fn run_scenario(scenario: &Scenario, hooks: Hooks) -> CaseRun {
     let delivered = oracle.delivered_total();
     let ctl_stats = ctl.stats();
     CaseRun {
-        seed: scenario.seed,
         admitted,
         rejected,
         churn_admitted,

@@ -282,9 +282,6 @@ pub struct ChurnEventSpec {
 /// A complete generated conformance case.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
-    /// The seed this scenario expanded from (reporting only; mutated
-    /// scenarios produced by shrinking keep the original seed).
-    pub seed: u64,
     /// Network shape.
     pub topology: TopologySpec,
     /// Routing algorithm the network is built with (resolved against the
@@ -519,7 +516,6 @@ impl Scenario {
         }
 
         Scenario {
-            seed,
             topology,
             routing,
             vcs_per_port,

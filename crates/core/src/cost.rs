@@ -25,8 +25,6 @@ pub struct CostModel {
     pub vcs_per_port: usize,
     /// Candidate-set size per input port.
     pub candidates: usize,
-    /// Internal datapath width in bits.
-    pub datapath_bits: u32,
     /// Nanoseconds per fan-in-4 gate delay (≈0.8 ns for the paper's late-90s
     /// 0.35 µm CMOS; ≈0.02 ns for a modern process).
     pub ns_per_gate: f64,
@@ -39,7 +37,6 @@ impl CostModel {
             ports: 8,
             vcs_per_port: 256,
             candidates: 8,
-            datapath_bits: 128,
             ns_per_gate: 0.8,
         }
     }

@@ -75,8 +75,6 @@ pub enum CommandWord {
 /// One flit as it travels through the router.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Flit {
-    /// The connection this flit belongs to.
-    pub conn: ConnectionId,
     /// Payload role.
     pub kind: FlitKind,
     /// Sequence number within the connection (for in-order checks).
@@ -90,8 +88,7 @@ pub struct Flit {
     pub payload: u64,
     /// CRC-16/CCITT over the payload and stream sequence number, computed at
     /// the source. Checked per hop by the LLR receiver and end-to-end at the
-    /// destination NI. Deliberately excludes `conn` — flits are retagged with
-    /// a router-local connection id at every hop.
+    /// destination NI. A flit names no connection: the VC it sits in does.
     pub crc: u16,
     /// Per-link sequence number stamped by the LLR sender on each wire
     /// crossing; 0 (and unused) when link-level retransmission is off.
@@ -99,12 +96,12 @@ pub struct Flit {
 }
 
 impl Flit {
-    /// Creates a flit of an arbitrary kind with a derived payload word and a
-    /// valid CRC.
+    /// Creates a flit of an arbitrary kind with a valid CRC and a payload
+    /// word derived from `conn`, `seq` and `injected_at`.
     pub fn new(conn: ConnectionId, kind: FlitKind, seq: u64, injected_at: Cycles) -> Self {
         let payload = mix64(u64::from(conn.raw()) ^ seq.rotate_left(17) ^ injected_at.count());
         let crc = Self::checksum(payload, seq);
-        Flit { conn, kind, seq, injected_at, payload, crc, link_seq: 0 }
+        Flit { kind, seq, injected_at, payload, crc, link_seq: 0 }
     }
 
     /// Creates a data flit.
@@ -141,7 +138,6 @@ mod tests {
     fn data_constructor_sets_kind() {
         let f = Flit::data(ConnectionId(9), 3, Cycles(17));
         assert_eq!(f.kind, FlitKind::Data);
-        assert_eq!(f.conn, ConnectionId(9));
         assert_eq!(f.seq, 3);
         assert_eq!(f.injected_at, Cycles(17));
     }
@@ -161,13 +157,6 @@ mod tests {
         assert!(!f.crc_ok());
         f.corrupt_payload_bit(13); // undo
         assert!(f.crc_ok());
-    }
-
-    #[test]
-    fn crc_is_independent_of_retagging() {
-        let f = Flit::data(ConnectionId(1), 5, Cycles(9));
-        let retagged = Flit { conn: ConnectionId(42), ..f };
-        assert!(retagged.crc_ok(), "per-hop retagging must not invalidate the CRC");
     }
 
     #[test]

@@ -76,10 +76,7 @@ pub use crossbar::Crossbar;
 pub use flit::{CommandWord, Flit, FlitKind};
 pub use ids::{ConnRef, ConnectionId, PortId, VcIndex, VcRef};
 pub use linksched::CandidatePolicy;
-pub use llr::{
-    LlrConfig, LlrFrame, LlrReceiver, LlrRecvStats, LlrSendStats, LlrSender, LlrSignal, RxDiscard,
-    RxOutcome,
-};
+pub use llr::{LlrConfig, LlrFrame, LlrReceiver, LlrSender, LlrSignal, RxDiscard, RxOutcome};
 pub use router::{
     ConfigError, EstablishError, InjectError, PacketError, PacketOutcome, Router, RouterConfig,
     RouterStats, StepReport, Transmitted,

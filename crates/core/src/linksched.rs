@@ -246,12 +246,15 @@ pub struct LinkSchedView<'a> {
     pub now: Cycles,
 }
 
-/// The result of one candidate-selection pass.
+/// For tests: the result of one `select_candidates` pass, the oracle
+/// output the unit tests compare.
 #[derive(Debug, Clone)]
 pub struct LinkSchedOutcome {
-    /// Candidates in proposal order (most urgent first).
+    /// For tests: candidates in proposal order (most urgent first).
+    #[doc(hidden)]
     pub candidates: Vec<Candidate>,
-    /// Where next cycle's rotating scan should start.
+    /// For tests: where next cycle's rotating scan should start.
+    #[doc(hidden)]
     pub next_pointer: usize,
 }
 

@@ -408,9 +408,6 @@ pub struct Transmitted {
 pub struct StepReport {
     /// Flits that crossed the switch this cycle, in output-port order.
     pub transmitted: Vec<Transmitted>,
-    /// Number of distinct output ports that carried a flit this cycle
-    /// (switch utilization numerator).
-    pub outputs_used: usize,
 }
 
 /// Aggregate counters over a router's lifetime.

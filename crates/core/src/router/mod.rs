@@ -520,8 +520,7 @@ impl Router {
 
     /// Accepts a flit arriving from an upstream router for `conn`,
     /// preserving its original sequence number and injection time (so
-    /// end-to-end latency and ordering survive multi-hop forwarding). The
-    /// flit is retagged with this router's connection id.
+    /// end-to-end latency and ordering survive multi-hop forwarding).
     ///
     /// # Errors
     ///
@@ -532,7 +531,7 @@ impl Router {
         flit: Flit,
         now: Cycles,
     ) -> Result<(), InjectError> {
-        self.enqueue(conn, now, |_| Flit { conn: conn.id, ..flit })
+        self.enqueue(conn, now, |_| flit)
     }
 
     /// Pushes one flit into `conn`'s input VC; `flit` builds it from the
@@ -687,7 +686,6 @@ impl Router {
     // mmr-lint: hot
     pub fn step_into(&mut self, now: Cycles, report: &mut StepReport) {
         report.transmitted.clear();
-        report.outputs_used = 0;
         // A settled router is at a fixed point of the stages below until its
         // quotas come back at the round boundary (or a mutator clears the
         // memo): the step would change the cycle counter and nothing else.
@@ -709,7 +707,6 @@ impl Router {
         self.switch_schedule();
         let outputs_used = self.transmit_matched(now, &mut report.transmitted);
         self.end_cycle(outputs_used);
-        report.outputs_used = outputs_used.count_ones() as usize;
     }
 
     /// Stage 0: count the cycle, reset the bank budget of every VCM that

@@ -312,7 +312,9 @@ pub fn find_test_regions(tokens: &[Token]) -> Vec<Region> {
 
 /// Given the first token of an item, returns the index one past its end:
 /// past the matching `}` of its first brace at depth 0, or past the first
-/// top-level `;` for brace-less items (`use`, `type`, …).
+/// top-level `;` for brace-less items (`use`, `type`, …). A `}` met first
+/// closes the enclosing block, so a struct's last field or a struct
+/// literal's last initialiser ends there, not at the next item.
 pub fn skip_item(tokens: &[Token], start: usize) -> usize {
     let mut i = start;
     let mut paren = 0i32;
@@ -324,6 +326,8 @@ pub fn skip_item(tokens: &[Token], start: usize) -> usize {
             paren -= 1;
         } else if t.is_punct(';') && paren <= 0 {
             return i + 1;
+        } else if t.is_punct('}') && paren <= 0 {
+            return i;
         } else if t.is_punct('{') && paren <= 0 {
             let mut depth = 1i32;
             i += 1;
@@ -735,6 +739,12 @@ mod tests {
         assert_eq!(fns[0].calls.len(), 1);
         assert!(fns[1].in_test);
         assert!(fns[1].calls.is_empty());
+    }
+
+    #[test]
+    fn a_test_field_ends_with_its_struct() {
+        let fns = parse("struct S {\n    #[cfg(test)]\n    t: (u8, u8),\n}\nimpl S { fn live(&self) {} }");
+        assert!(!fns[0].in_test, "{fns:?}");
     }
 
     #[test]

@@ -230,9 +230,13 @@ pub struct Preemption {
 /// Aggregate admission/shedding statistics.
 #[derive(Debug, Clone, Default)]
 pub struct AdmitStats {
-    /// Requests admitted at their asked rate.
+    /// For tests: requests admitted at their asked rate (pinned through
+    /// this struct's `Debug` in the control-plane transcript).
+    #[doc(hidden)]
     pub accepted: u64,
-    /// Requests admitted below their asked rate.
+    /// For tests: requests admitted below their asked rate (pinned like
+    /// `accepted`).
+    #[doc(hidden)]
     pub degraded: u64,
     /// Requests rejected, by cause.
     pub rejected_saturated: u64,
@@ -246,7 +250,9 @@ pub struct AdmitStats {
     pub preempted_best_effort: u64,
     /// CBR sessions preempted.
     pub preempted_cbr: u64,
-    /// Shed victims spared by the anti-starvation rotation.
+    /// For tests: shed victims spared by the anti-starvation rotation
+    /// (pinned like `accepted`).
+    #[doc(hidden)]
     pub starvation_skips: u64,
     /// Rungs won back by load-recede upgrades.
     pub upgrades: u64,

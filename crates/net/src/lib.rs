@@ -76,11 +76,11 @@ pub mod updown;
 pub use admission::{
     AdmissionController, AdmitPolicy, AdmitStats, AdmitVerdict, Preemption, RejectReason,
 };
-pub use driver::{NetExperiment, NetExperimentResult, PopulationOutcome};
+pub use driver::{NetExperiment, NetExperimentResult};
 pub use fault::{FaultAction, FaultEvent, FaultInjector, FaultPlan, FaultPlanError, FaultTick};
 pub use network::{
-    DeliveredFlit, DeliveredPacket, NetConnection, NetConnectionId, NetError, NetStats,
-    NetStepReport, NetworkSim, PacketId, ProbeToken, SetupEvent, TransientKind,
+    DeliveredFlit, NetConnection, NetConnectionId, NetError, NetStats, NetStepReport, NetworkSim,
+    PacketId, ProbeToken, SetupEvent, TransientKind,
 };
 pub use recovery::{
     RecoveryEvent, RecoveryManager, RecoveryPolicy, RecoveryStats, SessionId, SessionStatus,

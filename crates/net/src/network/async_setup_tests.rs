@@ -27,7 +27,7 @@ fn async_setup_takes_probe_plus_ack_cycles() {
         "round-trip latency {:?}",
         event.latency
     );
-    assert_eq!(event.probe_hops, 4);
+    assert_eq!(net.connection(conn).expect("live").hops.len(), 5, "a minimal 0->8 path");
     assert_eq!(net.probes_in_flight(), 0);
     // The established connection carries traffic end to end.
     net.inject(conn, Cycles(50)).expect("live");

@@ -298,7 +298,6 @@ fn a_replay_that_outlived_its_session_is_lost_not_delivered() {
     assert!(stats.flits_retransmitted > 0, "the replay landed after the re-lease");
     assert_eq!(stats.flits_lost, 1, "the replay counts as lost");
     assert_eq!(delivered, injected - 1, "and never reaches the new session");
-    assert_eq!(net.connection(new).expect("live").delivered, delivered);
     assert_eq!(stats.out_of_order, 0, "the new session's stream is in order");
     assert_eq!(injected, delivered + stats.flits_lost, "injected = delivered + lost");
 }

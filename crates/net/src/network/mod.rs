@@ -55,8 +55,8 @@ use routers::RouterArray;
 use wire::Wires;
 
 pub use types::{
-    DeliveredFlit, DeliveredPacket, Hop, NetConnection, NetConnectionId, NetError, NetStats,
-    NetStepReport, PacketId, ProbeToken, SetupEvent, TransientKind,
+    DeliveredFlit, Hop, NetConnection, NetConnectionId, NetError, NetStats, NetStepReport,
+    PacketId, ProbeToken, SetupEvent, TransientKind,
 };
 
 /// One end of an inter-router wire: a router and the port the wire plugs
@@ -565,7 +565,6 @@ impl NetworkSim {
         self.wires.pump_and_deliver(now, &mut self.routers, &mut self.stats);
         // Packets that finished crossing a wire are offered onward.
         self.packets.deliver_arrivals(now, &self.fabric, &mut self.routers, &mut self.stats);
-        self.packets.drain_delivered(&mut report.packets);
         // Cycle-accurate invariant pass over the settled end-of-cycle state.
         if self.auditor.is_some() {
             // mmr-lint: allow(A-TRANS, reason="the audit pass runs only with an auditor armed, which no unaudited step is; its lists are amortized scratch and the violation store is capped")
@@ -651,7 +650,6 @@ fn deliver_at_ni(
 ) -> DeliveredFlit {
     let in_order = flit.seq == conn.next_seq;
     conn.next_seq = flit.seq + 1;
-    conn.delivered += 1;
     let latency = now.since(flit.injected_at);
     stats.latency.record(latency.as_f64());
     stats.flits_delivered += 1;

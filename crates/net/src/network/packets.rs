@@ -11,7 +11,7 @@ use mmr_sim::Cycles;
 
 use super::fabric::Fabric;
 use super::routers::RouterArray;
-use super::{DeliveredPacket, Endpoint, NetError, NetStats, Owner, PacketId};
+use super::{Endpoint, NetError, NetStats, Owner, PacketId};
 use crate::routing::{RouteCtx, RoutingAlgorithm};
 use crate::topology::{NodeId, Topology};
 
@@ -19,7 +19,6 @@ use crate::topology::{NodeId, Topology};
 struct PacketState {
     dst: NodeId,
     kind: FlitKind,
-    hops: u32,
     injected_at: Cycles,
     /// Per-packet routing state (up*/down* phase, butterfly walk segment,
     /// Valiant intermediate — whatever the active algorithm carries).
@@ -49,8 +48,6 @@ pub(super) struct PacketPlane {
     blocked: Vec<(Endpoint, PacketId)>,
     /// Scratch for the blocked-packet retry pass (capacity persists).
     blocked_scratch: Vec<(Endpoint, PacketId)>,
-    /// Packets that reached their destination since the last drain.
-    delivered: Vec<DeliveredPacket>,
     next_packet: u64,
 }
 
@@ -76,7 +73,7 @@ impl PacketPlane {
             return Err(NetError::NoTerminalPort { node: src });
         };
         let ctx = fabric.routing().initial_ctx(src, dst, id.0);
-        let state = PacketState { dst, kind, hops: 0, injected_at: now, ctx, buffered_at: None };
+        let state = PacketState { dst, kind, injected_at: now, ctx, buffered_at: None };
         self.packets.insert(id, state);
         self.offer((src, entry), id, now, fabric, routers, stats);
         Ok(id)
@@ -161,7 +158,6 @@ impl PacketPlane {
         match topology.peer_of(node, output) {
             Some(at) => {
                 if let Some(state) = self.packets.get_mut(&packet) {
-                    state.hops += 1;
                     state.buffered_at = None;
                 }
                 // mmr-lint: allow(A-TRANS, reason="amortized: the arrival buffer keeps its capacity across cycles (scratch-swap delivery pass)")
@@ -173,8 +169,6 @@ impl PacketPlane {
                 let latency = now.since(state.injected_at);
                 stats.packet_latency.record(latency.as_f64());
                 stats.packets_delivered += 1;
-                // mmr-lint: allow(A-TRANS, reason="per-step delivery report handed to the caller; growth amortizes over the step's own deliveries")
-                self.delivered.push(DeliveredPacket { packet, at: node, hops: state.hops, latency });
             }
         }
     }
@@ -228,12 +222,6 @@ impl PacketPlane {
     /// Every buffered packet with the router holding it.
     pub(super) fn buffered(&self) -> impl Iterator<Item = (NodeId, PacketId)> + '_ {
         self.packets.iter().filter_map(|(&packet, state)| Some((state.buffered_at?, packet)))
-    }
-
-    /// Moves the deliveries recorded since the last call into `out`.
-    pub(super) fn drain_delivered(&mut self, out: &mut Vec<DeliveredPacket>) {
-        // mmr-lint: allow(A-TRANS, reason="per-step report handed to the caller by value; append drains the pending queue without reallocating it")
-        out.append(&mut self.delivered);
     }
 
     /// The wire between `a` and `b` was cut: packets on it, in either

@@ -112,35 +112,26 @@ fn link_load_tracks_reservations() {
 #[test]
 fn packets_reach_their_destination() {
     let mut net = mesh_net();
-    let mut got = Vec::new();
     net.send_packet(NodeId(0), NodeId(8), FlitKind::Control, Cycles(0)).expect("valid");
     net.send_packet(NodeId(3), NodeId(5), FlitKind::BestEffort, Cycles(0)).expect("valid");
     for t in 0..100u64 {
-        let rep = net.step(Cycles(t));
-        got.extend(rep.packets);
+        net.step(Cycles(t));
     }
-    assert_eq!(got.len(), 2, "both packets delivered: {got:?}");
-    assert_eq!(net.stats().packets_delivered, 2);
-    for p in &got {
-        assert!(p.hops >= 1);
-    }
+    assert_eq!(net.stats().packets_delivered, 2, "both packets delivered");
 }
 
 #[test]
 fn control_packets_cut_through_an_idle_network() {
     let mut net = mesh_net();
     net.send_packet(NodeId(0), NodeId(2), FlitKind::Control, Cycles(0)).expect("valid");
-    let mut latency = None;
     for t in 0..50u64 {
-        if let Some(p) = net.step(Cycles(t)).packets.first() {
-            latency = Some(p.latency);
-            break;
-        }
+        net.step(Cycles(t));
     }
-    let latency = latency.expect("delivered");
+    let latency = &net.stats().packet_latency;
+    assert_eq!(latency.count(), 1, "delivered");
     // Two wire hops with cut-through at intermediate routers: a handful
     // of cycles, far below the buffered worst case.
-    assert!(latency <= Cycles(6), "cut-through latency {latency}");
+    assert!(latency.mean() <= 6.0, "cut-through latency {}", latency.mean());
     let cut_throughs: u64 = (0..9).map(|n| net.router(NodeId(n)).stats().cut_throughs).sum();
     assert!(cut_throughs >= 1);
 }

@@ -1,7 +1,6 @@
 //! The network's public vocabulary: ids, errors, per-step reports and
 //! aggregate statistics.
 
-use mmr_core::conn::QosClass;
 use mmr_core::flit::{Flit, FlitKind};
 use mmr_core::ids::{ConnRef, PortId};
 use mmr_sim::{Accumulator, Cycles};
@@ -134,8 +133,6 @@ pub struct SetupEvent {
     pub result: Result<NetConnectionId, SetupError>,
     /// Cycles from the request to this event (probe travel + ack return).
     pub latency: Cycles,
-    /// Probe hops consumed (forward + backtrack moves).
-    pub probe_hops: u32,
 }
 
 /// One hop of an established connection.
@@ -152,16 +149,8 @@ pub struct Hop {
 pub struct NetConnection {
     /// Network-wide id.
     pub id: NetConnectionId,
-    /// Source node.
-    pub src: NodeId,
-    /// Destination node.
-    pub dst: NodeId,
-    /// Service class.
-    pub class: QosClass,
     /// Per-router hops, source first.
     pub hops: Vec<Hop>,
-    /// Flits delivered at the destination NI.
-    pub delivered: u64,
     /// Next expected sequence number (in-order check).
     pub next_seq: u64,
 }
@@ -179,26 +168,11 @@ pub struct DeliveredFlit {
     pub in_order: bool,
 }
 
-/// A VCT packet that reached its destination this cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DeliveredPacket {
-    /// The packet.
-    pub packet: PacketId,
-    /// Destination node.
-    pub at: NodeId,
-    /// Hops traversed.
-    pub hops: u32,
-    /// End-to-end latency in flit cycles.
-    pub latency: Cycles,
-}
-
 /// The result of one network flit cycle.
 #[derive(Debug, Clone, Default)]
 pub struct NetStepReport {
     /// Stream flits delivered at their destination NIs.
     pub delivered: Vec<DeliveredFlit>,
-    /// VCT packets delivered at their destination nodes.
-    pub packets: Vec<DeliveredPacket>,
     /// Asynchronous setups that completed this cycle.
     pub setups: Vec<SetupEvent>,
     /// Flits transmitted by any router this cycle.

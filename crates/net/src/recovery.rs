@@ -305,10 +305,14 @@ pub struct RecoveryStats {
     /// Sessions parked on an unreachable destination (one count per park;
     /// a session can park again after an unsuccessful unpark).
     pub partitioned: u64,
-    /// Sessions closed voluntarily ([`RecoveryManager::close`]): departures
-    /// and load-shed preemptions.
+    /// For tests: sessions closed voluntarily ([`RecoveryManager::close`]):
+    /// departures and load-shed preemptions (pinned through this struct's
+    /// `Debug` in the control-plane transcript).
+    #[doc(hidden)]
     pub closed: u64,
-    /// Successful one-rung rate upgrades ([`RecoveryManager::upgrade`]).
+    /// For tests: successful one-rung rate upgrades
+    /// ([`RecoveryManager::upgrade`]; pinned like `closed`).
+    #[doc(hidden)]
     pub upgraded: u64,
     /// Fault-to-recovery latency (flit cycles) per recovered incident.
     pub time_to_recover: Accumulator,

@@ -93,8 +93,6 @@ pub struct SetupReceipt {
     pub conn: NetConnectionId,
     /// Probe hops consumed (forward moves + backtracks).
     pub probe_hops: u32,
-    /// Number of backtrack moves the probe made (0 for first-try paths).
-    pub backtracks: u32,
 }
 
 #[derive(Debug, Clone)]
@@ -133,7 +131,6 @@ pub struct ProbeMachine {
     /// equivalent to the paper's per-input-VC stores here.
     history: BTreeMap<NodeId, Vec<PortId>>,
     probe_hops: u32,
-    backtracks: u32,
 }
 
 impl ProbeMachine {
@@ -154,13 +151,7 @@ impl ProbeMachine {
             stack,
             history: BTreeMap::new(),
             probe_hops: 0,
-            backtracks: 0,
         }
-    }
-
-    /// Probe hops consumed so far (forward + backtrack moves).
-    pub fn probe_hops(&self) -> u32 {
-        self.probe_hops
     }
 
     /// Routers currently holding a reservation for this probe.
@@ -311,14 +302,10 @@ impl ProbeMachine {
             .collect();
         let conn = net.register_connection(NetConnection {
             id: NetConnectionId(0), // overwritten on registration
-            src: self.src,
-            dst: self.dst,
-            class: self.class,
             hops,
-            delivered: 0,
             next_seq: 0,
         });
-        Ok(SetupReceipt { conn, probe_hops: self.probe_hops, backtracks: self.backtracks })
+        Ok(SetupReceipt { conn, probe_hops: self.probe_hops })
     }
 
     /// Pops the top frame and releases the reservation that led to it.
@@ -337,7 +324,6 @@ impl ProbeMachine {
             }
         }
         self.probe_hops += 1;
-        self.backtracks += 1;
         ProbeStep::Backtracked
     }
 
@@ -373,8 +359,8 @@ pub(crate) struct ProbeQueue {
     active: Vec<ActiveProbe>,
     /// Probes aborted by a node failure, reported as
     /// [`SetupError::Aborted`] completions by the next
-    /// [`NetworkSim::step`]: `(token, started_at, probe_hops)`.
-    aborted: Vec<(ProbeToken, Cycles, u32)>,
+    /// [`NetworkSim::step`]: `(token, started_at)`.
+    aborted: Vec<(ProbeToken, Cycles)>,
     next_token: u64,
 }
 
@@ -414,13 +400,12 @@ impl NetworkSim {
         let mut queue = std::mem::take(&mut self.probes);
         // Probes torn down by a node failure complete as `Aborted` here,
         // with latency measured like any other completion.
-        for (token, started_at, probe_hops) in queue.aborted.drain(..) {
+        for (token, started_at) in queue.aborted.drain(..) {
             // mmr-lint: allow(A-TRANS, reason="per-step report handed to the caller by value; setup completions are control-plane rare")
             done.push(SetupEvent {
                 token,
                 result: Err(SetupError::Aborted),
                 latency: now.since(started_at),
-                probe_hops,
             });
         }
         queue.active.retain_mut(|probe| {
@@ -447,12 +432,7 @@ impl NetworkSim {
                 }
             };
             // mmr-lint: allow(A-TRANS, reason="per-step report handed to the caller by value; setup completions are control-plane rare")
-            done.push(SetupEvent {
-                token: probe.token,
-                result,
-                latency: now.since(probe.started_at),
-                probe_hops: probe.machine.probe_hops(),
-            });
+            done.push(SetupEvent { token: probe.token, result, latency: now.since(probe.started_at) });
             false
         });
         self.probes = queue;
@@ -466,9 +446,8 @@ impl NetworkSim {
         queue.active.retain_mut(|probe| {
             let doomed = probe.machine.visits(node);
             if doomed {
-                let hops = probe.machine.probe_hops();
                 probe.machine.abort(self);
-                queue.aborted.push((probe.token, probe.started_at, hops));
+                queue.aborted.push((probe.token, probe.started_at));
             }
             !doomed
         });
@@ -548,7 +527,6 @@ mod tests {
         // Minimal 0->8 distance is 4: the probe advanced 4 times plus the
         // source frame; no backtracking needed.
         assert_eq!(receipt.probe_hops, 4);
-        assert_eq!(receipt.backtracks, 0);
         let conn = n.connection(receipt.conn).expect("registered");
         assert_eq!(conn.hops.len(), 5, "five routers on a minimal 0->8 path");
         assert_eq!(conn.hops.first().map(|h| h.node), Some(NodeId(0)));

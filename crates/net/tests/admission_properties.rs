@@ -337,7 +337,12 @@ proptest! {
             prop_assert!(mgr.indexes_agree(), "an index disagrees with the rows");
             prop_assert_eq!(mgr.sessions(), live.len(), "the table holds exactly the live sessions");
             for (id, conn) in mgr.active() {
-                let carried = net.connection(conn).map(|c| ((c.src, c.dst), c.class));
+                // Endpoints from the path, the class from the routers.
+                let carried = net.connection(conn).and_then(|c| {
+                    let (first, last) = (c.hops.first()?, c.hops.last()?);
+                    let class = net.router(first.node).connection(first.local)?.class;
+                    Some(((first.node, last.node), class))
+                });
                 prop_assert_eq!(
                     carried,
                     mgr.endpoints(id).zip(mgr.class(id)),

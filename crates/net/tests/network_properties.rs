@@ -84,18 +84,15 @@ proptest! {
             // admission outcome, not a failure of this property.
             return Ok(());
         };
-        let mut injected = 0u64;
-        for t in 0..cycles {
-            if t % period == 0 && net.can_inject(conn) {
+        let (mut injected, mut delivered) = (0u64, 0u64);
+        for t in 0..cycles + 100 {
+            if t < cycles && t % period == 0 && net.can_inject(conn) {
                 net.inject(conn, Cycles(t)).expect("checked");
                 injected += 1;
             }
-            net.step(Cycles(t));
+            delivered += net.step(Cycles(t)).delivered.len() as u64;
         }
-        for t in cycles..cycles + 100 {
-            net.step(Cycles(t));
-        }
-        prop_assert_eq!(net.connection(conn).expect("live").delivered, injected);
+        prop_assert_eq!(delivered, injected);
         prop_assert_eq!(net.stats().out_of_order, 0);
     }
 }

@@ -79,7 +79,8 @@ impl Accumulator {
         (self.count > 0).then_some(self.min)
     }
 
-    /// Largest sample; `None` when empty.
+    /// For tests: largest sample; `None` when empty.
+    #[doc(hidden)]
     pub fn max(&self) -> Option<f64> {
         (self.count > 0).then_some(self.max)
     }
@@ -107,13 +108,12 @@ impl Accumulator {
 
 /// A fixed-width-bin histogram over non-negative samples.
 ///
-/// Values at or above the top edge land in the overflow bin so tails are
-/// never silently dropped.
+/// Values at or above the top edge land in no bin but still count toward
+/// the total, so tails are never silently dropped.
 #[derive(Debug, Clone)]
 pub struct Histogram {
     bin_width: f64,
     bins: Vec<u64>,
-    overflow: u64,
     total: u64,
 }
 
@@ -127,7 +127,7 @@ impl Histogram {
         // mmr-lint: allow(P-TRANS, reason="construction-time config validation; unreachable from the per-cycle path")
         assert!(bin_width > 0.0, "bin width must be positive");
         assert!(bins > 0, "need at least one bin"); // mmr-lint: allow(P-TRANS, reason="construction-time config validation; unreachable from the per-cycle path")
-        Histogram { bin_width, bins: vec![0; bins], overflow: 0, total: 0 }
+        Histogram { bin_width, bins: vec![0; bins], total: 0 }
     }
 
     /// Records one sample. Negative samples count into bin 0.
@@ -137,8 +137,6 @@ impl Histogram {
         if idx < self.bins.len() {
             // mmr-lint: allow(P-TRANS, reason="idx is range-checked against the bin count on the line above")
             self.bins[idx] += 1;
-        } else {
-            self.overflow += 1;
         }
     }
 
@@ -151,7 +149,7 @@ impl Histogram {
     /// For tests: the count of samples beyond the last bin.
     #[doc(hidden)]
     pub fn overflow(&self) -> u64 {
-        self.overflow
+        self.total - self.bins.iter().sum::<u64>()
     }
 
     /// For tests: the samples recorded.
@@ -226,7 +224,6 @@ pub struct DelayJitterRecorder {
     /// the ascending-key order of the `BTreeMap` this replaced, so every
     /// float reduction visits flows in the same order.
     per_flow: Vec<Option<FlowJitter>>,
-    flows: usize,
     /// Fixed-bin delay histogram (all flits pooled) for tail percentiles.
     delay_hist: Histogram,
     /// Fixed-bin |Δdelay| histogram (flit-weighted, all flows pooled).
@@ -238,7 +235,6 @@ impl Default for DelayJitterRecorder {
         DelayJitterRecorder {
             delay: Accumulator::new(),
             per_flow: Vec::new(),
-            flows: 0,
             delay_hist: Histogram::new(TAIL_BIN_WIDTH, TAIL_BINS),
             jitter_hist: Histogram::new(TAIL_BIN_WIDTH, TAIL_BINS),
         }
@@ -279,7 +275,6 @@ impl DelayJitterRecorder {
             }
             slot => {
                 *slot = Some(FlowJitter { last_delay: d, jitter: Accumulator::new() });
-                self.flows += 1;
             }
         }
     }
@@ -288,11 +283,6 @@ impl DelayJitterRecorder {
     /// the cycles→µs conversion).
     pub fn mean_delay_cycles(&self) -> f64 {
         self.delay.mean()
-    }
-
-    /// Largest single-flit delay observed, in cycles.
-    pub fn max_delay_cycles(&self) -> f64 {
-        self.delay.max().unwrap_or(0.0)
     }
 
     /// Total flits recorded.
@@ -351,7 +341,7 @@ impl DelayJitterRecorder {
     /// For tests: the connections that have produced a flit.
     #[doc(hidden)]
     pub fn flows(&self) -> usize {
-        self.flows
+        self.per_flow.iter().flatten().count()
     }
 }
 

@@ -15,7 +15,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use mmr_core::conn::{ConnectionRequest, QosClass};
-use mmr_core::ids::{ConnRef, ConnectionId, PortId};
+use mmr_core::ids::{ConnRef, PortId};
 use mmr_core::router::{EstablishError, Router, Transmitted};
 use mmr_sim::{Bandwidth, Cycles, SeededRng};
 
@@ -130,19 +130,6 @@ impl CbrSource {
     }
 }
 
-/// One admitted connection of a CBR workload.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CbrConnection {
-    /// The router's connection id.
-    pub id: ConnectionId,
-    /// The connection's data rate.
-    pub rate: Bandwidth,
-    /// Input port.
-    pub input: PortId,
-    /// Output port.
-    pub output: PortId,
-}
-
 /// Calendar-wheel horizon in cycles (a power of two). Wake cycles within
 /// `horizon` of the wheel cursor live in O(1) buckets; farther ones (the
 /// slowest rate rungs — a 64 Kbps source fires every ~19 375 cycles) wait in
@@ -166,7 +153,8 @@ const WHEEL_MASK: u64 = WHEEL_SLOTS as u64 - 1;
 /// be left as the workload set it.
 #[derive(Debug, Clone)]
 pub struct CbrWorkload {
-    connections: Vec<CbrConnection>,
+    /// Each admitted connection's rate, in source order.
+    rates: Vec<Bandwidth>,
     sources: Vec<CbrSource>,
     offered: Bandwidth,
     /// Calendar buckets: source indices due at cycle `c` live in bucket
@@ -215,7 +203,7 @@ impl CbrWorkload {
         let ports = dims.ports();
         let capacity = dims.timing().link_rate() * ports as f64;
         let mut offered = Bandwidth::ZERO;
-        let mut connections = Vec::new();
+        let mut rates = Vec::new();
         let mut sources = Vec::new();
         let mut attempts_failed = 0u32;
         // Each failed attempt leaves the router unchanged, so a bounded
@@ -244,7 +232,7 @@ impl CbrWorkload {
                     offered += rate;
                     let interarrival = dims.timing().interarrival_cycles(rate);
                     sources.push(CbrSource::new(conn, interarrival, rng));
-                    connections.push(CbrConnection { id: conn.id, rate, input, output });
+                    rates.push(rate);
                 }
                 Err(
                     EstablishError::Admission(_)
@@ -264,7 +252,7 @@ impl CbrWorkload {
         let mut workload = CbrWorkload {
             parked: vec![false; sources.len()],
             retry: Vec::new(),
-            connections,
+            rates,
             sources,
             offered,
             buckets: vec![Vec::new(); WHEEL_SLOTS],
@@ -334,9 +322,9 @@ impl CbrWorkload {
         self.cursor = t;
     }
 
-    /// The admitted connections.
-    pub fn connections(&self) -> &[CbrConnection] {
-        &self.connections
+    /// The rate of each admitted connection, in source order.
+    pub fn connections(&self) -> &[Bandwidth] {
+        &self.rates
     }
 
     /// Achieved offered load as a fraction of `ports × link_rate`.
@@ -460,7 +448,7 @@ impl CbrWorkload {
 mod tests {
     use super::*;
     use crate::rates::paper_rate_ladder;
-    use mmr_core::ids::VcRef;
+    use mmr_core::ids::{ConnectionId, VcRef};
     use mmr_core::router::RouterConfig;
 
     /// A handle for sources that are only asked what is due.

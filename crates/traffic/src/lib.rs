@@ -44,7 +44,7 @@ pub use churn::{
     ChurnConfig, ChurnEvent, ChurnEventKind, ChurnSchedule, DiurnalCurve, SessionClass,
     SessionPlan,
 };
-pub use cbr::{CbrConnection, CbrSource, CbrWorkload, SlotClock};
+pub use cbr::{CbrSource, CbrWorkload, SlotClock};
 pub use driver::{Experiment, ExperimentResult, RateClassResult};
 pub use rates::{paper_rate_ladder, scaled_rate_ladder};
 pub use vbr::{FrameType, MpegGopModel, VbrSource, GOP_PATTERN};

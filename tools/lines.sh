@@ -13,20 +13,23 @@
 #   except the linter's deliberately bad fixtures (crates/lint/tests/
 #   fixtures) and any build directory (`*/target/*`). Vendored stand-ins
 #   (vendor/) are not first-party.
-# - Non-test lines of crate <c>: the files under crates/<c>/src, each up to
-#   its first line that starts (after indentation) with `#[cfg(test)]` or
-#   `#![cfg(test)]` — a file whose first line is `#![cfg(test)]` counts
-#   nothing. Everything after that line counts as test code, as do the
-#   crate's tests/ and examples/. perfbench (crates/bench/examples/
-#   perfbench, its own package) is reported on its own row, counted whole.
+# - Non-test lines of crate <c>: the lines of the files under crates/<c>/src
+#   that tools/testcut.awk, the cut tools/reach.sh marks by, does not call
+#   test code (a file from its `#![cfg(test)]` on, and each `#[cfg(test)]`
+#   item, field or statement). The crate's tests/ and examples/ are test
+#   code too. perfbench (crates/bench/examples/perfbench, its own package)
+#   is reported on its own row, counted whole. The cut is this checkout's
+#   even for <rev>, so a before and after share it.
 # - `lines` counts every line; `code` leaves out blank lines and lines that
 #   are only a `//` comment (doc comments included), so trimming docs or
 #   reflowing moves `lines` but not `code`.
-# - tools: every tools/*.sh on its own row, `code` leaving out blank lines
-#   and `#` comments, so a check moved from Rust into a script still counts.
+# - tools: every tools/*.sh and tools/*.awk on its own row, `code` leaving
+#   out blank lines and `#` comments, so a check moved from Rust into a
+#   script still counts.
 set -eu
 
 root=$(git rev-parse --show-toplevel)
+testcut=$(cat "$root/tools/testcut.awk")
 tree=$root
 if [ $# -ge 1 ]; then
     tree=$(mktemp -d)
@@ -35,13 +38,11 @@ if [ $# -ge 1 ]; then
 fi
 cd "$tree"
 
-# Prints "<lines> <code>" for the files on stdin, each cut at its first
-# cfg(test) line when $1 is `cut`.
+# Prints "<lines> <code>" for the files on stdin, test code left out when
+# $1 is `cut`.
 count() {
-    xargs -r awk -v cut="$1" '
-        FNR == 1 { testing = 0 }
-        cut == "cut" && /^[ \t]*#!?\[cfg\(test\)\]/ { testing = 1 }
-        testing { next }
+    xargs -r awk -v cut="$1" "$testcut"'
+        cut == "cut" && test_code { next }
         { lines++ }
         !/^[ \t]*$/ && !/^[ \t]*\/\// { code++ }
         END { printf "%d %d\n", lines, code }' |
@@ -65,6 +66,6 @@ printf '%-18s %8d %8d\n' "bench/perfbench" "$1" "$2"
 set -- $(find crates src tests examples -name '*.rs' -not -path '*/target/*' \
     -not -path 'crates/lint/tests/fixtures/*' | sort | count whole)
 printf '%-18s %8d %8d\n' "first-party total" "$1" "$2"
-set -- $(awk '{ lines++ } !/^[ \t]*$/ && !/^[ \t]*#/ { code++ }
-    END { printf "%d %d\n", lines, code }' tools/*.sh)
-printf '%-18s %8d %8d\n' "tools (sh)" "$1" "$2"
+set -- $(find tools -name '*.sh' -o -name '*.awk' | sort | xargs awk '{ lines++ }
+    !/^[ \t]*$/ && !/^[ \t]*#/ { code++ } END { printf "%d %d\n", lines, code }')
+printf '%-18s %8d %8d\n' "tools (sh, awk)" "$1" "$2"
