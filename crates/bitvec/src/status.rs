@@ -171,24 +171,14 @@ impl StatusBits {
         self.mask_tail();
     }
 
-    /// Copies another vector of the same length into this one without
-    /// reallocating — the in-place analogue of `clone`.
+    /// For tests: clears every bit that is set in `other` — an in-place
+    /// AND-NOT, the composed form the fused
+    /// [`StatusBits::copy_intersection_minus`] is checked against.
     ///
     /// # Panics
     ///
     /// Panics if the lengths differ.
-    pub fn copy_from(&mut self, other: &StatusBits) {
-        self.zip_len(other);
-        self.words_mut().copy_from_slice(other.words());
-    }
-
-    /// Clears every bit that is set in `other` — an in-place AND-NOT, the
-    /// word-parallel building block for "members of A not in B" domain
-    /// subtraction without allocating an intermediate complement.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths differ.
+    #[doc(hidden)]
     pub fn subtract(&mut self, other: &StatusBits) {
         self.zip_len(other);
         for (a, b) in self.words_mut().iter_mut().zip(other.words()) {
@@ -196,20 +186,8 @@ impl StatusBits {
         }
     }
 
-    /// Whether this vector and `other` share any set bit — a whole-vector
-    /// intersection test that inspects one u64 per 64 lanes and never
-    /// materialises the intersection.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths differ.
-    pub fn intersects(&self, other: &StatusBits) -> bool {
-        self.zip_len(other);
-        self.words().iter().zip(other.words()).any(|(a, b)| a & b != 0)
-    }
-
     /// Writes `a ∩ b` into `self` and returns its population count — the
-    /// fused form of `copy_from` + `&=` + `count_ones`, one pass over the
+    /// fused form of a copy, `&=` and a population count, one pass over the
     /// backing words instead of three. This is the link scheduler's
     /// eligible-set query (`flits_available ∧ credits_available`) and its
     /// per-phase domain build, which run for every port every flit cycle.
@@ -230,9 +208,8 @@ impl StatusBits {
     }
 
     /// Writes `(a ∩ b) \ exclude` into `self` and returns its population
-    /// count — the quota-enforcing domain build (class members with a
-    /// stream head whose round quota is not yet exhausted), fused into one
-    /// pass.
+    /// count — the quota-enforcing domain build (eligible class members
+    /// whose round quota is not yet exhausted), fused into one pass.
     ///
     /// # Panics
     ///
@@ -257,7 +234,8 @@ impl StatusBits {
         count
     }
 
-    /// Number of set bits.
+    /// For tests: number of set bits.
+    #[doc(hidden)]
     pub fn count_ones(&self) -> usize {
         self.words().iter().map(|w| w.count_ones() as usize).sum()
     }
@@ -537,16 +515,6 @@ mod tests {
     }
 
     #[test]
-    fn intersects_without_materialising() {
-        let a = StatusBits::from_set_bits(130, [3, 129]);
-        let b = StatusBits::from_set_bits(130, [129]);
-        let c = StatusBits::from_set_bits(130, [4, 64]);
-        assert!(a.intersects(&b));
-        assert!(!a.intersects(&c));
-        assert!(!StatusBits::zeros(130).intersects(&a));
-    }
-
-    #[test]
     fn assign_ops() {
         let mut a = StatusBits::from_set_bits(64, [1, 2, 3]);
         let b = StatusBits::from_set_bits(64, [2, 3, 4]);
@@ -563,19 +531,11 @@ mod tests {
     }
 
     #[test]
-    fn set_all_and_copy_from() {
+    fn set_all_sets_every_lane() {
         let mut v = StatusBits::zeros(70);
         v.set_all();
         assert_eq!(v.count_ones(), 70);
-        let src = StatusBits::from_set_bits(70, [0, 69]);
-        v.copy_from(&src);
-        assert_eq!(v.iter_set().collect::<Vec<_>>(), vec![0, 69]);
-    }
-
-    #[test]
-    #[should_panic(expected = "equal length")]
-    fn copy_from_mismatched_lengths_panics() {
-        StatusBits::zeros(64).copy_from(&StatusBits::zeros(65));
+        assert_eq!(v, StatusBits::ones(70));
     }
 
     #[test]

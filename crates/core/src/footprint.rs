@@ -35,19 +35,24 @@ const STATUS_VECTOR: usize = 48;
 /// VCs a status vector holds without spilling.
 const INLINE_VCS: usize = 256;
 /// Status vectors an input port accounts, each spilling past
-/// [`INLINE_VCS`]: the VCM's three (`flits_available` and its two head-kind
-/// vectors), the seven-condition status matrix, the link scheduler's five
-/// scratch vectors, the four class masks and the retired classification
-/// vector.
+/// [`INLINE_VCS`]: the VCM's three (`flits_available` and its two retired
+/// head-kind vectors), the seven-condition status matrix, the link
+/// scheduler's five scratch vectors (three of them retired head-partition
+/// vectors), the four class masks and the retired classification vector.
+/// A retired vector has no code left: a packet's class is its flit's kind,
+/// so the class masks say what the head-kind vectors said. It stays
+/// accounted, like [`RETIRED_CLASSIFIED`], until the digests are re-pinned.
 const INPUT_VECTORS: usize = 3 + 7 + 5 + 4 + 1;
 
-/// The VCM of one input port, its three status vectors included.
+/// The VCM of one input port, its three status vectors included (two of
+/// them the retired head-kind vectors and their counts).
 const VCM: usize = 240;
 /// The seven-condition status matrix of §4.1: a 32-byte header and seven
 /// inline vectors.
 const STATUS_MATRIX: usize = 32 + 7 * STATUS_VECTOR;
-/// The link scheduler's scratch (five vectors and a candidate list),
-/// counted once per input port.
+/// The link scheduler's scratch (five vectors — `eligible`, `domain` and
+/// three retired head-partition vectors — and a candidate list), counted
+/// once per input port.
 const LINK_SCHEDULER: usize = 264;
 /// The per-VC scheduling records' table header.
 const RECORDS_HEADER: usize = 16;

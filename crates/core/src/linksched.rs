@@ -8,17 +8,18 @@
 //! CBR_Completely_Serviced)."
 //!
 //! Selection starts from the bit-vector *eligible* set and walks it phase by
-//! phase, per the §4.3 service order: each phase's domain is a few
-//! word-parallel operations on class, head-kind and serviced masks, and a
-//! VC is classified only when the walk visits it. Up to `C` virtual
-//! channels with distinct output ports are picked — one flit per output is
-//! all an input can use in a cycle. Two selection rules are provided (see
-//! [`CandidatePolicy`]): a rotating scan that stops at `C` distinct outputs
-//! (default) and a priority-sorted variant that sorts the whole walk; the
-//! iterative schemes take the whole walk too. The per-flit priorities (the
-//! biased ratio of §5.1, or static bandwidth-class priorities) ride along on
-//! the candidates and are used by the *switch scheduler* to arbitrate output
-//! conflicts.
+//! phase, per the §4.3 service order: each phase's domain is its class mask
+//! ∩ eligible, less the serviced bank where the phase has one, and a VC is
+//! classified only when the walk visits it. No head flit's kind is read: a
+//! single-flit packet's connection has the class of its kind. Up to `C`
+//! virtual channels with distinct output ports are picked — one flit per
+//! output is all an input can use in a cycle. Two selection rules are
+//! provided (see [`CandidatePolicy`]): a rotating scan that stops at `C`
+//! distinct outputs (default) and a priority-sorted variant that sorts the
+//! whole walk; the iterative schemes take the whole walk too. The per-flit
+//! priorities (the biased ratio of §5.1, or static bandwidth-class
+//! priorities) ride along on the candidates and are used by the *switch
+//! scheduler* to arbitrate output conflicts.
 //!
 //! A select reads bit vectors, one [`VcSched`] record per visited VC and
 //! the VCM's head ready time; only a VBR connection's quota position sends
@@ -211,7 +212,8 @@ pub enum CandidatePolicy {
 pub struct LinkSchedView<'a> {
     /// The input port being scheduled.
     pub port: PortId,
-    /// The port's virtual channel memory (head flits and their ready times).
+    /// The port's virtual channel memory (`flits_available` and head ready
+    /// times).
     pub vcm: &'a VirtualChannelMemory,
     /// §4.1's `credits_available`: the VCs whose mapped output VC holds a
     /// credit (set on mapped VCs only).
@@ -269,7 +271,7 @@ const PHASES: [ServicePhase; 5] = [
 /// The link scheduler with its reusable scratch state.
 ///
 /// The selection pass runs every flit cycle for every port, so all working
-/// storage (the eligible and per-phase bit vectors, the sorted list) lives
+/// storage (the eligible and domain bit vectors, the sorted list) lives
 /// here and is reused across cycles — [`LinkScheduler::select`] performs no
 /// heap allocation. Nothing in it outlives a select (the rotating pointer
 /// is the port's, passed in the view), so a router keeps one and lends it
@@ -280,12 +282,6 @@ pub struct LinkScheduler {
     eligible: StatusBits,
     /// Scratch: the current phase's candidate domain.
     domain: StatusBits,
-    /// Scratch: eligible VCs whose head is a stream (data/command) flit.
-    stream_heads: StatusBits,
-    /// Scratch: eligible VCs whose head is a control flit.
-    control_heads: StatusBits,
-    /// Scratch: eligible VCs whose head is a best-effort flit.
-    best_effort_heads: StatusBits,
     /// Scratch: the whole walk, sorted (PrioritySorted policy only).
     sorted: Vec<Candidate>,
 }
@@ -296,9 +292,6 @@ impl LinkScheduler {
         LinkScheduler {
             eligible: StatusBits::zeros(vcs),
             domain: StatusBits::zeros(vcs),
-            stream_heads: StatusBits::zeros(vcs),
-            control_heads: StatusBits::zeros(vcs),
-            best_effort_heads: StatusBits::zeros(vcs),
             sorted: Vec::new(),
         }
     }
@@ -359,63 +352,34 @@ impl LinkScheduler {
         self.sorted.clear();
         let walked = if sorted { &mut self.sorted } else { &mut *out };
 
-        // Partition the eligible set by head-flit kind — but lazily: on most
-        // cycles every eligible head is a stream (data/command) flit, so
-        // `stream_heads == eligible` (and is used as such) and the partition
-        // collapses to two word-parallel membership tests. Head kinds are
-        // mutually exclusive, so `eligible = stream ∪ control ∪ best-effort`.
-        let control_heads_any = view.vcm.has_control_heads()
-            && view.vcm.head_control_bits().intersects(&self.eligible);
-        let be_heads_any = view.vcm.has_best_effort_heads()
-            && view.vcm.head_best_effort_bits().intersects(&self.eligible);
-        let split_heads = control_heads_any || be_heads_any;
-        if split_heads {
-            self.stream_heads.copy_from(&self.eligible);
-            self.stream_heads.subtract(view.vcm.head_control_bits());
-            self.stream_heads.subtract(view.vcm.head_best_effort_bits());
-            self.control_heads.copy_from(&self.eligible);
-            self.control_heads &= view.vcm.head_control_bits();
-            self.best_effort_heads.copy_from(&self.eligible);
-            self.best_effort_heads &= view.vcm.head_best_effort_bits();
-        }
-
-        // The one place a VC is classified: each phase's *domain* comes from
-        // the class, head-kind and serviced masks by word-parallel
-        // operations, and `classify_in` runs on visit, trusting the domain
-        // for class and head. The control, CBR and best-effort domains hold
-        // exactly the eligible VCs of their phase; the VBR domain, shared by
-        // both VBR phases, is a superset of each, so the walk re-checks the
-        // phase the quota position gives. `reference_select` holds the
+        // The one place a VC is classified: each phase's *domain* is its
+        // class mask ∩ `eligible` (less the serviced bank), and
+        // `classify_in` runs on visit, trusting the domain for the class. A
+        // packet's class is its flit's kind (only `Router::inject_packet`
+        // queues a control or best-effort flit, on a connection of that
+        // class), so the class masks hold every packet VC. The control, CBR
+        // and best-effort domains hold exactly the eligible VCs of their
+        // phase; the VBR domain, shared by both VBR phases, is a superset of
+        // each, so the walk re-checks the phase the quota position gives.
+        // `reference_select`, which classifies by head kind first, holds the
         // builds to this.
         let mut outputs_seen = OutputSet::new();
         'phases: for phase in PHASES {
-            let stream_heads = if split_heads { &self.stream_heads } else { &self.eligible };
             // Build the phase's domain and skip it when empty. A class no
             // active VC carries is ruled out by an O(1) population test
             // (workloads are typically single-class, so most phases exit
             // there); each build is a fused single pass that also counts.
             let population = match phase {
-                // Control heads always classify as control; control-class
-                // connections follow unless a best-effort head overrides the
-                // class.
-                ServicePhase::Control if control_heads_any || view.classes.has_control() => {
-                    let n = self.domain.copy_intersection(&view.classes.control, stream_heads);
-                    if split_heads {
-                        self.domain |= &self.control_heads;
-                        self.domain.count_ones()
-                    } else {
-                        n
-                    }
+                ServicePhase::Control if view.classes.has_control() => {
+                    self.domain.copy_intersection(&view.classes.control, &self.eligible)
                 }
-                // Stream phases: class members whose head is a data/command
-                // flit (head kind takes precedence). VCs whose round quota
-                // is already exhausted (the latched §4.4 "completely
-                // serviced" banks) are subtracted up front so the walk never
-                // visits them.
+                // VCs whose round quota is already exhausted (the latched
+                // §4.4 "completely serviced" banks) are subtracted up front
+                // so the walk never visits them.
                 ServicePhase::CbrGuaranteed if view.classes.has_cbr() => {
                     self.domain.copy_intersection_minus(
                         &view.classes.cbr,
-                        stream_heads,
+                        &self.eligible,
                         view.cbr_serviced,
                     )
                 }
@@ -427,21 +391,12 @@ impl LinkScheduler {
                 {
                     self.domain.copy_intersection_minus(
                         &view.classes.vbr,
-                        stream_heads,
+                        &self.eligible,
                         view.vbr_serviced,
                     )
                 }
-                // Best-effort heads always classify as best effort;
-                // best-effort-class connections follow unless a control head
-                // overrides the class.
-                ServicePhase::BestEffort if be_heads_any || view.classes.has_best_effort() => {
-                    let n = self.domain.copy_intersection(&view.classes.best_effort, stream_heads);
-                    if split_heads {
-                        self.domain |= &self.best_effort_heads;
-                        self.domain.count_ones()
-                    } else {
-                        n
-                    }
+                ServicePhase::BestEffort if view.classes.has_best_effort() => {
+                    self.domain.copy_intersection(&view.classes.best_effort, &self.eligible)
                 }
                 _ => 0,
             };
@@ -495,7 +450,7 @@ pub fn select_candidates(view: &LinkSchedView<'_>) -> LinkSchedOutcome {
 
 /// The candidate a VC of `domain`'s phase domain is offered as — the
 /// select walk visits the domains, so it knows the domain and reads no
-/// class or head bit. Output, connection and key come from the VC's
+/// class bit. Output, connection and key come from the VC's
 /// [`VcSched`], the reserve from `guaranteed_open`, waiting time from the
 /// VCM's head ready time; a VBR connection's quota position (and excess
 /// priority) is the one thing read from its [`ConnState`]. Returns `None`
@@ -582,7 +537,7 @@ thread_local! {
 /// replaced. Eligibility comes from the facts — a flit queued in the VCM, a
 /// connection mapped in the table, and the credits bit — and every
 /// eligible VC is classified up front from its [`ConnState`] and its VCM
-/// head flit: no record, class mask, head bit, serviced bit or
+/// head flit's kind: no record, class mask, serviced bit or
 /// `flits_available` bit is read. Then the rotating scan (or the priority
 /// order) runs over that classification, and one sort gives the proposal
 /// order.

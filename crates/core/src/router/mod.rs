@@ -501,21 +501,24 @@ impl Router {
     /// the caller models the paper's link-level flow control by retrying
     /// later.
     pub fn inject(&mut self, conn: ConnRef, now: Cycles) -> Result<(), InjectError> {
-        self.inject_kind(conn, FlitKind::Data, now)
+        self.enqueue(conn, now, |seq| Flit::data(conn.id, seq, now))
     }
 
-    /// Injects a flit of an explicit kind (data, command word, …).
+    /// Injects an in-band command word into `conn`'s stream (§4.3); the
+    /// router applies it when the flit crosses the switch. A stream carries
+    /// data and command flits only: a control or best-effort flit is a
+    /// packet, and only [`Router::inject_packet`] queues one.
     ///
     /// # Errors
     ///
     /// Same as [`Router::inject`].
-    pub fn inject_kind(
+    pub fn inject_command(
         &mut self,
         conn: ConnRef,
-        kind: FlitKind,
+        cmd: CommandWord,
         now: Cycles,
     ) -> Result<(), InjectError> {
-        self.enqueue(conn, now, |seq| Flit::new(conn.id, kind, seq, now))
+        self.enqueue(conn, now, |seq| Flit::new(conn.id, FlitKind::Command(cmd), seq, now))
     }
 
     /// Accepts a flit arriving from an upstream router for `conn`,
@@ -599,12 +602,18 @@ impl Router {
             return Ok(PacketOutcome::CutThrough);
         }
 
-        let class =
-            if matches!(kind, FlitKind::Control) { QosClass::Control } else { QosClass::BestEffort };
+        // The flit's kind is what ends its connection in `transmit`, so a
+        // kind that is not a packet's is sent as best effort, the class it
+        // is given, rather than leave a connection nothing ends.
+        let (class, kind) = if matches!(kind, FlitKind::Control) {
+            (QosClass::Control, FlitKind::Control)
+        } else {
+            (QosClass::BestEffort, FlitKind::BestEffort)
+        };
         let conn = self
             .establish(ConnectionRequest { input, output, class })
             .map_err(|_| PacketError::Blocked)?;
-        if self.inject_kind(conn, kind, now).is_err() {
+        if self.enqueue(conn, now, |seq| Flit::new(conn.id, kind, seq, now)).is_err() {
             // A freshly reserved VC should have room; if the first flit
             // bounces, the table and VCM disagree. Release the reservation,
             // count the ghost, and report backpressure instead of panicking.
@@ -857,8 +866,10 @@ impl Router {
         if state.round_spent() {
             input.latch_serviced(pair.vc, state.class);
         }
-        if !state.class.reserves_bandwidth() {
-            // A control or best-effort connection is one single-flit packet.
+        if matches!(flit.kind, FlitKind::Control | FlitKind::BestEffort) {
+            // A packet flit is its connection's one flit: `inject_packet`
+            // opened the connection for it. A best-effort or control
+            // *session* carries data flits and lives until it is torn down.
             // mmr-lint: allow(A-PUSH, reason="amortized: reusable buffer retains its capacity across cycles (PR 1 zero-alloc design)")
             self.completed_buf.push(conn);
         }

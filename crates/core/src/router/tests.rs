@@ -206,11 +206,35 @@ fn best_effort_yields_to_streams() {
 }
 
 #[test]
+fn a_best_effort_session_outlives_its_flits_and_a_packet_does_not() {
+    let mut r = small_router(ArbiterKind::BiasedPriority);
+    let best_effort = QosClass::BestEffort;
+    let session = r
+        .establish(ConnectionRequest { input: PortId(0), output: PortId(1), class: best_effort })
+        .expect("reserves nothing");
+    for _ in 0..3 {
+        r.inject(session, Cycles(0)).expect("room");
+    }
+    let mut sent = 0;
+    for t in 0..8 {
+        sent += r.step(Cycles(t)).transmitted.iter().filter(|t| t.conn == session.id).count();
+    }
+    assert_eq!(sent, 3, "every data flit of the session crosses the switch");
+    let state = r.connection(session).expect("a session lives until it is torn down");
+    assert_eq!(state.flits_forwarded, 3);
+
+    let outcome = r.inject_packet(PortId(2), PortId(3), FlitKind::BestEffort, Cycles(8));
+    let Ok(PacketOutcome::Buffered(packet)) = outcome else { panic!("buffers: {outcome:?}") };
+    assert_eq!(r.step(Cycles(8)).transmitted.len(), 1);
+    assert!(r.connection(packet).is_none(), "a packet's connection ends with its one flit");
+    assert_eq!(r.connections(), 1, "only the session is left");
+}
+
+#[test]
 fn command_word_set_priority_applies() {
     let mut r = small_router(ArbiterKind::BiasedPriority);
     let id = r.establish(cbr(124.0, 0, 1)).expect("admits");
-    r.inject_kind(id, FlitKind::Command(CommandWord::SetPriority(9)), Cycles(0))
-        .expect("room");
+    r.inject_command(id, CommandWord::SetPriority(9), Cycles(0)).expect("room");
     r.step(Cycles(0));
     assert_eq!(r.connection(id).expect("live").dynamic_priority, 9);
 }
@@ -221,8 +245,7 @@ fn command_word_scale_rate_changes_interarrival() {
     let id = r.establish(cbr(124.0, 0, 1)).expect("admits");
     let before = r.connection(id).expect("live").interarrival_cycles;
     // Halve the rate => double the inter-arrival.
-    r.inject_kind(id, FlitKind::Command(CommandWord::ScaleRate { num: 1, den: 2 }), Cycles(0))
-        .expect("room");
+    r.inject_command(id, CommandWord::ScaleRate { num: 1, den: 2 }, Cycles(0)).expect("room");
     r.step(Cycles(0));
     let after = r.connection(id).expect("live").interarrival_cycles;
     assert!((after / before - 2.0).abs() < 1e-12);
@@ -232,7 +255,7 @@ fn command_word_scale_rate_changes_interarrival() {
 fn command_word_abort_frame_flushes_queue() {
     let mut r = small_router(ArbiterKind::BiasedPriority);
     let id = r.establish(cbr(124.0, 0, 1)).expect("admits");
-    r.inject_kind(id, FlitKind::Command(CommandWord::AbortFrame), Cycles(0)).expect("room");
+    r.inject_command(id, CommandWord::AbortFrame, Cycles(0)).expect("room");
     r.inject(id, Cycles(0)).expect("room");
     r.inject(id, Cycles(0)).expect("room");
     let report = r.step(Cycles(0));
@@ -505,7 +528,7 @@ impl Driven {
             (3, _) => drop(r.inject_packet(input, output, FlitKind::BestEffort, now)),
             (4 | 5, Some(id)) => drop(r.inject(id, now)),
             (6, Some(id)) => drop(r.accept(id, Flit::data(ConnectionId(999), u64::from(b), now), now)),
-            (7, Some(id)) => drop(r.inject_kind(id, FlitKind::Command(CommandWord::AbortFrame), now)),
+            (7, Some(id)) => drop(r.inject_command(id, CommandWord::AbortFrame, now)),
             (8, Some(id)) => {
                 let out_vc = r.connection(id).expect("tracked streams are live").output_vc;
                 r.return_credit(out_vc);
@@ -524,10 +547,10 @@ impl Driven {
             (13, Some(id)) => {
                 let scale =
                     CommandWord::ScaleRate { num: u16::from(b % 4), den: u16::from(1 + a % 3) };
-                let _ = r.inject_kind(id, FlitKind::Command(scale), now);
+                let _ = r.inject_command(id, scale, now);
             }
             (14, Some(id)) => {
-                let _ = r.inject_kind(id, FlitKind::Command(CommandWord::SetPriority(b)), now);
+                let _ = r.inject_command(id, CommandWord::SetPriority(b), now);
             }
             _ => {
                 self.now = Cycles(now.count() + 1);
@@ -756,7 +779,8 @@ fn a_stale_handle_reaches_nothing_after_its_vc_is_re_leased() {
     r.inject(b, Cycles(0)).expect("room");
 
     assert_eq!(r.inject(a, Cycles(0)), Err(InjectError::UnknownConnection(a.id)));
-    assert_eq!(r.inject_kind(a, FlitKind::Data, Cycles(0)), Err(InjectError::UnknownConnection(a.id)));
+    let cmd = CommandWord::AbortFrame;
+    assert_eq!(r.inject_command(a, cmd, Cycles(0)), Err(InjectError::UnknownConnection(a.id)));
     assert!(r.accept(a, Flit::data(a.id, 0, Cycles(0)), Cycles(0)).is_err());
     assert!(!r.can_inject(a));
     assert_eq!(r.teardown(a), Err(a));
@@ -809,8 +833,8 @@ fn one_connection_allocates_tables_on_its_two_ports_only() {
     );
 
     let period = r.connection(id).expect("live").interarrival_cycles;
-    let scale = FlitKind::Command(CommandWord::ScaleRate { num: 2, den: 1 });
-    r.inject_kind(id, scale, Cycles(0)).expect("room");
+    let scale = CommandWord::ScaleRate { num: 2, den: 1 };
+    r.inject_command(id, scale, Cycles(0)).expect("room");
     r.inject(id, Cycles(0)).expect("room");
     let mut sent = 0;
     for t in 0..64 {

@@ -14,13 +14,19 @@
 //! bank accesses so over-committed configurations are visible
 //! ([`VirtualChannelMemory::bank_conflicts`]). [`BankTimingModel`] gives the
 //! analytic sustainable-bandwidth side used by the A5 ablation.
+//!
+//! `flits_available` is the only per-VC status vector here: the VCM keeps
+//! no record of what kind its head flits are. A VC holds a single-flit
+//! packet exactly when its connection's class is control or best effort,
+//! which the link scheduler's class masks already say, because only
+//! `Router::inject_packet` queues a packet flit.
 
 use std::collections::VecDeque;
 
 use mmr_bitvec::StatusBits;
 use mmr_sim::{Bandwidth, Cycles};
 
-use crate::flit::{Flit, FlitKind};
+use crate::flit::Flit;
 use crate::ids::VcIndex;
 
 /// Errors returned by VCM operations.
@@ -98,19 +104,6 @@ pub struct VirtualChannelMemory {
     queue_banks: Vec<Option<Box<[VcQueue]>>>,
     depth: usize,
     flits_available: StatusBits,
-    /// VCs whose *head* flit is a control flit — kept in lockstep with
-    /// `flits_available` so the link scheduler can build per-phase candidate
-    /// domains with word-parallel operations instead of inspecting every
-    /// head flit.
-    head_control: StatusBits,
-    /// VCs whose head flit is a best-effort flit (see `head_control`).
-    head_best_effort: StatusBits,
-    /// Population counts of `head_control` / `head_best_effort`, kept in
-    /// lockstep by [`VirtualChannelMemory::note_head_kind`] so the link
-    /// scheduler's common case — every eligible head is a stream flit — is
-    /// detected with two zero tests instead of two vector intersections.
-    head_control_count: usize,
-    head_best_effort_count: usize,
     banks: usize,
     accesses_this_cycle: usize,
     bank_conflicts: u64,
@@ -139,10 +132,6 @@ impl VirtualChannelMemory {
             queue_banks: vec![None; vcs.div_ceil(QUEUE_BANK_VCS)],
             depth,
             flits_available: StatusBits::zeros(vcs),
-            head_control: StatusBits::zeros(vcs),
-            head_best_effort: StatusBits::zeros(vcs),
-            head_control_count: 0,
-            head_best_effort_count: 0,
             banks,
             accesses_this_cycle: 0,
             bank_conflicts: 0,
@@ -186,29 +175,6 @@ impl VirtualChannelMemory {
         self.accesses_this_cycle = 0;
     }
 
-    /// Records the kind of the (possibly absent) head flit of `vc` in the
-    /// head-kind status vectors.
-    fn note_head_kind(&mut self, vc: usize, kind: Option<FlitKind>) {
-        let is_control = matches!(kind, Some(FlitKind::Control));
-        let is_best_effort = matches!(kind, Some(FlitKind::BestEffort));
-        if self.head_control.get(vc) != is_control {
-            self.head_control.set(vc, is_control);
-            if is_control {
-                self.head_control_count += 1;
-            } else {
-                self.head_control_count -= 1;
-            }
-        }
-        if self.head_best_effort.get(vc) != is_best_effort {
-            self.head_best_effort.set(vc, is_best_effort);
-            if is_best_effort {
-                self.head_best_effort_count += 1;
-            } else {
-                self.head_best_effort_count -= 1;
-            }
-        }
-    }
-
     fn count_access(&mut self) {
         self.accesses_this_cycle += 1;
         if self.accesses_this_cycle > self.banks {
@@ -230,7 +196,6 @@ impl VirtualChannelMemory {
         if vc.index() >= self.vcs {
             return Err(VcmError::NoSuchVc { vc });
         }
-        let kind = flit.kind;
         let q = self.queue_mut_materialize(vc.index()).ok_or(VcmError::NoSuchVc { vc })?;
         if q.flits.len() >= depth {
             return Err(VcmError::BufferFull { vc });
@@ -243,7 +208,6 @@ impl VirtualChannelMemory {
         q.flits.push_back(flit);
         if becomes_head {
             self.flits_available.set(vc.index(), true);
-            self.note_head_kind(vc.index(), Some(kind));
         }
         #[cfg(test)]
         {
@@ -268,14 +232,12 @@ impl VirtualChannelMemory {
         let q = self.queue_mut_if_present(vc.index())?;
         let flit = q.flits.pop_front()?;
         let delay = now.since(q.head_ready_at);
-        let next_kind = q.flits.front().map(|f| f.kind);
         let emptied = q.flits.is_empty();
         if emptied {
             self.flits_available.set(vc.index(), false);
         } else {
             q.head_ready_at = now + Cycles(1);
         }
-        self.note_head_kind(vc.index(), next_kind);
         #[cfg(test)]
         {
             self.totals.1 += 1;
@@ -313,7 +275,6 @@ impl VirtualChannelMemory {
         q.flits.clear();
         if n > 0 {
             self.flits_available.set(vc.index(), false);
-            self.note_head_kind(vc.index(), None);
         }
         n
     }
@@ -322,31 +283,6 @@ impl VirtualChannelMemory {
     /// head flit) — the link scheduler's primary input.
     pub fn flits_available(&self) -> &StatusBits {
         &self.flits_available
-    }
-
-    /// VCs whose head flit is a control flit (always a subset of
-    /// `flits_available`).
-    pub fn head_control_bits(&self) -> &StatusBits {
-        &self.head_control
-    }
-
-    /// VCs whose head flit is a best-effort flit (always a subset of
-    /// `flits_available`).
-    pub fn head_best_effort_bits(&self) -> &StatusBits {
-        &self.head_best_effort
-    }
-
-    /// Whether any VC's head flit is a control flit — O(1) via the
-    /// maintained population count, so the scheduler's stream-only fast
-    /// path skips the head-partition intersections entirely.
-    pub fn has_control_heads(&self) -> bool {
-        self.head_control_count > 0
-    }
-
-    /// Whether any VC's head flit is a best-effort flit (see
-    /// [`VirtualChannelMemory::has_control_heads`]).
-    pub fn has_best_effort_heads(&self) -> bool {
-        self.head_best_effort_count > 0
     }
 
     /// Total flits currently stored across all VCs.
@@ -462,26 +398,6 @@ mod tests {
         assert!(vcm.flits_available().get(5), "still one flit queued");
         vcm.pop(VcIndex(5), Cycles(2));
         assert!(!vcm.flits_available().any());
-    }
-
-    #[test]
-    fn head_kind_bits_track_the_head_flit() {
-        let mut vcm = VirtualChannelMemory::new(4, 4, 2);
-        let vc = VcIndex(1);
-        let ctrl = Flit::new(ConnectionId(1), FlitKind::Control, 0, Cycles(0));
-        let be = Flit::new(ConnectionId(1), FlitKind::BestEffort, 1, Cycles(0));
-        vcm.push(vc, ctrl, Cycles(0)).expect("room");
-        vcm.push(vc, be, Cycles(0)).expect("room");
-        vcm.push(vc, flit(2, 0), Cycles(0)).expect("room");
-        assert!(vcm.head_control_bits().get(1));
-        assert!(!vcm.head_best_effort_bits().get(1));
-        vcm.pop(vc, Cycles(1));
-        assert!(!vcm.head_control_bits().get(1));
-        assert!(vcm.head_best_effort_bits().get(1));
-        vcm.pop(vc, Cycles(2));
-        assert!(!vcm.head_control_bits().get(1) && !vcm.head_best_effort_bits().get(1));
-        vcm.flush(vc);
-        assert!(!vcm.head_control_bits().any() && !vcm.head_best_effort_bits().any());
     }
 
     #[test]

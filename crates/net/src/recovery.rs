@@ -886,6 +886,26 @@ mod tests {
     }
 
     #[test]
+    fn a_best_effort_session_carries_every_flit_and_closes_clean() {
+        // A best-effort session reserves no bandwidth, but it is a stream:
+        // its hops live until `close`, not until its first flit.
+        let mut net = mesh_net();
+        let mut mgr = RecoveryManager::default();
+        let sid = mgr.open(&mut net, NodeId(0), NodeId(8), QosClass::BestEffort).expect("placed");
+        let conn = mgr.conn(sid).expect("active");
+        let mut delivered = 0;
+        for t in 0..200u64 {
+            if t < 40 && t % 4 == 0 {
+                net.inject(conn, Cycles(t)).expect("the session's first hop is live");
+            }
+            delivered += net.step(Cycles(t)).delivered.len();
+        }
+        assert_eq!(delivered, 10, "every injected flit arrives");
+        assert!(mgr.close(&mut net, sid));
+        assert_eq!(net.stats().ghost_releases, 0, "the close found every hop it released");
+    }
+
+    #[test]
     fn a_fault_between_step_and_service_cannot_double_release_a_late_setup() {
         let mut net = mesh_net();
         // A 1-cycle deadline orphans the re-establishment probe long before

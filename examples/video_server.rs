@@ -11,7 +11,7 @@
 //! Run with: `cargo run --release --example video_server`
 
 use mmr::core::conn::{ConnectionRequest, QosClass};
-use mmr::core::flit::{CommandWord, FlitKind};
+use mmr::core::flit::CommandWord;
 use mmr::core::ids::PortId;
 use mmr::core::router::RouterConfig;
 use mmr::sim::{Bandwidth, Cycles, SeededRng};
@@ -78,11 +78,7 @@ fn main() {
             streams.iter().map(|s| router.connection(s.conn()).expect("live").flits_forwarded).collect();
         if phase == 1 {
             router
-                .inject_kind(
-                    streams[0].conn(),
-                    FlitKind::Command(CommandWord::SetPriority(9)),
-                    Cycles(now),
-                )
+                .inject_command(streams[0].conn(), CommandWord::SetPriority(9), Cycles(now))
                 .expect("room for a command word");
             println!("\n>> raising stream 0 priority to 9 via in-band command word\n");
         }

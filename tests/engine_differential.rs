@@ -22,7 +22,7 @@ use mmr_bench::campaign::Campaign;
 use mmr_bench::churn::ChurnSpec;
 use mmr_bench::faults::{CampaignTopology, Chaos};
 use mmr_bench::{churn, faults, paper, Quality};
-use mmr_conform::{parse_seed, run_scenario, CaseRun, ChurnAction, Hooks, Scenario};
+use mmr_conform::{parse_seed, run_scenario, CaseRun, Hooks, Scenario};
 use mmr_core::router::{RouterConfig, RouterStats};
 use mmr_core::{AuditConfig, AuditViolation};
 use mmr_net::setup::cbr_mbps;
@@ -124,17 +124,7 @@ fn corpus_scenarios_agree_across_audits() {
         assert_eq!(pass.audit_sweep_misses, 0, "{name}: a backstop found an unmarked violator");
         if hooks == Hooks::default() {
             assert_eq!(pass.ghost_matches, 0, "{name}: a ghost match");
-            // A best-effort *session* is torn down router-side by its first
-            // flit (routers treat every best-effort connection as one VCT
-            // packet), so closing it releases hops that are already gone —
-            // ROADMAP item 1(b); the fix moves pinned digests.
-            let best_effort = scenario
-                .churn
-                .iter()
-                .any(|entry| matches!(entry.action, ChurnAction::Open { best_effort: true, .. }));
-            if !best_effort {
-                assert_eq!(pass.ghost_releases, 0, "{name}: a ghost release");
-            }
+            assert_eq!(pass.ghost_releases, 0, "{name}: a ghost release");
         }
         flagged += usize::from(!pass.audit_violations.is_empty());
     }

@@ -207,7 +207,7 @@ fn scale_rate_command_word_slows_biased_aging() {
         .expect("fits");
     let before = router.connection(conn).expect("live").interarrival_cycles;
     router
-        .inject_kind(conn, FlitKind::Command(CommandWord::ScaleRate { num: 1, den: 2 }), Cycles(0))
+        .inject_command(conn, CommandWord::ScaleRate { num: 1, den: 2 }, Cycles(0))
         .expect("room");
     router.step(Cycles(0));
     let after = router.connection(conn).expect("live").interarrival_cycles;
