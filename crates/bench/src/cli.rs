@@ -198,20 +198,13 @@ fn paper(request: &Request) -> Result<Output, String> {
 }
 
 /// The conformance campaign a request asks for; its defaults (200 cases
-/// from seed `0xMMR5`, no hooks) are the fuzz gate `check` runs.
-/// `--bug phantom-credit` arms a fault hook in the real stack, to watch the
-/// oracle catch a known bug.
+/// from seed `0xMMR5`, the default engines) are the fuzz gate `check` runs.
 fn conform_config(request: &Request) -> Result<RunConfig, String> {
-    let phantom_credit = match request.values.text("bug") {
-        None => false,
-        Some("phantom-credit") => true,
-        Some(other) => return Err(format!("--bug expects phantom-credit, not '{other}'")),
-    };
     let cases = request.values.get("cases", 200);
     Ok(RunConfig {
         base_seed: request.seed.unwrap_or_else(|| parse_seed("0xMMR5")),
         cases: cases.map_err(|_| "--cases expects a non-negative integer")?,
-        hooks: Hooks { phantom_credit, dense_stepping: request.opts.dense, ..Hooks::default() },
+        hooks: Hooks { dense_stepping: request.opts.dense, ..Hooks::default() },
         opts: request.opts,
     })
 }
@@ -254,14 +247,7 @@ pub const REGISTRY: &[Entry] = &[
     Entry {
         name: "conform",
         parts: &[],
-        flags: &[
-            "--jobs N",
-            "--seed S",
-            "--cases K",
-            "--bug phantom-credit",
-            "--dense",
-            "--out PATH",
-        ],
+        flags: &["--jobs N", "--seed S", "--cases K", "--dense", "--out PATH"],
         run: conform,
     },
     Entry {
@@ -497,11 +483,10 @@ mod tests {
         let gate = conform_config(&request(&["conform"])).expect("the default campaign runs");
         assert_eq!((gate.base_seed, gate.cases), (parse_seed("0xMMR5"), 200));
         assert_eq!(gate.hooks, Hooks::default());
-        let words = ["conform", "--seed", "0x2A", "--cases", "5", "--bug", "phantom-credit"];
-        let bugged = conform_config(&request(&[&words[..], &["--dense"]].concat()));
-        let bugged = bugged.expect("a bugged campaign runs");
-        assert_eq!((bugged.base_seed, bugged.cases), (42, 5));
-        assert!(bugged.hooks.phantom_credit && bugged.hooks.dense_stepping && bugged.opts.dense);
+        let words = ["conform", "--seed", "0x2A", "--cases", "5", "--dense"];
+        let dense = conform_config(&request(&words)).expect("a dense campaign runs");
+        assert_eq!((dense.base_seed, dense.cases), (42, 5));
+        assert!(dense.hooks.dense_stepping && dense.opts.dense);
 
         // Seeds are decimal too; a repeated value flag takes its last value.
         let router = request(&["router", "--load", "0.5", "--seed", "7", "--load", "0.6"]);

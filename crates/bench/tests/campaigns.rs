@@ -215,7 +215,7 @@ fn malformed_command_lines_exit_2_with_usage() {
         (&["paper", "--jobs", "four"], "--jobs expects a positive integer"),
         (&["conform", "--cases"], "--cases expects a value"),
         (&["conform", "--cases", "many"], "--cases expects a non-negative integer"),
-        (&["conform", "--bug", "nope"], "--bug expects phantom-credit, not 'nope'"),
+        (&["conform", "--bug", "nope"], "unknown flag '--bug' for conform"),
         (&["conform", "--seed"], "--seed expects a value"),
         (&["router", "--ports"], "--ports expects a value"),
         (&["router", "--ports", "--vcs", "8"], "--ports expects a value"),

@@ -21,7 +21,7 @@ pub struct RunConfig {
     pub base_seed: u64,
     /// Number of cases.
     pub cases: usize,
-    /// Fault hooks armed inside the real stack (corpus bug replay).
+    /// The reference engines to run each case on.
     pub hooks: Hooks,
     /// Worker-thread options from the sweep harness.
     pub opts: SweepOptions,
@@ -203,7 +203,10 @@ pub fn run(cfg: &RunConfig) -> Report {
         let scenario = Scenario::generate(seed);
         let run = run_scenario(&scenario, cfg.hooks);
         let shrunk = (!run.is_clean())
-            .then(|| ShrunkOutcome::from(&shrink(&scenario, cfg.hooks, DEFAULT_BUDGET)));
+            .then(|| {
+                let rerun = |s: &Scenario| run_scenario(s, cfg.hooks).divergences;
+                ShrunkOutcome::from(&shrink(&scenario, rerun, DEFAULT_BUDGET))
+            });
         CaseOutcome {
             index: i,
             seed,
@@ -238,6 +241,63 @@ mod tests {
         let serial = run(&base).to_json();
         let parallel = run(&RunConfig { opts: SweepOptions { jobs: 4, ..SweepOptions::serial() }, ..base }).to_json();
         assert_eq!(serial, parallel);
+    }
+
+    /// A divergent case renders its divergences and its shrunk reproducer,
+    /// in the text report and in the JSON record; a clean case beside it
+    /// renders neither.
+    #[test]
+    fn a_divergent_report_renders_its_reproducer() {
+        let case = |index: usize, divergences: Vec<&str>, shrunk| CaseOutcome {
+            index,
+            seed: 0x10 + index as u64,
+            spec: format!("ring{index}"),
+            admitted: 3,
+            rejected: 1,
+            churn_admitted: 2,
+            churn_rejected: 0,
+            injected: 40,
+            delivered: 39,
+            cycles_run: 900,
+            divergences: divergences.into_iter().map(String::from).collect(),
+            shrunk,
+        };
+        let shrunk = ShrunkOutcome {
+            spec: "ring4 \"min\"".into(),
+            conns: 1,
+            cycles: 64,
+            divergences: vec!["credit leak".into()],
+            attempts: 17,
+        };
+        let report = Report {
+            base_seed: 0x2a,
+            cases: 2,
+            divergent: 1,
+            outcomes: vec![
+                case(0, vec![], None),
+                case(1, vec!["credit leak", "late"], Some(shrunk)),
+            ],
+        };
+        assert!(!report.is_clean());
+        assert_eq!(
+            report.to_text(),
+            "mmr-conform: 2 case(s) from base seed 0x2a: 1 divergent\n\
+             \ncase 1 (seed 0x11) DIVERGED\n  ring1\n  - credit leak\n  - late\n\
+             \x20 shrunk to 1 conn(s), 64 cycles in 17 attempt(s):\n    ring4 \"min\"\n\
+             \x20   - credit leak\n"
+        );
+        let json = report.to_json();
+        assert!(json.contains("\"divergent\": 1,\n"), "{json}");
+        assert!(json.contains("\"divergences\": []\n    },\n"), "the clean case: {json}");
+        assert!(
+            json.contains(
+                "      \"divergences\": [\"credit leak\", \"late\"],\n      \"shrunk\": {\n\
+                 \x20       \"spec\": \"ring4 \\\"min\\\"\",\n        \"conns\": 1,\n\
+                 \x20       \"cycles\": 64,\n        \"attempts\": 17,\n\
+                 \x20       \"divergences\": [\"credit leak\"]\n      }\n    }\n  ]\n}\n"
+            ),
+            "{json}"
+        );
     }
 
     #[test]

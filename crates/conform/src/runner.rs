@@ -31,22 +31,10 @@ const QUIET_CYCLES: u64 = 512;
 /// divergent livelock still terminates and gets reported.
 const DRAIN_CAP: u64 = 50_000;
 
-/// How long the phantom-credit fault window stays open (cycles).
-const PHANTOM_WINDOW: u64 = 256;
-
-/// Test-only fault hooks the runner can arm inside the real stack,
-/// resurrecting known-fixed bug classes so the corpus can prove the oracle
-/// detects them.
+/// The reference engines a case can run on instead of the defaults. Both
+/// must produce identical [`CaseRun`]s on every scenario.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Hooks {
-    /// Re-introduce the historical `return_credit` phantom-capacity bug:
-    /// the saturation clamp is disabled and a stale credit return is
-    /// injected on each live connection's first hop while its output VC
-    /// already holds a full credit complement. With the clamp in place the
-    /// identical call is a harmless no-op; without it the credit counter
-    /// exceeds the buffer depth — capacity the downstream router does not
-    /// have.
-    pub phantom_credit: bool,
     /// Run the case on the dense per-cycle stepping engine instead of the
     /// default event-driven wake set. Exists for differential testing —
     /// both engines must produce identical [`CaseRun`]s on every scenario
@@ -221,9 +209,6 @@ pub fn run_scenario(scenario: &Scenario, hooks: Hooks) -> CaseRun {
     net.enable_audit(AuditConfig::default());
     net.set_dense_stepping(hooks.dense_stepping);
     net.set_exhaustive_audit(hooks.exhaustive_audit);
-    if hooks.phantom_credit {
-        net.set_credit_clamp(false);
-    }
 
     let timing = net.router(NodeId(0)).config().timing();
     let mut oracle = Oracle::new();
@@ -277,10 +262,6 @@ pub fn run_scenario(scenario: &Scenario, hooks: Hooks) -> CaseRun {
     let mut injector =
         FaultInjector::new(plan).expect("scenario fault plans are normalized by construction");
 
-    let phantom_from = scenario.cycles / 4;
-    let phantom_to = phantom_from + PHANTOM_WINDOW;
-    let vc_depth = net.router(NodeId(0)).vc_depth() as u32;
-
     let handle_broken = |broken: &[NetConnectionId],
                              streams: &mut Vec<Stream>,
                              oracle: &mut Oracle| {
@@ -302,10 +283,6 @@ pub fn run_scenario(scenario: &Scenario, hooks: Hooks) -> CaseRun {
         // The controller learns of broken churn connections here; the
         // post-step reconcile in `churn_service` settles the ledger.
         ctl.on_faults(&tick.broken, now);
-
-        if hooks.phantom_credit && t >= phantom_from && t < phantom_to {
-            inject_phantom_credits(&mut net, &streams, vc_depth);
-        }
 
         // Fire this cycle's churn tape entries.
         while next_churn < scenario.churn.len() && scenario.churn[next_churn].at <= t {
@@ -499,29 +476,6 @@ pub fn run_scenario(scenario: &Scenario, hooks: Hooks) -> CaseRun {
         audit_sweep_misses: net.audit_sweep_misses(),
         ghost_matches,
         ghost_releases,
-    }
-}
-
-/// The phantom-credit fault hook: returns one stale credit on the first
-/// hop of every live connection whose output VC currently holds its full
-/// credit complement. With the saturation clamp on this is a no-op; with
-/// the clamp off it mints a credit the downstream buffer cannot honor.
-fn inject_phantom_credits(net: &mut NetworkSim, streams: &[Stream], vc_depth: u32) {
-    let mut targets = Vec::new();
-    for s in streams {
-        if !s.live {
-            continue;
-        }
-        let Some(conn) = net.connection(s.id) else { continue };
-        let Some(hop) = conn.hops.first() else { continue };
-        let router = net.router(hop.node);
-        let Some(state) = router.connection(hop.local) else { continue };
-        if router.output_credit(state.output_vc) == vc_depth {
-            targets.push(s.id);
-        }
-    }
-    for id in targets {
-        net.inject_stale_credit(id, 0);
     }
 }
 

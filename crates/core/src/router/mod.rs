@@ -97,11 +97,6 @@ pub struct Router {
     settled: bool,
     pairs_buf: Vec<MatchedPair>,
     completed_buf: Vec<ConnRef>,
-    /// Whether [`Router::return_credit`] saturates at the buffer depth.
-    /// Always `true` in production; the conformance harness disables it via
-    /// [`Router::set_credit_clamp`] to resurrect the pre-fix
-    /// phantom-capacity bug as a differential-testing target.
-    credit_clamp: bool,
     /// Whether the router's node has failed: every connection has been
     /// drained and [`Router::establish_pinned`] refuses new ones until
     /// [`Router::lift_quarantine`]. Cycle state (crossbar configuration,
@@ -149,23 +144,10 @@ impl Router {
             settled: false,
             pairs_buf: Vec::new(),
             completed_buf: Vec::new(),
-            credit_clamp: true,
             quarantined: false,
             round,
             cfg,
         }
-    }
-
-    /// Test-only fault hook: disables (or restores) the saturation clamp in
-    /// [`Router::return_credit`], resurrecting the historical
-    /// phantom-capacity bug where a late credit return onto a re-leased VC
-    /// minted buffer capacity the downstream router does not have. The
-    /// conformance harness arms this to prove the differential oracle (and
-    /// the cycle auditor) catch the bug class; production code never calls
-    /// it.
-    #[doc(hidden)]
-    pub fn set_credit_clamp(&mut self, clamp: bool) {
-        self.credit_clamp = clamp;
     }
 
     /// Forgets the settled memo. The memo says "no input offers a
@@ -175,8 +157,8 @@ impl Router {
     /// or a claimed output (`inject_packet`'s cut-through). The others
     /// cannot un-settle a router: `establish_pinned` opens a VC that holds
     /// no flit until `enqueue`, `teardown` only takes away, and the
-    /// quarantine and credit-clamp flags feed no scheduling decision —
-    /// `a_settled_step_changes_nothing` runs all four against a router
+    /// quarantine flag feeds no scheduling decision —
+    /// `a_settled_step_changes_nothing` runs all three against a router
     /// whose memo is cleared before every operation.
     #[inline]
     fn touch(&mut self) {
@@ -633,18 +615,14 @@ impl Router {
         }
         // Saturate at the buffer depth: a credit returning after its
         // connection tore down (late return onto a re-leased VC) must not
-        // mint capacity the downstream buffer does not have. The clamp is
-        // lifted only by the conformance harness's bug hook
-        // ([`Router::set_credit_clamp`]). A credit for a port no connection
-        // ever wrote a count on has nothing to count against: establishment
-        // writes the count before anything reads it.
+        // mint capacity the downstream buffer does not have. A credit for a
+        // port no connection ever wrote a count on has nothing to count
+        // against: establishment writes the count before anything reads it.
         let Some(c) = self.outputs[output_vc.port.index()].credits.get_mut(output_vc.vc) else {
             return;
         };
         *c += 1;
-        if self.credit_clamp {
-            *c = (*c).min(self.cfg.vc_depth as u32);
-        }
+        *c = (*c).min(self.cfg.vc_depth as u32);
         if let Some(conn) = self.conns.by_output_vc(output_vc) {
             self.inputs[conn.input_vc.port.index()].set_credits_available(conn.input_vc.vc, true);
         }

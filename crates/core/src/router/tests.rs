@@ -488,7 +488,7 @@ type Op = (u8, u8, u8);
 fn op_tape() -> impl proptest::Strategy<Value = (u64, Vec<Op>)> {
     (
         proptest::any::<u64>(),
-        proptest::collection::vec((0u8..18, proptest::any::<u8>(), proptest::any::<u8>()), 40..240),
+        proptest::collection::vec((0u8..17, proptest::any::<u8>(), proptest::any::<u8>()), 40..240),
     )
 }
 
@@ -543,13 +543,12 @@ impl Driven {
                 r.lift_quarantine();
                 streams.clear();
             }
-            (12, _) => r.set_credit_clamp(b % 4 != 0),
-            (13, Some(id)) => {
+            (12, Some(id)) => {
                 let scale =
                     CommandWord::ScaleRate { num: u16::from(b % 4), den: u16::from(1 + a % 3) };
                 let _ = r.inject_command(id, scale, now);
             }
-            (14, Some(id)) => {
+            (13, Some(id)) => {
                 let _ = r.inject_command(id, CommandWord::SetPriority(b), now);
             }
             _ => {

@@ -52,9 +52,11 @@ use crate::topology::NodeId;
 #[derive(Debug, Clone)]
 pub struct AdmitPolicy {
     /// Peak link load factor above which new CBR requests are degraded (or
-    /// rejected) instead of admitted at their asked rate. `f64::INFINITY`
-    /// disables the utilization guard — the book limit is then the only
-    /// gate (the "naive" baseline that collapses under churn).
+    /// rejected) instead of admitted at their asked rate, and above which
+    /// the load shedder counts towards a shed round. `f64::INFINITY`
+    /// disables the utilization guard and the shedder — the book limit is
+    /// then the only gate (the "naive" baseline that collapses under
+    /// churn).
     pub headroom: f64,
     /// Peak link load factor below which degraded sessions win rungs back.
     pub low_watermark: f64,
@@ -70,8 +72,6 @@ pub struct AdmitPolicy {
     /// degradation ladder ([`RecoveryPolicy`]) past the headroom instead of
     /// rejecting outright.
     pub degrade_on_admit: bool,
-    /// Enables the load shedder.
-    pub shed: bool,
     /// Consecutive over-headroom [`AdmissionController::service`] calls
     /// before a shed round fires.
     pub shed_patience: u32,
@@ -93,7 +93,6 @@ impl Default for AdmitPolicy {
             low_watermark: 0.5,
             ni_headroom: 0.9,
             degrade_on_admit: true,
-            shed: true,
             shed_patience: 64,
             shed_batch: 2,
         }
@@ -125,12 +124,6 @@ impl AdmitPolicy {
         self
     }
 
-    /// Enables or disables the shedder.
-    pub fn shed(mut self, shed: bool) -> Self {
-        self.shed = shed;
-        self
-    }
-
     /// Overrides the shed patience (service calls over headroom).
     pub fn shed_patience(mut self, patience: u32) -> Self {
         self.shed_patience = patience;
@@ -151,7 +144,6 @@ impl AdmitPolicy {
             .headroom(f64::INFINITY)
             .ni_headroom(f64::INFINITY)
             .degrade_on_admit(false)
-            .shed(false)
     }
 }
 
@@ -452,7 +444,7 @@ impl AdmissionController {
 
         if peak >= self.policy.headroom {
             self.pressure = self.pressure.saturating_add(1);
-            if self.policy.shed && self.pressure >= self.policy.shed_patience {
+            if self.pressure >= self.policy.shed_patience {
                 preempted = self.shed_round(net);
                 self.pressure = 0;
             }
@@ -757,7 +749,7 @@ mod tests {
     fn load_recede_pays_back_degradation_debt() {
         let mut net = ring_net();
         let mut ctl = AdmissionController::new(
-            AdmitPolicy::default().headroom(0.3).low_watermark(0.9).shed(false),
+            AdmitPolicy::default().headroom(0.3).low_watermark(0.9),
         );
         // Saturate, catch a degraded admit, then free everything else and
         // let service() walk the survivor back up.

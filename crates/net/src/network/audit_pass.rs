@@ -391,13 +391,9 @@ mod tests {
         deliver(&mut net, Cycles(3));
         assert_eq!(marked(&net), (vec![], vec![], path.clone(), vec![(id.0, 0), (id.0, 1)]));
         net.run_audit(Cycles(3));
-        net.step(Cycles(4));
-
-        // A stale credit lands on hop 1's output VC: that connection, and
-        // the pair it is upstream of.
-        assert!(net.inject_stale_credit(id, 1));
-        assert_eq!(marked(&net), (vec![], vec![], vec![path[1]], vec![(id.0, 1)]));
-        net.step(Cycles(5));
+        for t in 4..6 {
+            net.step(Cycles(t));
+        }
 
         // A tag written — here hop 1's own, again — is read by no law and
         // no stage: no mark, and no router woken.
@@ -471,12 +467,15 @@ mod tests {
     /// A change that leaves no mark — here a credit minted behind the
     /// auditor's back — is invisible to the ordinary passes, found by the
     /// next full sweep (pass 1,024), counted as a miss, and carried from
-    /// then on like any other violation.
+    /// then on like any other violation. The credit is minted while one
+    /// flit is in flight, so the upstream count is below depth and the
+    /// saturation clamp keeps it; with no router stepped after that, the
+    /// flit stays buffered downstream and nothing overflows, so the sweep
+    /// reports the hop's broken equation alone.
     #[test]
     fn the_backstop_sweep_finds_what_left_no_mark() {
         let mut net = mesh_net();
         net.enable_audit(AuditConfig::default());
-        net.set_credit_clamp(false);
         let id =
             net.establish(NodeId(0), NodeId(2), cbr_mbps(155.0), SetupStrategy::Epb).expect("fits");
         let hop = net.connection(id).expect("live").hops[0];
@@ -484,19 +483,26 @@ mod tests {
         for t in 0..10 {
             net.step(Cycles(t));
         }
+        net.inject(id, Cycles(10)).expect("room");
+        net.step_routers(Cycles(10), &mut NetStepReport::default());
+        deliver(&mut net, Cycles(10));
+        net.run_audit(Cycles(10));
+        let depth = net.router(hop.node).vc_depth() as u32;
+        assert_eq!(net.router(hop.node).output_credit(vc), depth - 1, "one flit in flight");
         let marks = net.routers.take_marks().expect("armed");
         net.routers.get_mut(hop.node).return_credit(vc);
         net.routers.restore_marks(marks);
-        for t in 10..SWEEP_PERIOD {
-            net.step(Cycles(t));
+        assert_eq!(net.router(hop.node).output_credit(vc), depth, "a credit minted below depth");
+        for t in 11..SWEEP_PERIOD {
+            net.run_audit(Cycles(t));
         }
         assert!(net.auditor().expect("armed").is_clean(), "no ordinary pass had a reason to look");
-        net.step(Cycles(SWEEP_PERIOD));
+        net.run_audit(Cycles(SWEEP_PERIOD));
         let found = net.auditor().expect("armed").violation_count();
-        assert_eq!(found, 2, "the overflow and the hop's broken equation");
-        assert_eq!(net.audit_sweep_misses(), 2);
-        net.step(Cycles(SWEEP_PERIOD + 1));
+        assert_eq!(found, 1, "the hop's broken equation, and no overflow");
+        assert_eq!(net.audit_sweep_misses(), 1);
+        net.run_audit(Cycles(SWEEP_PERIOD + 1));
         assert_eq!(net.auditor().expect("armed").violation_count(), 2 * found, "and carried");
-        assert_eq!(net.audit_sweep_misses(), 2);
+        assert_eq!(net.audit_sweep_misses(), 1);
     }
 }

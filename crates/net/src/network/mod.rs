@@ -279,39 +279,6 @@ impl NetworkSim {
         self.auditor.as_ref()
     }
 
-    /// Test-only fault hook: toggles the [`Router::return_credit`]
-    /// saturation clamp on every router in the network. Disabling the clamp
-    /// resurrects the historical phantom-capacity bug (a late credit return
-    /// onto a re-leased VC minted buffer capacity the downstream router
-    /// does not have) so the conformance harness can prove its oracle
-    /// catches the bug class. Production code never calls this.
-    #[doc(hidden)]
-    pub fn set_credit_clamp(&mut self, clamp: bool) {
-        for n in 0..self.routers.len() {
-            self.routers.get_mut(NodeId(n as u16)).set_credit_clamp(clamp);
-        }
-    }
-
-    /// Test-only fault hook: delivers one *stale* credit return for hop
-    /// `hop` of connection `id`, as if a duplicated credit signal crossed
-    /// the reverse channel. With the production clamp in place the spurious
-    /// credit saturates harmlessly at the buffer depth; with the clamp
-    /// disabled ([`NetworkSim::set_credit_clamp`]) it mints phantom
-    /// capacity, and the upstream router over-runs the downstream buffer.
-    /// Returns `false` when the connection or hop does not exist.
-    #[doc(hidden)]
-    pub fn inject_stale_credit(&mut self, id: NetConnectionId, hop: usize) -> bool {
-        let Some(&Hop { node, local }) = self.conns.get(&id).and_then(|c| c.hops.get(hop)) else {
-            return false;
-        };
-        let Some(output_vc) = self.routers.get(node).connection(local).map(|s| s.output_vc) else {
-            return false;
-        };
-        self.routers.return_credit(node, output_vc);
-        self.routers.mark_hop(id, hop as u16);
-        true
-    }
-
     /// The physical topology (as built, including failed wires).
     pub fn topology(&self) -> &Topology {
         self.fabric.topology()

@@ -6,29 +6,23 @@
 //! ```text
 //! seed = 0x3eba97c76cdf7bd6   # decimal, hex, or mnemonic (hashed)
 //! expect = clean              # or: divergent
-//! bug = phantom-credit        # optional fault hook to arm
-//! max-conns = 4               # optional shrink bound for divergent seeds
 //! min-preempted = 1           # optional: replay must shed >= N sessions
 //! min-upgrades = 1            # optional: replay must upgrade >= N times
 //! ```
 //!
-//! Seeds with a `bug` line are replayed **twice**: unhooked they must be
-//! clean (the production stack is correct), and hooked they must diverge
-//! (the oracle catches the resurrected bug class) and shrink to at most
-//! `max-conns` connections. Add a new seed by dropping a file here — no
-//! code change needed.
+//! Add a new seed by dropping a file here — no code change needed. That
+//! the oracle catches a minted credit is shown by the `phantom-credit` row
+//! of the mutation ledger (`tools/mutants.tsv`), which this replay kills.
 
 use std::path::PathBuf;
 
-use mmr_conform::{parse_seed, run_scenario, shrink_scenario, Hooks, Scenario, DEFAULT_BUDGET};
+use mmr_conform::{parse_seed, run_scenario, Hooks, Scenario};
 
 /// One parsed corpus entry.
 struct CorpusCase {
     name: String,
     seed: u64,
     expect_divergent: bool,
-    hooks: Hooks,
-    max_conns: Option<usize>,
     min_preempted: Option<u64>,
     min_upgrades: Option<u64>,
 }
@@ -40,8 +34,6 @@ fn corpus_dir() -> PathBuf {
 fn parse_corpus_file(name: &str, text: &str) -> CorpusCase {
     let mut seed = None;
     let mut expect_divergent = false;
-    let mut hooks = Hooks::default();
-    let mut max_conns = None;
     let mut min_preempted = None;
     let mut min_upgrades = None;
     for line in text.lines() {
@@ -60,14 +52,6 @@ fn parse_corpus_file(name: &str, text: &str) -> CorpusCase {
                 "divergent" => expect_divergent = true,
                 other => panic!("{name}: expect must be clean|divergent, got {other}"),
             },
-            "bug" => match value {
-                "phantom-credit" => hooks.phantom_credit = true,
-                other => panic!("{name}: unknown bug hook {other}"),
-            },
-            "max-conns" => {
-                max_conns =
-                    Some(value.parse().unwrap_or_else(|_| panic!("{name}: bad max-conns")));
-            }
             "min-preempted" => {
                 min_preempted =
                     Some(value.parse().unwrap_or_else(|_| panic!("{name}: bad min-preempted")));
@@ -83,8 +67,6 @@ fn parse_corpus_file(name: &str, text: &str) -> CorpusCase {
         name: name.to_string(),
         seed: seed.unwrap_or_else(|| panic!("{name}: missing seed")),
         expect_divergent,
-        hooks,
-        max_conns,
         min_preempted,
         min_upgrades,
     }
@@ -116,7 +98,7 @@ fn load_corpus() -> Vec<CorpusCase> {
 fn corpus_seeds_replay_as_recorded() {
     for case in load_corpus() {
         let scenario = Scenario::generate(case.seed);
-        let run = run_scenario(&scenario, case.hooks);
+        let run = run_scenario(&scenario, Hooks::default());
         assert_eq!(
             !run.is_clean(),
             case.expect_divergent,
@@ -146,46 +128,5 @@ fn corpus_seeds_replay_as_recorded() {
                 run.upgraded,
             );
         }
-    }
-}
-
-/// Bug-hooked seeds prove the differential pair: the same scenario is
-/// clean on the production stack and divergent with the bug resurrected —
-/// so the divergence is attributable to the bug, not the scenario.
-#[test]
-fn bug_seeds_are_clean_without_the_hook() {
-    for case in load_corpus() {
-        if case.hooks == Hooks::default() {
-            continue;
-        }
-        let scenario = Scenario::generate(case.seed);
-        let run = run_scenario(&scenario, Hooks::default());
-        assert!(
-            run.is_clean(),
-            "{}: seed {:#x} must be clean unhooked, got {:?}",
-            case.name,
-            case.seed,
-            run.divergences,
-        );
-    }
-}
-
-#[test]
-fn divergent_seeds_shrink_to_their_recorded_bound() {
-    for case in load_corpus() {
-        let Some(max_conns) = case.max_conns else { continue };
-        let scenario = Scenario::generate(case.seed);
-        let shrunk = shrink_scenario(&scenario, case.hooks, DEFAULT_BUDGET);
-        assert!(
-            !shrunk.divergences.is_empty(),
-            "{}: the minimal scenario must still diverge",
-            case.name
-        );
-        assert!(
-            shrunk.scenario.conns.len() <= max_conns,
-            "{}: shrank to {} connections, corpus records a bound of {max_conns}",
-            case.name,
-            shrunk.scenario.conns.len(),
-        );
     }
 }
