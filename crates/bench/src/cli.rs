@@ -21,7 +21,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::str::FromStr;
 
-use mmr_conform::{parse_seed, Hooks, RunConfig};
+use mmr_conform::{parse_seed, RunConfig};
 use mmr_sim::sweep::SweepOptions;
 use mmr_sim::SweepTable;
 
@@ -204,7 +204,6 @@ fn conform_config(request: &Request) -> Result<RunConfig, String> {
     Ok(RunConfig {
         base_seed: request.seed.unwrap_or_else(|| parse_seed("0xMMR5")),
         cases: cases.map_err(|_| "--cases expects a non-negative integer")?,
-        hooks: Hooks { dense_stepping: request.opts.dense, ..Hooks::default() },
         opts: request.opts,
     })
 }
@@ -482,11 +481,11 @@ mod tests {
 
         let gate = conform_config(&request(&["conform"])).expect("the default campaign runs");
         assert_eq!((gate.base_seed, gate.cases), (parse_seed("0xMMR5"), 200));
-        assert_eq!(gate.hooks, Hooks::default());
+        assert!(!gate.opts.dense);
         let words = ["conform", "--seed", "0x2A", "--cases", "5", "--dense"];
         let dense = conform_config(&request(&words)).expect("a dense campaign runs");
         assert_eq!((dense.base_seed, dense.cases), (42, 5));
-        assert!(dense.hooks.dense_stepping && dense.opts.dense);
+        assert!(dense.opts.dense);
 
         // Seeds are decimal too; a repeated value flag takes its last value.
         let router = request(&["router", "--load", "0.5", "--seed", "7", "--load", "0.6"]);

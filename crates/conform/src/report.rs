@@ -21,9 +21,8 @@ pub struct RunConfig {
     pub base_seed: u64,
     /// Number of cases.
     pub cases: usize,
-    /// The reference engines to run each case on.
-    pub hooks: Hooks,
-    /// Worker-thread options from the sweep harness.
+    /// Worker-thread options from the sweep harness; `dense` runs every
+    /// case on the dense stepping engine ([`Hooks::dense_stepping`]).
     pub opts: SweepOptions,
 }
 
@@ -198,13 +197,14 @@ fn escape(s: &str) -> String {
 /// Runs the campaign: each case generates, executes, and (when divergent)
 /// shrinks inside its own sweep slot, so a clean campaign never shrinks.
 pub fn run(cfg: &RunConfig) -> Report {
+    let hooks = Hooks { dense_stepping: cfg.opts.dense, ..Hooks::default() };
     let outcomes = cfg.opts.run_indexed(cfg.cases, |i| {
         let seed = point_seed(cfg.base_seed, i);
         let scenario = Scenario::generate(seed);
-        let run = run_scenario(&scenario, cfg.hooks);
+        let run = run_scenario(&scenario, hooks);
         let shrunk = (!run.is_clean())
             .then(|| {
-                let rerun = |s: &Scenario| run_scenario(s, cfg.hooks).divergences;
+                let rerun = |s: &Scenario| run_scenario(s, hooks).divergences;
                 ShrunkOutcome::from(&shrink(&scenario, rerun, DEFAULT_BUDGET))
             });
         CaseOutcome {
@@ -235,7 +235,6 @@ mod tests {
         let base = RunConfig {
             base_seed: 0x5EED,
             cases: 8,
-            hooks: Hooks::default(),
             opts: SweepOptions::serial(),
         };
         let serial = run(&base).to_json();

@@ -28,6 +28,7 @@ use mmr_sim::Cycles;
 use crate::conn::ConnState;
 use crate::ids::{ConnRef, ConnectionId, PortId};
 use crate::router::Router;
+use crate::table::LazyVcMap;
 
 /// Which side of a port an invariant refers to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -240,6 +241,10 @@ struct WatchdogState {
     flagged: bool,
 }
 
+/// One input VC's watchdog slot: the connection its state belongs to, and
+/// the state.
+type WatchdogSlot = Option<(ConnectionId, WatchdogState)>;
+
 /// The invariant auditor. See the module docs for what it checks.
 #[derive(Debug, Clone, Default)]
 pub struct Auditor {
@@ -249,15 +254,17 @@ pub struct Auditor {
     overflow: u64,
     /// Router-cycles covered (see [`Auditor::checks`]).
     checks: u64,
-    /// Per router, the watchdog entries of its connections in handle order. Only
-    /// a connection that holds a flit or has been flagged has one: any other
+    /// Per router and input port, one watchdog slot per VC: the connection
+    /// the state belongs to and the state. A connection owns its input VC,
+    /// so a slot naming another id is a fresh entry. Only a connection that
+    /// holds a flit or has been flagged keeps its slot filled: any other
     /// entry would be `{stalled_since: None, flagged: false}`, which is what
-    /// a first visit starts from anyway.
-    watchdog: Vec<Vec<(ConnRef, WatchdogState)>>,
-    /// Scratch the merge in `visit_router` writes the next entry list
-    /// into, and the per-port `(input, output)` mapped-VC counts of
+    /// a first visit starts from anyway. A port's slots are allocated when
+    /// the first one is filled, so a thousand-router fabric holds them only
+    /// on the ports that ever buffered a flit.
+    watchdog: Vec<Vec<LazyVcMap<WatchdogSlot>>>,
+    /// Scratch for the per-port `(input, output)` mapped-VC counts of
     /// `check_ports` (capacity persists across calls).
-    merged: Vec<(ConnRef, WatchdogState)>,
     mapped: Vec<(usize, usize)>,
     /// Per-stream next expected end-to-end sequence number.
     streams: BTreeMap<u64, u64>,
@@ -295,10 +302,9 @@ impl Auditor {
     /// found in violation and the return value says whether a per-port law
     /// is. Counts as one check.
     ///
-    /// The laws run in one merge of `conns` against the router's watchdog
-    /// entries, which are in the same order; the entry of a connection that
-    /// is not visited survives only while the connection does (packet
-    /// connections are torn down within a cycle or two).
+    /// Each connection's watchdog state is the slot of its input VC; the
+    /// slot of a connection that is not visited is left as it is, and a
+    /// later connection on the same VC, which has another id, starts afresh.
     pub fn visit_router<'r>(
         &mut self,
         router: u16,
@@ -312,36 +318,34 @@ impl Auditor {
         let ports_broken = ports && self.check_ports(router, r);
         let router_at = usize::from(router);
         if self.watchdog.len() <= router_at {
-            self.watchdog.resize(router_at + 1, Vec::new());
+            self.watchdog.resize_with(router_at + 1, Vec::new);
         }
-        let old = self.watchdog.get_mut(router_at).map(std::mem::take).unwrap_or_default();
-        let mut merged = std::mem::take(&mut self.merged);
-        merged.clear();
-        let mut entries = old.iter().copied().peekable();
-        let survives = |&(conn, _): &(ConnRef, WatchdogState)| r.connection(conn).is_some();
+        let mut ports = self.watchdog.get_mut(router_at).map(std::mem::take).unwrap_or_default();
+        if ports.is_empty() {
+            let dims = r.config();
+            ports.resize(dims.ports(), LazyVcMap::new(dims.vcs_per_port() as u16));
+        }
         for conn in conns {
-            let handle = conn.handle();
-            merged.extend(std::iter::from_fn(|| entries.next_if(|e| e.0 < handle)).filter(survives));
-            let mut state = entries.next_if(|e| e.0 == handle).map_or(
-                WatchdogState {
+            let (port, vc) = (ports.get_mut(conn.input_vc.port.index()), conn.input_vc.vc);
+            let mut state = match port.as_deref().map(|slots| slots.get(vc)) {
+                Some(Some((id, state))) if id == conn.id => state,
+                _ => WatchdogState {
                     forwarded: conn.flits_forwarded,
                     stalled_since: None,
                     flagged: false,
                 },
-                |(_, state)| state,
-            );
+            };
             if self.connection_laws(router, r, conn, now, &mut state) {
-                broken(handle);
+                broken(conn.handle());
             }
-            if state.stalled_since.is_some() || state.flagged {
-                merged.push((handle, state));
+            let kept = (state.stalled_since.is_some() || state.flagged).then_some((conn.id, state));
+            if let Some(slots) = port.filter(|slots| kept.is_some() || slots.is_materialized()) {
+                *slots.slot_mut(vc) = kept;
             }
         }
-        merged.extend(entries.filter(survives));
-        if let Some(entries) = self.watchdog.get_mut(router_at) {
-            *entries = merged;
+        if let Some(entry) = self.watchdog.get_mut(router_at) {
+            *entry = ports;
         }
-        self.merged = old;
         ports_broken
     }
 
@@ -639,6 +643,38 @@ mod tests {
             .filter(|v| matches!(v, AuditViolation::Starvation { .. }))
             .count();
         assert_eq!(stalls, 1, "one report per stall, not one per cycle");
+    }
+
+    /// A connection's watchdog state is the slot of its input VC and is its
+    /// own: a connection that takes over the VC a flagged one left starts
+    /// afresh, and is reported when it stalls in its turn.
+    #[test]
+    fn a_re_leased_vc_starts_a_fresh_watchdog() {
+        let mut r = audited_router();
+        let req = ConnectionRequest {
+            input: PortId(0),
+            output: PortId(1),
+            class: QosClass::Cbr { rate: Bandwidth::from_mbps(100.0) },
+        };
+        let mut audit = Auditor::new(AuditConfig::default().starvation_threshold(Cycles(10)));
+        let first = r.establish(req).expect("admitted");
+        r.inject(first, Cycles(0)).expect("room");
+        for t in 0..20u64 {
+            audit.check_router(0, &r, Cycles(t));
+        }
+        assert_eq!(audit.violation_count(), 1, "the first connection's stall");
+        r.teardown(first).expect("live");
+        let second = r.establish(req).expect("admitted");
+        assert_eq!(second.vc, first.vc, "the input VC is re-leased");
+        r.inject(second, Cycles(20)).expect("room");
+        for t in 20..40u64 {
+            audit.check_router(0, &r, Cycles(t));
+        }
+        assert_eq!(audit.violation_count(), 2, "the second connection's own stall");
+        assert!(matches!(
+            audit.violations()[1],
+            AuditViolation::Starvation { stalled_for: Cycles(11), .. }
+        ));
     }
 
     #[test]

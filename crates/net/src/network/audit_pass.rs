@@ -1,46 +1,35 @@
 //! The end-of-cycle invariant pass.
 //!
 //! The laws are the [`Auditor`]'s (per router) plus the cross-router
-//! credit-conservation equation of every stream hop, which only the network
-//! can see. The *full sweep* checks all of them for every router and every
-//! hop pair of every session. An ordinary pass visits only what an event
-//! since the last pass could have changed — the [`AuditMarks`] the sites
-//! that mutate a router left behind, every connection holding a flit (the
-//! starvation watchdog's subject), and whatever the last pass found in
-//! violation, which stays marked until a visit finds it clean — and reports
-//! what the sweep would have, in the sweep's order (DESIGN.md §6c). Every
+//! credit-conservation equation of every stream hop pair, which only the
+//! network can see. The *full sweep* checks all of them for every router
+//! and every hop pair. An ordinary pass visits only what an event since the
+//! last pass could have changed — the [`AuditMarks`] the sites that mutate a
+//! router left behind, every connection holding a flit (the starvation
+//! watchdog's subject), and whatever the last pass found in violation,
+//! which stays marked until a visit finds it clean — and reports what the
+//! sweep would have, in the sweep's order (DESIGN.md §6c). Every
 //! [`SWEEP_PERIOD`]-th pass is the sweep itself, the backstop for a change
 //! that left no mark.
 
-use std::collections::BTreeMap;
-
 use mmr_bitvec::StatusBits;
 use mmr_core::audit::{AuditViolation, Auditor};
-use mmr_core::ids::ConnRef;
+use mmr_core::ids::{ConnRef, PortId, VcIndex, VcRef};
 use mmr_sim::Cycles;
 
 use super::routers::RouterArray;
 use super::wire::Wires;
-use super::{NetConnection, NetConnectionId, Owner};
-use crate::topology::NodeId;
+use super::{NetConnectionId, Owner};
+use crate::topology::{NodeId, Topology};
 
 /// One audited cycle in this many is a full sweep. A constant, not an
 /// option: a sweep of a few-dozen-router fabric costs ≈ 20 µs.
 const SWEEP_PERIOD: u64 = 1024;
 
-/// One thing a site that mutates a router tells the next audit pass.
-#[derive(Debug, Clone, Copy)]
-enum Mark {
-    /// This connection on this router, and nothing else there: it
-    /// transmitted, received a flit or a credit, appeared or went away.
-    Conn(NodeId, ConnRef),
-    /// Hop pair `hops[hop..hop + 2]` of this session: a term of its credit
-    /// equation moved.
-    Hop(NetConnectionId, u16),
-}
-
 /// What changed since the last audit pass, recorded by `RouterArray` at the
-/// sites that change it while an auditor is armed.
+/// sites that change it while an auditor is armed. Per router, a VC is bit
+/// `port × vcs + vc` of a bank: the set of what needs looking at is a bit
+/// vector, as §4.4's set of VCs to schedule is, not a list to sort.
 #[derive(Debug)]
 pub(super) struct AuditMarks {
     /// Routers handed out whole (`RouterArray::get_mut`): anything on them
@@ -51,26 +40,33 @@ pub(super) struct AuditMarks {
     /// connection, the free-VC stacks and bandwidth books of its ports
     /// changed, so the per-port laws are due.
     ports: StatusBits,
-    /// Everything narrower, in the order it happened.
-    log: Vec<Mark>,
-    /// The log as a pass visits it, filled in by `AuditPass::digest`: per
-    /// router the ascending connection handles (`named` has the routers with
-    /// any), and the ascending hop pairs.
-    conns: Vec<Vec<ConnRef>>,
+    /// Per router, the input VCs whose connection is due — it transmitted,
+    /// received a flit or a credit, appeared or went away. A connection is
+    /// its input VC, so ascending bits are ascending handles.
+    conns: Vec<StatusBits>,
+    /// Per router, the input VCs that are the downstream end of a hop pair
+    /// whose credit equation is due: a term of it moved.
+    pairs: Vec<StatusBits>,
+    /// The routers with a `conns` / `pairs` bit (`named` also gets the
+    /// `whole` and `ports` routers, as a pass visits them).
     named: StatusBits,
-    hops: Vec<(NetConnectionId, u16)>,
+    paired: StatusBits,
+    /// VCs per port: the stride of a bank.
+    vcs: usize,
 }
 
 impl AuditMarks {
-    pub(super) fn new(nodes: usize) -> Self {
+    pub(super) fn new(nodes: usize, ports: usize, vcs: usize) -> Self {
         let clear = StatusBits::zeros(nodes);
+        let banks = vec![StatusBits::zeros(ports * vcs); nodes];
         AuditMarks {
             whole: clear.clone(),
             ports: clear.clone(),
-            log: Vec::new(),
-            conns: vec![Vec::new(); nodes],
-            named: clear,
-            hops: Vec::new(),
+            conns: banks.clone(),
+            pairs: banks,
+            named: clear.clone(),
+            paired: clear,
+            vcs,
         }
     }
 
@@ -82,41 +78,67 @@ impl AuditMarks {
         self.ports.set(node.index(), true);
     }
 
-    pub(super) fn conn(&mut self, node: NodeId, conn: ConnRef) {
-        self.note(Mark::Conn(node, conn));
-    }
-
-    pub(super) fn hop(&mut self, session: NetConnectionId, hop: u16) {
-        self.note(Mark::Hop(session, hop));
-    }
-
-    fn note(&mut self, mark: Mark) {
-        // mmr-lint: allow(A-TRANS, reason="amortized: the log keeps its capacity across audit passes, and exists only while an auditor is armed")
-        self.log.push(mark);
-    }
-
-    /// Queues `conn` on router `node` for this pass's visit.
-    fn visit(&mut self, node: NodeId, conn: ConnRef) {
+    /// The connection owning input VC `vc` of router `node`, and nothing
+    /// else there.
+    pub(super) fn conn(&mut self, node: NodeId, vc: VcRef) {
         self.named.set(node.index(), true);
-        self.conns[node.index()].push(conn);
+        self.conns[node.index()].set(bit(vc, self.vcs), true);
+    }
+
+    /// The hop pair whose downstream end is input VC `vc` of router `node`.
+    pub(super) fn pair(&mut self, node: NodeId, vc: VcRef) {
+        self.paired.set(node.index(), true);
+        self.pairs[node.index()].set(bit(vc, self.vcs), true);
     }
 
     /// Whether an ordinary pass visits `conn` on router `n`.
-    fn visits(&self, n: u16, conn: ConnRef) -> bool {
-        self.whole.get(usize::from(n)) || self.conns[usize::from(n)].binary_search(&conn).is_ok()
+    fn visits(&self, n: usize, conn: ConnRef) -> bool {
+        self.whole.get(n) || self.conns[n].get(bit(conn.vc, self.vcs))
     }
 
     fn clear(&mut self) {
         for n in self.named.iter_set() {
             self.conns[n].clear();
         }
+        for n in self.paired.iter_set() {
+            self.pairs[n].clear();
+        }
         self.whole.clear();
         self.ports.clear();
         self.named.clear();
-        self.log.clear();
-        self.hops.clear();
+        self.paired.clear();
     }
 }
+
+/// Where VC `vc` sits in a router's bank of `vcs` VCs a port.
+fn bit(vc: VcRef, vcs: usize) -> usize {
+    vc.port.index() * vcs + vc.vc.index()
+}
+
+/// The VC at bit `at` of a router's bank.
+fn vc_at(at: usize, vcs: usize) -> VcRef {
+    VcRef { port: PortId((at / vcs) as u8), vc: VcIndex((at % vcs) as u16) }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Connections visited and hop pairs evaluated by ordinary (not sweep)
+    /// audit passes on this thread: the counters behind the pass's work gate.
+    static VISITED: std::cell::Cell<(u64, u64)> = const { std::cell::Cell::new((0, 0)) };
+}
+
+/// Counts `conns` connections and `pairs` hop pairs into [`VISITED`] when
+/// the pass is not a sweep.
+#[cfg(test)]
+fn tally(sweep: bool, conns: u64, pairs: u64) {
+    if !sweep {
+        VISITED.with(|v| v.set((v.get().0 + conns, v.get().1 + pairs)));
+    }
+}
+
+/// A hop pair whose credit equation does not hold: `(session, hop)`, its
+/// downstream end `(router, input VC)` and the violation.
+type Leak = ((NetConnectionId, u16), (u16, VcRef), AuditViolation);
 
 /// What the auditor's pass carries from one cycle to the next.
 #[derive(Debug, Default)]
@@ -126,11 +148,14 @@ pub(super) struct AuditPass {
     /// Passes run so far; the first is a sweep because nothing was marked
     /// before the auditor was armed.
     passes: u64,
-    /// What the last pass found broken, each list ascending: `(router,
-    /// connection)`, routers with a broken per-port law, hop pairs.
+    /// What the last pass found broken: `(router, connection)` and routers
+    /// with a broken per-port law, each ascending, and the downstream ends
+    /// `(router, input VC)` of leaking hop pairs.
     broken_conns: Vec<(u16, ConnRef)>,
     broken_ports: Vec<u16>,
-    broken_hops: Vec<(NetConnectionId, u16)>,
+    broken_pairs: Vec<(u16, VcRef)>,
+    /// This pass's leaking hop pairs, sorted before they are reported.
+    leaks: Vec<Leak>,
     /// Violators a sweep found that an ordinary pass in its place would not
     /// have visited. Stays 0 unless a mark rule is missing.
     pub(super) missed: u64,
@@ -142,14 +167,14 @@ impl AuditPass {
         aud: &mut Auditor,
         now: Cycles,
         routers: &mut RouterArray,
-        conns: &BTreeMap<NetConnectionId, NetConnection>,
+        topology: &Topology,
         wires: &Wires,
     ) {
         let Some(mut marks) = routers.take_marks() else { return };
         let sweep = self.exhaustive || self.passes.is_multiple_of(SWEEP_PERIOD);
         let first = self.passes == 0;
         self.passes += 1;
-        self.digest(&mut marks, routers);
+        self.gather(&mut marks, routers, topology);
 
         // Router laws, ascending router then ascending connection handle.
         self.broken_conns.clear();
@@ -160,10 +185,15 @@ impl AuditPass {
             let (r, n) = (routers.get(NodeId(n as u16)), n as u16);
             let broken = |conn: ConnRef| broken_conns.push((n, conn));
             let ports_broken = if whole {
-                aud.visit_router(n, r, now, true, r.connections_iter(), broken)
+                let conns = r.connections_iter();
+                #[cfg(test)]
+                let conns = conns.inspect(|_| tally(sweep, 1, 0));
+                aud.visit_router(n, r, now, true, conns, broken)
             } else {
-                let handles = marks.conns[usize::from(n)].iter();
-                let conns = handles.filter_map(|&conn| r.connection(conn));
+                let bits = marks.conns[usize::from(n)].iter_set();
+                let conns = bits.filter_map(|at| r.connection_by_input_vc(vc_at(at, marks.vcs)));
+                #[cfg(test)]
+                let conns = conns.inspect(|_| tally(sweep, 1, 0));
                 aud.visit_router(n, r, now, marks.ports.get(usize::from(n)), conns, broken)
             };
             if ports_broken {
@@ -181,160 +211,165 @@ impl AuditPass {
             aud.cover(routers.len() as u64 - visited);
         }
 
-        // Hop laws, ascending session then hop by hop.
-        let broken_hops = &mut self.broken_hops;
-        let mut leaks = |aud: &mut Auditor, conn: &NetConnection, hop: u16| {
-            if hop_leaks(aud, conn, usize::from(hop), routers, wires) {
-                broken_hops.push((conn.id, hop));
-            }
+        // Hop laws, found from their downstream ends and reported in
+        // ascending `(session, hop)` order.
+        let leaks = &mut self.leaks;
+        let mut pair = |n: usize, input: VcRef| {
+            leaks.extend(pair_leak(routers, topology, wires, NodeId(n as u16), input));
         };
         if sweep {
-            for conn in conns.values() {
-                (0..conn.hops.len().saturating_sub(1)).for_each(|hop| leaks(aud, conn, hop as u16));
+            for (n, r) in routers.iter().enumerate() {
+                r.connections_iter().for_each(|state| pair(n, state.input_vc));
             }
         } else {
-            let mut session = None;
-            for &(id, hop) in &marks.hops {
-                if session.is_none_or(|conn: &NetConnection| conn.id != id) {
-                    session = conns.get(&id);
-                }
-                if let Some(conn) = session {
-                    leaks(aud, conn, hop);
+            for n in marks.paired.iter_set() {
+                for at in marks.pairs[n].iter_set() {
+                    #[cfg(test)]
+                    tally(sweep, 0, 1);
+                    pair(n, vc_at(at, marks.vcs));
                 }
             }
         }
+        self.leaks.sort_unstable_by_key(|&(key, ..)| key);
+        self.broken_pairs.clear();
+        for (_, end, violation) in self.leaks.drain(..) {
+            aud.report(violation);
+            self.broken_pairs.push(end);
+        }
 
         if sweep && !first {
-            let missed_conns = self.broken_conns.iter().filter(|&&(n, c)| !marks.visits(n, c));
+            let missed_conns =
+                self.broken_conns.iter().filter(|&&(n, c)| !marks.visits(usize::from(n), c));
             let missed_ports = (self.broken_ports.iter().map(|&n| usize::from(n)))
                 .filter(|&n| !marks.whole.get(n) && !marks.ports.get(n));
-            let missed_hops =
-                self.broken_hops.iter().filter(|&key| marks.hops.binary_search(key).is_err());
+            let missed_pairs = (self.broken_pairs.iter())
+                .filter(|&&(n, input)| !marks.pairs[usize::from(n)].get(bit(input, marks.vcs)));
             self.missed +=
-                (missed_conns.count() + missed_ports.count() + missed_hops.count()) as u64;
+                (missed_conns.count() + missed_ports.count() + missed_pairs.count()) as u64;
         }
         marks.clear();
         routers.restore_marks(marks);
     }
 
-    /// Digests the marks into what an ordinary pass visits: per named
-    /// router the ascending connections, and the ascending hop pairs. Empties
-    /// `broken_hops` into the latter.
-    fn digest(&mut self, marks: &mut AuditMarks, routers: &RouterArray) {
-        // The marked; the broken; every connection holding a flit (a router
-        // asleep is quiescent, so holds none); every hop pair through a
-        // router handed out whole.
-        let log = std::mem::take(&mut marks.log);
-        for &mark in &log {
-            match mark {
-                Mark::Conn(node, conn) => marks.visit(node, conn),
-                Mark::Hop(session, hop) => marks.hops.push((session, hop)),
-            }
-        }
-        marks.log = log;
+    /// Adds to the marks what an ordinary pass visits besides them: the
+    /// broken; every connection holding a flit (a router asleep is
+    /// quiescent, so holds none); every hop pair through a router handed
+    /// out whole.
+    fn gather(&self, marks: &mut AuditMarks, routers: &RouterArray, topology: &Topology) {
         for &(n, conn) in &self.broken_conns {
-            marks.visit(NodeId(n), conn);
+            marks.conn(NodeId(n), conn.vc);
         }
         for n in routers.awake().iter_set() {
             let node = NodeId(n as u16);
-            routers.get(node).buffered_connections().for_each(|conn| marks.visit(node, conn));
+            routers.get(node).buffered_connections().for_each(|conn| marks.conn(node, conn.vc));
         }
-        marks.hops.append(&mut self.broken_hops);
-        for n in marks.whole.iter_set() {
-            for state in routers.get(NodeId(n as u16)).connections_iter() {
-                let Some(Owner::Hop(session, at)) = Owner::of(state.tag) else { continue };
-                marks.hops.extend(at.checked_sub(1).map(|before| (session, before)));
-                marks.hops.push((session, at));
+        for &(n, input) in &self.broken_pairs {
+            marks.pair(NodeId(n), input);
+        }
+        // Taken out while its routers mark pairs, which borrows the marks.
+        let whole = std::mem::replace(&mut marks.whole, StatusBits::zeros(0));
+        for n in whole.iter_set() {
+            let node = NodeId(n as u16);
+            for state in routers.get(node).connections_iter() {
+                let Some(Owner::Hop(_, at)) = Owner::of(state.tag) else { continue };
+                if at > 0 {
+                    marks.pair(node, state.input_vc);
+                }
+                let output = state.output_vc;
+                if let Some((peer, port)) = topology.peer_of(node, output.port) {
+                    marks.pair(peer, VcRef { port, vc: output.vc });
+                }
             }
         }
+        marks.whole = whole;
         for &n in &self.broken_ports {
             marks.ports(NodeId(n));
         }
-
-        marks.hops.sort_unstable();
-        marks.hops.dedup();
-        for n in marks.whole.iter_set().chain(marks.ports.iter_set()) {
-            marks.named.set(n, true);
-        }
-        for n in marks.named.iter_set() {
-            marks.conns[n].sort_unstable();
-            marks.conns[n].dedup();
-        }
+        marks.named |= &marks.whole;
+        marks.named |= &marks.ports;
     }
 }
-
-/// The credit-conservation equation of one stream hop: credits held
+/// The credit-conservation equation of the stream hop pair whose
+/// downstream end is input VC `input` of router `node`: credits held
 /// upstream + flits buffered downstream + frames owed by the retry layer
 /// must equal the VC depth (stream wires themselves are empty between
-/// steps). Reports and returns `true` when it does not hold; a hop that is
-/// the session's last, or whose routers no longer map it, has no equation.
-fn hop_leaks(
-    aud: &mut Auditor,
-    conn: &NetConnection,
-    hop: usize,
+/// steps). The upstream end is the connection holding the wire's output VC
+/// on the peer router, and the two are a pair when their tags name hops
+/// `at − 1` and `at` of one session. Returns the [`Leak`] when the equation
+/// does not hold; a VC that is no session's hop past its first, or whose
+/// upstream end is gone, has no equation.
+fn pair_leak(
     routers: &RouterArray,
+    topology: &Topology,
     wires: &Wires,
-) -> bool {
-    let (Some(up), Some(down)) = (conn.hops.get(hop), conn.hops.get(hop + 1)) else {
-        return false;
-    };
-    let (up_router, down_router) = (routers.get(up.node), routers.get(down.node));
-    if !up_router.credits_tracked() {
-        return false;
-    }
-    let (Some(up_state), Some(down_state)) =
-        (up_router.connection(up.local), down_router.connection(down.local))
+    node: NodeId,
+    input: VcRef,
+) -> Option<Leak> {
+    let down_router = routers.get(node);
+    let Some(Owner::Hop(session, at)) = Owner::of(down_router.connection_by_input_vc(input)?.tag)
     else {
-        return false;
+        return None;
     };
-    let credits = up_router.output_credit(up_state.output_vc);
-    let input = down_state.input_vc;
+    let hop = at.checked_sub(1)?;
+    let (up, port) = topology.peer_of(node, input.port)?;
+    let up_router = routers.get(up);
+    let output = VcRef { port, vc: input.vc };
+    let up_conn = up_router.connection_by_output_vc(output)?;
+    if !up_router.credits_tracked()
+        || up_router.connection(up_conn)?.tag != Owner::Hop(session, hop).tag()
+    {
+        return None;
+    }
+    let credits = up_router.output_credit(output);
     let buffered = down_router.vcm(input.port).occupancy(input.vc);
-    let in_flight = wires.owed_to((down.node, input.port), conn.id);
+    let in_flight = wires.owed_to((node, input.port), session);
     let depth = up_router.vc_depth();
-    let leaks = credits as usize + buffered + in_flight != depth;
-    if leaks {
-        aud.report(AuditViolation::CreditConservation {
-            router: up.node.0,
-            conn: up.local.id,
+    (credits as usize + buffered + in_flight != depth).then_some((
+        (session, hop),
+        (node.0, input),
+        AuditViolation::CreditConservation {
+            router: up.0,
+            conn: up_conn.id,
             credits,
             buffered,
             in_flight,
             depth,
-        });
-    }
-    leaks
+        },
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use mmr_core::audit::AuditConfig;
     use mmr_core::flit::FlitKind;
+    use mmr_core::conn::QosClass;
     use mmr_core::llr::LlrConfig;
+    use mmr_sim::{Bandwidth, SeededRng};
 
     use super::*;
     use crate::network::{NetStepReport, NetworkSim, TransientKind};
     use crate::setup::{cbr_mbps, SetupStrategy};
+    use crate::{AdmissionController, AdmitPolicy};
     use crate::testkit::{mesh_net, output_wire};
 
     /// The marks in a comparable shape: whole-marked routers, port-marked
-    /// routers, named `(router, connection)`s and hop pairs, each ascending.
-    type Marked = (Vec<usize>, Vec<usize>, Vec<(usize, ConnRef)>, Vec<(u32, u16)>);
+    /// routers, the `(router, input VC)` of every marked connection and the
+    /// `(router, input VC)` downstream end of every marked hop pair, each
+    /// ascending.
+    type Marked = (Vec<usize>, Vec<usize>, Vec<(usize, VcRef)>, Vec<(usize, VcRef)>);
 
     fn marked(net: &NetworkSim) -> Marked {
         let marks = net.routers.marks();
-        let (mut conns, mut hops) = (Vec::new(), Vec::new());
-        for &mark in &marks.log {
-            match mark {
-                Mark::Conn(node, conn) => conns.push((node.index(), conn)),
-                Mark::Hop(session, hop) => hops.push((session.0, hop)),
-            }
-        }
-        conns.sort_unstable();
-        conns.dedup();
-        hops.sort_unstable();
-        hops.dedup();
-        (marks.whole.iter_set().collect(), marks.ports.iter_set().collect(), conns, hops)
+        let read = |banks: &[StatusBits], routers: &StatusBits| -> Vec<(usize, VcRef)> {
+            let bits = |n: usize| banks[n].iter_set().map(move |at| (n, vc_at(at, marks.vcs)));
+            routers.iter_set().flat_map(bits).collect()
+        };
+        (
+            marks.whole.iter_set().collect(),
+            marks.ports.iter_set().collect(),
+            read(&marks.conns, &marks.named),
+            read(&marks.pairs, &marks.paired),
+        )
     }
 
     /// The wire phase of `NetworkSim::step` on its own.
@@ -359,12 +394,14 @@ mod tests {
         // session's two hop pairs exist from registration on.
         let id =
             net.establish(NodeId(0), NodeId(2), cbr_mbps(155.0), SetupStrategy::Epb).expect("fits");
-        let path: Vec<(usize, ConnRef)> = (net.connection(id).expect("live").hops.iter())
-            .map(|hop| (hop.node.index(), hop.local))
+        let path: Vec<(usize, VcRef)> = (net.connection(id).expect("live").hops.iter())
+            .map(|hop| (hop.node.index(), hop.local.vc))
             .collect();
         assert_eq!(path.iter().map(|&(n, _)| n).collect::<Vec<_>>(), [0, 1, 2]);
-        let pairs = vec![(id.0, 0), (id.0, 1), (id.0, 2)];
-        assert_eq!(marked(&net), (vec![], vec![0, 1, 2], path.clone(), pairs));
+        // A hop pair is marked at its downstream end: pair 0 at hop 1's
+        // input VC, pair 1 at hop 2's.
+        let pairs = vec![path[1], path[2]];
+        assert_eq!(marked(&net), (vec![], vec![0, 1, 2], path.clone(), pairs.clone()));
         net.step(Cycles(1));
 
         // A flit injected at the source NI touches the first hop's
@@ -372,24 +409,22 @@ mod tests {
         net.inject(id, Cycles(2)).expect("room");
         assert_eq!(marked(&net), (vec![], vec![], vec![path[0]], vec![]));
         // It crosses router 0 — that connection transmitted and spent a
-        // credit on pair 0 — and lands in router 1 the same cycle: the
-        // accepting connection, the pair the frame crossed.
+        // credit on pair 0, found through the wire it left on — and lands
+        // in router 1 the same cycle: the accepting connection, the pair
+        // the frame crossed.
         let mut report = NetStepReport::default();
         net.step_routers(Cycles(2), &mut report);
-        assert_eq!(marked(&net), (vec![], vec![], vec![path[0]], vec![(id.0, 0)]));
+        assert_eq!(marked(&net), (vec![], vec![], vec![path[0]], vec![path[1]]));
         deliver(&mut net, Cycles(2));
-        assert_eq!(marked(&net), (vec![], vec![], vec![path[0], path[1]], vec![(id.0, 0)]));
+        assert_eq!(marked(&net), (vec![], vec![], vec![path[0], path[1]], vec![path[1]]));
         net.run_audit(Cycles(2));
         // Next cycle it crosses router 1: a slot freed behind it (pair 0,
         // and the credit back to router 0's connection), a credit spent
         // ahead (pair 1), and router 2 accepts.
         net.step_routers(Cycles(3), &mut report);
-        assert_eq!(
-            marked(&net),
-            (vec![], vec![], vec![path[0], path[1]], vec![(id.0, 0), (id.0, 1)])
-        );
+        assert_eq!(marked(&net), (vec![], vec![], vec![path[0], path[1]], pairs.clone()));
         deliver(&mut net, Cycles(3));
-        assert_eq!(marked(&net), (vec![], vec![], path.clone(), vec![(id.0, 0), (id.0, 1)]));
+        assert_eq!(marked(&net), (vec![], vec![], path.clone(), pairs));
         net.run_audit(Cycles(3));
         for t in 4..6 {
             net.step(Cycles(t));
@@ -398,8 +433,8 @@ mod tests {
         // A tag written — here hop 1's own, again — is read by no law and
         // no stage: no mark, and no router woken.
         let awake: Vec<usize> = net.routers.awake().iter_set().collect();
-        let (node, local) = (NodeId(path[1].0 as u16), path[1].1);
-        net.routers.tag(node, local, Owner::Hop(id, 1).tag());
+        let hop = net.connection(id).expect("live").hops[1];
+        net.routers.tag(hop.node, hop.local, Owner::Hop(id, 1).tag());
         assert_eq!(marked(&net), (vec![], vec![], vec![], vec![]));
         assert_eq!(net.routers.awake().iter_set().collect::<Vec<_>>(), awake);
         assert!(net.tags_agree());
@@ -442,6 +477,8 @@ mod tests {
             net.establish(NodeId(0), NodeId(2), cbr_mbps(155.0), SetupStrategy::Epb).expect("fits");
         let (node, port) = output_wire(&net, id, 0);
         let (peer, peer_port) = net.topology().peer_of(node, port).expect("an inter-router wire");
+        let landing = net.connection(id).expect("live").hops[1];
+        assert_eq!((landing.node, landing.local.vc.port), (peer, peer_port));
         net.arm_transient(peer, peer_port, TransientKind::Drop).expect("a wire endpoint");
         net.inject(id, Cycles(0)).expect("room");
         let mut replayed_at = None;
@@ -453,7 +490,7 @@ mod tests {
             deliver(&mut net, now);
             if replayed_at.is_none() && net.stats.flits_retransmitted == 1 {
                 assert_eq!(report.flits_switched, 0, "no router moved a flit this cycle");
-                assert_eq!(marked(&net).3, vec![(id.0, 0)]);
+                assert_eq!(marked(&net).3, vec![(peer.index(), landing.local.vc)]);
                 replayed_at = Some(t);
             }
             net.run_audit(now);
@@ -462,6 +499,60 @@ mod tests {
         assert_eq!(net.stats.flits_delivered, 1, "the replay got through");
         let aud = net.auditor().expect("armed");
         assert!(aud.is_clean(), "{}", aud.summary());
+    }
+
+    /// The pass's work gate: on a seeded, audited churn tape over the 3×3
+    /// mesh — a session admitted or closed every fourth cycle, each live one
+    /// fed a flit every eighth, a best-effort packet every 64th — the
+    /// ordinary passes visit exactly this many connections and evaluate
+    /// exactly this many hop pairs. A change that widens what a pass visits
+    /// moves the counts; a deliberate one re-pins them (the failure prints
+    /// the new pair).
+    #[test]
+    fn an_audited_churn_pass_visits_what_was_marked() {
+        const CYCLES: u64 = 3_000;
+        VISITED.with(|v| v.set((0, 0)));
+        let mut net = mesh_net();
+        net.enable_audit(AuditConfig::default());
+        let mut ctl = AdmissionController::new(AdmitPolicy::default());
+        let mut rng = SeededRng::new(0xA0D17);
+        let mut live = Vec::new();
+        for t in 0..CYCLES {
+            let now = Cycles(t);
+            if t % 4 == 0 {
+                if live.len() < 24 && rng.chance(0.6) {
+                    let (src, dst) = (rng.index(9) as u16, rng.index(9) as u16);
+                    let rate = Bandwidth::from_mbps(*rng.pick(&[16.0, 55.0, 120.0]));
+                    if src != dst {
+                        let verdict = ctl.request(&mut net, NodeId(src), NodeId(dst), QosClass::Cbr { rate });
+                        live.extend(verdict.session());
+                    }
+                } else if !live.is_empty() {
+                    ctl.close(&mut net, live.remove(rng.index(live.len())));
+                }
+            }
+            if t % 8 == 0 {
+                for (_, conn) in ctl.sessions().active() {
+                    if net.can_inject(conn) {
+                        net.inject(conn, now).expect("checked");
+                    }
+                }
+            }
+            if t % 64 == 0 {
+                let (src, dst) = (NodeId(rng.index(9) as u16), NodeId(rng.index(9) as u16));
+                net.send_packet(src, dst, FlitKind::BestEffort, now).expect("valid");
+            }
+            let report = net.step(now);
+            let (_, preempted) = ctl.service(&mut net, &report, now);
+            live.retain(|&id| preempted.iter().all(|p| p.session != id));
+        }
+        let aud = net.auditor().expect("armed");
+        assert!(aud.is_clean(), "{}", aud.summary());
+        assert_eq!(net.audit_sweep_misses(), 0);
+        assert!(net.stats().flits_delivered > 1_000, "the tape carried traffic");
+        let passes = CYCLES - CYCLES.div_ceil(SWEEP_PERIOD);
+        let visited = VISITED.with(std::cell::Cell::get);
+        assert_eq!(visited, (59_823, 16_970), "connections, pairs over {passes} passes");
     }
 
     /// A change that leaves no mark — here a credit minted behind the

@@ -384,8 +384,11 @@ impl NetworkSim {
         conn.id = id;
         for (at, hop) in conn.hops.iter().enumerate() {
             self.routers.tag(hop.node, hop.local, Owner::Hop(id, at as u16).tag());
-            // The session's hop pairs exist from this cycle on.
-            self.routers.mark_hops_around(id, at as u16);
+            // The session's hop pairs exist from this cycle on; each is
+            // marked at its downstream end.
+            if at > 0 {
+                self.routers.mark_pair(hop.node, hop.local.vc);
+            }
         }
         self.conns.insert(id, conn); // mmr-lint: allow(A-TRANS, reason="per-connection-setup bookkeeping (control plane), not the per-flit data path")
         id
@@ -563,14 +566,17 @@ impl NetworkSim {
                         packets.forward(node, output, packet, now, topology, stats);
                         continue;
                     }
-                    Some(Owner::Hop(id, at)) => {
-                        // A slot freed behind this hop, a credit spent ahead.
-                        routers.mark_hops_around(id, at);
-                        Some((id, at))
-                    }
+                    Some(Owner::Hop(id, at)) => Some((id, at)),
                     None => None,
                 };
-                match topology.peer_of(node, output) {
+                let peer = topology.peer_of(node, output);
+                if let Some((_, at)) = owner {
+                    // A slot freed behind this hop, a credit spent ahead.
+                    let behind = (at > 0).then_some(t.input_vc);
+                    let ahead = peer.map(|(peer, port)| (peer, VcRef { port, vc: t.output_vc.vc }));
+                    routers.mark_pairs(node, behind, ahead);
+                }
+                match peer {
                     Some(peer) => wires.send(peer, t.output_vc.vc, owner, t.flit),
                     None => {
                         // Terminal port: the NI consumes the flit at once and
@@ -599,7 +605,7 @@ impl NetworkSim {
     /// `MMR_AUDIT=1` escalation of anything it finds.
     fn run_audit(&mut self, now: Cycles) {
         let Some(aud) = self.auditor.as_mut() else { return };
-        self.audit_pass.run(aud, now, &mut self.routers, &self.conns, &self.wires);
+        self.audit_pass.run(aud, now, &mut self.routers, self.fabric.topology(), &self.wires);
         if self.audit_enforce && !aud.is_clean() {
             // mmr-lint: allow(P-PANIC, reason="MMR_AUDIT=1 opt-in enforcement: aborting the campaign on an invariant breach is the auditor's contract")
             panic!("MMR_AUDIT: invariant violated at cycle {}: {}", now.count(), aud.summary());

@@ -6,8 +6,8 @@
 //! by construction — the only `&mut Router` this module hands out is
 //! [`RouterArray::get_mut`] and its narrower forms, which wake
 //! (DESIGN.md §9). The same choke point is the invariant auditor's dirty
-//! set: while an auditor is armed, every hand-out also leaves an
-//! [`AuditMarks`] entry saying what the next audit pass must look at
+//! set: while an auditor is armed, every hand-out also sets the
+//! [`AuditMarks`] bits saying what the next audit pass must look at
 //! (DESIGN.md §6c).
 
 use mmr_bitvec::StatusBits;
@@ -17,7 +17,6 @@ use mmr_core::router::{EstablishError, Router, RouterConfig, StepReport, Transmi
 use mmr_sim::{Cycles, SeededRng};
 
 use super::audit_pass::AuditMarks;
-use super::NetConnectionId;
 use crate::topology::{NodeId, Topology};
 
 #[derive(Debug)]
@@ -73,7 +72,9 @@ impl RouterArray {
     /// Starts recording [`AuditMarks`] (an auditor was armed). The first
     /// audit pass sweeps, so nothing before this call needs a mark.
     pub(super) fn arm_audit(&mut self) {
-        self.marks = Some(AuditMarks::new(self.routers.len()));
+        let dims = self.routers.first().map(Router::config);
+        let (ports, vcs) = dims.map_or((0, 0), |d| (d.ports(), d.vcs_per_port()));
+        self.marks = Some(AuditMarks::new(self.routers.len(), ports, vcs));
     }
 
     /// Hands the marks to an audit pass, which returns them emptied through
@@ -136,29 +137,34 @@ impl RouterArray {
     #[inline]
     fn mark(&mut self, node: NodeId, conn: ConnRef) {
         if let Some(marks) = &mut self.marks {
-            marks.conn(node, conn);
+            marks.conn(node, conn.vc);
         }
     }
 
-    /// Has the next audit pass check the credit equation of hop pair
-    /// `hops[hop..hop + 2]` of `session`: a flit crossed it, a credit
-    /// crossed back over it, or it just came into being.
+    /// Has the next audit pass check the credit equation of the hop pair
+    /// whose downstream end is input VC `vc` of `node`: a flit crossed it,
+    /// or it just came into being.
     #[inline]
-    pub(super) fn mark_hop(&mut self, session: NetConnectionId, hop: u16) {
+    pub(super) fn mark_pair(&mut self, node: NodeId, vc: VcRef) {
         if let Some(marks) = &mut self.marks {
-            marks.hop(session, hop);
+            marks.pair(node, vc);
         }
     }
 
-    /// [`RouterArray::mark_hop`] for both pairs hop `at` of `session` is an
-    /// end of: something about that hop's connection changed.
+    /// [`RouterArray::mark_pair`] for the pairs a flit leaving a hop on
+    /// `node` is an end of: the one `behind` it (a slot freed, its
+    /// downstream end on `node`) and the one `ahead` (a credit spent, its
+    /// downstream end on the peer), each when there is one.
     #[inline]
-    pub(super) fn mark_hops_around(&mut self, session: NetConnectionId, at: u16) {
+    pub(super) fn mark_pairs(
+        &mut self,
+        node: NodeId,
+        behind: Option<VcRef>,
+        ahead: Option<(NodeId, VcRef)>,
+    ) {
         if let Some(marks) = &mut self.marks {
-            marks.hop(session, at);
-            if let Some(before) = at.checked_sub(1) {
-                marks.hop(session, before);
-            }
+            behind.into_iter().for_each(|vc| marks.pair(node, vc));
+            ahead.into_iter().for_each(|(peer, vc)| marks.pair(peer, vc));
         }
     }
 
@@ -210,7 +216,7 @@ impl RouterArray {
         let router = &mut self.routers[node.index()];
         if let Some(marks) = &mut self.marks {
             if let Some(owner) = router.connection_by_output_vc(output_vc) {
-                marks.conn(node, owner);
+                marks.conn(node, owner.vc);
             }
         }
         router.return_credit(output_vc);
@@ -268,7 +274,7 @@ impl RouterArray {
             self.awake.set(n, true);
             if let Some(marks) = &mut self.marks {
                 for t in &rep.transmitted {
-                    marks.conn(NodeId(n as u16), ConnRef { vc: t.input_vc, id: t.conn });
+                    marks.conn(NodeId(n as u16), t.input_vc);
                 }
             }
             visit(self, NodeId(n as u16), &rep.transmitted);

@@ -34,10 +34,9 @@ struct WireFrame {
     /// replay that outlived its connection is discarded rather than
     /// injected into a reused VC.
     net_conn: Option<NetConnectionId>,
-    /// Which hop of `net_conn` sent the frame: it names the hop pair the
-    /// frame crosses, for the auditor, and the next hop's tag the frame
-    /// may land on. (Beside `vc` rather than inside the option, where it
-    /// would grow every replay-buffer slot by a word.)
+    /// Which hop of `net_conn` sent the frame: it names the next hop's tag
+    /// the frame may land on. (Beside `vc` rather than inside the option,
+    /// where it would grow every replay-buffer slot by a word.)
     hop: u16,
     flit: Flit,
 }
@@ -280,8 +279,8 @@ impl Wires {
                 stats.flits_lost += 1;
             }
             // Usually the cycle the frame was sent, but a replay lands later.
-            if let Some(session) = frame.net_conn {
-                routers.mark_hop(session, frame.hop);
+            if frame.net_conn.is_some() {
+                routers.mark_pair(node, VcRef { port, vc: frame.vc });
             }
         }
         self.crossing = crossing;

@@ -28,7 +28,7 @@ use mmr_core::{AuditConfig, AuditViolation};
 use mmr_net::setup::cbr_mbps;
 use mmr_net::{
     Butterfly, Dragonfly, Hypercube, MinimalSpec, NetConnectionId, NetworkSim, NodeId, RoutingSpec,
-    SetupStrategy, Topology,
+    SetupStrategy, Topology, TransientKind,
 };
 use mmr_sim::sweep::{point_seed, SweepOptions};
 use mmr_sim::{Cycles, SeededRng};
@@ -360,6 +360,60 @@ fn churn_head_agrees_across_audits() {
     assert_audits_agree("churn", &pass, &sweep);
     assert_eq!(pass.stats().ghost_releases, 0, "ghost releases");
     assert_eq!(pass_result.audit_checks, 12 * spec.horizon(), "one check per router per cycle");
+}
+
+/// Two sessions leak a credit each on the same cycle — the retry layer off,
+/// one armed drop on each session's first wire — and are reported again
+/// every cycle after. Session 0 runs 8 → 7 → 6 and session 1 runs
+/// 0 → 1 → 2 on the 3×3 mesh, so `(session, hop)` order reports router 8's
+/// leak first while the downstream routers' order (1 before 7) would put
+/// router 0's first: the pass, which finds a pair from its downstream end,
+/// must still report in session order, as the sweep does.
+#[test]
+fn leaking_pairs_agree_across_audits_in_session_order() {
+    let run = |exhaustive: bool| {
+        let topology = Topology::mesh2d(3, 3, 8).expect("fits the port budget");
+        let router = RouterConfig::paper_default().vcs_per_port(16).candidates(4);
+        let mut net = NetworkSim::new(topology, router);
+        net.enable_audit(AuditConfig::default());
+        net.set_exhaustive_audit(exhaustive);
+        let mut sessions = Vec::new();
+        for (src, dst, path) in [(8, 6, [8, 7, 6]), (0, 2, [0, 1, 2])] {
+            let id = net
+                .establish(NodeId(src), NodeId(dst), cbr_mbps(155.0), SetupStrategy::Epb)
+                .expect("path exists");
+            let hops = &net.connection(id).expect("live").hops;
+            assert_eq!(hops.iter().map(|hop| hop.node.0).collect::<Vec<_>>(), path);
+            let first = hops[0];
+            let port = net.router(first.node).connection(first.local).expect("mapped").output_vc.port;
+            let (peer, peer_port) = net.topology().peer_of(first.node, port).expect("a wire");
+            net.arm_transient(peer, peer_port, TransientKind::Drop).expect("a wire endpoint");
+            sessions.push(id);
+        }
+        for &id in &sessions {
+            net.inject(id, Cycles(0)).expect("room");
+        }
+        for t in 0..40 {
+            net.step(Cycles(t));
+        }
+        net
+    };
+    let (pass, sweep) = (run(false), run(true));
+    assert_audits_agree("two leaks", &pass, &sweep);
+    let aud = pass.auditor().expect("audited");
+    let flagged = aud.violation_count();
+    assert!(flagged > 0, "the drops leak credits");
+    let leaking: Vec<u16> = (aud.violations().iter())
+        .map(|v| match v {
+            AuditViolation::CreditConservation { router, .. } => *router,
+            other => panic!("only credit leaks: {other}"),
+        })
+        .collect();
+    assert_eq!(leaking.len() % 2, 0, "both leak from the same cycle on: {leaking:?}");
+    assert!(
+        leaking.chunks(2).all(|cycle| cycle == [8, 0]),
+        "session 0's leak (upstream router 8) before session 1's (router 0): {leaking:?}"
+    );
 }
 
 /// The policed-dragonfly recipe above, audited, on each structured fabric
