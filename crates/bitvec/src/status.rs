@@ -125,8 +125,7 @@ impl StatusBits {
         self.len
     }
 
-    /// For tests: whether the vector has zero length.
-    #[doc(hidden)]
+    /// Whether the vector has zero length.
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }

@@ -259,9 +259,9 @@ pub struct Auditor {
     /// so a slot naming another id is a fresh entry. Only a connection that
     /// holds a flit or has been flagged keeps its slot filled: any other
     /// entry would be `{stalled_since: None, flagged: false}`, which is what
-    /// a first visit starts from anyway. A port's slots are allocated when
-    /// the first one is filled, so a thousand-router fabric holds them only
-    /// on the ports that ever buffered a flit.
+    /// a first visit starts from anyway. A router's port headers and a
+    /// port's slots are allocated when the first slot is filled, so a
+    /// thousand-router fabric holds them only where a flit ever stalled.
     watchdog: Vec<Vec<LazyVcMap<WatchdogSlot>>>,
     /// Scratch for the per-port `(input, output)` mapped-VC counts of
     /// `check_ports` (capacity persists across calls).
@@ -321,13 +321,9 @@ impl Auditor {
             self.watchdog.resize_with(router_at + 1, Vec::new);
         }
         let mut ports = self.watchdog.get_mut(router_at).map(std::mem::take).unwrap_or_default();
-        if ports.is_empty() {
-            let dims = r.config();
-            ports.resize(dims.ports(), LazyVcMap::new(dims.vcs_per_port() as u16));
-        }
         for conn in conns {
-            let (port, vc) = (ports.get_mut(conn.input_vc.port.index()), conn.input_vc.vc);
-            let mut state = match port.as_deref().map(|slots| slots.get(vc)) {
+            let (port, vc) = (conn.input_vc.port.index(), conn.input_vc.vc);
+            let mut state = match ports.get(port).map(|slots| slots.get(vc)) {
                 Some(Some((id, state))) if id == conn.id => state,
                 _ => WatchdogState {
                     forwarded: conn.flits_forwarded,
@@ -339,7 +335,13 @@ impl Auditor {
                 broken(conn.handle());
             }
             let kept = (state.stalled_since.is_some() || state.flagged).then_some((conn.id, state));
-            if let Some(slots) = port.filter(|slots| kept.is_some() || slots.is_materialized()) {
+            if kept.is_some() && ports.is_empty() {
+                let dims = r.config();
+                ports.resize(dims.ports(), LazyVcMap::new(dims.vcs_per_port() as u16));
+            }
+            if let Some(slots) =
+                ports.get_mut(port).filter(|slots| kept.is_some() || slots.is_materialized())
+            {
                 *slots.slot_mut(vc) = kept;
             }
         }

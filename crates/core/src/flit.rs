@@ -17,15 +17,44 @@ use crate::ids::ConnectionId;
 /// The polynomial has Hamming distance 4 for payloads far beyond a flit, so
 /// every 1-bit and 2-bit corruption of a flit body is detected — the
 /// property the link-level retransmission layer ([`crate::llr`]) relies on.
-pub fn crc16_ccitt(bytes: &[u8]) -> u16 {
+pub const fn crc16_ccitt(bytes: &[u8]) -> u16 {
     let mut crc: u16 = 0xFFFF;
-    for &b in bytes {
-        crc ^= u16::from(b) << 8;
-        for _ in 0..8 {
+    let mut i = 0;
+    while i < bytes.len() {
+        crc ^= (bytes[i] as u16) << 8;
+        let mut bit = 0;
+        while bit < 8 {
             crc = if crc & 0x8000 != 0 { (crc << 1) ^ 0x1021 } else { crc << 1 };
+            bit += 1;
         }
+        i += 1;
     }
     crc
+}
+
+/// The CRC of a flit's sixteen checksummed bytes when all are zero.
+const ZERO_BODY_CRC: u16 = crc16_ccitt(&[0; 16]);
+
+/// A CRC is linear over GF(2) once its initial value is factored out, so
+/// the CRC of sixteen bytes is [`ZERO_BODY_CRC`] XOR one term per byte:
+/// `CRC_BY_POSITION[i][b]` is what byte `b` at position `i` adds. Each term
+/// is read off [`crc16_ccitt`] itself, so the tables cannot drift from it.
+static CRC_BY_POSITION: [[u16; 256]; 16] = crc_tables();
+
+const fn crc_tables() -> [[u16; 256]; 16] {
+    let mut tables = [[0; 256]; 16];
+    let mut i = 0;
+    while i < 16 {
+        let mut b = 0;
+        while b < 256 {
+            let mut body = [0u8; 16];
+            body[i] = b as u8;
+            tables[i][b] = crc16_ccitt(&body) ^ ZERO_BODY_CRC;
+            b += 1;
+        }
+        i += 1;
+    }
+    tables
 }
 
 fn mix64(mut z: u64) -> u64 {
@@ -109,13 +138,16 @@ impl Flit {
         Flit::new(conn, FlitKind::Data, seq, injected_at)
     }
 
-    /// The CRC protecting a `(payload, seq)` pair.
+    /// The CRC protecting a `(payload, seq)` pair: [`crc16_ccitt`] over the
+    /// payload's then the sequence number's little-endian bytes, one table
+    /// read a byte.
     pub fn checksum(payload: u64, seq: u64) -> u16 {
-        let mut bytes = [0u8; 16];
-        let (lo, hi) = bytes.split_at_mut(8);
-        lo.copy_from_slice(&payload.to_le_bytes());
-        hi.copy_from_slice(&seq.to_le_bytes());
-        crc16_ccitt(&bytes)
+        let bytes = payload.to_le_bytes().into_iter().chain(seq.to_le_bytes());
+        let terms = CRC_BY_POSITION.iter().zip(bytes);
+        // A byte is always in its 256-entry table's range.
+        terms.fold(ZERO_BODY_CRC, |crc, (table, b)| {
+            crc ^ table.get(usize::from(b)).copied().unwrap_or(0)
+        })
     }
 
     /// Whether the stored CRC matches the payload (no transmission damage).
@@ -163,6 +195,20 @@ mod tests {
     fn crc16_reference_vector() {
         // CRC-16/CCITT-FALSE("123456789") = 0x29B1.
         assert_eq!(crc16_ccitt(b"123456789"), 0x29B1);
+    }
+
+    proptest::proptest! {
+        /// The per-position tables compute the bitwise reference's CRC.
+        #[test]
+        fn the_checksum_tables_agree_with_the_reference(
+            payload in proptest::any::<u64>(),
+            seq in proptest::any::<u64>(),
+        ) {
+            let mut bytes = [0u8; 16];
+            bytes[..8].copy_from_slice(&payload.to_le_bytes());
+            bytes[8..].copy_from_slice(&seq.to_le_bytes());
+            proptest::prop_assert_eq!(Flit::checksum(payload, seq), crc16_ccitt(&bytes));
+        }
     }
 
     #[test]

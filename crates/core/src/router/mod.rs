@@ -89,6 +89,12 @@ pub struct Router {
     cut_through_outputs: u64,
     /// Output *o* carried a flit or a cut-through last cycle.
     output_busy_last_cycle: u64,
+    /// Input *p* latched a serviced bit, and output *o* carried a guaranteed
+    /// flit, since the last round boundary: the ports that boundary resets.
+    /// Every other port's serviced banks and guaranteed count are zero
+    /// already.
+    round_inputs: u64,
+    round_outputs: u64,
     /// The last full step offered no candidate on any port and left the
     /// crossbar idle and both latch words zero. From there every step is the
     /// same no-op (DESIGN.md §9 "Settled") until the round turns or a
@@ -141,6 +147,8 @@ impl Router {
             offered: 0,
             cut_through_outputs: 0,
             output_busy_last_cycle: 0,
+            round_inputs: 0,
+            round_outputs: 0,
             settled: false,
             pairs_buf: Vec::new(),
             completed_buf: Vec::new(),
@@ -666,6 +674,19 @@ impl Router {
         report
     }
 
+    /// Counts the cycle at `now` and returns `true` if the router is
+    /// settled there: it is at a fixed point of the flit cycle's stages
+    /// until its quotas come back at the round boundary or a mutator clears
+    /// the memo, so a step would change the cycle counter and nothing else
+    /// (DESIGN.md §9 "Settled"). A caller that gets `true` skips the step;
+    /// [`Router::step_into`] asks first itself.
+    // mmr-lint: hot
+    pub fn count_settled_cycle(&mut self, now: Cycles) -> bool {
+        let settled = self.settled && now.count() < self.next_round_start;
+        self.counters.cycles += u64::from(settled);
+        settled
+    }
+
     /// [`Router::step`] writing into a caller-owned report, so per-cycle
     /// drivers can reuse one `transmitted` buffer for the whole run instead
     /// of allocating a fresh one every flit cycle. The body is §3.4's flit
@@ -673,11 +694,7 @@ impl Router {
     // mmr-lint: hot
     pub fn step_into(&mut self, now: Cycles, report: &mut StepReport) {
         report.transmitted.clear();
-        // A settled router is at a fixed point of the stages below until its
-        // quotas come back at the round boundary (or a mutator clears the
-        // memo): the step would change the cycle counter and nothing else.
-        if self.settled && now.count() < self.next_round_start {
-            self.counters.cycles += 1;
+        if self.count_settled_cycle(now) {
             return;
         }
         self.begin_cycle(now);
@@ -698,7 +715,7 @@ impl Router {
 
     /// Stage 0: count the cycle, reset the bank budget of every VCM that
     /// was accessed since its last reset and, at a round boundary, make
-    /// every quota whole again (§4.1).
+    /// every quota whole again (§4.1) — on the ports the round serviced.
     // mmr-lint: hot
     fn begin_cycle(&mut self, now: Cycles) {
         self.counters.cycles += 1;
@@ -711,9 +728,11 @@ impl Router {
             for conn in self.conns.iter_mut() {
                 conn.serviced_this_round = 0;
             }
-            for (input, output) in self.inputs.iter_mut().zip(&mut self.outputs) {
-                input.new_round();
-                output.guaranteed_serviced = 0;
+            for p in set_ports(std::mem::take(&mut self.round_inputs)) {
+                self.inputs[p].new_round();
+            }
+            for o in set_ports(std::mem::take(&mut self.round_outputs)) {
+                self.outputs[o].guaranteed_serviced = 0;
             }
             self.guaranteed_open.fill(self.guaranteed_cap > 0);
         }
@@ -809,6 +828,7 @@ impl Router {
             // Best-effort reserve: guaranteed traffic may use at most
             // (1 - reserve) of each output's round (§4.2).
             output.guaranteed_serviced += 1;
+            self.round_outputs |= 1 << state.output_vc.port.index();
             self.guaranteed_open[state.output_vc.port.index()] =
                 output.guaranteed_serviced < self.guaranteed_cap;
         }
@@ -843,6 +863,7 @@ impl Router {
         }
         if state.round_spent() {
             input.latch_serviced(pair.vc, state.class);
+            self.round_inputs |= 1 << pair.input.index();
         }
         if matches!(flit.kind, FlitKind::Control | FlitKind::BestEffort) {
             // A packet flit is its connection's one flit: `inject_packet`

@@ -691,6 +691,32 @@ proptest::proptest! {
         }
     }
 
+    /// The round boundary resets only the ports the round serviced, so no
+    /// other port may hold anything to reset: after every operation of a
+    /// random tape, an input outside `round_inputs` has both serviced banks
+    /// empty and an output outside `round_outputs` has a guaranteed count
+    /// of zero.
+    #[test]
+    fn the_round_words_cover_what_the_round_serviced((seed, ops) in op_tape()) {
+        let mut d = Driven::new(RouterConfig::paper_default(), seed);
+        for (i, &op) in ops.iter().enumerate() {
+            d.apply(op);
+            let r = &d.r;
+            let at = format!("after op {i} {op:?} at {}", d.now);
+            for (p, input) in r.inputs.iter().enumerate() {
+                let ([_, cbr_serviced, vbr_serviced], ..) = input.bits();
+                let latched = cbr_serviced.any() || vbr_serviced.any();
+                let named = r.round_inputs >> p & 1 == 1;
+                proptest::prop_assert!(named || !latched, "{}: input p{} latched", &at, p);
+            }
+            for (o, output) in r.outputs.iter().enumerate() {
+                let counted = output.guaranteed_serviced > 0;
+                let named = r.round_outputs >> o & 1 == 1;
+                proptest::prop_assert!(named || !counted, "{}: output p{} counted", &at, o);
+            }
+        }
+    }
+
     /// A settled step changes nothing but the cycle counter. Two routers
     /// take one tape; the second has its memo cleared before every
     /// operation, so it always runs the full stages. An over-driven CBR

@@ -53,12 +53,16 @@ pub(super) struct AuditMarks {
     paired: StatusBits,
     /// VCs per port: the stride of a bank.
     vcs: usize,
+    /// Bits a bank: `ports × vcs`. A router's bank is allocated at its
+    /// first mark and empty until then, so a fabric whose traffic touches a
+    /// few routers holds banks for those only.
+    bank_len: usize,
 }
 
 impl AuditMarks {
     pub(super) fn new(nodes: usize, ports: usize, vcs: usize) -> Self {
         let clear = StatusBits::zeros(nodes);
-        let banks = vec![StatusBits::zeros(ports * vcs); nodes];
+        let banks = vec![StatusBits::zeros(0); nodes];
         AuditMarks {
             whole: clear.clone(),
             ports: clear.clone(),
@@ -67,6 +71,7 @@ impl AuditMarks {
             named: clear.clone(),
             paired: clear,
             vcs,
+            bank_len: ports * vcs,
         }
     }
 
@@ -82,18 +87,18 @@ impl AuditMarks {
     /// else there.
     pub(super) fn conn(&mut self, node: NodeId, vc: VcRef) {
         self.named.set(node.index(), true);
-        self.conns[node.index()].set(bit(vc, self.vcs), true);
+        mark_bit(&mut self.conns[node.index()], self.bank_len, bit(vc, self.vcs));
     }
 
     /// The hop pair whose downstream end is input VC `vc` of router `node`.
     pub(super) fn pair(&mut self, node: NodeId, vc: VcRef) {
         self.paired.set(node.index(), true);
-        self.pairs[node.index()].set(bit(vc, self.vcs), true);
+        mark_bit(&mut self.pairs[node.index()], self.bank_len, bit(vc, self.vcs));
     }
 
     /// Whether an ordinary pass visits `conn` on router `n`.
     fn visits(&self, n: usize, conn: ConnRef) -> bool {
-        self.whole.get(n) || self.conns[n].get(bit(conn.vc, self.vcs))
+        self.whole.get(n) || is_marked(&self.conns[n], bit(conn.vc, self.vcs))
     }
 
     fn clear(&mut self) {
@@ -108,6 +113,20 @@ impl AuditMarks {
         self.named.clear();
         self.paired.clear();
     }
+}
+
+/// Sets bit `at` of `bank`, allocating the bank's `len` bits at its first
+/// mark.
+fn mark_bit(bank: &mut StatusBits, len: usize, at: usize) {
+    if bank.is_empty() {
+        *bank = StatusBits::zeros(len);
+    }
+    bank.set(at, true);
+}
+
+/// Whether bit `at` of `bank` is set; a bank never marked is not allocated.
+fn is_marked(bank: &StatusBits, at: usize) -> bool {
+    !bank.is_empty() && bank.get(at)
 }
 
 /// Where VC `vc` sits in a router's bank of `vcs` VCs a port.
@@ -242,8 +261,9 @@ impl AuditPass {
                 self.broken_conns.iter().filter(|&&(n, c)| !marks.visits(usize::from(n), c));
             let missed_ports = (self.broken_ports.iter().map(|&n| usize::from(n)))
                 .filter(|&n| !marks.whole.get(n) && !marks.ports.get(n));
-            let missed_pairs = (self.broken_pairs.iter())
-                .filter(|&&(n, input)| !marks.pairs[usize::from(n)].get(bit(input, marks.vcs)));
+            let missed_pairs = (self.broken_pairs.iter()).filter(|&&(n, input)| {
+                !is_marked(&marks.pairs[usize::from(n)], bit(input, marks.vcs))
+            });
             self.missed +=
                 (missed_conns.count() + missed_ports.count() + missed_pairs.count()) as u64;
         }

@@ -245,7 +245,10 @@ impl RouterArray {
     /// dense loop's visit order. The drain clears the mask; each router
     /// that is actually stepped re-arms its own bit (it may hold work for
     /// the next cycle), while one found quiescent stays dark until an
-    /// external event wakes it.
+    /// external event wakes it. A settled router (DESIGN.md §9 "Settled")
+    /// stays awake but is not stepped: the event-driven engine counts its
+    /// cycle here, as the dense one's `step_into` does, and it transmits
+    /// nothing to mark or visit.
     pub(super) fn drain_awake(
         &mut self,
         now: Cycles,
@@ -264,14 +267,20 @@ impl RouterArray {
                 continue;
             }
             // Settle the cycles this router slept through since it was
-            // last stepped; `step_into` accounts for the current one.
+            // last stepped; the settled count or `step_into` accounts for
+            // the current one.
             let owed = now.count().saturating_sub(self.idle_from[n]);
             if owed > 0 {
                 self.routers[n].note_idle_cycles(owed);
             }
             self.idle_from[n] = now.count() + 1;
-            self.routers[n].step_into(now, &mut rep);
             self.awake.set(n, true);
+            if !self.dense && self.routers[n].count_settled_cycle(now) {
+                continue;
+            }
+            #[cfg(test)]
+            DRAIN_STEPS.with(|s| s.set(s.get() + 1));
+            self.routers[n].step_into(now, &mut rep);
             if let Some(marks) = &mut self.marks {
                 for t in &rep.transmitted {
                     marks.conn(NodeId(n as u16), t.input_vc);
@@ -283,4 +292,12 @@ impl RouterArray {
         self.awake_scratch = awake;
         self.step_scratch = rep;
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// [`Router::step_into`] calls made by [`RouterArray::drain_awake`] on
+    /// this thread — the counter behind the work gate that a settled router
+    /// is counted, not stepped.
+    pub(super) static DRAIN_STEPS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }

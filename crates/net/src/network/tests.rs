@@ -208,3 +208,60 @@ fn only_the_ports_sessions_lease_hold_tables() {
     }
     assert_eq!(holding(&net), 0, "a table outlived its port's last session");
 }
+
+/// A settled router is counted, not stepped (DESIGN.md §9 "Settled"): on a
+/// 3×3 mesh, four corner sources are each policed to a flit a round and
+/// driven harder, so each holds flits behind a spent quota for most of every
+/// round. `drain_awake` counts their cycles eagerly without a
+/// `Router::step_into` call, and a mid-round wake of a settled router still
+/// counts exactly one cycle. Counts, not times: exact on any host.
+#[test]
+fn a_settled_router_is_counted_without_a_step() {
+    use super::routers::DRAIN_STEPS;
+    let steps = || DRAIN_STEPS.with(std::cell::Cell::get);
+    let mut net = mesh_net();
+    let round = net.router(NodeId(0)).config().round_cycles();
+    let sources = [NodeId(0), NodeId(2), NodeId(6), NodeId(8)];
+    let ids: Vec<NetConnectionId> = sources
+        .iter()
+        .map(|&s| {
+            let d = NodeId(8 - s.0);
+            net.establish(s, d, cbr_mbps(30.0), SetupStrategy::Epb).expect("path exists")
+        })
+        .collect();
+    let cycles = |net: &NetworkSim| -> Vec<u64> {
+        sources.iter().map(|&n| net.router(n).stats().cycles).collect()
+    };
+    let (mut early, mut late) = (0, 0);
+    for t in 0..8 * round {
+        for &id in &ids {
+            if net.can_inject(id) {
+                net.inject(id, Cycles(t)).expect("room was checked");
+            }
+        }
+        let stepped = steps();
+        net.step(Cycles(t));
+        // A source holds flits from its first injection on, so it stays
+        // awake and its cycle is counted as it happens.
+        assert_eq!(cycles(&net), [t + 1; 4], "cycle {t}");
+        if t % round < round / 2 {
+            early += steps() - stepped;
+        } else {
+            late += steps() - stepped;
+        }
+    }
+    // The first half of a round is where quotas are spent; in the second,
+    // every router still awake is a settled source.
+    assert_eq!((early, late), (290, 0), "step_into calls in the first, second half of rounds");
+    // Mid-round, every source is settled: a wake makes no step and counts
+    // one cycle, not two.
+    let t = 8 * round + round / 2;
+    for cycle in 8 * round..t {
+        net.step(Cycles(cycle));
+    }
+    let stepped = steps();
+    net.routers.wake(sources[1]);
+    net.step(Cycles(t));
+    assert_eq!(steps(), stepped, "a woken settled router was stepped");
+    assert_eq!(cycles(&net), [t + 1; 4]);
+}
