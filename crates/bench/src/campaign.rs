@@ -134,14 +134,6 @@ pub trait Campaign {
     }
 }
 
-/// Adds the named counter fields of `$from` into `$into`.
-macro_rules! add_fields {
-    ($into:expr, $from:expr; $($field:ident),+ $(,)?) => {
-        $( $into.$field += $from.$field; )+
-    };
-}
-pub(crate) use add_fields;
-
 /// The one `(cell, trial)` fan-out: runs every trial of every cell of `grid`
 /// through the sweep harness and returns each cell's trials in order. `run`
 /// is handed the cell, the trial's ordinal within it, and its index in the

@@ -25,13 +25,15 @@ use std::collections::BTreeMap;
 
 use mmr_core::conn::QosClass;
 use mmr_core::AuditConfig;
-use mmr_net::{AdmissionController, AdmitPolicy, AdmitVerdict, NetworkSim, NodeId, SessionId};
+use mmr_net::{
+    AdmissionController, AdmitPolicy, AdmitStats, NetStats, NetworkSim, NodeId, SessionId,
+};
 use mmr_sim::{Cycles, DelayJitterRecorder, SeededRng};
 use mmr_traffic::{
     ChurnConfig, ChurnEventKind, ChurnSchedule, DiurnalCurve, SessionClass, SlotClock,
 };
 
-use crate::campaign::{add_fields, Campaign, Column, Value};
+use crate::campaign::{Campaign, Column, Value};
 use crate::faults::CampaignTopology;
 use crate::FIGURE_SEED;
 
@@ -62,37 +64,26 @@ impl ChurnSpec {
 }
 
 /// Aggregated outcome of one churn cell (sums over its trials; the tail
-/// percentiles and peak load are worst-case across trials).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+/// percentiles and peak load are worst-case across trials): the admission
+/// controller's and the network's own statistics, plus what only the trial
+/// measures.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ChurnResult {
     /// Session arrivals the tape offered.
     pub arrivals: u64,
-    /// Accepted at the asked rate.
-    pub accepted: u64,
-    /// Admitted below the asked rate (degrade-on-admit).
-    pub degraded: u64,
-    /// Turned away.
-    pub rejected: u64,
     /// Voluntary departures executed.
     pub departures: u64,
-    /// Best-effort sessions preempted by the shedder.
-    pub preempted_best_effort: u64,
-    /// CBR sessions preempted by the shedder.
-    pub preempted_cbr: u64,
-    /// Rungs won back by load-recede upgrades.
-    pub upgrades: u64,
+    /// The admission controller's statistics: each arrival's verdict, the
+    /// shedder's preemptions, load-recede upgrades.
+    pub admit: AdmitStats,
+    /// The network's statistics (deliveries, losses, ordering).
+    pub net: NetStats,
     /// Isochronous slots due from admitted, live CBR sessions in the
     /// measured window.
     pub cbr_slots_due: u64,
     /// Due slots whose flit the source NI refused — admitted-session QoS
     /// violations. The headline column: 0 with the controls on.
     pub missed_cbr_slots: u64,
-    /// Stream flits delivered end to end.
-    pub flits_delivered: u64,
-    /// Flits lost (teardown of departing/preempted sessions).
-    pub flits_lost: u64,
-    /// Out-of-order deliveries (must stay 0).
-    pub out_of_order: u64,
     /// Invariant violations recorded by the auditor.
     pub violations: u64,
     /// Auditor passes executed (proof the auditor ran).
@@ -189,11 +180,6 @@ pub fn run_trial_on(
                         NodeId(plan.dst as u16),
                         class,
                     );
-                    match verdict {
-                        AdmitVerdict::Accepted { .. } => r.accepted += 1,
-                        AdmitVerdict::Degraded { .. } => r.degraded += 1,
-                        AdmitVerdict::Rejected { .. } => r.rejected += 1,
-                    }
                     if let Some(session) = verdict.session() {
                         live.insert(plan.id, session);
                         if let Some(QosClass::Cbr { rate }) = ctl.sessions().class(session) {
@@ -255,14 +241,8 @@ pub fn run_trial_on(
         r.peak_link_load_milli = r.peak_link_load_milli.max((peak * 1_000.0).round() as u64);
     }
 
-    let stats = ctl.stats();
-    r.preempted_best_effort = stats.preempted_best_effort;
-    r.preempted_cbr = stats.preempted_cbr;
-    r.upgrades = stats.upgrades;
-    let net_stats = net.stats();
-    r.flits_delivered = net_stats.flits_delivered;
-    r.flits_lost = net_stats.flits_lost;
-    r.out_of_order = net_stats.out_of_order;
+    r.admit = ctl.stats().clone();
+    r.net = net.stats().clone();
     let aud = net.auditor().expect("auditor enabled for every churn trial");
     r.violations = aud.violation_count();
     r.audit_checks = aud.checks();
@@ -337,11 +317,14 @@ impl Campaign for Churn {
     }
 
     fn absorb(cell: &mut ChurnResult, trial: ChurnResult) {
-        add_fields!(cell, trial;
-            arrivals, accepted, degraded, rejected, departures, preempted_best_effort,
-            preempted_cbr, upgrades, cbr_slots_due, missed_cbr_slots, flits_delivered,
-            flits_lost, out_of_order, violations, audit_checks,
-        );
+        cell.arrivals += trial.arrivals;
+        cell.departures += trial.departures;
+        cell.admit.absorb(&trial.admit);
+        cell.net.absorb(&trial.net);
+        cell.cbr_slots_due += trial.cbr_slots_due;
+        cell.missed_cbr_slots += trial.missed_cbr_slots;
+        cell.violations += trial.violations;
+        cell.audit_checks += trial.audit_checks;
         cell.peak_link_load_milli = cell.peak_link_load_milli.max(trial.peak_link_load_milli);
         cell.delay_p50 = cell.delay_p50.max(trial.delay_p50);
         cell.delay_p95 = cell.delay_p95.max(trial.delay_p95);
@@ -358,19 +341,22 @@ impl Campaign for Churn {
             show("controls", "controls", 9, |s, _| Switch(s.controls)),
             json("trials", |s, _| Int(s.trials as u64)),
             json("arrivals", |_, r| Int(r.arrivals)),
-            show("accepted", "admit", 7, |_, r| Int(r.accepted)),
-            show("degraded", "degrade", 8, |_, r| Int(r.degraded)),
-            show("rejected", "reject", 8, |_, r| Int(r.rejected)),
+            show("accepted", "admit", 7, |_, r| Int(r.admit.accepted)),
+            show("degraded", "degrade", 8, |_, r| Int(r.admit.degraded)),
+            show("rejected", "reject", 8, |_, r| {
+                let a = &r.admit;
+                Int(a.rejected_saturated + a.rejected_resources + a.rejected_other)
+            }),
             json("departures", |_, r| Int(r.departures)),
-            json("preempted_best_effort", |_, r| Int(r.preempted_best_effort)),
-            json("preempted_cbr", |_, r| Int(r.preempted_cbr)),
-            show("", "shed", 6, |_, r| Int(r.preempted_best_effort + r.preempted_cbr)),
-            show("upgrades", "upgr", 6, |_, r| Int(r.upgrades)),
+            json("preempted_best_effort", |_, r| Int(r.admit.preempted_best_effort)),
+            json("preempted_cbr", |_, r| Int(r.admit.preempted_cbr)),
+            show("", "shed", 6, |_, r| Int(r.admit.preempted_best_effort + r.admit.preempted_cbr)),
+            show("upgrades", "upgr", 6, |_, r| Int(r.admit.upgrades)),
             show("cbr_slots_due", "slots-due", 10, |_, r| Int(r.cbr_slots_due)),
             show("missed_cbr_slots", "missed", 8, |_, r| Int(r.missed_cbr_slots)),
-            json("flits_delivered", |_, r| Int(r.flits_delivered)),
-            json("flits_lost", |_, r| Int(r.flits_lost)),
-            json("out_of_order", |_, r| Int(r.out_of_order)),
+            json("flits_delivered", |_, r| Int(r.net.flits_delivered)),
+            json("flits_lost", |_, r| Int(r.net.flits_lost)),
+            json("out_of_order", |_, r| Int(r.net.out_of_order)),
             json("audit_violations", |_, r| Int(r.violations)),
             json("audit_checks", |_, r| Int(r.audit_checks)),
             show("peak_link_load_milli", "peak\u{2030}", 7, |_, r| Int(r.peak_link_load_milli)),
@@ -398,23 +384,62 @@ mod tests {
     }
 
     #[test]
+    fn a_cell_sums_its_trials_counters_and_keeps_their_worst_tails() {
+        // `k` times a distinct, non-zero value in every counter; the
+        // library stats' own folds are pinned beside them in mmr-net. The
+        // peak and the tails alternate which trial is worse.
+        let trial = |k: u64, worst: f64| ChurnResult {
+            arrivals: k,
+            departures: 2 * k,
+            admit: AdmitStats { accepted: 3 * k, ..AdmitStats::default() },
+            net: NetStats { flits_delivered: 4 * k, ..NetStats::default() },
+            cbr_slots_due: 5 * k,
+            missed_cbr_slots: 6 * k,
+            violations: 7 * k,
+            audit_checks: 8 * k,
+            peak_link_load_milli: worst as u64,
+            delay_p50: worst + 1.0,
+            delay_p95: 50.0 - worst,
+            delay_p99: worst + 2.0,
+            jitter_p99: 50.0 - worst,
+        };
+        let mut cell = trial(1, 10.0);
+        Churn::absorb(&mut cell, trial(100, 20.0));
+        let expected = ChurnResult { delay_p95: 40.0, jitter_p99: 40.0, ..trial(101, 20.0) };
+        assert_eq!(cell, expected);
+    }
+
+    #[test]
     fn trials_are_pure_functions_of_their_seed() {
         assert_eq!(run_trial(&spec(true), 7), run_trial(&spec(true), 7));
+    }
+
+    /// Every arrival's verdict is counted once by the controller.
+    fn assert_verdicts_conserved(r: &ChurnResult) {
+        let a = &r.admit;
+        let verdicts = a.accepted
+            + a.degraded
+            + a.rejected_saturated
+            + a.rejected_resources
+            + a.rejected_other;
+        assert_eq!(r.arrivals, verdicts, "one verdict per arrival: {r:?}");
     }
 
     #[test]
     fn controls_hold_admitted_qos_and_their_absence_is_visible() {
         // The acceptance claim: the same churn tape, guarded vs naive.
         let on = run_trial(&spec(true), 3);
+        assert_verdicts_conserved(&on);
         assert!(on.arrivals > 50, "the tape actually churns: {on:?}");
         assert!(on.cbr_slots_due > 1_000, "admitted CBR paced slots: {on:?}");
         assert_eq!(on.missed_cbr_slots, 0, "controls hold admitted QoS: {on:?}");
         assert_eq!(on.violations, 0, "auditor clean: {on:?}");
-        assert_eq!(on.out_of_order, 0);
+        assert_eq!(on.net.out_of_order, 0);
         assert!(on.audit_checks > 0, "the auditor ran");
-        assert!(on.degraded + on.rejected > 0, "the guard actually gated: {on:?}");
+        assert!(on.arrivals > on.admit.accepted, "the guard actually gated: {on:?}");
 
         let off = run_trial(&spec(false), 3);
+        assert_verdicts_conserved(&off);
         assert!(
             off.missed_cbr_slots > 0,
             "the naive baseline overpacks and misses slots: {off:?}"

@@ -23,13 +23,13 @@
 use mmr_core::conn::QosClass;
 use mmr_core::{AuditConfig, LlrConfig};
 use mmr_net::{
-    FaultInjector, FaultPlan, NetworkSim, NodeId, RecoveryManager, RecoveryPolicy, SessionId,
-    Topology,
+    FaultInjector, FaultPlan, NetStats, NetworkSim, NodeId, RecoveryManager, RecoveryPolicy,
+    RecoveryStats, SessionId, Topology,
 };
 use mmr_sim::{Cycles, SeededRng};
 use mmr_traffic::SlotClock;
 
-use crate::campaign::{add_fields, Campaign, Column, Value};
+use crate::campaign::{Campaign, Column, Value};
 use crate::FIGURE_SEED;
 
 /// Fabrics the campaign sweeps over.
@@ -99,52 +99,17 @@ pub struct StormSpec {
     pub measure: u64,
 }
 
-/// Outcome of one trial, and the sum over a cell's trials.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+/// Outcome of one trial, and the sum over a cell's trials: the recovery
+/// manager's and the network's own statistics, plus the auditor's counts.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct StormResult {
-    /// Connection-breaking incidents observed by the recovery manager.
-    pub broken: u64,
-    /// Incidents recovered.
-    pub recovered: u64,
-    /// Sessions that died permanently.
-    pub permanently_failed: u64,
-    /// Rate-ladder rungs surrendered by graceful degradation.
-    pub degraded: u64,
-    /// Re-establish attempts launched.
-    pub retries: u64,
-    /// Attempts abandoned on setup timeout.
-    pub timeouts: u64,
-    /// Cycles spent in exponential backoff.
-    pub backoff_cycles: u64,
-    /// Sum of per-incident time-to-recover (cycles); divide by `recovered`.
-    pub ttr_total: f64,
-    /// Flits lost for good (failures, unprotected drops, stale replays).
-    pub flits_lost: u64,
-    /// Stream flits delivered end to end.
-    pub flits_delivered: u64,
-    /// Links failed by the injector.
-    pub links_failed: u64,
-    /// Links spliced back by the injector.
-    pub links_repaired: u64,
-    /// Whole routers failed by the injector.
-    pub nodes_failed: u64,
-    /// Failed routers brought back by the injector.
-    pub nodes_repaired: u64,
-    /// Sessions parked on an unreachable destination (typed partition
-    /// verdicts, re-probed only after the topology changes).
-    pub partitioned: u64,
-    /// Re-establishment attempts deferred by the concurrent-probe cap.
-    pub probe_throttled: u64,
-    /// Flits damaged on a wire by a transient fault.
-    pub corrupted: u64,
-    /// Flits dropped on a wire by a transient fault.
-    pub dropped: u64,
-    /// Flits replayed by the retry layer (0 with LLR off).
-    pub retransmitted: u64,
-    /// Damaged flits that reached an NI undetected (0 with LLR on).
-    pub undetected: u64,
-    /// Out-of-order stream deliveries (must stay 0).
-    pub out_of_order: u64,
+    /// The recovery manager's statistics (`faults` counts the
+    /// connection-breaking incidents; the cell's mean time-to-recover is
+    /// its merged `time_to_recover`).
+    pub recovery: RecoveryStats,
+    /// The network's statistics (failures, repairs, transient damage,
+    /// deliveries and losses).
+    pub net: NetStats,
     /// Invariant violations recorded by the auditor (0 with it off).
     pub violations: u64,
     /// Auditor passes executed (proof the auditor ran).
@@ -152,32 +117,20 @@ pub struct StormResult {
 }
 
 impl StormResult {
-    /// Mean time-to-recover in cycles (0 when nothing recovered).
-    pub fn mean_ttr(&self) -> f64 {
-        if self.recovered == 0 {
-            0.0
-        } else {
-            self.ttr_total / self.recovered as f64
-        }
-    }
-
     /// Fraction of incidents recovered (1 when nothing broke).
     pub fn recovery_rate(&self) -> f64 {
-        if self.broken == 0 {
+        if self.recovery.faults == 0 {
             1.0
         } else {
-            self.recovered as f64 / self.broken as f64
+            self.recovery.recovered as f64 / self.recovery.faults as f64
         }
     }
 
     fn absorb(&mut self, trial: StormResult) {
-        add_fields!(self, trial;
-            broken, recovered, permanently_failed, degraded, retries, timeouts,
-            backoff_cycles, ttr_total, flits_lost, flits_delivered, links_failed,
-            links_repaired, nodes_failed, nodes_repaired, partitioned, probe_throttled,
-            corrupted, dropped, retransmitted, undetected, out_of_order, violations,
-            audit_checks,
-        );
+        self.recovery.absorb(&trial.recovery);
+        self.net.absorb(&trial.net);
+        self.violations += trial.violations;
+        self.audit_checks += trial.audit_checks;
     }
 }
 
@@ -297,31 +250,10 @@ pub fn run_trial_on(
         }
     }
 
-    let stats = mgr.stats();
-    let net_stats = net.stats();
     let auditor = net.auditor();
     let result = StormResult {
-        broken: stats.faults,
-        recovered: stats.recovered,
-        permanently_failed: stats.permanently_failed,
-        degraded: stats.degraded,
-        retries: stats.retries,
-        timeouts: stats.timeouts,
-        backoff_cycles: stats.backoff_cycles,
-        ttr_total: stats.time_to_recover.mean() * stats.recovered as f64,
-        flits_lost: net_stats.flits_lost,
-        flits_delivered: net_stats.flits_delivered,
-        links_failed: net_stats.links_failed,
-        links_repaired: net_stats.links_repaired,
-        nodes_failed: net_stats.nodes_failed,
-        nodes_repaired: net_stats.nodes_repaired,
-        partitioned: stats.partitioned,
-        probe_throttled: stats.probe_throttled,
-        corrupted: net_stats.flits_corrupted,
-        dropped: net_stats.flits_dropped,
-        retransmitted: net_stats.flits_retransmitted,
-        undetected: net_stats.undetected_corruptions,
-        out_of_order: net_stats.out_of_order,
+        recovery: mgr.stats().clone(),
+        net: net.stats().clone(),
         violations: auditor.map_or(0, |a| a.violation_count()),
         audit_checks: auditor.map_or(0, |a| a.checks()),
     };
@@ -382,26 +314,26 @@ impl Campaign for Faults {
             show("faults_planned", "faults", 6, |s, _| Int(s.faults as u64)),
             json("node_faults_planned", |_, _| Int(NODE_FAULTS as u64)),
             json("trials", |s, _| Int(s.trials as u64)),
-            show("", "nodes", 5, |_, r| Int(r.nodes_failed)),
-            show("sessions_broken", "broken", 7, |_, r| Int(r.broken)),
-            show("recovered", "recovered", 9, |_, r| Int(r.recovered)),
-            show("permanently_failed", "perm-fail", 9, |_, r| Int(r.permanently_failed)),
-            show("degraded", "degraded", 8, |_, r| Int(r.degraded)),
-            show("retries", "retries", 8, |_, r| Int(r.retries)),
-            json("timeouts", |_, r| Int(r.timeouts)),
-            json("backoff_cycles", |_, r| Int(r.backoff_cycles)),
-            show("", "parked", 7, |_, r| Int(r.partitioned)),
-            show("", "mean-ttr", 9, |_, r| Fixed(r.mean_ttr(), 2)),
-            json("mean_ttr_cycles", |_, r| Fixed(r.mean_ttr(), 4)),
+            show("", "nodes", 5, |_, r| Int(r.net.nodes_failed)),
+            show("sessions_broken", "broken", 7, |_, r| Int(r.recovery.faults)),
+            show("recovered", "recovered", 9, |_, r| Int(r.recovery.recovered)),
+            show("permanently_failed", "perm-fail", 9, |_, r| Int(r.recovery.permanently_failed)),
+            show("degraded", "degraded", 8, |_, r| Int(r.recovery.degraded)),
+            show("retries", "retries", 8, |_, r| Int(r.recovery.retries)),
+            json("timeouts", |_, r| Int(r.recovery.timeouts)),
+            json("backoff_cycles", |_, r| Int(r.recovery.backoff_cycles)),
+            show("", "parked", 7, |_, r| Int(r.recovery.partitioned)),
+            show("", "mean-ttr", 9, |_, r| Fixed(r.recovery.time_to_recover.mean(), 2)),
+            json("mean_ttr_cycles", |_, r| Fixed(r.recovery.time_to_recover.mean(), 4)),
             json("recovery_rate", |_, r| Fixed(r.recovery_rate(), 4)),
-            show("flits_lost", "lost", 9, |_, r| Int(r.flits_lost)),
-            show("flits_delivered", "delivered", 10, |_, r| Int(r.flits_delivered)),
-            json("links_failed", |_, r| Int(r.links_failed)),
-            json("links_repaired", |_, r| Int(r.links_repaired)),
-            json("nodes_failed", |_, r| Int(r.nodes_failed)),
-            json("nodes_repaired", |_, r| Int(r.nodes_repaired)),
-            json("partitioned_sessions", |_, r| Int(r.partitioned)),
-            json("probe_throttled", |_, r| Int(r.probe_throttled)),
+            show("flits_lost", "lost", 9, |_, r| Int(r.net.flits_lost)),
+            show("flits_delivered", "delivered", 10, |_, r| Int(r.net.flits_delivered)),
+            json("links_failed", |_, r| Int(r.net.links_failed)),
+            json("links_repaired", |_, r| Int(r.net.links_repaired)),
+            json("nodes_failed", |_, r| Int(r.net.nodes_failed)),
+            json("nodes_repaired", |_, r| Int(r.net.nodes_repaired)),
+            json("partitioned_sessions", |_, r| Int(r.recovery.partitioned)),
+            json("probe_throttled", |_, r| Int(r.recovery.probe_throttled)),
         ]
     }
 }
@@ -445,22 +377,22 @@ impl Campaign for Chaos {
             json("faults_planned", |s, _| Int(s.faults as u64)),
             json("transients_planned", |s, _| Int(s.transients as u64)),
             json("trials", |s, _| Int(s.trials as u64)),
-            show("flits_corrupted", "corrupt", 7, |_, r| Int(r.corrupted)),
-            show("flits_dropped", "dropped", 9, |_, r| Int(r.dropped)),
-            show("flits_retransmitted", "retrans", 8, |_, r| Int(r.retransmitted)),
-            show("undetected_corruptions", "silent", 6, |_, r| Int(r.undetected)),
+            show("flits_corrupted", "corrupt", 7, |_, r| Int(r.net.flits_corrupted)),
+            show("flits_dropped", "dropped", 9, |_, r| Int(r.net.flits_dropped)),
+            show("flits_retransmitted", "retrans", 8, |_, r| Int(r.net.flits_retransmitted)),
+            show("undetected_corruptions", "silent", 6, |_, r| Int(r.net.undetected_corruptions)),
             show("audit_violations", "violations", 11, |_, r| Int(r.violations)),
             json("audit_checks", |_, r| Int(r.audit_checks)),
-            show("flits_delivered", "delivered", 11, |_, r| Int(r.flits_delivered)),
-            show("flits_lost", "lost", 6, |_, r| Int(r.flits_lost)),
-            json("out_of_order", |_, r| Int(r.out_of_order)),
-            json("sessions_broken", |_, r| Int(r.broken)),
-            show("recovered", "recovered", 10, |_, r| Int(r.recovered)),
-            json("links_failed", |_, r| Int(r.links_failed)),
-            json("links_repaired", |_, r| Int(r.links_repaired)),
-            json("nodes_failed", |_, r| Int(r.nodes_failed)),
-            json("nodes_repaired", |_, r| Int(r.nodes_repaired)),
-            json("partitioned_sessions", |_, r| Int(r.partitioned)),
+            show("flits_delivered", "delivered", 11, |_, r| Int(r.net.flits_delivered)),
+            show("flits_lost", "lost", 6, |_, r| Int(r.net.flits_lost)),
+            json("out_of_order", |_, r| Int(r.net.out_of_order)),
+            json("sessions_broken", |_, r| Int(r.recovery.faults)),
+            show("recovered", "recovered", 10, |_, r| Int(r.recovery.recovered)),
+            json("links_failed", |_, r| Int(r.net.links_failed)),
+            json("links_repaired", |_, r| Int(r.net.links_repaired)),
+            json("nodes_failed", |_, r| Int(r.net.nodes_failed)),
+            json("nodes_repaired", |_, r| Int(r.net.nodes_repaired)),
+            json("partitioned_sessions", |_, r| Int(r.recovery.partitioned)),
         ]
     }
 }
@@ -483,6 +415,21 @@ mod tests {
     }
 
     #[test]
+    fn a_cell_is_the_field_wise_sum_of_its_trials() {
+        // `k` times a distinct, non-zero value in every field; the library
+        // stats' own folds are pinned beside them in mmr-net.
+        let trial = |k: u64| StormResult {
+            recovery: RecoveryStats { faults: k, ..RecoveryStats::default() },
+            net: NetStats { flits_delivered: 2 * k, ..NetStats::default() },
+            violations: 3 * k,
+            audit_checks: 4 * k,
+        };
+        let mut cell = trial(1);
+        cell.absorb(trial(100));
+        assert_eq!(cell, trial(101));
+    }
+
+    #[test]
     fn trials_are_pure_functions_of_their_seed() {
         for spec in
             [spec(CampaignTopology::Mesh3x3, 0, false), spec(CampaignTopology::Mesh3x3, 10, true)]
@@ -498,30 +445,32 @@ mod tests {
         let spec =
             StormSpec { faults: 3, measure: 2_400, ..spec(CampaignTopology::Torus3x3, 0, false) };
         let r = run_trial(&spec, 5);
-        assert!(r.links_failed > 0, "faults were injected");
-        assert_eq!(r.links_failed, r.links_repaired, "every outage ends in repair");
-        assert!(r.nodes_failed >= 1, "a whole router died");
-        assert_eq!(r.nodes_failed, r.nodes_repaired, "every router outage ends in repair");
-        assert!(r.flits_delivered > 100, "traffic flowed: {}", r.flits_delivered);
-        if r.broken > 0 {
-            assert!(r.recovered + r.permanently_failed > 0, "incidents were resolved");
+        assert!(r.net.links_failed > 0, "faults were injected");
+        assert_eq!(r.net.links_failed, r.net.links_repaired, "every outage ends in repair");
+        assert!(r.net.nodes_failed >= 1, "a whole router died");
+        assert_eq!(r.net.nodes_failed, r.net.nodes_repaired, "every router outage ends in repair");
+        assert!(r.net.flits_delivered > 100, "traffic flowed: {}", r.net.flits_delivered);
+        if r.recovery.faults > 0 {
+            assert!(r.recovery.recovered + r.recovery.permanently_failed > 0, "incidents resolved");
         }
-        assert_eq!(r.corrupted + r.dropped, 0, "a fault campaign plans no transients");
+        let transients = r.net.flits_corrupted + r.net.flits_dropped;
+        assert_eq!(transients, 0, "a fault campaign plans no transients");
     }
 
     #[test]
     fn llr_masks_the_storm_and_its_absence_is_visible() {
         // The acceptance claim: the same seeded storm, protected vs bare.
         let on = run_trial(&spec(CampaignTopology::Mesh3x3, 10, true), 1);
-        assert!(on.corrupted + on.dropped > 0, "the storm actually struck: {on:?}");
-        assert_eq!(on.undetected, 0, "LLR caught every corruption: {on:?}");
+        let struck = on.net.flits_corrupted + on.net.flits_dropped;
+        assert!(struck > 0, "the storm actually struck: {on:?}");
+        assert_eq!(on.net.undetected_corruptions, 0, "LLR caught every corruption: {on:?}");
         assert_eq!(on.violations, 0, "auditor clean under LLR: {on:?}");
-        assert_eq!(on.out_of_order, 0, "go-back-N preserves order");
+        assert_eq!(on.net.out_of_order, 0, "go-back-N preserves order");
         assert!(on.audit_checks > 0, "the auditor ran");
 
         let off = run_trial(&spec(CampaignTopology::Mesh3x3, 10, false), 1);
-        assert!(off.corrupted > 0, "bare wires take corruption hits: {off:?}");
-        assert!(off.undetected > 0, "silent corruption reaches the NIs: {off:?}");
+        assert!(off.net.flits_corrupted > 0, "bare wires take corruption hits: {off:?}");
+        assert!(off.net.undetected_corruptions > 0, "silent corruption reaches the NIs: {off:?}");
         assert!(off.violations > 0, "dropped flits leak credits the auditor flags: {off:?}");
     }
 }

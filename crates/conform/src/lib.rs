@@ -33,11 +33,8 @@ pub mod shrink;
 
 pub use oracle::{Divergence, Oracle};
 pub use report::{run, CaseOutcome, Report, RunConfig};
-pub use runner::{run_scenario, CaseRun, Hooks};
-pub use scenario::{
-    ChurnAction, ChurnEventSpec, ConnSpec, FaultKind, FaultSpec, RoutingChoice, Scenario,
-    TopologySpec,
-};
+pub use runner::{run_scenario, run_scenario_on, CaseRun, Hooks};
+pub use scenario::{ChurnAction, ChurnEventSpec, ConnSpec, RoutingChoice, Scenario, TopologySpec};
 pub use shrink::{shrink as shrink_scenario, Shrunk, DEFAULT_BUDGET};
 
 /// Salt mixed into every scenario seed so conformance streams are

@@ -11,7 +11,7 @@
 
 use std::collections::BTreeMap;
 
-use mmr_core::{AuditConfig, AuditViolation, InjectError, LlrConfig, QosClass, RouterConfig};
+use mmr_core::{AuditConfig, InjectError, LlrConfig, QosClass, RouterConfig};
 use mmr_net::{
     AdmissionController, AdmitPolicy, FaultInjector, NetConnectionId, NetworkSim, NodeId,
     SessionId, SetupStrategy,
@@ -32,7 +32,8 @@ const QUIET_CYCLES: u64 = 512;
 const DRAIN_CAP: u64 = 50_000;
 
 /// The reference engines a case can run on instead of the defaults. Both
-/// must produce identical [`CaseRun`]s on every scenario.
+/// must produce identical [`CaseRun`]s, and networks whose auditors and
+/// statistics agree, on every scenario.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Hooks {
     /// Run the case on the dense per-cycle stepping engine instead of the
@@ -77,24 +78,6 @@ pub struct CaseRun {
     pub cycles_run: u64,
     /// Everything the oracle disagreed with.
     pub divergences: Vec<Divergence>,
-    /// For tests: router-cycles the invariant auditor covered.
-    #[doc(hidden)]
-    pub audit_checks: u64,
-    /// For tests: the violations the auditor stored, in discovery order
-    /// (their total count is in the `AuditorViolation` divergence).
-    #[doc(hidden)]
-    pub audit_violations: Vec<AuditViolation>,
-    /// For tests: violators a full audit sweep found that the incremental
-    /// pass would not have visited (`NetworkSim::audit_sweep_misses`).
-    #[doc(hidden)]
-    pub audit_sweep_misses: u64,
-    /// For tests: `RouterStats::ghost_matches` summed over the routers, a
-    /// bookkeeping disagreement that is counted instead of panicking.
-    #[doc(hidden)]
-    pub ghost_matches: u64,
-    /// For tests: `NetStats::ghost_releases` (see `ghost_matches`).
-    #[doc(hidden)]
-    pub ghost_releases: u64,
 }
 
 impl CaseRun {
@@ -194,6 +177,14 @@ fn churn_service(
 
 /// Runs `scenario` on the real stack and diffs it against the oracle.
 pub fn run_scenario(scenario: &Scenario, hooks: Hooks) -> CaseRun {
+    run_scenario_on(scenario, hooks).0
+}
+
+/// [`run_scenario`] that also hands back the network it ran on, so the
+/// differential tests can compare two runs' auditors and counters
+/// (`tests/engine_differential.rs`).
+#[doc(hidden)]
+pub fn run_scenario_on(scenario: &Scenario, hooks: Hooks) -> (CaseRun, NetworkSim) {
     let topo = scenario.topology.build();
     let cfg = RouterConfig::paper_default()
         .vcs_per_port(scenario.vcs_per_port)
@@ -448,11 +439,6 @@ pub fn run_scenario(scenario: &Scenario, hooks: Hooks) -> CaseRun {
             .unwrap_or_else(|| "(violation list truncated)".to_string());
         oracle.note(Divergence::AuditorViolation { count: auditor.violation_count(), first });
     }
-    let (audit_checks, audit_violations) = (auditor.checks(), auditor.violations().to_vec());
-    let ghost_matches: u64 = (0..net.topology().nodes())
-        .map(|n| net.router(NodeId(n as u16)).stats().ghost_matches)
-        .sum();
-    let ghost_releases = net.stats().ghost_releases;
 
     oracle.finish(net.stats());
 
@@ -460,7 +446,7 @@ pub fn run_scenario(scenario: &Scenario, hooks: Hooks) -> CaseRun {
     let injected = oracle.injected_total();
     let delivered = oracle.delivered_total();
     let ctl_stats = ctl.stats();
-    CaseRun {
+    let run = CaseRun {
         admitted,
         rejected,
         churn_admitted,
@@ -471,12 +457,8 @@ pub fn run_scenario(scenario: &Scenario, hooks: Hooks) -> CaseRun {
         delivered,
         cycles_run: t,
         divergences: oracle.into_divergences(),
-        audit_checks,
-        audit_violations,
-        audit_sweep_misses: net.audit_sweep_misses(),
-        ghost_matches,
-        ghost_releases,
-    }
+    };
+    (run, net)
 }
 
 #[cfg(test)]

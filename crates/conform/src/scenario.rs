@@ -9,7 +9,8 @@
 
 use mmr_core::{ArbiterKind, PortId, QosClass};
 use mmr_net::{
-    Butterfly, Dragonfly, FaultPlan, Hypercube, MinimalSpec, NodeId, RoutingSpec, Topology,
+    Butterfly, Dragonfly, FaultAction, FaultEvent, FaultPlan, Hypercube, MinimalSpec, NodeId,
+    RoutingSpec, Topology,
 };
 use mmr_sim::{Bandwidth, Cycles, SeededRng};
 use mmr_traffic::rates::paper_rate_ladder;
@@ -209,44 +210,6 @@ impl ConnSpec {
     }
 }
 
-/// What a scheduled fault does.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultKind {
-    /// Permanent wire failure (tears down crossing connections).
-    Fail,
-    /// Transient: corrupt the next flit on the wire.
-    Corrupt,
-    /// Transient: drop the next flit on the wire.
-    Drop,
-    /// Whole-router failure (quarantines the node, tears down everything
-    /// crossing it). The `port` field is ignored.
-    FailNode,
-    /// Brings a failed router back. The `port` field is ignored.
-    RepairNode,
-}
-
-impl FaultKind {
-    /// Whether this fault strikes one flit and passes (as opposed to
-    /// changing the topology).
-    pub fn is_transient(&self) -> bool {
-        matches!(self, FaultKind::Corrupt | FaultKind::Drop)
-    }
-}
-
-/// One scheduled fault, addressed by a wire endpoint (or, for node
-/// events, by the node alone).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FaultSpec {
-    /// Fault class.
-    pub kind: FaultKind,
-    /// Wire endpoint node (the failing/recovering router for node events).
-    pub node: u16,
-    /// Wire endpoint port (ignored by node events).
-    pub port: u8,
-    /// Fire cycle.
-    pub at: u64,
-}
-
 /// What a scheduled churn event does.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChurnAction {
@@ -302,8 +265,9 @@ pub struct Scenario {
     pub cycles: u64,
     /// Connection mix.
     pub conns: Vec<ConnSpec>,
-    /// Fault schedule.
-    pub faults: Vec<FaultSpec>,
+    /// Fault schedule: wire events address either endpoint of the wire,
+    /// node events carry port 0.
+    pub faults: Vec<FaultEvent>,
     /// Mid-run session churn (arrivals through the admission controller,
     /// voluntary departures), sorted by fire cycle.
     pub churn: Vec<ChurnEventSpec>,
@@ -383,23 +347,24 @@ impl Scenario {
                 }
                 used.push(w);
                 let wire = wires.get(w).expect("index drawn in range");
-                faults.push(FaultSpec {
-                    kind: FaultKind::Fail,
-                    node: wire.a.0 .0,
-                    port: wire.a.1 .0,
-                    at: cycles / 4 + rng.index((cycles / 2) as usize) as u64,
+                faults.push(FaultEvent {
+                    at: Cycles(cycles / 4 + rng.index((cycles / 2) as usize) as u64),
+                    action: FaultAction::Fail,
+                    node: wire.a.0,
+                    port: wire.a.1,
                 });
             }
             // Transient wire noise: strikes one flit each.
             let n_trans = rng.index(4);
             for _ in 0..n_trans {
                 let wire = wires.get(rng.index(wires.len())).expect("index drawn in range");
-                let kind = if rng.chance(0.5) { FaultKind::Corrupt } else { FaultKind::Drop };
-                faults.push(FaultSpec {
-                    kind,
-                    node: wire.a.0 .0,
-                    port: wire.a.1 .0,
-                    at: cycles / 8 + rng.index((cycles / 2) as usize) as u64,
+                let action =
+                    if rng.chance(0.5) { FaultAction::CorruptFlit } else { FaultAction::DropFlit };
+                faults.push(FaultEvent {
+                    at: Cycles(cycles / 8 + rng.index((cycles / 2) as usize) as u64),
+                    action,
+                    node: wire.a.0,
+                    port: wire.a.1,
                 });
             }
         }
@@ -407,23 +372,20 @@ impl Scenario {
         // Exactly-once delivery under transient faults requires the
         // link-level retry layer (a dropped flit is otherwise simply
         // gone); permanent faults are handled either way.
-        let has_transients = faults.iter().any(|f| f.kind.is_transient());
+        let has_transients = faults.iter().any(|f| !f.action.is_permanent());
         let llr = has_transients || rng.chance(0.5);
 
         // One whole-router fail/repair cycle inside the injection window.
         // Appended after the llr draw so that every pre-existing corpus
         // seed still expands to the exact same scenario prefix.
         if topo.nodes() >= 3 && rng.chance(0.4) {
-            let node = rng.index(topo.nodes()) as u16;
+            let node = NodeId(rng.index(topo.nodes()) as u16);
             let at = cycles / 4 + rng.index((cycles / 2).max(1) as usize) as u64;
-            let outage = 40 + rng.index((cycles / 4).max(1) as usize) as u64;
-            faults.push(FaultSpec { kind: FaultKind::FailNode, node, port: 0, at });
-            faults.push(FaultSpec {
-                kind: FaultKind::RepairNode,
-                node,
-                port: 0,
-                at: at + outage,
-            });
+            let repair_at = at + 40 + rng.index((cycles / 4).max(1) as usize) as u64;
+            let outage = [(at, FaultAction::FailNode), (repair_at, FaultAction::RepairNode)];
+            for (at, action) in outage {
+                faults.push(FaultEvent { at: Cycles(at), action, node, port: PortId(0) });
+            }
         }
 
         // Mid-run session churn through the admission controller.
@@ -505,7 +467,7 @@ impl Scenario {
             // a pair); wire faults whose remapped port is not a wire of the
             // structured fabric are discarded by `fault_plan` at run time.
             for f in &mut faults {
-                f.node %= n;
+                f.node.0 %= n;
             }
             topology = structured;
             routing = match rng.index(3) {
@@ -530,53 +492,34 @@ impl Scenario {
         }
     }
 
-    /// Builds the fault plan valid for `topo`, silently discarding specs
-    /// that no longer address an inter-router wire (this is how shrinking
-    /// to a smaller topology retires faults) and duplicate permanent
-    /// failures of the same wire (two endpoint addresses can alias one
-    /// wire after remapping).
+    /// Builds the fault plan valid for `topo`, silently discarding events
+    /// that no longer address a node or an inter-router wire of it (this is
+    /// how shrinking to a smaller topology retires faults, and how a
+    /// structured remap retires a port the new fabric does not have) and
+    /// duplicate permanent failures of the same wire (two endpoint addresses
+    /// can alias one wire after remapping).
     pub fn fault_plan(&self, topo: &Topology) -> FaultPlan {
-        let mut plan = FaultPlan::new();
-        let mut failed_wires: Vec<((u16, u8), (u16, u8))> = Vec::new();
-        for f in &self.faults {
-            let node = NodeId(f.node);
-            let at = Cycles(f.at);
-            // Node events address a router, not a wire; discard them when
-            // shrinking has moved to a topology without that node.
-            match f.kind {
-                FaultKind::FailNode => {
-                    if (f.node as usize) < topo.nodes() {
-                        plan = plan.fail_node_at(at, node);
-                    }
-                    continue;
-                }
-                FaultKind::RepairNode => {
-                    if (f.node as usize) < topo.nodes() {
-                        plan = plan.repair_node_at(at, node);
-                    }
-                    continue;
-                }
-                FaultKind::Fail | FaultKind::Corrupt | FaultKind::Drop => {}
+        let mut failed_wires: Vec<((NodeId, PortId), (NodeId, PortId))> = Vec::new();
+        let applies = |f: &&FaultEvent| {
+            let on_fabric = f.node.index() < topo.nodes();
+            if f.action.is_node() {
+                return on_fabric;
             }
-            let port = PortId(f.port);
-            let Some((peer, peer_port)) = topo.peer_of(node, port) else { continue };
-            match f.kind {
-                FaultKind::Fail => {
-                    let a = (f.node, f.port);
-                    let b = (peer.0, peer_port.0);
-                    let key = if a <= b { (a, b) } else { (b, a) };
-                    if failed_wires.contains(&key) {
-                        continue;
-                    }
-                    failed_wires.push(key);
-                    plan = plan.fail_at(at, node, port);
-                }
-                FaultKind::Corrupt => plan = plan.corrupt_at(at, node, port),
-                FaultKind::Drop => plan = plan.drop_at(at, node, port),
-                FaultKind::FailNode | FaultKind::RepairNode => unreachable!("handled above"),
+            if !on_fabric || f.port.0 >= topo.ports_per_node() {
+                return false;
             }
-        }
-        plan
+            let Some(peer) = topo.peer_of(f.node, f.port) else { return false };
+            if f.action == FaultAction::Fail {
+                let (a, b) = ((f.node, f.port), peer);
+                let wire = if a <= b { (a, b) } else { (b, a) };
+                if failed_wires.contains(&wire) {
+                    return false;
+                }
+                failed_wires.push(wire);
+            }
+            true
+        };
+        self.faults.iter().filter(applies).copied().collect()
     }
 
     /// One-line human-readable summary, stable across runs (reports and
@@ -588,16 +531,16 @@ impl Scenario {
             .faults
             .iter()
             .map(|f| {
-                let k = match f.kind {
-                    FaultKind::Fail => "fail",
-                    FaultKind::Corrupt => "corrupt",
-                    FaultKind::Drop => "drop",
-                    FaultKind::FailNode => return format!("failnode@{}:n{}", f.at, f.node),
-                    FaultKind::RepairNode => {
-                        return format!("repairnode@{}:n{}", f.at, f.node)
-                    }
+                let (at, node) = (f.at.0, f.node.0);
+                let k = match f.action {
+                    FaultAction::Fail => "fail",
+                    FaultAction::Repair => "repair",
+                    FaultAction::CorruptFlit => "corrupt",
+                    FaultAction::DropFlit => "drop",
+                    FaultAction::FailNode => return format!("failnode@{at}:n{node}"),
+                    FaultAction::RepairNode => return format!("repairnode@{at}:n{node}"),
                 };
-                format!("{k}@{}:n{}p{}", f.at, f.node, f.port)
+                format!("{k}@{at}:n{node}p{}", f.port.0)
             })
             .collect();
         let churn: Vec<String> = self
@@ -672,10 +615,35 @@ mod tests {
     }
 
     #[test]
+    fn fault_plans_keep_only_what_addresses_the_topology() {
+        let mut sc = Scenario::generate(0);
+        sc.topology = TopologySpec::Ring { nodes: 4 };
+        let topo = sc.topology.build();
+        let wire = *topo.wires().first().expect("a ring has wires");
+        let terminal = topo.terminal_port(NodeId(0)).expect("every ring node has an NI");
+        let event = |action, (node, port)| FaultEvent { at: Cycles(10), action, node, port };
+        sc.faults = vec![
+            event(FaultAction::Fail, wire.a),
+            // The same wire from its other end: an alias, failed once.
+            event(FaultAction::Fail, wire.b),
+            event(FaultAction::CorruptFlit, wire.b),
+            event(FaultAction::FailNode, (NodeId(4), PortId(0))),
+            event(FaultAction::DropFlit, (NodeId(0), terminal)),
+            event(FaultAction::RepairNode, (NodeId(3), PortId(0))),
+            // A port or a node the fabric does not have (a structured remap
+            // keeps the classic fabric's port numbers).
+            event(FaultAction::CorruptFlit, (NodeId(1), PortId(PORTS_PER_NODE))),
+            event(FaultAction::Fail, (NodeId(4), wire.a.1)),
+        ];
+        let plan: Vec<FaultEvent> = sc.fault_plan(&topo).events().copied().collect();
+        assert_eq!(plan, [sc.faults[0], sc.faults[2], sc.faults[5]]);
+    }
+
+    #[test]
     fn transients_imply_llr() {
         for seed in 0..128u64 {
             let sc = Scenario::generate(seed);
-            if sc.faults.iter().any(|f| f.kind.is_transient()) {
+            if sc.faults.iter().any(|f| !f.action.is_permanent()) {
                 assert!(sc.llr, "seed {seed}: transient faults need the retry layer");
             }
         }
@@ -716,16 +684,16 @@ mod tests {
         let mut saw_node_fault = false;
         for seed in 0..128u64 {
             let sc = Scenario::generate(seed);
-            let fails: Vec<&FaultSpec> =
-                sc.faults.iter().filter(|f| f.kind == FaultKind::FailNode).collect();
-            let repairs: Vec<&FaultSpec> =
-                sc.faults.iter().filter(|f| f.kind == FaultKind::RepairNode).collect();
+            let fails: Vec<&FaultEvent> =
+                sc.faults.iter().filter(|f| f.action == FaultAction::FailNode).collect();
+            let repairs: Vec<&FaultEvent> =
+                sc.faults.iter().filter(|f| f.action == FaultAction::RepairNode).collect();
             assert_eq!(fails.len(), repairs.len(), "seed {seed}");
             for (f, r) in fails.iter().zip(&repairs) {
                 saw_node_fault = true;
                 assert_eq!(f.node, r.node, "seed {seed}");
                 assert!(f.at < r.at, "seed {seed}: the outage has positive length");
-                assert!((f.node as usize) < sc.topology.nodes(), "seed {seed}");
+                assert!(f.node.index() < sc.topology.nodes(), "seed {seed}");
             }
         }
         assert!(saw_node_fault, "the generator actually explores node faults");

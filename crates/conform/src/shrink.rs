@@ -13,12 +13,14 @@
 //!    proportionally so the schedule stays inside the window).
 //! 4. **Shrink the topology** — retry the case on a fixed ladder of
 //!    smaller networks, remapping connection and churn endpoints modulo
-//!    the node count and discarding fault specs that no longer address a
+//!    the node count and discarding fault events that no longer address a
 //!    wire.
 //!
 //! Every candidate is a full deterministic re-run, so the shrinker is as
 //! trustworthy as the run it is handed (in a campaign, the runner's); a
 //! budget caps the total number of re-runs.
+
+use mmr_sim::Cycles;
 
 use crate::oracle::Divergence;
 use crate::scenario::{RoutingChoice, Scenario, TopologySpec};
@@ -108,7 +110,7 @@ pub fn shrink(
         let mut cand = current.clone();
         cand.cycles /= 2;
         for f in &mut cand.faults {
-            f.at /= 2;
+            f.at = Cycles(f.at.0 / 2);
         }
         for e in &mut cand.churn {
             e.at /= 2;
@@ -152,7 +154,7 @@ pub fn shrink(
         // Fault specs whose endpoint is not a wire of the smaller topology
         // are discarded by Scenario::fault_plan at run time; specs naming
         // out-of-range nodes are dropped here for report clarity.
-        cand.faults.retain(|f| f.node < n);
+        cand.faults.retain(|f| f.node.0 < n);
         if let Some(divergences) = try_candidate(&cand, &mut attempts) {
             current = cand;
             current_div = divergences;

@@ -219,16 +219,14 @@ pub struct Preemption {
     pub class: QosClass,
 }
 
-/// Aggregate admission/shedding statistics.
-#[derive(Debug, Clone, Default)]
+/// Aggregate admission/shedding statistics. Every [`AdmitVerdict`] the
+/// controller hands out is counted once: in `accepted`, `degraded`, or one
+/// of the `rejected_*` causes.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct AdmitStats {
-    /// For tests: requests admitted at their asked rate (pinned through
-    /// this struct's `Debug` in the control-plane transcript).
-    #[doc(hidden)]
+    /// Requests admitted at their asked rate.
     pub accepted: u64,
-    /// For tests: requests admitted below their asked rate (pinned like
-    /// `accepted`).
-    #[doc(hidden)]
+    /// Requests admitted below their asked rate (degrade-on-admit).
     pub degraded: u64,
     /// Requests rejected, by cause.
     pub rejected_saturated: u64,
@@ -243,11 +241,29 @@ pub struct AdmitStats {
     /// CBR sessions preempted.
     pub preempted_cbr: u64,
     /// For tests: shed victims spared by the anti-starvation rotation
-    /// (pinned like `accepted`).
+    /// (pinned through this struct's `Debug` in the control-plane
+    /// transcript).
     #[doc(hidden)]
     pub starvation_skips: u64,
     /// Rungs won back by load-recede upgrades.
     pub upgrades: u64,
+}
+
+impl AdmitStats {
+    /// Adds `other`'s counters into these (a campaign cell's fold of its
+    /// trials).
+    pub fn absorb(&mut self, other: &AdmitStats) {
+        self.accepted += other.accepted;
+        self.degraded += other.degraded;
+        self.rejected_saturated += other.rejected_saturated;
+        self.rejected_resources += other.rejected_resources;
+        self.rejected_other += other.rejected_other;
+        self.shed_rounds += other.shed_rounds;
+        self.preempted_best_effort += other.preempted_best_effort;
+        self.preempted_cbr += other.preempted_cbr;
+        self.starvation_skips += other.starvation_skips;
+        self.upgrades += other.upgrades;
+    }
 }
 
 /// Priority bucket for shedding: best-effort below every CBR rate, CBR
@@ -545,6 +561,26 @@ mod tests {
     use crate::testkit::mesh_net;
     use crate::topology::Topology;
     use mmr_core::router::RouterConfig;
+
+    #[test]
+    fn absorb_is_the_field_wise_sum() {
+        // `k` times a distinct, non-zero value in every counter.
+        let stats = |k: u64| AdmitStats {
+            accepted: k,
+            degraded: 2 * k,
+            rejected_saturated: 3 * k,
+            rejected_resources: 4 * k,
+            rejected_other: 5 * k,
+            shed_rounds: 6 * k,
+            preempted_best_effort: 7 * k,
+            preempted_cbr: 8 * k,
+            starvation_skips: 9 * k,
+            upgrades: 10 * k,
+        };
+        let mut cell = stats(1);
+        cell.absorb(&stats(100));
+        assert_eq!(cell, stats(101));
+    }
 
     fn ring_net() -> NetworkSim {
         NetworkSim::new(

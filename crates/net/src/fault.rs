@@ -110,6 +110,14 @@ pub struct FaultPlan {
     events: Vec<FaultEvent>,
 }
 
+/// A plan of the given events, in the given order (the injector sorts
+/// them into firing order).
+impl FromIterator<FaultEvent> for FaultPlan {
+    fn from_iter<I: IntoIterator<Item = FaultEvent>>(events: I) -> Self {
+        FaultPlan { events: events.into_iter().collect() }
+    }
+}
+
 impl FaultPlan {
     /// An empty plan.
     pub fn new() -> Self {
@@ -139,20 +147,6 @@ impl FaultPlan {
     pub fn repair_node_at(mut self, at: Cycles, node: NodeId) -> Self {
         self.events
             .push(FaultEvent { at, action: FaultAction::RepairNode, node, port: PortId(0) });
-        self
-    }
-
-    /// Schedules a transient corruption: the next flit delivered into
-    /// `(node, port)` at or after `at` has a payload bit flipped.
-    pub fn corrupt_at(mut self, at: Cycles, node: NodeId, port: PortId) -> Self {
-        self.events.push(FaultEvent { at, action: FaultAction::CorruptFlit, node, port });
-        self
-    }
-
-    /// Schedules a transient drop: the next flit delivered into
-    /// `(node, port)` at or after `at` vanishes on the wire.
-    pub fn drop_at(mut self, at: Cycles, node: NodeId, port: PortId) -> Self {
-        self.events.push(FaultEvent { at, action: FaultAction::DropFlit, node, port });
         self
     }
 
@@ -453,6 +447,10 @@ mod tests {
     use crate::testkit::mesh_net;
     use mmr_core::router::RouterConfig;
 
+    fn event(at: u64, action: FaultAction, node: NodeId, port: PortId) -> FaultEvent {
+        FaultEvent { at: Cycles(at), action, node, port }
+    }
+
     #[test]
     fn injector_applies_fail_then_repair_on_schedule() {
         let mut net = mesh_net();
@@ -501,10 +499,13 @@ mod tests {
     fn events_naming_no_wire_or_node_are_skipped_not_fatal() {
         let mut net = mesh_net();
         let ni = net.topology().terminal_port(NodeId(0)).expect("every mesh node has an NI");
-        let plan = FaultPlan::new()
-            .fail_at(Cycles(1), NodeId(0), ni)
-            .fail_node_at(Cycles(2), NodeId(99))
-            .drop_at(Cycles(3), NodeId(4), PortId(200));
+        let plan: FaultPlan = [
+            event(1, FaultAction::Fail, NodeId(0), ni),
+            event(2, FaultAction::FailNode, NodeId(99), PortId(0)),
+            event(3, FaultAction::DropFlit, NodeId(4), PortId(200)),
+        ]
+        .into_iter()
+        .collect();
         let mut inj = FaultInjector::new(plan).expect("consistent plan");
         for t in 0..5u64 {
             assert!(inj.poll(&mut net, Cycles(t)).is_quiet(), "t={t}");
@@ -563,12 +564,10 @@ mod tests {
 
     #[test]
     fn duplicate_transients_are_kept_one_per_flit() {
-        let plan = FaultPlan::new()
-            .corrupt_at(Cycles(4), NodeId(0), PortId(0))
-            .corrupt_at(Cycles(4), NodeId(0), PortId(0))
-            .drop_at(Cycles(4), NodeId(0), PortId(0))
-            .normalized()
-            .expect("transient duplicates are legal");
+        let corrupt = event(4, FaultAction::CorruptFlit, NodeId(0), PortId(0));
+        let drop = event(4, FaultAction::DropFlit, NodeId(0), PortId(0));
+        let plan = [corrupt, corrupt, drop].into_iter().collect::<FaultPlan>();
+        let plan = plan.normalized().expect("transient duplicates are legal");
         assert_eq!(plan.events.len(), 3, "each transient arms one more flit");
     }
 
@@ -576,7 +575,7 @@ mod tests {
     fn transient_events_arm_the_wire() {
         let mut net = mesh_net();
         let wire = net.topology().wires()[0];
-        let plan = FaultPlan::new().corrupt_at(Cycles(2), wire.a.0, wire.a.1);
+        let plan = [event(2, FaultAction::CorruptFlit, wire.a.0, wire.a.1)].into_iter().collect();
         let mut inj = FaultInjector::new(plan).expect("consistent plan");
         let tick = inj.poll(&mut net, Cycles(2));
         assert_eq!(tick.transients_armed, 1);

@@ -180,7 +180,7 @@ pub struct NetStepReport {
 }
 
 /// Aggregate network statistics.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct NetStats {
     /// End-to-end stream-flit latency (flit cycles).
     pub latency: Accumulator,
@@ -230,6 +230,29 @@ pub struct NetStats {
     pub ghost_releases: u64,
 }
 
+impl NetStats {
+    /// Adds `other`'s counters and latency samples into these (a campaign
+    /// cell's fold of its trials).
+    pub fn absorb(&mut self, other: &NetStats) {
+        self.latency.merge(&other.latency);
+        self.packet_latency.merge(&other.packet_latency);
+        self.flits_delivered += other.flits_delivered;
+        self.packets_delivered += other.packets_delivered;
+        self.out_of_order += other.out_of_order;
+        self.flits_lost += other.flits_lost;
+        self.links_failed += other.links_failed;
+        self.links_repaired += other.links_repaired;
+        self.nodes_failed += other.nodes_failed;
+        self.nodes_repaired += other.nodes_repaired;
+        self.partitioned_sessions += other.partitioned_sessions;
+        self.flits_corrupted += other.flits_corrupted;
+        self.flits_dropped += other.flits_dropped;
+        self.flits_retransmitted += other.flits_retransmitted;
+        self.undetected_corruptions += other.undetected_corruptions;
+        self.ghost_releases += other.ghost_releases;
+    }
+}
+
 /// What a transient wire fault does to the one flit it strikes (see
 /// [`NetworkSim::arm_transient`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -238,4 +261,47 @@ pub enum TransientKind {
     Corrupt,
     /// The flit vanishes on the wire.
     Drop,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn absorb_is_the_field_wise_sum() {
+        // `k` times a distinct, non-zero value in every counter, and one
+        // sample in each latency accumulator.
+        let stats = |k: u64| {
+            let mut latency = Accumulator::new();
+            latency.record(k as f64);
+            let mut packet_latency = Accumulator::new();
+            packet_latency.record(2.0 * k as f64);
+            NetStats {
+                latency,
+                packet_latency,
+                flits_delivered: k,
+                packets_delivered: 2 * k,
+                out_of_order: 3 * k,
+                flits_lost: 4 * k,
+                links_failed: 5 * k,
+                links_repaired: 6 * k,
+                nodes_failed: 7 * k,
+                nodes_repaired: 8 * k,
+                partitioned_sessions: 9 * k,
+                flits_corrupted: 10 * k,
+                flits_dropped: 11 * k,
+                flits_retransmitted: 12 * k,
+                undetected_corruptions: 13 * k,
+                ghost_releases: 14 * k,
+            }
+        };
+        let (mut cell, trial) = (stats(1), stats(100));
+        let mut expected = stats(101);
+        expected.latency = cell.latency.clone();
+        expected.latency.merge(&trial.latency);
+        expected.packet_latency = cell.packet_latency.clone();
+        expected.packet_latency.merge(&trial.packet_latency);
+        cell.absorb(&trial);
+        assert_eq!(cell, expected);
+    }
 }

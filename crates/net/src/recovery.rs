@@ -23,7 +23,7 @@
 //!   the surviving topology ([`crate::setup::SetupError::Unreachable`]) is
 //!   parked against the network's topology epoch and re-probed only after
 //!   the next fail/repair event, not retried into the same wall,
-//! * optional **graceful rate degradation**: when the budget at the current
+//! * **graceful rate degradation**: when the budget at the current
 //!   rate is exhausted, a CBR session steps one rung down the paper's rate
 //!   ladder and tries again instead of dying.
 //!
@@ -65,10 +65,6 @@ pub struct RecoveryPolicy {
     /// An attempt whose setup has not completed after this many cycles is
     /// abandoned (counts against the retry budget).
     pub setup_timeout: Cycles,
-    /// When the retry budget at the current rate is exhausted, step CBR
-    /// sessions one rung down the rate ladder and start a fresh budget
-    /// instead of failing permanently.
-    pub degrade: bool,
     /// The one rate ladder (ascending): recovery degrades down it, upgrades
     /// step up it, and the admission controller's degrade-on-admit grants
     /// its lowest rung. Defaults to the paper's nine-rate ladder.
@@ -88,7 +84,6 @@ impl Default for RecoveryPolicy {
             base_backoff: Cycles(8),
             max_backoff: Cycles(1_024),
             setup_timeout: Cycles(256),
-            degrade: true,
             ladder: mmr_traffic::rates::paper_rate_ladder().to_vec(),
             max_concurrent_probes: 4,
         }
@@ -112,13 +107,6 @@ impl RecoveryPolicy {
     /// Overrides the per-attempt setup timeout.
     pub fn setup_timeout(mut self, timeout: Cycles) -> Self {
         self.setup_timeout = timeout;
-        self
-    }
-
-    /// For tests: turns degrade-on-admit on or off.
-    #[doc(hidden)]
-    pub fn degrade(mut self, degrade: bool) -> Self {
-        self.degrade = degrade;
         self
     }
 
@@ -258,9 +246,7 @@ impl Session {
         }
         // Budget exhausted at this rate: degrade or die.
         let lower = match self.class {
-            QosClass::Cbr { rate } if policy.degrade => {
-                policy.step_down(rate).map(|to| (rate, to))
-            }
+            QosClass::Cbr { rate } => policy.step_down(rate).map(|to| (rate, to)),
             _ => None,
         };
         match lower {
@@ -284,7 +270,7 @@ impl Session {
 }
 
 /// Aggregate recovery statistics.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RecoveryStats {
     /// Connection-breaking incidents observed.
     pub faults: u64,
@@ -316,6 +302,25 @@ pub struct RecoveryStats {
     pub upgraded: u64,
     /// Fault-to-recovery latency (flit cycles) per recovered incident.
     pub time_to_recover: Accumulator,
+}
+
+impl RecoveryStats {
+    /// Adds `other`'s counters into these (a campaign cell's fold of its
+    /// trials).
+    pub fn absorb(&mut self, other: &RecoveryStats) {
+        self.faults += other.faults;
+        self.recovered += other.recovered;
+        self.permanently_failed += other.permanently_failed;
+        self.retries += other.retries;
+        self.timeouts += other.timeouts;
+        self.degraded += other.degraded;
+        self.backoff_cycles += other.backoff_cycles;
+        self.probe_throttled += other.probe_throttled;
+        self.partitioned += other.partitioned;
+        self.closed += other.closed;
+        self.upgraded += other.upgraded;
+        self.time_to_recover.merge(&other.time_to_recover);
+    }
 }
 
 /// One observable recovery state transition.
@@ -1095,6 +1100,37 @@ mod tests {
         (net, sid)
     }
 
+    /// `k` times a distinct, non-zero value in every counter, and one
+    /// time-to-recover sample.
+    fn recovery_stats(k: u64) -> RecoveryStats {
+        let mut time_to_recover = Accumulator::new();
+        time_to_recover.record(k as f64);
+        RecoveryStats {
+            faults: k,
+            recovered: 2 * k,
+            permanently_failed: 3 * k,
+            retries: 4 * k,
+            timeouts: 5 * k,
+            degraded: 6 * k,
+            backoff_cycles: 7 * k,
+            probe_throttled: 8 * k,
+            partitioned: 9 * k,
+            closed: 10 * k,
+            upgraded: 11 * k,
+            time_to_recover,
+        }
+    }
+
+    #[test]
+    fn absorb_is_the_field_wise_sum() {
+        let (mut cell, trial) = (recovery_stats(1), recovery_stats(100));
+        let mut expected = recovery_stats(101);
+        expected.time_to_recover = cell.time_to_recover.clone();
+        expected.time_to_recover.merge(&trial.time_to_recover);
+        cell.absorb(&trial);
+        assert_eq!(cell, expected);
+    }
+
     #[test]
     fn exhausted_paths_degrade_then_fail_permanently() {
         let mut mgr = RecoveryManager::new(
@@ -1124,19 +1160,6 @@ mod tests {
         // bystander connections' reservations remain.
         let total: usize = (0..4).map(|n| net.router(NodeId(n)).connections()).sum();
         assert_eq!(total, baseline);
-    }
-
-    #[test]
-    fn degradation_disabled_fails_at_the_original_rate() {
-        let mut mgr = RecoveryManager::new(
-            RecoveryPolicy::default().max_retries(2).degrade(false).backoff(Cycles(2), Cycles(4)),
-        );
-        let (mut net, sid) = starved_ring_incident(&mut mgr);
-        let events = run_recovery(&mut net, &mut mgr, 0, 200);
-        assert!(events.iter().all(|e| !matches!(e, RecoveryEvent::Degraded { .. })));
-        assert_eq!(mgr.stats().degraded, 0);
-        assert_eq!(mgr.stats().permanently_failed, 1);
-        assert_eq!(mgr.class(sid), Some(cbr_mbps(10.0)), "rate untouched");
     }
 
     #[test]

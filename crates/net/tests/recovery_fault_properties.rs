@@ -2,7 +2,7 @@
 //! fault-plan normalization — gaps called out by the conformance-harness
 //! work (the harness leans on both being exactly right).
 
-use mmr_net::{FaultPlan, NodeId, RecoveryPolicy};
+use mmr_net::{FaultAction, FaultEvent, FaultPlan, NodeId, RecoveryPolicy};
 use mmr_core::PortId;
 use mmr_sim::Cycles;
 use proptest::prelude::*;
@@ -63,23 +63,25 @@ proptest! {
             0..40
         )
     ) {
-        let mut plan = FaultPlan::new();
+        let mut plan = Vec::new();
         let mut failed: Vec<(u16, u8)> = Vec::new();
         for (at, node, port, kind) in events {
-            let (n, p) = (NodeId(node), PortId(port));
-            match kind {
+            let action = match kind {
                 // A plan failing the same wire twice without a repair is
                 // rejected by normalization; keep generated plans
                 // well-formed the same way the scenario generator does.
                 0 if !failed.contains(&(node, port)) => {
                     failed.push((node, port));
-                    plan = plan.fail_at(Cycles(at), n, p);
+                    FaultAction::Fail
                 }
-                1 => plan = plan.corrupt_at(Cycles(at), n, p),
-                2 => plan = plan.drop_at(Cycles(at), n, p),
-                _ => {}
-            }
+                1 => FaultAction::CorruptFlit,
+                2 => FaultAction::DropFlit,
+                _ => continue,
+            };
+            let (at, node, port) = (Cycles(at), NodeId(node), PortId(port));
+            plan.push(FaultEvent { at, action, node, port });
         }
+        let plan: FaultPlan = plan.into_iter().collect();
         let once = plan.normalized().expect("generated plans are well-formed");
         let twice = once.clone().normalized().expect("normalized plans stay well-formed");
         let a: Vec<_> = once.events().copied().collect();

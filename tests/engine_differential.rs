@@ -22,7 +22,7 @@ use mmr_bench::campaign::Campaign;
 use mmr_bench::churn::ChurnSpec;
 use mmr_bench::faults::{CampaignTopology, Chaos};
 use mmr_bench::{churn, faults, paper, Quality};
-use mmr_conform::{parse_seed, run_scenario, CaseRun, Hooks, Scenario};
+use mmr_conform::{parse_seed, run_scenario_on, CaseRun, Hooks, Scenario};
 use mmr_core::router::{RouterConfig, RouterStats};
 use mmr_core::{AuditConfig, AuditViolation};
 use mmr_net::setup::cbr_mbps;
@@ -65,9 +65,10 @@ fn corpus_seeds() -> Vec<(String, u64)> {
 }
 
 /// Two runs of one scenario that must not be told apart: every field of
-/// the `CaseRun`, down to the divergence list and the auditor's stored
-/// violations.
-fn assert_same_case(name: &str, a: &CaseRun, b: &CaseRun) {
+/// the `CaseRun`, down to the divergence list, and (`assert_audits_agree`)
+/// the networks they ran on, down to the auditor's stored violations.
+fn assert_same_case(name: &str, a: &(CaseRun, NetworkSim), b: &(CaseRun, NetworkSim)) {
+    let ((a, a_net), (b, b_net)) = (a, b);
     assert_eq!(a.admitted, b.admitted, "{name}: admitted connections differ");
     assert_eq!(a.rejected, b.rejected, "{name}: rejected connections differ");
     assert_eq!(a.churn_admitted, b.churn_admitted, "{name}: admitted churn arrivals differ");
@@ -78,10 +79,7 @@ fn assert_same_case(name: &str, a: &CaseRun, b: &CaseRun) {
     assert_eq!(a.delivered, b.delivered, "{name}: delivered flit counts differ");
     assert_eq!(a.cycles_run, b.cycles_run, "{name}: quiescence cycles differ");
     assert_eq!(a.divergences, b.divergences, "{name}: divergence lists differ");
-    assert_eq!(a.audit_checks, b.audit_checks, "{name}: auditor checks differ");
-    assert_eq!(a.audit_violations, b.audit_violations, "{name}: stored violations differ");
-    assert_eq!(a.ghost_matches, b.ghost_matches, "{name}: ghost matches differ");
-    assert_eq!(a.ghost_releases, b.ghost_releases, "{name}: ghost releases differ");
+    assert_audits_agree(name, a_net, b_net);
 }
 
 /// Every corpus scenario must produce the same `CaseRun` on both engines,
@@ -90,8 +88,8 @@ fn assert_same_case(name: &str, a: &CaseRun, b: &CaseRun) {
 fn corpus_scenarios_agree_across_engines() {
     for (name, seed) in corpus_seeds() {
         let scenario = Scenario::generate(seed);
-        let event = run_scenario(&scenario, Hooks::default());
-        let dense = run_scenario(&scenario, Hooks { dense_stepping: true, ..Hooks::default() });
+        let event = run_scenario_on(&scenario, Hooks::default());
+        let dense = run_scenario_on(&scenario, Hooks { dense_stepping: true, ..Hooks::default() });
         assert_same_case(&name, &event, &dense);
     }
 }
@@ -100,7 +98,8 @@ fn corpus_scenarios_agree_across_engines() {
 /// auditor runs its incremental pass or sweeps everything every cycle; the
 /// sweeps (every one of the exhaustive run, the 1,024-cycle backstops of
 /// the other) must find nothing the incremental pass would not have
-/// visited; and every scenario must end with the ghost counters at zero.
+/// visited; and every scenario must end with the ghost counters at zero
+/// (all three in `assert_audits_agree`).
 /// The corpus replays clean, so the reported violations both passes must
 /// repeat alike come from `chaos_quick_grid_agrees_across_audits` and
 /// `starvation_is_reported_on_the_sweeps_cycle`.
@@ -108,13 +107,11 @@ fn corpus_scenarios_agree_across_engines() {
 fn corpus_scenarios_agree_across_audits() {
     for (name, seed) in corpus_seeds() {
         let scenario = Scenario::generate(seed);
-        let pass = run_scenario(&scenario, Hooks::default());
-        let sweep = run_scenario(&scenario, Hooks { exhaustive_audit: true, ..Hooks::default() });
+        let pass = run_scenario_on(&scenario, Hooks::default());
+        let exhaustive = Hooks { exhaustive_audit: true, ..Hooks::default() };
+        let sweep = run_scenario_on(&scenario, exhaustive);
         assert_same_case(&name, &pass, &sweep);
-        assert_eq!(sweep.audit_sweep_misses, 0, "{name}: a sweep found an unmarked violator");
-        assert_eq!(pass.audit_sweep_misses, 0, "{name}: a backstop found an unmarked violator");
-        assert_eq!(pass.ghost_matches, 0, "{name}: a ghost match");
-        assert_eq!(pass.ghost_releases, 0, "{name}: a ghost release");
+        assert_eq!(pass.1.stats().ghost_releases, 0, "{name}: a ghost release");
     }
 }
 
@@ -246,7 +243,9 @@ fn policed_sources_on_a_dragonfly_agree_across_engines() {
     }
 }
 
-/// What an audited run leaves for the incremental-vs-exhaustive comparison.
+/// What an audited run leaves for the incremental-vs-exhaustive (or the
+/// event-vs-dense) comparison: the same auditor record and statistics, and
+/// no sweep miss or ghost match on either side.
 fn assert_audits_agree(what: &str, pass: &NetworkSim, sweep: &NetworkSim) {
     let (p, s) = (pass.auditor().expect("audited"), sweep.auditor().expect("audited"));
     assert_eq!(p.violations(), s.violations(), "{what}: stored violations differ");
@@ -257,7 +256,7 @@ fn assert_audits_agree(what: &str, pass: &NetworkSim, sweep: &NetworkSim) {
         format!("{:?}", sweep.stats()),
         "{what}: stats differ"
     );
-    for (mode, net) in [("incremental", pass), ("exhaustive", sweep)] {
+    for (mode, net) in [("first", pass), ("second", sweep)] {
         assert_eq!(
             net.audit_sweep_misses(),
             0,
@@ -352,9 +351,10 @@ fn churn_head_agrees_across_audits() {
     let (pass_result, pass) = churn::run_trial_on(&spec, 1999, false);
     let (sweep_result, sweep) = churn::run_trial_on(&spec, 1999, true);
     assert_eq!(pass_result, sweep_result, "trial results differ");
+    let admit = &pass_result.admit;
     let (admitted, left) = (
-        pass_result.accepted + pass_result.degraded,
-        pass_result.departures + pass_result.preempted_best_effort + pass_result.preempted_cbr,
+        admit.accepted + admit.degraded,
+        pass_result.departures + admit.preempted_best_effort + admit.preempted_cbr,
     );
     assert!(admitted > 500 && left > 300, "the tape churned: {pass_result:?}");
     assert_audits_agree("churn", &pass, &sweep);
