@@ -11,8 +11,8 @@
 //! diurnal peak concentrates more reserved egress on busy nodes than
 //! their NIs can inject, admitted CBR sessions back up in their source
 //! NIs, and they **miss isochronous slots**. With the controls **on**,
-//! the per-source egress guard ([`AdmitPolicy::ni_headroom`]) and the
-//! link-load headroom keep the operating point schedulable (degrading or
+//! the per-source egress guard ([`NI_HEADROOM`](mmr_net::admission::NI_HEADROOM))
+//! and the link-load headroom keep the operating point schedulable (degrading or
 //! turning away the excess), and the sessions the controller *did* admit
 //! keep every slot — the `missed_cbr_slots` column reads 0. That
 //! asymmetry is the robustness claim of DESIGN.md §10.

@@ -55,13 +55,6 @@ pub enum Divergence {
         /// Delivered sequence number.
         got: u64,
     },
-    /// The network flagged a delivery as out-of-order.
-    OutOfOrderFlag {
-        /// Connection id.
-        conn: u32,
-        /// Sequence number of the flagged flit.
-        seq: u64,
-    },
     /// An end-to-end latency below the path's hop count — physically
     /// impossible (a flit crosses at most one router per cycle).
     ImpossibleLatency {
@@ -134,6 +127,11 @@ pub enum Divergence {
         /// Debug rendering of the first violation.
         first: String,
     },
+    /// Generating or running the case panicked.
+    Panicked {
+        /// The panic's message (empty for a non-string payload).
+        message: String,
+    },
 }
 
 impl std::fmt::Display for Divergence {
@@ -144,9 +142,6 @@ impl std::fmt::Display for Divergence {
             }
             Divergence::SequenceViolation { conn, expected, got } => {
                 write!(f, "sequence violation: net{conn} expected seq {expected}, got {got}")
-            }
-            Divergence::OutOfOrderFlag { conn, seq } => {
-                write!(f, "out-of-order delivery: net{conn} seq {seq}")
             }
             Divergence::ImpossibleLatency { conn, seq, latency, floor } => write!(
                 f,
@@ -178,6 +173,7 @@ impl std::fmt::Display for Divergence {
             Divergence::AuditorViolation { count, first } => {
                 write!(f, "auditor recorded {count} violation(s); first: {first}")
             }
+            Divergence::Panicked { message } => write!(f, "panicked: {message}"),
         }
     }
 }
@@ -275,11 +271,8 @@ impl Oracle {
 
     /// Records a flit leaving the destination NI; checks order, uniqueness
     /// and the latency floor on the spot.
-    pub fn delivered(&mut self, conn: u32, seq: u64, latency: u64, in_order: bool) {
+    pub fn delivered(&mut self, conn: u32, seq: u64, latency: u64) {
         self.delivered_total += 1;
-        if !in_order {
-            self.divergences.push(Divergence::OutOfOrderFlag { conn, seq });
-        }
         let Some(ledger) = self.conns.get_mut(&conn) else {
             self.divergences.push(Divergence::UnexpectedDelivery { conn, seq });
             return;
@@ -368,7 +361,7 @@ mod tests {
         o.admitted(0, vec![(0, 1), (1, 0)], 2, 0.1);
         for seq in 0..5 {
             o.injected(0);
-            o.delivered(0, seq, 3, true);
+            o.delivered(0, seq, 3);
         }
         o.finish(&clean_stats(5));
         assert!(o.into_divergences().is_empty());
@@ -398,7 +391,7 @@ mod tests {
         o.admitted(0, vec![(0, 1)], 2, 0.1);
         o.injected(0);
         o.injected(0);
-        o.delivered(0, 1, 3, true); // skipped seq 0
+        o.delivered(0, 1, 3); // skipped seq 0
         let d = o.into_divergences();
         assert!(matches!(
             d.first(),
@@ -411,7 +404,7 @@ mod tests {
         let mut o = Oracle::new();
         o.admitted(0, vec![(0, 1), (1, 2), (2, 0)], 3, 0.1);
         o.injected(0);
-        o.delivered(0, 0, 1, true); // 3 routers -> floor 2
+        o.delivered(0, 0, 1); // 3 routers -> floor 2
         let d = o.into_divergences();
         assert!(matches!(d.first(), Some(Divergence::ImpossibleLatency { floor: 2, .. })));
     }
@@ -434,7 +427,7 @@ mod tests {
         o.admitted(0, vec![(0, 1)], 2, 0.1);
         o.injected(0);
         o.injected(0);
-        o.delivered(0, 0, 3, true);
+        o.delivered(0, 0, 3);
         o.closed(0); // the second flit died with the link
         let stats = NetStats { flits_delivered: 1, flits_lost: 1, ..NetStats::default() };
         o.finish(&stats);

@@ -10,7 +10,8 @@
 
 use mmr_sim::sweep::{point_seed, SweepOptions};
 
-use crate::runner::{run_scenario, Hooks};
+use crate::oracle::Divergence;
+use crate::runner::{run_scenario, CaseRun, Hooks};
 use crate::scenario::Scenario;
 use crate::shrink::{shrink, Shrunk, DEFAULT_BUDGET};
 
@@ -35,51 +36,11 @@ pub struct CaseOutcome {
     pub seed: u64,
     /// Scenario summary.
     pub spec: String,
-    /// Connections admitted / rejected at setup.
-    pub admitted: usize,
-    /// Connections rejected by admission control.
-    pub rejected: usize,
-    /// Churn arrivals the admission controller granted.
-    pub churn_admitted: usize,
-    /// Churn arrivals turned away with a typed verdict.
-    pub churn_rejected: usize,
-    /// Flits injected.
-    pub injected: u64,
-    /// Flits delivered.
-    pub delivered: u64,
-    /// Cycles simulated.
-    pub cycles_run: u64,
-    /// Rendered divergences (empty = conformant).
-    pub divergences: Vec<String>,
+    /// The run: verdict counts, flit totals, cycles and divergences (none
+    /// = conformant).
+    pub run: CaseRun,
     /// Minimal reproducer, for a divergent case.
-    pub shrunk: Option<ShrunkOutcome>,
-}
-
-/// Rendered minimal reproducer.
-#[derive(Debug, Clone)]
-pub struct ShrunkOutcome {
-    /// Shrunken scenario summary.
-    pub spec: String,
-    /// Connections remaining.
-    pub conns: usize,
-    /// Injection window remaining.
-    pub cycles: u64,
-    /// Divergences of the minimal scenario.
-    pub divergences: Vec<String>,
-    /// Re-runs the shrinker spent.
-    pub attempts: usize,
-}
-
-impl From<&Shrunk> for ShrunkOutcome {
-    fn from(s: &Shrunk) -> ShrunkOutcome {
-        ShrunkOutcome {
-            spec: s.scenario.spec_string(),
-            conns: s.scenario.conns.len(),
-            cycles: s.scenario.cycles,
-            divergences: s.divergences.iter().map(|d| d.to_string()).collect(),
-            attempts: s.attempts,
-        }
-    }
+    pub shrunk: Option<Shrunk>,
 }
 
 /// A finished campaign.
@@ -116,19 +77,21 @@ impl Report {
             out.push_str(&format!("      \"case\": {},\n", c.index));
             out.push_str(&format!("      \"seed\": {},\n", c.seed));
             out.push_str(&format!("      \"spec\": \"{}\",\n", escape(&c.spec)));
-            out.push_str(&format!("      \"admitted\": {},\n", c.admitted));
-            out.push_str(&format!("      \"rejected\": {},\n", c.rejected));
-            out.push_str(&format!("      \"churn_admitted\": {},\n", c.churn_admitted));
-            out.push_str(&format!("      \"churn_rejected\": {},\n", c.churn_rejected));
-            out.push_str(&format!("      \"injected\": {},\n", c.injected));
-            out.push_str(&format!("      \"delivered\": {},\n", c.delivered));
-            out.push_str(&format!("      \"cycles\": {},\n", c.cycles_run));
-            out.push_str(&format!("      \"divergences\": [{}]", render_list(&c.divergences)));
+            let run = &c.run;
+            out.push_str(&format!("      \"admitted\": {},\n", run.admitted));
+            out.push_str(&format!("      \"rejected\": {},\n", run.rejected));
+            out.push_str(&format!("      \"churn_admitted\": {},\n", run.churn_admitted));
+            out.push_str(&format!("      \"churn_rejected\": {},\n", run.churn_rejected));
+            out.push_str(&format!("      \"injected\": {},\n", run.injected));
+            out.push_str(&format!("      \"delivered\": {},\n", run.delivered));
+            out.push_str(&format!("      \"cycles\": {},\n", run.cycles_run));
+            out.push_str(&format!("      \"divergences\": [{}]", render_list(&run.divergences)));
             if let Some(s) = &c.shrunk {
                 out.push_str(",\n      \"shrunk\": {\n");
-                out.push_str(&format!("        \"spec\": \"{}\",\n", escape(&s.spec)));
-                out.push_str(&format!("        \"conns\": {},\n", s.conns));
-                out.push_str(&format!("        \"cycles\": {},\n", s.cycles));
+                let spec = escape(&s.scenario.spec_string());
+                out.push_str(&format!("        \"spec\": \"{spec}\",\n"));
+                out.push_str(&format!("        \"conns\": {},\n", s.scenario.conns.len()));
+                out.push_str(&format!("        \"cycles\": {},\n", s.scenario.cycles));
                 out.push_str(&format!("        \"attempts\": {},\n", s.attempts));
                 out.push_str(&format!(
                     "        \"divergences\": [{}]\n",
@@ -152,18 +115,18 @@ impl Report {
             "mmr-conform: {} case(s) from base seed {:#x}: {} divergent\n",
             self.cases, self.base_seed, self.divergent
         ));
-        for c in &self.outcomes {
-            if c.divergences.is_empty() {
-                continue;
-            }
+        for c in self.outcomes.iter().filter(|c| !c.run.is_clean()) {
             out.push_str(&format!("\ncase {} (seed {:#x}) DIVERGED\n  {}\n", c.index, c.seed, c.spec));
-            for d in &c.divergences {
+            for d in &c.run.divergences {
                 out.push_str(&format!("  - {d}\n"));
             }
             if let Some(s) = &c.shrunk {
                 out.push_str(&format!(
                     "  shrunk to {} conn(s), {} cycles in {} attempt(s):\n    {}\n",
-                    s.conns, s.cycles, s.attempts, s.spec
+                    s.scenario.conns.len(),
+                    s.scenario.cycles,
+                    s.attempts,
+                    s.scenario.spec_string()
                 ));
                 for d in &s.divergences {
                     out.push_str(&format!("    - {d}\n"));
@@ -174,8 +137,8 @@ impl Report {
     }
 }
 
-fn render_list(items: &[String]) -> String {
-    items.iter().map(|d| format!("\"{}\"", escape(d))).collect::<Vec<_>>().join(", ")
+fn render_list(items: &[Divergence]) -> String {
+    items.iter().map(|d| format!("\"{}\"", escape(&d.to_string()))).collect::<Vec<_>>().join(", ")
 }
 
 /// Minimal JSON string escaping (quotes, backslashes, control chars).
@@ -198,32 +161,44 @@ fn escape(s: &str) -> String {
 /// shrinks inside its own sweep slot, so a clean campaign never shrinks.
 pub fn run(cfg: &RunConfig) -> Report {
     let hooks = Hooks { dense_stepping: cfg.opts.dense, ..Hooks::default() };
-    let outcomes = cfg.opts.run_indexed(cfg.cases, |i| {
-        let seed = point_seed(cfg.base_seed, i);
-        let scenario = Scenario::generate(seed);
-        let run = run_scenario(&scenario, hooks);
-        let shrunk = (!run.is_clean())
-            .then(|| {
-                let rerun = |s: &Scenario| run_scenario(s, hooks).divergences;
-                ShrunkOutcome::from(&shrink(&scenario, rerun, DEFAULT_BUDGET))
-            });
-        CaseOutcome {
-            index: i,
-            seed,
-            spec: scenario.spec_string(),
-            admitted: run.admitted,
-            rejected: run.rejected,
-            churn_admitted: run.churn_admitted,
-            churn_rejected: run.churn_rejected,
-            injected: run.injected,
-            delivered: run.delivered,
-            cycles_run: run.cycles_run,
-            divergences: run.divergences.iter().map(|d| d.to_string()).collect(),
-            shrunk,
-        }
+    run_with(cfg, |s| run_scenario(s, hooks))
+}
+
+/// [`run`] with the case runner given. A case whose generation or run
+/// panics is divergent — [`Divergence::Panicked`] — rather than the end of
+/// the campaign: the report keeps its seed, and a panicking run is shrunk
+/// like any other divergence.
+fn run_with(cfg: &RunConfig, runner: impl Fn(&Scenario) -> CaseRun + Sync) -> Report {
+    let panicked = |d| CaseRun { divergences: vec![d], ..CaseRun::default() };
+    let run_caught = |s: &Scenario| caught(|| runner(s)).unwrap_or_else(panicked);
+    let outcomes = cfg.opts.run_indexed(cfg.cases, |index| {
+        let seed = point_seed(cfg.base_seed, index);
+        let scenario = match caught(|| Scenario::generate(seed)) {
+            Ok(scenario) => scenario,
+            Err(d) => {
+                let run = panicked(d);
+                return CaseOutcome { index, seed, spec: String::new(), run, shrunk: None };
+            }
+        };
+        let run = run_caught(&scenario);
+        let shrunk = (!run.is_clean()).then(|| {
+            let rerun = |s: &Scenario| run_caught(s).divergences;
+            shrink(&scenario, rerun, DEFAULT_BUDGET)
+        });
+        CaseOutcome { index, seed, spec: scenario.spec_string(), run, shrunk }
     });
-    let divergent = outcomes.iter().filter(|c| !c.divergences.is_empty()).count();
+    let divergent = outcomes.iter().filter(|c| !c.run.is_clean()).count();
     Report { base_seed: cfg.base_seed, cases: cfg.cases, divergent, outcomes }
+}
+
+/// `f()`, or the [`Divergence::Panicked`] carrying its panic message.
+fn caught<T>(f: impl FnOnce() -> T) -> Result<T, Divergence> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).map_err(|payload| {
+        let message = (payload.downcast_ref::<&str>().map(|m| m.to_string()))
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_default();
+        Divergence::Panicked { message }
+    })
 }
 
 #[cfg(test)]
@@ -247,27 +222,30 @@ mod tests {
     /// renders neither.
     #[test]
     fn a_divergent_report_renders_its_reproducer() {
-        let case = |index: usize, divergences: Vec<&str>, shrunk| CaseOutcome {
+        let case = |index: usize, messages: Vec<&str>, shrunk| CaseOutcome {
             index,
             seed: 0x10 + index as u64,
             spec: format!("ring{index}"),
-            admitted: 3,
-            rejected: 1,
-            churn_admitted: 2,
-            churn_rejected: 0,
-            injected: 40,
-            delivered: 39,
-            cycles_run: 900,
-            divergences: divergences.into_iter().map(String::from).collect(),
+            run: CaseRun {
+                admitted: 3,
+                rejected: 1,
+                churn_admitted: 2,
+                injected: 40,
+                delivered: 39,
+                cycles_run: 900,
+                divergences: (messages.into_iter())
+                    .map(|m| Divergence::Panicked { message: m.into() })
+                    .collect(),
+                ..CaseRun::default()
+            },
             shrunk,
         };
-        let shrunk = ShrunkOutcome {
-            spec: "ring4 \"min\"".into(),
-            conns: 1,
-            cycles: 64,
-            divergences: vec!["credit leak".into()],
-            attempts: 17,
-        };
+        let mut scenario = Scenario::generate(0x2a);
+        scenario.conns.truncate(1);
+        scenario.cycles = 64;
+        let spec = scenario.spec_string();
+        let divergences = vec![Divergence::Panicked { message: "credit leak".into() }];
+        let shrunk = Shrunk { scenario, divergences, attempts: 17 };
         let report = Report {
             base_seed: 0x2a,
             cases: 2,
@@ -280,23 +258,51 @@ mod tests {
         assert!(!report.is_clean());
         assert_eq!(
             report.to_text(),
-            "mmr-conform: 2 case(s) from base seed 0x2a: 1 divergent\n\
-             \ncase 1 (seed 0x11) DIVERGED\n  ring1\n  - credit leak\n  - late\n\
-             \x20 shrunk to 1 conn(s), 64 cycles in 17 attempt(s):\n    ring4 \"min\"\n\
-             \x20   - credit leak\n"
+            format!(
+                "mmr-conform: 2 case(s) from base seed 0x2a: 1 divergent\n\
+                 \ncase 1 (seed 0x11) DIVERGED\n  ring1\n  - panicked: credit leak\n  - panicked: late\n\
+                 \x20 shrunk to 1 conn(s), 64 cycles in 17 attempt(s):\n    {spec}\n\
+                 \x20   - panicked: credit leak\n"
+            )
         );
         let json = report.to_json();
         assert!(json.contains("\"divergent\": 1,\n"), "{json}");
         assert!(json.contains("\"divergences\": []\n    },\n"), "the clean case: {json}");
         assert!(
-            json.contains(
-                "      \"divergences\": [\"credit leak\", \"late\"],\n      \"shrunk\": {\n\
-                 \x20       \"spec\": \"ring4 \\\"min\\\"\",\n        \"conns\": 1,\n\
+            json.contains(&format!(
+                "      \"divergences\": [\"panicked: credit leak\", \"panicked: late\"],\n      \"shrunk\": {{\n\
+                 \x20       \"spec\": \"{}\",\n        \"conns\": 1,\n\
                  \x20       \"cycles\": 64,\n        \"attempts\": 17,\n\
-                 \x20       \"divergences\": [\"credit leak\"]\n      }\n    }\n  ]\n}\n"
-            ),
+                 \x20       \"divergences\": [\"panicked: credit leak\"]\n      }}\n    }}\n  ]\n}}\n",
+                escape(&spec)
+            )),
             "{json}"
         );
+    }
+
+    /// A case whose run panics is divergent, not the end of the campaign:
+    /// it keeps its seed, the cases beside it still run, and the shrinker
+    /// reduces it like any other divergence.
+    #[test]
+    fn a_panicking_case_is_reported_and_shrunk() {
+        // Cases 1, 2 and 4 of this campaign hold five or more connections.
+        let cfg = RunConfig { base_seed: 0x5EED, cases: 6, opts: SweepOptions::serial() };
+        let report = run_with(&cfg, |s: &Scenario| {
+            assert!(s.conns.len() < 5, "{} connections", s.conns.len());
+            CaseRun::default()
+        });
+        let divergent: Vec<&CaseOutcome> =
+            report.outcomes.iter().filter(|c| !c.run.is_clean()).collect();
+        let indices: Vec<usize> = divergent.iter().map(|c| c.index).collect();
+        assert_eq!((report.divergent, indices), (3, vec![1, 2, 4]), "{}", report.to_text());
+        for case in divergent {
+            let message = format!("{} connections", Scenario::generate(case.seed).conns.len());
+            assert_eq!(case.run.divergences, [Divergence::Panicked { message }]);
+            let shrunk = case.shrunk.as_ref().expect("a panicking case is shrunk");
+            assert_eq!(shrunk.scenario.conns.len(), 5, "the fewest connections that still panic");
+            let message = "5 connections".to_string();
+            assert_eq!(shrunk.divergences, [Divergence::Panicked { message }]);
+        }
     }
 
     #[test]

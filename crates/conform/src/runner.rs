@@ -49,7 +49,7 @@ pub struct Hooks {
 }
 
 /// The outcome of one differential case.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CaseRun {
     /// Connections the setup path admitted.
     pub admitted: usize,
@@ -374,7 +374,7 @@ pub fn run_scenario_on(scenario: &Scenario, hooks: Hooks) -> (CaseRun, NetworkSi
 
         let report = net.step(now);
         for d in &report.delivered {
-            oracle.delivered(d.conn.0, d.flit.seq, d.latency.0, d.in_order);
+            oracle.delivered(d.conn.0, d.flit.seq, d.latency.0);
         }
         churn_service(&mut ctl, &mut net, &report, &mut oracle, &mut churn, timing, now);
     }
@@ -391,7 +391,7 @@ pub fn run_scenario_on(scenario: &Scenario, hooks: Hooks) -> (CaseRun, NetworkSi
         ctl.on_faults(&tick.broken, now);
         let report = net.step(now);
         for d in &report.delivered {
-            oracle.delivered(d.conn.0, d.flit.seq, d.latency.0, d.in_order);
+            oracle.delivered(d.conn.0, d.flit.seq, d.latency.0);
         }
         churn_service(&mut ctl, &mut net, &report, &mut oracle, &mut churn, timing, now);
         if report.delivered.is_empty() && report.flits_switched == 0 && tick.is_quiet() {

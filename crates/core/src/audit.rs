@@ -8,19 +8,19 @@
 //! order. A bug — or an unhandled transient fault — breaks one of these laws
 //! long before it shows up in a throughput figure.
 //!
-//! [`Auditor`] checks the laws explicitly. It is deliberately read-only:
-//! [`Auditor::visit_router`] inspects a [`Router`] between flit cycles via
-//! its public introspection surface, and the multi-router simulator feeds
-//! end-to-end delivery events into [`Auditor::observe_delivery`]. Violations
-//! are reported as structured [`AuditViolation`] values rather than panics,
-//! so fault-injection campaigns can *count* broken invariants (the whole
-//! point of injecting faults) while CI can escalate any violation to a test
-//! failure.
+//! [`Auditor`] checks the router laws explicitly. It is deliberately
+//! read-only: [`Auditor::visit_router`] inspects a [`Router`] between flit
+//! cycles via its public introspection surface. What only the multi-router
+//! simulator can see — credit conservation across a hop, and a stream's
+//! sequence, which its destination NI keeps — it checks itself and hands to
+//! [`Auditor::report`]. Violations are reported as structured
+//! [`AuditViolation`] values rather than panics, so fault-injection
+//! campaigns can *count* broken invariants (the whole point of injecting
+//! faults) while CI can escalate any violation to a test failure.
 //!
 //! The auditor is off the hot path unless enabled; the baseline simulation
 //! is byte-identical with or without it.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use mmr_sim::Cycles;
@@ -206,29 +206,23 @@ pub struct AuditConfig {
     /// round so low-rate CBR connections waiting on their quota don't trip
     /// it.
     pub starvation_threshold: Cycles,
-    /// Violations kept verbatim; beyond this they are counted but dropped
-    /// (a broken invariant usually repeats every cycle).
-    pub max_violations: usize,
 }
 
 impl Default for AuditConfig {
     fn default() -> Self {
-        AuditConfig { starvation_threshold: Cycles(4096), max_violations: 64 }
+        AuditConfig { starvation_threshold: Cycles(4096) }
     }
 }
+
+/// Violations kept verbatim; beyond this they are counted but dropped (a
+/// broken invariant usually repeats every cycle).
+const MAX_VIOLATIONS: usize = 64;
 
 impl AuditConfig {
     /// For tests: overrides the starvation watchdog threshold.
     #[doc(hidden)]
     pub fn starvation_threshold(mut self, threshold: Cycles) -> Self {
         self.starvation_threshold = threshold;
-        self
-    }
-
-    /// For tests: overrides the stored-violation cap.
-    #[doc(hidden)]
-    pub fn max_violations(mut self, max: usize) -> Self {
-        self.max_violations = max;
         self
     }
 }
@@ -250,7 +244,7 @@ type WatchdogSlot = Option<(ConnectionId, WatchdogState)>;
 pub struct Auditor {
     cfg: AuditConfig,
     violations: Vec<AuditViolation>,
-    /// Violations dropped after `max_violations` was reached.
+    /// Violations dropped after `MAX_VIOLATIONS` was reached.
     overflow: u64,
     /// Router-cycles covered (see [`Auditor::checks`]).
     checks: u64,
@@ -266,8 +260,6 @@ pub struct Auditor {
     /// Scratch for the per-port `(input, output)` mapped-VC counts of
     /// `check_ports` (capacity persists across calls).
     mapped: Vec<(usize, usize)>,
-    /// Per-stream next expected end-to-end sequence number.
-    streams: BTreeMap<u64, u64>,
 }
 
 impl Auditor {
@@ -277,9 +269,10 @@ impl Auditor {
     }
 
     /// Records a violation found by an external check (e.g. the network's
-    /// cross-router credit conservation).
+    /// cross-router credit conservation, or a stream's sequence at its
+    /// destination NI).
     pub fn report(&mut self, violation: AuditViolation) {
-        if self.violations.len() < self.cfg.max_violations {
+        if self.violations.len() < MAX_VIOLATIONS {
             self.violations.push(violation);
         } else {
             self.overflow += 1;
@@ -485,28 +478,6 @@ impl Auditor {
         self.violation_count() != before
     }
 
-    /// Feeds one end-to-end delivery: stream `stream` delivered sequence
-    /// number `seq` at its destination. Flags losses, duplicates and
-    /// reorderings.
-    pub fn observe_delivery(&mut self, stream: u64, seq: u64) {
-        let expected = *self.streams.get(&stream).unwrap_or(&0);
-        if seq == expected {
-            self.streams.insert(stream, expected + 1);
-        } else if seq > expected {
-            self.streams.insert(stream, seq + 1);
-            self.report(AuditViolation::StreamLoss { stream, expected, got: seq });
-        } else {
-            self.report(AuditViolation::StreamDuplicate { stream, expected, got: seq });
-        }
-    }
-
-    /// Declares a stream closed (torn down); later deliveries under the same
-    /// key start a fresh sequence. Call on connection teardown so fail-stop
-    /// losses (a deliberately killed connection) are not flagged.
-    pub fn stream_closed(&mut self, stream: u64) {
-        self.streams.remove(&stream);
-    }
-
     /// The stored violations, in discovery order.
     pub fn violations(&self) -> &[AuditViolation] {
         &self.violations
@@ -588,34 +559,6 @@ mod tests {
     }
 
     #[test]
-    fn stream_ordering_checks_flag_loss_and_duplicates() {
-        let mut audit = Auditor::default();
-        audit.observe_delivery(7, 0);
-        audit.observe_delivery(7, 1);
-        assert!(audit.is_clean());
-        audit.observe_delivery(7, 3); // 2 never arrived
-        assert!(matches!(
-            audit.violations()[0],
-            AuditViolation::StreamLoss { stream: 7, expected: 2, got: 3 }
-        ));
-        audit.observe_delivery(7, 3); // replayed duplicate
-        assert!(matches!(
-            audit.violations()[1],
-            AuditViolation::StreamDuplicate { stream: 7, expected: 4, got: 3 }
-        ));
-        assert_eq!(audit.violation_count(), 2);
-    }
-
-    #[test]
-    fn closed_streams_restart_cleanly() {
-        let mut audit = Auditor::default();
-        audit.observe_delivery(9, 0);
-        audit.stream_closed(9);
-        audit.observe_delivery(9, 0); // a re-established connection reuses the key
-        assert!(audit.is_clean());
-    }
-
-    #[test]
     fn starvation_watchdog_fires_once_per_stall() {
         let mut r = audited_router();
         let conn = r
@@ -681,14 +624,16 @@ mod tests {
 
     #[test]
     fn violation_storage_is_bounded() {
-        let mut audit = Auditor::new(AuditConfig::default().max_violations(3));
-        for seq in 0..10u64 {
-            // Every delivery of stream 1 past the first is a duplicate.
-            audit.observe_delivery(1, 0);
-            let _ = seq;
+        let mut audit = Auditor::default();
+        for got in 0..100u64 {
+            audit.report(AuditViolation::StreamDuplicate { stream: 1, expected: 100, got });
         }
-        assert_eq!(audit.violations().len(), 3);
-        assert_eq!(audit.violation_count(), 9, "drops are still counted");
+        assert_eq!(audit.violations().len(), MAX_VIOLATIONS);
+        assert_eq!(audit.violation_count(), 100, "drops are still counted");
+        assert!(matches!(
+            audit.violations().last(),
+            Some(AuditViolation::StreamDuplicate { got: 63, .. })
+        ));
     }
 
     #[test]

@@ -53,25 +53,16 @@ use crate::topology::NodeId;
 pub struct AdmitPolicy {
     /// Peak link load factor above which new CBR requests are degraded (or
     /// rejected) instead of admitted at their asked rate, and above which
-    /// the load shedder counts towards a shed round. `f64::INFINITY`
-    /// disables the utilization guard and the shedder — the book limit is
-    /// then the only gate (the "naive" baseline that collapses under
-    /// churn).
+    /// the load shedder counts towards a shed round. A finite headroom also
+    /// arms the per-source NI egress ceiling ([`NI_HEADROOM`]) and
+    /// degrade-on-admit, which grants the lowest rung of the session
+    /// layer's degradation ladder ([`RecoveryPolicy`]) instead of
+    /// rejecting outright. `f64::INFINITY` disables all four — the book
+    /// limit is then the only gate (the "naive" baseline that collapses
+    /// under churn).
     pub headroom: f64,
     /// Peak link load factor below which degraded sessions win rungs back.
     pub low_watermark: f64,
-    /// Per-source NI egress ceiling, as a fraction of the link rate. The
-    /// crossbar serves each input port at most one flit per cycle, so a
-    /// node whose own sessions reserve more aggregate egress than the
-    /// link rate is unschedulable *even when every per-output bandwidth
-    /// book is satisfied* — the oversubscription the books cannot see.
-    /// Requests that would push the source past this fraction are degraded
-    /// or rejected. `f64::INFINITY` disables the guard (naive baseline).
-    pub ni_headroom: f64,
-    /// Degrade-on-admit: grant the lowest rung of the session layer's
-    /// degradation ladder ([`RecoveryPolicy`]) past the headroom instead of
-    /// rejecting outright.
-    pub degrade_on_admit: bool,
     /// Consecutive over-headroom [`AdmissionController::service`] calls
     /// before a shed round fires.
     pub shed_patience: u32,
@@ -82,6 +73,15 @@ pub struct AdmitPolicy {
 /// A class bucket is never drained below this many live sessions.
 const PROTECTED_FLOOR: usize = 1;
 
+/// Per-source NI egress ceiling, as a fraction of the link rate, armed by a
+/// finite [`AdmitPolicy::headroom`]. The crossbar serves each input port at
+/// most one flit per cycle, so a node whose own sessions reserve more
+/// aggregate egress than the link rate is unschedulable *even when every
+/// per-output bandwidth book is satisfied* — the oversubscription the books
+/// cannot see. Requests that would push the source past this fraction are
+/// degraded or rejected.
+pub const NI_HEADROOM: f64 = 0.9;
+
 /// A bucket hit in this many consecutive shed rounds sits the next round
 /// out (anti-starvation rotation).
 const STARVATION_GUARD: u32 = 3;
@@ -91,8 +91,6 @@ impl Default for AdmitPolicy {
         AdmitPolicy {
             headroom: 0.8,
             low_watermark: 0.5,
-            ni_headroom: 0.9,
-            degrade_on_admit: true,
             shed_patience: 64,
             shed_batch: 2,
         }
@@ -112,18 +110,6 @@ impl AdmitPolicy {
         self
     }
 
-    /// Overrides the per-source NI egress ceiling.
-    pub fn ni_headroom(mut self, headroom: f64) -> Self {
-        self.ni_headroom = headroom;
-        self
-    }
-
-    /// Enables or disables degrade-on-admit.
-    pub fn degrade_on_admit(mut self, degrade: bool) -> Self {
-        self.degrade_on_admit = degrade;
-        self
-    }
-
     /// Overrides the shed patience (service calls over headroom).
     pub fn shed_patience(mut self, patience: u32) -> Self {
         self.shed_patience = patience;
@@ -136,22 +122,20 @@ impl AdmitPolicy {
         self
     }
 
-    /// The "naive" baseline: no utilization guard, no degradation, no
-    /// shedding — admission is the raw bandwidth book, and overload lands
-    /// on every admitted session. The `mmr-bench churn` control series.
+    /// The "naive" baseline: no utilization guard, no NI ceiling, no
+    /// degradation, no shedding — admission is the raw bandwidth book, and
+    /// overload lands on every admitted session. The `mmr-bench churn`
+    /// control series.
     pub fn naive() -> Self {
-        AdmitPolicy::default()
-            .headroom(f64::INFINITY)
-            .ni_headroom(f64::INFINITY)
-            .degrade_on_admit(false)
+        AdmitPolicy::default().headroom(f64::INFINITY)
     }
 }
 
 /// Why a request was turned away.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RejectReason {
-    /// The fabric is past its utilization headroom and degrade-on-admit is
-    /// off (or the ladder is empty).
+    /// The fabric is past its utilization headroom (or the source past its
+    /// NI ceiling) and not even the ladder's lowest rung could be granted.
     Saturated,
     /// Setup failed on resources: no rung fits the bandwidth books or VC
     /// pools along any minimal path.
@@ -377,9 +361,9 @@ impl AdmissionController {
                 Err(_) => {}
             }
         }
-        let fallback = self.policy.degrade_on_admit.then(|| self.mgr.policy().floor()).flatten();
+        let fallback = self.policy.headroom.is_finite().then(|| self.mgr.policy().floor());
         let fallback =
-            fallback.filter(|&f| self.ni_fits(net, src, f.bits_per_sec()));
+            fallback.flatten().filter(|&f| self.ni_fits(net, src, f.bits_per_sec()));
         let Some(floor) = fallback.filter(|&f| f < asked) else {
             self.pressure = self.pressure.saturating_add(1);
             return self.turn_away(if saturated {
@@ -406,16 +390,16 @@ impl AdmissionController {
     }
 
     /// Whether `extra_bps` more guaranteed egress at `src` stays under the
-    /// NI injection ceiling.
+    /// NI injection ceiling (always, with an infinite headroom).
     fn ni_fits(&self, net: &NetworkSim, src: NodeId, extra_bps: f64) -> bool {
-        if !self.policy.ni_headroom.is_finite() {
+        if !self.policy.headroom.is_finite() {
             return true;
         }
         let cap = net.link_rate().bits_per_sec();
         if cap <= 0.0 {
             return true;
         }
-        (self.mgr.egress_reserved(src).bits_per_sec() + extra_bps) / cap <= self.policy.ni_headroom
+        (self.mgr.egress_reserved(src).bits_per_sec() + extra_bps) / cap <= NI_HEADROOM
     }
 
     /// The rejection a failed setup maps to.
@@ -652,13 +636,13 @@ mod tests {
     #[test]
     fn guarded_policy_keeps_the_peak_near_the_headroom() {
         let mut net = ring_net();
-        let mut ctl =
-            AdmissionController::new(AdmitPolicy::default().headroom(0.6).degrade_on_admit(false));
+        let mut ctl = AdmissionController::new(AdmitPolicy::default().headroom(0.6));
         let _ = load_up(&mut net, &mut ctl, 124.0);
         let (peak, _) = net.link_load();
-        // One 124 Mbps grant can overshoot 0.6 by at most 0.1.
+        // One 124 Mbps grant can overshoot 0.6 by at most 0.1; past the
+        // headroom every grant is the ladder's lowest rung.
         assert!(peak < 0.75, "guard holds the operating point: peak {peak}");
-        assert!(ctl.stats().rejected_saturated >= 1);
+        assert!(ctl.stats().degraded >= 1, "{:?}", ctl.stats());
     }
 
     #[test]

@@ -156,6 +156,9 @@ fn auditor_stays_clean_on_a_healthy_run() {
     assert!(aud.is_clean(), "healthy run: {}", aud.summary());
 }
 
+/// Without the retry layer a dropped flit is gone for good: its credit
+/// leaks, and its destination NI reports exactly one stream loss, naming
+/// the connection, the flit it expected and the one that came instead.
 #[test]
 fn auditor_flags_the_credit_leak_of_an_unprotected_drop() {
     let mut net = mesh_net();
@@ -175,6 +178,14 @@ fn auditor_flags_the_credit_leak_of_an_unprotected_drop() {
         "the leak shows up as a conservation break: {}",
         aud.summary()
     );
+    let stream_laws: Vec<_> = (aud.violations().iter())
+        .filter(|v| {
+            matches!(v, AuditViolation::StreamLoss { .. } | AuditViolation::StreamDuplicate { .. })
+        })
+        .collect();
+    let stream = u64::from(id.0);
+    assert_eq!(stream_laws, [&AuditViolation::StreamLoss { stream, expected: 0, got: 1 }]);
+    assert_eq!(net.stats().out_of_order, 1);
 }
 
 #[test]

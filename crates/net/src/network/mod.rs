@@ -20,7 +20,7 @@
 
 use std::collections::BTreeMap;
 
-use mmr_core::audit::{AuditConfig, Auditor};
+use mmr_core::audit::{AuditConfig, AuditViolation, Auditor};
 use mmr_core::conn::ConnectionRequest;
 use mmr_core::flit::{Flit, FlitKind};
 use mmr_core::ids::{ConnRef, ConnectionId, PortId, VcIndex, VcRef};
@@ -421,10 +421,6 @@ impl NetworkSim {
                 Err(_) => self.stats.ghost_releases += 1,
             }
         }
-        // The stream ends here by design; the auditor must not flag the cut.
-        if let Some(aud) = self.auditor.as_mut() {
-            aud.stream_closed(u64::from(id.0));
-        }
         Ok(dropped)
     }
 
@@ -589,10 +585,7 @@ impl NetworkSim {
                             stats.ghost_releases += 1;
                             continue;
                         };
-                        let delivered = deliver_at_ni(conn, t.flit, now, stats);
-                        if let Some(aud) = auditor.as_mut() {
-                            aud.observe_delivery(u64::from(id.0), t.flit.seq);
-                        }
+                        let delivered = deliver_at_ni(conn, t.flit, now, stats, auditor.as_mut());
                         // mmr-lint: allow(A-TRANS, reason="per-step report handed to the caller by value; growth amortizes over the step's own deliveries")
                         report.delivered.push(delivered);
                     }
@@ -615,24 +608,41 @@ impl NetworkSim {
 
 /// A stream flit exits at its destination NI: sequence check, end-to-end
 /// latency and integrity accounting.
+///
+/// The NI's `next_seq` is the stream's one sequence ledger. A flit off it
+/// counts once into [`NetStats::out_of_order`] and, with an auditor armed,
+/// is reported as a [`AuditViolation::StreamLoss`] (it skipped ahead) or a
+/// [`AuditViolation::StreamDuplicate`] (it came late); a late flit never
+/// moves the ledger back. A torn-down connection takes its ledger with it,
+/// so a deliberately cut stream is no loss.
 fn deliver_at_ni(
     conn: &mut NetConnection,
     flit: Flit,
     now: Cycles,
     stats: &mut NetStats,
+    auditor: Option<&mut Auditor>,
 ) -> DeliveredFlit {
-    let in_order = flit.seq == conn.next_seq;
-    conn.next_seq = flit.seq + 1;
+    let (expected, got) = (conn.next_seq, flit.seq);
+    conn.next_seq = expected.max(got + 1);
     let latency = now.since(flit.injected_at);
     stats.latency.record(latency.as_f64());
     stats.flits_delivered += 1;
-    if !in_order {
+    if got != expected {
         stats.out_of_order += 1;
+        let stream = u64::from(conn.id.0);
+        let violation = if got > expected {
+            AuditViolation::StreamLoss { stream, expected, got }
+        } else {
+            AuditViolation::StreamDuplicate { stream, expected, got }
+        };
+        if let Some(aud) = auditor {
+            aud.report(violation);
+        }
     }
     // End-to-end integrity: a flit corrupted on some wire and never caught
     // at a link check exits here with a stale CRC.
     if !flit.crc_ok() {
         stats.undetected_corruptions += 1;
     }
-    DeliveredFlit { conn: conn.id, flit, latency, in_order }
+    DeliveredFlit { conn: conn.id, flit, latency }
 }

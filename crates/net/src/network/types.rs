@@ -151,7 +151,8 @@ pub struct NetConnection {
     pub id: NetConnectionId,
     /// Per-router hops, source first.
     pub hops: Vec<Hop>,
-    /// Next expected sequence number (in-order check).
+    /// Next expected sequence number: the stream's one sequence ledger,
+    /// kept by the destination NI.
     pub next_seq: u64,
 }
 
@@ -164,8 +165,6 @@ pub struct DeliveredFlit {
     pub flit: Flit,
     /// End-to-end latency in flit cycles.
     pub latency: Cycles,
-    /// Whether the flit arrived in sequence order.
-    pub in_order: bool,
 }
 
 /// The result of one network flit cycle.

@@ -9,6 +9,7 @@
 use mmr_core::ids::PortId;
 use mmr_core::router::RouterConfig;
 use mmr_core::{AuditConfig, QosClass};
+use mmr_net::admission::NI_HEADROOM;
 use mmr_net::{
     AdmissionController, AdmitPolicy, AdmitVerdict, NetworkSim, NodeId, RecoveryEvent,
     RecoveryPolicy, SessionId, Topology,
@@ -88,9 +89,8 @@ proptest! {
         ops in prop::collection::vec((0u16..9, 0u16..9, 0usize..5, 0u8..4), 1..60),
     ) {
         let mut net = mesh_net(seed);
-        let policy = AdmitPolicy::default();
-        let ni_ceiling = policy.ni_headroom * net.link_rate().bits_per_sec();
-        let mut ctl = AdmissionController::new(policy);
+        let ni_ceiling = NI_HEADROOM * net.link_rate().bits_per_sec();
+        let mut ctl = AdmissionController::new(AdmitPolicy::default());
         let mut live: Vec<SessionId> = Vec::new();
         let mut t = 0u64;
         for (a, b, rate, op) in ops {
@@ -264,7 +264,7 @@ proptest! {
         } else {
             AdmissionController::new(AdmitPolicy::default())
         };
-        let ni_ceiling = AdmitPolicy::default().ni_headroom * net.link_rate().bits_per_sec();
+        let ni_ceiling = NI_HEADROOM * net.link_rate().bits_per_sec();
         let wires: Vec<(NodeId, PortId)> = net.topology().wires().iter().map(|w| w.a).collect();
         let mut down: Vec<(NodeId, PortId)> = Vec::new();
         let mut live: Vec<SessionId> = Vec::new();

@@ -15,14 +15,15 @@
 //! with the retry layer off and on, on a 10k-cycle churn run, and on the
 //! structured fabrics under teardown / refill rounds and a link outage.
 
-use std::path::PathBuf;
+mod common;
+
 use std::sync::OnceLock;
 
 use mmr_bench::campaign::Campaign;
 use mmr_bench::churn::ChurnSpec;
 use mmr_bench::faults::{CampaignTopology, Chaos};
 use mmr_bench::{churn, faults, paper, Quality};
-use mmr_conform::{parse_seed, run_scenario_on, CaseRun, Hooks, Scenario};
+use mmr_conform::{run_scenario_on, CaseRun, Hooks, Scenario};
 use mmr_core::router::{RouterConfig, RouterStats};
 use mmr_core::{AuditConfig, AuditViolation};
 use mmr_net::setup::cbr_mbps;
@@ -32,37 +33,6 @@ use mmr_net::{
 };
 use mmr_sim::sweep::{point_seed, SweepOptions};
 use mmr_sim::{Cycles, SeededRng};
-
-/// Loads `(name, seed)` for every corpus file, mirroring the parser in
-/// `conformance_corpus.rs` for the one key the differential gate cares
-/// about (expectations are the other test's business — here both engines
-/// just have to agree, clean or not).
-fn corpus_seeds() -> Vec<(String, u64)> {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests").join("corpus");
-    let mut cases: Vec<(String, u64)> = std::fs::read_dir(&dir)
-        .unwrap_or_else(|e| panic!("corpus dir {}: {e}", dir.display()))
-        .filter_map(|entry| {
-            let path = entry.expect("corpus dir entry readable").path();
-            if path.extension().is_none_or(|e| e != "seed") {
-                return None;
-            }
-            let name =
-                path.file_stem().map(|s| s.to_string_lossy().into_owned()).unwrap_or_default();
-            let text = std::fs::read_to_string(&path)
-                .unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
-            let seed = (text.lines().map(str::trim))
-                .filter(|line| !line.starts_with('#'))
-                .filter_map(|line| line.split_once('='))
-                .find(|(key, _)| key.trim() == "seed")
-                .map(|(_, value)| parse_seed(value.trim()));
-            let seed = seed.unwrap_or_else(|| panic!("{name}: missing seed"));
-            Some((name, seed))
-        })
-        .collect();
-    cases.sort_by(|a, b| a.0.cmp(&b.0));
-    assert!(!cases.is_empty(), "corpus at {} is empty", dir.display());
-    cases
-}
 
 /// Two runs of one scenario that must not be told apart: every field of
 /// the `CaseRun`, down to the divergence list, and (`assert_audits_agree`)
@@ -86,7 +56,7 @@ fn assert_same_case(name: &str, a: &(CaseRun, NetworkSim), b: &(CaseRun, Network
 /// down to the exact divergence list.
 #[test]
 fn corpus_scenarios_agree_across_engines() {
-    for (name, seed) in corpus_seeds() {
+    for common::CorpusCase { name, seed, .. } in common::load_corpus() {
         let scenario = Scenario::generate(seed);
         let event = run_scenario_on(&scenario, Hooks::default());
         let dense = run_scenario_on(&scenario, Hooks { dense_stepping: true, ..Hooks::default() });
@@ -105,7 +75,7 @@ fn corpus_scenarios_agree_across_engines() {
 /// `starvation_is_reported_on_the_sweeps_cycle`.
 #[test]
 fn corpus_scenarios_agree_across_audits() {
-    for (name, seed) in corpus_seeds() {
+    for common::CorpusCase { name, seed, .. } in common::load_corpus() {
         let scenario = Scenario::generate(seed);
         let pass = run_scenario_on(&scenario, Hooks::default());
         let exhaustive = Hooks { exhaustive_audit: true, ..Hooks::default() };
